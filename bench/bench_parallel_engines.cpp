@@ -200,7 +200,7 @@ void BM_GammaSum_Indexed(benchmark::State& state) {
 }
 BENCHMARK(BM_GammaSum_Indexed)
     ->RangeMultiplier(4)
-    ->Range(4, 4096)
+    ->Range(4, 16384)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_GammaSum_Parallel1(benchmark::State& state) {

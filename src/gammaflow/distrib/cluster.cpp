@@ -282,6 +282,7 @@ class Simulation {
   void leave_node(std::size_t l);
   void deactivate(std::size_t l);
   [[nodiscard]] bool drained(std::size_t l) const;
+  [[nodiscard]] bool strands_replica(std::size_t l) const;
   void bump_epoch();
   void rebalance(const runtime::EpochShardMap& old_map);
 
@@ -810,7 +811,44 @@ bool Simulation::drained(std::size_t l) const {
       if (e.to == l) return false;
     }
   }
-  return true;
+  return !strands_replica(l);
+}
+
+/// True when deactivating leaver `l` would strand a replica: some ring node
+/// would be left with no checkpoint holder at all (the ring is down to that
+/// node), or a DOWN node that restores from l's copy would be left with no
+/// up holder to serve it. Checkpoints skip down primaries and a lone node
+/// has no successor, so nothing would ever refill that holder set and the
+/// node's next restart would wait for a replica forever. The leaver stays
+/// (draining, owning no labels) until the hand-off can land.
+bool Simulation::strands_replica(std::size_t l) const {
+  if (holders_.empty()) return false;
+  const auto can_serve = [&](std::size_t h) {
+    return h != l && state_[h] != NState::Inactive && !down(h);
+  };
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    if (i == l || state_[i] == NState::Inactive) continue;
+    const std::vector<std::size_t>& hs = holders_[i];
+    if (std::find(hs.begin(), hs.end(), l) == hs.end()) continue;
+    // The holder set deactivate() would leave behind: the other holders,
+    // or the ring successors when l was the only one.
+    std::vector<std::size_t> after;
+    for (const std::size_t h : hs) {
+      if (h != l) after.push_back(h);
+    }
+    if (after.empty()) {
+      for (std::size_t j = ring_next(i);
+           j != i && after.size() < options_.replication_factor;
+           j = ring_next(j)) {
+        if (j != l) after.push_back(j);
+      }
+    }
+    if (after.empty()) return true;
+    if (down(i) && std::none_of(after.begin(), after.end(), can_serve)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void Simulation::deactivate(std::size_t l) {

@@ -369,9 +369,8 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
         runtime::MatchPipeline::commit(
             sh.store, *proposal,
             sh.rctx.recorder != nullptr ? &sh.rctx : nullptr);
-        // The read-only searches above cannot prune; they accrue garbage
-        // debt on the buckets instead. Settle it here, where we hold the
-        // exclusive lock anyway.
+        // Removes leave dead column rows behind (the garbage debt). Settle
+        // it here, where we hold the exclusive lock anyway.
         if (sh.store.needs_compact()) sh.store.compact();
         if (tel) {
           // Search-to-commit latency: what one firing of this reaction cost

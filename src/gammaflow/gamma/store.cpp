@@ -13,8 +13,6 @@ constexpr std::uint8_t kIntTag = static_cast<std::uint8_t>(ValueKind::Int);
 constexpr std::uint8_t kNilTag = static_cast<std::uint8_t>(ValueKind::Nil);
 }  // namespace
 
-const std::vector<Store::Entry> Store::kEmpty;
-
 Value Store::ColumnGroup::field_value(std::size_t row, std::size_t f) const {
   const Column& c = cols[f];
   const std::uint8_t tag = c.tags[row];
@@ -38,7 +36,7 @@ Store::Id Store::insert(Element e) {
   // Self-triggered collection: without it, append-only rows would grow with
   // TOTAL firings, not live elements, and batch sweeps would scan the dead.
   // Never runs mid-search (searches don't insert), so gathered row
-  // coordinates and bucket pointers stay valid within any one find().
+  // coordinates stay valid within any one find().
   if (dead_rows_ >= kGarbageCompactThreshold ||
       dead_rows_ > 4 * live_count_ + 256) {
     compact();
@@ -53,7 +51,7 @@ Store::Id Store::insert(Element e) {
     id = static_cast<Id>(locs_.size());
     locs_.push_back(Loc{});
     alive_.push_back(true);
-    generations_.push_back(0);
+    inserted_at_.push_back(0);
   }
 
   const std::size_t arity = e.arity();
@@ -80,10 +78,11 @@ Store::Id Store::insert(Element e) {
   ++g.live_rows;
   locs_[id] = Loc{gi, row};
 
-  const Entry entry{id, generations_[id]};
-  arity_index_[arity].entries.push_back(entry);
+  // Appending keeps every bucket sorted by insertion stamp.
+  inserted_at_[id] = version_;
+  arity_index_[arity].push_back(id);
   for (std::size_t f = 0; f < arity; ++f) {
-    field_index_[FieldKey{f, e.field(f)}].entries.push_back(entry);
+    field_index_[FieldKey{f, e.field(f)}].push_back(id);
   }
   ++live_count_;
   ++version_;
@@ -92,18 +91,32 @@ Store::Id Store::insert(Element e) {
 
 void Store::remove(Id id) {
   if (!alive(id)) throw EngineError("remove of dead element id");
-  alive_[id] = false;
-  ++generations_[id];  // invalidates every bucket entry for this occupancy
   const Loc loc = locs_[id];
   ColumnGroup& g = groups_[loc.group];
+  unindex(arity_index_.find(g.arity)->second, id);
+  for (std::size_t f = 0; f < g.arity; ++f) {
+    const auto it = field_index_.find(FieldKey{f, g.field_value(loc.row, f)});
+    unindex(it->second, id);
+    if (it->second.empty()) field_index_.erase(it);
+  }
+  alive_[id] = false;
   g.live_bits[loc.row >> 6] &= ~(std::uint64_t{1} << (loc.row & 63));
   --g.live_rows;
   ++dead_rows_;
   free_list_.push_back(id);
   --live_count_;
   ++version_;
-  // Index buckets are pruned lazily on traversal; the dead row lingers
-  // (masked by the liveness bitmap) until compact().
+  // The dead row lingers (masked by the liveness bitmap) until compact().
+}
+
+void Store::unindex(Bucket& bucket, Id id) const {
+  // Ordered erase: the survivors keep their insertion order, so the bucket
+  // stays exactly what a fresh scan of the live occupants would list.
+  const std::uint64_t stamp = inserted_at_[id];
+  const auto it = std::lower_bound(
+      bucket.begin(), bucket.end(), stamp,
+      [this](Id other, std::uint64_t s) { return inserted_at_[other] < s; });
+  bucket.erase(it);
 }
 
 Element Store::element(Id id) const {
@@ -140,25 +153,6 @@ bool Store::match_pattern(const Pattern& p, Id id, expr::Env& env) const {
   return true;
 }
 
-void Store::prune(Bucket& bucket) {
-  // An entry is stale when its slot died OR was reused by a later occupant
-  // (generation mismatch); either way it no longer belongs here.
-  std::erase_if(bucket.entries, [this](Entry e) { return !live(e); });
-}
-
-const Store::Bucket* Store::bucket(const Pattern& p) {
-  if (auto key = p.key_constraint()) {
-    auto it = field_index_.find(FieldKey{key->first, key->second});
-    if (it == field_index_.end()) return nullptr;
-    prune(it->second);
-    return &it->second;
-  }
-  auto it = arity_index_.find(p.arity());
-  if (it == arity_index_.end()) return nullptr;
-  prune(it->second);
-  return &it->second;
-}
-
 const Store::Bucket* Store::bucket(const Pattern& p) const {
   if (auto key = p.key_constraint()) {
     auto it = field_index_.find(FieldKey{key->first, key->second});
@@ -168,17 +162,7 @@ const Store::Bucket* Store::bucket(const Pattern& p) const {
   return it == arity_index_.end() ? nullptr : &it->second;
 }
 
-const std::vector<Store::Entry>& Store::candidates(const Pattern& p) {
-  const Bucket* b = bucket(p);
-  return b != nullptr ? b->entries : kEmpty;
-}
-
-const std::vector<Store::Entry>& Store::candidates(const Pattern& p) const {
-  const Bucket* b = bucket(p);
-  return b != nullptr ? b->entries : kEmpty;
-}
-
-void Store::compact_columns() {
+void Store::compact() {
   for (std::uint32_t gi = 0; gi < groups_.size(); ++gi) {
     ColumnGroup& g = groups_[gi];
     if (g.live_rows == g.rows) continue;
@@ -219,12 +203,6 @@ void Store::compact_columns() {
     g_column_compactions.fetch_add(1, std::memory_order_relaxed);
   }
   dead_rows_ = 0;
-}
-
-void Store::compact() {
-  for (auto& [key, bucket] : field_index_) prune(bucket);
-  for (auto& [arity, bucket] : arity_index_) prune(bucket);
-  compact_columns();
 }
 
 Multiset Store::to_multiset() const {

@@ -3,16 +3,23 @@
 // GROUPS: each field is a contiguous int64 column (the dominant Int case)
 // with a tag byte per row and a spill sidecar holding non-Int payloads, so
 // a compiled condition can sweep a whole candidate batch without touching a
-// Value variant per field. A per-row liveness bitmap replaces the old
-// stale-seen observation counters: dead rows are the garbage debt, counted
-// exactly at remove() time instead of sampled by read-only searchers.
+// Value variant per field. A per-row liveness bitmap masks removed rows;
+// dead rows are the garbage debt, counted exactly at remove() time.
 //
-// Secondary indexes map (field, value) and arity to candidate entry lists so
+// Secondary indexes map (field, value) and arity to candidate id lists so
 // reaction matching probes a bucket instead of scanning the multiset.
-// Buckets are cleaned lazily: mutating lookups prune in place, read-only
-// lookups (shared-lock searchers) skip stale entries; compact() prunes every
-// bucket AND rewrites column groups densely (inserts self-trigger it once
-// the dead-row debt crosses the threshold, so long worklist runs stay O(live)).
+// Buckets are EXACT: every bucket holds precisely the live occupants with
+// its key, in insertion order, at all times. insert() appends; remove()
+// unindexes the id from its arity bucket and every (field, value) bucket
+// (binary search on the per-slot insertion stamp, then an ordered erase)
+// and drops a field bucket that becomes empty, so the field index holds
+// only keys some live element carries. Nothing in a bucket is ever stale,
+// which keeps lookups read-only (safe under shared locks) and keeps the
+// seeded pick stream — rng->bounded(bucket size), then a cyclic scan in
+// insertion order — independent of when garbage was last collected.
+// compact() rewrites column groups densely (inserts self-trigger it once
+// the dead-row debt crosses the threshold, so long worklist runs stay
+// O(live)).
 //
 // The matching machinery itself (backtracking candidate search, batch
 // bitmap evaluation, match revalidation, commit) lives in
@@ -21,6 +28,7 @@
 // delegates kept for source compatibility.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -38,22 +46,9 @@ class Store {
  public:
   using Id = std::uint32_t;
 
-  /// Bucket entry: a slot id stamped with the slot's generation at insert
-  /// time. Slot ids are reused (free list), so an id alone cannot tell a
-  /// live registration from a stale one left by a previous occupant —
-  /// without the stamp, buckets accumulate duplicate references to reused
-  /// slots and matching degrades from O(live) to O(total firings).
-  struct Entry {
-    Id id;
-    std::uint32_t gen;
-  };
-
-  /// An index bucket: the candidate entries for one (field,value) key or
-  /// one arity. May contain stale entries (dead or reused slots); callers
-  /// check live().
-  struct Bucket {
-    std::vector<Entry> entries;
-  };
+  /// An index bucket: the live ids carrying one (field,value) key or one
+  /// arity, in insertion order. Exact — no dead or reused slots.
+  using Bucket = std::vector<Id>;
 
   /// One field of a column group: Int payloads inline in `data`, every
   /// other kind spilled to the sidecar (`data[row]` is then the spill
@@ -102,16 +97,11 @@ class Store {
   [[nodiscard]] bool alive(Id id) const noexcept {
     return id < alive_.size() && alive_[id];
   }
-  /// True when `entry` references the CURRENT occupant of its slot.
-  [[nodiscard]] bool live(Entry entry) const noexcept {
-    return alive(entry.id) && generations_[entry.id] == entry.gen;
-  }
   /// The element at `id`, materialized from its column-group row.
   /// Precondition: alive(id).
   [[nodiscard]] Element element(Id id) const;
-  /// Column-group coordinates of `id`'s slot (batch gather). Valid for live
-  /// ids, and for dead ones only until the next compaction moves rows —
-  /// searchers check live() first and never span a mutation.
+  /// Column-group coordinates of `id`'s slot (batch gather). Precondition:
+  /// alive(id); valid until the next mutation.
   [[nodiscard]] RowRef row(Id id) const noexcept {
     const Loc loc = locs_[id];
     return RowRef{&groups_[loc.group], loc.row};
@@ -125,21 +115,15 @@ class Store {
 
   /// The bucket the pattern probes: the (field,value) bucket when the
   /// pattern carries a literal constraint, otherwise the arity bucket; null
-  /// when no such bucket exists (nothing can match). May contain stale
-  /// entries; callers must check live(). The mutating overload prunes the
-  /// bucket in place first.
-  [[nodiscard]] const Bucket* bucket(const Pattern& p);
-
-  /// Read-only bucket lookup (no pruning) — safe under a shared lock while
-  /// other threads only hold shared locks. Stale entries linger until a
-  /// mutating lookup or compact() cleans them; searchers skip them via the
-  /// generation stamp (the dead ROWS behind them are already counted in the
-  /// store's garbage debt, so no per-skip bookkeeping is needed).
+  /// when no such bucket exists (nothing can match). Read-only, so safe
+  /// under a shared lock; the pointer stays valid until the next mutation.
   [[nodiscard]] const Bucket* bucket(const Pattern& p) const;
 
-  /// Entry-list views of bucket(); kept for callers that only iterate.
-  [[nodiscard]] const std::vector<Entry>& candidates(const Pattern& p);
-  [[nodiscard]] const std::vector<Entry>& candidates(const Pattern& p) const;
+  /// Number of (field,value) buckets. Empty buckets are dropped on
+  /// remove(), so this never exceeds the live distinct (field,value) pairs.
+  [[nodiscard]] std::size_t field_bucket_count() const noexcept {
+    return field_index_.size();
+  }
 
   /// Dead rows still occupying column-group storage — the garbage debt.
   /// Exact (counted at remove()), unlike the old observation-sampled
@@ -155,10 +139,10 @@ class Store {
   }
   static constexpr std::uint64_t kGarbageCompactThreshold = 4096;
 
-  /// Prunes stale entries from every index bucket and rewrites every column
-  /// group densely (dropping dead rows, rebuilding the spill sidecars),
-  /// settling the garbage debt. Engines call this from an exclusive section
-  /// when needs_compact().
+  /// Rewrites every column group densely (dropping dead rows, rebuilding
+  /// the spill sidecars), settling the garbage debt. Engines call this from
+  /// an exclusive section when needs_compact(). Buckets hold ids, not rows,
+  /// so they need no rewrite.
   void compact();
 
   /// Column-group compactions performed by THIS store (the
@@ -180,7 +164,13 @@ class Store {
     std::size_t field;
     Value value;
     bool operator==(const FieldKey& o) const noexcept {
-      return field == o.field && value == o.value;
+      // Index identity, not Value ==: a NaN field must still find its own
+      // bucket again when remove() unindexes it.
+      return field == o.field &&
+             (value == o.value || (is_nan(value) && is_nan(o.value)));
+    }
+    static bool is_nan(const Value& v) noexcept {
+      return v.is_real() && std::isnan(v.as_real());
     }
   };
   struct FieldKeyHash {
@@ -193,15 +183,16 @@ class Store {
     std::uint32_t row = 0;
   };
 
-  void prune(Bucket& bucket);
   std::uint32_t group_for_arity(std::size_t arity);
-  void compact_columns();
+  void unindex(Bucket& bucket, Id id) const;
 
   std::vector<ColumnGroup> groups_;
   std::unordered_map<std::size_t, std::uint32_t> group_of_arity_;
   std::vector<Loc> locs_;
   std::vector<bool> alive_;
-  std::vector<std::uint32_t> generations_;
+  /// Per-slot insertion stamp (version() at insert): strictly increasing
+  /// along every bucket, so remove() finds an id by binary search.
+  std::vector<std::uint64_t> inserted_at_;
   std::vector<Id> free_list_;
   std::size_t live_count_ = 0;
   std::uint64_t dead_rows_ = 0;
@@ -209,7 +200,6 @@ class Store {
   std::uint64_t column_compactions_ = 0;
   std::unordered_map<FieldKey, Bucket, FieldKeyHash> field_index_;
   std::unordered_map<std::size_t, Bucket> arity_index_;
-  static const std::vector<Entry> kEmpty;
 };
 
 /// Process-wide count of column-group compactions (all stores); engines
@@ -230,14 +220,9 @@ struct Match {
 /// outputs are evaluated once the patterns match — the AST walker (default,
 /// reference semantics), the reaction's compiled bytecode, or batch bitmap
 /// evaluation over the innermost candidate column batch; all produce
-/// identical Matches, engines pass RunOptions::eval_mode().
+/// identical Matches, engines pass RunOptions::eval_mode(). Read-only, so
+/// concurrent searchers may call it under a shared lock.
 /// Delegates to runtime::MatchPipeline::find (the one implementation).
-[[nodiscard]] std::optional<Match> find_match(
-    Store& store, const Reaction& reaction, Rng* rng = nullptr,
-    expr::EvalMode mode = expr::EvalMode::Ast);
-
-/// Read-only variant for concurrent searchers holding a shared lock; leaves
-/// index garbage in place (see Store::compact).
 [[nodiscard]] std::optional<Match> find_match(
     const Store& store, const Reaction& reaction, Rng* rng = nullptr,
     expr::EvalMode mode = expr::EvalMode::Ast);
@@ -246,7 +231,7 @@ struct Match {
 /// elements), stopping early when fn returns false or `limit` matches were
 /// visited. Returns the number visited. Exponential in reaction arity —
 /// meant for small multisets (semantics tests) and match counting.
-std::size_t enumerate_matches(Store& store, const Reaction& reaction,
+std::size_t enumerate_matches(const Store& store, const Reaction& reaction,
                               std::size_t limit,
                               const std::function<bool(const Match&)>& fn,
                               expr::EvalMode mode = expr::EvalMode::Ast);

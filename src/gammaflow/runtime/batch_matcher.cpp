@@ -45,15 +45,19 @@ bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
 
 bool BatchMatcher::begin(const gamma::Store& store,
                          const gamma::Reaction& reaction,
-                         const std::vector<gamma::Store::Entry>& entries,
+                         const gamma::Store::Bucket& bucket,
                          const expr::Env& outer_env) {
   const CompiledReaction& compiled = reaction.compiled();
   const CompiledReaction::BatchPlan* plan = compiled.batch_plan();
   if (plan == nullptr) return false;
+  any_condition_ = std::any_of(plan->conditions.begin(),
+                               plan->conditions.end(),
+                               [](const auto& cond) { return cond.has_value(); });
+  if (!any_condition_ && plan->checks.empty()) return false;
 
   store_ = &store;
   plan_ = plan;
-  entries_ = &entries;
+  bucket_ = &bucket;
   const std::vector<std::string>& slots = compiled.slots();
 
   // Outer bindings: EqSlot comparands (any kind — compared per lane) and
@@ -66,11 +70,6 @@ bool BatchMatcher::begin(const gamma::Store& store,
     }
     eq_values_[i] = outer_env.find(slots[check.slot]);
     if (eq_values_[i] == nullptr) return false;  // malformed outer env
-  }
-
-  any_condition_ = false;
-  for (const auto& cond : plan_->conditions) {
-    if (cond) any_condition_ = true;
   }
 
   slots_.assign(slots.size(), expr::BatchVm::SlotInput{});
@@ -94,19 +93,17 @@ bool BatchMatcher::begin(const gamma::Store& store,
 }
 
 bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
-  const std::vector<Store::Entry>& entries = *entries_;
-  const std::size_t n = entries.size();
+  const Store::Bucket& bucket = *bucket_;
+  const std::size_t n = bucket.size();
 
   rows_.resize(width);
-  alive_.assign(width, 0);
+  shape_ok_.assign(width, 0);
 
-  // Pass 1 — structural mask: liveness, arity, and the plan's field checks,
-  // straight off the columns. A cleared lane here is one the scalar probe
-  // would reject structurally, never one it could fire on.
+  // Pass 1 — structural mask: arity and the plan's field checks, straight
+  // off the columns. A cleared lane here is one the scalar probe would
+  // reject structurally, never one it could fire on.
   for (std::size_t j = 0; j < width; ++j) {
-    const Store::Entry entry = entries[(start + t + j) % n];
-    if (!store_->live(entry)) continue;
-    const Store::RowRef rr = store_->row(entry.id);
+    const Store::RowRef rr = store_->row(bucket[(start + t + j) % n]);
     rows_[j] = rr;
     const Store::ColumnGroup& g = *rr.group;
     if (g.arity != plan_->arity) continue;
@@ -130,25 +127,26 @@ bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
           break;
       }
     }
-    if (ok) alive_[j] = 1;
+    if (ok) shape_ok_[j] = 1;
   }
 
   if (!any_condition_) {
-    fire_ = alive_;
+    fire_ = shape_ok_;
     return true;
   }
 
   // Pass 2 — gather guard inputs. Non-Int fields force the lane on
   // (unknown): the scalar probe re-checks it, so a wrong bitmap value there
   // could only ever be a harmless false positive — we make it exactly that.
-  // Dead lanes get the same filler so a stale row can never fault a chunk.
+  // Masked lanes get the same filler so a rejected row can never fault a
+  // chunk.
   unknown_.assign(width, 0);
   for (std::size_t gi = 0; gi < gather_.size(); ++gi) {
     const auto vs = gather_[gi];
     std::vector<std::int64_t>& col = columns_[gi];
     col.resize(width);
     for (std::size_t j = 0; j < width; ++j) {
-      if (alive_[j] == 0) {
+      if (shape_ok_[j] == 0) {
         col[j] = 1;
         continue;
       }
@@ -168,7 +166,7 @@ bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
   // fires iff some branch's guard is its first truthy one (or an
   // unconditional/else branch catches it while still pending).
   fire_.assign(width, 0);
-  pending_ = alive_;
+  pending_ = shape_ok_;
   for (std::size_t b = 0; b < plan_->conditions.size(); ++b) {
     const auto& cond = plan_->conditions[b];
     if (!cond) {

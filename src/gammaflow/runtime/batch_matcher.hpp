@@ -1,8 +1,8 @@
 // Batch innermost-bucket sweeper: the EvalMode::Batch half of the match
 // pipeline. For the innermost replace-list pattern the candidate bucket is
 // evaluated as COLUMN BATCHES instead of per-element probes: a structural
-// lane mask (liveness ∧ arity ∧ literal/equality field checks straight off
-// the store's columns), a gather of the condition's binder fields into dense
+// lane mask (arity ∧ literal/equality field checks straight off the store's
+// columns), a gather of the condition's binder fields into dense
 // int64 lanes, and one BatchVm run per branch guard producing a fire bitmap.
 //
 // The bitmap is a FILTER, not a verdict: every set lane still goes through
@@ -39,19 +39,21 @@ class BatchMatcher {
   static constexpr std::size_t kMinChunk = 64;
   static constexpr std::size_t kMaxChunk = 1024;
 
-  /// Prepares a sweep of `entries` (the innermost candidate bucket) for
+  /// Prepares a sweep of `bucket` (the innermost candidate bucket) for
   /// `reaction` under the outer bindings `outer_env`. False when this visit
   /// cannot be batch-evaluated — no plan (unbatchable reaction), or an
-  /// outer binding feeding a guard is not Int — and the caller keeps the
-  /// plain scalar probe loop. `entries` and `outer_env` must outlive the
+  /// outer binding feeding a guard is not Int — or would not pay: a plan
+  /// with no guard and no field checks could clear only arity mismatches,
+  /// which the scalar probe rejects just as cheaply. The caller then keeps
+  /// the plain scalar probe loop. `bucket` and `outer_env` must outlive the
   /// chunk() calls of this sweep.
   [[nodiscard]] bool begin(const gamma::Store& store,
                            const gamma::Reaction& reaction,
-                           const std::vector<gamma::Store::Entry>& entries,
+                           const gamma::Store::Bucket& bucket,
                            const expr::Env& outer_env);
 
   /// Computes fire bits for scan positions [t, t+width) of the cyclic scan
-  /// that starts at `start`: fire()[j] covers entries[(start+t+j) % n].
+  /// that starts at `start`: fire()[j] covers bucket[(start+t+j) % n].
   /// False when a lane faulted — the caller resumes scalar probing at scan
   /// position t (earlier chunks were already exact).
   [[nodiscard]] bool chunk(std::size_t start, std::size_t t,
@@ -64,7 +66,7 @@ class BatchMatcher {
  private:
   const gamma::Store* store_ = nullptr;
   const gamma::CompiledReaction::BatchPlan* plan_ = nullptr;
-  const std::vector<gamma::Store::Entry>* entries_ = nullptr;
+  const gamma::Store::Bucket* bucket_ = nullptr;
   bool any_condition_ = false;
 
   expr::BatchVm vm_;
@@ -77,7 +79,7 @@ class BatchMatcher {
   std::vector<expr::BatchVm::SlotInput> slots_;
 
   std::vector<gamma::Store::RowRef> rows_;
-  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint8_t> shape_ok_;
   std::vector<std::uint8_t> unknown_;
   std::vector<std::uint8_t> cond_;
   std::vector<std::uint8_t> pending_;

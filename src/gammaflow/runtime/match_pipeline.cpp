@@ -18,25 +18,19 @@ using gamma::Store;
 // The shared backtracking core. Visits enabled matches of `reaction`; for
 // each, builds a Match and calls `fn`; stops when fn returns false or
 // `limit` is reached. `rng` randomizes the probe order inside each candidate
-// bucket (cyclic start offset — cheap fairness without shuffling).
-//
-// Stale bucket entries (dead or reused slots) are detected by generation
-// stamp and skipped; the dead rows behind them are already counted in the
-// store's garbage debt (Store::dead_rows), so the next exclusive section
-// knows when to compact without per-skip bookkeeping here.
-template <typename StoreT>  // Store (pruning) or const Store (read-only)
-std::size_t search(StoreT& store, const Reaction& reaction, std::size_t limit,
-                   Rng* rng, expr::EvalMode mode,
+// bucket (cyclic start offset — cheap fairness without shuffling). Buckets
+// are exact (only live ids, insertion order), so the search never mutates
+// the store and every probed id is alive.
+std::size_t search(const Store& store, const Reaction& reaction,
+                   std::size_t limit, Rng* rng, expr::EvalMode mode,
                    const std::function<bool(Match&)>& fn) {
   const auto& patterns = reaction.patterns();
   const std::size_t k = patterns.size();
 
-  // Bucket pointers are stable across the search: bucket() never inserts
-  // map entries and prune() mutates entry vectors in place.
   std::vector<const Store::Bucket*> buckets(k);
   for (std::size_t i = 0; i < k; ++i) {
     buckets[i] = store.bucket(patterns[i]);
-    if (buckets[i] == nullptr || buckets[i]->entries.empty()) return 0;
+    if (buckets[i] == nullptr || buckets[i]->empty()) return 0;
   }
 
   std::vector<expr::Env> envs(k + 1);
@@ -58,12 +52,10 @@ std::size_t search(StoreT& store, const Reaction& reaction, std::size_t limit,
       if (!fn(m) || visited >= limit) stop = true;
       return;
     }
-    const auto& bucket = buckets[depth]->entries;
+    const Store::Bucket& bucket = *buckets[depth];
     const std::size_t n = bucket.size();
     const std::size_t start = rng ? rng->bounded(n) : 0;
-    auto probe = [&](const Store::Entry entry) {
-      if (!store.live(entry)) return;
-      const Store::Id id = entry.id;
+    auto probe = [&](const Store::Id id) {
       bool dup = false;
       for (std::size_t d = 0; d < depth; ++d) {
         if (chosen[d] == id) {
@@ -105,9 +97,11 @@ std::size_t search(StoreT& store, const Reaction& reaction, std::size_t limit,
   return visited;
 }
 
-template <typename StoreT>
-std::optional<Match> find_one(StoreT& store, const Reaction& reaction,
-                              Rng* rng, expr::EvalMode mode) {
+}  // namespace
+
+std::optional<Match> MatchPipeline::find(const Store& store,
+                                         const Reaction& reaction, Rng* rng,
+                                         expr::EvalMode mode) {
   std::optional<Match> found;
   search(store, reaction, 1, rng, mode, [&](Match& m) {
     found = std::move(m);
@@ -116,20 +110,8 @@ std::optional<Match> find_one(StoreT& store, const Reaction& reaction,
   return found;
 }
 
-}  // namespace
-
-std::optional<Match> MatchPipeline::find(Store& store, const Reaction& reaction,
-                                         Rng* rng, expr::EvalMode mode) {
-  return find_one(store, reaction, rng, mode);
-}
-
-std::optional<Match> MatchPipeline::find(const Store& store,
-                                         const Reaction& reaction, Rng* rng,
-                                         expr::EvalMode mode) {
-  return find_one(store, reaction, rng, mode);
-}
-
-std::size_t MatchPipeline::enumerate(Store& store, const Reaction& reaction,
+std::size_t MatchPipeline::enumerate(const Store& store,
+                                     const Reaction& reaction,
                                      std::size_t limit,
                                      const std::function<bool(const Match&)>& fn,
                                      expr::EvalMode mode) {
@@ -198,17 +180,12 @@ namespace gammaflow::gamma {
 // so existing callers and tests stay source-compatible. New code calls
 // runtime::MatchPipeline directly.
 
-std::optional<Match> find_match(Store& store, const Reaction& reaction,
-                                Rng* rng, expr::EvalMode mode) {
-  return runtime::MatchPipeline::find(store, reaction, rng, mode);
-}
-
 std::optional<Match> find_match(const Store& store, const Reaction& reaction,
                                 Rng* rng, expr::EvalMode mode) {
   return runtime::MatchPipeline::find(store, reaction, rng, mode);
 }
 
-std::size_t enumerate_matches(Store& store, const Reaction& reaction,
+std::size_t enumerate_matches(const Store& store, const Reaction& reaction,
                               std::size_t limit,
                               const std::function<bool(const Match&)>& fn,
                               expr::EvalMode mode) {

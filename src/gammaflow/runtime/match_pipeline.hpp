@@ -7,11 +7,9 @@
 // thin delegates, kept for source compatibility).
 //
 //   find      — one enabled match (first in bucket order, or randomized via
-//               a cyclic start offset when given an Rng). The mutating
-//               overload prunes stale index entries in place; the const
-//               overload (concurrent searchers under a shared lock) leaves
-//               them — the dead rows behind them are already counted in
-//               Store::dead_rows(), the compaction trigger. Under
+//               a cyclic start offset when given an Rng). Read-only: the
+//               store's buckets are exact, so there is nothing to prune and
+//               concurrent searchers may call it under a shared lock. Under
 //               EvalMode::Batch the innermost candidate bucket is evaluated
 //               as one column batch (a match bitmap from the compiled
 //               condition) instead of per-element probes, falling back to
@@ -49,10 +47,6 @@ struct MatchPipeline {
   /// engines' termination detection rests on). `mode` selects the evaluator
   /// for conditions/outputs (RunOptions::eval_mode()).
   [[nodiscard]] static std::optional<gamma::Match> find(
-      gamma::Store& store, const gamma::Reaction& reaction, Rng* rng = nullptr,
-      expr::EvalMode mode = expr::EvalMode::Ast);
-  /// Read-only variant for searchers under a shared lock; see header note.
-  [[nodiscard]] static std::optional<gamma::Match> find(
       const gamma::Store& store, const gamma::Reaction& reaction,
       Rng* rng = nullptr, expr::EvalMode mode = expr::EvalMode::Ast);
 
@@ -60,7 +54,7 @@ struct MatchPipeline {
   /// elements), stopping early when fn returns false or `limit` matches were
   /// visited. Returns the number visited. Exponential in reaction arity —
   /// meant for small multisets (semantics tests) and match counting.
-  static std::size_t enumerate(gamma::Store& store,
+  static std::size_t enumerate(const gamma::Store& store,
                                const gamma::Reaction& reaction,
                                std::size_t limit,
                                const std::function<bool(const gamma::Match&)>& fn,

@@ -235,6 +235,33 @@ TEST(Elastic, ChurnTimesFaultSweepMatchesOracleOn200Seeds) {
   EXPECT_GT(churny_runs, 0u);  // random churn genuinely triggered
 }
 
+TEST(Elastic, LeaverDoesNotStrandACrashedNodesReplica) {
+  // Regression, outside the 200-seed sweep: the sweep's configuration on
+  // these seeds used to livelock to max_rounds. A leave shrank the ring to
+  // one node (or left a DOWN node with no up holder), so the crashed node's
+  // replica had nowhere to live and its restart waited forever — the live
+  // nodes already held the fixed point, but replica_waits grew every round.
+  const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
+  const gamma::Multiset m = ints(1, 30);
+  const auto expected = gamma::IndexedEngine().run(p, m).final_multiset;
+  for (const std::uint64_t seed : {205u, 247u, 440u, 578u, 658u, 833u}) {
+    ClusterOptions o = opts(4, seed);
+    o.faults.membership.joins.push_back({3, 4});
+    o.faults.membership.leaves.push_back({5, 2});
+    o.faults.membership.churn_rate = 0.05;
+    o.faults.membership.max_churn = 4;
+    o.faults.loss = 0.1;
+    o.faults.duplication = 0.05;
+    o.faults.crash_rate = 0.01;
+    o.faults.max_crashes = 4;
+    o.max_rounds = 20000;  // the livelock ran to the 10^6 default
+    const auto r = run_distributed(p, m, o);
+    EXPECT_EQ(r.final_multiset, expected) << "seed " << seed;
+    EXPECT_EQ(r.outcome, Outcome::Completed) << "seed " << seed;
+    EXPECT_LT(r.replica_waits, 100u) << "seed " << seed;
+  }
+}
+
 TEST(Elastic, RebalanceMovesOnlyLabelsWhoseAssignmentChanged) {
   // Freeze everything except the rebalance itself: a program that never
   // fires, no stirring, and one scheduled join. The elements shipped at the

@@ -1,7 +1,11 @@
-// Indexed store: slot lifecycle, candidate buckets, pruning, compaction,
+// Indexed store: slot lifecycle, exact candidate buckets, compaction,
 // match finding and enumeration.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/parser.hpp"
 #include "gammaflow/gamma/store.hpp"
 
@@ -12,6 +16,12 @@ std::vector<expr::ExprPtr> tuple(std::initializer_list<const char*> fields) {
   std::vector<expr::ExprPtr> out;
   for (const char* f : fields) out.push_back(expr::parse_expression(f));
   return out;
+}
+
+/// Size of the bucket `p` probes (0 when there is none).
+std::size_t bucket_size(const Store& s, const Pattern& p) {
+  const Store::Bucket* b = s.bucket(p);
+  return b == nullptr ? 0 : b->size();
 }
 
 TEST(Store, InsertRemoveLifecycle) {
@@ -51,9 +61,9 @@ TEST(Store, CandidatesByLabelBucket) {
   s.insert(Element::tagged(Value(2), "B", 0));
   s.insert(Element::tagged(Value(3), "A", 1));
   const Pattern pa = Pattern::tagged("x", "A", "v");
-  EXPECT_EQ(s.candidates(pa).size(), 2u);
+  EXPECT_EQ(bucket_size(s, pa), 2u);
   const Pattern pz = Pattern::tagged("x", "Z", "v");
-  EXPECT_TRUE(s.candidates(pz).empty());
+  EXPECT_EQ(bucket_size(s, pz), 0u);
 }
 
 TEST(Store, CandidatesByArityForUnconstrained) {
@@ -62,36 +72,48 @@ TEST(Store, CandidatesByArityForUnconstrained) {
   s.insert(Element{Value(2)});
   s.insert(Element::labeled(Value(3), "A"));
   const Pattern p = Pattern::var("x");  // arity-1, no literal
-  EXPECT_EQ(s.candidates(p).size(), 2u);
+  EXPECT_EQ(bucket_size(s, p), 2u);
 }
 
-TEST(Store, CandidatesPruneDeadIds) {
+TEST(Store, RemoveUnindexesTheIdFromItsBuckets) {
   Store s;
   const auto id1 = s.insert(Element::tagged(Value(1), "A", 0));
-  s.insert(Element::tagged(Value(2), "A", 0));
+  const auto id2 = s.insert(Element::tagged(Value(2), "A", 0));
+  const auto id3 = s.insert(Element::tagged(Value(3), "B", 0));
   s.remove(id1);
   const Pattern pa = Pattern::tagged("x", "A", "v");
-  const auto& bucket = s.candidates(pa);  // prunes in place
-  EXPECT_EQ(bucket.size(), 1u);
+  ASSERT_NE(s.bucket(pa), nullptr);
+  EXPECT_EQ(*s.bucket(pa), (Store::Bucket{id2}));
+  // The arity bucket loses the id too, keeping the survivors' order.
+  const Pattern any3({PatternField::bind("x"), PatternField::bind("l"),
+                      PatternField::bind("t")});
+  ASSERT_NE(s.bucket(any3), nullptr);
+  EXPECT_EQ(*s.bucket(any3), (Store::Bucket{id2, id3}));
 }
 
-TEST(Store, ConstCandidatesDoNotPrune) {
+TEST(Store, BucketsAreExactBeforeAnyCompaction) {
+  // Lookups are read-only and see exactly the live occupants right after a
+  // remove; compaction rewrites rows, never bucket contents.
   Store s;
   const auto id1 = s.insert(Element::tagged(Value(1), "A", 0));
-  s.insert(Element::tagged(Value(2), "A", 0));
+  const auto id2 = s.insert(Element::tagged(Value(2), "A", 0));
   s.remove(id1);
   const Store& cs = s;
   const Pattern pa = Pattern::tagged("x", "A", "v");
-  EXPECT_EQ(cs.candidates(pa).size(), 2u);  // garbage retained
+  ASSERT_NE(cs.bucket(pa), nullptr);
+  EXPECT_EQ(*cs.bucket(pa), (Store::Bucket{id2}));
   s.compact();
-  EXPECT_EQ(cs.candidates(pa).size(), 1u);
+  EXPECT_EQ(*cs.bucket(pa), (Store::Bucket{id2}));
+  // A (field,value) bucket that empties is dropped.
+  s.remove(id2);
+  EXPECT_EQ(cs.bucket(pa), nullptr);
 }
 
 TEST(Store, BucketsStayBoundedUnderSlotReuse) {
-  // Regression: slot reuse re-registers the same id in the index; without
-  // generation stamps those entries all look alive and the label bucket
-  // grows by one per rewrite, degrading matching to O(total firings).
-  // (Observed: Fig. 2's reduced program at z=4000 took 54s instead of 0.2s.)
+  // Regression: slot reuse re-registers the same id in the index; if the
+  // old registration lingered, the label bucket would grow by one per
+  // rewrite and matching would degrade to O(total firings). (Observed:
+  // Fig. 2's reduced program at z=4000 took 54s instead of 0.2s.)
   Store s;
   for (int i = 0; i < 10000; ++i) {
     const auto id = s.insert(Element::tagged(Value(i), "L", 0));
@@ -99,8 +121,100 @@ TEST(Store, BucketsStayBoundedUnderSlotReuse) {
   }
   s.insert(Element::tagged(Value(-1), "L", 0));
   const Pattern p = Pattern::tagged("x", "L", "v");
-  EXPECT_LE(s.candidates(p).size(), 2u);  // pruned to the single live entry
+  EXPECT_EQ(bucket_size(s, p), 1u);  // exactly the single live entry
   EXPECT_EQ(s.size(), 1u);
+}
+
+TEST(Store, RandomizedBucketsEqualLiveOccupantsInInsertionOrder) {
+  // Differential against a model: after every one of 500 random inserts
+  // and removes (slot reuse included), each arity bucket and each
+  // (field,value) bucket must equal the live ids with that key, in
+  // insertion order — and no bucket may exist for a key nobody carries.
+  const std::vector<Value> domain = {Value(0),        Value(1),
+                                     Value(2),        Value(std::string("a")),
+                                     Value(std::string("b")), Value(true),
+                                     Value(2.5),      Value()};
+  Store s;
+  std::vector<std::pair<Store::Id, Element>> live;  // insertion order
+  Rng rng(2024);
+  for (int step = 0; step < 500; ++step) {
+    if (live.empty() || rng.bounded(5) < 3) {
+      std::vector<Value> fields(1 + rng.bounded(3));
+      for (Value& v : fields) v = domain[rng.bounded(domain.size())];
+      Element e(std::move(fields));
+      const Store::Id id = s.insert(e);
+      live.emplace_back(id, std::move(e));
+    } else {
+      const std::size_t at = rng.bounded(live.size());
+      s.remove(live[at].first);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+
+    std::set<std::pair<std::size_t, std::size_t>> keys;  // (field, domain i)
+    for (std::size_t arity = 1; arity <= 3; ++arity) {
+      std::vector<PatternField> binders;
+      for (std::size_t f = 0; f < arity; ++f) {
+        binders.push_back(PatternField::bind("x" + std::to_string(f)));
+      }
+      Store::Bucket want;
+      for (const auto& [id, e] : live) {
+        if (e.arity() == arity) want.push_back(id);
+      }
+      const Store::Bucket* got = s.bucket(Pattern(binders));
+      EXPECT_EQ(got == nullptr ? Store::Bucket{} : *got, want)
+          << "arity " << arity << " at step " << step;
+
+      for (std::size_t f = 0; f < arity; ++f) {
+        for (std::size_t d = 0; d < domain.size(); ++d) {
+          std::vector<PatternField> fields = binders;
+          fields[f] = PatternField::literal(domain[d]);
+          Store::Bucket key_want;
+          for (const auto& [id, e] : live) {
+            if (e.arity() > f && e.field(f) == domain[d]) {
+              key_want.push_back(id);
+            }
+          }
+          if (!key_want.empty()) keys.emplace(f, d);
+          const Store::Bucket* key_got = s.bucket(Pattern(fields));
+          if (key_want.empty()) {
+            EXPECT_EQ(key_got, nullptr) << "field " << f << " value "
+                                        << domain[d] << " at step " << step;
+          } else {
+            ASSERT_NE(key_got, nullptr) << "step " << step;
+            EXPECT_EQ(*key_got, key_want) << "field " << f << " value "
+                                          << domain[d] << " at step " << step;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(s.field_bucket_count(), keys.size()) << "step " << step;
+    EXPECT_EQ(s.size(), live.size());
+  }
+}
+
+TEST(Store, FieldIndexDoesNotLeakBucketsForRetiredValues) {
+  // A long-lived session that keeps producing fresh values (keyed sums)
+  // must not keep one index node per value ever seen: 10^5 insert/remove
+  // cycles of distinct values leave only the live pairs' buckets behind.
+  Store s;
+  const auto keep = s.insert(Element::labeled(Value(-1), "K"));
+  for (std::int64_t i = 0; i < 100000; ++i) {
+    s.remove(s.insert(Element::labeled(Value(i), "K")));
+  }
+  // Live distinct (field,value) pairs: (0,-1) and (1,'K').
+  EXPECT_LE(s.field_bucket_count(), 2u);
+  EXPECT_EQ(bucket_size(s, Pattern::labeled("x", "K")), 1u);
+  EXPECT_TRUE(s.alive(keep));
+}
+
+TEST(Store, NanFieldsUnindexCleanly) {
+  // NaN != NaN as a Value, yet remove() must still find the NaN's bucket.
+  Store s;
+  const auto id = s.insert(Element{Value(std::nan(""))});
+  EXPECT_EQ(s.field_bucket_count(), 1u);
+  s.remove(id);
+  EXPECT_EQ(s.field_bucket_count(), 0u);
+  EXPECT_EQ(bucket_size(s, Pattern::var("x")), 0u);
 }
 
 TEST(Store, ToMultisetRoundTrip) {
@@ -225,17 +339,12 @@ TEST(Store, DeadRowDebtAccruesOnRemoveAndCompactSettlesIt) {
   EXPECT_EQ(s.dead_rows(), 4u);
   EXPECT_FALSE(s.needs_compact());
 
-  // The read-only lookup leaves stale entries in place for searchers to
-  // skip via the generation stamp.
+  // The buckets already hold exactly the four survivors; only the dead
+  // ROWS linger until compaction.
   const Store& cs = s;
   const Store::Bucket* b = cs.bucket(Pattern::var("x"));
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->entries.size(), 8u);
-  std::uint64_t skips = 0;
-  for (const auto& entry : b->entries) {
-    if (!cs.live(entry)) ++skips;
-  }
-  EXPECT_EQ(skips, 4u);
+  EXPECT_EQ(*b, (Store::Bucket{ids[4], ids[5], ids[6], ids[7]}));
 
   const auto compactions_before = s.column_compactions();
   s.compact();
@@ -243,7 +352,7 @@ TEST(Store, DeadRowDebtAccruesOnRemoveAndCompactSettlesIt) {
   EXPECT_GT(s.column_compactions(), compactions_before);
   const Store::Bucket* after = cs.bucket(Pattern::var("x"));
   ASSERT_NE(after, nullptr);
-  EXPECT_EQ(after->entries.size(), 4u);
+  EXPECT_EQ(*after, (Store::Bucket{ids[4], ids[5], ids[6], ids[7]}));
   // Survivors keep their identity and content across the row rewrite.
   for (std::size_t i = 4; i < 8; ++i) {
     EXPECT_TRUE(s.alive(ids[i]));
