@@ -20,13 +20,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 #include "gammaflow/serve/server.hpp"
-#include "gammaflow/serve/wire.hpp"
 
 using namespace gammaflow;
 
@@ -66,26 +66,26 @@ std::string k_label_program(std::size_t k) {
 std::string create_line(const std::string& session, const std::string& program,
                         const std::string& init, bool rescan) {
   std::string line = R"({"verb":"create","session":)" +
-                     serve::json_quote(session) +
-                     R"(,"program":)" + serve::json_quote(program);
-  if (!init.empty()) line += R"(,"init":)" + serve::json_quote(init);
+                     json_quote(session) +
+                     R"(,"program":)" + json_quote(program);
+  if (!init.empty()) line += R"(,"init":)" + json_quote(init);
   if (rescan) line += R"(,"rescan":true)";
   return line + "}";
 }
 
 std::string inject_line(const std::string& session,
                         const std::string& elements) {
-  return R"({"verb":"inject","session":)" + serve::json_quote(session) +
-         R"(,"elements":)" + serve::json_quote(elements) + "}";
+  return R"({"verb":"inject","session":)" + json_quote(session) +
+         R"(,"elements":)" + json_quote(elements) + "}";
 }
 
 std::string simple_line(const char* verb, const std::string& session) {
   return std::string(R"({"verb":")") + verb + R"(","session":)" +
-         serve::json_quote(session) + "}";
+         json_quote(session) + "}";
 }
 
-serve::Json expect_ok(const std::string& reply_line, const char* what) {
-  const serve::Json reply = serve::parse_json(reply_line);
+Json expect_ok(const std::string& reply_line, const char* what) {
+  const Json reply = parse_json(reply_line);
   if (!reply.bool_or("ok", false)) {
     std::cout << "FATAL: " << what << " failed: " << reply_line << '\n';
     std::exit(1);
@@ -178,7 +178,7 @@ void scripted_differential(Daemon& daemon) {
     expect_ok(client->call(inject_line("diff", elements)), "inject");
   }
 
-  const serve::Json snap =
+  const Json snap =
       expect_ok(client->call(simple_line("snapshot", "diff")), "snapshot");
   obs::StoreCounts served;
   for (const auto& [elem, count] : snap.get("store")->as_obj()) {
@@ -227,14 +227,14 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
       for (int j = 0; j < 200; ++j) {
         const std::string label =
             "L" + std::to_string(static_cast<std::size_t>(j) % k);
-        const serve::Json reply = expect_ok(
+        const Json reply = expect_ok(
             client->call(inject_line(
                 session, "[" + std::to_string(rng.bounded(100)) + ",'" +
                              label + "']")),
             "inject");
         quiesce.push_back(reply.num_or("quiesce_us", 0.0));
       }
-      const serve::Json stats =
+      const Json stats =
           expect_ok(client->call(simple_line("stats", session)), "stats");
       const std::int64_t wakeups = stats.int_or("wakeups", 0);
       const std::int64_t rematches = stats.int_or("rematches", 0);
@@ -281,14 +281,14 @@ void batch_sparse_touch_sweep(obs::Telemetry& tel) {
     for (int j = 0; j < 200; ++j) {
       const std::string label =
           "L" + std::to_string(static_cast<std::size_t>(j) % k);
-      const serve::Json reply = expect_ok(
+      const Json reply = expect_ok(
           server.handle_line(inject_line(
               "e18", "[" + std::to_string(rng.bounded(100)) + ",'" + label +
                          "']")),
           "inject");
       quiesce.push_back(reply.num_or("quiesce_us", 0.0));
     }
-    const serve::Json snap =
+    const Json snap =
         expect_ok(server.handle_line(simple_line("snapshot", "e18")),
                   "snapshot");
     obs::StoreCounts& counts = snaps[batch ? 0 : 1];
@@ -331,7 +331,7 @@ void closed_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
         Rng rng(41 + c);
         for (int j = 0; j < 200; ++j) {
           const auto t0 = Clock::now();
-          const serve::Json reply = expect_ok(
+          const Json reply = expect_ok(
               client->call(inject_line(
                   session, std::to_string(rng.bounded(1000000)))),
               "inject");

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
@@ -468,25 +469,13 @@ std::ostream& operator<<(std::ostream& os, const InterferenceReport& report) {
 }
 
 void write_json(std::ostream& os, const InterferenceReport& report) {
-  auto escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  };
   os << "{\"verdict\":\"" << to_string(report.verdict)
      << "\",\"class_count\":" << report.class_count << ",\"reactions\":[";
   for (std::size_t i = 0; i < report.reactions.size(); ++i) {
     if (i) os << ',';
-    os << "{\"name\":\"" << escape(report.reactions[i]) << "\",\"class\":"
-       << report.class_of[i] << ",\"footprint\":\""
-       << escape(report.footprints[i].to_string()) << "\"}";
+    os << "{\"name\":" << json_quote(report.reactions[i]) << ",\"class\":"
+       << report.class_of[i] << ",\"footprint\":"
+       << json_quote(report.footprints[i].to_string()) << '}';
   }
   // Edge lists by kind, as [from, to] name pairs — feed edges are directed
   // produce->consume, compete edges undirected (emitted r1,r2). The optimizer
@@ -499,8 +488,8 @@ void write_json(std::ostream& os, const InterferenceReport& report) {
       if (!(from == e.r1 ? e.feeds_12 : e.feeds_21)) continue;
       if (!first_edge) os << ',';
       first_edge = false;
-      os << "[\"" << escape(report.reactions[from]) << "\",\""
-         << escape(report.reactions[to]) << "\"]";
+      os << '[' << json_quote(report.reactions[from]) << ','
+         << json_quote(report.reactions[to]) << ']';
     }
   }
   os << "],\"compete_edges\":[";
@@ -509,20 +498,20 @@ void write_json(std::ostream& os, const InterferenceReport& report) {
     if (!e.compete) continue;
     if (!first_edge) os << ',';
     first_edge = false;
-    os << "[\"" << escape(report.reactions[e.r1]) << "\",\""
-       << escape(report.reactions[e.r2]) << "\"]";
+    os << '[' << json_quote(report.reactions[e.r1]) << ','
+       << json_quote(report.reactions[e.r2]) << ']';
   }
   os << "],\"pairs\":[";
   for (std::size_t k = 0; k < report.pairs.size(); ++k) {
     const PairFinding& p = report.pairs[k];
     if (k) os << ',';
-    os << "{\"r1\":\"" << escape(report.reactions[p.r1]) << "\",\"r2\":\""
-       << escape(report.reactions[p.r2]) << "\",\"status\":\""
+    os << "{\"r1\":" << json_quote(report.reactions[p.r1]) << ",\"r2\":"
+       << json_quote(report.reactions[p.r2]) << ",\"status\":\""
        << to_string(p.status) << '"';
     if (p.status == PairStatus::Diverges) {
-      os << ",\"witness\":\"" << escape(p.witness.to_string())
-         << "\",\"fixpoint1\":\"" << escape(p.fixpoint1.to_string())
-         << "\",\"fixpoint2\":\"" << escape(p.fixpoint2.to_string()) << '"';
+      os << ",\"witness\":" << json_quote(p.witness.to_string())
+         << ",\"fixpoint1\":" << json_quote(p.fixpoint1.to_string())
+         << ",\"fixpoint2\":" << json_quote(p.fixpoint2.to_string());
     }
     os << '}';
   }

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <set>
 
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/expr/simplify.hpp"
 
 namespace gammaflow::analysis {
@@ -142,26 +143,14 @@ std::ostream& operator<<(std::ostream& os, const LintReport& report) {
 }
 
 void write_json(std::ostream& os, const LintReport& report) {
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  };
   os << "{\"errors\":" << report.errors()
      << ",\"warnings\":" << report.warnings() << ",\"findings\":[";
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const Finding& f = report.findings[i];
     if (i) os << ',';
-    os << "{\"severity\":\"" << to_string(f.severity) << "\",\"check\":\""
-       << escape(f.check) << "\",\"where\":\"" << escape(f.reaction)
-       << "\",\"message\":\"" << escape(f.message) << "\"}";
+    os << "{\"severity\":\"" << to_string(f.severity) << "\",\"check\":"
+       << json_quote(f.check) << ",\"where\":" << json_quote(f.reaction)
+       << ",\"message\":" << json_quote(f.message) << '}';
   }
   os << "]}";
 }

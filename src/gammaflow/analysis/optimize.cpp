@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "gammaflow/analysis/interference.hpp"
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/expr/simplify.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/telemetry.hpp"
@@ -668,18 +669,6 @@ std::ostream& operator<<(std::ostream& os, const OptimizeReport& report) {
 }
 
 void write_json(std::ostream& os, const OptimizeReport& report) {
-  auto escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  };
   os << "{\"chains_found\":" << report.chains_found
      << ",\"fused\":" << report.fused
      << ",\"rejected_by_cost\":" << report.rejected_by_cost
@@ -693,9 +682,9 @@ void write_json(std::ostream& os, const OptimizeReport& report) {
   for (std::size_t i = 0; i < report.rewrites.size(); ++i) {
     const PlannedRewrite& rw = report.rewrites[i];
     if (i) os << ',';
-    os << "{\"producer\":\"" << escape(rw.producer) << "\",\"consumer\":\""
-       << escape(rw.consumer) << "\",\"via\":\"" << escape(rw.via_label)
-       << "\",\"status\":\"" << to_string(rw.status)
+    os << "{\"producer\":" << json_quote(rw.producer) << ",\"consumer\":"
+       << json_quote(rw.consumer) << ",\"via\":" << json_quote(rw.via_label)
+       << ",\"status\":\"" << to_string(rw.status)
        << "\",\"conditional_producer\":"
        << (rw.conditional_producer ? "true" : "false")
        << ",\"cost_before\":" << rw.cost_before
@@ -705,9 +694,9 @@ void write_json(std::ostream& os, const OptimizeReport& report) {
   for (std::size_t i = 0; i < report.dead.size(); ++i) {
     const Finding& f = report.dead[i];
     if (i) os << ',';
-    os << "{\"check\":\"" << escape(f.check) << "\",\"reaction\":\""
-       << escape(f.reaction) << "\",\"message\":\"" << escape(f.message)
-       << "\"}";
+    os << "{\"check\":" << json_quote(f.check) << ",\"reaction\":"
+       << json_quote(f.reaction) << ",\"message\":" << json_quote(f.message)
+       << '}';
   }
   os << "],\"bounds\":{\"initial_known\":"
      << (report.bounds.initial_known ? "true" : "false") << ",\"overall\":\""
@@ -716,7 +705,7 @@ void write_json(std::ostream& os, const OptimizeReport& report) {
   for (const auto& [label, lb] : report.bounds.labels) {
     if (!first) os << ',';
     first = false;
-    os << "{\"label\":\"" << escape(label) << "\",\"growth\":\""
+    os << "{\"label\":" << json_quote(label) << ",\"growth\":\""
        << analysis::to_string(lb.growth) << '"';
     if (!lb.unbounded()) os << ",\"bound\":" << lb.bound;
     os << '}';

@@ -1,12 +1,13 @@
-#include "gammaflow/serve/wire.hpp"
+#include "gammaflow/common/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
 
-namespace gammaflow::serve {
+namespace gammaflow {
 
 namespace {
 
@@ -28,6 +29,7 @@ const char* kind_name(std::size_t index) noexcept {
 }
 
 /// Recursive-descent parser over the text; positions reported on error.
+/// Recursion is bounded by kMaxJsonDepth.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -81,8 +83,14 @@ class Parser {
 
   Json value() {
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxJsonDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      Json v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(string());
     if (c == 't') {
       if (literal("true")) return Json(true);
@@ -161,8 +169,8 @@ class Parser {
               fail("bad \\u escape");
             }
           }
-          // Protocol strings are ASCII identifiers/DSL; anything above is
-          // passed through as UTF-8 for round-trip fidelity.
+          // Code points above ASCII are written out as UTF-8 (surrogate
+          // pairs are not combined; nothing gammaflow writes needs them).
           if (code < 0x80) {
             out.push_back(static_cast<char>(code));
           } else if (code < 0x800) {
@@ -216,6 +224,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace
@@ -346,4 +355,4 @@ void write_json(std::ostream& out, const Json& value) {
   }
 }
 
-}  // namespace gammaflow::serve
+}  // namespace gammaflow

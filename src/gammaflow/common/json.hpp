@@ -1,16 +1,16 @@
-// Wire-format JSON for the serve protocol (DESIGN §14): a minimal value
-// type + parser/writer for the line-delimited request/reply objects the
-// daemon speaks. The run recorder's journal parser is deliberately
-// journal-shaped (fixed schema, skip-unknown); the protocol needs general
-// values (arbitrary request fields, nested reply objects), so this small
-// general-purpose JSON lives here and gf_obs stays untouched.
+// The one JSON codec: a minimal value type + parser/writer shared by the
+// serve wire protocol (DESIGN §14), the run-journal reader (DESIGN §11) and
+// every hand-ordered JSON writer (journals, Chrome traces, viz HTML,
+// `--json` reports), which escape strings with json_quote.
 //
-// Scope matches the protocol: objects, arrays, strings, bools, null, and
-// numbers (int64 when the literal is integral, double otherwise). No
-// unicode \uXXXX escapes beyond pass-through of the common control escapes —
-// protocol strings are DSL text and identifiers, not arbitrary user prose.
+// Scope: objects, arrays, strings, bools, null, and numbers (int64 when the
+// literal is integral, double otherwise). \uXXXX escapes decode to UTF-8;
+// json_quote escapes '"', '\\' and every control byte, so its output is
+// always valid JSON. Nesting is capped at kMaxJsonDepth so hostile input
+// ends in a WireError instead of exhausting the stack.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -20,14 +20,19 @@
 
 #include "gammaflow/common/error.hpp"
 
-namespace gammaflow::serve {
+namespace gammaflow {
 
-/// Malformed wire input (parse errors, type mismatches on access). The
-/// server maps it to an {"ok":false,"error":"bad_request"} reply.
+/// Malformed JSON (parse errors, nesting past kMaxJsonDepth, type mismatches
+/// on access). The server maps it to an {"ok":false,"error":"bad_request"}
+/// reply; the journal reader to a std::runtime_error.
 class WireError : public Error {
  public:
   explicit WireError(const std::string& what) : Error("WireError: " + what) {}
 };
+
+/// Deepest array/object nesting parse_json accepts; one level deeper is a
+/// WireError "nesting deeper than 256 at offset N".
+inline constexpr std::size_t kMaxJsonDepth = 256;
 
 class Json;
 using JsonArr = std::vector<Json>;
@@ -87,11 +92,13 @@ class Json {
 };
 
 /// Parses one JSON value (the whole string; trailing garbage is an error).
+/// Throws WireError on malformed input or nesting past kMaxJsonDepth.
 [[nodiscard]] Json parse_json(const std::string& text);
 
 void write_json(std::ostream& out, const Json& value);
 
-/// Escapes + quotes `s` for embedding in hand-built reply strings.
+/// Escapes + quotes `s` for embedding in hand-built JSON: '"', '\\', \n,
+/// \r, \t by name, every other byte below 0x20 as \u00XX.
 [[nodiscard]] std::string json_quote(const std::string& s);
 
-}  // namespace gammaflow::serve
+}  // namespace gammaflow

@@ -164,9 +164,4 @@ std::ostream& operator<<(std::ostream& os, const StatsRegistry& reg) {
   return os << reg.snapshot();
 }
 
-StatsRegistry& global_stats() {
-  static StatsRegistry registry;
-  return registry;
-}
-
 }  // namespace gammaflow

@@ -146,9 +146,4 @@ class StatsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-/// Process-global registry for code without a run-scoped sink (thread pool,
-/// allocator-ish helpers). Prefer the run-scoped StatsRegistry inside
-/// obs::Telemetry where one is available.
-StatsRegistry& global_stats();
-
 }  // namespace gammaflow

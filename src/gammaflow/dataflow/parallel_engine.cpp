@@ -94,14 +94,13 @@ class ParallelRun {
             graph_.node(root).kind)];
       }
       total_fires_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<std::string> produced;
-      route_emission(root, f, jrec_ != nullptr ? &produced : nullptr);
       if (jrec_ != nullptr) {
         obs::FireRecord fr;
         fr.reaction = node_label(root);
-        fr.produced = std::move(produced);
+        fr.produced = emission_strs(root, f);
         jrec_->fire(std::move(fr));
       }
+      route_emission(root, f);
     }
     for (const auto& [label, token] : extra_tokens) {
       const auto eid = graph_.find_edge(label);
@@ -223,17 +222,28 @@ class ParallelRun {
     workers_[owner(node)].inbox.push(Routed{node, port, std::move(token)});
   }
 
-  void route_emission(NodeId node, const Firing& firing,
-                      std::vector<std::string>* produced = nullptr) {
+  void route_emission(NodeId node, const Firing& firing) {
     if (!firing.emits) return;
     for (const EdgeId eid : graph_.out_edges(node, firing.port)) {
       const Edge& e = graph_.edge(eid);
-      if (produced != nullptr) {
-        produced->push_back(journal_token_str(graph_, e.dst, e.dst_port,
-                                              firing.tag, firing.value));
-      }
       send(e.dst, e.dst_port, Token{firing.value, firing.tag});
     }
+  }
+
+  /// Journal strings for the tokens route_emission() is about to send.
+  /// Callers journal the fire BEFORE routing: once a token is sent, another
+  /// PE may consume it and journal that fire, and replay needs the producer
+  /// first.
+  [[nodiscard]] std::vector<std::string> emission_strs(
+      NodeId node, const Firing& firing) const {
+    std::vector<std::string> produced;
+    if (!firing.emits) return produced;
+    for (const EdgeId eid : graph_.out_edges(node, firing.port)) {
+      const Edge& e = graph_.edge(eid);
+      produced.push_back(journal_token_str(graph_, e.dst, e.dst_port,
+                                           firing.tag, firing.value));
+    }
+    return produced;
   }
 
   /// Journal label for a node: its name, or "<kind>#<id>" when unnamed.
@@ -383,8 +393,11 @@ class ParallelRun {
         tag_hist_->observe(static_cast<double>(firing.tag));
       }
     }
-    route_emission(routed.node, firing, jrec_ != nullptr ? &fr.produced : nullptr);
-    if (jrec_ != nullptr) jrec_->fire(std::move(fr));
+    if (jrec_ != nullptr) {
+      fr.produced = emission_strs(routed.node, firing);
+      jrec_->fire(std::move(fr));
+    }
+    route_emission(routed.node, firing);
   }
 
   const Graph& graph_;

@@ -23,19 +23,14 @@
 //
 // The matching machinery itself (backtracking candidate search, batch
 // bitmap evaluation, match revalidation, commit) lives in
-// runtime/match_pipeline.hpp — one implementation for every engine. The
-// find_match/enumerate_matches/commit free functions declared here are thin
-// delegates kept for source compatibility.
+// runtime/match_pipeline.hpp — one implementation for every engine.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/env.hpp"
 #include "gammaflow/gamma/multiset.hpp"
 #include "gammaflow/gamma/reaction.hpp"
@@ -206,38 +201,12 @@ class Store {
 /// report per-run deltas as the `store.column_compactions` metric.
 [[nodiscard]] std::uint64_t column_compactions_total() noexcept;
 
+/// One enabled match of a reaction, as runtime::MatchPipeline finds it.
 struct Match {
   const Reaction* reaction = nullptr;
   std::vector<Store::Id> ids;  // one per pattern, all distinct
   expr::Env env;               // bindings from the replace list
   std::vector<Element> produced;  // outputs of the firing branch
 };
-
-/// Finds one enabled match for `reaction` (patterns match AND a branch
-/// fires). With `rng`, candidate buckets are probed starting at random
-/// offsets so repeated calls are fair; without, the first match in bucket
-/// order is returned (deterministic). `mode` selects how conditions and
-/// outputs are evaluated once the patterns match — the AST walker (default,
-/// reference semantics), the reaction's compiled bytecode, or batch bitmap
-/// evaluation over the innermost candidate column batch; all produce
-/// identical Matches, engines pass RunOptions::eval_mode(). Read-only, so
-/// concurrent searchers may call it under a shared lock.
-/// Delegates to runtime::MatchPipeline::find (the one implementation).
-[[nodiscard]] std::optional<Match> find_match(
-    const Store& store, const Reaction& reaction, Rng* rng = nullptr,
-    expr::EvalMode mode = expr::EvalMode::Ast);
-
-/// Invokes `fn` for every enabled match (ordered tuples of distinct
-/// elements), stopping early when fn returns false or `limit` matches were
-/// visited. Returns the number visited. Exponential in reaction arity —
-/// meant for small multisets (semantics tests) and match counting.
-std::size_t enumerate_matches(const Store& store, const Reaction& reaction,
-                              std::size_t limit,
-                              const std::function<bool(const Match&)>& fn,
-                              expr::EvalMode mode = expr::EvalMode::Ast);
-
-/// Applies a found match: removes the consumed ids, inserts the produced
-/// elements. Precondition: all ids alive.
-void commit(Store& store, const Match& match);
 
 }  // namespace gammaflow::gamma

@@ -1,12 +1,12 @@
 #include "gammaflow/obs/run_recorder.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "gammaflow/common/json.hpp"
 
 namespace gammaflow::obs {
 namespace {
@@ -45,36 +45,13 @@ std::uint64_t total_count(const StoreCounts& store) {
 
 // ---------------------------------------------------------------- writing
 
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void write_counts(std::ostream& out, const StoreCounts& counts) {
   out << '{';
   bool first = true;
   for (const auto& [elem, n] : counts) {
     if (!first) out << ',';
     first = false;
-    write_json_string(out, elem);
-    out << ':' << n;
+    out << json_quote(elem) << ':' << n;
   }
   out << '}';
 }
@@ -83,281 +60,82 @@ void write_strings(std::ostream& out, const std::vector<std::string>& items) {
   out << '[';
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out << ',';
-    write_json_string(out, items[i]);
+    out << json_quote(items[i]);
   }
   out << ']';
 }
 
-// ---------------------------------------------------------------- parsing
+// ---------------------------------------------------------------- reading
 //
-// A minimal recursive-descent parser for exactly the JSON write_journal
-// emits (objects, arrays, strings, integers). Kept here rather than pulling
-// in a dependency: the container bakes no JSON library and the grammar is
-// ten productions.
+// A walk over the value parse_json returns. Absent keys keep the struct
+// defaults and unknown keys are ignored (forward compatibility); a present
+// key of the wrong kind is a WireError.
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
+StoreCounts counts_from(const Json& v) {
+  StoreCounts counts;
+  for (const auto& [elem, n] : v.as_obj()) counts[elem] = n.as_int();
+  return counts;
+}
 
-  [[nodiscard]] Journal parse() {
-    Journal j;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "gf_journal") {
-        j.version = static_cast<int>(parse_int());
-      } else if (key == "engine") {
-        j.engine = parse_string();
-      } else if (key == "kind") {
-        j.kind = parse_string();
-      } else if (key == "session") {
-        j.session = parse_string();
-      } else if (key == "outcome") {
-        j.outcome = parse_string();
-      } else if (key == "initial") {
-        j.initial = parse_counts();
-      } else if (key == "final") {
-        j.final_store = parse_counts();
-      } else if (key == "rounds") {
-        j.rounds = parse_rounds();
-      } else if (key == "fires") {
-        j.fires = parse_fires();
-      } else if (key == "fires_total") {
-        j.fires_total = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "fires_dropped") {
-        j.fires_dropped = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "rounds_total") {
-        j.rounds_total = static_cast<std::uint64_t>(parse_int());
-      } else if (key == "rounds_dropped") {
-        j.rounds_dropped = static_cast<std::uint64_t>(parse_int());
-      } else {
-        skip_value();  // forward compatibility: ignore unknown keys
-      }
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after journal object");
-    if (j.version != kJournalVersion) {
-      throw std::runtime_error("unsupported journal version " +
-                               std::to_string(j.version));
-    }
-    return j;
-  }
+std::vector<std::string> strings_from(const Json& v) {
+  const JsonArr& arr = v.as_arr();
+  std::vector<std::string> items;
+  items.reserve(arr.size());
+  for (const Json& s : arr) items.push_back(s.as_str());
+  return items;
+}
 
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("journal parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
+std::uint64_t uint_or(const Json& obj, const char* key) {
+  return static_cast<std::uint64_t>(obj.int_or(key, 0));
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
+RoundDelta round_from(const Json& v) {
+  (void)v.as_obj();  // every round is an object
+  RoundDelta d;
+  d.fires = uint_or(v, "fires");
+  d.store_size = uint_or(v, "size");
+  if (const Json* add = v.get("add")) d.added = counts_from(*add);
+  if (const Json* del = v.get("del")) d.removed = counts_from(*del);
+  return d;
+}
 
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const unsigned code =
-              static_cast<unsigned>(std::stoul(text_.substr(pos_, 4), nullptr, 16));
-          pos_ += 4;
-          // write_journal only \u-escapes control characters (< 0x20); keep
-          // the parser honest about exactly that range.
-          if (code > 0xFF) fail("non-latin \\u escape unsupported");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    expect('"');
-    return out;
-  }
+FireRecord fire_from(const Json& v) {
+  (void)v.as_obj();  // every fire is an object
+  FireRecord f;
+  f.reaction = v.str_or("r", "");
+  f.stage = v.int_or("stage", -1);
+  f.round = uint_or(v, "round");
+  if (const Json* in = v.get("in")) f.consumed = strings_from(*in);
+  if (const Json* out = v.get("out")) f.produced = strings_from(*out);
+  f.shard = v.int_or("shard", -1);
+  f.node = v.int_or("node", -1);
+  return f;
+}
 
-  [[nodiscard]] std::int64_t parse_int() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected integer");
-    return std::stoll(text_.substr(start, pos_ - start));
+Journal journal_from(const Json& doc) {
+  (void)doc.as_obj();  // the journal is one object
+  Journal j;
+  j.version = static_cast<int>(doc.int_or("gf_journal", j.version));
+  j.engine = doc.str_or("engine", "");
+  j.kind = doc.str_or("kind", "");
+  j.session = doc.str_or("session", "");
+  j.outcome = doc.str_or("outcome", "");
+  if (const Json* v = doc.get("initial")) j.initial = counts_from(*v);
+  if (const Json* v = doc.get("rounds")) {
+    j.rounds.reserve(v->as_arr().size());
+    for (const Json& r : v->as_arr()) j.rounds.push_back(round_from(r));
   }
-
-  [[nodiscard]] StoreCounts parse_counts() {
-    StoreCounts counts;
-    expect('{');
-    bool first = true;
-    while (!peek_is('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      counts[key] = parse_int();
-    }
-    expect('}');
-    return counts;
+  if (const Json* v = doc.get("fires")) {
+    j.fires.reserve(v->as_arr().size());
+    for (const Json& f : v->as_arr()) j.fires.push_back(fire_from(f));
   }
-
-  [[nodiscard]] std::vector<std::string> parse_strings() {
-    std::vector<std::string> items;
-    expect('[');
-    bool first = true;
-    while (!peek_is(']')) {
-      if (!first) expect(',');
-      first = false;
-      items.push_back(parse_string());
-    }
-    expect(']');
-    return items;
-  }
-
-  [[nodiscard]] std::vector<RoundDelta> parse_rounds() {
-    std::vector<RoundDelta> rounds;
-    expect('[');
-    bool first = true;
-    while (!peek_is(']')) {
-      if (!first) expect(',');
-      first = false;
-      RoundDelta d;
-      expect('{');
-      bool kfirst = true;
-      while (!peek_is('}')) {
-        if (!kfirst) expect(',');
-        kfirst = false;
-        const std::string key = parse_string();
-        expect(':');
-        if (key == "fires") {
-          d.fires = static_cast<std::uint64_t>(parse_int());
-        } else if (key == "size") {
-          d.store_size = static_cast<std::uint64_t>(parse_int());
-        } else if (key == "add") {
-          d.added = parse_counts();
-        } else if (key == "del") {
-          d.removed = parse_counts();
-        } else {
-          skip_value();
-        }
-      }
-      expect('}');
-      rounds.push_back(std::move(d));
-    }
-    expect(']');
-    return rounds;
-  }
-
-  [[nodiscard]] std::vector<FireRecord> parse_fires() {
-    std::vector<FireRecord> fires;
-    expect('[');
-    bool first = true;
-    while (!peek_is(']')) {
-      if (!first) expect(',');
-      first = false;
-      FireRecord f;
-      expect('{');
-      bool kfirst = true;
-      while (!peek_is('}')) {
-        if (!kfirst) expect(',');
-        kfirst = false;
-        const std::string key = parse_string();
-        expect(':');
-        if (key == "r") {
-          f.reaction = parse_string();
-        } else if (key == "stage") {
-          f.stage = parse_int();
-        } else if (key == "round") {
-          f.round = static_cast<std::uint64_t>(parse_int());
-        } else if (key == "in") {
-          f.consumed = parse_strings();
-        } else if (key == "out") {
-          f.produced = parse_strings();
-        } else if (key == "shard") {
-          f.shard = parse_int();
-        } else if (key == "node") {
-          f.node = parse_int();
-        } else {
-          skip_value();
-        }
-      }
-      expect('}');
-      fires.push_back(std::move(f));
-    }
-    expect(']');
-    return fires;
-  }
-
-  void skip_value() {  // NOLINT(misc-no-recursion)
-    skip_ws();
-    if (pos_ >= text_.size()) fail("expected value");
-    const char c = text_[pos_];
-    if (c == '"') {
-      (void)parse_string();
-    } else if (c == '{') {
-      expect('{');
-      bool first = true;
-      while (!peek_is('}')) {
-        if (!first) expect(',');
-        first = false;
-        (void)parse_string();
-        expect(':');
-        skip_value();
-      }
-      expect('}');
-    } else if (c == '[') {
-      expect('[');
-      bool first = true;
-      while (!peek_is(']')) {
-        if (!first) expect(',');
-        first = false;
-        skip_value();
-      }
-      expect(']');
-    } else {
-      (void)parse_int();
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  if (const Json* v = doc.get("final")) j.final_store = counts_from(*v);
+  j.fires_total = uint_or(doc, "fires_total");
+  j.fires_dropped = uint_or(doc, "fires_dropped");
+  j.rounds_total = uint_or(doc, "rounds_total");
+  j.rounds_dropped = uint_or(doc, "rounds_dropped");
+  return j;
+}
 
 }  // namespace
 
@@ -459,16 +237,12 @@ Journal RunRecorder::take() {
 
 void write_journal(std::ostream& out, const Journal& journal) {
   out << "{\"gf_journal\":" << journal.version;
-  out << ",\"engine\":";
-  write_json_string(out, journal.engine);
-  out << ",\"kind\":";
-  write_json_string(out, journal.kind);
+  out << ",\"engine\":" << json_quote(journal.engine)
+      << ",\"kind\":" << json_quote(journal.kind);
   if (!journal.session.empty()) {
-    out << ",\"session\":";
-    write_json_string(out, journal.session);
+    out << ",\"session\":" << json_quote(journal.session);
   }
-  out << ",\"outcome\":";
-  write_json_string(out, journal.outcome);
+  out << ",\"outcome\":" << json_quote(journal.outcome);
   out << ",\"initial\":";
   write_counts(out, journal.initial);
   out << ",\"rounds\":[";
@@ -486,9 +260,8 @@ void write_journal(std::ostream& out, const Journal& journal) {
   for (std::size_t i = 0; i < journal.fires.size(); ++i) {
     const FireRecord& f = journal.fires[i];
     if (i > 0) out << ',';
-    out << "{\"r\":";
-    write_json_string(out, f.reaction);
-    out << ",\"stage\":" << f.stage << ",\"round\":" << f.round << ",\"in\":";
+    out << "{\"r\":" << json_quote(f.reaction) << ",\"stage\":" << f.stage
+        << ",\"round\":" << f.round << ",\"in\":";
     write_strings(out, f.consumed);
     out << ",\"out\":";
     write_strings(out, f.produced);
@@ -515,7 +288,17 @@ Journal parse_journal(std::istream& in) {
 }
 
 Journal parse_journal_string(const std::string& text) {
-  return Parser(text).parse();
+  Journal j;
+  try {
+    j = journal_from(parse_json(text));
+  } catch (const WireError& e) {
+    throw std::runtime_error(std::string("journal parse error: ") + e.what());
+  }
+  if (j.version != kJournalVersion) {
+    throw std::runtime_error("unsupported journal version " +
+                             std::to_string(j.version));
+  }
+  return j;
 }
 
 // ----------------------------------------------------------------- replay

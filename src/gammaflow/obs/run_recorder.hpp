@@ -130,8 +130,9 @@ class RunRecorder {
 void write_journal(std::ostream& out, const Journal& journal);
 [[nodiscard]] std::string journal_to_string(const Journal& journal);
 
-/// Parses a journal produced by write_journal. Throws std::runtime_error on
-/// malformed input or an unsupported version.
+/// Parses a journal produced by write_journal (via parse_json, so nesting
+/// is capped at kMaxJsonDepth). Throws std::runtime_error on malformed
+/// input or an unsupported version; unknown keys are ignored.
 [[nodiscard]] Journal parse_journal(std::istream& in);
 [[nodiscard]] Journal parse_journal_string(const std::string& text);
 

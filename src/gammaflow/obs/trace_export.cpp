@@ -3,40 +3,19 @@
 #include <ostream>
 #include <string>
 
+#include "gammaflow/common/json.hpp"
+
 namespace gammaflow::obs {
 namespace {
 
 constexpr int kPid = 1;  // single-process tool; Chrome requires some pid
 
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_event(std::ostream& os, const TraceEvent& ev, std::uint32_t tid,
                  bool& first) {
   if (!first) os << ",\n";
   first = false;
-  os << "{\"name\":";
-  write_json_string(os, ev.name);
-  os << ",\"ph\":\"" << ev.phase << "\",\"ts\":" << ev.ts_us
-     << ",\"pid\":" << kPid << ",\"tid\":" << tid;
+  os << "{\"name\":" << json_quote(ev.name) << ",\"ph\":\"" << ev.phase
+     << "\",\"ts\":" << ev.ts_us << ",\"pid\":" << kPid << ",\"tid\":" << tid;
   if (ev.phase == 'X') os << ",\"dur\":" << ev.dur_us;
   if (ev.phase == 'i') os << ",\"s\":\"t\"";  // instant scope: thread
   if (ev.phase == 'C' || ev.has_arg) {
@@ -55,9 +34,8 @@ void write_chrome_trace(std::ostream& os, const Telemetry& telemetry) {
     if (!first) os << ",\n";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":" << kPid
-       << ",\"tid\":" << t.recorder->tid() << ",\"args\":{\"name\":";
-    write_json_string(os, t.name.c_str());
-    os << "}}";
+       << ",\"tid\":" << t.recorder->tid()
+       << ",\"args\":{\"name\":" << json_quote(t.name) << "}}";
   }
   for (const auto& t : threads) {
     for (const TraceEvent& ev : t.recorder->events()) {

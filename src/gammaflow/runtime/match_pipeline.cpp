@@ -173,27 +173,3 @@ void observe_reaction_compile(obs::Telemetry* tel,
 }
 
 }  // namespace gammaflow::runtime
-
-namespace gammaflow::gamma {
-
-// Legacy entry points (declared in gamma/store.hpp), kept as thin delegates
-// so existing callers and tests stay source-compatible. New code calls
-// runtime::MatchPipeline directly.
-
-std::optional<Match> find_match(const Store& store, const Reaction& reaction,
-                                Rng* rng, expr::EvalMode mode) {
-  return runtime::MatchPipeline::find(store, reaction, rng, mode);
-}
-
-std::size_t enumerate_matches(const Store& store, const Reaction& reaction,
-                              std::size_t limit,
-                              const std::function<bool(const Match&)>& fn,
-                              expr::EvalMode mode) {
-  return runtime::MatchPipeline::enumerate(store, reaction, limit, fn, mode);
-}
-
-void commit(Store& store, const Match& match) {
-  runtime::MatchPipeline::commit(store, match);
-}
-
-}  // namespace gammaflow::gamma

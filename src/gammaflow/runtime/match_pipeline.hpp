@@ -2,9 +2,7 @@
 // executable core of Eq. (1)'s "let x1..xn ∈ M such that Ri(x1..xn)". The
 // backtracking candidate search used to live in gamma/store.cpp with each
 // engine re-wrapping it; now the sequential/indexed/parallel engines, the
-// distributed cluster, and the static-analysis passes all drive this type
-// (the legacy gamma::find_match/enumerate_matches/commit free functions are
-// thin delegates, kept for source compatibility).
+// distributed cluster, and the static-analysis passes all drive this type.
 //
 //   find      — one enabled match (first in bucket order, or randomized via
 //               a cyclic start offset when given an Rng). Read-only: the

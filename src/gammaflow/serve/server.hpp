@@ -22,8 +22,8 @@
 #include <mutex>
 #include <string>
 
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/serve/session.hpp"
-#include "gammaflow/serve/wire.hpp"
 
 namespace gammaflow::obs {
 class Telemetry;

@@ -5,7 +5,6 @@
 // replaying the journal's per-round deltas, and a provenance panel mapping
 // fires back onto graph nodes).
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <queue>
@@ -13,34 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/runtime/sharded_store.hpp"
 #include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::viz {
 namespace {
-
-void json_str(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
 
 struct VizNode {
   std::string key;    // journal reaction key (provenance -> node mapping)
@@ -190,8 +167,7 @@ void write_data_json(std::ostream& os, const HtmlInputs& inputs) {
   } else if (inputs.program != nullptr) {
     build_gamma_view(*inputs.program, inputs.interference, nodes, edges);
   }
-  os << "{\"title\":";
-  json_str(os, inputs.title);
+  os << "{\"title\":" << json_quote(inputs.title);
   os << ",\"kind\":\"" << (dataflow_view ? "dataflow" : "gamma") << '"';
   os << ",\"classCount\":"
      << (inputs.interference != nullptr ? inputs.interference->class_count : 0);
@@ -204,10 +180,8 @@ void write_data_json(std::ostream& os, const HtmlInputs& inputs) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const VizNode& n = nodes[i];
     if (i != 0) os << ',';
-    os << "{\"key\":";
-    json_str(os, n.key);
-    os << ",\"label\":";
-    json_str(os, n.label);
+    os << "{\"key\":" << json_quote(n.key)
+       << ",\"label\":" << json_quote(n.label);
     os << ",\"kind\":\"" << n.kind << "\",\"cls\":" << n.cls
        << ",\"shard\":" << n.shard << ",\"stage\":" << n.stage << ",\"x\":"
        << n.x << ",\"y\":" << n.y << '}';
@@ -216,8 +190,8 @@ void write_data_json(std::ostream& os, const HtmlInputs& inputs) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const VizEdge& e = edges[i];
     if (i != 0) os << ',';
-    os << "{\"src\":" << e.src << ",\"dst\":" << e.dst << ",\"label\":";
-    json_str(os, e.label);
+    os << "{\"src\":" << e.src << ",\"dst\":" << e.dst
+       << ",\"label\":" << json_quote(e.label);
     os << ",\"kind\":\"" << e.kind << "\"}";
   }
   os << "],\"journal\":";

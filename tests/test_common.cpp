@@ -1,17 +1,16 @@
 // Tests for the common substrate: label interning, RNG determinism, stats,
-// thread pool, MPSC queue.
+// MPSC queue, JSON codec.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <thread>
 
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/common/label.hpp"
 #include "gammaflow/common/mpsc_queue.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/common/stats.hpp"
-#include "gammaflow/common/thread_pool.hpp"
 
 namespace gammaflow {
 namespace {
@@ -238,11 +237,6 @@ TEST(StatsRegistry, ConcurrentRecordAndCount) {
   EXPECT_EQ(reg.snapshot().histograms.at("latency").count, kTotal);
 }
 
-TEST(StatsRegistry, GlobalRegistryIsASingleton) {
-  global_stats().count("test_common.global_probe");
-  EXPECT_GE(global_stats().counter("test_common.global_probe"), 1u);
-}
-
 TEST(Counter, ConcurrentAdds) {
   Counter c;
   std::vector<std::thread> threads;
@@ -253,38 +247,6 @@ TEST(Counter, ConcurrentAdds) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.get(), 40000u);
-}
-
-TEST(ThreadPool, SubmitReturnsResults) {
-  ThreadPool pool(3);
-  auto f1 = pool.submit([] { return 21 * 2; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, SizeClampedToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
 TEST(MpscQueue, FifoOrderSingleProducer) {
@@ -330,6 +292,34 @@ TEST(MpscQueue, ConcurrentProducersDeliverAll) {
   }
   for (auto& p : producers) p.join();
   EXPECT_EQ(received.size(), static_cast<std::size_t>(kProducers * kPerProducer));
+}
+
+TEST(Json, NestingLimitIsExactlyKMaxJsonDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parse_json(nested(kMaxJsonDepth)).is_arr());
+  // An enclosing object counts toward the depth too.
+  EXPECT_THROW((void)parse_json("{\"k\":" + nested(kMaxJsonDepth) + "}"),
+               WireError);
+  try {
+    (void)parse_json(nested(kMaxJsonDepth + 1));
+    FAIL() << "parsed past the nesting limit";
+  } catch (const WireError& e) {
+    EXPECT_STREQ(e.what(), "WireError: nesting deeper than 256 at offset 256");
+  }
+}
+
+TEST(Json, QuoteRoundTripsEveryByteAndEmitsNoControlBytes) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all.push_back(static_cast<char>(c));
+  const std::string quoted = json_quote(all);
+  for (const char c : quoted) {
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20) << quoted;
+  }
+  EXPECT_EQ(parse_json(quoted).as_str(), all);
+  EXPECT_EQ(json_quote("a\"b\\c\n\r\t\x01"),
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0001\"");
 }
 
 }  // namespace

@@ -9,12 +9,15 @@
 
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/analysis/lint.hpp"
+#include "gammaflow/analysis/optimize.hpp"
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 
 namespace gammaflow::analysis {
@@ -374,6 +377,52 @@ TEST(Report, JsonCarriesFeedAndCompeteEdgeLists) {
   EXPECT_NE(js.find("[\"C\",\"D\"]"), std::string::npos);
 }
 
+TEST(Report, CheckJsonEscapesControlCharactersInLabels) {
+  // `check --json` prints the lint and interference reports in one object.
+  // A label holding a tab used to reach the output raw, which JSON readers
+  // reject.
+  const std::string label = "a\tb";
+  const Program p =
+      parse("R = replace [x,'a\tb'], [y,'a\tb'] by [x - y,'a\tb']");
+  Multiset init;
+  for (const std::int64_t v : {3, 5, 11}) {
+    init.add(Element::labeled(Value(v), label));
+  }
+  LintReport lint = lint_program(p, init);
+  const LintReport opt_lints = optimizer_lints(p, init);
+  lint.findings.insert(lint.findings.end(), opt_lints.findings.begin(),
+                       opt_lints.findings.end());
+  const auto report = analyze_interference(p, init);
+  const PairFinding* diverged = nullptr;
+  for (const auto& f : report.pairs) {
+    if (f.status == PairStatus::Diverges) diverged = &f;
+  }
+  ASSERT_NE(diverged, nullptr) << report.to_string();
+  const std::string witness = diverged->witness.to_string();
+  ASSERT_NE(witness.find('\t'), std::string::npos) << witness;
+
+  std::ostringstream os;
+  os << "{\"lint\":";
+  write_json(os, lint);
+  os << ",\"interference\":";
+  write_json(os, report);
+  os << '}';
+  const std::string js = os.str();
+  for (const char c : js) {
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20) << js;
+  }
+  const Json doc = parse_json(js);
+  const Json* interference = doc.get("interference");
+  ASSERT_NE(interference, nullptr);
+  bool found = false;
+  for (const Json& pair : interference->get("pairs")->as_arr()) {
+    if (pair.str_or("status", "") != to_string(PairStatus::Diverges)) continue;
+    EXPECT_EQ(pair.str_or("witness", ""), witness);
+    found = true;
+  }
+  EXPECT_TRUE(found) << js;
+}
+
 // --- 500-seed commutation property ---------------------------------------
 
 // Statically independent reactions must commute on EVERY state: committing
@@ -399,16 +448,18 @@ TEST(Property, IndependentPairsCommuteOn500RandomStates) {
       m.add(Element::labeled(Value(v), rng.bounded(2) ? "a" : "b"));
     }
     gamma::Store forward{m};
-    const auto ma = find_match(forward, ra, &rng);
-    const auto mb = find_match(forward, rb, &rng);
+    const auto ma = runtime::MatchPipeline::find(forward, ra, &rng,
+                                                 expr::EvalMode::Ast);
+    const auto mb = runtime::MatchPipeline::find(forward, rb, &rng,
+                                                 expr::EvalMode::Ast);
     if (!ma || !mb) continue;  // state lacks an 'a' or a 'b'
     ++exercised;
 
     gamma::Store backward{m};  // same state => same slot ids
-    gamma::commit(forward, *ma);
-    gamma::commit(forward, *mb);
-    gamma::commit(backward, *mb);
-    gamma::commit(backward, *ma);
+    runtime::MatchPipeline::commit(forward, *ma);
+    runtime::MatchPipeline::commit(forward, *mb);
+    runtime::MatchPipeline::commit(backward, *mb);
+    runtime::MatchPipeline::commit(backward, *ma);
     EXPECT_EQ(forward.to_multiset(), backward.to_multiset())
         << "seed " << seed;
   }

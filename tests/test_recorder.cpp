@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "gammaflow/analysis/interference.hpp"
@@ -40,6 +41,12 @@ std::unique_ptr<gamma::Engine> make_engine(const std::string& name) {
 
 const char* kMin = "Rmin = replace x, y by x where x < y";
 
+/// write ∘ parse is the identity on every journal the recorder writes.
+void expect_text_round_trip(const Journal& j) {
+  const std::string text = obs::journal_to_string(j);
+  EXPECT_EQ(obs::journal_to_string(obs::parse_journal_string(text)), text);
+}
+
 // ---------------------------------------------------------------- gamma ---
 
 class GammaRecorderSuite : public ::testing::TestWithParam<const char*> {};
@@ -53,6 +60,7 @@ TEST_P(GammaRecorderSuite, JournalReplaysToEngineFinalStore) {
   opts.record = &rec;
   const auto result = make_engine(GetParam())->run(program, initial, opts);
   const Journal j = rec.take();
+  expect_text_round_trip(j);
 
   EXPECT_EQ(obs::verify_journal(j), "");
   EXPECT_EQ(j.kind, "gamma");
@@ -120,6 +128,7 @@ TEST(Recorder, TinyBudgetCountsDropsAndStillConverges) {
   opts.record = &rec;
   const auto result = gamma::SequentialEngine().run(program, initial, opts);
   const Journal j = rec.take();
+  expect_text_round_trip(j);
 
   EXPECT_EQ(j.fires_total, result.steps);
   EXPECT_GT(j.fires_dropped, 0u);
@@ -144,6 +153,7 @@ TEST(Recorder, EscapedStringsSurviveRoundTrip) {
   rec.finish("completed",
              {{"[1, 'a\"b\\c']", 1}, {"tab\there", 1}, {"ctrl\x01char", 1}});
   const Journal j = rec.take();
+  expect_text_round_trip(j);
   const Journal parsed = obs::parse_journal_string(obs::journal_to_string(j));
   EXPECT_EQ(parsed.fires.at(0).reaction, "R\"quoted\"\nnewline");
   EXPECT_EQ(parsed.final_store, j.final_store);
@@ -189,6 +199,7 @@ TEST(Recorder, WorklistJournalReplaysAcrossInjections) {
   ASSERT_EQ(fix.inject(ints({5})), Outcome::Completed);
   fix.finish_recording();
   const Journal j = rec.take();
+  expect_text_round_trip(j);
 
   EXPECT_EQ(j.session, "s1");
   EXPECT_EQ(j.engine, "worklist");
@@ -215,6 +226,28 @@ TEST(Recorder, VersionMismatchThrows) {
                std::runtime_error);
 }
 
+TEST(Recorder, DeepValueUnderUnknownKeyThrowsInsteadOfOverflowing) {
+  // Unknown keys are skipped, but their values still go through the shared
+  // JSON parser and its nesting limit: hostile depth is an error, not a
+  // stack overflow.
+  const std::size_t depth = 200'000;
+  const std::string text = R"({"gf_journal":1,"extra":)" +
+                           std::string(depth, '[') + std::string(depth, ']') +
+                           "}";
+  try {
+    (void)obs::parse_journal_string(text);
+    FAIL() << "a 200000-deep value parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+  // Depth within the limit under an unknown key is still skipped.
+  const Journal j = obs::parse_journal_string(
+      R"({"gf_journal":1,"extra":[[{"x":[1]}]],"engine":"e"})");
+  EXPECT_EQ(j.engine, "e");
+}
+
 // ------------------------------------------------------------- dataflow ---
 
 TEST(DataflowRecorder, InterpreterJournalReplaysToOutputs) {
@@ -224,6 +257,7 @@ TEST(DataflowRecorder, InterpreterJournalReplaysToOutputs) {
   opts.record = &rec;
   const auto result = dataflow::Interpreter().run(g, opts, {});
   const Journal j = rec.take();
+  expect_text_round_trip(j);
 
   EXPECT_EQ(j.engine, "interpreter");
   EXPECT_EQ(j.kind, "dataflow");
@@ -256,6 +290,7 @@ TEST(DataflowRecorder, ParallelEngineJournalReplays) {
   opts.record = &rec;
   const auto result = dataflow::ParallelEngine().run(g, opts, {});
   const Journal j = rec.take();
+  expect_text_round_trip(j);
 
   EXPECT_EQ(j.engine, "parallel");
   EXPECT_EQ(j.kind, "dataflow");
@@ -264,6 +299,22 @@ TEST(DataflowRecorder, ParallelEngineJournalReplays) {
   EXPECT_EQ(obs::verify_journal(j), "");
   EXPECT_EQ(obs::replay_fires(j, j.fires.size()), j.final_store);
   EXPECT_EQ(obs::replay_rounds(j, j.rounds.size()), j.final_store);
+}
+
+TEST(DataflowRecorder, ParallelEngineJournalsProducersBeforeConsumers) {
+  // 64 PEs on the fig-2 loop: a PE that journaled its fire only after
+  // routing the emission let the consumer's fire reach the journal first,
+  // and fire replay then missed the final store on some interleavings.
+  const dataflow::Graph g = paper::fig2_graph(4, 5, 100, true);
+  for (int run = 0; run < 200; ++run) {
+    RunRecorder rec;
+    dataflow::DfRunOptions opts;
+    opts.workers = 64;
+    opts.record = &rec;
+    (void)dataflow::ParallelEngine().run(g, opts, {});
+    const Journal j = rec.take();
+    ASSERT_EQ(obs::verify_journal(j), "") << "run " << run;
+  }
 }
 
 // -------------------------------------------------------------- distrib ---
@@ -278,6 +329,7 @@ TEST(DistribRecorder, FaultFreeClusterJournalReplays) {
   opts.record = &rec;
   const auto result = distrib::run_distributed(program, initial, opts);
   const Journal j = rec.take();
+  expect_text_round_trip(j);
 
   EXPECT_EQ(j.engine, "cluster");
   EXPECT_EQ(j.kind, "distrib");

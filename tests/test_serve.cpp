@@ -14,6 +14,7 @@
 
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/error.hpp"
+#include "gammaflow/common/json.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
@@ -21,7 +22,6 @@
 #include "gammaflow/runtime/worklist.hpp"
 #include "gammaflow/serve/server.hpp"
 #include "gammaflow/serve/session.hpp"
-#include "gammaflow/serve/wire.hpp"
 
 namespace gammaflow {
 namespace {
@@ -215,8 +215,8 @@ TEST(Worklist, BudgetExhaustionResumesToTheSameFixpoint) {
 
 // ------------------------------------------------------------- protocol ---
 
-serve::Json call(serve::Server& server, const std::string& line) {
-  return serve::parse_json(server.handle_line(line));
+Json call(serve::Server& server, const std::string& line) {
+  return parse_json(server.handle_line(line));
 }
 
 serve::ServeOptions min_daemon() {
@@ -225,14 +225,14 @@ serve::ServeOptions min_daemon() {
   return opts;
 }
 
-std::string error_code(const serve::Json& reply) {
+std::string error_code(const Json& reply) {
   EXPECT_FALSE(reply.bool_or("ok", true));
   return reply.str_or("error", "");
 }
 
 TEST(ServeProtocol, PingAndVerbValidation) {
   serve::Server server(min_daemon());
-  const serve::Json pong = call(server, R"({"verb":"ping"})");
+  const Json pong = call(server, R"({"verb":"ping"})");
   EXPECT_TRUE(pong.bool_or("ok", false));
   EXPECT_TRUE(pong.bool_or("pong", false));
 
@@ -246,7 +246,7 @@ TEST(ServeProtocol, PingAndVerbValidation) {
 
 TEST(ServeProtocol, CreateInjectQuerySnapshotCloseLifecycle) {
   serve::Server server(min_daemon());
-  const serve::Json created =
+  const Json created =
       call(server, R"({"verb":"create","init":"5 3 9"})");
   ASSERT_TRUE(created.bool_or("ok", false));
   const std::string id = created.str_or("session", "");
@@ -256,34 +256,34 @@ TEST(ServeProtocol, CreateInjectQuerySnapshotCloseLifecycle) {
   EXPECT_EQ(created.int_or("store_size", -1), 1);
   EXPECT_EQ(server.session_count(), 1u);
 
-  const serve::Json injected = call(
+  const Json injected = call(
       server, R"({"verb":"inject","session":"s1","elements":"1 7"})");
   ASSERT_TRUE(injected.bool_or("ok", false));
   EXPECT_EQ(injected.int_or("fires", -1), 2);
   EXPECT_EQ(injected.int_or("fires_total", -1), 4);
   EXPECT_EQ(injected.int_or("store_size", -1), 1);
 
-  const serve::Json by_element = call(
+  const Json by_element = call(
       server, R"({"verb":"query","session":"s1","element":"[1]"})");
   EXPECT_EQ(by_element.int_or("count", -1), 1);
-  const serve::Json by_size = call(server, R"({"verb":"query","session":"s1"})");
+  const Json by_size = call(server, R"({"verb":"query","session":"s1"})");
   EXPECT_EQ(by_size.int_or("store_size", -1), 1);
 
-  const serve::Json snap = call(server, R"({"verb":"snapshot","session":"s1"})");
+  const Json snap = call(server, R"({"verb":"snapshot","session":"s1"})");
   ASSERT_TRUE(snap.bool_or("ok", false));
-  const serve::Json* store = snap.get("store");
+  const Json* store = snap.get("store");
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->int_or("[1]", -1), 1);
   EXPECT_EQ(snap.int_or("store_size", -1), 1);
 
-  const serve::Json stats = call(server, R"({"verb":"stats","session":"s1"})");
+  const Json stats = call(server, R"({"verb":"stats","session":"s1"})");
   EXPECT_EQ(stats.int_or("injected", -1), 5);
   EXPECT_EQ(stats.int_or("injects", -1), 2);
   EXPECT_EQ(stats.int_or("fires", -1), 4);
   EXPECT_GE(stats.int_or("wakeups", -1), 1);
   EXPECT_GE(stats.num_or("quiesce_p99_us", -1.0), 0.0);
 
-  const serve::Json closed = call(server, R"({"verb":"close","session":"s1"})");
+  const Json closed = call(server, R"({"verb":"close","session":"s1"})");
   ASSERT_TRUE(closed.bool_or("ok", false));
   EXPECT_EQ(closed.int_or("fires_total", -1), 4);
   EXPECT_EQ(server.session_count(), 0u);
@@ -372,17 +372,17 @@ TEST(ServeProtocol, SessionLimitIsEnforced) {
 
 TEST(ServeProtocol, BudgetExhaustionIsAnErrorReplyWithPartialState) {
   serve::Server server(min_daemon());
-  const serve::Json created = call(
+  const Json created = call(
       server, R"({"verb":"create","session":"b","max_steps":1,"init":"9"})");
   ASSERT_TRUE(created.bool_or("ok", false));
-  const serve::Json stopped = call(
+  const Json stopped = call(
       server,
       R"({"verb":"inject","session":"b","elements":"4 7 2 8 5"})");
   EXPECT_EQ(error_code(stopped), "budget_exhausted");
   EXPECT_TRUE(stopped.bool_or("partial", false));
   EXPECT_EQ(stopped.str_or("outcome", ""), "budget_exhausted");
   // The session survives with a valid intermediate store.
-  const serve::Json snap = call(server, R"({"verb":"snapshot","session":"b"})");
+  const Json snap = call(server, R"({"verb":"snapshot","session":"b"})");
   EXPECT_TRUE(snap.bool_or("ok", false));
   EXPECT_GE(snap.int_or("store_size", -1), 1);
 }
@@ -394,7 +394,7 @@ TEST(ServeProtocol, DeadlineExceededIsAnErrorReplyWithPartialState) {
           .bool_or("ok", false));
   std::string elements;
   for (int v = 0; v < 400; ++v) elements += std::to_string(v) + " ";
-  const serve::Json stopped =
+  const Json stopped =
       call(server, R"({"verb":"inject","session":"d","elements":")" +
                        elements + R"("})");
   EXPECT_EQ(error_code(stopped), "deadline_exceeded");
@@ -410,10 +410,10 @@ TEST(ServeProtocol, CloseReturnsSessionTaggedJournalInline) {
   ASSERT_TRUE(
       call(server, R"({"verb":"inject","session":"rec","elements":"0 5"})")
           .bool_or("ok", false));
-  const serve::Json closed =
+  const Json closed =
       call(server, R"({"verb":"close","session":"rec"})");
   ASSERT_TRUE(closed.bool_or("ok", false));
-  const serve::Json* journal = closed.get("journal");
+  const Json* journal = closed.get("journal");
   ASSERT_NE(journal, nullptr);
   EXPECT_EQ(journal->str_or("session", ""), "rec");
   EXPECT_EQ(journal->str_or("engine", ""), "worklist");
@@ -444,8 +444,8 @@ TEST(ServeProtocol, StreamFrontPumpsLinesAndShutdownClosesSessions) {
 
   std::istringstream replies(out.str());
   std::string line;
-  std::vector<serve::Json> parsed;
-  while (std::getline(replies, line)) parsed.push_back(serve::parse_json(line));
+  std::vector<Json> parsed;
+  while (std::getline(replies, line)) parsed.push_back(parse_json(line));
   // create, stats, shutdown — the post-shutdown ping is never served.
   ASSERT_EQ(parsed.size(), 3u);
   EXPECT_EQ(parsed[0].str_or("session", ""), "s1");
@@ -453,6 +453,26 @@ TEST(ServeProtocol, StreamFrontPumpsLinesAndShutdownClosesSessions) {
   EXPECT_TRUE(parsed[2].bool_or("shutdown", false));
   EXPECT_TRUE(server.shutdown_requested());
   EXPECT_EQ(server.session_count(), 0u);
+}
+
+TEST(ServeProtocol, TooDeepLineIsABadRequestAndServingContinues) {
+  // 200000 unclosed '[' used to overflow the stack of the recursive parser
+  // and take every tenant's session down with the daemon.
+  serve::Server server(min_daemon());
+  std::istringstream in(std::string(200'000, '[') + "\n" +
+                        "{\"verb\":\"ping\"}\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+
+  std::istringstream replies(out.str());
+  std::string line;
+  std::vector<Json> parsed;
+  while (std::getline(replies, line)) parsed.push_back(parse_json(line));
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(error_code(parsed[0]), "bad_request");
+  EXPECT_EQ(parsed[0].str_or("message", ""),
+            "WireError: nesting deeper than 256 at offset 256");
+  EXPECT_TRUE(parsed[1].bool_or("pong", false));
 }
 
 TEST(ServeProtocol, SessionJournalPathInsertsSessionBeforeExtension) {

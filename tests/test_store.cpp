@@ -8,9 +8,14 @@
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/parser.hpp"
 #include "gammaflow/gamma/store.hpp"
+#include "gammaflow/runtime/match_pipeline.hpp"
 
 namespace gammaflow::gamma {
 namespace {
+
+using runtime::MatchPipeline;
+/// The reference evaluator; every match test here checks AST semantics.
+constexpr expr::EvalMode kAst = expr::EvalMode::Ast;
 
 std::vector<expr::ExprPtr> tuple(std::initializer_list<const char*> fields) {
   std::vector<expr::ExprPtr> out;
@@ -237,7 +242,7 @@ TEST(FindMatch, FindsEnabledPair) {
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
-  const auto m = find_match(s, r);
+  const auto m = MatchPipeline::find(s, r, nullptr, kAst);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->ids.size(), 2u);
   ASSERT_EQ(m->produced.size(), 1u);
@@ -247,7 +252,7 @@ TEST(FindMatch, FindsEnabledPair) {
 TEST(FindMatch, NoMatchWhenLabelMissing) {
   Store s;
   s.insert(Element::labeled(Value(2), "L"));
-  EXPECT_FALSE(find_match(s, adder()).has_value());
+  EXPECT_FALSE(MatchPipeline::find(s, adder(), nullptr, kAst).has_value());
 }
 
 TEST(FindMatch, ElementsMustBeDistinctInstances) {
@@ -256,9 +261,9 @@ TEST(FindMatch, ElementsMustBeDistinctInstances) {
   s.insert(Element{Value(5)});
   const Reaction r("R", {Pattern::var("x"), Pattern::var("y")},
                    {Branch::unconditional({tuple({"x"})})});
-  EXPECT_FALSE(find_match(s, r).has_value());
+  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, kAst).has_value());
   s.insert(Element{Value(5)});  // a second equal instance IS allowed
-  EXPECT_TRUE(find_match(s, r).has_value());
+  EXPECT_TRUE(MatchPipeline::find(s, r, nullptr, kAst).has_value());
 }
 
 TEST(FindMatch, ConditionGatesMatch) {
@@ -269,7 +274,7 @@ TEST(FindMatch, ConditionGatesMatch) {
                    {Branch::when(expr::parse_expression("x < y"),
                                  {tuple({"x"})})});
   // Both orderings exist as candidate tuples; only (2,9) is enabled.
-  const auto m = find_match(s, r);
+  const auto m = MatchPipeline::find(s, r, nullptr, kAst);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->produced[0], Element{Value(2)});
 }
@@ -279,12 +284,12 @@ TEST(FindMatch, CommitAppliesRewrite) {
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
-  const auto m = find_match(s, r);
+  const auto m = MatchPipeline::find(s, r, nullptr, kAst);
   ASSERT_TRUE(m.has_value());
-  commit(s, *m);
+  MatchPipeline::commit(s, *m);
   EXPECT_EQ(s.size(), 1u);
   EXPECT_EQ(s.to_multiset(), (Multiset{Element::labeled(Value(5), "S")}));
-  EXPECT_FALSE(find_match(s, r).has_value());
+  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, kAst).has_value());
 }
 
 TEST(FindMatch, RandomizedIsFairAcrossPairs) {
@@ -298,7 +303,7 @@ TEST(FindMatch, RandomizedIsFairAcrossPairs) {
   std::set<Value> first_values;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Rng rng(seed);
-    const auto m = find_match(s, r, &rng);
+    const auto m = MatchPipeline::find(s, r, &rng, kAst);
     ASSERT_TRUE(m.has_value());
     first_values.insert(m->produced[0].value());
   }
@@ -310,8 +315,8 @@ TEST(EnumerateMatches, CountsOrderedTuples) {
   for (int i = 0; i < 4; ++i) s.insert(Element{Value(i)});
   const Reaction any2("R", {Pattern::var("x"), Pattern::var("y")},
                       {Branch::unconditional({tuple({"x"})})});
-  std::size_t count =
-      enumerate_matches(s, any2, 1000, [](const Match&) { return true; });
+  std::size_t count = MatchPipeline::enumerate(
+      s, any2, 1000, [](const Match&) { return true; }, kAst);
   EXPECT_EQ(count, 12u);  // 4 * 3 ordered pairs
 }
 
@@ -320,12 +325,16 @@ TEST(EnumerateMatches, HonorsLimitAndEarlyStop) {
   for (int i = 0; i < 10; ++i) s.insert(Element{Value(i)});
   const Reaction any2("R", {Pattern::var("x"), Pattern::var("y")},
                       {Branch::unconditional({tuple({"x"})})});
-  EXPECT_EQ(enumerate_matches(s, any2, 7, [](const Match&) { return true; }),
+  EXPECT_EQ(MatchPipeline::enumerate(
+                s, any2, 7, [](const Match&) { return true; }, kAst),
             7u);
   std::size_t seen = 0;
-  enumerate_matches(s, any2, 1000, [&](const Match&) {
-    return ++seen < 3;  // stop after 3
-  });
+  MatchPipeline::enumerate(
+      s, any2, 1000,
+      [&](const Match&) {
+        return ++seen < 3;  // stop after 3
+      },
+      kAst);
   EXPECT_EQ(seen, 3u);
 }
 
@@ -436,9 +445,9 @@ TEST(EnumerateMatches, OnlyEnabledMatchesVisited) {
   s.insert(Element{Value(5)});
   const Reaction strict("R", {Pattern::var("x"), Pattern::var("y")},
                         {Branch::when(expr::parse_expression("x < y"), {})});
-  EXPECT_EQ(
-      enumerate_matches(s, strict, 100, [](const Match&) { return true; }),
-      0u);
+  EXPECT_EQ(MatchPipeline::enumerate(
+                s, strict, 100, [](const Match&) { return true; }, kAst),
+            0u);
 }
 
 }  // namespace
