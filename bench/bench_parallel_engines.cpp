@@ -73,13 +73,11 @@ gamma::Multiset contended_init(std::size_t n, std::uint64_t seed) {
 
 gamma::RunResult run_instrumented(const gamma::Program& p,
                                   const gamma::Multiset& m,
-                                  bool with_classes, unsigned workers,
-                                  bool shard = true) {
+                                  bool with_classes, unsigned workers) {
   obs::Telemetry tel;
   gamma::RunOptions opts;
   opts.workers = workers;
   opts.telemetry = &tel;
-  opts.shard = shard;
   if (with_classes) {
     opts.conflict_classes =
         analysis::analyze_interference(p, m).engine_classes();
@@ -108,22 +106,17 @@ void verify_conflict_classes() {
     const gamma::Program* p;
     const gamma::Multiset* m;
     bool with_classes;
-    bool shard;
   };
-  // `classes + no-shard` is the pre-sharding engine (optimistic global lock
-  // with per-class fast commits); `classes + shard` is the per-shard-lock
-  // path the classes now unlock. Contended (one class) cannot shard: both
-  // store columns are the optimistic path, behavior unchanged.
+  // Without classes the engine takes the optimistic global-lock path; with
+  // them a conflict-free workload takes the per-shard-lock path. Contended
+  // (one class) cannot shard: both rows are the optimistic path, behavior
+  // unchanged.
   for (const Case c :
-       {Case{"conflict-free", "baseline", "global", &chains, &chains_m, false,
-             true},
-        Case{"conflict-free", "classes_noshard", "global", &chains, &chains_m,
-             true, false},
-        Case{"conflict-free", "classes", "sharded", &chains, &chains_m, true,
-             true},
-        Case{"contended", "baseline", "global", &hot, &hot_m, false, true},
-        Case{"contended", "classes", "global", &hot, &hot_m, true, true}}) {
-    const auto r = run_instrumented(*c.p, *c.m, c.with_classes, 4, c.shard);
+       {Case{"conflict-free", "baseline", "global", &chains, &chains_m, false},
+        Case{"conflict-free", "classes", "sharded", &chains, &chains_m, true},
+        Case{"contended", "baseline", "global", &hot, &hot_m, false},
+        Case{"contended", "classes", "global", &hot, &hot_m, true}}) {
+    const auto r = run_instrumented(*c.p, *c.m, c.with_classes, 4);
     const auto counter = [&](const char* name) {
       const auto it = r.metrics.counters.find(name);
       return it == r.metrics.counters.end() ? std::uint64_t{0} : it->second;
@@ -255,10 +248,10 @@ BENCHMARK(BM_GammaChains_Parallel)
     ->Args({1, 8})
     ->Unit(benchmark::kMicrosecond);
 
-// --- sharded-store ablation: same classes, per-shard locks vs global lock ---
-// Classes are on in both arms; the only difference is RunOptions::shard,
-// i.e. whether the plan's per-shard ownership replaces the optimistic
-// shared/exclusive global lock.
+// --- sharded-store ablation: per-shard locks vs global lock ---------------
+// The sharded arm passes the conflict classes, whose plan gives each class
+// its own lock; the global-lock arm passes none, so the engine keeps the
+// optimistic shared/exclusive global lock.
 void BM_GammaChains_ShardAblation(benchmark::State& state) {
   const bool shard = state.range(0) != 0;
   const auto chains = static_cast<std::size_t>(state.range(1));
@@ -266,9 +259,10 @@ void BM_GammaChains_ShardAblation(benchmark::State& state) {
   const gamma::Multiset m = chain_init(chains, 8, 16);
   gamma::RunOptions opts;
   opts.workers = 4;
-  opts.shard = shard;
-  opts.conflict_classes =
-      analysis::analyze_interference(p, m).engine_classes();
+  if (shard) {
+    opts.conflict_classes =
+        analysis::analyze_interference(p, m).engine_classes();
+  }
   const gamma::ParallelEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(p, m, opts));

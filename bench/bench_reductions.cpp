@@ -160,9 +160,10 @@ void BM_Reduce_FusePass(benchmark::State& state) {
   // Fusing a deep chain: random expression graph -> converted program.
   const auto conv = translate::dataflow_to_gamma(paper::random_expression_graph(
       static_cast<std::size_t>(state.range(0)), 5));
+  const analysis::OptimizeOptions opts = analysis::reduction_options();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        translate::fuse_reactions(conv.program, conv.initial));
+        analysis::optimize_program(conv.program, conv.initial, opts));
   }
   state.counters["reactions"] =
       static_cast<double>(conv.program.reaction_count());
@@ -177,7 +178,9 @@ void BM_Reduce_ExpandPass(benchmark::State& state) {
   const auto conv = translate::dataflow_to_gamma(paper::random_expression_graph(
       static_cast<std::size_t>(state.range(0)), 5));
   const gamma::Program fused =
-      translate::fuse_reactions(conv.program, conv.initial);
+      analysis::optimize_program(conv.program, conv.initial,
+                                 analysis::reduction_options())
+          .program;
   for (auto _ : state) {
     benchmark::DoNotOptimize(translate::expand_program(fused));
   }

@@ -58,6 +58,8 @@ gamma::Multiset chain_init(std::size_t chains, std::size_t total,
   return m;
 }
 
+/// `shard` passes the conflict classes, which unlock the sharded store;
+/// without them the engine runs the optimistic global-lock path.
 gamma::RunResult run_chains(std::size_t chains, std::size_t total,
                             std::size_t hot_permille, bool shard,
                             obs::Telemetry* tel) {
@@ -65,10 +67,11 @@ gamma::RunResult run_chains(std::size_t chains, std::size_t total,
   const gamma::Multiset m = chain_init(chains, total, 12, hot_permille);
   gamma::RunOptions opts;
   opts.workers = 4;
-  opts.shard = shard;
   opts.telemetry = tel;
-  opts.conflict_classes =
-      analysis::analyze_interference(p, m).engine_classes();
+  if (shard) {
+    opts.conflict_classes =
+        analysis::analyze_interference(p, m).engine_classes();
+  }
   return gamma::ParallelEngine().run(p, m, opts);
 }
 
@@ -313,9 +316,10 @@ void BM_ShardedEngine_ShardSweep(benchmark::State& state) {
   const gamma::Multiset m = chain_init(chains, 128, 12, 0);
   gamma::RunOptions opts;
   opts.workers = 4;
-  opts.shard = shard;
-  opts.conflict_classes =
-      analysis::analyze_interference(p, m).engine_classes();
+  if (shard) {
+    opts.conflict_classes =
+        analysis::analyze_interference(p, m).engine_classes();
+  }
   const gamma::ParallelEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(p, m, opts));

@@ -9,10 +9,10 @@
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
 
-#include "gammaflow/dataflow/dot.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/translate/equivalence.hpp"
+#include "gammaflow/viz/viz.hpp"
 
 using namespace gammaflow;
 
@@ -66,6 +66,6 @@ int main() {
   }
 
   std::cout << "\nGraphviz (pipe into `dot -Tpng`):\n"
-            << dataflow::to_dot(graph, "fig1");
+            << viz::to_dot(graph, "fig1");
   return 0;
 }

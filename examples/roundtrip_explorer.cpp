@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "gammaflow/analysis/optimize.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/paper/figures.hpp"
@@ -15,6 +16,18 @@
 #include "gammaflow/translate/reduce.hpp"
 
 using namespace gammaflow;
+
+namespace {
+
+/// The §III-A3 reduction, as `gammaflow fuse` runs it.
+gamma::Program fuse(const gamma::Program& program,
+                    const gamma::Multiset& initial) {
+  return analysis::optimize_program(program, initial,
+                                    analysis::reduction_options())
+      .program;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const std::size_t graphs = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20;
@@ -29,7 +42,7 @@ int main(int argc, char** argv) {
   std::cout << "== Algorithm 1 ==\n" << conv.program << "\n\nM = "
             << conv.initial << "\n\n";
 
-  const auto fused = translate::fuse_reactions(conv.program, conv.initial);
+  const auto fused = fuse(conv.program, conv.initial);
   std::cout << "== fused (SIII-A3 reduction) ==\n" << fused << "\n\n";
 
   const auto expanded = translate::expand_program(fused);
@@ -61,9 +74,9 @@ int main(int argc, char** argv) {
       }
     };
     check("convert", c.program);
-    check("fuse", translate::fuse_reactions(c.program, c.initial));
+    check("fuse", fuse(c.program, c.initial));
     check("fuse+expand", translate::expand_program(
-                             translate::fuse_reactions(c.program, c.initial)));
+                             fuse(c.program, c.initial)));
 
     const dataflow::Graph back =
         translate::reconstruct_graph(c.program, c.initial);

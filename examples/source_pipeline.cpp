@@ -14,7 +14,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "gammaflow/dataflow/dot.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/frontend/compile.hpp"

@@ -31,9 +31,9 @@ using gamma::Reaction;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Generalized producer shape (S2/S5): one branch, one tag-preserving output,
-// literal pattern labels — like translate::fuse_reactions' shape, plus an
-// optional guard condition carried into the fused consumer.
+// Producer shape (S2/S5): one branch, one tag-preserving output, literal
+// pattern labels, and an optional guard condition carried into the fused
+// consumer.
 // ---------------------------------------------------------------------------
 
 struct ProducerShape {
@@ -113,15 +113,16 @@ Pattern rename_pattern(const Pattern& p,
   return Pattern(std::move(fields));
 }
 
-/// Fuses producer `prod` into consumer `cons` at pattern `pattern_idx`.
-/// With an unconditional producer this matches translate::fuse_reactions'
-/// rewrite; a guarded producer additionally conjoins the (renamed) guard
-/// into every consumer branch — else branches become explicit
-/// `guard and not (earlier conditions)` guards so "no branch fires" is
-/// exactly "the producer would not have fired".
+/// Fuses producer `prod` into consumer `cons` at pattern `pattern_idx`:
+/// the producer's patterns replace the consumed one (binders renamed apart,
+/// the tag variable mapped onto the consumer's) and its output value is
+/// substituted for the consumed value binder. A guarded producer
+/// additionally conjoins the (renamed) guard into every consumer branch —
+/// else branches become explicit `guard and not (earlier conditions)`
+/// guards so "no branch fires" is exactly "the producer would not have
+/// fired".
 Reaction fuse_pair(const Reaction& cons, std::size_t pattern_idx,
-                   const Reaction& prod, const ProducerShape& shape,
-                   bool do_simplify) {
+                   const Reaction& prod, const ProducerShape& shape) {
   std::set<std::string> taken = binders_of(cons);
   std::map<std::string, std::string> renames;
   std::string cons_tag;
@@ -160,9 +161,6 @@ Reaction fuse_pair(const Reaction& cons, std::size_t pattern_idx,
       {value_var, replacement}};
   const ExprPtr guard =
       shape.guard ? rename_vars(shape.guard, renames) : nullptr;
-  const auto maybe_simplify = [&](ExprPtr e) {
-    return do_simplify ? expr::simplify(e) : e;
-  };
 
   std::vector<Branch> branches;
   ExprPtr earlier;  // disjunction of earlier (substituted) branch conditions
@@ -172,14 +170,14 @@ Reaction fuse_pair(const Reaction& cons, std::size_t pattern_idx,
     for (const auto& tuple : br.outputs) {
       auto& out = outputs.emplace_back();
       for (const ExprPtr& field : tuple) {
-        out.push_back(maybe_simplify(expr::substitute(field, subst)));
+        out.push_back(expr::simplify(expr::substitute(field, subst)));
       }
     }
     if (!guard) {
       Branch nb;
       nb.is_else = br.is_else;
       if (br.condition) {
-        nb.condition = maybe_simplify(expr::substitute(br.condition, subst));
+        nb.condition = expr::simplify(expr::substitute(br.condition, subst));
       }
       nb.outputs = std::move(outputs);
       branches.push_back(std::move(nb));
@@ -193,7 +191,7 @@ Reaction fuse_pair(const Reaction& cons, std::size_t pattern_idx,
                          ? Expr::binary(BinOp::And, guard,
                                         Expr::unary(UnOp::Not, earlier))
                          : guard;
-      branches.push_back(Branch::when(maybe_simplify(cond), std::move(outputs)));
+      branches.push_back(Branch::when(expr::simplify(cond), std::move(outputs)));
       continue;
     }
     if (!br.condition) {
@@ -201,10 +199,10 @@ Reaction fuse_pair(const Reaction& cons, std::size_t pattern_idx,
       branches.push_back(Branch::when(guard, std::move(outputs)));
       continue;
     }
-    ExprPtr cond = maybe_simplify(expr::substitute(br.condition, subst));
+    ExprPtr cond = expr::simplify(expr::substitute(br.condition, subst));
     earlier = earlier ? Expr::binary(BinOp::Or, earlier, cond) : cond;
     branches.push_back(Branch::when(
-        maybe_simplify(Expr::binary(BinOp::And, guard, cond)),
+        expr::simplify(Expr::binary(BinOp::And, guard, cond)),
         std::move(outputs)));
   }
   return Reaction(cons.name(), std::move(patterns), std::move(branches));
@@ -335,11 +333,10 @@ std::vector<Candidate> enumerate_candidates(
 
 std::optional<Multiset> probe_fixpoint(const Program& program,
                                        const Multiset& initial,
-                                       std::uint64_t seed,
-                                       std::uint64_t max_steps) {
+                                       std::uint64_t seed) {
   gamma::RunOptions ro;
   ro.seed = seed;
-  ro.max_steps = max_steps;
+  ro.max_steps = kVerifyMaxSteps;
   ro.limit_policy = LimitPolicy::Partial;
   gamma::RunResult r = gamma::IndexedEngine().run(program, initial, ro);
   if (r.outcome != Outcome::Completed) return std::nullopt;
@@ -350,13 +347,12 @@ std::optional<Multiset> probe_fixpoint(const Program& program,
 /// Also rejects when the ORIGINAL program's fixpoint varies across seeds —
 /// a non-confluent program has no single state identity to preserve.
 bool fixpoints_agree(const Program& original, const Program& rewritten,
-                     const Multiset& initial, std::uint64_t seed,
-                     std::uint64_t max_steps) {
+                     const Multiset& initial, std::uint64_t seed) {
   std::optional<Multiset> reference;
   for (std::uint64_t k = 0; k < 3; ++k) {
     const std::uint64_t s = seed + k * 0x9e3779b97f4a7c15ULL;
-    auto fa = probe_fixpoint(original, initial, s, max_steps);
-    auto fb = probe_fixpoint(rewritten, initial, s, max_steps);
+    auto fa = probe_fixpoint(original, initial, s);
+    auto fb = probe_fixpoint(rewritten, initial, s);
     if (!fa || !fb || !(*fa == *fb)) return false;
     if (reference && !(*reference == *fa)) return false;
     if (!reference) reference = std::move(fa);
@@ -451,6 +447,13 @@ const char* to_string(RewriteStatus status) noexcept {
   return "?";
 }
 
+OptimizeOptions reduction_options() {
+  OptimizeOptions options;
+  options.use_cost_model = false;
+  options.eliminate_dead = false;
+  return options;
+}
+
 OptimizeResult optimize_program(const Program& program, const Multiset& initial,
                                 const OptimizeOptions& options) {
   OptimizeResult out;
@@ -475,67 +478,65 @@ OptimizeResult optimize_program(const Program& program, const Multiset& initial,
   std::vector<std::vector<Reaction>> stages = program.stages();
   if (options.eliminate_dead) eliminate_dead(stages, initial, report);
 
-  if (options.fuse) {
-    std::set<std::string> seen;      // labels already counted as chains
-    std::set<std::string> rejected;  // labels not to retry
-    std::size_t applied = 0;
-    while (options.max_steps == 0 || applied < options.max_steps) {
-      bool did = false;
-      for (const Candidate& c : enumerate_candidates(stages, forbidden)) {
-        if (rejected.contains(c.label)) continue;
-        if (seen.insert(c.label).second) ++report.chains_found;
+  std::set<std::string> seen;      // labels already counted as chains
+  std::set<std::string> rejected;  // labels not to retry
+  std::size_t applied = 0;
+  while (options.max_steps == 0 || applied < options.max_steps) {
+    bool did = false;
+    for (const Candidate& c : enumerate_candidates(stages, forbidden)) {
+      if (rejected.contains(c.label)) continue;
+      if (seen.insert(c.label).second) ++report.chains_found;
 
-        const Reaction fused =
-            fuse_pair(stages[c.stage][c.cons_idx], c.pattern_idx,
-                      stages[c.stage][c.prod_idx], c.shape, options.simplify);
-        std::vector<Reaction> new_stage;
-        new_stage.reserve(stages[c.stage].size() - 1);
-        for (std::size_t i = 0; i < stages[c.stage].size(); ++i) {
-          if (i == c.prod_idx) continue;
-          new_stage.push_back(i == c.cons_idx ? fused : stages[c.stage][i]);
-        }
+      const Reaction fused =
+          fuse_pair(stages[c.stage][c.cons_idx], c.pattern_idx,
+                    stages[c.stage][c.prod_idx], c.shape);
+      std::vector<Reaction> new_stage;
+      new_stage.reserve(stages[c.stage].size() - 1);
+      for (std::size_t i = 0; i < stages[c.stage].size(); ++i) {
+        if (i == c.prod_idx) continue;
+        new_stage.push_back(i == c.cons_idx ? fused : stages[c.stage][i]);
+      }
 
-        PlannedRewrite rw;
-        rw.producer = stages[c.stage][c.prod_idx].name();
-        rw.consumer = stages[c.stage][c.cons_idx].name();
-        rw.via_label = c.label;
-        rw.conditional_producer = c.shape.guard != nullptr;
-        rw.cost_before =
-            estimate_stage_cost(stages[c.stage], report.bounds, options.cost)
-                .time;
-        rw.cost_after =
-            estimate_stage_cost(new_stage, report.bounds, options.cost).time;
+      PlannedRewrite rw;
+      rw.producer = stages[c.stage][c.prod_idx].name();
+      rw.consumer = stages[c.stage][c.cons_idx].name();
+      rw.via_label = c.label;
+      rw.conditional_producer = c.shape.guard != nullptr;
+      rw.cost_before =
+          estimate_stage_cost(stages[c.stage], report.bounds, options.cost)
+              .time;
+      rw.cost_after =
+          estimate_stage_cost(new_stage, report.bounds, options.cost).time;
 
-        if (options.use_cost_model && rw.cost_after > rw.cost_before) {
-          rw.status = RewriteStatus::RejectedByCost;
-          ++report.rejected_by_cost;
+      if (options.use_cost_model && rw.cost_after > rw.cost_before) {
+        rw.status = RewriteStatus::RejectedByCost;
+        ++report.rejected_by_cost;
+        rejected.insert(c.label);
+        report.rewrites.push_back(std::move(rw));
+        continue;
+      }
+      if (!initial.empty()) {
+        auto candidate_stages = stages;
+        candidate_stages[c.stage] = new_stage;
+        if (!fixpoints_agree(Program::from_stages(stages),
+                             Program::from_stages(candidate_stages), initial,
+                             options.seed)) {
+          rw.status = RewriteStatus::RejectedByVerify;
+          ++report.rejected_by_verify;
           rejected.insert(c.label);
           report.rewrites.push_back(std::move(rw));
           continue;
         }
-        if (options.verify_rewrites && !initial.empty()) {
-          auto candidate_stages = stages;
-          candidate_stages[c.stage] = new_stage;
-          if (!fixpoints_agree(Program::from_stages(stages),
-                               Program::from_stages(candidate_stages), initial,
-                               options.seed, options.verify_max_steps)) {
-            rw.status = RewriteStatus::RejectedByVerify;
-            ++report.rejected_by_verify;
-            rejected.insert(c.label);
-            report.rewrites.push_back(std::move(rw));
-            continue;
-          }
-        }
-        stages[c.stage] = std::move(new_stage);
-        rw.status = RewriteStatus::Applied;
-        ++report.fused;
-        ++applied;
-        report.rewrites.push_back(std::move(rw));
-        did = true;
-        break;  // candidate set is stale; re-enumerate
       }
-      if (!did) break;
+      stages[c.stage] = std::move(new_stage);
+      rw.status = RewriteStatus::Applied;
+      ++report.fused;
+      ++applied;
+      report.rewrites.push_back(std::move(rw));
+      did = true;
+      break;  // candidate set is stale; re-enumerate
     }
+    if (!did) break;
   }
 
   out.program = Program::from_stages(std::move(stages));

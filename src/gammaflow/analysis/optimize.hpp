@@ -2,9 +2,11 @@
 // interference graph's feed edges, proves producer->consumer rewrites safe
 // with the footprint machinery, gates them on the cost model (analysis/cost),
 // and double-checks every applied rewrite by probing original-vs-rewritten
-// fixpoints. Generalizes translate::fuse_reactions two ways: multi-hop
-// chains fall out of iterating single safe steps, and producers may carry
-// one guard condition (the fused consumer conjoins it into every branch).
+// fixpoints. It is the one implementation of the paper's R1,R2,R3 -> Rd1
+// reduction: `gammaflow fuse` runs it with the cost gate and dead-reaction
+// elimination off, `gammaflow optimize` with both on. Multi-hop chains fall
+// out of iterating single safe steps, and producers may carry one guard
+// condition (the fused consumer conjoins it into every branch).
 //
 // Safety obligations for fusing producer P (output label L) into consumer C:
 //   S1  L is PRIVATE: across the whole program, P is the only reaction whose
@@ -24,10 +26,12 @@
 //       else). A partial consumer strands unconsumed intermediates under L
 //       at the fixpoint — a state the fused program cannot represent.
 //   S7  The rewritten stage's probed fixpoint matches the original's from
-//       the actual initial store (three seeds; any mismatch reverts the
-//       rewrite). This is the net under the statically undecidable
-//       production/consumption balance: e.g. a leftover element under L
-//       with no partner is representable in the unfused program only.
+//       the actual initial store (three seeds of at most kVerifyMaxSteps
+//       fires each; any mismatch or exhausted budget reverts the rewrite).
+//       Skipped when the initial store is empty. This is the net under the
+//       statically undecidable production/consumption balance: e.g. a
+//       leftover element under L with no partner is representable in the
+//       unfused program only.
 //
 // After planning, the pass re-runs the interference analysis on the result
 // and verifies the conflict classes did not get COARSER than it assumed —
@@ -51,6 +55,10 @@ class Telemetry;
 
 namespace gammaflow::analysis {
 
+/// Firing budget per S7 verification probe. A program whose fixpoint needs
+/// more fires is left unfused (exhausting the budget rejects the rewrite).
+inline constexpr std::uint64_t kVerifyMaxSteps = 4096;
+
 struct OptimizeOptions {
   /// Labels never eliminated as intermediates (program results).
   std::vector<std::string> preserve_labels;
@@ -61,17 +69,8 @@ struct OptimizeOptions {
   /// Remove dead reactions (unsatisfiable condition, or — with a known
   /// initial store — label cardinality provably zero).
   bool eliminate_dead = true;
-  bool fuse = true;
-  /// Simplify fused bodies and conditions.
-  bool simplify = true;
-  /// S7: probe original-vs-rewritten fixpoints per applied rewrite. Needs a
-  /// non-empty initial store; skipped (with rewrites still applied) without
-  /// one.
-  bool verify_rewrites = true;
+  /// Seed of the S7 verification probes.
   std::uint64_t seed = 1;
-  /// Firing budget per verification probe; exhausting it rejects the
-  /// rewrite (conservative).
-  std::uint64_t verify_max_steps = 4096;
   CostParams cost;
   /// Optional sink for opt.* counters (chains_found, fused,
   /// rejected_by_cost, rejected_by_verify, dead_removed).
@@ -130,6 +129,11 @@ struct OptimizeResult {
   gamma::Program program;
   OptimizeReport report;
 };
+
+/// Options for the paper's §III-A3 reduction as `gammaflow fuse` runs it:
+/// every fusion the planner proves safe (S1–S7), with the cost gate and
+/// dead-reaction elimination off.
+[[nodiscard]] OptimizeOptions reduction_options();
 
 /// Runs dead-reaction elimination then the fusion planner to fixpoint.
 /// Deterministic for fixed inputs and options (candidate order is by label

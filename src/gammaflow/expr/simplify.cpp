@@ -15,6 +15,19 @@ bool is_bool_literal(const ExprPtr& e, bool v) {
   return is_literal(e) && e->literal().is_bool() && e->literal().as_bool() == v;
 }
 
+/// True when `e` evaluates to a Bool by construction: a Bool literal, a
+/// comparison, `not`, `and` or `or`. `true and e` evaluates to
+/// Bool(truthy(e)), so only such an `e` may replace it.
+bool is_bool_valued(const ExprPtr& e) {
+  switch (e->kind()) {
+    case Expr::Kind::Literal: return e->literal().is_bool();
+    case Expr::Kind::Var: return false;
+    case Expr::Kind::Unary: return e->un_op() == UnOp::Not;
+    case Expr::Kind::Binary: return !is_arithmetic(e->bin_op());
+  }
+  return false;
+}
+
 }  // namespace
 
 ExprPtr simplify(const ExprPtr& e) {
@@ -31,8 +44,10 @@ ExprPtr simplify(const ExprPtr& e) {
           // leave as-is; runtime will report with full context
         }
       }
-      // --(-x) => x ; not (not x) => x
-      if (operand->kind() == Expr::Kind::Unary && operand->un_op() == e->un_op()) {
+      // --(-x) => x ; not (not x) => x when x is already a Bool
+      if (operand->kind() == Expr::Kind::Unary &&
+          operand->un_op() == e->un_op() &&
+          (e->un_op() == UnOp::Neg || is_bool_valued(operand->operand()))) {
         return operand->operand();
       }
       return operand == e->operand() ? e : Expr::unary(e->un_op(), std::move(operand));
@@ -63,13 +78,13 @@ ExprPtr simplify(const ExprPtr& e) {
           if (is_int_literal(rhs, 1)) return lhs;
           break;
         case BinOp::And:
-          if (is_bool_literal(lhs, true)) return rhs;
-          if (is_bool_literal(rhs, true)) return lhs;
+          if (is_bool_literal(lhs, true) && is_bool_valued(rhs)) return rhs;
+          if (is_bool_literal(rhs, true) && is_bool_valued(lhs)) return lhs;
           if (is_bool_literal(lhs, false)) return Expr::lit(Value(false));
           break;
         case BinOp::Or:
-          if (is_bool_literal(lhs, false)) return rhs;
-          if (is_bool_literal(rhs, false)) return lhs;
+          if (is_bool_literal(lhs, false) && is_bool_valued(rhs)) return rhs;
+          if (is_bool_literal(rhs, false) && is_bool_valued(lhs)) return lhs;
           if (is_bool_literal(lhs, true)) return Expr::lit(Value(true));
           break;
         default:

@@ -11,8 +11,9 @@
 namespace gammaflow::expr {
 
 /// Folds constant subtrees (evaluating them) and applies safe identities
-/// (x+0, x*1, x*0 when x is pure, true and e, ...). Never changes semantics:
-/// subtrees that would throw at runtime (e.g. 1/0) are left intact.
+/// (x+0, x*1, `true and e` when e is already a Bool, ...). Never changes
+/// semantics: subtrees that would throw at runtime (e.g. 1/0) are left
+/// intact.
 [[nodiscard]] ExprPtr simplify(const ExprPtr& e);
 
 /// Substitutes variables by expressions: every Var named in `subst` is

@@ -45,12 +45,6 @@ struct RunOptions : runtime::RunOptions {
   /// SequentialEngine only: cap on enabled matches enumerated per step; the
   /// uniform choice is over the first `uniform_cap` found.
   std::size_t uniform_cap = 4096;
-  /// ParallelEngine: allow the sharded-store path when `conflict_classes`
-  /// yields a sound shard plan. Off (`--no-shard`) forces the optimistic
-  /// single-store path — an escape hatch and the A/B baseline for
-  /// bench_store. Results are state-identical either way on the confluent
-  /// corpus (enforced by the cross-engine equivalence suite).
-  bool shard = true;
   /// Precomputed conflict classes (reaction name -> class id), normally
   /// InterferenceReport::engine_classes(). Reactions in different classes
   /// touch provably disjoint element populations. When every reaction of a
@@ -63,7 +57,8 @@ struct RunOptions : runtime::RunOptions {
   ///     re-passing over all reactions (sound because a quiescent class
   ///     cannot be re-enabled from outside: feed edges stay inside classes).
   /// Unknown or missing names simply disable the optimization for that
-  /// stage; semantics never change.
+  /// stage; semantics never change. Left empty, ParallelEngine stays on the
+  /// optimistic single-store path (the A/B baseline for bench_store).
   std::map<std::string, std::size_t> conflict_classes;
 };
 

@@ -474,7 +474,7 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
         runtime::plan_shards(stage, options.conflict_classes);
 
     StageResult sr;
-    if (options.shard && plan.sharded) {
+    if (plan.sharded) {
       GF_DEBUG << "stage " << stage_idx << ": sharded, " << plan.shard_count
                << " shard(s)";
       sr = run_sharded_stage(stage, stage_idx, plan, current, options, loop,

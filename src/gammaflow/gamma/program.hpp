@@ -27,8 +27,8 @@ class Program {
 
   /// Builds a program directly from a stage list, dropping empty stages
   /// (an empty stage is a no-op fixpoint). This is the shape rewrite passes
-  /// produce when they edit stages in place — fuse_reactions, expand_program,
-  /// and the optimizer all reassemble through here.
+  /// produce when they edit stages in place — expand_program and the
+  /// optimizer's fusion planner reassemble through here.
   [[nodiscard]] static Program from_stages(
       std::vector<std::vector<Reaction>> stages);
 

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/expr/simplify.hpp"
@@ -16,252 +15,6 @@ using gamma::Branch;
 using gamma::Pattern;
 using gamma::PatternField;
 using gamma::Reaction;
-
-namespace {
-
-/// A reaction that can be folded into its consumer: one unconditional
-/// branch, one output, literal pattern labels, tag preserved.
-struct ProducerShape {
-  std::string out_label;
-  ExprPtr out_value;
-  std::string tag_var;  // empty when untagged
-  std::size_t element_arity;
-};
-
-std::optional<ProducerShape> producer_shape(const Reaction& r) {
-  if (r.branches().size() != 1) return std::nullopt;
-  const Branch& br = r.branches()[0];
-  if (br.condition || br.is_else || br.outputs.size() != 1) return std::nullopt;
-
-  const std::size_t nfields = r.patterns().front().fields().size();
-  if (nfields < 2) return std::nullopt;  // unlabeled elements can't be routed
-  ProducerShape shape;
-  shape.element_arity = nfields;
-  for (const Pattern& p : r.patterns()) {
-    if (p.fields().size() != nfields) return std::nullopt;
-    if (!p.fields()[0].is_binder()) return std::nullopt;
-    if (p.fields()[1].is_binder()) return std::nullopt;  // wildcard label
-    if (nfields == 3) {
-      if (!p.fields()[2].is_binder()) return std::nullopt;
-      if (shape.tag_var.empty()) shape.tag_var = p.fields()[2].name();
-      if (p.fields()[2].name() != shape.tag_var) return std::nullopt;
-    }
-  }
-  const auto& tuple = br.outputs[0];
-  if (tuple.size() != nfields) return std::nullopt;
-  if (tuple[1]->kind() != Expr::Kind::Literal || !tuple[1]->literal().is_str()) {
-    return std::nullopt;
-  }
-  if (nfields == 3) {
-    if (tuple[2]->kind() != Expr::Kind::Var ||
-        tuple[2]->var() != shape.tag_var) {
-      return std::nullopt;  // tag must be preserved verbatim
-    }
-  }
-  shape.out_label = tuple[1]->literal().as_str();
-  shape.out_value = tuple[0];
-  return shape;
-}
-
-/// All binder names of a reaction.
-std::set<std::string> binders_of(const Reaction& r) {
-  std::set<std::string> out;
-  for (const Pattern& p : r.patterns()) {
-    for (const std::string& b : p.binders()) out.insert(b);
-  }
-  return out;
-}
-
-/// Counts (producers, consumers) of each label literal across the stage.
-struct LabelUse {
-  std::vector<std::pair<std::size_t, std::size_t>> producers;  // (rx, branch)
-  std::vector<std::pair<std::size_t, std::size_t>> consumers;  // (rx, pattern)
-};
-
-std::map<std::string, LabelUse> label_uses(const std::vector<Reaction>& stage) {
-  std::map<std::string, LabelUse> uses;
-  for (std::size_t i = 0; i < stage.size(); ++i) {
-    for (std::size_t bi = 0; bi < stage[i].branches().size(); ++bi) {
-      for (const auto& tuple : stage[i].branches()[bi].outputs) {
-        if (tuple.size() >= 2 && tuple[1]->kind() == Expr::Kind::Literal &&
-            tuple[1]->literal().is_str()) {
-          uses[tuple[1]->literal().as_str()].producers.emplace_back(i, bi);
-        }
-      }
-    }
-    for (std::size_t pi = 0; pi < stage[i].patterns().size(); ++pi) {
-      const Pattern& p = stage[i].patterns()[pi];
-      if (p.fields().size() >= 2 && !p.fields()[1].is_binder() &&
-          p.fields()[1].value().is_str()) {
-        uses[p.fields()[1].value().as_str()].consumers.emplace_back(i, pi);
-      }
-    }
-  }
-  return uses;
-}
-
-/// Renames every variable in `e` according to `renames`.
-ExprPtr rename_vars(const ExprPtr& e,
-                    const std::map<std::string, std::string>& renames) {
-  std::vector<std::pair<std::string, ExprPtr>> subst;
-  subst.reserve(renames.size());
-  for (const auto& [from, to] : renames) {
-    subst.emplace_back(from, Expr::var(to));
-  }
-  return expr::substitute(e, subst);
-}
-
-Pattern rename_pattern(const Pattern& p,
-                       const std::map<std::string, std::string>& renames) {
-  std::vector<PatternField> fields;
-  for (const PatternField& f : p.fields()) {
-    if (f.is_binder()) {
-      auto it = renames.find(f.name());
-      fields.push_back(
-          PatternField::bind(it == renames.end() ? f.name() : it->second));
-    } else {
-      fields.push_back(f);
-    }
-  }
-  return Pattern(std::move(fields));
-}
-
-/// Fuses producer `prod` into consumer `cons` at pattern `pattern_idx`.
-Reaction fuse_pair(const Reaction& cons, std::size_t pattern_idx,
-                   const Reaction& prod, const ProducerShape& shape,
-                   bool do_simplify) {
-  // Fresh names for the producer's binders, mapping its tag variable onto
-  // the consumer's so the fused patterns share one iteration constraint.
-  // Chosen fresh names join `taken` immediately: two producer binders must
-  // never converge on the same identifier (e.g. id1 -> id1_1 colliding with
-  // an existing id1_1 after repeated fusions).
-  std::set<std::string> taken = binders_of(cons);
-  std::map<std::string, std::string> renames;
-  std::string cons_tag;
-  const Pattern& target = cons.patterns()[pattern_idx];
-  if (target.fields().size() == 3) cons_tag = target.fields()[2].name();
-  taken.insert(cons_tag);
-
-  std::size_t counter = 0;
-  for (const std::string& b : binders_of(prod)) {
-    if (!shape.tag_var.empty() && b == shape.tag_var && !cons_tag.empty()) {
-      renames[b] = cons_tag;
-      continue;
-    }
-    std::string fresh = b;
-    while (taken.contains(fresh)) {
-      fresh = b + "_" + std::to_string(++counter);
-    }
-    taken.insert(fresh);
-    renames[b] = fresh;
-  }
-
-  std::vector<Pattern> patterns;
-  for (std::size_t i = 0; i < cons.patterns().size(); ++i) {
-    if (i == pattern_idx) {
-      for (const Pattern& p : prod.patterns()) {
-        patterns.push_back(rename_pattern(p, renames));
-      }
-    } else {
-      patterns.push_back(cons.patterns()[i]);
-    }
-  }
-
-  // Substitute the consumed value variable by the producer's output value.
-  const std::string value_var = target.fields()[0].name();
-  const ExprPtr replacement = rename_vars(shape.out_value, renames);
-  const std::vector<std::pair<std::string, ExprPtr>> subst = {
-      {value_var, replacement}};
-
-  std::vector<Branch> branches;
-  for (const Branch& br : cons.branches()) {
-    Branch nb;
-    nb.is_else = br.is_else;
-    if (br.condition) {
-      nb.condition = expr::substitute(br.condition, subst);
-      if (do_simplify) nb.condition = expr::simplify(nb.condition);
-    }
-    for (const auto& tuple : br.outputs) {
-      auto& out = nb.outputs.emplace_back();
-      for (const ExprPtr& field : tuple) {
-        ExprPtr sub = expr::substitute(field, subst);
-        out.push_back(do_simplify ? expr::simplify(sub) : sub);
-      }
-    }
-    branches.push_back(std::move(nb));
-  }
-  return Reaction(cons.name(), std::move(patterns), std::move(branches));
-}
-
-std::vector<Reaction> fuse_stage(std::vector<Reaction> stage,
-                                 const std::set<std::string>& forbidden,
-                                 const FuseOptions& options) {
-  std::size_t steps = 0;
-  while (options.max_steps == 0 || steps < options.max_steps) {
-    const auto uses = label_uses(stage);
-    bool fused = false;
-    for (const auto& [label, use] : uses) {
-      if (forbidden.contains(label)) continue;
-      if (use.producers.size() != 1 || use.consumers.size() != 1) continue;
-      const std::size_t prod_idx = use.producers[0].first;
-      const auto [cons_idx, pattern_idx] = use.consumers[0];
-      if (prod_idx == cons_idx) continue;  // self-loop label
-      const auto shape = producer_shape(stage[prod_idx]);
-      if (!shape || shape->out_label != label) continue;
-      const Pattern& target = stage[cons_idx].patterns()[pattern_idx];
-      if (target.fields().size() != shape->element_arity) continue;
-      // The consumed value variable must bind exactly here (a repeat binder
-      // is an equality constraint substitution would silently drop).
-      const std::string& vvar = target.fields()[0].name();
-      std::size_t binds = 0;
-      for (const Pattern& p : stage[cons_idx].patterns()) {
-        for (const PatternField& f : p.fields()) {
-          if (f.is_binder() && f.name() == vvar) ++binds;
-        }
-      }
-      if (binds != 1) continue;
-
-      Reaction merged = fuse_pair(stage[cons_idx], pattern_idx,
-                                  stage[prod_idx], *shape, options.simplify);
-      std::vector<Reaction> next;
-      for (std::size_t i = 0; i < stage.size(); ++i) {
-        if (i == prod_idx) continue;
-        if (i == cons_idx) {
-          next.push_back(merged);
-        } else {
-          next.push_back(stage[i]);
-        }
-      }
-      stage = std::move(next);
-      fused = true;
-      ++steps;
-      break;  // label_uses is stale; recompute
-    }
-    if (!fused) break;
-  }
-  return stage;
-}
-
-}  // namespace
-
-gamma::Program fuse_reactions(const gamma::Program& program,
-                              const gamma::Multiset& initial,
-                              const FuseOptions& options) {
-  std::set<std::string> forbidden(options.preserve_labels.begin(),
-                                  options.preserve_labels.end());
-  for (const auto& e : initial) {
-    if (e.arity() >= 2 && e.field(1).is_str()) {
-      forbidden.insert(e.field(1).as_str());
-    }
-  }
-
-  std::vector<std::vector<Reaction>> stages;
-  stages.reserve(program.stage_count());
-  for (const auto& stage : program.stages()) {
-    stages.push_back(fuse_stage(stage, forbidden, options));
-  }
-  return gamma::Program::from_stages(std::move(stages));
-}
 
 namespace {
 

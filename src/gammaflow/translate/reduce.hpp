@@ -1,37 +1,18 @@
-// §III-A3 "Reductions": fuse chains of reactions into fewer, coarser
-// reactions (R1,R2,R3 -> Rd1) and the inverse expansion. Fusion trades match
-// opportunities (parallelism) for per-firing work — the paper's observation
-// that "the opportunity to explore the parallelism of reactions decreases"
-// is quantified by bench_reductions using these passes.
+// §III-A3 "Reductions", inverse direction: expansion of a coarse reaction
+// (Rd1) back into binary-operator reactions (R1,R2,R3). The forward fusion
+// is analysis::optimize_program with the cost gate and dead-reaction
+// elimination off (analysis/optimize.hpp). bench_reductions quantifies the
+// paper's observation that after fusion "the opportunity to explore the
+// parallelism of reactions decreases".
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "gammaflow/gamma/multiset.hpp"
 #include "gammaflow/gamma/program.hpp"
 
 namespace gammaflow::translate {
-
-struct FuseOptions {
-  /// Labels that must survive (program results, e.g. 'm'); reactions
-  /// producing them can still fuse forward, but a label listed here is never
-  /// eliminated as an intermediate.
-  std::vector<std::string> preserve_labels;
-  /// Cap on fusion steps (0 = to fixpoint).
-  std::size_t max_steps = 0;
-  /// Run the expression simplifier on fused bodies.
-  bool simplify = true;
-};
-
-/// Fuses producer->consumer pairs where the producer has one unconditional
-/// branch with a single tag-preserving output, its label has exactly one
-/// producer and one consumer (a private intermediate edge), and the label is
-/// absent from `initial` and not preserved. Returns the reduced program.
-[[nodiscard]] gamma::Program fuse_reactions(const gamma::Program& program,
-                                            const gamma::Multiset& initial,
-                                            const FuseOptions& options = {});
 
 /// Inverse reduction: splits one k-ary unconditional expression reaction
 /// into binary-operator reactions with fresh intermediate labels (Rd1 ->

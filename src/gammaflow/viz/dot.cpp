@@ -1,11 +1,12 @@
-// DOT writers for the Gamma-side graphs (the dataflow-graph writer lives in
-// dataflow/dot.cpp). All three render the SAME analysis the engines consume
-// — InterferenceReport and plan_shards — so what the picture shows is what
-// the scheduler does.
+// DOT writers, one per graph kind. The dataflow graph draws the paper's
+// shape conventions; the three Gamma-side writers render the SAME analysis
+// the engines consume — InterferenceReport and plan_shards — so what the
+// picture shows is what the scheduler does.
 #include <cstddef>
 #include <map>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,42 @@ std::string dot_escape(const std::string& s) {
     out.push_back(c);
   }
   return out;
+}
+
+const char* shape(dataflow::NodeKind kind) {
+  using dataflow::NodeKind;
+  switch (kind) {
+    case NodeKind::Const: return "square";
+    case NodeKind::Arith:
+    case NodeKind::Cmp: return "circle";
+    case NodeKind::Steer: return "triangle";
+    case NodeKind::IncTag:
+    case NodeKind::DecTag: return "diamond";
+    case NodeKind::Output: return "doublecircle";
+  }
+  return "circle";
+}
+
+/// The node's DOT label, already escaped: operator (or constant) text, then
+/// the node name on a second line when it has one.
+std::string node_label(const dataflow::Node& n) {
+  using dataflow::NodeKind;
+  std::ostringstream os;
+  switch (n.kind) {
+    case NodeKind::Const: os << n.constant; break;
+    case NodeKind::Arith:
+    case NodeKind::Cmp:
+      os << expr::to_string(n.op);
+      if (n.has_immediate) os << n.constant;
+      break;
+    case NodeKind::Steer: os << "steer"; break;
+    case NodeKind::IncTag: os << "inctag"; break;
+    case NodeKind::DecTag: os << "dectag"; break;
+    case NodeKind::Output: os << "out"; break;
+  }
+  std::string label = dot_escape(os.str());
+  if (!n.name.empty()) label += "\\n" + dot_escape(n.name);
+  return label;
 }
 
 // Per-class pastel fills, cycled when class_count exceeds the palette.
@@ -52,6 +89,34 @@ std::vector<std::size_t> stage_of(const gamma::Program& program) {
 }
 
 }  // namespace
+
+void write_dot(std::ostream& os, const dataflow::Graph& graph,
+               const std::string& title) {
+  using dataflow::NodeId;
+  os << "digraph \"" << dot_escape(title) << "\" {\n";
+  os << "  rankdir=TB;\n";
+  for (NodeId id = 0; id < graph.node_count(); ++id) {
+    const dataflow::Node& n = graph.node(id);
+    os << "  n" << id << " [shape=" << shape(n.kind) << ", label=\""
+       << node_label(n) << "\"];\n";
+  }
+  for (const dataflow::Edge& e : graph.edges()) {
+    os << "  n" << e.src << " -> n" << e.dst << " [label=\""
+       << dot_escape(e.label.str()) << '"';
+    if (graph.node(e.src).kind == dataflow::NodeKind::Steer) {
+      os << (e.src_port == dataflow::kSteerTrue ? ", taillabel=\"T\""
+                                                : ", taillabel=\"F\"");
+    }
+    os << "];\n";
+  }
+  os << "}\n";
+}
+
+std::string to_dot(const dataflow::Graph& graph, const std::string& title) {
+  std::ostringstream os;
+  write_dot(os, graph, title);
+  return os.str();
+}
 
 void write_interference_dot(std::ostream& os, const gamma::Program& program,
                             const analysis::InterferenceReport& report,

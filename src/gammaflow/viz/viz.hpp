@@ -4,8 +4,7 @@
 // (analysis/interference.hpp), shard plans (runtime/sharded_store.hpp), and
 // run journals (obs/run_recorder.hpp) — and renders them as:
 //
-//   * DOT, one writer per graph kind (the dataflow-graph writer stays in
-//     dataflow/dot.hpp; this module adds the Gamma-side graphs), and
+//   * DOT, one writer per graph kind, and
 //   * one SELF-CONTAINED interactive HTML file: embedded JSON, inline CSS
 //     and JS, no network dependencies — a pan/zoom node graph colored by
 //     conflict class / shard, a per-round & per-fire store-evolution
@@ -25,6 +24,15 @@
 #include "gammaflow/obs/run_recorder.hpp"
 
 namespace gammaflow::viz {
+
+/// Dataflow graph in the paper's shape conventions: squares for roots
+/// (Const), circles for operators, triangles for Steer, diamonds (lozenges)
+/// for IncTag/DecTag, double circles for Output. Names, edge labels and the
+/// title are DOT-escaped.
+void write_dot(std::ostream& os, const dataflow::Graph& graph,
+               const std::string& title = "dataflow");
+[[nodiscard]] std::string to_dot(const dataflow::Graph& graph,
+                                 const std::string& title = "dataflow");
 
 /// Interference graph: one node per reaction (labelled with its footprint),
 /// clustered by conflict class. Edge styles carry the relation kind:

@@ -2,10 +2,10 @@
 // serialization round trip.
 #include <gtest/gtest.h>
 
-#include "gammaflow/dataflow/dot.hpp"
 #include "gammaflow/dataflow/graph.hpp"
 #include "gammaflow/dataflow/serialize.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::dataflow {
 namespace {
@@ -126,7 +126,7 @@ TEST(GraphQueries, FindIsAmbiguityAware) {
 }
 
 TEST(Dot, ContainsShapesAndLabels) {
-  const std::string dot = to_dot(paper::fig2_graph(3, 5, 0, true), "fig2");
+  const std::string dot = viz::to_dot(paper::fig2_graph(3, 5, 0, true), "fig2");
   EXPECT_NE(dot.find("digraph \"fig2\""), std::string::npos);
   EXPECT_NE(dot.find("shape=triangle"), std::string::npos);  // steer
   EXPECT_NE(dot.find("shape=diamond"), std::string::npos);   // inctag

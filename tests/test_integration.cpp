@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gammaflow/analysis/analysis.hpp"
+#include "gammaflow/analysis/optimize.hpp"
 #include "gammaflow/dataflow/serialize.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
@@ -52,7 +53,9 @@ TEST(Integration, ReductionPipelinePreservesEquivalenceWithDataflow) {
   // fuse(convert(graph)) still matches the graph's observable.
   const dataflow::Graph g = paper::fig1_graph(9, 1, 2, 3);
   const auto conv = translate::dataflow_to_gamma(g);
-  const auto fused = translate::fuse_reactions(conv.program, conv.initial);
+  const auto fused = analysis::optimize_program(conv.program, conv.initial,
+                                                analysis::reduction_options())
+                         .program;
   EXPECT_EQ(fused.reaction_count(), 1u);
   const auto run = gamma::IndexedEngine().run(fused, conv.initial);
   EXPECT_EQ(run.final_multiset.with_label("m").at(0).value(),

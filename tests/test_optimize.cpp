@@ -304,6 +304,21 @@ TEST(GammaOptimize, PartialConsumerBlocksFusion) {
             gamma_fixpoint(p, init, "idx"));
 }
 
+TEST(GammaOptimize, FusedLogicIdentityKeepsBoolWithoutInitial) {
+  // Without an initial store there is no S7 probe, so the fused body is all
+  // that stands between the rewrite and a changed fixpoint: substituting
+  // y := x into `true and y` must still yield true for x = 5, not 5.
+  const Program p = gamma::dsl::parse_program(
+      "A = replace [x, 'a'] by [x, 'm']\n"
+      "B = replace [y, 'm'] by [true and y, 'b']");
+  const auto r = analysis::optimize_program(p, Multiset{});
+  EXPECT_EQ(r.report.fused, 1u);
+  const Multiset init = labeled({{5, "a"}});
+  const Multiset expected{Element{Value(true), Value(std::string("b"))}};
+  EXPECT_EQ(gamma_fixpoint(p, init, "idx"), expected);
+  EXPECT_EQ(gamma_fixpoint(r.program, init, "idx"), expected);
+}
+
 TEST(GammaOptimize, MaxStepsCapsAppliedFusions) {
   OptimizeOptions opts;
   opts.max_steps = 1;

@@ -1,8 +1,13 @@
-// §III-A3 reductions: fusion to coarser reactions, expansion back to binary
-// reactions, and semantic preservation of both.
+// §III-A3 reductions: fusion to coarser reactions (the optimizer's planner
+// with the cost gate and dead-reaction elimination off), expansion back to
+// binary reactions, and semantic preservation of both.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "gammaflow/analysis/optimize.hpp"
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/paper/figures.hpp"
@@ -17,10 +22,18 @@ using gamma::IndexedEngine;
 using gamma::Multiset;
 using gamma::Program;
 
+/// The §III-A3 reduction as `gammaflow fuse` runs it.
+Program fuse(const Program& program, const Multiset& initial,
+             std::vector<std::string> preserve_labels = {}) {
+  analysis::OptimizeOptions opts = analysis::reduction_options();
+  opts.preserve_labels = std::move(preserve_labels);
+  return analysis::optimize_program(program, initial, opts).program;
+}
+
 TEST(Fuse, Fig1CollapsesToOneReaction) {
   // R1,R2,R3 -> the paper's Rd1 shape: one 4-ary reaction producing m.
   const Program fused =
-      fuse_reactions(paper::fig1_gamma(), paper::fig1_initial());
+      fuse(paper::fig1_gamma(), paper::fig1_initial());
   EXPECT_EQ(fused.reaction_count(), 1u);
   const auto* rd = fused.all_reactions()[0];
   EXPECT_EQ(rd->arity(), 4u);
@@ -31,14 +44,14 @@ TEST(Fuse, Fig1CollapsesToOneReaction) {
 
 TEST(Fuse, Fig1FusedPreservesResult) {
   const Program fused =
-      fuse_reactions(paper::fig1_gamma(), paper::fig1_initial());
+      fuse(paper::fig1_gamma(), paper::fig1_initial());
   const auto r = IndexedEngine().run(fused, paper::fig1_initial());
   EXPECT_EQ(r.final_multiset, (Multiset{Element::labeled(Value(0), "m")}));
 }
 
 TEST(Fuse, FusedEqualsPaperRd1Behaviour) {
   const Program fused =
-      fuse_reactions(paper::fig1_gamma(), paper::fig1_initial());
+      fuse(paper::fig1_gamma(), paper::fig1_initial());
   const IndexedEngine eng;
   for (std::int64_t x : {1, -3, 10}) {
     const Multiset init = paper::fig1_initial(x, 5, 3, 2);
@@ -48,10 +61,9 @@ TEST(Fuse, FusedEqualsPaperRd1Behaviour) {
 }
 
 TEST(Fuse, PreserveLabelsBlocksFusion) {
-  FuseOptions opts;
-  opts.preserve_labels = {"B2"};  // keep R1's intermediate visible
+  // Keep R1's intermediate B2 visible.
   const Program fused =
-      fuse_reactions(paper::fig1_gamma(), paper::fig1_initial(), opts);
+      fuse(paper::fig1_gamma(), paper::fig1_initial(), {"B2"});
   EXPECT_EQ(fused.reaction_count(), 2u);  // only R2 fused into R3
   EXPECT_NE(fused.find("R1"), nullptr);
 }
@@ -59,21 +71,13 @@ TEST(Fuse, PreserveLabelsBlocksFusion) {
 TEST(Fuse, InitialLabelsNeverFused) {
   // A1..D1 appear in the initial multiset: they are roots, not intermediates.
   const Program fused =
-      fuse_reactions(paper::fig1_gamma(), paper::fig1_initial());
+      fuse(paper::fig1_gamma(), paper::fig1_initial());
   const auto* rd = fused.all_reactions()[0];
   std::set<std::string> labels;
   for (const auto& p : rd->patterns()) {
     labels.insert(p.fields()[1].value().as_str());
   }
   EXPECT_EQ(labels, (std::set<std::string>{"A1", "B1", "C1", "D1"}));
-}
-
-TEST(Fuse, MaxStepsLimitsFusion) {
-  FuseOptions opts;
-  opts.max_steps = 1;
-  const Program fused =
-      fuse_reactions(paper::fig1_gamma(), paper::fig1_initial(), opts);
-  EXPECT_EQ(fused.reaction_count(), 2u);
 }
 
 TEST(Fuse, ConditionalConsumersStillFuseProducers) {
@@ -84,7 +88,7 @@ TEST(Fuse, ConditionalConsumersStillFuseProducers) {
   )");
   const Multiset init{Element::labeled(Value(7), "x"),
                       Element::labeled(Value(8), "y")};
-  const Program fused = fuse_reactions(p, init);
+  const Program fused = fuse(p, init);
   EXPECT_EQ(fused.reaction_count(), 1u);
   const auto r = IndexedEngine().run(fused, init);
   EXPECT_EQ(r.final_multiset, (Multiset{Element::labeled(Value(15), "big")}));
@@ -97,7 +101,7 @@ TEST(Fuse, SharedLabelNotFused) {
     C1 = replace [t,'t'], [b,'y'] by [t + b, 'o1']
     C2 = replace [t,'t'], [c,'z'] by [t * c, 'o2']
   )");
-  const Program fused = fuse_reactions(p, Multiset{});
+  const Program fused = fuse(p, Multiset{});
   EXPECT_EQ(fused.reaction_count(), 3u);
 }
 
@@ -108,7 +112,7 @@ TEST(Fuse, TaggedProgramsFuseTagPreservingChains) {
   )");
   const Multiset init{Element::tagged(Value(5), "x", 3),
                       Element::tagged(Value(1), "y", 3)};
-  const Program fused = fuse_reactions(p, init);
+  const Program fused = fuse(p, init);
   EXPECT_EQ(fused.reaction_count(), 1u);
   const auto r = IndexedEngine().run(fused, init);
   EXPECT_EQ(r.final_multiset, (Multiset{Element::tagged(Value(11), "o", 3)}));
@@ -121,7 +125,7 @@ TEST(Fuse, TagChangingProducerNotFused) {
     P = replace [a,'x',v] by [a, 't', v + 1]
     C = replace [t,'t',w] by [t + 1, 'o', w]
   )");
-  const Program fused = fuse_reactions(p, Multiset{});
+  const Program fused = fuse(p, Multiset{});
   EXPECT_EQ(fused.reaction_count(), 2u);
 }
 
@@ -129,7 +133,7 @@ TEST(Fuse, Fig2LoopProgramKeepsControlReactions) {
   // Steers/inctags are not fusable; only pure arithmetic chains are. The
   // nine-reaction loop program must keep its control structure.
   const Program fused =
-      fuse_reactions(paper::fig2_gamma(), paper::fig2_initial(3, 5, 100));
+      fuse(paper::fig2_gamma(), paper::fig2_initial(3, 5, 100));
   EXPECT_GE(fused.reaction_count(), 8u);
   const IndexedEngine eng;
   EXPECT_EQ(eng.run(fused, paper::fig2_initial(3, 5, 100)).final_multiset,
@@ -147,13 +151,75 @@ TEST(Fuse, DeepChainsAvoidVariableCapture) {
     const dataflow::Graph g = paper::random_expression_graph(10, seed);
     const Value expected = interp.run(g).single_output("m");
     const auto conv = dataflow_to_gamma(g);
-    const Program fused = fuse_reactions(conv.program, conv.initial);
+    const Program fused = fuse(conv.program, conv.initial);
     EXPECT_EQ(fused.reaction_count(), 1u) << "seed " << seed;
     const auto run = eng.run(fused, conv.initial);
     const auto m = run.final_multiset.with_label("m");
     ASSERT_EQ(m.size(), 1u) << "seed " << seed;
     EXPECT_EQ(m[0].value(), expected) << "seed " << seed;
   }
+}
+
+TEST(Fuse, PartialConsumerKeepsTheFixpoint) {
+  // C has no else branch: 'Mid' = 2 fails its guard and parks at the
+  // fixpoint. Inlining P into C would leave [1,'A'] there instead (S6).
+  const Program p = gamma::dsl::parse_program(R"(
+    P = replace [x,'A'] by [x + 1,'Mid']
+    C = replace [v,'Mid'] by [v * 2,'Out'] if v > 10
+  )");
+  const Multiset init{Element::labeled(Value(1), "A")};
+  const IndexedEngine eng;
+  const Multiset expected{Element::labeled(Value(2), "Mid")};
+  EXPECT_EQ(eng.run(p, init).final_multiset, expected);
+  EXPECT_EQ(eng.run(fuse(p, init), init).final_multiset, expected);
+}
+
+TEST(Fuse, LabelBoundConsumerKeepsEveryFixpoint) {
+  // D consumes 'Mid' through a label binder, so C is not Mid's only
+  // consumer (S1). The unfused program reaches {[4,'Out']} or {[2,'Z']}
+  // depending on the schedule; fusing P into C would lose the second.
+  const Program p = gamma::dsl::parse_program(R"(
+    P = replace [x,'A'] by [x + 1,'Mid']
+    C = replace [v,'Mid'] by [v * 2,'Out']
+    D = replace [v, l] by [v,'Z'] if l == 'Mid'
+  )");
+  const Multiset init{Element::labeled(Value(1), "A")};
+  const Program fused = fuse(p, init);
+  const auto fixpoints = [&](const Program& program) {
+    std::set<std::string> out;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      gamma::RunOptions opts;
+      opts.seed = seed;
+      out.insert(gamma::SequentialEngine()
+                     .run(program, init, opts)
+                     .final_multiset.to_string());
+    }
+    return out;
+  };
+  const std::set<std::string> original = fixpoints(p);
+  EXPECT_EQ(original.size(), 2u);
+  EXPECT_EQ(fixpoints(fused), original);
+}
+
+TEST(Fuse, RandomSourceProgramsKeepTheirFixpoint) {
+  // Differential: Algorithm 1 over random imperative programs, with and
+  // without a trailing loop; the fused program must reach the unfused
+  // program's fixpoint whatever the planner fused or refused.
+  const IndexedEngine eng;
+  std::size_t fused_away = 0;
+  for (const bool with_loop : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (with_loop ? " with loop" : " without loop"));
+      const auto conv = dataflow_to_gamma(frontend::compile_source(
+          paper::random_source_program(seed, with_loop)));
+      const Program fused = fuse(conv.program, conv.initial);
+      fused_away += conv.program.reaction_count() - fused.reaction_count();
+      EXPECT_EQ(eng.run(fused, conv.initial).final_multiset,
+                eng.run(conv.program, conv.initial).final_multiset);
+    }
+  }
+  EXPECT_GT(fused_away, 0u);  // not vacuous: translated chains do fuse
 }
 
 // ---- expansion (inverse reduction) ----
@@ -217,7 +283,7 @@ TEST(Expand, FuseInvertsExpand) {
   // expand then fuse returns to a single reaction computing the same thing.
   const Program expanded = expand_program(paper::fig1_reduced_gamma());
   EXPECT_EQ(expanded.reaction_count(), 3u);
-  const Program refused = fuse_reactions(expanded, paper::fig1_initial());
+  const Program refused = fuse(expanded, paper::fig1_initial());
   EXPECT_EQ(refused.reaction_count(), 1u);
   const IndexedEngine eng;
   EXPECT_EQ(

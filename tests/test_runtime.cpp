@@ -309,7 +309,7 @@ TEST(CrossEngine, CorpusIsStateIdenticalAcrossEveryEngine) {
     par.workers = 3;
     par.conflict_classes = report.engine_classes();
     gamma::RunOptions unsharded = par;
-    unsharded.shard = false;
+    unsharded.conflict_classes.clear();
 
     EXPECT_EQ(gamma::IndexedEngine().run(p, c.initial).final_multiset, oracle)
         << c.name << ": indexed";
@@ -319,7 +319,7 @@ TEST(CrossEngine, CorpusIsStateIdenticalAcrossEveryEngine) {
     EXPECT_EQ(
         gamma::ParallelEngine().run(p, c.initial, unsharded).final_multiset,
         oracle)
-        << c.name << ": parallel --no-shard";
+        << c.name << ": parallel without classes";
 
     distrib::ClusterOptions copts;
     copts.nodes = 4;

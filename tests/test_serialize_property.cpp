@@ -2,11 +2,11 @@
 // exact, parsed graphs execute identically, DOT output is well-formed.
 #include <gtest/gtest.h>
 
-#include "gammaflow/dataflow/dot.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/dataflow/serialize.hpp"
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::dataflow {
 namespace {
@@ -36,7 +36,7 @@ TEST_P(SerializeProperty, CompiledProgramsRoundTripExactly) {
 
 TEST_P(SerializeProperty, DotOutputIsBalancedAndComplete) {
   const Graph g = paper::random_expression_graph(8, GetParam());
-  const std::string dot = to_dot(g);
+  const std::string dot = viz::to_dot(g);
   EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'), 1);
   EXPECT_EQ(std::count(dot.begin(), dot.end(), '}'), 1);
   // one node line per node, one edge line per edge

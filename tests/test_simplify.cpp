@@ -37,16 +37,35 @@ TEST(Simplify, MultiplicativeIdentity) {
 }
 
 TEST(Simplify, BooleanIdentities) {
-  EXPECT_EQ(simplify(parse("true and p"))->to_string(), "p");
-  EXPECT_EQ(simplify(parse("p and true"))->to_string(), "p");
-  EXPECT_EQ(simplify(parse("false or p"))->to_string(), "p");
+  EXPECT_EQ(simplify(parse("true and p < 1"))->to_string(), "p < 1");
+  EXPECT_EQ(simplify(parse("p < 1 and true"))->to_string(), "p < 1");
+  EXPECT_EQ(simplify(parse("false or p < 1"))->to_string(), "p < 1");
   EXPECT_EQ(simplify(parse("false and p"))->literal(), Value(false));
   EXPECT_EQ(simplify(parse("true or p"))->literal(), Value(true));
 }
 
 TEST(Simplify, DoubleNegation) {
   EXPECT_EQ(simplify(parse("--x"))->to_string(), "x");
-  EXPECT_EQ(simplify(parse("not not p"))->to_string(), "p");
+  EXPECT_EQ(simplify(parse("not not (p == q)"))->to_string(), "p == q");
+}
+
+TEST(Simplify, LogicIdentitiesKeepTheBoolResult) {
+  // `true and x` evaluates to Bool(truthy(x)): with x = 5 it is true, not 5.
+  // Identities may drop the literal only when the other side is already a
+  // Bool (comparison, not, and/or, Bool literal).
+  Env env;
+  env.bind("x", Value(5));
+  for (const char* src :
+       {"true and x", "x and true", "false or x", "x or false", "not not x",
+        "false and x", "true or x", "true and x > 3", "x > 3 or false",
+        "not not (x == 5)", "true and not x", "false or (x > 1 and x < 9)",
+        "true and true"}) {
+    const ExprPtr e = parse(src);
+    EXPECT_EQ(eval(simplify(e), env), eval(e, env))
+        << src << " simplified to " << simplify(e)->to_string();
+  }
+  EXPECT_EQ(simplify(parse("true and x"))->to_string(), "true and x");
+  EXPECT_EQ(simplify(parse("true and x > 3"))->to_string(), "x > 3");
 }
 
 TEST(Simplify, DoesNotFoldThrowingSubtrees) {

@@ -9,6 +9,7 @@
 
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/dataflow/serialize.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
@@ -102,6 +103,49 @@ TEST(VizDot, DeterministicAcrossWrites) {
   viz::write_shards_dot(a, program, report, "t");
   viz::write_shards_dot(b, program, report, "t");
   EXPECT_EQ(a.str(), b.str());
+}
+
+/// True when every line holds an even number of unescaped quotes, i.e. no
+/// DOT string is left open.
+bool dot_quotes_balanced(const std::string& dot) {
+  std::istringstream lines(dot);
+  for (std::string line; std::getline(lines, line);) {
+    std::size_t quotes = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == '\\') {
+        ++i;
+      } else if (line[i] == '"') {
+        ++quotes;
+      }
+    }
+    if (quotes % 2 != 0) return false;
+  }
+  return true;
+}
+
+TEST(VizDot, DataflowOutputNameWithQuoteIsEscaped) {
+  // A .df file whose output is named b"x: the label must read out\nb\"x,
+  // not end the DOT string after `b`.
+  dataflow::GraphBuilder b;
+  b.output(b.constant(Value(1)), "b\"x");
+  std::ostringstream df;
+  dataflow::write_text(df, std::move(b).build());
+  const std::string dot =
+      viz::to_dot(dataflow::parse_text(df.str()), "in\"put.df");
+  EXPECT_NE(dot.find("digraph \"in\\\"put.df\" {"), std::string::npos) << dot;
+  EXPECT_NE(dot.find("label=\"out\\nb\\\"x\""), std::string::npos) << dot;
+  EXPECT_TRUE(dot_quotes_balanced(dot)) << dot;
+}
+
+TEST(VizDot, DataflowBackslashesAndNewlinesAreEscaped) {
+  dataflow::GraphBuilder b;
+  const auto k = b.constant(Value(1), "k\\1");
+  b.connect(k, b.output("o\nut"), 0, "e\"0");
+  const std::string dot = viz::to_dot(std::move(b).build());
+  EXPECT_NE(dot.find("label=\"1\\nk\\\\1\""), std::string::npos) << dot;
+  EXPECT_NE(dot.find("label=\"out\\no\\nut\""), std::string::npos) << dot;
+  EXPECT_NE(dot.find("[label=\"e\\\"0\"]"), std::string::npos) << dot;
+  EXPECT_TRUE(dot_quotes_balanced(dot)) << dot;
 }
 
 // ----------------------------------------------------------------- HTML ---

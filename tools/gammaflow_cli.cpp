@@ -5,6 +5,8 @@
 //   gammaflow togamma  <prog.src|graph.df>    Algorithm 1 -> Gamma program + M
 //   gammaflow rungamma <prog.gamma> --init "<elements>" [--engine seq|idx|par]
 //   gammaflow fuse     <prog.gamma> [--init "<elements>"]      SIII-A3 reduction
+//                                             (the optimizer's planner, every
+//                                             safe fusion, nothing removed)
 //   gammaflow expand   <prog.gamma>                            inverse reduction
 //   gammaflow optimize <prog.gamma> [--init "<elements>"]      analysis-driven
 //                                             auto-reduction (cost-gated)
@@ -27,7 +29,6 @@
 
 #include "gammaflow/common/fault.hpp"
 #include "gammaflow/common/logging.hpp"
-#include "gammaflow/dataflow/dot.hpp"
 #include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/obs/report.hpp"
@@ -63,7 +64,10 @@ void print_usage(std::ostream& out) {
       "  run <prog.src|graph.df>               execute as dataflow\n"
       "  togamma <prog.src|graph.df>           Algorithm 1\n"
       "  rungamma <prog.gamma> --init \"...\"    execute by rewriting\n"
-      "  fuse <prog.gamma> [--init \"...\"]      SIII-A3 reduction\n"
+      "  fuse <prog.gamma> [--init \"...\"]      SIII-A3 reduction: every\n"
+      "                                        fusion the optimize planner\n"
+      "                                        proves safe, without its cost\n"
+      "                                        gate or dead-reaction removal\n"
       "  expand <prog.gamma>                   inverse reduction\n"
       "  optimize <prog.gamma> [--init \"...\"]  analysis-driven auto-reduction:\n"
       "                                        fuse feed chains, drop dead\n"
@@ -106,9 +110,6 @@ void print_usage(std::ostream& out) {
       "                                batch evaluator (results are\n"
       "                                identical; A/B baseline — ignored\n"
       "                                under --no-compile)\n"
-      "         --no-shard             rungamma --engine par: force the\n"
-      "                                optimistic single-store path even when\n"
-      "                                conflict classes admit a sharded store\n"
       "         --werror               lint/check: warnings also fail (exit 1)\n"
       "         --json                 lint/check/optimize: machine-readable\n"
       "                                output\n"
@@ -252,9 +253,6 @@ struct Options {
   /// batch evaluator. Results are identical; this is the A/B baseline the
   /// benches compare against. Ignored under --no-compile.
   bool batch = true;
-  /// Sharding escape hatch (--no-shard): keep the parallel Gamma engine on
-  /// the optimistic single-store path even when --classes admits sharding.
-  bool shard = true;
   // --- distrib ---
   std::size_t nodes = 4;
   std::string placement = "hash";
@@ -375,8 +373,6 @@ Options parse_options(int argc, char** argv, int first) {
       opts.compile = false;
     } else if (arg == "--no-batch") {
       opts.batch = false;
-    } else if (arg == "--no-shard") {
-      opts.shard = false;
     } else if (arg == "--nodes") {
       opts.nodes = next_number();
     } else if (arg == "--placement") {
@@ -619,7 +615,6 @@ int cmd_rungamma(const std::string& path, const Options& opts) {
   ropts.seed = opts.seed;
   ropts.compile = opts.compile;
   ropts.batch = opts.batch;
-  ropts.shard = opts.shard;
   if (opts.workers) ropts.workers = *opts.workers;
   if (opts.trace_out || opts.metrics) ropts.telemetry = &tel;
   if (opts.record_out) ropts.record = &rec;
@@ -809,7 +804,10 @@ int cmd_fuse(const std::string& path, const Options& opts) {
   const gamma::Program program = gamma::dsl::parse_program(read_file(path));
   const gamma::Multiset initial =
       opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
-  std::cout << translate::fuse_reactions(program, initial) << '\n';
+  std::cout << analysis::optimize_program(program, initial,
+                                         analysis::reduction_options())
+                   .program
+            << '\n';
   return 0;
 }
 
@@ -946,7 +944,7 @@ int cmd_dot(const std::string& path, const Options& opts) {
     write_gamma_dot(std::cout, kind, program, report, path);
     return 0;
   }
-  dataflow::write_dot(std::cout, load_graph(path), path);
+  viz::write_dot(std::cout, load_graph(path), path);
   return 0;
 }
 
@@ -980,7 +978,7 @@ int cmd_viz(const std::string& path, const Options& opts) {
     std::ostream& os = opts.out.empty() ? std::cout : file;
     if (kind == "dataflow") {
       if (!graph) throw Error("--graph dataflow needs a .src or .df input");
-      dataflow::write_dot(os, *graph, path);
+      viz::write_dot(os, *graph, path);
     } else {
       if (!program) {
         throw Error("--graph " + kind + " needs a .gamma input");
