@@ -11,6 +11,7 @@
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
 
 namespace gammaflow::analysis {
@@ -190,8 +191,13 @@ Program tail_program(const Program& program, std::size_t from_stage) {
   return tail;
 }
 
-/// Reachable states sampled from one instrumented run, bucketed by the
-/// stage that was active when each state was visited.
+/// Reachable states sampled along one seeded IndexedEngine run, bucketed by
+/// the stage that was active when each state was visited. A recorded run
+/// gives the firing count and each fire's stage; state k of the even sample
+/// is then rebuilt exactly by re-running with the budget cut at k fires. The
+/// engine draws its rng identically until the budget refuses fire k+1, so
+/// that run stops in the state the full run reached after k fires — and
+/// only the sampled states are ever held in memory.
 std::vector<std::vector<Multiset>> sample_states(
     const Program& program, const Multiset& initial,
     const InterferenceOptions& options) {
@@ -200,28 +206,28 @@ std::vector<std::vector<Multiset>> sample_states(
 
   gamma::RunOptions ro;
   ro.seed = options.seed;
-  ro.record_trace = true;
   ro.max_steps = std::max<std::uint64_t>(options.probe_max_steps * 8, 4096);
-  ro.trace_limit = ro.max_steps;
   ro.limit_policy = LimitPolicy::Partial;
-  const gamma::RunResult run = gamma::IndexedEngine().run(program, initial, ro);
+  obs::RecorderLimits limits;
+  limits.max_fires = ro.max_steps;
+  obs::RunRecorder recorder(limits);
+  ro.record = &recorder;
+  const gamma::IndexedEngine engine;
+  const std::uint64_t fires = engine.run(program, initial, ro).steps;
+  const std::vector<obs::FireRecord> fire_log = recorder.take().fires;
+  ro.record = nullptr;
+  const auto stage_of = [&](std::size_t fire) {
+    return static_cast<std::size_t>(fire_log[fire].stage);
+  };
 
-  // Reconstruct every intermediate multiset, then keep an even sample.
-  std::vector<Multiset> states;
-  std::vector<std::size_t> state_stage;
-  Multiset current = initial;
-  states.push_back(current);
-  state_stage.push_back(run.trace.empty() ? 0 : run.trace.front().stage);
-  for (const gamma::FireEvent& ev : run.trace) {
-    for (const Element& e : ev.consumed) current.remove_one(e);
-    for (const Element& e : ev.produced) current.add(e);
-    states.push_back(current);
-    state_stage.push_back(ev.stage);
-  }
+  const std::size_t states = static_cast<std::size_t>(fires) + 1;
   const std::size_t want = std::max<std::size_t>(options.probe_states, 1);
-  const std::size_t stride = std::max<std::size_t>(states.size() / want, 1);
-  for (std::size_t k = 0; k < states.size(); k += stride) {
-    by_stage[state_stage[k]].push_back(std::move(states[k]));
+  const std::size_t stride = std::max<std::size_t>(states / want, 1);
+  by_stage[fire_log.empty() ? 0 : stage_of(0)].push_back(initial);
+  for (std::size_t k = stride; k < states; k += stride) {
+    ro.max_steps = k;
+    by_stage[stage_of(k - 1)].push_back(
+        engine.run(program, initial, ro).final_multiset);
   }
   return by_stage;
 }

@@ -7,23 +7,6 @@
 
 namespace gammaflow {
 
-void Summary::merge(const Summary& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 std::size_t Histogram::bucket_of(double x) noexcept {
   if (!(x >= 1.0)) return 0;  // also catches NaN
   const double capped = std::min(x, 0x1p62);
@@ -97,7 +80,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) noexcept {
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, n] : other.counters) counters[name] += n;
-  for (const auto& [name, s] : other.summaries) summaries[name].merge(s);
   for (const auto& [name, h] : other.histograms) histograms[name].merge(h);
 }
 
@@ -105,21 +87,12 @@ std::ostream& operator<<(std::ostream& os, const MetricsSnapshot& m) {
   for (const auto& [name, value] : m.counters) {
     os << name << " = " << value << '\n';
   }
-  for (const auto& [name, s] : m.summaries) {
-    os << name << ": n=" << s.count() << " mean=" << s.mean()
-       << " min=" << s.min() << " max=" << s.max() << '\n';
-  }
   for (const auto& [name, h] : m.histograms) {
     os << name << ": n=" << h.count << " mean=" << h.mean()
        << " p50=" << h.quantile(0.5) << " p99=" << h.quantile(0.99)
        << " max=" << h.max << '\n';
   }
   return os;
-}
-
-void StatsRegistry::record(const std::string& name, double x) {
-  std::lock_guard lock(mutex_);
-  summaries_[name].observe(x);
 }
 
 void StatsRegistry::count(const std::string& name, std::uint64_t n) {
@@ -132,12 +105,6 @@ Histogram& StatsRegistry::hist(const std::string& name) {
   return histograms_[name];
 }
 
-Summary StatsRegistry::summary(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  if (auto it = summaries_.find(name); it != summaries_.end()) return it->second;
-  return {};
-}
-
 std::uint64_t StatsRegistry::counter(const std::string& name) const {
   std::lock_guard lock(mutex_);
   if (auto it = counters_.find(name); it != counters_.end()) return it->second;
@@ -148,14 +115,12 @@ MetricsSnapshot StatsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   MetricsSnapshot s;
   s.counters = counters_;
-  s.summaries = summaries_;
   for (const auto& [name, h] : histograms_) s.histograms[name] = h.snapshot();
   return s;
 }
 
 void StatsRegistry::clear() {
   std::lock_guard lock(mutex_);
-  summaries_.clear();
   counters_.clear();
   histograms_.clear();
 }

@@ -1,8 +1,7 @@
 // Lightweight execution statistics shared by both runtimes and the benches:
-// monotonically increasing counters (thread-safe), a streaming summary
-// accumulator (count/min/max/mean/variance via Welford), log-bucketed
-// latency histograms, and a named-metric registry with plain-value
-// snapshots that travel inside RunResult/DfRunResult.
+// monotonically increasing counters (thread-safe), log-bucketed latency
+// histograms (count/sum/min/max plus buckets), and a named-metric registry
+// with plain-value snapshots that travel inside RunResult/DfRunResult.
 #pragma once
 
 #include <array>
@@ -28,39 +27,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Welford's online mean/variance; single-writer (merge for multi-writer).
-class Summary {
- public:
-  void observe(double x) noexcept {
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    if (x < min_ || count_ == 1) min_ = x;
-    if (x > max_ || count_ == 1) max_ = x;
-  }
-
-  void merge(const Summary& other) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  [[nodiscard]] double variance() const noexcept {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-  [[nodiscard]] double sum() const noexcept {
-    return mean_ * static_cast<double>(count_);
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Plain-value view of a Histogram; copyable, lives inside RunResult.
@@ -109,13 +75,12 @@ class Histogram {
 /// run's metrics are returned to callers and serialized by the benches.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, Summary> summaries;
   std::map<std::string, HistogramSnapshot> histograms;
 
   [[nodiscard]] bool empty() const noexcept {
-    return counters.empty() && summaries.empty() && histograms.empty();
+    return counters.empty() && histograms.empty();
   }
-  /// Adds counters, merges summaries and histograms name-by-name.
+  /// Adds counters and merges histograms name-by-name.
   void merge(const MetricsSnapshot& other);
 
   friend std::ostream& operator<<(std::ostream& os, const MetricsSnapshot& m);
@@ -124,7 +89,6 @@ struct MetricsSnapshot {
 /// Named-metric registry a run can fill and a bench can print uniformly.
 class StatsRegistry {
  public:
-  void record(const std::string& name, double x);
   void count(const std::string& name, std::uint64_t n = 1);
   /// Named histogram; created on first use. The returned reference stays
   /// valid for the registry's lifetime (node-based map) and is safe to
@@ -132,7 +96,6 @@ class StatsRegistry {
   Histogram& hist(const std::string& name);
   void observe_hist(const std::string& name, double x) { hist(name).observe(x); }
 
-  [[nodiscard]] Summary summary(const std::string& name) const;
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
   [[nodiscard]] MetricsSnapshot snapshot() const;
   void clear();
@@ -141,7 +104,6 @@ class StatsRegistry {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, Summary> summaries_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, Histogram> histograms_;
 };

@@ -72,12 +72,9 @@ struct DfRunResult {
   /// wavefront — the graph's exposed parallelism over time.
   std::vector<std::size_t> wavefronts;
   std::vector<PendingOperand> leftovers;
-  std::vector<NodeId> trace;  // only when record_trace
   /// Trace-reuse statistics (only meaningful when options.memoize).
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
-  /// Trace entries not recorded because of DfRunOptions::trace_limit.
-  std::uint64_t trace_dropped = 0;
   /// Engine-internal metrics (firings by opcode, steer branches, queue
   /// depths, ...); empty unless DfRunOptions::telemetry was set.
   MetricsSnapshot metrics;

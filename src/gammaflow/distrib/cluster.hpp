@@ -88,8 +88,7 @@ enum class Placement {
 /// before returning, so the partial multiset is exact — no element lost on
 /// the wire, none double-counted. `record` captures per-fire provenance
 /// (with the firing node's index) and one journal round per cluster round.
-/// `record_trace`/`trace_limit`/`workers` are ignored (the trace is the
-/// metric set; concurrency is `nodes`).
+/// `workers` is ignored (concurrency is `nodes`).
 struct ClusterOptions : runtime::RunOptions {
   std::size_t nodes = 4;
   std::uint64_t seed = 1;

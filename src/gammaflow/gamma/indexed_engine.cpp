@@ -3,7 +3,7 @@
 // through the label/arity indexes. A full pass over every reaction with no
 // match is the stage fixed point (the index search is exhaustive, so "no
 // match found" is a proof, not a heuristic). Scaffolding (deadline, cancel,
-// budget, trace cap, telemetry tail) comes from runtime::StepLoop & friends;
+// budget, recorder, telemetry tail) comes from runtime::StepLoop & friends;
 // this file keeps only the probe-order and conflict-class scheduling policy.
 #include <algorithm>
 #include <numeric>
@@ -26,7 +26,6 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
 
   runtime::StepLoop loop(options, options.max_steps, "indexed engine",
                          "max_steps");
-  runtime::TraceSink<FireEvent> trace(options);
   const runtime::RunRecording recording(options, "indexed", "gamma");
   recording.begin(initial);
   const runtime::EngineTelemetry telemetry(options, "gamma");
@@ -76,16 +75,6 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
               break;
             }
             if (!loop.admit(result.steps)) break;
-            if (trace.admit()) {
-              FireEvent ev;
-              ev.reaction = r.name();
-              ev.stage = stage_idx;
-              for (const Store::Id id : match->ids) {
-                ev.consumed.push_back(store.element(id));
-              }
-              ev.produced = match->produced;
-              trace.push(std::move(ev));
-            }
             ++result.fires_by_reaction[r.name()];
             ++result.steps;
             const runtime::RecordCtx rctx =
@@ -147,8 +136,6 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
     runtime::observe_reaction_compile(tel, program);
   }
   result.outcome = loop.outcome();
-  result.trace = trace.take();
-  result.trace_dropped = trace.dropped();
   telemetry.finish(result.outcome, result.metrics);
   result.final_multiset = store.to_multiset();
   recording.finish(result.outcome, result.final_multiset);

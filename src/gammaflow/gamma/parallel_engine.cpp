@@ -23,9 +23,9 @@
 // exhaustive search failed at the SAME store version, the stage is at its
 // fixed point.
 //
-// Scaffolding — deadline/cancel governors, the firing budget, trace caps,
-// and the telemetry tail — comes from runtime::StepLoop & friends; this file
-// keeps the worker topology and commit strategy.
+// Scaffolding — deadline/cancel governors, the firing budget, the run
+// recorder, and the telemetry tail — comes from runtime::StepLoop & friends;
+// this file keeps the worker topology and commit strategy.
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -102,13 +102,11 @@ struct StageResult {
 struct ShardTask {
   std::vector<std::size_t> reactions;  // stage positions owned by this shard
   Rng rng;
-  runtime::TraceSink<FireEvent> trace;
   std::map<std::string, std::uint64_t> fires;
   WorkerMetrics wm;
   runtime::RecordCtx rctx;  // provenance coordinates (recorder null = off)
 
-  ShardTask(Rng r, const RunOptions& options)
-      : rng(std::move(r)), trace(options) {}
+  explicit ShardTask(Rng r) : rng(std::move(r)) {}
 };
 
 /// Runs one shard's closed sub-chemistry to its fixed point: shuffled passes
@@ -116,11 +114,10 @@ struct ShardTask {
 /// indexed-engine policy, applied shard-locally). Commits never revalidate —
 /// the shard lock is total ownership. `fired` is the run-wide budget gate.
 void run_shard(Store& store, const std::vector<Reaction>& stage,
-               std::size_t stage_idx, ShardTask& task,
-               const RunOptions& options, RunGovernor& governor,
-               runtime::StopFlag& stop, std::atomic<std::uint64_t>& fired,
-               std::mutex& error_mutex, std::exception_ptr& error,
-               const StageObs& ob) {
+               ShardTask& task, const RunOptions& options,
+               RunGovernor& governor, runtime::StopFlag& stop,
+               std::atomic<std::uint64_t>& fired, std::mutex& error_mutex,
+               std::exception_ptr& error, const StageObs& ob) {
   const expr::EvalMode mode = options.eval_mode();
   obs::Telemetry* const tel = ob.tel;
   std::vector<std::size_t> order = task.reactions;
@@ -159,16 +156,6 @@ void run_shard(Store& store, const std::vector<Reaction>& stage,
           stop.publish(Outcome::BudgetExhausted);
           return;
         }
-        if (task.trace.admit()) {
-          FireEvent ev;
-          ev.reaction = r.name();
-          ev.stage = stage_idx;
-          for (const Store::Id id : match->ids) {
-            ev.consumed.push_back(store.element(id));
-          }
-          ev.produced = match->produced;
-          task.trace.push(std::move(ev));
-        }
         ++task.fires[r.name()];
         ++task.wm.fires;
         ++task.wm.class_fast_commits;
@@ -187,16 +174,14 @@ void run_shard(Store& store, const std::vector<Reaction>& stage,
 
 /// Stage driver for the sharded discipline. Workers claim shards by atomic
 /// index and hold the shard mutex for the whole local fixpoint; per-shard
-/// traces and metrics merge in shard order after join.
+/// fire counts and metrics merge in shard order after join.
 StageResult run_sharded_stage(const std::vector<Reaction>& stage,
                               std::size_t stage_idx,
                               const runtime::ShardPlan& plan,
                               Multiset& current, const RunOptions& options,
                               const runtime::StepLoop& loop, Rng& seed_rng,
                               unsigned workers, std::uint64_t prior_steps,
-                              const StageObs& ob,
-                              runtime::TraceSink<FireEvent>& trace,
-                              WorkerMetrics& total,
+                              const StageObs& ob, WorkerMetrics& total,
                               const runtime::RunRecording& recording) {
   runtime::ShardedStore sharded(
       current, runtime::ShardMap(plan.label_shard, plan.shard_count));
@@ -204,7 +189,7 @@ StageResult run_sharded_stage(const std::vector<Reaction>& stage,
   std::vector<ShardTask> tasks;
   tasks.reserve(plan.shard_count);
   for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    tasks.emplace_back(seed_rng.split(), options);
+    tasks.emplace_back(seed_rng.split());
     tasks.back().rctx = recording.ctx(static_cast<std::int64_t>(stage_idx),
                                       static_cast<std::int64_t>(s));
   }
@@ -232,7 +217,7 @@ StageResult run_sharded_stage(const std::vector<Reaction>& stage,
       runtime::ShardedStore::Shard& shard = sharded.shard(s);
       const std::scoped_lock lk(shard.mutex);
       obs::Span span(ob.tel, rec, "shard");
-      run_shard(shard.store, stage, stage_idx, tasks[s], options, governor,
+      run_shard(shard.store, stage, tasks[s], options, governor,
                 stop, fired, error_mutex, error, ob);
       span.set_arg(tasks[s].wm.fires);
     }
@@ -248,7 +233,6 @@ StageResult run_sharded_stage(const std::vector<Reaction>& stage,
   for (ShardTask& task : tasks) {  // shard order: deterministic merge
     out.steps += task.wm.fires;
     for (const auto& [name, n] : task.fires) out.fires[name] += n;
-    trace.merge(std::move(task.trace));
     total.add(task.wm);
   }
   current = sharded.to_multiset();
@@ -270,17 +254,15 @@ struct StageShared {
   Outcome outcome = Outcome::Completed;
   std::uint64_t steps = 0;
   std::map<std::string, std::uint64_t> fires;
-  runtime::TraceSink<FireEvent> trace;
   runtime::RecordCtx rctx;  // provenance coordinates (recorder null = off)
   std::exception_ptr error;
 
-  StageShared(Store s, const RunOptions& options)
-      : store(std::move(s)), trace(options) {}
+  explicit StageShared(Store s) : store(std::move(s)) {}
 };
 
 void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
-                 std::size_t stage_idx, const RunOptions& options,
-                 const runtime::StepLoop& loop, Rng rng,
+                 const RunOptions& options, const runtime::StepLoop& loop,
+                 Rng rng,
                  unsigned total_workers, unsigned worker_id,
                  std::uint64_t prior_steps, const StageObs& ob,
                  WorkerMetrics& wm) {
@@ -353,16 +335,6 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
           sh.cv.notify_all();
           return;
         }
-        if (sh.trace.admit()) {
-          FireEvent ev;
-          ev.reaction = proposal->reaction->name();
-          ev.stage = stage_idx;
-          for (const Store::Id id : proposal->ids) {
-            ev.consumed.push_back(sh.store.element(id));
-          }
-          ev.produced = proposal->produced;
-          sh.trace.push(std::move(ev));
-        }
         ++sh.fires[proposal->reaction->name()];
         ++sh.steps;
         ++wm.fires;
@@ -413,11 +385,9 @@ StageResult run_optimistic_stage(const std::vector<Reaction>& stage,
                                  const RunOptions& options,
                                  const runtime::StepLoop& loop, Rng& seed_rng,
                                  unsigned workers, std::uint64_t prior_steps,
-                                 const StageObs& ob,
-                                 runtime::TraceSink<FireEvent>& trace,
-                                 WorkerMetrics& total,
+                                 const StageObs& ob, WorkerMetrics& total,
                                  const runtime::RunRecording& recording) {
-  StageShared shared{Store(current), options};
+  StageShared shared{Store(current)};
   shared.rctx = recording.ctx(static_cast<std::int64_t>(stage_idx));
   std::vector<WorkerMetrics> wm(workers);
 
@@ -425,8 +395,8 @@ StageResult run_optimistic_stage(const std::vector<Reaction>& stage,
   threads.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     threads.emplace_back(worker_loop, std::ref(shared), std::cref(stage),
-                         stage_idx, std::cref(options), std::cref(loop),
-                         seed_rng.split(), workers, w, prior_steps,
+                         std::cref(options), std::cref(loop), seed_rng.split(),
+                         workers, w, prior_steps,
                          std::cref(ob), std::ref(wm[w]));
   }
   for (auto& t : threads) t.join();
@@ -436,7 +406,6 @@ StageResult run_optimistic_stage(const std::vector<Reaction>& stage,
   out.outcome = shared.outcome;
   out.steps = shared.steps;
   out.fires = std::move(shared.fires);
-  trace.merge(std::move(shared.trace));
   for (const WorkerMetrics& m : wm) total.add(m);
   current = shared.store.to_multiset();
   return out;
@@ -455,7 +424,6 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
   // governor shares, the run-wide firing budget, and the wall clock.
   runtime::StepLoop loop(options, options.max_steps, "parallel engine",
                          "max_steps");
-  runtime::TraceSink<FireEvent> trace(options);
   const runtime::RunRecording recording(options, "parallel", "gamma");
   recording.begin(initial);
   const runtime::EngineTelemetry telemetry(options, "gamma");
@@ -478,12 +446,12 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
       GF_DEBUG << "stage " << stage_idx << ": sharded, " << plan.shard_count
                << " shard(s)";
       sr = run_sharded_stage(stage, stage_idx, plan, current, options, loop,
-                             seed_rng, workers, result.steps, ob, trace,
-                             total, recording);
+                             seed_rng, workers, result.steps, ob, total,
+                             recording);
     } else {
       sr = run_optimistic_stage(stage, stage_idx, current, options, loop,
-                                seed_rng, workers, result.steps, ob, trace,
-                                total, recording);
+                                seed_rng, workers, result.steps, ob, total,
+                                recording);
     }
     if (sr.error) std::rethrow_exception(sr.error);
     result.outcome = sr.outcome;
@@ -504,8 +472,6 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
     stats.count("gamma.class_fast_commits", total.class_fast_commits);
     runtime::observe_reaction_compile(tel, program);
   }
-  result.trace = trace.take();
-  result.trace_dropped = trace.dropped();
   telemetry.finish(result.outcome, result.metrics);
   result.final_multiset = std::move(current);
   recording.finish(result.outcome, result.final_multiset);

@@ -13,14 +13,6 @@ void write_report(std::ostream& os, const MetricsSnapshot& metrics) {
          << std::setw(14) << value << '\n';
     }
   }
-  if (!metrics.summaries.empty()) {
-    os << "summaries:\n";
-    for (const auto& [name, s] : metrics.summaries) {
-      os << "  " << std::left << std::setw(36) << name << std::right
-         << " n=" << s.count() << " mean=" << s.mean() << " min=" << s.min()
-         << " max=" << s.max() << '\n';
-    }
-  }
   if (!metrics.histograms.empty()) {
     os << "histograms:\n";
     for (const auto& [name, h] : metrics.histograms) {

@@ -1,4 +1,4 @@
-// Human-readable run report: the `--metrics` view. Counters, summaries and
+// Human-readable run report: the `--metrics` view. Counters and
 // histogram quantiles in aligned text, plus per-thread span accounting when
 // a full Telemetry is at hand.
 #pragma once
@@ -10,7 +10,7 @@
 
 namespace gammaflow::obs {
 
-/// Prints a metrics snapshot grouped as counters / summaries / histograms.
+/// Prints a metrics snapshot grouped as counters / histograms.
 void write_report(std::ostream& os, const MetricsSnapshot& metrics);
 
 /// Full report: metrics plus one line per registered thread (events

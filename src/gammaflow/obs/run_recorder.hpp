@@ -5,9 +5,10 @@
 // per-round store snapshots, delta-encoded against the last KEPT snapshot so
 // dropped rounds fold into the next one instead of corrupting replay.
 //
-// Budgets mirror runtime::TraceSink's discipline: firings and rounds past
-// the caps still execute, the journal just stops growing and counts the
-// drops (fires_dropped / rounds_dropped). A journal with zero drops replays
+// This is the only provenance channel: every engine, the cluster and the
+// worklist honour RunOptions::record. Budgets: firings and rounds past the
+// caps still execute, the journal just stops growing and counts the drops
+// (fires_dropped / rounds_dropped). A journal with zero drops replays
 // exactly — replay_fires(j) == j.final_store — which is what
 // verify_journal() checks and the round-trip tests (and `gammaflow viz`'s
 // embedded data) rely on.

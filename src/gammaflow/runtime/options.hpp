@@ -26,14 +26,6 @@ class RunRecorder;
 namespace gammaflow::runtime {
 
 struct RunOptions {
-  /// Record every firing in the result (FireEvents for Gamma, node ids for
-  /// dataflow). Ignored by the cluster (its trace is the metric set).
-  bool record_trace = false;
-  /// Cap on recorded trace entries: firings past the cap still execute but
-  /// are not recorded (`trace_dropped` counts them). Deliberately generous —
-  /// the cap turns a long `record_trace` run into a truncated trace instead
-  /// of an OOM, it does not make truncation routine.
-  std::uint64_t trace_limit = 1'000'000;
   /// Worker count (the parallel engines; ignored by single-threaded ones
   /// and by the cluster, whose concurrency is `nodes`).
   unsigned workers = std::max(2u, std::thread::hardware_concurrency());
@@ -53,9 +45,11 @@ struct RunOptions {
   /// Optional telemetry sink (spans + metrics). Null (the default) disables
   /// instrumentation entirely; every probe site is behind one pointer test.
   obs::Telemetry* telemetry = nullptr;
-  /// Optional run recorder (per-fire provenance + per-round store deltas
-  /// for `--record-out` / `gammaflow viz`). Null (the default) disables
-  /// recording entirely; like telemetry, every probe is one pointer test.
+  /// Optional run recorder: the one provenance channel (per-fire
+  /// provenance + per-round store deltas for `--record-out` / `gammaflow
+  /// viz`), honoured by every engine, the cluster and the worklist. Null
+  /// (the default) disables recording entirely; like telemetry, every probe
+  /// is one pointer test.
   obs::RunRecorder* record = nullptr;
   /// Optional cooperative stop flag shared with the caller. When it fires
   /// the engine returns the state reached so far (outcome Cancelled) with

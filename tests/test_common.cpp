@@ -2,7 +2,6 @@
 // MPSC queue, JSON codec.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <thread>
 
@@ -134,82 +133,12 @@ TEST(Rng, UsableWithStdShuffle) {
   EXPECT_EQ(sorted, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
-TEST(Summary, WelfordMoments) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.observe(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Summary, MergeMatchesSingleStream) {
-  Summary all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10;
-    all.observe(x);
-    (i % 2 == 0 ? a : b).observe(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a, empty;
-  a.observe(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  Summary b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(Summary, MergeDisjointRangesPreservesMoments) {
-  // Two summaries over disjoint value ranges: the merge must agree with one
-  // stream over the union on every exposed moment.
-  Summary low, high, all;
-  for (int i = 0; i < 50; ++i) {
-    low.observe(i);
-    all.observe(i);
-  }
-  for (int i = 1000; i < 1100; ++i) {
-    high.observe(i);
-    all.observe(i);
-  }
-  low.merge(high);
-  EXPECT_EQ(low.count(), all.count());
-  EXPECT_NEAR(low.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(low.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(low.min(), 0.0);
-  EXPECT_DOUBLE_EQ(low.max(), 1099.0);
-}
-
-TEST(Summary, MergeTwoEmptiesStaysEmpty) {
-  Summary a, b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-}
-
 TEST(StatsRegistry, RecordAndQuery) {
   StatsRegistry reg;
-  reg.record("latency", 1.0);
-  reg.record("latency", 3.0);
   reg.count("fires");
   reg.count("fires", 4);
-  EXPECT_EQ(reg.summary("latency").count(), 2u);
-  EXPECT_DOUBLE_EQ(reg.summary("latency").mean(), 2.0);
   EXPECT_EQ(reg.counter("fires"), 5u);
   EXPECT_EQ(reg.counter("missing"), 0u);
-  EXPECT_EQ(reg.summary("missing").count(), 0u);
   reg.clear();
   EXPECT_EQ(reg.counter("fires"), 0u);
 }
@@ -223,7 +152,6 @@ TEST(StatsRegistry, ConcurrentRecordAndCount) {
     threads.emplace_back([&reg] {
       for (int i = 0; i < kOps; ++i) {
         reg.count("ops");
-        reg.record("value", static_cast<double>(i));
         reg.hist("latency").observe(static_cast<double>(i));
       }
     });
@@ -231,9 +159,6 @@ TEST(StatsRegistry, ConcurrentRecordAndCount) {
   for (auto& th : threads) th.join();
   constexpr auto kTotal = static_cast<std::uint64_t>(kThreads) * kOps;
   EXPECT_EQ(reg.counter("ops"), kTotal);
-  EXPECT_EQ(reg.summary("value").count(), kTotal);
-  EXPECT_DOUBLE_EQ(reg.summary("value").min(), 0.0);
-  EXPECT_DOUBLE_EQ(reg.summary("value").max(), kOps - 1);
   EXPECT_EQ(reg.snapshot().histograms.at("latency").count, kTotal);
 }
 

@@ -7,6 +7,7 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 
 namespace gammaflow {
@@ -70,12 +71,14 @@ TEST(EngineOptions, ParallelTraceCoversAllStages) {
       "A = replace [x,'p'] by [x + 1,'q'] ; B = replace [x,'q'] by [x * 2,'r']");
   const gamma::Multiset m{gamma::Element::labeled(Value(5), "p")};
   gamma::RunOptions opts;
-  opts.record_trace = true;
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
   opts.workers = 2;
   const auto r = gamma::ParallelEngine().run(p, m, opts);
-  ASSERT_EQ(r.trace.size(), 2u);
-  EXPECT_EQ(r.trace[0].stage, 0u);
-  EXPECT_EQ(r.trace[1].stage, 1u);
+  const obs::Journal j = recorder.take();
+  ASSERT_EQ(j.fires.size(), 2u);
+  EXPECT_EQ(j.fires[0].stage, 0);
+  EXPECT_EQ(j.fires[1].stage, 1);
   EXPECT_EQ(r.final_multiset, (gamma::Multiset{gamma::Element::labeled(Value(12), "r")}));
 }
 

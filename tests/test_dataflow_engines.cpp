@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 
 namespace gammaflow::dataflow {
@@ -302,14 +303,20 @@ TEST(Interpreter, WavefrontsExposeParallelism) {
 
 TEST(Interpreter, TraceIsTopologicallyConsistent) {
   DfRunOptions opts;
-  opts.record_trace = true;
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
   const Graph g = paper::fig1_graph();
   const auto r = Interpreter().run(g, opts);
-  ASSERT_EQ(r.trace.size(), r.fires);
+  const obs::Journal j = recorder.take();
+  ASSERT_EQ(j.fires.size(), r.fires);
   // R3 must fire after both R1 and R2.
   auto pos = [&](const char* name) {
-    const NodeId id = *g.find(name);
-    return std::find(r.trace.begin(), r.trace.end(), id) - r.trace.begin();
+    EXPECT_TRUE(g.find(name).has_value()) << name;
+    return std::find_if(j.fires.begin(), j.fires.end(),
+                        [&](const obs::FireRecord& f) {
+                          return f.reaction == name;
+                        }) -
+           j.fires.begin();
   };
   EXPECT_GT(pos("R3"), pos("R1"));
   EXPECT_GT(pos("R3"), pos("R2"));
@@ -317,12 +324,15 @@ TEST(Interpreter, TraceIsTopologicallyConsistent) {
 
 TEST(Interpreter, TraceLimitCapsRecording) {
   DfRunOptions opts;
-  opts.record_trace = true;
-  opts.trace_limit = 3;
+  obs::RecorderLimits limits;
+  limits.max_fires = 3;
+  obs::RunRecorder recorder(limits);
+  opts.record = &recorder;
   const auto r = Interpreter().run(paper::fig1_graph(), opts);
+  const obs::Journal j = recorder.take();
   EXPECT_EQ(r.fires, 8u);  // execution unaffected
-  EXPECT_EQ(r.trace.size(), 3u);
-  EXPECT_EQ(r.trace_dropped, 5u);
+  EXPECT_EQ(j.fires.size(), 3u);
+  EXPECT_EQ(j.fires_dropped, 5u);
 }
 
 TEST(Interpreter, DuplicateOperandDetected) {

@@ -9,6 +9,7 @@
 
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 
 namespace gammaflow::gamma {
 namespace {
@@ -52,23 +53,28 @@ TEST_P(EngineSuite, TraceLimitCapsRecordingWithoutChangingTheRun) {
   }
   RunOptions opts;
   opts.workers = 3;
-  opts.record_trace = true;
-  opts.trace_limit = 5;
+  obs::RecorderLimits limits;
+  limits.max_fires = 5;
+  obs::RunRecorder recorder(limits);
+  opts.record = &recorder;
   const auto r = make_engine(GetParam())->run(p, m, opts);
+  const obs::Journal j = recorder.take();
   EXPECT_EQ(r.final_multiset, ints({total}));
   EXPECT_EQ(r.steps, 30u);
-  EXPECT_EQ(r.trace.size(), 5u);
-  EXPECT_EQ(r.trace_dropped, 25u);
+  EXPECT_EQ(j.fires.size(), 5u);
+  EXPECT_EQ(j.fires_dropped, 25u);
 }
 
 TEST_P(EngineSuite, DefaultTraceLimitRecordsEverything) {
   const Program p = dsl::parse_program("Rsum = replace x, y by x + y");
   RunOptions opts;
   opts.workers = 3;
-  opts.record_trace = true;
-  const auto r = make_engine(GetParam())->run(p, ints({1, 2, 3, 4, 5}), opts);
-  EXPECT_EQ(r.trace.size(), 4u);
-  EXPECT_EQ(r.trace_dropped, 0u);
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
+  (void)make_engine(GetParam())->run(p, ints({1, 2, 3, 4, 5}), opts);
+  const obs::Journal j = recorder.take();
+  EXPECT_EQ(j.fires.size(), 4u);
+  EXPECT_EQ(j.fires_dropped, 0u);
 }
 
 TEST_P(EngineSuite, MinElement) {
@@ -283,19 +289,20 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite,
 TEST(SequentialEngine, TraceRecordsEveryFiring) {
   const Program p = dsl::parse_program("R = replace x, y by x + y");
   RunOptions opts;
-  opts.record_trace = true;
-  const auto r = SequentialEngine().run(p, Multiset{Element{Value(1)},
-                                                    Element{Value(2)},
-                                                    Element{Value(3)}},
-                                        opts);
-  ASSERT_EQ(r.trace.size(), 2u);
-  for (const FireEvent& ev : r.trace) {
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
+  (void)SequentialEngine().run(
+      p, Multiset{Element{Value(1)}, Element{Value(2)}, Element{Value(3)}},
+      opts);
+  const obs::Journal j = recorder.take();
+  ASSERT_EQ(j.fires.size(), 2u);
+  for (const obs::FireRecord& ev : j.fires) {
     EXPECT_EQ(ev.reaction, "R");
     EXPECT_EQ(ev.consumed.size(), 2u);
     EXPECT_EQ(ev.produced.size(), 1u);
   }
-  // Trace replays to the final multiset.
-  EXPECT_EQ(r.trace.back().produced[0], Element{Value(6)});
+  // The last fire produces the final sum.
+  EXPECT_EQ(j.fires.back().produced[0], Element{Value(6)}.to_string());
 }
 
 TEST(SequentialEngine, UniformChoiceVariesWithSeed) {
@@ -308,11 +315,12 @@ TEST(SequentialEngine, UniformChoiceVariesWithSeed) {
   for (std::uint64_t seed = 0; seed < 24; ++seed) {
     RunOptions opts;
     opts.seed = seed;
-    opts.record_trace = true;
-    const auto r = SequentialEngine().run(p, m, opts);
-    ASSERT_FALSE(r.trace.empty());
-    first_consumed.insert(r.trace[0].consumed[0].to_string() +
-                          r.trace[0].consumed[1].to_string());
+    obs::RunRecorder recorder;
+    opts.record = &recorder;
+    (void)SequentialEngine().run(p, m, opts);
+    const obs::Journal j = recorder.take();
+    ASSERT_FALSE(j.fires.empty());
+    first_consumed.insert(j.fires[0].consumed[0] + j.fires[0].consumed[1]);
   }
   EXPECT_GT(first_consumed.size(), 2u);
 }
@@ -323,12 +331,14 @@ TEST(IndexedEngine, TraceStagesAreMonotone) {
     B = replace [x,'q'] by [x,'r']
   )");
   RunOptions opts;
-  opts.record_trace = true;
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
   const auto r = IndexedEngine().run(
       p, Multiset{Element::labeled(Value(1), "p")}, opts);
-  ASSERT_EQ(r.trace.size(), 2u);
-  EXPECT_EQ(r.trace[0].stage, 0u);
-  EXPECT_EQ(r.trace[1].stage, 1u);
+  const obs::Journal j = recorder.take();
+  ASSERT_EQ(j.fires.size(), 2u);
+  EXPECT_EQ(j.fires[0].stage, 0);
+  EXPECT_EQ(j.fires[1].stage, 1);
   EXPECT_EQ(r.final_multiset, (Multiset{Element::labeled(Value(1), "r")}));
 }
 

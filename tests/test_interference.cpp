@@ -2,6 +2,7 @@
 // probe-based confluence verdict, and the engine integrations the classes
 // feed (parallel fast commits, indexed class scheduling, cluster affinity).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <set>
@@ -323,6 +324,24 @@ TEST(Confluence, MaxReductionCommutesUnderProbing) {
       << report.to_string();
   ASSERT_EQ(report.pairs.size(), 1u);
   EXPECT_EQ(report.pairs[0].status, PairStatus::Commutes);
+}
+
+TEST(Confluence, ProbeSamplingKeepsPeakMemoryBounded) {
+  // The probe samples reachable states by budgeted re-runs and holds only
+  // the sampled multisets, never every intermediate one: a sum over 8000
+  // ints stays far below 256 MB of peak RSS. Each ctest case is its own
+  // process, so ru_maxrss (KiB on Linux) is this analysis alone.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators inflate RSS";
+#endif
+  const Program p = parse("R = replace x, y by x + y");
+  Multiset init;
+  for (std::int64_t i = 1; i <= 8000; ++i) init.add(Element{Value(i)});
+  const auto report = analyze_interference(p, init);
+  ASSERT_EQ(report.pairs.size(), 1u);
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LT(usage.ru_maxrss, 256L * 1024);
 }
 
 // --- Reports -------------------------------------------------------------

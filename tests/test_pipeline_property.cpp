@@ -1,7 +1,7 @@
 // Whole-pipeline property tests: random imperative programs through every
 // stage — compile, optimize, both dataflow engines, Algorithm 1, all three
 // Gamma engines, the distributed cluster — must agree on every observable.
-// Plus trace-replay validation of engine runs.
+// Plus strict replay of engine runs' recorded fires.
 #include <gtest/gtest.h>
 
 #include "gammaflow/dataflow/engine.hpp"
@@ -10,8 +10,9 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
-#include "gammaflow/gamma/replay.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/runtime/step_loop.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 #include "gammaflow/translate/equivalence.hpp"
 
@@ -85,16 +86,49 @@ TEST(PipelineProperty, LooplessProgramsSweep) {
   }
 }
 
-// ---- trace replay validation ----
+// ---- fire replay validation ----
+
+/// Strict replay of recorded fires over `initial`: throws EngineError at the
+/// first consumed element that is not present. obs::replay_fires skips
+/// absent elements, so it cannot witness an invalid schedule; this can.
+obs::StoreCounts strict_replay(const obs::StoreCounts& initial,
+                               const std::vector<obs::FireRecord>& fires) {
+  obs::StoreCounts store = initial;
+  for (const obs::FireRecord& fire : fires) {
+    for (const std::string& e : fire.consumed) {
+      const auto it = store.find(e);
+      if (it == store.end()) {
+        throw EngineError("replay: " + fire.reaction + " consumes absent " + e);
+      }
+      if (--it->second == 0) store.erase(it);
+    }
+    for (const std::string& e : fire.produced) ++store[e];
+  }
+  return store;
+}
+
+/// Runs `engine` with an in-memory recorder and returns the journal.
+template <typename Engine>
+obs::Journal recorded_run(const gamma::Program& p, const gamma::Multiset& m,
+                          gamma::RunOptions opts) {
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
+  (void)Engine().run(p, m, opts);
+  return recorder.take();
+}
+
+/// True when the journal's fires replay strictly onto its final store.
+bool fires_reach_final(const obs::Journal& j) {
+  return j.fires_dropped == 0 &&
+         strict_replay(j.initial, j.fires) == j.final_store;
+}
 
 TEST(Replay, SequentialEngineTraceReplays) {
   const auto conv =
       translate::dataflow_to_gamma(paper::fig2_graph(5, 3, 10, true));
-  gamma::RunOptions opts;
-  opts.record_trace = true;
-  const auto run =
-      gamma::SequentialEngine().run(conv.program, conv.initial, opts);
-  EXPECT_TRUE(gamma::validate_run(conv.initial, run));
+  const obs::Journal j = recorded_run<gamma::SequentialEngine>(
+      conv.program, conv.initial, {});
+  EXPECT_TRUE(fires_reach_final(j));
 }
 
 TEST(Replay, IndexedEngineTraceReplays) {
@@ -103,10 +137,13 @@ TEST(Replay, IndexedEngineTraceReplays) {
   const gamma::Multiset m{gamma::Element{Value(12)}, gamma::Element{Value(18)},
                           gamma::Element{Value(30)}};
   gamma::RunOptions opts;
-  opts.record_trace = true;
+  obs::RunRecorder recorder;
+  opts.record = &recorder;
   const auto run = gamma::IndexedEngine().run(p, m, opts);
-  EXPECT_TRUE(gamma::validate_run(m, run));
-  EXPECT_EQ(gamma::replay_trace(m, run.trace), run.final_multiset);
+  const obs::Journal j = recorder.take();
+  EXPECT_TRUE(fires_reach_final(j));
+  EXPECT_EQ(strict_replay(j.initial, j.fires),
+            runtime::store_counts(run.final_multiset));
 }
 
 TEST(Replay, ParallelEngineTraceIsLinearizable) {
@@ -116,29 +153,28 @@ TEST(Replay, ParallelEngineTraceIsLinearizable) {
   gamma::Multiset m;
   for (std::int64_t i = 1; i <= 200; ++i) m.add(gamma::Element{Value(i)});
   gamma::RunOptions opts;
-  opts.record_trace = true;
   opts.workers = 4;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     opts.seed = seed;
-    const auto run = gamma::ParallelEngine().run(p, m, opts);
-    EXPECT_TRUE(gamma::validate_run(m, run)) << "seed " << seed;
+    const obs::Journal j = recorded_run<gamma::ParallelEngine>(p, m, opts);
+    EXPECT_TRUE(fires_reach_final(j)) << "seed " << seed;
   }
 }
 
 TEST(Replay, CorruptTraceIsRejected) {
   const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
   const gamma::Multiset m{gamma::Element{Value(1)}, gamma::Element{Value(2)}};
-  gamma::RunOptions opts;
-  opts.record_trace = true;
-  auto run = gamma::IndexedEngine().run(p, m, opts);
-  ASSERT_EQ(run.trace.size(), 1u);
-  run.trace[0].consumed[0] = gamma::Element{Value(99)};  // never existed
-  EXPECT_THROW((void)gamma::replay_trace(m, run.trace), EngineError);
+  obs::Journal j = recorded_run<gamma::IndexedEngine>(p, m, {});
+  ASSERT_EQ(j.fires.size(), 1u);
+  // An element that never existed.
+  j.fires[0].consumed[0] = gamma::Element{Value(99)}.to_string();
+  EXPECT_THROW((void)strict_replay(j.initial, j.fires), EngineError);
 }
 
 TEST(Replay, EmptyTraceIsIdentity) {
-  const gamma::Multiset m{gamma::Element{Value(7)}};
-  EXPECT_EQ(gamma::replay_trace(m, {}), m);
+  const obs::StoreCounts m =
+      runtime::store_counts(gamma::Multiset{gamma::Element{Value(7)}});
+  EXPECT_EQ(strict_replay(m, {}), m);
 }
 
 }  // namespace

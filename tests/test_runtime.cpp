@@ -1,5 +1,5 @@
-// The runtime core (PR 5): the StepLoop/StopFlag/TraceSink primitives every
-// engine is now a thin policy over, the shard planner's soundness rules, the
+// The runtime core: the StepLoop/StopFlag/QuiescenceVote/InFlight primitives
+// every engine is a thin policy over, the shard planner's soundness rules, the
 // sharded store, and — the point of sharing one scaffolding — cross-engine
 // contracts: the same corpus is state-identical across all engines (cluster
 // included), and the same stop condition classifies to the same Outcome
@@ -36,7 +36,7 @@ Multiset ints(std::int64_t from, std::int64_t to) {
   return m;
 }
 
-// --- StepLoop / StopFlag / QuiescenceVote / InFlight / TraceSink ----------
+// --- StepLoop / StopFlag / QuiescenceVote / InFlight ----------------------
 
 TEST(StepLoopTest, BudgetPartialRecordsBudgetExhausted) {
   RunOptions o;
@@ -114,29 +114,6 @@ TEST(InFlightTest, IdleOnlyAtZero) {
   EXPECT_FALSE(in_flight.idle());
   in_flight.sub(2);
   EXPECT_TRUE(in_flight.idle());
-}
-
-TEST(TraceSinkTest, CapCountsDropsAndMergePreservesTheCap) {
-  TraceSink<int> sink(true, 3);
-  for (int i = 0; i < 5; ++i) {
-    if (sink.admit()) sink.push(i);
-  }
-  EXPECT_EQ(sink.dropped(), 2u);
-
-  TraceSink<int> worker(true, 3);
-  for (int i = 10; i < 14; ++i) {
-    if (worker.admit()) worker.push(i);
-  }
-  sink.merge(std::move(worker));
-  const auto events = sink.take();
-  EXPECT_EQ(events, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(sink.dropped(), 6u);  // 2 local + 3 refused in merge + 1 theirs
-}
-
-TEST(TraceSinkTest, DisabledAdmitsNothingAndCountsNothing) {
-  TraceSink<int> sink(false, 100);
-  EXPECT_FALSE(sink.admit());
-  EXPECT_EQ(sink.dropped(), 0u);
 }
 
 // --- plan_shards soundness rules ------------------------------------------
