@@ -1,7 +1,7 @@
 // E12: bytecode compilation ablation. The same condition/action expressions
 // are evaluated by the AST walker (expr::eval) and by the register VM
 // (expr::compile + Vm::run); results are asserted identical, then per-eval
-// latency and an engine-level rungamma workload are compared. The headline
+// latency is compared. The headline
 // number is the geometric-mean VM speedup over condition-heavy expressions,
 // emitted as `bytecode.geomean_speedup_milli` in the "# metrics" line.
 // The batch-backend section (E18) re-runs the same conditions as 4096-lane
@@ -22,7 +22,6 @@
 #include "gammaflow/expr/parser.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
-#include "gammaflow/obs/telemetry.hpp"
 
 using namespace gammaflow;
 
@@ -247,42 +246,6 @@ void verify() {
         static_cast<std::uint64_t>(bgeomean * 1000.0);
   }
 
-  // Engine-level: a condition-heavy single-reaction program (minimum by
-  // pairwise elimination — every candidate pair evaluates the condition)
-  // under the indexed engine, compile on vs off, same seed.
-  const gamma::Program program =
-      gamma::dsl::parse_program("Rmin = replace x, y by x where x < y");
-  gamma::Multiset initial;
-  for (std::int64_t i = 0; i < 200; ++i) {
-    initial.add(gamma::Element{Value((i * 2654435761) % 10'000)});
-  }
-  const auto timed_run = [&](bool compile, obs::Telemetry* tel) {
-    gamma::RunOptions ropts;
-    ropts.seed = 42;
-    ropts.compile = compile;
-    ropts.telemetry = tel;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = gamma::IndexedEngine().run(program, initial, ropts);
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    return std::pair{std::move(result),
-                     std::chrono::duration<double, std::milli>(dt).count()};
-  };
-  (void)timed_run(true, nullptr);  // warm-up (allocators, caches)
-  const auto [vm_result, vm_ms] = timed_run(true, nullptr);
-  const auto [ast_result, ast_ms] = timed_run(false, nullptr);
-  obs::Telemetry tel;  // separate instrumented run feeds the metrics line
-  (void)timed_run(true, &tel);
-  if (!(vm_result.final_multiset == ast_result.final_multiset)) {
-    std::cerr << "FATAL: engine states diverge between compile on/off\n";
-    std::exit(1);
-  }
-  std::cout << "\nrungamma min(200), indexed engine: ast " << ast_ms
-            << " ms, vm " << vm_ms << " ms, states identical\n";
-  metrics.counters["bytecode.rungamma_ast_us"] =
-      static_cast<std::uint64_t>(ast_ms * 1000.0);
-  metrics.counters["bytecode.rungamma_vm_us"] =
-      static_cast<std::uint64_t>(vm_ms * 1000.0);
-  metrics.merge(tel.metrics());
   bench::metrics_json(std::cout, "bytecode", metrics);
 }
 
@@ -344,15 +307,15 @@ void BM_Rungamma_Min(benchmark::State& state) {
   }
   gamma::RunOptions ropts;
   ropts.seed = 42;
-  ropts.compile = state.range(1) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         gamma::IndexedEngine().run(program, initial, ropts));
   }
 }
 BENCHMARK(BM_Rungamma_Min)
-    ->ArgsProduct({{64, 256}, {0, 1}})
-    ->ArgNames({"n", "vm"})
+    ->Arg(64)
+    ->Arg(256)
+    ->ArgName("n")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -47,8 +47,8 @@ gamma::Multiset chain_init(std::size_t chains, std::size_t per_chain,
   gamma::Multiset m;
   for (std::size_t i = 0; i < chains; ++i) {
     for (std::size_t k = 0; k < per_chain; ++k) {
-      m.add(gamma::Element::labeled(Value(countdown),
-                                    "c" + std::to_string(i)));
+      m.add(gamma::Element::labeled(
+          Value(countdown), std::string("c").append(std::to_string(i))));
     }
   }
   return m;

@@ -214,7 +214,11 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
     std::string init;
     for (std::size_t i = 0; i < k; ++i) {
       for (int v = 0; v < 8; ++v) {
-        init += "[" + std::to_string(v) + ",'L" + std::to_string(i) + "'] ";
+        init.append("[")
+            .append(std::to_string(v))
+            .append(",'L")
+            .append(std::to_string(i))
+            .append("'] ");
       }
     }
     for (const bool rescan : {false, true}) {
@@ -225,13 +229,15 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
       std::vector<double> quiesce;
       Rng rng(23);
       for (int j = 0; j < 200; ++j) {
-        const std::string label =
-            "L" + std::to_string(static_cast<std::size_t>(j) % k);
-        const Json reply = expect_ok(
-            client->call(inject_line(
-                session, "[" + std::to_string(rng.bounded(100)) + ",'" +
-                             label + "']")),
-            "inject");
+        const std::string label = std::string("L").append(
+            std::to_string(static_cast<std::size_t>(j) % k));
+        const std::string element = std::string("[")
+                                        .append(std::to_string(rng.bounded(100)))
+                                        .append(",'")
+                                        .append(label)
+                                        .append("']");
+        const Json reply =
+            expect_ok(client->call(inject_line(session, element)), "inject");
         quiesce.push_back(reply.num_or("quiesce_us", 0.0));
       }
       const Json stats =
@@ -247,65 +253,6 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
       for (const double q : quiesce) hist.observe(q);
       expect_ok(client->call(simple_line("close", session)), "close");
     }
-  }
-}
-
-// --------------------------------------- batch matching A/B (E18 serve)
-
-/// The serve-side batch ablation: identical sparse-touch traffic against
-/// two in-process servers, columnar batch matching on vs off (what
-/// `--no-batch` flips). The worklist drains are element-for-element
-/// identical — only the per-drain candidate probing changes — so the final
-/// snapshots must agree exactly; the table reports quiescence latency.
-void batch_sparse_touch_sweep(obs::Telemetry& tel) {
-  std::cout << '\n';
-  bench::Table table({"labels", "matching", "p50_us", "p99_us", "snapshot"});
-  constexpr std::size_t k = 32;
-  std::string init;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (int v = 0; v < 8; ++v) {
-      init += "[" + std::to_string(v) + ",'L" + std::to_string(i) + "'] ";
-    }
-  }
-  obs::StoreCounts snaps[2];
-  for (const bool batch : {true, false}) {
-    serve::ServeOptions opts;
-    opts.batch = batch;
-    serve::Server server(std::move(opts));
-    expect_ok(
-        server.handle_line(create_line("e18", k_label_program(k), init,
-                                       false)),
-        "create");
-    std::vector<double> quiesce;
-    Rng rng(23);
-    for (int j = 0; j < 200; ++j) {
-      const std::string label =
-          "L" + std::to_string(static_cast<std::size_t>(j) % k);
-      const Json reply = expect_ok(
-          server.handle_line(inject_line(
-              "e18", "[" + std::to_string(rng.bounded(100)) + ",'" + label +
-                         "']")),
-          "inject");
-      quiesce.push_back(reply.num_or("quiesce_us", 0.0));
-    }
-    const Json snap =
-        expect_ok(server.handle_line(simple_line("snapshot", "e18")),
-                  "snapshot");
-    obs::StoreCounts& counts = snaps[batch ? 0 : 1];
-    for (const auto& [elem, count] : snap.get("store")->as_obj()) {
-      counts[elem] = count.as_int();
-    }
-    table.row(k, batch ? "batch" : "no-batch", pct(quiesce, 0.50),
-              pct(quiesce, 0.99),
-              batch ? "-" : (snaps[0] == snaps[1] ? "identical" : "DIVERGED"));
-    auto& hist = tel.stats().hist(std::string("serve.") +
-                                  (batch ? "batch" : "nobatch") +
-                                  ".quiesce_us");
-    for (const double q : quiesce) hist.observe(q);
-  }
-  if (snaps[0] != snaps[1]) {
-    std::cout << "FATAL: batch and --no-batch serve fixpoints diverge\n";
-    std::exit(1);
   }
 }
 
@@ -409,7 +356,6 @@ void verify() {
   obs::Telemetry tel;
   scripted_differential(daemon);
   sparse_touch_sweep(daemon, tel);
-  batch_sparse_touch_sweep(tel);
   closed_loop_sweep(daemon, tel);
   open_loop_sweep(daemon, tel);
   daemon.stop();
@@ -419,19 +365,20 @@ void verify() {
 // ------------------------------------------------------------ benchmarks
 
 /// In-process (no socket): one inject through Server::handle_line against
-/// K standing label populations; arg1 toggles the rescan baseline, arg2 the
-/// columnar batch matcher (`--no-batch` when 0).
+/// K standing label populations; arg1 toggles the rescan baseline.
 void BM_Serve_SparseTouchInject(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const bool rescan = state.range(1) != 0;
-  const bool batch = state.range(2) != 0;
   serve::ServeOptions opts;
-  opts.batch = batch;
   serve::Server server(std::move(opts));
   std::string init;
   for (std::size_t i = 0; i < k; ++i) {
     for (int v = 0; v < 8; ++v) {
-      init += "[" + std::to_string(v) + ",'L" + std::to_string(i) + "'] ";
+      init.append("[")
+          .append(std::to_string(v))
+          .append(",'L")
+          .append(std::to_string(i))
+          .append("'] ");
     }
   }
   (void)server.handle_line(create_line("s", k_label_program(k), init, rescan));
@@ -442,13 +389,12 @@ void BM_Serve_SparseTouchInject(benchmark::State& state) {
     benchmark::DoNotOptimize(server.handle_line(inject_line(
         "s", "[" + std::to_string(rng.bounded(100)) + ",'" + label + "']")));
   }
-  state.SetLabel(std::string(rescan ? "rescan" : "worklist") +
-                 (batch ? "" : "+no-batch"));
+  state.SetLabel(rescan ? "rescan" : "worklist");
 }
 BENCHMARK(BM_Serve_SparseTouchInject)
-    ->Args({2, 0, 1})->Args({2, 1, 1})->Args({2, 0, 0})
-    ->Args({8, 0, 1})->Args({8, 1, 1})->Args({8, 0, 0})
-    ->Args({32, 0, 1})->Args({32, 1, 1})->Args({32, 0, 0})
+    ->Args({2, 0})->Args({2, 1})
+    ->Args({8, 0})->Args({8, 1})
+    ->Args({32, 0})->Args({32, 1})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Serve_ProtocolPing(benchmark::State& state) {

@@ -11,10 +11,10 @@
 //     hot class — shard utilization collapses toward a single shard, the
 //     known limit of class partitioning (the planner still refuses nothing:
 //     results stay identical, only the speedup fades).
+//   - E18 dense match: the exhaustive failed search (one quiescence proof)
+//     on growing dense buckets must find nothing.
 // Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
-// probes, each swept over the ast/vm/batch evaluators — the E18 dense-match
-// ablation), find+commit fixpoints, and the sharded vs global-lock engine
-// run.
+// probes), find+commit fixpoints, and the sharded vs global-lock engine run.
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
@@ -52,8 +52,8 @@ gamma::Multiset chain_init(std::size_t chains, std::size_t total,
   const std::size_t hot = total * hot_permille / 1000;
   for (std::size_t k = 0; k < total; ++k) {
     const std::size_t chain = k < hot ? 0 : k % chains;
-    m.add(gamma::Element::labeled(Value(countdown),
-                                  "c" + std::to_string(chain)));
+    m.add(gamma::Element::labeled(
+        Value(countdown), std::string("c").append(std::to_string(chain))));
   }
   return m;
 }
@@ -83,23 +83,6 @@ gamma::Multiset labeled_ints(std::size_t n, std::uint64_t seed) {
         Value(static_cast<std::int64_t>(rng.bounded(1000))), "h"));
   }
   return m;
-}
-
-/// Benchmark arg -> evaluator (0 ast, 1 vm, 2 batch); the E18 sweep axis.
-expr::EvalMode eval_mode(std::int64_t arg) {
-  switch (arg) {
-    case 0: return expr::EvalMode::Ast;
-    case 1: return expr::EvalMode::Vm;
-    default: return expr::EvalMode::Batch;
-  }
-}
-
-const char* mode_name(std::int64_t arg) {
-  switch (arg) {
-    case 0: return "ast";
-    case 1: return "vm";
-    default: return "batch";
-  }
 }
 
 void verify() {
@@ -155,16 +138,13 @@ void verify() {
     }
   }
 
-  // E18 — dense-match ablation: the identical EXHAUSTIVE failed search
-  // (every [x,'h'] pair probed, the condition false everywhere — one
-  // quiescence proof) under all three evaluators. Under EvalMode::Batch the
-  // innermost bucket sweep becomes one bitmap evaluation per outer binding;
-  // the probe answers are identical (no match, checked every rep) and the
-  // fixpoint row proves the hit path agrees element-for-element too.
+  // E18 — dense match: the identical EXHAUSTIVE failed search (every
+  // [x,'h'] pair probed, the condition false everywhere — one quiescence
+  // proof). The innermost bucket sweep is one bitmap evaluation per outer
+  // binding; the answer (no match) is checked every rep.
   {
-    std::cout << "\nE18 dense-match: exhaustive miss proof, ast vs vm vs "
-                 "batch (same store, same answer)\n";
-    bench::Table table({"n", "ast_us", "vm_us", "batch_us", "batch_vs_vm"});
+    std::cout << "\nE18 dense-match: exhaustive miss proof\n";
+    bench::Table table({"n", "find_us"});
     const gamma::Program p = gamma::dsl::parse_program(
         "R = replace [x,'h'], [y,'h'] by [x,'h'] where x < 0");
     const gamma::Reaction& r = p.stages()[0][0];
@@ -174,63 +154,23 @@ void verify() {
       // O(n^2) probes per sweep: keep the repetition budget flat-ish so the
       // verification stage stays CI-sized even on debug builds.
       const int reps = n >= 2048 ? 1 : (n >= 1024 ? 3 : 10);
-      double us[3] = {0.0, 0.0, 0.0};
-      for (std::int64_t mi = 0; mi < 3; ++mi) {
-        const expr::EvalMode mode = eval_mode(mi);
-        if (reps > 1) {  // warm allocators/caches where a rep is cheap
-          (void)runtime::MatchPipeline::find(store, r, nullptr, mode);
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < reps; ++i) {
-          if (runtime::MatchPipeline::find(store, r, nullptr, mode)) {
-            std::cout << "FATAL: dense miss proof found a match under "
-                      << mode_name(mi) << '\n';
-            std::exit(1);
-          }
-        }
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        us[mi] = std::chrono::duration<double, std::micro>(dt).count() / reps;
-        metrics.counters["store.dense" + std::to_string(n) + "_" +
-                         mode_name(mi) + "_ns"] =
-            static_cast<std::uint64_t>(us[mi] * 1e3);
+      if (reps > 1) {  // warm allocators/caches where a rep is cheap
+        (void)runtime::MatchPipeline::find(store, r);
       }
-      std::ostringstream sp;
-      sp.precision(3);
-      sp << us[1] / us[2] << 'x';
-      table.row(n, static_cast<std::int64_t>(us[0]),
-                static_cast<std::int64_t>(us[1]),
-                static_cast<std::int64_t>(us[2]), sp.str());
-      metrics.counters["store.dense" + std::to_string(n) +
-                       "_batch_speedup_milli"] =
-          static_cast<std::uint64_t>(us[1] / us[2] * 1000.0);
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < reps; ++i) {
+        if (runtime::MatchPipeline::find(store, r)) {
+          std::cout << "FATAL: dense miss proof found a match\n";
+          std::exit(1);
+        }
+      }
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      const double us =
+          std::chrono::duration<double, std::micro>(dt).count() / reps;
+      metrics.counters["store.dense" + std::to_string(n) + "_ns"] =
+          static_cast<std::uint64_t>(us * 1e3);
+      table.row(n, static_cast<std::int64_t>(us));
     }
-
-    // Fixpoint parity: one guarded sum-reduction, same seed, batch on vs
-    // off — the rng-parity contract (the fire bitmap only FILTERS; the
-    // scalar probe stays the authority) makes the firing sequences, and so
-    // the final states, identical.
-    const gamma::Program fp = gamma::dsl::parse_program(
-        "R = replace [x,'h'], [y,'h'] by [x + y,'h'] where (x + y) % 3 != 1");
-    const gamma::Multiset init = labeled_ints(512, 17);
-    obs::Telemetry tel;
-    gamma::RunOptions bopts;
-    bopts.seed = 42;
-    bopts.telemetry = &tel;
-    const auto batch_run = gamma::IndexedEngine().run(fp, init, bopts);
-    gamma::RunOptions sopts;
-    sopts.seed = 42;
-    sopts.batch = false;
-    const auto scalar_run = gamma::IndexedEngine().run(fp, init, sopts);
-    const bool same =
-        batch_run.final_multiset == scalar_run.final_multiset &&
-        batch_run.steps == scalar_run.steps;
-    table.row("fixpoint512", "", "", "",
-              same ? "identical" : "DIVERGED");
-    if (!same) {
-      std::cout << "FATAL: batch and scalar fixpoints diverge\n";
-      std::exit(1);
-    }
-    metrics.merge(tel.metrics());
     bench::metrics_json(std::cout, "store_dense_batch", metrics);
   }
 }
@@ -244,18 +184,16 @@ void BM_StoreFind_Hit(benchmark::State& state) {
   gamma::Store store(labeled_ints(static_cast<std::size_t>(state.range(0)),
                                   17));
   const gamma::Reaction& r = p.stages()[0][0];
-  const expr::EvalMode mode = eval_mode(state.range(1));
   Rng rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runtime::MatchPipeline::find(store, r, &rng, mode));
+    benchmark::DoNotOptimize(runtime::MatchPipeline::find(store, r, &rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(mode_name(state.range(1)));
 }
 BENCHMARK(BM_StoreFind_Hit)
-    ->ArgsProduct({benchmark::CreateRange(16, 4096, 4), {0, 1, 2}})
-    ->ArgNames({"n", "mode"})
+    ->RangeMultiplier(4)
+    ->Range(16, 4096)
+    ->ArgName("n")
     ->Unit(benchmark::kNanosecond);
 
 /// A disabled probe (condition never holds): the cost of an EXHAUSTIVE
@@ -268,17 +206,15 @@ void BM_StoreFind_MissProof(benchmark::State& state) {
   gamma::Store store(labeled_ints(static_cast<std::size_t>(state.range(0)),
                                   17));
   const gamma::Reaction& r = p.stages()[0][0];
-  const expr::EvalMode mode = eval_mode(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runtime::MatchPipeline::find(store, r, nullptr, mode));
+    benchmark::DoNotOptimize(runtime::MatchPipeline::find(store, r));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(mode_name(state.range(1)));
 }
 BENCHMARK(BM_StoreFind_MissProof)
-    ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1, 2}})
-    ->ArgNames({"n", "mode"})
+    ->RangeMultiplier(4)
+    ->Range(16, 1024)
+    ->ArgName("n")
     ->Unit(benchmark::kNanosecond);
 
 /// find+commit to the fixed point: sum-reduces n elements to one.
@@ -288,23 +224,21 @@ void BM_StoreFindCommit_Fixpoint(benchmark::State& state) {
   const gamma::Multiset m =
       labeled_ints(static_cast<std::size_t>(state.range(0)), 17);
   const gamma::Reaction& r = p.stages()[0][0];
-  const expr::EvalMode mode = eval_mode(state.range(1));
   Rng rng(5);
   for (auto _ : state) {
     state.PauseTiming();
     gamma::Store store(m);
     state.ResumeTiming();
-    while (auto match =
-               runtime::MatchPipeline::find(store, r, &rng, mode)) {
+    while (auto match = runtime::MatchPipeline::find(store, r, &rng)) {
       runtime::MatchPipeline::commit(store, *match);
     }
     benchmark::DoNotOptimize(store.size());
   }
-  state.SetLabel(mode_name(state.range(1)));
 }
 BENCHMARK(BM_StoreFindCommit_Fixpoint)
-    ->ArgsProduct({benchmark::CreateRange(16, 1024, 4), {0, 1, 2}})
-    ->ArgNames({"n", "mode"})
+    ->RangeMultiplier(4)
+    ->Range(16, 1024)
+    ->ArgName("n")
     ->Unit(benchmark::kMicrosecond);
 
 // --- engine-level: sharded vs global lock, shard-count sweep ---------------

@@ -23,7 +23,7 @@ namespace {
 std::string node_ref(const Graph& g, NodeId id) {
   const std::string& name = g.node(id).name;
   if (!name.empty()) return name;
-  return "#" + std::to_string(id);
+  return std::string("#").append(std::to_string(id));
 }
 
 void add(LintReport& report, Severity severity, std::string check,

@@ -1,8 +1,6 @@
 #include "gammaflow/dataflow/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <span>
 
 #include "gammaflow/expr/eval.hpp"
 
@@ -78,45 +76,6 @@ Firing fire_node(const Node& node, const std::vector<Value>& inputs, Tag tag) {
       return f;
   }
   throw EngineError("unknown node kind");
-}
-
-GraphCode compile_graph(const Graph& graph) {
-  const auto t0 = std::chrono::steady_clock::now();
-  static const std::vector<std::string> kUnarySlots = {"a"};
-  static const std::vector<std::string> kBinarySlots = {"a", "b"};
-  GraphCode gc;
-  gc.per_node.resize(graph.node_count());
-  for (std::size_t id = 0; id < graph.node_count(); ++id) {
-    const Node& n = graph.node(static_cast<NodeId>(id));
-    if (n.kind != NodeKind::Arith && n.kind != NodeKind::Cmp) continue;
-    expr::ExprPtr rhs =
-        n.has_immediate ? expr::lit(n.constant) : expr::var("b");
-    expr::ExprPtr e = expr::Expr::binary(n.op, expr::var("a"), std::move(rhs));
-    expr::CompileOptions co;
-    co.bool_to_int_result = n.kind == NodeKind::Cmp;
-    gc.per_node[id] = expr::compile(
-        e, n.has_immediate ? kUnarySlots : kBinarySlots, co);
-    ++gc.compiled_nodes;
-  }
-  gc.compile_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  return gc;
-}
-
-Firing fire_node(const Node& node, const std::vector<Value>& inputs, Tag tag,
-                 const expr::Chunk* chunk, expr::Vm& vm) {
-  if (chunk == nullptr) return fire_node(node, inputs, tag);
-  // Arith/Cmp only: slot 0 = left operand; slot 1 = right operand, absent
-  // when the node carries an immediate (the chunk embeds it as a constant).
-  const Value* slots[2] = {&inputs.at(0),
-                           node.has_immediate ? nullptr : &inputs.at(1)};
-  Firing f;
-  f.emits = true;
-  f.value = vm.run(*chunk, std::span<const Value* const>(
-                               slots, node.has_immediate ? 1u : 2u));
-  f.tag = tag;
-  return f;
 }
 
 }  // namespace gammaflow::dataflow

@@ -24,7 +24,6 @@
 #include "gammaflow/common/stats.hpp"
 #include "gammaflow/common/value.hpp"
 #include "gammaflow/dataflow/graph.hpp"
-#include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/runtime/options.hpp"
 
 namespace gammaflow::dataflow {
@@ -136,27 +135,6 @@ struct Firing {
 };
 [[nodiscard]] Firing fire_node(const Node& node, const std::vector<Value>& inputs,
                                Tag tag);
-
-/// Bytecode for a graph's Arith/Cmp nodes, compiled once per run when
-/// DfRunOptions::compile is on: node i's operation becomes a two-slot chunk
-/// (`a op b`, or `a op <immediate>` embedding the constant in the pool; Cmp
-/// chunks end in BoolToInt so they emit Int 1/0 exactly like fire_node).
-/// Shared read-only across worker threads; each thread brings its own Vm.
-struct GraphCode {
-  std::vector<std::optional<expr::Chunk>> per_node;  // indexed by NodeId
-  std::size_t compiled_nodes = 0;
-  double compile_ms = 0.0;
-
-  [[nodiscard]] const expr::Chunk* chunk(NodeId id) const noexcept {
-    return id < per_node.size() && per_node[id] ? &*per_node[id] : nullptr;
-  }
-};
-[[nodiscard]] GraphCode compile_graph(const Graph& graph);
-
-/// fire_node through bytecode: runs `chunk` on `vm` for Arith/Cmp nodes and
-/// delegates to the AST path when `chunk` is null (all other node kinds).
-[[nodiscard]] Firing fire_node(const Node& node, const std::vector<Value>& inputs,
-                               Tag tag, const expr::Chunk* chunk, expr::Vm& vm);
 
 /// Canonical run-journal rendering of a token parked at (dst, port) with
 /// `tag`: producers (emissions onto an in-edge) and consumers (firings)

@@ -218,10 +218,10 @@ NodeId GraphBuilder::output(std::string name) {
 
 EdgeId GraphBuilder::connect(Port src, NodeId dst, PortId dst_port,
                              std::string_view label) {
-  std::string label_str(label);
-  if (label_str.empty()) {
-    label_str = "e" + std::to_string(next_auto_label_++);
-  }
+  std::string label_str =
+      label.empty()
+          ? std::string("e").append(std::to_string(next_auto_label_++))
+          : std::string(label);
   Edge e{src.node, src.port, dst, dst_port, Label(label_str)};
   const auto eid = static_cast<EdgeId>(graph_.edges_.size());
   if (src.node >= graph_.nodes_.size() || dst >= graph_.nodes_.size()) {

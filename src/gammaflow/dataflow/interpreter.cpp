@@ -57,7 +57,6 @@ class Machine {
         telemetry_(options, "df"),
         waiting_(graph.node_count()) {
     result_.fires_by_node.assign(graph.node_count(), 0);
-    if (options.compile) code_ = compile_graph(graph);
     if ((jrec_ = options.record) != nullptr) {
       // The dataflow "store" is the set of parked tokens plus captured
       // outputs; it starts empty (Const roots and injections are fires).
@@ -193,10 +192,6 @@ class Machine {
       stats.count("df.fires", result_.fires);
       stats.count("df.steer_true", steer_true_);
       stats.count("df.steer_false", steer_false_);
-      if (options_.compile) {
-        stats.count("df.compiled_nodes", code_.compiled_nodes);
-        stats.hist("expr.compile_ms").observe(code_.compile_ms);
-      }
     }
     result_.outcome = loop_.outcome();
     telemetry_.finish(result_.outcome, result_.metrics);
@@ -220,8 +215,7 @@ class Machine {
         options_.memoize &&
         (node.kind == NodeKind::Arith || node.kind == NodeKind::Cmp);
     if (!cacheable) {
-      return fire_node(node, inst.inputs, inst.tag, code_.chunk(inst.node),
-                       vm_);
+      return fire_node(node, inst.inputs, inst.tag);
     }
 
     // Operation-level reuse: the cache is keyed by the OPERATION signature
@@ -252,8 +246,7 @@ class Machine {
       }
     }
     ++result_.memo_misses;
-    Firing f = fire_node(node, inst.inputs, inst.tag, code_.chunk(inst.node),
-                         vm_);
+    Firing f = fire_node(node, inst.inputs, inst.tag);
     memo_.emplace(key, MemoEntry{node.kind, node.op, node.has_immediate,
                                  node.constant, inst.inputs, f.value});
     return f;
@@ -361,8 +354,6 @@ class Machine {
   std::vector<std::unordered_map<Tag, Slots>> waiting_;
   std::deque<ReadyInstance> ready_;
   std::unordered_multimap<std::size_t, MemoEntry> memo_;
-  GraphCode code_;  // empty (all-null chunks) when options.compile is off
-  expr::Vm vm_;
   DfRunResult result_;
 
   obs::Telemetry* tel_ = nullptr;

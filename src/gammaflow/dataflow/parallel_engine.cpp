@@ -45,9 +45,6 @@ struct Slots {
 
 struct WorkerState {
   MpscQueue<Routed> inbox;
-  // Per-PE bytecode evaluator (chunks are shared read-only; register files
-  // are not).
-  expr::Vm vm;
   // Matching stores for owned nodes.
   std::unordered_map<NodeId, std::unordered_map<Tag, Slots>> waiting;
   // Worker-local results, merged after join.
@@ -71,7 +68,6 @@ class ParallelRun {
               "max_fires"),
         telemetry_(options, "df") {
     for (auto& w : workers_) w.fires_by_node.assign(graph.node_count(), 0);
-    if (options.compile) code_ = compile_graph(graph);
     if ((jrec_ = options.record) != nullptr) {
       jrec_->begin("parallel", "dataflow", {});
     }
@@ -159,10 +155,6 @@ class ParallelRun {
       stats.count("df.steer_true", steer_true);
       stats.count("df.steer_false", steer_false);
       stats.count("df.tokens_absorbed", absorbed);
-      if (options_.compile) {
-        stats.count("df.compiled_nodes", code_.compiled_nodes);
-        stats.hist("expr.compile_ms").observe(code_.compile_ms);
-      }
     }
     telemetry_.finish(result.outcome, result.metrics);
     for (WorkerState& w : workers_) {
@@ -383,9 +375,7 @@ class ParallelRun {
                                          std::move(inputs[0]));
       return;
     }
-    const Firing firing =
-        fire_node(node, inputs, routed.token.tag, code_.chunk(routed.node),
-                  me.vm);
+    const Firing firing = fire_node(node, inputs, routed.token.tag);
     if (tel_ != nullptr) {
       if (node.kind == NodeKind::Steer && firing.emits) {
         ++(firing.port == kSteerData ? me.steer_true : me.steer_false);
@@ -406,7 +396,6 @@ class ParallelRun {
   std::vector<WorkerState> workers_;
   runtime::StepLoop loop_;
   runtime::EngineTelemetry telemetry_;
-  GraphCode code_;  // empty (all-null chunks) when options.compile is off
   runtime::InFlight in_flight_;
   std::atomic<std::uint64_t> total_fires_{0};
   std::atomic<bool> failed_{false};  // single-assignment violation

@@ -1134,8 +1134,8 @@ void Simulation::react() {
     for (std::size_t k = 0; k < options_.fires_per_round; ++k) {
       bool fired = false;
       for (const Reaction& r : stage) {
-        if (auto match = runtime::MatchPipeline::find(
-                node.shard, r, &node.rng, options_.eval_mode())) {
+        if (auto match =
+                runtime::MatchPipeline::find(node.shard, r, &node.rng)) {
           const runtime::RecordCtx rctx =
               recording_.ctx(-1, -1, static_cast<std::int64_t>(i));
           if (wal_live(i)) {

@@ -82,11 +82,10 @@ enum class Placement {
 };
 
 /// Inherited runtime::RunOptions knobs that apply here: `telemetry`,
-/// `compile` (bytecode vs AST local chemistry), `cancel`, `deadline`, and
-/// `limit_policy` (what exceeding max_rounds does). On a cancel/deadline/
-/// budget stop the simulation settles every unacked in-flight transfer
-/// before returning, so the partial multiset is exact — no element lost on
-/// the wire, none double-counted. `record` captures per-fire provenance
+/// `cancel`, `deadline`, and `limit_policy` (what exceeding max_rounds
+/// does). On a cancel/deadline/budget stop the simulation settles every
+/// unacked in-flight transfer before returning, so the partial multiset is
+/// exact — no element lost on the wire, none double-counted. `record` captures per-fire provenance
 /// (with the firing node's index) and one journal round per cluster round.
 /// `workers` is ignored (concurrency is `nodes`).
 struct ClusterOptions : runtime::RunOptions {

@@ -88,12 +88,9 @@ class Compiler {
   explicit Compiler(std::span<const std::string> slot_names)
       : slots_(slot_names) {}
 
-  Chunk compile(const ExprPtr& e, const CompileOptions& options) {
+  Chunk compile(const ExprPtr& e) {
     if (!e) throw ProgramError("bytecode: cannot compile a null expression");
     const std::uint16_t result = emit(*e, 0);
-    if (options.bool_to_int_result) {
-      push({OpCode::BoolToInt, result, result, 0});
-    }
     push({OpCode::Ret, 0, result, 0});
     chunk_.slot_names.assign(slots_.begin(), slots_.end());
     return std::move(chunk_);
@@ -197,15 +194,6 @@ inline bool fast_truthy(const Value& v) {
 
 }  // namespace
 
-const char* to_string(EvalMode mode) noexcept {
-  switch (mode) {
-    case EvalMode::Ast: return "ast";
-    case EvalMode::Vm: return "vm";
-    case EvalMode::Batch: return "batch";
-  }
-  return "?";
-}
-
 const char* to_string(OpCode op) noexcept {
   switch (op) {
     case OpCode::LoadConst: return "loadconst";
@@ -224,7 +212,6 @@ const char* to_string(OpCode op) noexcept {
     case OpCode::Neg: return "neg";
     case OpCode::Not: return "not";
     case OpCode::Truthy: return "truthy";
-    case OpCode::BoolToInt: return "booltoint";
     case OpCode::JumpIfFalsy: return "jumpiffalsy";
     case OpCode::JumpIfTruthy: return "jumpiftruthy";
     case OpCode::Ret: return "ret";
@@ -248,7 +235,6 @@ std::string Chunk::disassemble() const {
       case OpCode::Neg:
       case OpCode::Not:
       case OpCode::Truthy:
-      case OpCode::BoolToInt:
         os << " r" << in.dst << ", r" << in.a;
         break;
       case OpCode::JumpIfFalsy:
@@ -267,9 +253,8 @@ std::string Chunk::disassemble() const {
   return os.str();
 }
 
-Chunk compile(const ExprPtr& e, std::span<const std::string> slot_names,
-              const CompileOptions& options) {
-  return Compiler(slot_names).compile(e, options);
+Chunk compile(const ExprPtr& e, std::span<const std::string> slot_names) {
+  return Compiler(slot_names).compile(e);
 }
 
 Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
@@ -447,10 +432,6 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         regs_[in.dst] = Value(fast_truthy(regs_[in.a]));
         ++pc;
         break;
-      case OpCode::BoolToInt:
-        regs_[in.dst] = Value(fast_truthy(regs_[in.a]) ? 1 : 0);
-        ++pc;
-        break;
       case OpCode::JumpIfFalsy:
         if (!fast_truthy(regs_[in.a])) {
           regs_[in.dst] = Value(false);
@@ -596,14 +577,12 @@ class BatchCompiler {
         return true;
       }
       case OpCode::Not:
-      case OpCode::Truthy:
-      case OpCode::BoolToInt: {
+      case OpCode::Truthy: {
         if (kind(in.a) == Kind::None) return false;
         const BatchOperand a = operand(in.a);
         emit(in.op == OpCode::Not ? BatchOp::Not : BatchOp::Truthy, in.dst, a,
              BatchOperand{});
-        set(in.dst, in.op == OpCode::BoolToInt ? Kind::Int : Kind::Bool,
-            a.vec);
+        set(in.dst, Kind::Bool, a.vec);
         return true;
       }
       case OpCode::JumpIfFalsy:

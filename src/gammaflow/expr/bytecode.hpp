@@ -17,7 +17,7 @@
 // only literal subtrees whose evaluation succeeds (the same guard
 // expr::simplify uses) and applies NO algebraic identities: `0 + x -> x`
 // style rewrites can erase the walker's type errors, which would break
-// state-identity between compiled and interpreted engine runs.
+// state-identity between the engines and the walker they are tested against.
 #pragma once
 
 #include <array>
@@ -31,16 +31,6 @@
 #include "gammaflow/expr/ast.hpp"
 
 namespace gammaflow::expr {
-
-/// How an engine evaluates reaction conditions and outputs: walking the Expr
-/// AST (the historical reference path), running compiled bytecode, or —
-/// default — batch bitmap evaluation of conditions over whole candidate
-/// column batches, with the scalar Vm for outputs and as the per-reaction
-/// escape hatch whenever a condition is not batchable.
-/// RunOptions::compile / `--no-compile` and `--no-batch` select per run.
-enum class EvalMode : std::uint8_t { Ast, Vm, Batch };
-
-const char* to_string(EvalMode mode) noexcept;
 
 /// Register-machine opcodes. Three-operand form over registers r[dst], r[a],
 /// r[b]; LoadConst/LoadSlot use `a` as a pool/slot index, the conditional
@@ -63,7 +53,6 @@ enum class OpCode : std::uint8_t {
   Neg,        // r[dst] = -r[a]
   Not,        // r[dst] = not r[a]
   Truthy,     // r[dst] = Bool(truthy(r[a])) (and/or result normalization)
-  BoolToInt,  // r[dst] = truthy(r[a]) ? Int 1 : Int 0 (dataflow Cmp nodes)
   JumpIfFalsy,   // if !truthy(r[a]) { r[dst] = Bool(false); pc = b }
   JumpIfTruthy,  // if  truthy(r[a]) { r[dst] = Bool(true);  pc = b }
   Ret,        // return r[a]
@@ -93,12 +82,6 @@ struct Chunk {
   [[nodiscard]] std::string disassemble() const;
 };
 
-struct CompileOptions {
-  /// Append a BoolToInt before Ret: dataflow Cmp nodes emit Int 1/0 (not
-  /// Bool) so cross-model results stay structurally identical.
-  bool bool_to_int_result = false;
-};
-
 /// Compiles `e` against a fixed slot layout: every Var must name an entry of
 /// `slot_names` (its index becomes the LoadSlot operand) — a miss is a
 /// compile-time ProgramError, which is strictly earlier than the walker's
@@ -106,8 +89,7 @@ struct CompileOptions {
 /// Literal-only subtrees are folded when their evaluation succeeds; throwing
 /// subtrees (1/0) are preserved so runtime errors match the walker.
 [[nodiscard]] Chunk compile(const ExprPtr& e,
-                            std::span<const std::string> slot_names,
-                            const CompileOptions& options = {});
+                            std::span<const std::string> slot_names);
 
 /// Executes chunks. Owns a reusable register file so steady-state evaluation
 /// allocates nothing; one Vm per thread (engines keep one per worker).
@@ -139,11 +121,12 @@ class Vm {
 // ---- Batch backend --------------------------------------------------------
 //
 // A second, narrower compilation target for CONDITIONS evaluated over whole
-// candidate column batches (EvalMode::Batch). compile_batch() translates a
-// scalar Chunk into straight-line lane code: the and/or jumps are eliminated
-// by evaluating both sides eagerly and joining with AndBool/OrBool (sound
-// because batch lanes are all-Int and the only faulting lane ops, Div/Mod by
-// a runtime value, abort the whole batch instead of throwing), and the hot
+// candidate column batches (the match pipeline's innermost bucket).
+// compile_batch() translates a scalar Chunk into straight-line lane code: the
+// and/or jumps are eliminated by evaluating both sides eagerly and joining
+// with AndBool/OrBool (sound because batch lanes are all-Int and the only
+// faulting lane ops, Div/Mod by a runtime value, abort the whole batch
+// instead of throwing), and the hot
 // LoadSlot/LoadConst→op pairs bench_bytecode measures are fused into the
 // consuming instruction's operands (Kind::Slot / Kind::Imm), so the typical
 // field comparison is ONE instruction per batch instead of three per
@@ -174,7 +157,7 @@ enum class BatchOp : std::uint8_t {
   Lt, Le, Gt, Ge, Eq, Ne,
   Neg,
   Not,        // lane = (a == 0)
-  Truthy,     // lane = (a != 0); also serves BoolToInt (same lane values)
+  Truthy,     // lane = (a != 0)
   AndBool, OrBool,  // eager joins of the lowered and/or (0/1 lanes)
   Ret,        // bitmap out: lane != 0
 };

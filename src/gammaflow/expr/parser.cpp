@@ -15,9 +15,21 @@ const Token& TokenStream::expect(TokenKind kind) {
 
 namespace {
 
-ExprPtr parse_or(TokenStream& ts);
+// Every parse_* function carries `depth`: the number of open `(` and prefix
+// `-`/`not` around the current position. Each of those recurses, so nesting
+// past kMaxExprDepth is refused here instead of exhausting the stack.
+ExprPtr parse_or(TokenStream& ts, std::size_t depth);
 
-ExprPtr parse_primary(TokenStream& ts) {
+std::size_t nest(const TokenStream& ts, std::size_t depth) {
+  if (depth >= kMaxExprDepth) {
+    const Token& t = ts.peek();
+    throw ParseError("nesting deeper than " + std::to_string(kMaxExprDepth),
+                     t.line, t.column);
+  }
+  return depth + 1;
+}
+
+ExprPtr parse_primary(TokenStream& ts, std::size_t depth) {
   const Token& t = ts.peek();
   switch (t.kind) {
     case TokenKind::IntLit:
@@ -34,8 +46,9 @@ ExprPtr parse_primary(TokenStream& ts) {
       ts.advance();
       return Expr::var(t.text);
     case TokenKind::LParen: {
+      const std::size_t inner_depth = nest(ts, depth);
       ts.advance();
-      ExprPtr inner = parse_or(ts);
+      ExprPtr inner = parse_or(ts, inner_depth);
       ts.expect(TokenKind::RParen);
       return inner;
     }
@@ -47,18 +60,18 @@ ExprPtr parse_primary(TokenStream& ts) {
   }
 }
 
-ExprPtr parse_unary(TokenStream& ts) {
-  if (ts.accept(TokenKind::Minus)) {
-    return Expr::unary(UnOp::Neg, parse_unary(ts));
-  }
-  if (ts.accept(TokenKind::KwNot)) {
-    return Expr::unary(UnOp::Not, parse_unary(ts));
-  }
-  return parse_primary(ts);
+ExprPtr parse_unary(TokenStream& ts, std::size_t depth) {
+  UnOp op;
+  if (ts.at(TokenKind::Minus)) op = UnOp::Neg;
+  else if (ts.at(TokenKind::KwNot)) op = UnOp::Not;
+  else return parse_primary(ts, depth);
+  const std::size_t inner_depth = nest(ts, depth);
+  ts.advance();
+  return Expr::unary(op, parse_unary(ts, inner_depth));
 }
 
-ExprPtr parse_term(TokenStream& ts) {
-  ExprPtr lhs = parse_unary(ts);
+ExprPtr parse_term(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_unary(ts, depth);
   while (true) {
     BinOp op;
     if (ts.at(TokenKind::Star)) op = BinOp::Mul;
@@ -66,26 +79,26 @@ ExprPtr parse_term(TokenStream& ts) {
     else if (ts.at(TokenKind::Percent)) op = BinOp::Mod;
     else break;
     ts.advance();
-    lhs = Expr::binary(op, std::move(lhs), parse_unary(ts));
+    lhs = Expr::binary(op, std::move(lhs), parse_unary(ts, depth));
   }
   return lhs;
 }
 
-ExprPtr parse_additive(TokenStream& ts) {
-  ExprPtr lhs = parse_term(ts);
+ExprPtr parse_additive(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_term(ts, depth);
   while (true) {
     BinOp op;
     if (ts.at(TokenKind::Plus)) op = BinOp::Add;
     else if (ts.at(TokenKind::Minus)) op = BinOp::Sub;
     else break;
     ts.advance();
-    lhs = Expr::binary(op, std::move(lhs), parse_term(ts));
+    lhs = Expr::binary(op, std::move(lhs), parse_term(ts, depth));
   }
   return lhs;
 }
 
-ExprPtr parse_comparison(TokenStream& ts) {
-  ExprPtr lhs = parse_additive(ts);
+ExprPtr parse_comparison(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_additive(ts, depth);
   // Non-associative (a < b < c is rejected as a type error later, but we
   // still parse left-to-right like most languages).
   while (true) {
@@ -100,29 +113,30 @@ ExprPtr parse_comparison(TokenStream& ts) {
       default: return lhs;
     }
     ts.advance();
-    lhs = Expr::binary(op, std::move(lhs), parse_additive(ts));
+    lhs = Expr::binary(op, std::move(lhs), parse_additive(ts, depth));
   }
 }
 
-ExprPtr parse_and(TokenStream& ts) {
-  ExprPtr lhs = parse_comparison(ts);
+ExprPtr parse_and(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_comparison(ts, depth);
   while (ts.accept(TokenKind::KwAnd)) {
-    lhs = Expr::binary(BinOp::And, std::move(lhs), parse_comparison(ts));
+    lhs = Expr::binary(BinOp::And, std::move(lhs),
+                       parse_comparison(ts, depth));
   }
   return lhs;
 }
 
-ExprPtr parse_or(TokenStream& ts) {
-  ExprPtr lhs = parse_and(ts);
+ExprPtr parse_or(TokenStream& ts, std::size_t depth) {
+  ExprPtr lhs = parse_and(ts, depth);
   while (ts.accept(TokenKind::KwOr)) {
-    lhs = Expr::binary(BinOp::Or, std::move(lhs), parse_and(ts));
+    lhs = Expr::binary(BinOp::Or, std::move(lhs), parse_and(ts, depth));
   }
   return lhs;
 }
 
 }  // namespace
 
-ExprPtr parse_expression(TokenStream& ts) { return parse_or(ts); }
+ExprPtr parse_expression(TokenStream& ts) { return parse_or(ts, 0); }
 
 ExprPtr parse_expression(std::string_view source) {
   TokenStream ts(tokenize(source));

@@ -45,6 +45,11 @@ class TokenStream {
   std::size_t pos_ = 0;
 };
 
+/// Deepest nesting of `(`, prefix `-` and `not` the parser accepts (the
+/// same limit as the JSON codec's kMaxJsonDepth). Deeper input raises
+/// ParseError("nesting deeper than 256") instead of overflowing the stack.
+inline constexpr std::size_t kMaxExprDepth = 256;
+
 /// Parses one expression from `ts`, leaving the cursor after it.
 [[nodiscard]] ExprPtr parse_expression(TokenStream& ts);
 

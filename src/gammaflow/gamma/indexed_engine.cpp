@@ -22,7 +22,6 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
   RunResult result;
   Rng rng(options.seed);
   Store store(initial);
-  const expr::EvalMode mode = options.eval_mode();
 
   runtime::StepLoop loop(options, options.max_steps, "indexed engine",
                          "max_steps");
@@ -68,7 +67,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
           // reactions is restored by the shuffled outer pass.
           while (!loop.should_stop()) {
             const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-            auto match = runtime::MatchPipeline::find(store, r, &rng, mode);
+            auto match = runtime::MatchPipeline::find(store, r, &rng);
             ++attempts;
             if (!match) {
               ++failures;

@@ -118,7 +118,6 @@ void run_shard(Store& store, const std::vector<Reaction>& stage,
                RunGovernor& governor, runtime::StopFlag& stop,
                std::atomic<std::uint64_t>& fired, std::mutex& error_mutex,
                std::exception_ptr& error, const StageObs& ob) {
-  const expr::EvalMode mode = options.eval_mode();
   obs::Telemetry* const tel = ob.tel;
   std::vector<std::size_t> order = task.reactions;
   bool progressed = true;
@@ -134,7 +133,7 @@ void run_shard(Store& store, const std::vector<Reaction>& stage,
           return;
         }
         const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-        auto match = runtime::MatchPipeline::find(store, r, &task.rng, mode);
+        auto match = runtime::MatchPipeline::find(store, r, &task.rng);
         ++task.wm.match_attempts;
         if (!match) {
           ++task.wm.match_failures;
@@ -270,7 +269,6 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::uint64_t my_mark = runtime::QuiescenceVote::kNone;
   RunGovernor governor = loop.make_governor(options);
-  const expr::EvalMode mode = options.eval_mode();
 
   obs::Telemetry* const tel = ob.tel;
   obs::ThreadRecorder* const rec =
@@ -303,7 +301,7 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
       const Store& cstore = sh.store;
       for (const std::size_t idx : order) {
         ++wm.match_attempts;
-        proposal = runtime::MatchPipeline::find(cstore, stage[idx], &rng, mode);
+        proposal = runtime::MatchPipeline::find(cstore, stage[idx], &rng);
         if (proposal) {
           proposal_idx = idx;
           break;
@@ -320,7 +318,7 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
     if (proposal) {
       // Revalidate on current slot contents (ids may have been consumed or
       // recycled since the search).
-      if (runtime::MatchPipeline::validate(sh.store, *proposal, mode)) {
+      if (runtime::MatchPipeline::validate(sh.store, *proposal)) {
         bool admitted = false;
         try {
           admitted = runtime::admit_step(

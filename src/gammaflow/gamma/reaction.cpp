@@ -276,25 +276,11 @@ std::optional<std::vector<Element>> Reaction::apply(const expr::Env& env) const 
   return produced;
 }
 
-std::optional<std::vector<Element>> Reaction::apply(
-    const expr::Env& env, expr::EvalMode mode) const {
-  if (mode == expr::EvalMode::Ast) return apply(env);
-  thread_local expr::Vm vm;
-  return compiled_->apply(env, vm);
-}
-
 std::optional<std::vector<Element>> Reaction::try_fire(
     std::span<const Element* const> elements) const {
   expr::Env env;
   if (!match(elements, env)) return std::nullopt;
   return apply(env);
-}
-
-std::optional<std::vector<Element>> Reaction::try_fire(
-    std::span<const Element* const> elements, expr::EvalMode mode) const {
-  expr::Env env;
-  if (!match(elements, env)) return std::nullopt;
-  return apply(env, mode);
 }
 
 bool Reaction::is_shrinking() const noexcept {

@@ -48,11 +48,11 @@ class CompiledReaction {
   };
 
   /// Batch-matching plan for the INNERMOST pattern (the last replace-list
-  /// entry — the candidate bucket the match pipeline sweeps as one column
-  /// batch under EvalMode::Batch). Built when every structural field is
-  /// expressible as a lane check and every branch guard batch-compiles;
-  /// otherwise batch_plan() is null and the pipeline silently keeps the
-  /// scalar probe path for this reaction.
+  /// entry — the candidate bucket the match pipeline sweeps as column
+  /// batches). Built when every structural field is expressible as a lane
+  /// check and every branch guard batch-compiles; otherwise batch_plan() is
+  /// null and the pipeline silently keeps the scalar probe path for this
+  /// reaction.
   struct BatchPlan {
     static constexpr std::uint16_t kNoField = 0xffff;
 
@@ -166,23 +166,17 @@ class Reaction {
   [[nodiscard]] bool match(std::span<const Element* const> elements,
                            expr::Env& env) const;
 
-  /// Selects the firing branch under `env` and evaluates its outputs.
-  /// nullopt = patterns matched but no branch applies (reaction not enabled
-  /// on this tuple).
+  /// Selects the firing branch under `env` and evaluates its outputs by
+  /// walking the expression trees. nullopt = patterns matched but no branch
+  /// applies (reaction not enabled on this tuple). Engines run the compiled
+  /// form (compiled().apply); this walker is the reference the differential
+  /// tests compare it against.
   [[nodiscard]] std::optional<std::vector<Element>> apply(
       const expr::Env& env) const;
-
-  /// Same, via the requested evaluator: Ast walks the expression trees (the
-  /// reference path above), Vm runs this reaction's compiled bytecode on a
-  /// thread-local expr::Vm. Engines pick the mode from RunOptions::compile.
-  [[nodiscard]] std::optional<std::vector<Element>> apply(
-      const expr::Env& env, expr::EvalMode mode) const;
 
   /// match + apply in one call; elements.size() must equal arity().
   [[nodiscard]] std::optional<std::vector<Element>> try_fire(
       std::span<const Element* const> elements) const;
-  [[nodiscard]] std::optional<std::vector<Element>> try_fire(
-      std::span<const Element* const> elements, expr::EvalMode mode) const;
 
   /// The bytecode compiled once at construction (never null; copies share).
   [[nodiscard]] const CompiledReaction& compiled() const noexcept {

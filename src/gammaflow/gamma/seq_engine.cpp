@@ -20,7 +20,6 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
   RunResult result;
   Rng rng(options.seed);
   Store store(initial);
-  const expr::EvalMode mode = options.eval_mode();
 
   runtime::StepLoop loop(options, options.max_steps, "sequential engine",
                          "max_steps");
@@ -49,8 +48,7 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
             [&](const Match& m) {
               matches.push_back(m);
               return matches.size() < options.uniform_cap;
-            },
-            mode);
+            });
         if (matches.size() >= options.uniform_cap) break;
       }
       if (tel) enabled_hist->observe(static_cast<double>(matches.size()));

@@ -233,7 +233,8 @@ Graph random_expression_graph(std::size_t leaves, std::uint64_t seed) {
 Graph multi_loop_graph(std::size_t loops, std::int64_t z, bool observe_result) {
   GraphBuilder b;
   for (std::size_t l = 0; l < loops; ++l) {
-    const std::string p = "L" + std::to_string(l) + ".";
+    const std::string p =
+        std::string("L").append(std::to_string(l)).append(".");
     const auto cy = b.constant(Value(std::int64_t(l + 1)), p + "y");
     const auto cz = b.constant(Value(z), p + "z");
     const auto cx = b.constant(Value(std::int64_t{0}), p + "x");

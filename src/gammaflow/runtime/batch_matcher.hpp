@@ -1,6 +1,6 @@
-// Batch innermost-bucket sweeper: the EvalMode::Batch half of the match
-// pipeline. For the innermost replace-list pattern the candidate bucket is
-// evaluated as COLUMN BATCHES instead of per-element probes: a structural
+// Batch innermost-bucket sweeper: the column half of the match pipeline.
+// For the innermost replace-list pattern the candidate bucket is evaluated
+// as COLUMN BATCHES instead of per-element probes: a structural
 // lane mask (arity ∧ literal/equality field checks straight off the store's
 // columns), a gather of the condition's binder fields into dense
 // int64 lanes, and one BatchVm run per branch guard producing a fire bitmap.

@@ -15,6 +15,14 @@ using gamma::Match;
 using gamma::Reaction;
 using gamma::Store;
 
+/// Selects the firing branch and evaluates its outputs with the reaction's
+/// compiled bytecode on this thread's Vm (nullopt: no branch fires).
+std::optional<std::vector<Element>> apply_compiled(const Reaction& reaction,
+                                                   const expr::Env& env) {
+  thread_local expr::Vm vm;
+  return reaction.compiled().apply(env, vm);
+}
+
 // The shared backtracking core. Visits enabled matches of `reaction`; for
 // each, builds a Match and calls `fn`; stops when fn returns false or
 // `limit` is reached. `rng` randomizes the probe order inside each candidate
@@ -22,7 +30,7 @@ using gamma::Store;
 // are exact (only live ids, insertion order), so the search never mutates
 // the store and every probed id is alive.
 std::size_t search(const Store& store, const Reaction& reaction,
-                   std::size_t limit, Rng* rng, expr::EvalMode mode,
+                   std::size_t limit, Rng* rng,
                    const std::function<bool(Match&)>& fn) {
   const auto& patterns = reaction.patterns();
   const std::size_t k = patterns.size();
@@ -41,7 +49,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
   auto dfs = [&](auto&& self, std::size_t depth) -> void {
     if (stop) return;
     if (depth == k) {
-      auto produced = reaction.apply(envs[k], mode);
+      auto produced = apply_compiled(reaction, envs[k]);
       if (!produced) return;  // patterns matched but no branch fires
       Match m;
       m.reaction = &reaction;
@@ -70,12 +78,13 @@ std::size_t search(const Store& store, const Reaction& reaction,
       self(self, depth + 1);
     };
     std::size_t t = 0;
-    if (mode == expr::EvalMode::Batch && depth + 1 == k) {
+    if (depth + 1 == k) {
       // Innermost bucket: sweep chunks of the scan as column batches and
       // probe only the lanes the fire bitmap keeps. The start offset draw
       // above is the SAME single rng->bounded(n) the scalar scan consumes,
       // and cleared lanes are exactly scalar rejections, so the rng stream
-      // and the chosen match are identical to the scalar path.
+      // and the chosen match are identical to the scalar scan below, which
+      // serves the whole bucket when the reaction has no batch plan.
       thread_local BatchMatcher matcher;
       if (matcher.begin(store, reaction, bucket, envs[depth])) {
         std::size_t width = BatchMatcher::kMinChunk;
@@ -100,27 +109,23 @@ std::size_t search(const Store& store, const Reaction& reaction,
 }  // namespace
 
 std::optional<Match> MatchPipeline::find(const Store& store,
-                                         const Reaction& reaction, Rng* rng,
-                                         expr::EvalMode mode) {
+                                         const Reaction& reaction, Rng* rng) {
   std::optional<Match> found;
-  search(store, reaction, 1, rng, mode, [&](Match& m) {
+  search(store, reaction, 1, rng, [&](Match& m) {
     found = std::move(m);
     return false;
   });
   return found;
 }
 
-std::size_t MatchPipeline::enumerate(const Store& store,
-                                     const Reaction& reaction,
-                                     std::size_t limit,
-                                     const std::function<bool(const Match&)>& fn,
-                                     expr::EvalMode mode) {
-  return search(store, reaction, limit, nullptr, mode,
+std::size_t MatchPipeline::enumerate(
+    const Store& store, const Reaction& reaction, std::size_t limit,
+    const std::function<bool(const Match&)>& fn) {
+  return search(store, reaction, limit, nullptr,
                 [&](Match& m) { return fn(m); });
 }
 
-bool MatchPipeline::validate(const Store& store, Match& match,
-                             expr::EvalMode mode) {
+bool MatchPipeline::validate(const Store& store, Match& match) {
   const auto& patterns = match.reaction->patterns();
   if (match.ids.size() != patterns.size()) return false;
   expr::Env env;
@@ -131,7 +136,7 @@ bool MatchPipeline::validate(const Store& store, Match& match,
     if (!store.alive(match.ids[i])) return false;
     if (!store.match_pattern(patterns[i], match.ids[i], env)) return false;
   }
-  auto produced = match.reaction->apply(env, mode);
+  auto produced = apply_compiled(*match.reaction, env);
   if (!produced) return false;
   match.env = std::move(env);
   match.produced = std::move(*produced);

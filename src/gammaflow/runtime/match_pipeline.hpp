@@ -7,11 +7,14 @@
 //   find      — one enabled match (first in bucket order, or randomized via
 //               a cyclic start offset when given an Rng). Read-only: the
 //               store's buckets are exact, so there is nothing to prune and
-//               concurrent searchers may call it under a shared lock. Under
-//               EvalMode::Batch the innermost candidate bucket is evaluated
-//               as one column batch (a match bitmap from the compiled
-//               condition) instead of per-element probes, falling back to
-//               the scalar path whenever the reaction is not batchable.
+//               concurrent searchers may call it under a shared lock. The
+//               innermost candidate bucket is evaluated as column batches
+//               (a match bitmap from the compiled condition) instead of
+//               per-element probes, falling back to the scalar bytecode
+//               scan whenever the reaction has no batch plan or a chunk
+//               faults. Conditions and outputs always run the reaction's
+//               compiled bytecode; Reaction::apply(env) (the AST walker)
+//               is the reference the differential tests compare against.
 //   enumerate — every enabled match up to a limit (the SequentialEngine's
 //               Eq. (1)-literal uniform choice, and match counting).
 //   validate  — re-check a proposal against CURRENT slot contents; the
@@ -26,7 +29,6 @@
 #include <optional>
 
 #include "gammaflow/common/rng.hpp"
-#include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/options.hpp"
 
@@ -42,21 +44,20 @@ namespace gammaflow::runtime {
 struct MatchPipeline {
   /// One enabled match of `reaction` (patterns match AND a branch fires),
   /// or nullopt after an EXHAUSTIVE failed search (the fixed-point proof the
-  /// engines' termination detection rests on). `mode` selects the evaluator
-  /// for conditions/outputs (RunOptions::eval_mode()).
+  /// engines' termination detection rests on).
   [[nodiscard]] static std::optional<gamma::Match> find(
       const gamma::Store& store, const gamma::Reaction& reaction,
-      Rng* rng = nullptr, expr::EvalMode mode = expr::EvalMode::Ast);
+      Rng* rng = nullptr);
 
   /// Invokes `fn` for every enabled match (ordered tuples of distinct
   /// elements), stopping early when fn returns false or `limit` matches were
   /// visited. Returns the number visited. Exponential in reaction arity —
-  /// meant for small multisets (semantics tests) and match counting.
-  static std::size_t enumerate(const gamma::Store& store,
-                               const gamma::Reaction& reaction,
-                               std::size_t limit,
-                               const std::function<bool(const gamma::Match&)>& fn,
-                               expr::EvalMode mode = expr::EvalMode::Ast);
+  /// meant for small multisets (semantics tests) and match counting. `fn`
+  /// must not call find/enumerate itself: the batch sweep keeps per-thread
+  /// scratch that a nested search would overwrite.
+  static std::size_t enumerate(
+      const gamma::Store& store, const gamma::Reaction& reaction,
+      std::size_t limit, const std::function<bool(const gamma::Match&)>& fn);
 
   /// Revalidates `match` against the store's CURRENT slot contents: all ids
   /// alive, patterns still match, a branch still fires. On success the
@@ -64,7 +65,7 @@ struct MatchPipeline {
   /// commit may proceed; false means another thread invalidated the proposal
   /// (the optimistic engines re-search — progress happened elsewhere).
   [[nodiscard]] static bool validate(const gamma::Store& store,
-                                     gamma::Match& match, expr::EvalMode mode);
+                                     gamma::Match& match);
 
   /// Applies a match: removes the consumed ids, inserts the produced
   /// elements. Precondition: all ids alive (fresh find, or validate passed,

@@ -16,7 +16,6 @@
 #include <thread>
 
 #include "gammaflow/common/cancel.hpp"
-#include "gammaflow/expr/bytecode.hpp"
 
 namespace gammaflow::obs {
 class Telemetry;
@@ -29,19 +28,6 @@ struct RunOptions {
   /// Worker count (the parallel engines; ignored by single-threaded ones
   /// and by the cluster, whose concurrency is `nodes`).
   unsigned workers = std::max(2u, std::thread::hardware_concurrency());
-  /// Evaluate conditions/actions/node operations via compiled bytecode
-  /// (default) instead of walking the expression AST. Results are identical
-  /// either way (enforced by the differential suites); `--no-compile` flips
-  /// this off for A/B comparison and as an escape hatch.
-  bool compile = true;
-  /// Batch bitmap matching (default): compiled conditions sweep whole
-  /// candidate column batches in the innermost match loop; reactions (or
-  /// visits) the batch model cannot express fall back to per-element probes
-  /// automatically. `--no-batch` flips this off for A/B comparison, leaving
-  /// plain per-element bytecode; ignored when `compile` is off. State
-  /// evolution is identical either way (the differential suites pin
-  /// batch ≡ scalar ≡ AST byte-for-byte).
-  bool batch = true;
   /// Optional telemetry sink (spans + metrics). Null (the default) disables
   /// instrumentation entirely; every probe site is behind one pointer test.
   obs::Telemetry* telemetry = nullptr;
@@ -62,13 +48,6 @@ struct RunOptions {
   /// does: Throw (EngineError, historical) or Partial (return the partial
   /// state with outcome BudgetExhausted).
   LimitPolicy limit_policy = LimitPolicy::Throw;
-
-  /// The evaluator `compile`/`batch` select; engines thread this one value
-  /// instead of re-deriving the ternary at every site.
-  [[nodiscard]] expr::EvalMode eval_mode() const noexcept {
-    if (!compile) return expr::EvalMode::Ast;
-    return batch ? expr::EvalMode::Batch : expr::EvalMode::Vm;
-  }
 };
 
 /// Recording context a Gamma commit site threads into

@@ -20,7 +20,7 @@ bool admit_step(LimitPolicy policy, std::uint64_t fired, std::uint64_t budget,
 }
 
 EngineTelemetry::EngineTelemetry(const RunOptions& options, const char* domain)
-    : tel_(options.telemetry), domain_(domain), mode_(options.eval_mode()) {
+    : tel_(options.telemetry), domain_(domain) {
   if (tel_ != nullptr) {
     instrs0_ = expr::vm_instrs_executed();
     batch_evals0_ = expr::batch_evals();
@@ -37,7 +37,6 @@ void EngineTelemetry::finish(Outcome outcome, MetricsSnapshot& out) const {
   if (tel_ == nullptr) return;
   auto& stats = tel_->stats();
   stats.count(std::string(domain_) + ".outcome." + to_string(outcome));
-  stats.count(std::string(domain_) + ".eval_mode." + expr::to_string(mode_));
   stats.count("vm.instrs_executed", expr::vm_instrs_executed() - instrs0_);
   stats.count("vm.batch_evals", expr::batch_evals() - batch_evals0_);
   // Replay the process-global width tally as per-run histogram deltas. The

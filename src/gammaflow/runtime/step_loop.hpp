@@ -14,8 +14,8 @@
 //                     ParallelEngine's quiescence condition; the distributed
 //                     cluster's Safra counters are the per-node refinement).
 //   EngineTelemetry — the end-of-run metric tail every engine emits the same
-//                     way: "<domain>.outcome.*", "<domain>.eval_mode.*", the
-//                     "vm.instrs_executed" delta, and the registry snapshot.
+//                     way: "<domain>.outcome.*", the "vm.instrs_executed"
+//                     delta, and the registry snapshot.
 //
 // The engines keep only what genuinely differs between them: match-selection
 // order, commit strategy, and worker topology.
@@ -31,6 +31,7 @@
 #include "gammaflow/common/cancel.hpp"
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/common/stats.hpp"
+#include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/runtime/options.hpp"
 
 namespace gammaflow::obs {
@@ -204,7 +205,6 @@ class InFlight {
 /// The end-of-run telemetry tail every engine emits identically, null-safe
 /// throughout (a disabled sink costs one pointer test per call):
 ///   "<domain>.outcome.<why>"     — one count per run
-///   "<domain>.eval_mode.<batch|vm|ast>"
 ///   "vm.instrs_executed"         — delta since construction
 ///   "vm.batch_evals"             — BatchVm chunk evaluations (delta)
 ///   "vm.batch_width"             — histogram of batch chunk widths (delta)
@@ -229,7 +229,6 @@ class EngineTelemetry {
  private:
   obs::Telemetry* tel_;
   const char* domain_;
-  expr::EvalMode mode_;
   std::uint64_t instrs0_ = 0;
   std::uint64_t batch_evals0_ = 0;
   std::array<std::uint64_t, expr::kBatchWidthBuckets> batch_width0_{};

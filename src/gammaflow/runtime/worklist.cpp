@@ -47,7 +47,6 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
     : program_(std::move(program)),
       index_(std::move(keys)),
       options_(options),
-      mode_(options.eval_mode()),
       rng_(options.seed),
       recording_(options, "worklist", "gamma") {
   if (program_.stage_count() > 1) {
@@ -113,7 +112,7 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
       bool exhausted = false;
       while (!loop.should_stop()) {
         ++stats_.rematches;
-        auto match = MatchPipeline::find(store_, r, &rng_, mode_);
+        auto match = MatchPipeline::find(store_, r, &rng_);
         if (!match) {
           // Exhaustive index search failed: r has NO enabled match in the
           // current store, so clearing its dirty flag preserves the

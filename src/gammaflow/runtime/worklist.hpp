@@ -160,7 +160,6 @@ class IncrementalFixpoint {
   const std::vector<gamma::Reaction>* reactions_;  // into program_ stage 0
   WakeupIndex index_;
   WorklistOptions options_;
-  expr::EvalMode mode_;
   gamma::Store store_;
   Rng rng_;
   std::deque<std::size_t> queue_;

@@ -170,8 +170,6 @@ std::string Server::verb_create(const Json& req) {
   sopts.worklist.seed = static_cast<std::uint64_t>(
       req.int_or("seed", static_cast<std::int64_t>(options_.seed)));
   sopts.worklist.rescan = req.bool_or("rescan", options_.rescan);
-  sopts.worklist.compile = options_.compile;
-  sopts.worklist.batch = options_.batch;
   sopts.worklist.telemetry = options_.telemetry;
   sopts.record = req.bool_or("record", !options_.record_out.empty());
 
@@ -186,7 +184,7 @@ std::string Server::verb_create(const Json& req) {
               "); close a session or raise --max-sessions");
     }
     if (id.empty()) {
-      id = "s" + std::to_string(next_id_++);
+      id = std::string("s").append(std::to_string(next_id_++));
     } else if (sessions_.count(id) > 0) {
       return error_reply("duplicate_session",
                          "session '" + id + "' already exists",

@@ -42,10 +42,6 @@ struct ServeOptions {
   /// Default lifetime firing budget per session (create may override).
   std::uint64_t max_steps = 50'000'000;
   std::uint64_t seed = 1;
-  bool compile = true;
-  /// Columnar batch matching for session drains (`--no-batch` to disable);
-  /// ignored when `compile` is off. Fixpoints are identical either way.
-  bool batch = true;
   /// Default wake policy: full rescan instead of footprint wakeups (the
   /// bench A/B baseline; fixpoints are identical either way).
   bool rescan = false;

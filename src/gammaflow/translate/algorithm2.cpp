@@ -237,8 +237,9 @@ MappingResult instantiate_mapping(const Reaction& reaction,
                                          static_cast<std::ptrdiff_t>(i * arity),
                                      elements.begin() +
                                          static_cast<std::ptrdiff_t>((i + 1) * arity));
-    add_reaction_instance(b, reaction, &chunk,
-                          "i" + std::to_string(i) + ".");
+    add_reaction_instance(
+        b, reaction, &chunk,
+        std::string("i").append(std::to_string(i)).append("."));
   }
   // Leftover elements (|M| mod arity) pass through untouched.
   const std::size_t first_left = instances * arity;
@@ -293,7 +294,8 @@ MappingRun map_until_fixpoint(const Reaction& reaction,
 
     std::vector<Element> next;
     for (std::size_t i = 0; i < mapped.instances; ++i) {
-      const std::string prefix = "i" + std::to_string(i) + ".";
+      const std::string prefix =
+          std::string("i").append(std::to_string(i)).append(".");
       // Did this instance react? The unreacted path emits iff it did not.
       bool reacted = true;
       if (!reaction.branches()[0].is_else && reaction.branches().size() == 1 &&

@@ -256,7 +256,7 @@ GammaConversion dataflow_to_gamma(const Graph& graph,
 
     std::string name = node.name;
     if (name.empty() || used_names.contains(name)) {
-      name = "R" + std::to_string(id);
+      name = std::string("R").append(std::to_string(id));
     }
     used_names.insert(name);
 

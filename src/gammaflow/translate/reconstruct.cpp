@@ -560,7 +560,7 @@ dataflow::Graph reconstruct_graph(const gamma::Program& program,
     for (const ProducerPort& p : prod_it->second) {
       for (const ConsumerSlot& c : slots) {
         std::string edge_label = label;
-        if (serial > 0) edge_label += "#" + std::to_string(serial);
+        if (serial > 0) edge_label.append("#").append(std::to_string(serial));
         ++serial;
         b.connect(GraphBuilder::Port{p.node, p.port}, c.node, c.port,
                   edge_label);

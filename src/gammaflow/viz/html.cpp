@@ -572,7 +572,7 @@ void write_html(std::ostream& os, const HtmlInputs& inputs) {
   std::string json = data.str();
   for (std::size_t pos = 0; (pos = json.find("</", pos)) != std::string::npos;
        pos += 3) {
-    json.insert(pos + 1, "\\");
+    json.insert(pos + 1, 1, '\\');
   }
   os << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
      << "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n"

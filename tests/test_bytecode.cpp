@@ -1,19 +1,22 @@
 // Differential tests for the bytecode backend: the Vm must be observationally
 // identical to the AST walker — same Value on success, same error (type AND
 // message) on failure, same short-circuit and lazy-unbound behaviour — on
-// hand-picked edge cases, on >=500 randomly generated expressions, and on the
-// example-program corpus run through every engine with compile on vs off.
+// hand-picked edge cases and on >=500 randomly generated expressions. The
+// engines have one evaluator (compiled bytecode, the innermost bucket swept
+// by the batch matcher); a test-local reference matcher with the walker at
+// the leaf checks MatchPipeline::find/enumerate against it step by step on
+// the example corpus, Algorithm 1 translations and 500 generated programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <span>
 #include <sstream>
 
 #include "gammaflow/common/rng.hpp"
-#include "gammaflow/dataflow/engine.hpp"
-#include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/expr/env.hpp"
 #include "gammaflow/expr/eval.hpp"
@@ -21,6 +24,8 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/store.hpp"
+#include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 
 namespace gammaflow {
@@ -276,7 +281,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeDifferential,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{51}));
 
 // ---------------------------------------------------------------------------
-// Engine-level state identity on the example corpus, compile on vs off.
+// Reference matcher: MatchPipeline (compiled bytecode, batch sweep of the
+// innermost bucket) against the AST walker, one step at a time.
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -315,96 +321,250 @@ std::vector<GammaCase> gamma_corpus() {
   return cases;
 }
 
-TEST(BytecodeCorpus, GammaEnginesStateIdenticalCompileOnOff) {
-  const std::vector<std::unique_ptr<gamma::Engine>> engines = [] {
-    std::vector<std::unique_ptr<gamma::Engine>> v;
-    v.push_back(std::make_unique<gamma::SequentialEngine>());
-    v.push_back(std::make_unique<gamma::IndexedEngine>());
-    v.push_back(std::make_unique<gamma::ParallelEngine>());
-    return v;
-  }();
-  for (const GammaCase& c : gamma_corpus()) {
+/// What a caller of find/enumerate observes: the matches in visit order
+/// (ids and produced elements), then the error text if the search threw.
+struct Probe {
+  std::vector<std::pair<std::vector<gamma::Store::Id>,
+                        std::vector<gamma::Element>>>
+      matches;
+  std::string error;
+
+  friend bool operator==(const Probe&, const Probe&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Probe& p) {
+    for (const auto& [ids, produced] : p.matches) {
+      os << "{ids";
+      for (const auto id : ids) os << ' ' << id;
+      os << " ->";
+      for (const auto& e : produced) os << ' ' << e.to_string();
+      os << "} ";
+    }
+    return os << (p.error.empty() ? "" : "error " + p.error);
+  }
+};
+
+/// Runs `search`, recording every visited match into a Probe; a thrown
+/// TypeError/ProgramError ends the probe with its text.
+template <typename Search>
+Probe probe(Search&& search) {
+  Probe p;
+  const auto visit = [&](const gamma::Match& m) {
+    p.matches.emplace_back(m.ids, m.produced);
+  };
+  try {
+    search(visit);
+  } catch (const TypeError& ex) {
+    p.error = std::string("TypeError: ") + ex.what();
+  } catch (const ProgramError& ex) {
+    p.error = std::string("ProgramError: ") + ex.what();
+  }
+  return p;
+}
+
+/// The match pipeline's cyclic scan with the walker at the leaf: per depth
+/// visit one rng->bounded(n) start offset (0 without an rng), then the
+/// bucket in cyclic order — duplicate-id check, Store::match_pattern,
+/// recursion — and Reaction::apply(env) once every pattern is bound. Stops
+/// after `limit` matches.
+void reference_search(const gamma::Store& store,
+                      const gamma::Reaction& reaction, std::size_t limit,
+                      Rng* rng,
+                      const std::function<void(const gamma::Match&)>& visit) {
+  const auto& patterns = reaction.patterns();
+  const std::size_t k = patterns.size();
+  std::vector<const gamma::Store::Bucket*> buckets(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    buckets[i] = store.bucket(patterns[i]);
+    if (buckets[i] == nullptr || buckets[i]->empty()) return;
+  }
+  gamma::Match m;
+  m.reaction = &reaction;
+  m.ids.resize(k);
+  std::vector<Env> envs(k + 1);
+  std::size_t visited = 0;
+  const std::function<void(std::size_t)> dfs = [&](std::size_t depth) {
+    if (depth == k) {
+      auto produced = reaction.apply(envs[k]);
+      if (!produced) return;
+      m.env = envs[k];
+      m.produced = std::move(*produced);
+      visit(m);
+      ++visited;
+      return;
+    }
+    const gamma::Store::Bucket& bucket = *buckets[depth];
+    const std::size_t n = bucket.size();
+    const std::size_t start = rng != nullptr ? rng->bounded(n) : 0;
+    for (std::size_t t = 0; t < n && visited < limit; ++t) {
+      const gamma::Store::Id id = bucket[(start + t) % n];
+      const auto bound = m.ids.begin() + static_cast<std::ptrdiff_t>(depth);
+      if (std::find(m.ids.begin(), bound, id) != bound) continue;
+      envs[depth + 1] = envs[depth];
+      if (!store.match_pattern(patterns[depth], id, envs[depth + 1])) continue;
+      m.ids[depth] = id;
+      dfs(depth + 1);
+    }
+  };
+  dfs(0);
+}
+
+/// Enumeration cap per reference check; generated stores stay small enough
+/// that it is rarely reached.
+constexpr std::size_t kEnumerateLimit = 256;
+
+/// Runs `program` from `initial` one step at a time. Each step tries the
+/// current stage's reactions in order; for each, MatchPipeline::find (rng A)
+/// and the reference scan (rng B, seeded like A) must give the same ids,
+/// produced elements and error text, and MatchPipeline::enumerate must visit
+/// exactly the reference enumeration. A found match commits. Stops at the
+/// fixpoint, at the first error, or after `max_steps` fires; returns the
+/// number of fires.
+std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
+                                              const gamma::Multiset& initial,
+                                              std::uint64_t seed,
+                                              const std::string& what,
+                                              std::size_t max_steps = 4096) {
+  gamma::Store store(initial);
+  Rng pipeline_rng(seed);
+  Rng reference_rng(seed);
+  std::size_t fires = 0;
+  for (const auto& stage : program.stages()) {
+    bool progressed = true;
+    while (progressed && fires < max_steps) {
+      progressed = false;
+      for (const gamma::Reaction& r : stage) {
+        const std::string where = what + " step " + std::to_string(fires) +
+                                  " reaction " + r.name();
+        const Probe want_all = probe([&](const auto& visit) {
+          reference_search(store, r, kEnumerateLimit, nullptr, visit);
+        });
+        const Probe got_all = probe([&](const auto& visit) {
+          (void)runtime::MatchPipeline::enumerate(
+              store, r, kEnumerateLimit, [&](const gamma::Match& m) {
+                visit(m);
+                return true;
+              });
+        });
+        EXPECT_EQ(got_all, want_all) << where << " (enumerate)";
+
+        std::optional<gamma::Match> found;
+        const Probe want = probe([&](const auto& visit) {
+          reference_search(store, r, 1, &reference_rng, visit);
+        });
+        const Probe got = probe([&](const auto& visit) {
+          found = runtime::MatchPipeline::find(store, r, &pipeline_rng);
+          if (found) visit(*found);
+        });
+        EXPECT_EQ(got, want) << where << " (find)";
+        if (got != want || !got.error.empty()) return fires;
+        if (!found) continue;
+        runtime::MatchPipeline::commit(store, *found);
+        ++fires;
+        progressed = true;
+        if (fires >= max_steps) break;
+      }
+    }
+  }
+  return fires;
+}
+
+TEST(BytecodeCorpus, GammaCorpusAgreesAcrossModes) {
+  std::vector<GammaCase> cases = gamma_corpus();
+  // Buckets wider than BatchMatcher::kMinChunk: several chunks per sweep.
+  gamma::Multiset wide;
+  for (std::int64_t v = 2; v <= 160; ++v) wide.add(gamma::Element{Value(v)});
+  cases.push_back({"sieve.gamma", std::move(wide)});
+  for (const GammaCase& c : cases) {
     const gamma::Program program =
         gamma::dsl::parse_program(read_file(examples_dir() + c.file));
-    for (const auto& engine : engines) {
-      for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-        gamma::RunOptions vm_opts;
-        vm_opts.seed = seed;
-        vm_opts.compile = true;
-        gamma::RunOptions ast_opts = vm_opts;
-        ast_opts.compile = false;
-        const auto vm = engine->run(program, c.initial, vm_opts);
-        const auto ast = engine->run(program, c.initial, ast_opts);
-        EXPECT_EQ(vm.final_multiset, ast.final_multiset)
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      EXPECT_GT(expect_pipeline_matches_reference(
+                    program, c.initial, seed,
+                    std::string(c.file) + " seed " + std::to_string(seed)),
+                0u);
+    }
+  }
+}
+
+struct ReferenceRun {
+  gamma::Multiset state;
+  std::uint64_t steps = 0;
+};
+
+/// Runs `program` to its fixpoint with reference_search alone: each stage
+/// repeats passes over its reactions, firing every match found, until a
+/// pass fires nothing. No compiled code is involved, so this is the AST
+/// side of an engine-level differential.
+ReferenceRun reference_run(const gamma::Program& program,
+                           const gamma::Multiset& initial,
+                           std::uint64_t seed) {
+  gamma::Store store(initial);
+  Rng rng(seed);
+  ReferenceRun out;
+  for (const auto& stage : program.stages()) {
+    bool progressed = true;
+    while (progressed) {
+      progressed = false;
+      for (const gamma::Reaction& r : stage) {
+        std::optional<gamma::Match> found;
+        reference_search(store, r, 1, &rng,
+                         [&](const gamma::Match& m) { found = m; });
+        if (!found) continue;
+        for (const gamma::Store::Id id : found->ids) store.remove(id);
+        for (const gamma::Element& e : found->produced) store.insert(e);
+        ++out.steps;
+        progressed = true;
+      }
+    }
+  }
+  out.state = store.to_multiset();
+  return out;
+}
+
+/// Each engine (compiled bytecode, batch sweep) against the reference run.
+/// The corpus programs are confluent with a fixed fire count, so the final
+/// state and the step count must match whatever the engine's rng schedule.
+void expect_engines_match_reference(
+    const std::vector<std::unique_ptr<gamma::Engine>>& engines,
+    const std::vector<GammaCase>& cases) {
+  for (const GammaCase& c : cases) {
+    const gamma::Program program =
+        gamma::dsl::parse_program(read_file(examples_dir() + c.file));
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      const ReferenceRun want = reference_run(program, c.initial, seed);
+      gamma::RunOptions opts;
+      opts.seed = seed;
+      for (const auto& engine : engines) {
+        const auto got = engine->run(program, c.initial, opts);
+        EXPECT_EQ(got.final_multiset, want.state)
             << c.file << " engine " << engine->name() << " seed " << seed;
-        EXPECT_EQ(vm.steps, ast.steps)
+        EXPECT_EQ(got.steps, want.steps)
             << c.file << " engine " << engine->name() << " seed " << seed;
       }
     }
   }
 }
 
-TEST(BytecodeCorpus, DataflowEnginesOutputsIdenticalCompileOnOff) {
-  for (const char* file : {"fig1.src", "fig2_loop.src", "classify.src"}) {
-    const dataflow::Graph g =
-        frontend::compile_source(read_file(examples_dir() + file));
-    dataflow::DfRunOptions vm_opts;
-    vm_opts.compile = true;
-    dataflow::DfRunOptions ast_opts;
-    ast_opts.compile = false;
-    const auto vm = dataflow::Interpreter().run(g, vm_opts);
-    const auto ast = dataflow::Interpreter().run(g, ast_opts);
-    ASSERT_EQ(vm.outputs.size(), ast.outputs.size()) << file;
-    for (const auto& [name, tokens] : vm.outputs) {
-      EXPECT_EQ(vm.output_values(name), ast.output_values(name))
-          << file << " output " << name;
-    }
-    vm_opts.workers = 3;
-    ast_opts.workers = 3;
-    const auto pvm = dataflow::ParallelEngine().run(g, vm_opts);
-    const auto past = dataflow::ParallelEngine().run(g, ast_opts);
-    for (const auto& [name, tokens] : vm.outputs) {
-      EXPECT_EQ(pvm.output_values(name), ast.output_values(name))
-          << file << " parallel vm output " << name;
-      EXPECT_EQ(past.output_values(name), ast.output_values(name))
-          << file << " parallel ast output " << name;
-    }
-  }
-}
-
-TEST(BytecodeCorpus, ClusterStateIdenticalCompileOnOff) {
-  const gamma::Program program =
-      gamma::dsl::parse_program(read_file(examples_dir() + "min.gamma"));
-  const gamma::Multiset initial = int_multiset({9, 4, 17, 4, 1, 30, 2, 8});
-  distrib::ClusterOptions vm_opts;
-  vm_opts.nodes = 3;
-  vm_opts.seed = 5;
-  vm_opts.compile = true;
-  distrib::ClusterOptions ast_opts = vm_opts;
-  ast_opts.compile = false;
-  const auto vm = distrib::run_distributed(program, initial, vm_opts);
-  const auto ast = distrib::run_distributed(program, initial, ast_opts);
-  EXPECT_EQ(vm.final_multiset, ast.final_multiset);
-  EXPECT_EQ(vm.fires, ast.fires);
+TEST(BytecodeCorpus, GammaEnginesStateIdenticalCompileOnOff) {
+  // "Compile off" is the reference run: the walker at every leaf.
+  std::vector<std::unique_ptr<gamma::Engine>> engines;
+  engines.push_back(std::make_unique<gamma::SequentialEngine>());
+  engines.push_back(std::make_unique<gamma::IndexedEngine>());
+  engines.push_back(std::make_unique<gamma::ParallelEngine>());
+  expect_engines_match_reference(engines, gamma_corpus());
 }
 
 TEST(BytecodeCorpus, TranslatedProgramsAgreeAcrossModes) {
-  // Algorithm 1 output (condition-free reactions plus steer conditions) must
-  // also be mode-independent end to end.
+  // Algorithm 1 output (condition-free reactions plus steer conditions).
   for (const char* file : {"fig1.src", "fig2_loop.src"}) {
     const dataflow::Graph g =
         frontend::compile_source(read_file(examples_dir() + file));
     const auto conv = translate::dataflow_to_gamma(g);
-    gamma::RunOptions vm_opts;
-    vm_opts.seed = 3;
-    vm_opts.compile = true;
-    gamma::RunOptions ast_opts = vm_opts;
-    ast_opts.compile = false;
-    const auto vm = gamma::IndexedEngine().run(conv.program, conv.initial,
-                                               vm_opts);
-    const auto ast = gamma::IndexedEngine().run(conv.program, conv.initial,
-                                                ast_opts);
-    EXPECT_EQ(vm.final_multiset, ast.final_multiset) << file;
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+      EXPECT_GT(expect_pipeline_matches_reference(
+                    conv.program, conv.initial, seed,
+                    std::string(file) + " seed " + std::to_string(seed)),
+                0u);
+    }
   }
 }
 
@@ -639,45 +799,31 @@ TEST_P(BatchDifferential, BitmapMatchesScalarVm) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferential,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{51}));
 
-// ---------------------------------------------------------------------------
-// Engine-level: batch ≡ scalar ≡ AST on generated programs (the modes share
-// one rng schedule, so states AND step counts must be byte-identical).
-
 TEST(BatchCorpus, GammaEnginesStateIdenticalAcrossAllThreeModes) {
-  for (const GammaCase& c : gamma_corpus()) {
-    const gamma::Program program =
-        gamma::dsl::parse_program(read_file(examples_dir() + c.file));
-    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-      gamma::RunOptions batch_opts;
-      batch_opts.seed = seed;
-      gamma::RunOptions vm_opts = batch_opts;
-      vm_opts.batch = false;
-      gamma::RunOptions ast_opts = vm_opts;
-      ast_opts.compile = false;
-      for (const auto make : {+[]() -> std::unique_ptr<gamma::Engine> {
-                                return std::make_unique<gamma::SequentialEngine>();
-                              },
-                              +[]() -> std::unique_ptr<gamma::Engine> {
-                                return std::make_unique<gamma::IndexedEngine>();
-                              }}) {
-        const auto engine = make();
-        const auto batch = engine->run(program, c.initial, batch_opts);
-        const auto vm = engine->run(program, c.initial, vm_opts);
-        const auto ast = engine->run(program, c.initial, ast_opts);
-        EXPECT_EQ(batch.final_multiset, vm.final_multiset)
-            << c.file << " " << engine->name() << " seed " << seed;
-        EXPECT_EQ(batch.steps, vm.steps)
-            << c.file << " " << engine->name() << " seed " << seed;
-        EXPECT_EQ(vm.final_multiset, ast.final_multiset)
-            << c.file << " " << engine->name() << " seed " << seed;
-      }
-    }
+  // The three evaluators an engine run touches: the batch sweep (buckets
+  // wider than BatchMatcher::kMinChunk), the scalar-VM scan (the narrow
+  // corpus buckets) and the walker (the reference run).
+  std::vector<GammaCase> cases = gamma_corpus();
+  gamma::Multiset wide_sieve;
+  gamma::Multiset wide_min;
+  for (std::int64_t v = 2; v <= 160; ++v) {
+    wide_sieve.add(gamma::Element{Value(v)});
+    wide_min.add(gamma::Element{Value((v * 37) % 101)});
   }
+  cases.push_back({"sieve.gamma", std::move(wide_sieve)});
+  cases.push_back({"min.gamma", std::move(wide_min)});
+  std::vector<std::unique_ptr<gamma::Engine>> engines;
+  engines.push_back(std::make_unique<gamma::SequentialEngine>());
+  engines.push_back(std::make_unique<gamma::IndexedEngine>());
+  expect_engines_match_reference(engines, cases);
 }
+
+// ---------------------------------------------------------------------------
+// The reference matcher on generated programs.
 
 /// Random guard over x and y rendered back to DSL text. Division and modulo
 /// are included on purpose: a guard that faults must fault identically
-/// (same error text) in all three modes.
+/// (same error text) in the pipeline and the reference matcher.
 std::string random_guard(Rng& rng, int depth) {
   if (depth == 0 || rng.coin(0.35)) {
     switch (rng.bounded(5)) {
@@ -693,43 +839,13 @@ std::string random_guard(Rng& rng, int depth) {
          " " + random_guard(rng, depth - 1) + ")";
 }
 
-struct EngineRun {
-  bool ok = false;
-  gamma::Multiset state;
-  std::uint64_t steps = 0;
-  std::string error;
-
-  friend bool operator==(const EngineRun& x, const EngineRun& y) {
-    return x.ok == y.ok &&
-           (x.ok ? (x.state == y.state && x.steps == y.steps)
-                 : x.error == y.error);
-  }
-};
-
-EngineRun run_mode(gamma::Engine& engine, const gamma::Program& p,
-                   const gamma::Multiset& init,
-                   const gamma::RunOptions& opts) {
-  EngineRun r;
-  try {
-    auto result = engine.run(p, init, opts);
-    r.state = std::move(result.final_multiset);
-    r.steps = result.steps;
-    r.ok = true;
-  } catch (const TypeError& ex) {
-    r.error = std::string("TypeError: ") + ex.what();
-  } catch (const ProgramError& ex) {
-    r.error = std::string("ProgramError: ") + ex.what();
-  }
-  return r;
-}
-
 class BatchEngineDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
   // 10 generated (program, multiset) pairs per seed x 50 seeds = 500 cases,
-  // each run through the two deterministic engines in all three modes.
-  // Templates rotate so literal field checks, label keys, repeated binders
+  // each driven step by step through the pipeline and the reference
+  // matcher. Templates rotate so literal field checks, label keys, repeated binders
   // (EqField), and outer-bound binders (EqSlot) all get exercised.
   static constexpr const char* kTemplates[] = {
       "R = replace x, y by x + y where %G",
@@ -771,25 +887,10 @@ TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
     } catch (const Error&) {
       continue;  // a guard the DSL rejects (none expected) — skip
     }
-    gamma::RunOptions batch_opts;
-    batch_opts.seed = GetParam();
-    gamma::RunOptions vm_opts = batch_opts;
-    vm_opts.batch = false;
-    gamma::RunOptions ast_opts = vm_opts;
-    ast_opts.compile = false;
-
-    gamma::SequentialEngine seq;
-    gamma::IndexedEngine idx;
-    for (gamma::Engine* engine :
-         std::initializer_list<gamma::Engine*>{&seq, &idx}) {
-      const EngineRun batch = run_mode(*engine, p, init, batch_opts);
-      const EngineRun vm = run_mode(*engine, p, init, vm_opts);
-      const EngineRun ast = run_mode(*engine, p, init, ast_opts);
-      EXPECT_EQ(batch, vm) << engine->name() << " seed " << GetParam()
-                           << " trial " << trial << ": " << src;
-      EXPECT_EQ(vm, ast) << engine->name() << " seed " << GetParam()
-                         << " trial " << trial << ": " << src;
-    }
+    (void)expect_pipeline_matches_reference(
+        p, init, GetParam(),
+        "seed " + std::to_string(GetParam()) + " trial " +
+            std::to_string(trial) + ": " + src);
   }
 }
 

@@ -1,0 +1,115 @@
+// Hostile text through the built CLI must end in a documented error, never a
+// crash. Each case below overflowed the stack of the recursive expression
+// parser (exit 139) before its nesting was capped at expr::kMaxExprDepth:
+// the same parser reads `.gamma` guards, `.src` expressions and serve
+// `create` programs.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <array>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+struct CliRun {
+  int exit_code = -1;  // -1 when the process did not exit normally
+  std::string output;  // stdout and stderr, interleaved
+};
+
+/// Runs `args` through the built CLI with stderr folded into stdout.
+CliRun run_cli(const std::string& args) {
+  const std::string cmd = std::string(GF_CLI_PATH) + " " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << cmd;
+  CliRun run;
+  if (pipe == nullptr) return run;
+  std::array<char, 4096> chunk{};
+  std::size_t n = 0;
+  while ((n = fread(chunk.data(), 1, chunk.size(), pipe)) > 0) {
+    run.output.append(chunk.data(), n);
+  }
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  return run;
+}
+
+std::string nested(std::size_t depth, const std::string& inner) {
+  return std::string(depth, '(') + inner + std::string(depth, ')');
+}
+
+class CliInput : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("gf_cli_input_" + std::to_string(::getpid()) + "_" + info->name());
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path write(const std::string& name, const std::string& text) {
+    const fs::path path = dir_ / name;
+    std::ofstream(path) << text;
+    return path;
+  }
+
+  fs::path dir_;
+};
+
+constexpr const char* kNestingError = "nesting deeper than 256";
+
+TEST_F(CliInput, RungammaRejectsDeeplyParenthesizedGuard) {
+  const fs::path prog = write(
+      "paren.gamma",
+      "R = replace x, y by x where " + nested(20'000, "x < y") + "\n");
+  const CliRun run =
+      run_cli("rungamma " + prog.string() + " --init \"[1] [2]\"");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(run.output,
+            "gammaflow: ParseError at 1:285: " + std::string(kNestingError) +
+                "\n");
+}
+
+TEST_F(CliInput, RungammaRejectsDeepPrefixMinusChain) {
+  const fs::path prog =
+      write("neg.gamma", "R = replace x, y by x where " +
+                             std::string(50'000, '-') + "x < y\n");
+  const CliRun run =
+      run_cli("rungamma " + prog.string() + " --init \"[1] [2]\"");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find(kNestingError), std::string::npos) << run.output;
+}
+
+TEST_F(CliInput, RunRejectsDeeplyParenthesizedSource) {
+  const fs::path prog = write(
+      "paren.src", "int x = 1;\nm = " + nested(20'000, "x") + ";\noutput m;\n");
+  const CliRun run = run_cli("run " + prog.string());
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(run.output,
+            "gammaflow: ParseError at 2:261: " + std::string(kNestingError) +
+                "\n");
+}
+
+TEST_F(CliInput, ServeStdioRejectsDeepCreateAndKeepsServing) {
+  const fs::path script = write(
+      "script.jsonl",
+      R"({"verb":"create","session":"s","program":"R = replace x, y by x where )" +
+          nested(20'000, "x < y") + "\"}\n" + R"({"verb":"ping"})" + "\n");
+  const CliRun run =
+      run_cli("serve " + std::string(GF_REPO_DIR) +
+              "/examples/programs/min.gamma --stdio < " + script.string());
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(run.output,
+            R"({"error":"bad_program","message":"ParseError at 1:285: )" +
+                std::string(kNestingError) + "\",\"ok\":false}\n" +
+                R"({"ok":true,"pong":true})" + "\n");
+}
+
+}  // namespace

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <thread>
 
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 
@@ -143,7 +146,8 @@ TEST_P(DfEngineSuite, MultiLoopGraphsRunIndependently) {
   const auto r = run(paper::multi_loop_graph(4, 5, true));
   for (std::size_t l = 0; l < 4; ++l) {
     // Loop l accumulates y=l+1 five times from x=0.
-    EXPECT_EQ(r.single_output("L" + std::to_string(l) + ".x_final"),
+    EXPECT_EQ(r.single_output(
+                  std::string("L").append(std::to_string(l)).append(".x_final")),
               Value(static_cast<std::int64_t>(5 * (l + 1))));
   }
 }
@@ -366,6 +370,25 @@ TEST(ParallelEngine, MatchesInterpreterOnFig2Sweep) {
     const auto b = ParallelEngine().run(g, opts);
     EXPECT_EQ(a.single_output("x_final"), b.single_output("x_final")) << z;
     EXPECT_EQ(a.fires, b.fires) << z;
+  }
+}
+
+TEST(ParallelEngine, MatchesInterpreterOnExampleSources) {
+  for (const char* file : {"fig1.src", "fig2_loop.src", "classify.src"}) {
+    std::ifstream in(std::string(GF_REPO_DIR) + "/examples/programs/" + file);
+    ASSERT_TRUE(in) << file;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Graph g = frontend::compile_source(text.str());
+    const auto a = Interpreter().run(g);
+    DfRunOptions opts;
+    opts.workers = 3;
+    const auto b = ParallelEngine().run(g, opts);
+    ASSERT_EQ(a.outputs.size(), b.outputs.size()) << file;
+    for (const auto& [name, tokens] : a.outputs) {
+      EXPECT_EQ(a.output_values(name), b.output_values(name))
+          << file << " output " << name;
+    }
   }
 }
 

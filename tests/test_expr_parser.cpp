@@ -156,6 +156,50 @@ TEST(Parser, LiteralKinds) {
   EXPECT_EQ(parse_expression("nil")->literal(), Value());
 }
 
+/// The message of the ParseError `text` raises, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)parse_expression(text);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string nested_parens(std::size_t depth) {
+  return std::string(depth, '(') + "x" + std::string(depth, ')');
+}
+
+TEST(Parser, NestingUpToTheCapParses) {
+  EXPECT_EQ(parse_expression(nested_parens(kMaxExprDepth))->to_string(), "x");
+  EXPECT_EQ(parse_error(std::string(kMaxExprDepth, '-') + "x"), "");
+  // The cap counts `(`, `-` and `not` together.
+  std::string mixed;
+  for (std::size_t i = 0; i < kMaxExprDepth / 4; ++i) mixed += "( - not -";
+  mixed += " x" + std::string(kMaxExprDepth / 4, ')');
+  EXPECT_EQ(parse_error(mixed), "");
+  // Binary chains are iterative, not nesting: a long flat sum is fine.
+  std::string chain = "x";
+  for (int i = 0; i < 1000; ++i) chain += " + 1";
+  EXPECT_EQ(parse_error(chain), "");
+}
+
+TEST(Parser, NestingPastTheCapIsAParseError) {
+  const std::string deep = nested_parens(kMaxExprDepth + 1);
+  EXPECT_EQ(parse_error(deep), "ParseError at 1:257: nesting deeper than 256");
+  EXPECT_EQ(parse_error(std::string(kMaxExprDepth + 1, '-') + "x"),
+            "ParseError at 1:257: nesting deeper than 256");
+  std::string nots;
+  for (std::size_t i = 0; i <= kMaxExprDepth; ++i) nots += "not ";
+  EXPECT_EQ(parse_error(nots + "x"),
+            "ParseError at 1:1025: nesting deeper than 256");
+  // Depths that used to overflow the stack.
+  EXPECT_EQ(parse_error(nested_parens(20'000)),
+            "ParseError at 1:257: nesting deeper than 256");
+  EXPECT_EQ(parse_error(std::string(50'000, '-') + "x"),
+            "ParseError at 1:257: nesting deeper than 256");
+}
+
 // Property: print -> parse returns a structurally identical tree, for random
 // expression trees over several seeds.
 class ExprRoundTrip : public ::testing::TestWithParam<std::uint64_t> {

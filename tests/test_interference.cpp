@@ -467,10 +467,8 @@ TEST(Property, IndependentPairsCommuteOn500RandomStates) {
       m.add(Element::labeled(Value(v), rng.bounded(2) ? "a" : "b"));
     }
     gamma::Store forward{m};
-    const auto ma = runtime::MatchPipeline::find(forward, ra, &rng,
-                                                 expr::EvalMode::Ast);
-    const auto mb = runtime::MatchPipeline::find(forward, rb, &rng,
-                                                 expr::EvalMode::Ast);
+    const auto ma = runtime::MatchPipeline::find(forward, ra, &rng);
+    const auto mb = runtime::MatchPipeline::find(forward, rb, &rng);
     if (!ma || !mb) continue;  // state lacks an 'a' or a 'b'
     ++exercised;
 

@@ -63,7 +63,7 @@ std::string mask_wall_clock(std::string text) {
        at = text.find(kKey, at)) {
     at += kKey.size();
     const std::size_t end = text.find_first_not_of("0123456789.e+-", at);
-    text.replace(at, end - at, "0");
+    text.replace(at, end - at, 1, '0');
   }
   return text;
 }
@@ -72,7 +72,7 @@ std::string init_ints(int count) {
   std::string init;
   for (int i = 0; i < count; ++i) {
     if (i > 0) init += ' ';
-    init += "[" + std::to_string(i) + "]";
+    init.append("[").append(std::to_string(i)).append("]");
   }
   return init;
 }
@@ -91,9 +91,15 @@ class PickStream : public ::testing::Test {
   /// journal text.
   std::string record(const std::string& engine_args) {
     const fs::path out = dir_ / "journal.json";
-    run_cli("rungamma " + golden("replace_xy.gamma").string() + " --init \"" +
-            init_ints(64) + "\" " + engine_args + " --seed 7 --record-out " +
-            out.string() + " 2>/dev/null");
+    run_cli(std::string("rungamma ")
+                .append(golden("replace_xy.gamma").string())
+                .append(" --init \"")
+                .append(init_ints(64))
+                .append("\" ")
+                .append(engine_args)
+                .append(" --seed 7 --record-out ")
+                .append(out.string())
+                .append(" 2>/dev/null"));
     return read_file(out);
   }
 
@@ -129,8 +135,10 @@ TEST_F(PickStream, ServeTranscriptMatchesGolden) {
         << R"({"verb":"shutdown"})" << '\n';
   }
   const std::string transcript =
-      run_cli("serve " + golden("replace_xy.gamma").string() + " --stdio < " +
-              script.string());
+      run_cli(std::string("serve ")
+                  .append(golden("replace_xy.gamma").string())
+                  .append(" --stdio < ")
+                  .append(script.string()));
   EXPECT_EQ(mask_wall_clock(transcript),
             read_file(golden("pick_serve_session.jsonl")));
 }

@@ -234,13 +234,13 @@ TEST(MatchPipelineTest, ConstFindValidateCommitRoundTrip) {
   const gamma::Store& cstore = store;
   auto match = MatchPipeline::find(cstore, r);
   ASSERT_TRUE(match.has_value());
-  EXPECT_TRUE(MatchPipeline::validate(store, *match, expr::EvalMode::Ast));
+  EXPECT_TRUE(MatchPipeline::validate(store, *match));
   MatchPipeline::commit(store, *match);
   EXPECT_EQ(store.size(), 2u);
 
   // The committed ids are dead: the stale proposal must now fail validation.
   auto stale = *match;
-  EXPECT_FALSE(MatchPipeline::validate(store, stale, expr::EvalMode::Ast));
+  EXPECT_FALSE(MatchPipeline::validate(store, stale));
 }
 
 TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
@@ -304,66 +304,6 @@ TEST(CrossEngine, CorpusIsStateIdenticalAcrossEveryEngine) {
     const auto cluster = distrib::run_distributed(p, c.initial, copts);
     EXPECT_EQ(cluster.outcome, Outcome::Completed) << c.name;
     EXPECT_EQ(cluster.final_multiset, oracle) << c.name << ": cluster";
-  }
-}
-
-TEST(CrossEngine, BatchMatchingIsUnobservableAcrossEveryEngine) {
-  // The batch escape hatch must change nothing an engine returns: the same
-  // corpus under columnar batch matching, `--no-batch` (scalar VM), and
-  // `--no-compile` (AST walker) on every Gamma engine and the cluster.
-  struct Mode {
-    const char* name;
-    bool compile;
-    bool batch;
-  };
-  for (const CorpusCase& c : corpus()) {
-    const Program p = parse(c.src);
-    const auto report = analysis::analyze_interference(p, c.initial);
-    const Multiset oracle =
-        gamma::SequentialEngine().run(p, c.initial).final_multiset;
-
-    for (const Mode m : {Mode{"batch", true, true},
-                         Mode{"no-batch", true, false},
-                         Mode{"ast", false, false}}) {
-      gamma::RunOptions go;
-      go.compile = m.compile;
-      go.batch = m.batch;
-      EXPECT_EQ(gamma::SequentialEngine().run(p, c.initial, go).final_multiset,
-                oracle)
-          << c.name << ": sequential " << m.name;
-      EXPECT_EQ(gamma::IndexedEngine().run(p, c.initial, go).final_multiset,
-                oracle)
-          << c.name << ": indexed " << m.name;
-      gamma::RunOptions par = go;
-      par.workers = 3;
-      par.conflict_classes = report.engine_classes();
-      EXPECT_EQ(gamma::ParallelEngine().run(p, c.initial, par).final_multiset,
-                oracle)
-          << c.name << ": parallel " << m.name;
-      distrib::ClusterOptions copts;
-      copts.nodes = 4;
-      copts.compile = m.compile;
-      copts.batch = m.batch;
-      copts.label_affinity = report.label_affinity();
-      EXPECT_EQ(distrib::run_distributed(p, c.initial, copts).final_multiset,
-                oracle)
-          << c.name << ": cluster " << m.name;
-    }
-  }
-
-  // The dataflow engines take the same knobs through DfRunOptions; Fig. 1's
-  // converted firing rules are the cross-model workload.
-  const dataflow::Graph g = paper::fig1_graph();
-  const auto want = dataflow::Interpreter().run(g).outputs;
-  for (const bool batch : {true, false}) {
-    dataflow::DfRunOptions dfo;
-    dfo.batch = batch;
-    EXPECT_EQ(dataflow::Interpreter().run(g, dfo).outputs, want)
-        << "interpreter batch=" << batch;
-    dataflow::DfRunOptions par = dfo;
-    par.workers = 3;
-    EXPECT_EQ(dataflow::ParallelEngine().run(g, par).outputs, want)
-        << "parallel batch=" << batch;
   }
 }
 

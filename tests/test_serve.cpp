@@ -475,6 +475,30 @@ TEST(ServeProtocol, TooDeepLineIsABadRequestAndServingContinues) {
   EXPECT_TRUE(parsed[1].bool_or("pong", false));
 }
 
+TEST(ServeProtocol, DeeplyNestedProgramIsABadProgramAndServingContinues) {
+  // 20000 parentheses inside a create's program string: the line is shallow
+  // JSON, but the expression parser used to recurse once per '(' and
+  // overflow the stack.
+  serve::Server server(min_daemon());
+  const std::string guard =
+      std::string(20'000, '(') + "x < y" + std::string(20'000, ')');
+  std::istringstream in(
+      R"({"verb":"create","program":"R = replace x, y by x where )" + guard +
+      "\"}\n" + "{\"verb\":\"ping\"}\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+
+  std::istringstream replies(out.str());
+  std::string line;
+  std::vector<Json> parsed;
+  while (std::getline(replies, line)) parsed.push_back(parse_json(line));
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(error_code(parsed[0]), "bad_program");
+  EXPECT_EQ(parsed[0].str_or("message", ""),
+            "ParseError at 1:285: nesting deeper than 256");
+  EXPECT_TRUE(parsed[1].bool_or("pong", false));
+}
+
 TEST(ServeProtocol, SessionJournalPathInsertsSessionBeforeExtension) {
   EXPECT_EQ(serve::session_journal_path("runs/serve.json", "s1"),
             "runs/serve.s1.json");

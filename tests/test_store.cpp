@@ -14,8 +14,6 @@ namespace gammaflow::gamma {
 namespace {
 
 using runtime::MatchPipeline;
-/// The reference evaluator; every match test here checks AST semantics.
-constexpr expr::EvalMode kAst = expr::EvalMode::Ast;
 
 std::vector<expr::ExprPtr> tuple(std::initializer_list<const char*> fields) {
   std::vector<expr::ExprPtr> out;
@@ -242,7 +240,7 @@ TEST(FindMatch, FindsEnabledPair) {
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
-  const auto m = MatchPipeline::find(s, r, nullptr, kAst);
+  const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->ids.size(), 2u);
   ASSERT_EQ(m->produced.size(), 1u);
@@ -252,7 +250,7 @@ TEST(FindMatch, FindsEnabledPair) {
 TEST(FindMatch, NoMatchWhenLabelMissing) {
   Store s;
   s.insert(Element::labeled(Value(2), "L"));
-  EXPECT_FALSE(MatchPipeline::find(s, adder(), nullptr, kAst).has_value());
+  EXPECT_FALSE(MatchPipeline::find(s, adder()).has_value());
 }
 
 TEST(FindMatch, ElementsMustBeDistinctInstances) {
@@ -261,9 +259,9 @@ TEST(FindMatch, ElementsMustBeDistinctInstances) {
   s.insert(Element{Value(5)});
   const Reaction r("R", {Pattern::var("x"), Pattern::var("y")},
                    {Branch::unconditional({tuple({"x"})})});
-  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, kAst).has_value());
+  EXPECT_FALSE(MatchPipeline::find(s, r).has_value());
   s.insert(Element{Value(5)});  // a second equal instance IS allowed
-  EXPECT_TRUE(MatchPipeline::find(s, r, nullptr, kAst).has_value());
+  EXPECT_TRUE(MatchPipeline::find(s, r).has_value());
 }
 
 TEST(FindMatch, ConditionGatesMatch) {
@@ -274,7 +272,7 @@ TEST(FindMatch, ConditionGatesMatch) {
                    {Branch::when(expr::parse_expression("x < y"),
                                  {tuple({"x"})})});
   // Both orderings exist as candidate tuples; only (2,9) is enabled.
-  const auto m = MatchPipeline::find(s, r, nullptr, kAst);
+  const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->produced[0], Element{Value(2)});
 }
@@ -284,12 +282,12 @@ TEST(FindMatch, CommitAppliesRewrite) {
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
-  const auto m = MatchPipeline::find(s, r, nullptr, kAst);
+  const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
   MatchPipeline::commit(s, *m);
   EXPECT_EQ(s.size(), 1u);
   EXPECT_EQ(s.to_multiset(), (Multiset{Element::labeled(Value(5), "S")}));
-  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, kAst).has_value());
+  EXPECT_FALSE(MatchPipeline::find(s, r).has_value());
 }
 
 TEST(FindMatch, RandomizedIsFairAcrossPairs) {
@@ -303,7 +301,7 @@ TEST(FindMatch, RandomizedIsFairAcrossPairs) {
   std::set<Value> first_values;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Rng rng(seed);
-    const auto m = MatchPipeline::find(s, r, &rng, kAst);
+    const auto m = MatchPipeline::find(s, r, &rng);
     ASSERT_TRUE(m.has_value());
     first_values.insert(m->produced[0].value());
   }
@@ -316,7 +314,7 @@ TEST(EnumerateMatches, CountsOrderedTuples) {
   const Reaction any2("R", {Pattern::var("x"), Pattern::var("y")},
                       {Branch::unconditional({tuple({"x"})})});
   std::size_t count = MatchPipeline::enumerate(
-      s, any2, 1000, [](const Match&) { return true; }, kAst);
+      s, any2, 1000, [](const Match&) { return true; });
   EXPECT_EQ(count, 12u);  // 4 * 3 ordered pairs
 }
 
@@ -326,15 +324,14 @@ TEST(EnumerateMatches, HonorsLimitAndEarlyStop) {
   const Reaction any2("R", {Pattern::var("x"), Pattern::var("y")},
                       {Branch::unconditional({tuple({"x"})})});
   EXPECT_EQ(MatchPipeline::enumerate(
-                s, any2, 7, [](const Match&) { return true; }, kAst),
+                s, any2, 7, [](const Match&) { return true; }),
             7u);
   std::size_t seen = 0;
   MatchPipeline::enumerate(
       s, any2, 1000,
       [&](const Match&) {
         return ++seen < 3;  // stop after 3
-      },
-      kAst);
+      });
   EXPECT_EQ(seen, 3u);
 }
 
@@ -446,7 +443,7 @@ TEST(EnumerateMatches, OnlyEnabledMatchesVisited) {
   const Reaction strict("R", {Pattern::var("x"), Pattern::var("y")},
                         {Branch::when(expr::parse_expression("x < y"), {})});
   EXPECT_EQ(MatchPipeline::enumerate(
-                s, strict, 100, [](const Match&) { return true; }, kAst),
+                s, strict, 100, [](const Match&) { return true; }),
             0u);
 }
 

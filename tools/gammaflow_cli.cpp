@@ -100,16 +100,6 @@ void print_usage(std::ostream& out) {
       "         --deadline S           wall-clock budget in seconds (run,\n"
       "                                rungamma, distrib); prints the\n"
       "                                partial state\n"
-      "         --no-compile           run, rungamma, distrib: evaluate\n"
-      "                                conditions/actions with the AST walker\n"
-      "                                instead of compiled bytecode (results\n"
-      "                                are identical; this is the slow path)\n"
-      "         --no-batch             run, rungamma, distrib, serve: match\n"
-      "                                candidates one at a time with the\n"
-      "                                scalar VM instead of the columnar\n"
-      "                                batch evaluator (results are\n"
-      "                                identical; A/B baseline — ignored\n"
-      "                                under --no-compile)\n"
       "         --werror               lint/check: warnings also fail (exit 1)\n"
       "         --json                 lint/check/optimize: machine-readable\n"
       "                                output\n"
@@ -245,14 +235,6 @@ struct Options {
   std::size_t max_steps = 0;  // optimize: fusion step cap (0 = fixpoint)
   bool classes = false;   // rungamma: feed conflict classes to the engine
   bool affinity = false;  // distrib: label-affinity placement hint
-  /// Bytecode escape hatch (--no-compile): evaluate conditions/actions with
-  /// the AST walker instead of the register VM. Results are identical.
-  bool compile = true;
-  /// Batch escape hatch (--no-batch): keep compiled bytecode but match
-  /// candidates one at a time with the scalar VM instead of the columnar
-  /// batch evaluator. Results are identical; this is the A/B baseline the
-  /// benches compare against. Ignored under --no-compile.
-  bool batch = true;
   // --- distrib ---
   std::size_t nodes = 4;
   std::string placement = "hash";
@@ -369,10 +351,6 @@ Options parse_options(int argc, char** argv, int first) {
       opts.classes = true;
     } else if (arg == "--affinity") {
       opts.affinity = true;
-    } else if (arg == "--no-compile") {
-      opts.compile = false;
-    } else if (arg == "--no-batch") {
-      opts.batch = false;
     } else if (arg == "--nodes") {
       opts.nodes = next_number();
     } else if (arg == "--placement") {
@@ -509,8 +487,6 @@ int cmd_run(const std::string& path, const Options& opts) {
   obs::Telemetry tel;
   obs::RunRecorder rec;
   dataflow::DfRunOptions ropts;
-  ropts.compile = opts.compile;
-  ropts.batch = opts.batch;
   if (opts.trace_out || opts.metrics) ropts.telemetry = &tel;
   if (opts.record_out) ropts.record = &rec;
   if (opts.workers) ropts.workers = *opts.workers;
@@ -570,8 +546,6 @@ int run_worklist(const gamma::Program& program, const gamma::Multiset& initial,
                  const Options& opts) {
   runtime::WorklistOptions wopts;
   wopts.seed = opts.seed;
-  wopts.compile = opts.compile;
-  wopts.batch = opts.batch;
   wopts.rescan = opts.rescan;
   obs::RunRecorder rec;
   if (opts.record_out) wopts.record = &rec;
@@ -613,8 +587,6 @@ int cmd_rungamma(const std::string& path, const Options& opts) {
   }
   gamma::RunOptions ropts;
   ropts.seed = opts.seed;
-  ropts.compile = opts.compile;
-  ropts.batch = opts.batch;
   if (opts.workers) ropts.workers = *opts.workers;
   if (opts.trace_out || opts.metrics) ropts.telemetry = &tel;
   if (opts.record_out) ropts.record = &rec;
@@ -667,8 +639,6 @@ int cmd_distrib(const std::string& path, const Options& opts) {
   copts.latency = opts.latency;
   copts.fires_per_round = opts.fires_per_round;
   copts.faults = opts.faults;
-  copts.compile = opts.compile;
-  copts.batch = opts.batch;
   copts.replication_factor = opts.replication;
   copts.checkpoint_every = opts.checkpoint_every;
   copts.wal_dir = opts.wal_dir;
@@ -745,8 +715,6 @@ int cmd_serve(const std::string& path, const Options& opts) {
   sopts.deadline = opts.deadline;
   if (opts.max_steps > 0) sopts.max_steps = opts.max_steps;
   sopts.seed = opts.seed;
-  sopts.compile = opts.compile;
-  sopts.batch = opts.batch;
   sopts.rescan = opts.rescan;
   if (opts.record_out) sopts.record_out = *opts.record_out;
   sopts.default_program = read_file(path);
@@ -1005,8 +973,6 @@ int cmd_viz(const std::string& path, const Options& opts) {
     obs::RunRecorder rec;
     gamma::RunOptions ropts;
     ropts.seed = opts.seed;
-    ropts.compile = opts.compile;
-    ropts.batch = opts.batch;
     ropts.record = &rec;
     (void)make_engine(opts.engine)->run(*program, parse_elements(*opts.init),
                                         ropts);
@@ -1015,8 +981,6 @@ int cmd_viz(const std::string& path, const Options& opts) {
   } else if (!is_gamma) {
     obs::RunRecorder rec;
     dataflow::DfRunOptions ropts;
-    ropts.compile = opts.compile;
-    ropts.batch = opts.batch;
     ropts.record = &rec;
     if (opts.engine == "par") {
       (void)dataflow::ParallelEngine().run(*graph, ropts, {});
