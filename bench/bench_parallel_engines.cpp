@@ -220,6 +220,66 @@ BENCHMARK(BM_GammaSum_Parallel4)
     ->Range(4, 1024)
     ->Unit(benchmark::kMicrosecond);
 
+// --- Gamma engines on the keyed-sum join (perfbench `parallel`) ---
+
+/// 4096 `[v, k]` over 64 labels: `replace [x, k], [y, k]` joins on k, so
+/// every fire probes a (field, bound value) bucket, and the fixpoint holds
+/// one `[sum, k]` per label.
+struct KeyedCase {
+  gamma::Program program;
+  gamma::Multiset initial;
+  gamma::Multiset sums;
+};
+
+const KeyedCase& keyed_case() {
+  static const KeyedCase c = [] {
+    KeyedCase kc;
+    kc.program =
+        gamma::dsl::parse_program("Rkey = replace [x, k], [y, k] by [x + y, k]");
+    Rng rng(17);
+    std::vector<std::int64_t> sums(64, 0);
+    for (std::size_t i = 0; i < 4096; ++i) {
+      const auto v = static_cast<std::int64_t>(rng.bounded(1000));
+      sums[i % 64] += v;
+      kc.initial.add(gamma::Element{
+          Value(v), Value(std::string("k").append(std::to_string(i % 64)))});
+    }
+    for (std::size_t k = 0; k < sums.size(); ++k) {
+      kc.sums.add(gamma::Element{
+          Value(sums[k]), Value(std::string("k").append(std::to_string(k)))});
+    }
+    return kc;
+  }();
+  return c;
+}
+
+/// Times `Engine` on the keyed case; the row's label says whether the last
+/// timed run reached the per-label sums (`NO` on a mismatch).
+template <typename Engine>
+void run_gamma_keyed(benchmark::State& state, unsigned workers) {
+  const KeyedCase& c = keyed_case();
+  const Engine engine;
+  gamma::RunOptions opts;
+  opts.workers = workers;
+  gamma::Multiset final_state;
+  for (auto _ : state) {
+    final_state = engine.run(c.program, c.initial, opts).final_multiset;
+    benchmark::DoNotOptimize(final_state);
+  }
+  state.SetLabel(final_state == c.sums ? "per-label sums yes"
+                                       : "per-label sums NO");
+}
+
+void BM_GammaKeyed_Indexed(benchmark::State& state) {
+  run_gamma_keyed<gamma::IndexedEngine>(state, 1);
+}
+BENCHMARK(BM_GammaKeyed_Indexed)->Unit(benchmark::kMillisecond);
+
+void BM_GammaKeyed_Parallel4(benchmark::State& state) {
+  run_gamma_keyed<gamma::ParallelEngine>(state, 4);
+}
+BENCHMARK(BM_GammaKeyed_Parallel4)->Unit(benchmark::kMillisecond);
+
 // --- conflict-class ablation: same workload, classes on/off ---
 // The interference analysis runs in setup (it is a one-time compile step);
 // the timed region is the engine run it accelerates.

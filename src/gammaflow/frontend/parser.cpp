@@ -1,5 +1,7 @@
 #include "gammaflow/frontend/parser.hpp"
 
+#include <string>
+
 #include "gammaflow/expr/parser.hpp"
 
 namespace gammaflow::frontend {
@@ -29,7 +31,23 @@ class Parser {
                      t.line, t.column);
   }
 
+  /// The body of an `if`/`else`/`while`/`for`. Bodies nest by recursion
+  /// (block → statement → block), so nesting past expr::kMaxExprDepth is
+  /// refused here instead of exhausting the stack.
   Block block() {
+    if (block_depth_ >= expr::kMaxExprDepth) {
+      const Token& t = ts_.peek();
+      throw ParseError(std::string("nesting deeper than ")
+                           .append(std::to_string(expr::kMaxExprDepth)),
+                       t.line, t.column);
+    }
+    ++block_depth_;
+    Block body = block_body();
+    --block_depth_;
+    return body;
+  }
+
+  Block block_body() {
     Block body;
     if (ts_.accept(TokenKind::LBrace)) {
       while (!ts_.at(TokenKind::RBrace)) {
@@ -150,6 +168,7 @@ class Parser {
   }
 
   TokenStream ts_;
+  std::size_t block_depth_ = 0;  // bodies open around the current statement
 };
 
 }  // namespace

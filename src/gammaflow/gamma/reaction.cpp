@@ -13,10 +13,21 @@ namespace gammaflow::gamma {
 
 CompiledReaction::CompiledReaction(const Reaction& reaction) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (const Pattern& p : reaction.patterns()) {
-    for (const PatternField& f : p.fields()) {
-      if (f.is_binder() &&
-          std::find(slots_.begin(), slots_.end(), f.name()) == slots_.end()) {
+  joins_.resize(reaction.patterns().size());
+  for (std::size_t d = 0; d < reaction.patterns().size(); ++d) {
+    const std::size_t outer_slots = slots_.size();
+    const auto& fields = reaction.patterns()[d].fields();
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const PatternField& f = fields[i];
+      if (!f.is_binder()) continue;
+      const auto it = std::find(slots_.begin(), slots_.end(), f.name());
+      const auto slot = static_cast<std::size_t>(it - slots_.begin());
+      // A field or slot past the uint16 range keeps the base-bucket scan.
+      if (slot < outer_slots &&
+          std::max(i, slot) < BatchPlan::kNoField) {
+        joins_[d].push_back(JoinField{static_cast<std::uint16_t>(i),
+                                      static_cast<std::uint16_t>(slot)});
+      } else if (it == slots_.end()) {
         slots_.push_back(f.name());
       }
     }
@@ -55,15 +66,12 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
     return static_cast<std::uint16_t>(it - slots_.begin());
   };
 
-  // A binder already bound by an OUTER pattern reaches the innermost match
-  // as an equality constraint (broadcast scalar); one first bound by the
-  // innermost pattern itself becomes a lane column.
+  // A binder already bound by an OUTER pattern (an innermost join field)
+  // reaches the innermost match as an equality constraint (broadcast
+  // scalar); one first bound by the innermost pattern itself becomes a lane
+  // column.
   std::vector<std::uint8_t> outer_bound(slots_.size(), 0);
-  for (std::size_t p = 0; p + 1 < reaction.patterns().size(); ++p) {
-    for (const PatternField& f : reaction.patterns()[p].fields()) {
-      if (f.is_binder()) outer_bound[slot_index(f.name())] = 1;
-    }
-  }
+  for (const JoinField& j : joins_.back()) outer_bound[j.slot] = 1;
 
   const auto key = inner.key_constraint();
   if (key) plan.key_field = static_cast<std::uint16_t>(key->first);
@@ -74,7 +82,6 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
     const PatternField& f = fields[i];
     const auto fi = static_cast<std::uint16_t>(i);
     if (!f.is_binder()) {
-      if (fi == plan.key_field) continue;  // the probed bucket guarantees it
       BatchPlan::FieldCheck c;
       c.field = fi;
       if (const std::int64_t* v = f.value().if_int()) {

@@ -56,9 +56,10 @@ class CompiledReaction {
   struct BatchPlan {
     static constexpr std::uint16_t kNoField = 0xffff;
 
-    /// Structural lane checks beyond liveness and arity. The bucket key
-    /// field (the pattern's key constraint) needs no check: the probed
-    /// (field,value) bucket already guarantees it.
+    /// Structural lane checks beyond liveness and arity, one per
+    /// constrained field. The check on the probed bucket's own field (the
+    /// key constraint, or the join field) is implied by that bucket, so
+    /// BatchMatcher::begin drops it for the visit.
     struct FieldCheck {
       enum class Kind : std::uint8_t {
         LitInt,   // field holds Int `imm`
@@ -81,6 +82,8 @@ class CompiledReaction {
     };
 
     std::size_t arity = 0;           // innermost pattern arity
+    /// The innermost pattern's key-constraint field (kNoField: none) — the
+    /// field of its base bucket, whose Lit/LitInt check that bucket implies.
     std::uint16_t key_field = kNoField;
     std::vector<FieldCheck> checks;
     std::vector<VectorSlot> vector_slots;
@@ -95,6 +98,21 @@ class CompiledReaction {
 
   [[nodiscard]] const BatchPlan* batch_plan() const noexcept {
     return batch_ ? &*batch_ : nullptr;
+  }
+
+  /// A join field: field `field` of a pattern repeats the binder in slot
+  /// `slot`, which an EARLIER pattern of the replace list binds first.
+  struct JoinField {
+    std::uint16_t field = 0;
+    std::uint16_t slot = 0;
+  };
+  /// The join table, one entry per pattern (empty when the pattern binds
+  /// nothing an outer pattern bound). Once the outer patterns are matched,
+  /// pattern d can only match ids in every (field, bound value) bucket of
+  /// joins()[d], so the match pipeline probes the smallest of them.
+  [[nodiscard]] const std::vector<std::vector<JoinField>>& joins()
+      const noexcept {
+    return joins_;
   }
 
   /// Binder-slot layout: slot i holds the i-th distinct binder name.
@@ -120,6 +138,7 @@ class CompiledReaction {
   void build_batch_plan(const Reaction& reaction);
 
   std::vector<std::string> slots_;
+  std::vector<std::vector<JoinField>> joins_;
   std::vector<BranchCode> branches_;
   std::optional<BatchPlan> batch_;
   double compile_ms_ = 0.0;

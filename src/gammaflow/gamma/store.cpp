@@ -109,14 +109,22 @@ void Store::remove(Id id) {
   // The dead row lingers (masked by the liveness bitmap) until compact().
 }
 
+Store::Bucket::const_iterator Store::lower_bound(const Bucket& bucket,
+                                                std::uint64_t stamp) const {
+  return std::lower_bound(
+      bucket.begin(), bucket.end(), stamp,
+      [this](Id other, std::uint64_t s) { return inserted_at_[other] < s; });
+}
+
 void Store::unindex(Bucket& bucket, Id id) const {
   // Ordered erase: the survivors keep their insertion order, so the bucket
   // stays exactly what a fresh scan of the live occupants would list.
-  const std::uint64_t stamp = inserted_at_[id];
-  const auto it = std::lower_bound(
-      bucket.begin(), bucket.end(), stamp,
-      [this](Id other, std::uint64_t s) { return inserted_at_[other] < s; });
-  bucket.erase(it);
+  bucket.erase(lower_bound(bucket, inserted_at_[id]));
+}
+
+std::size_t Store::scan_position(const Bucket& narrow, Id id) const {
+  const auto it = lower_bound(narrow, inserted_at_[id]);
+  return it == narrow.end() ? 0 : static_cast<std::size_t>(it - narrow.begin());
 }
 
 Element Store::element(Id id) const {
@@ -154,12 +162,15 @@ bool Store::match_pattern(const Pattern& p, Id id, expr::Env& env) const {
 }
 
 const Store::Bucket* Store::bucket(const Pattern& p) const {
-  if (auto key = p.key_constraint()) {
-    auto it = field_index_.find(FieldKey{key->first, key->second});
-    return it == field_index_.end() ? nullptr : &it->second;
-  }
+  if (auto key = p.key_constraint()) return field_bucket(key->first, key->second);
   auto it = arity_index_.find(p.arity());
   return it == arity_index_.end() ? nullptr : &it->second;
+}
+
+const Store::Bucket* Store::field_bucket(std::size_t field,
+                                         const Value& value) const {
+  auto it = field_index_.find(FieldKey{field, value});
+  return it == field_index_.end() ? nullptr : &it->second;
 }
 
 void Store::compact() {

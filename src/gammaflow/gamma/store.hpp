@@ -114,6 +114,22 @@ class Store {
   /// under a shared lock; the pointer stays valid until the next mutation.
   [[nodiscard]] const Bucket* bucket(const Pattern& p) const;
 
+  /// The (field,value) bucket: live ids of ANY arity whose field `field`
+  /// holds `value`, or null when none does. Real -0.0 and 0.0 share a
+  /// bucket (they are ==), Int 1 and Real 1.0 do not, and a NaN key finds
+  /// the NaN-carrying ids, which no binder matches. So it holds every id a
+  /// pattern whose field `field` must equal `value` can match. Read-only;
+  /// valid until the next mutation.
+  [[nodiscard]] const Bucket* field_bucket(std::size_t field,
+                                           const Value& value) const;
+
+  /// Where a cyclic scan of `narrow` must start to visit the ids it shares
+  /// with a wider bucket in the same order as a cyclic scan of that bucket
+  /// starting at its entry `id`: the first entry of `narrow` inserted no
+  /// earlier than `id`, or 0 when there is none (the scan wraps). Both
+  /// buckets are in insertion order, so this is one binary search.
+  [[nodiscard]] std::size_t scan_position(const Bucket& narrow, Id id) const;
+
   /// Number of (field,value) buckets. Empty buckets are dropped on
   /// remove(), so this never exceeds the live distinct (field,value) pairs.
   [[nodiscard]] std::size_t field_bucket_count() const noexcept {
@@ -179,6 +195,9 @@ class Store {
   };
 
   std::uint32_t group_for_arity(std::size_t arity);
+  /// First entry of `bucket` inserted no earlier than `stamp`.
+  [[nodiscard]] Bucket::const_iterator lower_bound(const Bucket& bucket,
+                                                   std::uint64_t stamp) const;
   void unindex(Bucket& bucket, Id id) const;
 
   std::vector<ColumnGroup> groups_;

@@ -46,32 +46,39 @@ bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
 bool BatchMatcher::begin(const gamma::Store& store,
                          const gamma::Reaction& reaction,
                          const gamma::Store::Bucket& bucket,
+                         std::uint16_t join_field,
                          const expr::Env& outer_env) {
+  using Kind = CompiledReaction::BatchPlan::FieldCheck::Kind;
   const CompiledReaction& compiled = reaction.compiled();
   const CompiledReaction::BatchPlan* plan = compiled.batch_plan();
   if (plan == nullptr) return false;
+  const std::vector<std::string>& slots = compiled.slots();
+
+  // Field checks minus the one the probed (field, value) bucket implies.
+  // Outer bindings are EqSlot comparands (any kind — compared per lane).
+  const std::uint16_t implied =
+      join_field != CompiledReaction::BatchPlan::kNoField ? join_field
+                                                          : plan->key_field;
+  checks_.clear();
+  for (const auto& check : plan->checks) {
+    if (check.field == implied) continue;
+    const Value* eq_value = nullptr;
+    if (check.kind == Kind::EqSlot) {
+      eq_value = outer_env.find(slots[check.slot]);
+      if (eq_value == nullptr) return false;  // malformed outer env
+    }
+    checks_.push_back(ActiveCheck{&check, eq_value});
+  }
   any_condition_ = std::any_of(plan->conditions.begin(),
                                plan->conditions.end(),
                                [](const auto& cond) { return cond.has_value(); });
-  if (!any_condition_ && plan->checks.empty()) return false;
+  if (!any_condition_ && checks_.empty()) return false;
 
   store_ = &store;
   plan_ = plan;
   bucket_ = &bucket;
-  const std::vector<std::string>& slots = compiled.slots();
 
-  // Outer bindings: EqSlot comparands (any kind — compared per lane) and
-  // guard broadcast scalars (must be Int to enter the lane model).
-  eq_values_.assign(plan->checks.size(), nullptr);
-  for (std::size_t i = 0; i < plan->checks.size(); ++i) {
-    const auto& check = plan->checks[i];
-    if (check.kind != CompiledReaction::BatchPlan::FieldCheck::Kind::EqSlot) {
-      continue;
-    }
-    eq_values_[i] = outer_env.find(slots[check.slot]);
-    if (eq_values_[i] == nullptr) return false;  // malformed outer env
-  }
-
+  // Guard broadcast scalars must be Int to enter the lane model.
   slots_.assign(slots.size(), expr::BatchVm::SlotInput{});
   gather_.clear();
   if (any_condition_) {
@@ -108,8 +115,8 @@ bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
     const Store::ColumnGroup& g = *rr.group;
     if (g.arity != plan_->arity) continue;
     bool ok = true;
-    for (std::size_t ci = 0; ci < plan_->checks.size() && ok; ++ci) {
-      const auto& check = plan_->checks[ci];
+    for (std::size_t ci = 0; ci < checks_.size() && ok; ++ci) {
+      const auto& check = *checks_[ci].check;
       using Kind = CompiledReaction::BatchPlan::FieldCheck::Kind;
       switch (check.kind) {
         case Kind::LitInt:
@@ -123,7 +130,8 @@ bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
           ok = fields_equal(g, rr.row, check.field, check.other);
           break;
         case Kind::EqSlot:
-          ok = field_equals_value(g, rr.row, check.field, *eq_values_[ci]);
+          ok = field_equals_value(g, rr.row, check.field,
+                                  *checks_[ci].eq_value);
           break;
       }
     }

@@ -40,16 +40,20 @@ class BatchMatcher {
   static constexpr std::size_t kMaxChunk = 1024;
 
   /// Prepares a sweep of `bucket` (the innermost candidate bucket) for
-  /// `reaction` under the outer bindings `outer_env`. False when this visit
+  /// `reaction` under the outer bindings `outer_env`. `join_field` names
+  /// the join field whose (field, bound value) bucket `bucket` is, or is
+  /// BatchPlan::kNoField for the pattern's base bucket; the field check
+  /// that bucket implies is dropped for the sweep. False when this visit
   /// cannot be batch-evaluated — no plan (unbatchable reaction), or an
-  /// outer binding feeding a guard is not Int — or would not pay: a plan
-  /// with no guard and no field checks could clear only arity mismatches,
-  /// which the scalar probe rejects just as cheaply. The caller then keeps
-  /// the plain scalar probe loop. `bucket` and `outer_env` must outlive the
-  /// chunk() calls of this sweep.
+  /// outer binding feeding a guard is not Int — or would not pay: with no
+  /// guard and no remaining field check the sweep could clear only arity
+  /// mismatches, which the scalar probe rejects just as cheaply. The caller
+  /// then keeps the plain scalar probe loop. `bucket` and `outer_env` must
+  /// outlive the chunk() calls of this sweep.
   [[nodiscard]] bool begin(const gamma::Store& store,
                            const gamma::Reaction& reaction,
                            const gamma::Store::Bucket& bucket,
+                           std::uint16_t join_field,
                            const expr::Env& outer_env);
 
   /// Computes fire bits for scan positions [t, t+width) of the cyclic scan
@@ -70,9 +74,14 @@ class BatchMatcher {
   bool any_condition_ = false;
 
   expr::BatchVm vm_;
-  /// Outer bindings for EqSlot checks, 1:1 with plan_->checks (null for
-  /// non-EqSlot kinds). Point into the caller's outer_env.
-  std::vector<const Value*> eq_values_;
+  /// The plan's field checks this sweep runs (the probed bucket's implied
+  /// check left out), each with its EqSlot comparand pointing into the
+  /// caller's outer_env (null for the other kinds).
+  struct ActiveCheck {
+    const gamma::CompiledReaction::BatchPlan::FieldCheck* check = nullptr;
+    const Value* eq_value = nullptr;
+  };
+  std::vector<ActiveCheck> checks_;
   /// Vector slots the guards actually read: index into columns_ per slot.
   std::vector<gamma::CompiledReaction::BatchPlan::VectorSlot> gather_;
   std::vector<std::vector<std::int64_t>> columns_;

@@ -29,10 +29,19 @@ std::optional<std::vector<Element>> apply_compiled(const Reaction& reaction,
 // bucket (cyclic start offset — cheap fairness without shuffling). Buckets
 // are exact (only live ids, insertion order), so the search never mutates
 // the store and every probed id is alive.
+//
+// Each depth's BASE bucket is the pattern's literal-key bucket or its arity
+// bucket. A depth with join fields (CompiledReaction::joins) probes the
+// smallest of its base and (field, bound value) buckets instead, still
+// drawing rng->bounded(base size) and starting where the base scan's start
+// id falls in insertion order. Every id the pattern can match is in both
+// buckets, so the matches, the rng stream and the chosen match are those
+// of a base-bucket scan (DESIGN.md §15.1).
 std::size_t search(const Store& store, const Reaction& reaction,
                    std::size_t limit, Rng* rng,
                    const std::function<bool(Match&)>& fn) {
   const auto& patterns = reaction.patterns();
+  const auto& joins = reaction.compiled().joins();
   const std::size_t k = patterns.size();
 
   std::vector<const Store::Bucket*> buckets(k);
@@ -60,9 +69,25 @@ std::size_t search(const Store& store, const Reaction& reaction,
       if (!fn(m) || visited >= limit) stop = true;
       return;
     }
-    const Store::Bucket& bucket = *buckets[depth];
+    const Store::Bucket& base = *buckets[depth];
+    const std::size_t start = rng ? rng->bounded(base.size()) : 0;
+    const Store::Bucket* narrowest = &base;
+    std::uint16_t join_field = gamma::CompiledReaction::BatchPlan::kNoField;
+    for (const auto& join : joins[depth]) {
+      // envs[depth] binds the outer slots in slot order (first occurrence
+      // across the replace list), so the slot index is the binding index.
+      const Value& bound = envs[depth].begin()[join.slot].second;
+      const Store::Bucket* b = store.field_bucket(join.field, bound);
+      if (b == nullptr) return;  // no live element carries the bound value
+      if (b->size() < narrowest->size()) {
+        narrowest = b;
+        join_field = join.field;
+      }
+    }
+    const Store::Bucket& bucket = *narrowest;
     const std::size_t n = bucket.size();
-    const std::size_t start = rng ? rng->bounded(n) : 0;
+    const std::size_t from =
+        narrowest == &base ? start : store.scan_position(bucket, base[start]);
     auto probe = [&](const Store::Id id) {
       bool dup = false;
       for (std::size_t d = 0; d < depth; ++d) {
@@ -80,27 +105,27 @@ std::size_t search(const Store& store, const Reaction& reaction,
     std::size_t t = 0;
     if (depth + 1 == k) {
       // Innermost bucket: sweep chunks of the scan as column batches and
-      // probe only the lanes the fire bitmap keeps. The start offset draw
-      // above is the SAME single rng->bounded(n) the scalar scan consumes,
-      // and cleared lanes are exactly scalar rejections, so the rng stream
-      // and the chosen match are identical to the scalar scan below, which
-      // serves the whole bucket when the reaction has no batch plan.
+      // probe only the lanes the fire bitmap keeps. The sweep starts at the
+      // same scan position as the scalar scan below, and cleared lanes are
+      // exactly scalar rejections, so the rng stream and the chosen match
+      // are identical to the scalar scan, which serves the whole bucket
+      // when the reaction has no batch plan.
       thread_local BatchMatcher matcher;
-      if (matcher.begin(store, reaction, bucket, envs[depth])) {
+      if (matcher.begin(store, reaction, bucket, join_field, envs[depth])) {
         std::size_t width = BatchMatcher::kMinChunk;
         while (t < n && !stop) {
           const std::size_t w = std::min(width, n - t);
-          if (!matcher.chunk(start, t, w)) break;  // fault: resume scalar
+          if (!matcher.chunk(from, t, w)) break;  // fault: resume scalar
           const std::uint8_t* fire = matcher.fire();
           for (std::size_t j = 0; j < w && !stop; ++j) {
-            if (fire[j] != 0) probe(bucket[(start + t + j) % n]);
+            if (fire[j] != 0) probe(bucket[(from + t + j) % n]);
           }
           t += w;
           width = std::min(width * 2, BatchMatcher::kMaxChunk);
         }
       }
     }
-    for (; t < n && !stop; ++t) probe(bucket[(start + t) % n]);
+    for (; t < n && !stop; ++t) probe(bucket[(from + t) % n]);
   };
   dfs(dfs, 0);
   return visited;

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -842,44 +844,98 @@ std::string random_guard(Rng& rng, int depth) {
 class BatchEngineDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// A generated store for the template at `which`: keys drawn from small
+/// pools so that joins both hit and miss.
+gamma::Multiset template_store(std::size_t which, Rng& rng) {
+  const auto small = [&rng] {
+    return Value(static_cast<std::int64_t>(rng.bounded(13)) - 3);
+  };
+  // Real join keys: -0.0 and 0.0 join (they are ==), NaN joins nothing,
+  // and Int 1 never joins Real 1.0.
+  const auto real_key = [&rng] {
+    switch (rng.bounded(6)) {
+      case 0: return Value(-0.0);
+      case 1: return Value(0.0);
+      case 2: return Value(std::nan(""));
+      case 3: return Value(std::int64_t{1});
+      case 4: return Value(1.0);
+      default: return Value(2.5);
+    }
+  };
+  gamma::Multiset init;
+  const std::size_t n = 6 + rng.bounded(10);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Value v = small();
+    switch (which) {
+      case 0: init.add(gamma::Element{v}); break;
+      case 1: init.add(gamma::Element::labeled(v, "a")); break;
+      case 2:
+        init.add(gamma::Element::labeled(v, rng.coin() ? "a" : "b"));
+        break;
+      case 3: init.add(gamma::Element{v, rng.coin(0.4) ? v : small()}); break;
+      case 4:
+      case 6:
+        init.add(gamma::Element{
+            v, Value(static_cast<std::int64_t>(rng.bounded(3)))});
+        break;
+      case 5: {
+        static constexpr const char* kKeys[] = {"p", "q", "r"};
+        init.add(gamma::Element{v, Value(kKeys[rng.bounded(3)])});
+        break;
+      }
+      case 7: init.add(gamma::Element{v, real_key()}); break;
+      case 8: {
+        // Arities 1/2/3 sharing field-0 key values: the (0, k) bucket
+        // holds ids of every arity, and only the arity-2 ones can join.
+        const Value key(static_cast<std::int64_t>(rng.bounded(3)));
+        switch (rng.bounded(3)) {
+          case 0: init.add(gamma::Element{key}); break;
+          case 1: init.add(gamma::Element{key, v}); break;
+          default: init.add(gamma::Element{key, v, small()}); break;
+        }
+        break;
+      }
+      default:
+        init.add(gamma::Element{v, Value(rng.coin() ? "a" : "b"),
+                                Value(static_cast<std::int64_t>(
+                                    rng.bounded(3)))});
+        break;
+    }
+  }
+  return init;
+}
+
 TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
-  // 10 generated (program, multiset) pairs per seed x 50 seeds = 500 cases,
-  // each driven step by step through the pipeline and the reference
-  // matcher. Templates rotate so literal field checks, label keys, repeated binders
-  // (EqField), and outer-bound binders (EqSlot) all get exercised.
+  // 20 generated (program, multiset) pairs per seed x 50 seeds = 1000
+  // cases, each driven step by step through the pipeline and the reference
+  // matcher. Templates rotate so literal field checks, label keys and
+  // repeated binders (EqField) get exercised, and so do joins: a binder an
+  // outer pattern bound (EqSlot), which the pipeline probes through its
+  // (field, bound value) bucket while the reference scans the base bucket.
+  // The joins cover Int, string and Real keys (±0.0, NaN, 1 vs 1.0), a
+  // three-pattern join (non-innermost depth), a store mixing arities 1/2/3
+  // under the join field's bucket, and the Algorithm-1 shape whose join
+  // bucket competes with a label-key bucket.
   static constexpr const char* kTemplates[] = {
       "R = replace x, y by x + y where %G",
       "R = replace [x,'a'], [y,'a'] by [x + y,'a'] where %G",
       "R = replace [x,'a'], [y,'b'] by [x,'done'] where %G",
       "R = replace [x, x] by x where %G",
+      "R = replace [x, k], [y, k] by [x + y, k] where %G",
+      "R = replace [x, k], [y, k] by [x + y, k] where %G",
+      "R = replace [x, k], [y, k], [z, k] by [x + y + z, k] where %G",
+      "R = replace [x, k], [y, k] by [x + y, k] where %G",
+      "R = replace [k, x], [k, y] by [k, x + y] where %G",
+      "R = replace [x,'a',k], [y,'b',k] by [x + y,'a',k] where %G",
   };
-  for (std::uint64_t trial = 0; trial < 10; ++trial) {
+  constexpr std::size_t kCount = std::size(kTemplates);
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
     Rng rng(GetParam() * 7919 + trial);
     const std::string guard = random_guard(rng, 3);
-    const std::size_t which = rng.bounded(4);
+    const std::size_t which = rng.bounded(kCount);
     std::string src(kTemplates[which]);
     src.replace(src.find("%G"), 2, guard);
-
-    gamma::Multiset init;
-    const std::size_t n = 6 + rng.bounded(10);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value v(static_cast<std::int64_t>(rng.bounded(13)) - 3);
-      switch (which) {
-        case 0: init.add(gamma::Element{v}); break;
-        case 1: init.add(gamma::Element::labeled(v, "a")); break;
-        case 2:
-          init.add(gamma::Element::labeled(v, rng.coin() ? "a" : "b"));
-          break;
-        default: {
-          const Value w = rng.coin(0.4)
-                              ? v
-                              : Value(static_cast<std::int64_t>(
-                                    rng.bounded(13)) - 3);
-          init.add(gamma::Element{v, w});
-          break;
-        }
-      }
-    }
+    const gamma::Multiset init = template_store(which, rng);
 
     gamma::Program p;
     try {
@@ -916,6 +972,22 @@ TEST(BatchCorpus, CompiledReactionExposesItsBatchPlan) {
   const gamma::Reaction s = gamma::dsl::parse_reaction(
       "S = replace [x,'a'], [y,'a'] by [x,'a'] where y == 's' or x < y");
   EXPECT_EQ(s.compiled().batch_plan(), nullptr);
+
+  // The join table lists, per pattern, each (field, slot) whose binder an
+  // EARLIER pattern bound; a binder repeated inside the pattern that first
+  // binds it (y) is an EqField check, not a join.
+  const gamma::Reaction j = gamma::dsl::parse_reaction(
+      "J = replace [x, k], [y, y, k], [k, x] by [x, k]");
+  EXPECT_EQ(j.compiled().slots(), (std::vector<std::string>{"x", "k", "y"}));
+  std::vector<std::vector<std::pair<int, int>>> joins;
+  for (const auto& per_pattern : j.compiled().joins()) {
+    joins.emplace_back();
+    for (const auto& jf : per_pattern) {
+      joins.back().emplace_back(jf.field, jf.slot);
+    }
+  }
+  EXPECT_EQ(joins, (std::vector<std::vector<std::pair<int, int>>>{
+                       {}, {{2, 1}}, {{0, 1}, {1, 0}}}));
 }
 
 TEST(BytecodeCorpus, CompiledReactionReportsFootprint) {

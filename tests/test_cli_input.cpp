@@ -1,8 +1,8 @@
 // Hostile text through the built CLI must end in a documented error, never a
-// crash. Each case below overflowed the stack of the recursive expression
-// parser (exit 139) before its nesting was capped at expr::kMaxExprDepth:
-// the same parser reads `.gamma` guards, `.src` expressions and serve
-// `create` programs.
+// crash. Each case below overflowed the stack of a recursive parser (exit
+// 139) before its nesting was capped at expr::kMaxExprDepth: the expression
+// parser, which reads `.gamma` guards, `.src` expressions and serve `create`
+// programs, and the `.src` statement parser's nested blocks.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -94,6 +94,22 @@ TEST_F(CliInput, RunRejectsDeeplyParenthesizedSource) {
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_EQ(run.output,
             "gammaflow: ParseError at 2:261: " + std::string(kNestingError) +
+                "\n");
+}
+
+TEST_F(CliInput, RunRejectsDeeplyNestedSourceBlocks) {
+  // 20k nested `if` bodies used to recurse once per block in the statement
+  // parser and crash with exit 139.
+  std::string text = "int x = 1;\n";
+  for (int i = 0; i < 20'000; ++i) text += "if (x > 0) {\n";
+  text += "x = x + 1;\n";
+  for (int i = 0; i < 20'000; ++i) text += "}\n";
+  text += "output x;\n";
+  const fs::path prog = write("blocks.src", text);
+  const CliRun run = run_cli("run " + prog.string());
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(run.output,
+            "gammaflow: ParseError at 258:12: " + std::string(kNestingError) +
                 "\n");
 }
 

@@ -2,6 +2,7 @@
 // match finding and enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -110,6 +111,82 @@ TEST(Store, BucketsAreExactBeforeAnyCompaction) {
   // A (field,value) bucket that empties is dropped.
   s.remove(id2);
   EXPECT_EQ(cs.bucket(pa), nullptr);
+}
+
+TEST(Store, FieldBucketHoldsEveryIdAJoinCanMatch) {
+  // The join probe reads the (field, bound value) bucket in place of the
+  // base bucket, so that bucket must contain every id the joined pattern
+  // can match. Keys are index identity: ±0.0 share a bucket (and match
+  // each other), Int 1 and Real 1.0 do not (and never match each other).
+  Store s;
+  const auto neg_zero = s.insert(Element{Value(1), Value(-0.0)});
+  const auto pos_zero = s.insert(Element{Value(2), Value(0.0)});
+  const auto int_one = s.insert(Element{Value(3), Value(1)});
+  const auto real_one = s.insert(Element{Value(4), Value(1.0)});
+  const auto nan = s.insert(Element{Value(5), Value(std::nan(""))});
+  const auto wide = s.insert(Element{Value(6), Value(0.0), Value("w")});
+
+  const Store::Bucket* zero = s.field_bucket(1, Value(0.0));
+  ASSERT_NE(zero, nullptr);
+  EXPECT_EQ(s.field_bucket(1, Value(-0.0)), zero);
+  EXPECT_EQ(*zero, (Store::Bucket{neg_zero, pos_zero, wide}));
+  EXPECT_EQ(*s.field_bucket(1, Value(1)), (Store::Bucket{int_one}));
+  EXPECT_EQ(*s.field_bucket(1, Value(1.0)), (Store::Bucket{real_one}));
+  EXPECT_EQ(*s.field_bucket(1, Value(std::nan(""))), (Store::Bucket{nan}));
+  EXPECT_EQ(s.field_bucket(1, Value(7)), nullptr);
+  EXPECT_EQ(s.field_bucket(2, Value(0.0)), nullptr);
+
+  // Superset: under k bound to each key, every id [y, k] matches is in
+  // the (1, k) bucket; a NaN key matches nothing at all.
+  const Pattern joined({PatternField::bind("y"), PatternField::bind("k")});
+  const std::vector<Store::Id> ids{neg_zero, pos_zero, int_one,
+                                   real_one, nan,      wide};
+  for (const Value& key : {Value(-0.0), Value(0.0), Value(1), Value(1.0),
+                          Value(std::nan(""))}) {
+    const Store::Bucket* bucket = s.field_bucket(1, key);
+    ASSERT_NE(bucket, nullptr) << key;
+    for (const Store::Id id : ids) {
+      expr::Env env;
+      env.bind("k", key);
+      if (!s.match_pattern(joined, id, env)) continue;
+      EXPECT_FALSE(key.is_real() && std::isnan(key.as_real())) << id;
+      EXPECT_NE(std::find(bucket->begin(), bucket->end(), id), bucket->end())
+          << key << " id " << id;
+    }
+  }
+}
+
+TEST(Store, ScanPositionContinuesTheWiderCyclicScan) {
+  // A cyclic scan of the narrow bucket from scan_position(narrow, id)
+  // visits the ids both buckets share in the order a cyclic scan of the
+  // wider bucket from `id` does.
+  Store s;
+  std::vector<Store::Id> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(s.insert(Element{Value(i), Value(i % 2 == 1 ? "odd" : "even")}));
+  }
+  const Store::Bucket& wide = *s.bucket(
+      Pattern({PatternField::bind("x"), PatternField::bind("l")}));
+  const Store::Bucket& odd = *s.field_bucket(1, Value("odd"));
+  ASSERT_EQ(wide, ids);
+  ASSERT_EQ(odd, (Store::Bucket{ids[1], ids[3], ids[5]}));
+  for (std::size_t start = 0; start < wide.size(); ++start) {
+    std::vector<Store::Id> want;
+    for (std::size_t t = 0; t < wide.size(); ++t) {
+      const Store::Id id = wide[(start + t) % wide.size()];
+      if (std::find(odd.begin(), odd.end(), id) != odd.end()) {
+        want.push_back(id);
+      }
+    }
+    const std::size_t from = s.scan_position(odd, wide[start]);
+    std::vector<Store::Id> got;
+    for (std::size_t t = 0; t < odd.size(); ++t) {
+      got.push_back(odd[(from + t) % odd.size()]);
+    }
+    EXPECT_EQ(got, want) << "start " << start;
+  }
+  // Past the narrow bucket's last entry the scan wraps to its front.
+  EXPECT_EQ(s.scan_position(odd, ids[0]), 0u);
 }
 
 TEST(Store, BucketsStayBoundedUnderSlotReuse) {
