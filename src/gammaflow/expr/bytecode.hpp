@@ -213,7 +213,8 @@ class BatchVm {
 };
 
 /// Process-wide batch-evaluation counters (relaxed; engines report per-run
-/// deltas as `vm.batch_evals` and the `vm.batch_width` histogram).
+/// deltas as `vm.batch_evals`, `vm.batch_lanes` — the exact sum of lane
+/// counts — and the `vm.batch_width` histogram).
 [[nodiscard]] std::uint64_t batch_evals() noexcept;
 [[nodiscard]] std::uint64_t batch_lanes() noexcept;
 /// Width histogram: counts[b] = evals whose lane count n has bit_width(n)

@@ -5,6 +5,8 @@
 // match found" is a proof, not a heuristic). Scaffolding (deadline, cancel,
 // budget, recorder, telemetry tail) comes from runtime::StepLoop & friends;
 // this file keeps only the probe-order and conflict-class scheduling policy.
+// Each reaction keeps an AnchorMemo for its stage, so a re-probe skips the
+// candidates an earlier failed sweep already ruled out (DESIGN §15.5).
 #include <algorithm>
 #include <numeric>
 
@@ -33,10 +35,12 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
   std::uint64_t attempts = 0;
   std::uint64_t failures = 0;
   std::uint64_t passes = 0;
+  std::uint64_t anchor_skips = 0;
 
   for (std::size_t stage_idx = 0;
        stage_idx < program.stages().size() && loop.running(); ++stage_idx) {
     const auto& stage = program.stages()[stage_idx];
+    std::vector<runtime::AnchorMemo> memos(stage.size());
 
     // Pre-resolved per-reaction latency histograms keep string building off
     // the firing path.
@@ -67,7 +71,8 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
           // reactions is restored by the shuffled outer pass.
           while (!loop.should_stop()) {
             const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-            auto match = runtime::MatchPipeline::find(store, r, &rng);
+            auto match =
+                runtime::MatchPipeline::find(store, r, &rng, &memos[idx]);
             ++attempts;
             if (!match) {
               ++failures;
@@ -124,6 +129,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
         run_to_fixpoint(std::move(group));
       }
     }
+    for (const runtime::AnchorMemo& memo : memos) anchor_skips += memo.skips();
   }
 
   if (tel) {
@@ -132,6 +138,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
     stats.count("gamma.match_failures", failures);
     stats.count("gamma.fires", result.steps);
     stats.count("gamma.passes", passes);
+    stats.count("gamma.anchor_skips", anchor_skips);
     runtime::observe_reaction_compile(tel, program);
   }
   result.outcome = loop.outcome();

@@ -123,8 +123,8 @@ void Store::unindex(Bucket& bucket, Id id) const {
 }
 
 std::size_t Store::scan_position(const Bucket& narrow, Id id) const {
-  const auto it = lower_bound(narrow, inserted_at_[id]);
-  return it == narrow.end() ? 0 : static_cast<std::size_t>(it - narrow.begin());
+  const std::size_t p = first_stamped(narrow, inserted_at_[id]);
+  return p == narrow.size() ? 0 : p;
 }
 
 Element Store::element(Id id) const {

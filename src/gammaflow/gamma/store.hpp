@@ -130,6 +130,21 @@ class Store {
   /// buckets are in insertion order, so this is one binary search.
   [[nodiscard]] std::size_t scan_position(const Bucket& narrow, Id id) const;
 
+  /// The insertion stamp of `id`'s current occupant: version() at its
+  /// insert. Unique per insert, so a reused slot gets a new stamp, and
+  /// strictly increasing along every bucket. Precondition: alive(id).
+  [[nodiscard]] std::uint64_t stamp(Id id) const noexcept {
+    return inserted_at_[id];
+  }
+
+  /// Index of the first entry of `bucket` stamped at or after `stamp`, or
+  /// bucket.size() when there is none. One binary search.
+  [[nodiscard]] std::size_t first_stamped(const Bucket& bucket,
+                                          std::uint64_t stamp) const {
+    return static_cast<std::size_t>(lower_bound(bucket, stamp) -
+                                    bucket.begin());
+  }
+
   /// Number of (field,value) buckets. Empty buckets are dropped on
   /// remove(), so this never exceeds the live distinct (field,value) pairs.
   [[nodiscard]] std::size_t field_bucket_count() const noexcept {

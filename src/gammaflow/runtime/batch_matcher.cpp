@@ -45,8 +45,7 @@ bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
 
 bool BatchMatcher::begin(const gamma::Store& store,
                          const gamma::Reaction& reaction,
-                         const gamma::Store::Bucket& bucket,
-                         std::uint16_t join_field,
+                         const Scan& scan, std::uint16_t join_field,
                          const expr::Env& outer_env) {
   using Kind = CompiledReaction::BatchPlan::FieldCheck::Kind;
   const CompiledReaction& compiled = reaction.compiled();
@@ -76,7 +75,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
 
   store_ = &store;
   plan_ = plan;
-  bucket_ = &bucket;
+  scan_ = scan;
 
   // Guard broadcast scalars must be Int to enter the lane model.
   slots_.assign(slots.size(), expr::BatchVm::SlotInput{});
@@ -99,10 +98,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
   return true;
 }
 
-bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
-  const Store::Bucket& bucket = *bucket_;
-  const std::size_t n = bucket.size();
-
+bool BatchMatcher::chunk(std::size_t t, std::size_t width) {
   rows_.resize(width);
   shape_ok_.assign(width, 0);
 
@@ -110,7 +106,7 @@ bool BatchMatcher::chunk(std::size_t start, std::size_t t, std::size_t width) {
   // off the columns. A cleared lane here is one the scalar probe would
   // reject structurally, never one it could fire on.
   for (std::size_t j = 0; j < width; ++j) {
-    const Store::RowRef rr = store_->row(bucket[(start + t + j) % n]);
+    const Store::RowRef rr = store_->row(scan_[t + j]);
     rows_[j] = rr;
     const Store::ColumnGroup& g = *rr.group;
     if (g.arity != plan_->arity) continue;

@@ -32,6 +32,22 @@
 
 namespace gammaflow::runtime {
 
+/// The ids one innermost bucket visit probes, in scan order: the `head`
+/// run, then the `tail` run, both contiguous stretches of the probed
+/// bucket. A full cyclic scan from position `from` is head = from..n-1,
+/// tail = 0..from-1; a scan limited by a failed-anchor watermark drops the
+/// bucket's prefix stamped before it (DESIGN.md §15.5).
+struct Scan {
+  const gamma::Store::Id* head = nullptr;
+  std::size_t head_size = 0;
+  const gamma::Store::Id* tail = nullptr;
+  std::size_t size = 0;  // head_size plus the tail run
+
+  [[nodiscard]] gamma::Store::Id operator[](std::size_t t) const noexcept {
+    return t < head_size ? head[t] : tail[t - head_size];
+  }
+};
+
 /// Per-thread scratch for batch sweeps; the match pipeline keeps one per
 /// thread and re-begins it for every innermost bucket visit.
 class BatchMatcher {
@@ -39,29 +55,26 @@ class BatchMatcher {
   static constexpr std::size_t kMinChunk = 64;
   static constexpr std::size_t kMaxChunk = 1024;
 
-  /// Prepares a sweep of `bucket` (the innermost candidate bucket) for
+  /// Prepares a sweep of `scan` (ids of the innermost candidate bucket) for
   /// `reaction` under the outer bindings `outer_env`. `join_field` names
-  /// the join field whose (field, bound value) bucket `bucket` is, or is
+  /// the join field whose (field, bound value) bucket `scan` runs over, or is
   /// BatchPlan::kNoField for the pattern's base bucket; the field check
   /// that bucket implies is dropped for the sweep. False when this visit
   /// cannot be batch-evaluated — no plan (unbatchable reaction), or an
   /// outer binding feeding a guard is not Int — or would not pay: with no
   /// guard and no remaining field check the sweep could clear only arity
   /// mismatches, which the scalar probe rejects just as cheaply. The caller
-  /// then keeps the plain scalar probe loop. `bucket` and `outer_env` must
-  /// outlive the chunk() calls of this sweep.
+  /// then keeps the plain scalar probe loop. The scanned bucket and
+  /// `outer_env` must outlive the chunk() calls of this sweep.
   [[nodiscard]] bool begin(const gamma::Store& store,
-                           const gamma::Reaction& reaction,
-                           const gamma::Store::Bucket& bucket,
+                           const gamma::Reaction& reaction, const Scan& scan,
                            std::uint16_t join_field,
                            const expr::Env& outer_env);
 
-  /// Computes fire bits for scan positions [t, t+width) of the cyclic scan
-  /// that starts at `start`: fire()[j] covers bucket[(start+t+j) % n].
-  /// False when a lane faulted — the caller resumes scalar probing at scan
-  /// position t (earlier chunks were already exact).
-  [[nodiscard]] bool chunk(std::size_t start, std::size_t t,
-                           std::size_t width);
+  /// Computes fire bits for scan positions [t, t+width): fire()[j] covers
+  /// scan[t+j]. False when a lane faulted — the caller resumes scalar
+  /// probing at scan position t (earlier chunks were already exact).
+  [[nodiscard]] bool chunk(std::size_t t, std::size_t width);
 
   [[nodiscard]] const std::uint8_t* fire() const noexcept {
     return fire_.data();
@@ -70,7 +83,7 @@ class BatchMatcher {
  private:
   const gamma::Store* store_ = nullptr;
   const gamma::CompiledReaction::BatchPlan* plan_ = nullptr;
-  const gamma::Store::Bucket* bucket_ = nullptr;
+  Scan scan_;
   bool any_condition_ = false;
 
   expr::BatchVm vm_;

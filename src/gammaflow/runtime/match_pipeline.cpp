@@ -37,12 +37,21 @@ std::optional<std::vector<Element>> apply_compiled(const Reaction& reaction,
 // id falls in insertion order. Every id the pattern can match is in both
 // buckets, so the matches, the rng stream and the chosen match are those
 // of a base-bucket scan (DESIGN.md §15.1).
+//
+// With a memo (two-pattern reactions only), each anchor's inner visit
+// scans just the suffix of the probed bucket stamped at or after the
+// anchor's watermark, in the same cyclic order, and is skipped when that
+// suffix is empty. The skipped candidates failed before and still fail, so
+// the first fire or error of the scan is the one a full scan meets
+// (DESIGN.md §15.5). A visit that completes with no fire records a new
+// watermark; a throwing one records nothing.
 std::size_t search(const Store& store, const Reaction& reaction,
-                   std::size_t limit, Rng* rng,
+                   std::size_t limit, Rng* rng, AnchorMemo* memo,
                    const std::function<bool(Match&)>& fn) {
   const auto& patterns = reaction.patterns();
   const auto& joins = reaction.compiled().joins();
   const std::size_t k = patterns.size();
+  if (k != 2) memo = nullptr;
 
   std::vector<const Store::Bucket*> buckets(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -86,8 +95,21 @@ std::size_t search(const Store& store, const Reaction& reaction,
     }
     const Store::Bucket& bucket = *narrowest;
     const std::size_t n = bucket.size();
+    // Depth 1 of a memoized two-pattern search is an anchor's inner visit.
+    const bool anchored = memo != nullptr && depth == 1;
+    const std::uint64_t mark = anchored ? memo->watermark(store, chosen[0]) : 0;
+    const std::size_t p = mark == 0 ? 0 : store.first_stamped(bucket, mark);
+    if (p == n) {
+      memo->count_skip();
+      return;
+    }
     const std::size_t from =
         narrowest == &base ? start : store.scan_position(bucket, base[start]);
+    // The cyclic scan from `from` over positions p..n-1 only.
+    const Store::Id* ids = bucket.data();
+    const Scan scan = from >= p ? Scan{ids + from, n - from, ids + p, n - p}
+                                : Scan{ids + p, n - p, nullptr, n - p};
+    const std::size_t visited_before = visited;
     auto probe = [&](const Store::Id id) {
       bool dup = false;
       for (std::size_t d = 0; d < depth; ++d) {
@@ -111,21 +133,22 @@ std::size_t search(const Store& store, const Reaction& reaction,
       // are identical to the scalar scan, which serves the whole bucket
       // when the reaction has no batch plan.
       thread_local BatchMatcher matcher;
-      if (matcher.begin(store, reaction, bucket, join_field, envs[depth])) {
+      if (matcher.begin(store, reaction, scan, join_field, envs[depth])) {
         std::size_t width = BatchMatcher::kMinChunk;
-        while (t < n && !stop) {
-          const std::size_t w = std::min(width, n - t);
-          if (!matcher.chunk(from, t, w)) break;  // fault: resume scalar
+        while (t < scan.size && !stop) {
+          const std::size_t w = std::min(width, scan.size - t);
+          if (!matcher.chunk(t, w)) break;  // fault: resume scalar
           const std::uint8_t* fire = matcher.fire();
           for (std::size_t j = 0; j < w && !stop; ++j) {
-            if (fire[j] != 0) probe(bucket[(from + t + j) % n]);
+            if (fire[j] != 0) probe(scan[t + j]);
           }
           t += w;
           width = std::min(width * 2, BatchMatcher::kMaxChunk);
         }
       }
     }
-    for (; t < n && !stop; ++t) probe(bucket[(from + t) % n]);
+    for (; t < scan.size && !stop; ++t) probe(scan[t]);
+    if (anchored && visited == visited_before) memo->record(store, chosen[0]);
   };
   dfs(dfs, 0);
   return visited;
@@ -134,9 +157,10 @@ std::size_t search(const Store& store, const Reaction& reaction,
 }  // namespace
 
 std::optional<Match> MatchPipeline::find(const Store& store,
-                                         const Reaction& reaction, Rng* rng) {
+                                         const Reaction& reaction, Rng* rng,
+                                         AnchorMemo* memo) {
   std::optional<Match> found;
-  search(store, reaction, 1, rng, [&](Match& m) {
+  search(store, reaction, 1, rng, memo, [&](Match& m) {
     found = std::move(m);
     return false;
   });
@@ -146,7 +170,7 @@ std::optional<Match> MatchPipeline::find(const Store& store,
 std::size_t MatchPipeline::enumerate(
     const Store& store, const Reaction& reaction, std::size_t limit,
     const std::function<bool(const Match&)>& fn) {
-  return search(store, reaction, limit, nullptr,
+  return search(store, reaction, limit, nullptr, nullptr,
                 [&](Match& m) { return fn(m); });
 }
 

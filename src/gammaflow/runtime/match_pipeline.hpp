@@ -7,7 +7,9 @@
 //   find      — one enabled match (first in bucket order, or randomized via
 //               a cyclic start offset when given an Rng). Read-only: the
 //               store's buckets are exact, so there is nothing to prune and
-//               concurrent searchers may call it under a shared lock. The
+//               concurrent searchers may call it under a shared lock. With
+//               an AnchorMemo, a two-pattern reaction's anchors skip the
+//               candidates an earlier sweep already proved fail. The
 //               innermost candidate bucket is evaluated as column batches
 //               (a match bitmap from the compiled condition) instead of
 //               per-element probes, falling back to the scalar bytecode
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/store.hpp"
@@ -41,13 +44,54 @@ class Program;
 
 namespace gammaflow::runtime {
 
+/// Failed-anchor watermarks for one two-pattern reaction over one store
+/// (semi-naive matching, DESIGN.md §15.5). For each anchor — the element
+/// bound by the first pattern, keyed by slot id plus insertion stamp so a
+/// reused slot starts fresh — it keeps the store version() at which a
+/// complete inner sweep for that anchor found no fire. Guards are pure and
+/// elements immutable, so every candidate stamped before that version still
+/// fails and a later visit scans only the newer ones. Caller-owned: one
+/// memo per reaction, used with one store only. At most one entry per slot.
+class AnchorMemo {
+ public:
+  /// The anchor's watermark: candidates stamped before it are proved to
+  /// fail. 0 (scan everything) when `id`'s occupant has no entry.
+  [[nodiscard]] std::uint64_t watermark(const gamma::Store& store,
+                                        gamma::Store::Id id) const noexcept {
+    return id < entries_.size() && entries_[id].stamp == store.stamp(id)
+               ? entries_[id].watermark
+               : 0;
+  }
+  /// Records that a complete sweep for the anchor at `id` found no fire in
+  /// the store as it is now.
+  void record(const gamma::Store& store, gamma::Store::Id id) {
+    if (id >= entries_.size()) entries_.resize(id + std::size_t{1});
+    entries_[id] = Entry{store.stamp(id), store.version()};
+  }
+  void count_skip() noexcept { ++skips_; }
+  /// Anchor visits skipped outright: no candidate newer than the watermark.
+  [[nodiscard]] std::uint64_t skips() const noexcept { return skips_; }
+
+ private:
+  struct Entry {
+    std::uint64_t stamp = 0;
+    std::uint64_t watermark = 0;  // 0 is "nothing proved", as no entry
+  };
+  std::vector<Entry> entries_;  // by anchor slot id
+  std::uint64_t skips_ = 0;
+};
+
 struct MatchPipeline {
   /// One enabled match of `reaction` (patterns match AND a branch fires),
   /// or nullopt after an EXHAUSTIVE failed search (the fixed-point proof the
-  /// engines' termination detection rests on).
+  /// engines' termination detection rests on). `memo`, when given, is the
+  /// reaction's AnchorMemo: read to skip proved failures and updated after
+  /// each anchor sweep that completes with no fire. It changes neither the
+  /// rng stream nor the match found; a null memo is an empty one, and
+  /// reactions of other than two patterns ignore it.
   [[nodiscard]] static std::optional<gamma::Match> find(
       const gamma::Store& store, const gamma::Reaction& reaction,
-      Rng* rng = nullptr);
+      Rng* rng = nullptr, AnchorMemo* memo = nullptr);
 
   /// Invokes `fn` for every enabled match (ordered tuples of distinct
   /// elements), stopping early when fn returns false or `limit` matches were

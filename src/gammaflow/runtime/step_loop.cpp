@@ -24,6 +24,7 @@ EngineTelemetry::EngineTelemetry(const RunOptions& options, const char* domain)
   if (tel_ != nullptr) {
     instrs0_ = expr::vm_instrs_executed();
     batch_evals0_ = expr::batch_evals();
+    batch_lanes0_ = expr::batch_lanes();
     batch_width0_ = expr::batch_width_counts();
     compactions0_ = gamma::column_compactions_total();
   }
@@ -39,6 +40,7 @@ void EngineTelemetry::finish(Outcome outcome, MetricsSnapshot& out) const {
   stats.count(std::string(domain_) + ".outcome." + to_string(outcome));
   stats.count("vm.instrs_executed", expr::vm_instrs_executed() - instrs0_);
   stats.count("vm.batch_evals", expr::batch_evals() - batch_evals0_);
+  stats.count("vm.batch_lanes", expr::batch_lanes() - batch_lanes0_);
   // Replay the process-global width tally as per-run histogram deltas. The
   // global array buckets widths by bit_width — the same indexing the
   // Histogram uses — so 2^(b-1) is an exact representative for bucket b.

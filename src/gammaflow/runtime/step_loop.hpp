@@ -207,6 +207,7 @@ class InFlight {
 ///   "<domain>.outcome.<why>"     — one count per run
 ///   "vm.instrs_executed"         — delta since construction
 ///   "vm.batch_evals"             — BatchVm chunk evaluations (delta)
+///   "vm.batch_lanes"             — lanes those evaluations covered (delta)
 ///   "vm.batch_width"             — histogram of batch chunk widths (delta)
 ///   "store.column_compactions"   — column-group compaction passes (delta)
 /// finish() snapshots the registry into the result's MetricsSnapshot.
@@ -231,6 +232,7 @@ class EngineTelemetry {
   const char* domain_;
   std::uint64_t instrs0_ = 0;
   std::uint64_t batch_evals0_ = 0;
+  std::uint64_t batch_lanes0_ = 0;
   std::array<std::uint64_t, expr::kBatchWidthBuckets> batch_width0_{};
   std::uint64_t compactions0_ = 0;
 };

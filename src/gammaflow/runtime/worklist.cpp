@@ -3,7 +3,8 @@
 // moving on — cheaper than re-queueing after every commit) but replaces its
 // shuffled full passes with the dirty queue: a reaction is probed only when
 // an insertion its footprint admits has happened since it last proved itself
-// exhausted.
+// exhausted. Each reaction's AnchorMemo lives as long as the session, so
+// that proof costs O(anchors + new candidates), not O(anchors x bucket).
 #include "gammaflow/runtime/worklist.hpp"
 
 #include <utility>
@@ -64,6 +65,7 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
                       std::to_string(reactions_->size()));
   }
   dirty_.assign(reactions_->size(), 0);
+  memos_.resize(reactions_->size());
   // The journal opens on the empty store; every injection's quiescent state
   // is one round (DESIGN §11), so replaying the rounds reproduces `final`.
   recording_.begin(gamma::Multiset{});
@@ -112,7 +114,7 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
       bool exhausted = false;
       while (!loop.should_stop()) {
         ++stats_.rematches;
-        auto match = MatchPipeline::find(store_, r, &rng_);
+        auto match = MatchPipeline::find(store_, r, &rng_, &memos_[idx]);
         if (!match) {
           // Exhaustive index search failed: r has NO enabled match in the
           // current store, so clearing its dirty flag preserves the
@@ -146,6 +148,7 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
 Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements) {
   last_fires_ = 0;
   ++stats_.injects;
+  const std::uint64_t skips0 = options_.telemetry ? anchor_skips() : 0;
   StepLoop loop(options_, options_.max_steps, "worklist", "max_steps");
   for (const gamma::Element& e : elements) {
     store_.insert(e);
@@ -158,6 +161,7 @@ Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements)
     auto& stats = tel->stats();
     stats.count("serve.injected", elements.size());
     stats.count("serve.fires", last_fires_);
+    stats.count("gamma.anchor_skips", anchor_skips() - skips0);
     stats.hist("serve.inject_us").observe(loop.wall_seconds() * 1e6);
   }
   return last_outcome_;
@@ -168,6 +172,12 @@ Outcome IncrementalFixpoint::inject(const gamma::Multiset& elements) {
   flat.reserve(elements.size());
   for (const gamma::Element& e : elements) flat.push_back(e);
   return inject(flat);
+}
+
+std::uint64_t IncrementalFixpoint::anchor_skips() const noexcept {
+  std::uint64_t skips = 0;
+  for (const AnchorMemo& memo : memos_) skips += memo.skips();
+  return skips;
 }
 
 void IncrementalFixpoint::finish_recording() {

@@ -42,6 +42,7 @@
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/program.hpp"
 #include "gammaflow/gamma/store.hpp"
+#include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/runtime/options.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
@@ -154,6 +155,7 @@ class IncrementalFixpoint {
 
  private:
   void wake_element(const gamma::Element& e);
+  [[nodiscard]] std::uint64_t anchor_skips() const noexcept;
   Outcome saturate(StepLoop& loop);
 
   gamma::Program program_;
@@ -164,6 +166,9 @@ class IncrementalFixpoint {
   Rng rng_;
   std::deque<std::size_t> queue_;
   std::vector<char> dirty_;  // reaction index -> currently queued
+  /// One per reaction for the session: the end-of-inject fixpoint proof
+  /// re-sweeps only the candidates inserted since each anchor last failed.
+  std::vector<AnchorMemo> memos_;
   std::vector<std::size_t> wake_scratch_;
   WorklistStats stats_;
   Outcome last_outcome_ = Outcome::Completed;

@@ -414,46 +414,53 @@ void reference_search(const gamma::Store& store,
 constexpr std::size_t kEnumerateLimit = 256;
 
 /// Runs `program` from `initial` one step at a time. Each step tries the
-/// current stage's reactions in order; for each, MatchPipeline::find (rng A)
-/// and the reference scan (rng B, seeded like A) must give the same ids,
-/// produced elements and error text, and MatchPipeline::enumerate must visit
-/// exactly the reference enumeration. A found match commits. Stops at the
-/// fixpoint, at the first error, or after `max_steps` fires; returns the
-/// number of fires.
+/// current stage's reactions in order; for each, MatchPipeline::find (rng A,
+/// with one AnchorMemo per reaction carried across steps) and the memo-less
+/// reference scan (rng B, seeded like A) must give the same ids, produced
+/// elements and error text, and (with `check_enumerate`)
+/// MatchPipeline::enumerate must visit exactly the reference enumeration. A
+/// found match commits. Stops at the fixpoint, at the first error, or after
+/// `max_steps` fires; returns the number of fires.
 std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
                                               const gamma::Multiset& initial,
                                               std::uint64_t seed,
                                               const std::string& what,
-                                              std::size_t max_steps = 4096) {
+                                              std::size_t max_steps = 4096,
+                                              bool check_enumerate = true) {
   gamma::Store store(initial);
   Rng pipeline_rng(seed);
   Rng reference_rng(seed);
   std::size_t fires = 0;
   for (const auto& stage : program.stages()) {
+    std::vector<runtime::AnchorMemo> memos(stage.size());
     bool progressed = true;
     while (progressed && fires < max_steps) {
       progressed = false;
-      for (const gamma::Reaction& r : stage) {
+      for (std::size_t ri = 0; ri < stage.size(); ++ri) {
+        const gamma::Reaction& r = stage[ri];
         const std::string where = what + " step " + std::to_string(fires) +
                                   " reaction " + r.name();
-        const Probe want_all = probe([&](const auto& visit) {
-          reference_search(store, r, kEnumerateLimit, nullptr, visit);
-        });
-        const Probe got_all = probe([&](const auto& visit) {
-          (void)runtime::MatchPipeline::enumerate(
-              store, r, kEnumerateLimit, [&](const gamma::Match& m) {
-                visit(m);
-                return true;
-              });
-        });
-        EXPECT_EQ(got_all, want_all) << where << " (enumerate)";
+        if (check_enumerate) {
+          const Probe want_all = probe([&](const auto& visit) {
+            reference_search(store, r, kEnumerateLimit, nullptr, visit);
+          });
+          const Probe got_all = probe([&](const auto& visit) {
+            (void)runtime::MatchPipeline::enumerate(
+                store, r, kEnumerateLimit, [&](const gamma::Match& m) {
+                  visit(m);
+                  return true;
+                });
+          });
+          EXPECT_EQ(got_all, want_all) << where << " (enumerate)";
+        }
 
         std::optional<gamma::Match> found;
         const Probe want = probe([&](const auto& visit) {
           reference_search(store, r, 1, &reference_rng, visit);
         });
         const Probe got = probe([&](const auto& visit) {
-          found = runtime::MatchPipeline::find(store, r, &pipeline_rng);
+          found = runtime::MatchPipeline::find(store, r, &pipeline_rng,
+                                               &memos[ri]);
           if (found) visit(*found);
         });
         EXPECT_EQ(got, want) << where << " (find)";
@@ -951,6 +958,89 @@ TEST_P(BatchEngineDifferential, GeneratedProgramsAgreeAcrossModes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEngineDifferential,
+                         ::testing::Range(std::uint64_t{1}, std::uint64_t{51}));
+
+class AnchorMemoDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// A guard that fails for most pairs: a rare relation between x and y,
+/// sometimes narrowed further by a random guard. `y % x` and the random
+/// part may divide by zero.
+std::string rarely_true_guard(Rng& rng) {
+  const std::string c = std::to_string(rng.bounded(20));
+  const std::string rare[] = {"y % x == 0", "x + y == " + c,
+                              "x * " + c + " == y", "x - y == " + c,
+                              "x % 7 == y % 5"};
+  std::string guard = "(" + rare[rng.bounded(std::size(rare))] + ")";
+  if (rng.coin()) guard += " and (x > 1)";
+  if (rng.coin(0.4)) guard += " and " + random_guard(rng, 2);
+  return guard;
+}
+
+TEST_P(AnchorMemoDifferential, MemoizedFindsMatchTheReference) {
+  // 10 seeds per parameter x 50 parameters = 500 generated two-pattern
+  // programs whose guards fail often, so the pipeline's AnchorMemo skips
+  // most anchors while the reference re-scans every pair. The shapes cover
+  // pure filters (`by 0`), `by [x]` re-insertion under a fresh stamp, Int
+  // and string join keys, labels, and a feeder reaction that adds four new
+  // candidates between two finds, so the cyclic order inside a watermark
+  // suffix decides the match; up to 89 elements per bucket, so suffix
+  // scans span several batch chunks and slots get reused.
+  static constexpr const char* kTemplates[] = {
+      "R = replace x, y by 0 where %G",
+      "R = replace x, y by [x] where %G",
+      "R = replace x, y by y where %G",
+      "R = replace [x, k], [y, k] by [x, k] where %G",
+      "R = replace [x, k], [y, k] by [x + y, k] where %G",
+      "R = replace [x,'a'], [y,'b'] by [y,'a'] where %G",
+      "R = replace x, y by [x] where %G\n"
+      "F = replace [v, 's'] by [v], [v + 1], [v + 2], [v + 3]",
+  };
+  static constexpr const char* kKeys[] = {"p", "q", "r"};
+  std::size_t fires = 0;
+  for (std::uint64_t trial = 0; trial < 10; ++trial) {
+    const std::uint64_t seed = (GetParam() - 1) * 10 + trial + 1;
+    Rng rng(seed * 104729);
+    const std::size_t which = rng.bounded(std::size(kTemplates));
+    std::string src(kTemplates[which]);
+    src.replace(src.find("%G"), 2, rarely_true_guard(rng));
+
+    gamma::Multiset init;
+    const std::size_t n = 10 + rng.bounded(80);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Value v(static_cast<std::int64_t>(1 + rng.bounded(60)));
+      switch (which) {
+        case 3:
+          init.add(gamma::Element{
+              v, Value(static_cast<std::int64_t>(rng.bounded(4)))});
+          break;
+        case 4:
+          init.add(gamma::Element{v, Value(kKeys[rng.bounded(3)])});
+          break;
+        case 5:
+          init.add(gamma::Element::labeled(v, rng.coin() ? "a" : "b"));
+          break;
+        default: init.add(gamma::Element{v}); break;
+      }
+    }
+    if (which < 3 && rng.coin(0.2)) init.add(gamma::Element{Value(0)});
+    if (which == 6) {
+      const std::size_t feeders = 4 + rng.bounded(8);
+      for (std::size_t i = 0; i < feeders; ++i) {
+        init.add(gamma::Element::labeled(
+            Value(static_cast<std::int64_t>(1 + rng.bounded(60))), "s"));
+      }
+    }
+
+    fires += expect_pipeline_matches_reference(
+        gamma::dsl::parse_program(src), init, seed,
+        "seed " + std::to_string(seed) + ": " + src, 4096,
+        /*check_enumerate=*/false);
+  }
+  EXPECT_GT(fires, 0u);  // later finds reuse the memo
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnchorMemoDifferential,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{51}));
 
 TEST(BatchCorpus, CompiledReactionExposesItsBatchPlan) {

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/cancel.hpp"
+#include "gammaflow/common/error.hpp"
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/distrib/cluster.hpp"
+#include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/paper/figures.hpp"
@@ -247,6 +251,59 @@ TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
   const Program p = parse("R = replace x, y by x where x < y");
   gamma::Store store(ints(4, 4));  // one element: arity-2 pattern cannot bind
   EXPECT_FALSE(MatchPipeline::find(store, p.stages()[0][0]).has_value());
+}
+
+// --- AnchorMemo: failed-anchor watermarks ---------------------------------
+
+TEST(AnchorMemoTest, SecondFailingFindEvaluatesNoLanesAndKeepsTheRngStream) {
+  const Program p = parse("R = replace x, y by x where x + y < 0");
+  const gamma::Reaction& r = p.stages()[0][0];
+  const gamma::Store store(ints(1, 200));
+  Rng memo_rng(11);
+  Rng plain_rng(11);
+  AnchorMemo memo;
+  EXPECT_FALSE(MatchPipeline::find(store, r, &memo_rng, &memo).has_value());
+  EXPECT_FALSE(MatchPipeline::find(store, r, &plain_rng).has_value());
+  EXPECT_EQ(memo.skips(), 0u);
+
+  const std::uint64_t lanes0 = expr::batch_lanes();
+  EXPECT_FALSE(MatchPipeline::find(store, r, &memo_rng, &memo).has_value());
+  EXPECT_EQ(expr::batch_lanes() - lanes0, 0u);
+  EXPECT_EQ(memo.skips(), 200u);  // every anchor, none swept
+
+  EXPECT_FALSE(MatchPipeline::find(store, r, &plain_rng).has_value());
+  EXPECT_EQ(memo_rng(), plain_rng());
+}
+
+TEST(AnchorMemoTest, ThrowingSweepLeavesNoEntryAndRetriesThrowIdentically) {
+  // Anchors 1..100 fail cleanly; anchor 0, inserted last, divides by zero
+  // in its batch chunk, and the scalar resume throws.
+  const Program p = parse("R = replace x, y by x where y % x > 1000");
+  const gamma::Reaction& r = p.stages()[0][0];
+  gamma::Store store;
+  const gamma::Store::Id one = store.insert(Element{Value(1)});
+  for (std::int64_t v = 2; v <= 100; ++v) store.insert(Element{Value(v)});
+  const gamma::Store::Id zero = store.insert(Element{Value(0)});
+  const auto error_of = [&](AnchorMemo* memo) {
+    try {
+      (void)MatchPipeline::find(store, r, nullptr, memo);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string want = error_of(nullptr);
+  ASSERT_NE(want, "no error");
+
+  AnchorMemo memo;
+  EXPECT_EQ(error_of(&memo), want);
+  EXPECT_EQ(memo.watermark(store, zero), 0u);
+  EXPECT_EQ(memo.watermark(store, one), store.version());
+  const std::uint64_t lanes0 = expr::batch_lanes();
+  EXPECT_EQ(error_of(&memo), want);
+  EXPECT_EQ(memo.watermark(store, zero), 0u);
+  EXPECT_EQ(memo.skips(), 100u);
+  EXPECT_LE(expr::batch_lanes() - lanes0, store.size());  // anchor 0 only
 }
 
 // --- Cross-engine equivalence: one corpus, every engine --------------------

@@ -15,6 +15,7 @@
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/common/json.hpp"
+#include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
@@ -182,6 +183,31 @@ TEST(Worklist, EmptyInjectIsANoOpAtFixpoint) {
   EXPECT_EQ(fix.stats().fires, fires);
   EXPECT_EQ(fix.last_fires(), 0u);
   EXPECT_EQ(render(fix.snapshot()), "{[2]}");
+}
+
+TEST(Worklist, FixpointProofAfterAnInertInjectCostsLinearLanes) {
+  // 400..799 is already a sieve fixpoint (no element divides another). The
+  // first inject proves it with a full sweep per anchor; after that each
+  // reaction's AnchorMemo limits the proof to the new element: it sweeps
+  // the old ones as an anchor, and each old anchor sweeps just it.
+  const gamma::Program program = gamma::dsl::parse_program(
+      "Rsieve = replace x, y by [x] where (y % x == 0) and (x > 1)");
+  WorklistOptions wopts;
+  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  std::vector<gamma::Element> antichain;
+  for (std::int64_t v = 400; v < 800; ++v) antichain.push_back(bare(v));
+  const std::uint64_t lanes0 = expr::batch_lanes();
+  ASSERT_EQ(fix.inject(antichain), Outcome::Completed);
+  ASSERT_EQ(fix.last_fires(), 0u);
+  const std::uint64_t first_lanes = expr::batch_lanes() - lanes0;
+  const std::uint64_t live = fix.store().size();
+  EXPECT_GE(first_lanes, live * (live - 1));
+
+  const std::uint64_t lanes1 = expr::batch_lanes();
+  ASSERT_EQ(fix.inject(std::vector<gamma::Element>{bare(801)}),
+            Outcome::Completed);
+  EXPECT_EQ(fix.last_fires(), 0u);
+  EXPECT_LE(expr::batch_lanes() - lanes1, 3 * fix.store().size());
 }
 
 TEST(Worklist, MultiStageProgramIsRejected) {

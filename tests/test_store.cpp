@@ -524,5 +524,98 @@ TEST(EnumerateMatches, OnlyEnabledMatchesVisited) {
             0u);
 }
 
+TEST(Store, StampsAreFreshPerInsertAndOrderEveryBucket) {
+  Store s;
+  const auto a = s.insert(Element{Value(1)});
+  const auto b = s.insert(Element{Value(2)});
+  EXPECT_LT(s.stamp(a), s.stamp(b));
+  const std::uint64_t old_stamp = s.stamp(a);
+  s.remove(a);
+  const auto c = s.insert(Element{Value(3)});
+  ASSERT_EQ(c, a);  // the slot is reused...
+  EXPECT_GT(s.stamp(c), old_stamp);  // ...under a new stamp
+  const Store::Bucket& bucket = *s.bucket(Pattern::var("x"));
+  ASSERT_EQ(bucket, (Store::Bucket{b, c}));
+  EXPECT_EQ(s.first_stamped(bucket, 0), 0u);
+  EXPECT_EQ(s.first_stamped(bucket, s.stamp(b) + 1), 1u);
+  EXPECT_EQ(s.first_stamped(bucket, s.stamp(c)), 1u);
+  EXPECT_EQ(s.first_stamped(bucket, s.version()), 2u);
+}
+
+/// replace x, y by x where x > y and x + y == 10: only the larger element
+/// of a pair can anchor its match.
+Reaction sum_to_ten() {
+  return Reaction("Ten", {Pattern::var("x"), Pattern::var("y")},
+                  {Branch::when(expr::parse_expression("x > y and x + y == 10"),
+                                {tuple({"x"})})});
+}
+
+TEST(AnchorMemo, ReusedAnchorSlotStartsFresh) {
+  Store s;
+  const auto anchor = s.insert(Element{Value(3)});
+  const auto candidate = s.insert(Element{Value(4)});
+  const Reaction r = sum_to_ten();
+  runtime::AnchorMemo memo;
+  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, &memo).has_value());
+  EXPECT_EQ(memo.watermark(s, anchor), s.version());
+  EXPECT_EQ(memo.watermark(s, candidate), s.version());
+
+  // 6 takes the anchor's slot and matches the old candidate 4; only 6 can
+  // anchor (6, 4), so a slot-keyed watermark would hide the match.
+  s.remove(anchor);
+  ASSERT_EQ(s.insert(Element{Value(6)}), anchor);
+  EXPECT_EQ(memo.watermark(s, anchor), 0u);
+  const auto m = MatchPipeline::find(s, r, nullptr, &memo);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->ids, (std::vector<Store::Id>{anchor, candidate}));
+}
+
+TEST(AnchorMemo, ReusedCandidateSlotIsRescanned) {
+  Store s;
+  const auto anchor = s.insert(Element{Value(6)});
+  const auto candidate = s.insert(Element{Value(3)});
+  const Reaction r = sum_to_ten();
+  runtime::AnchorMemo memo;
+  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, &memo).has_value());
+  ASSERT_EQ(memo.watermark(s, anchor), s.version());
+
+  // 4 takes the failed candidate's slot under a newer stamp, so the
+  // anchor's watermark does not cover it.
+  s.remove(candidate);
+  ASSERT_EQ(s.insert(Element{Value(4)}), candidate);
+  const auto m = MatchPipeline::find(s, r, nullptr, &memo);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->ids, (std::vector<Store::Id>{anchor, candidate}));
+  EXPECT_EQ(memo.skips(), 0u);
+}
+
+TEST(AnchorMemo, SuffixScanKeepsTheCyclicOrderAndTheRngStream) {
+  // One anchor [10,'a'] fails against 1..5; then 11..30 arrive, all of
+  // which fire. A seeded find must pick the candidate a full cyclic scan
+  // from the drawn start picks, not the first one past the watermark.
+  Store s;
+  s.insert(Element::labeled(Value(10), "a"));
+  for (std::int64_t v = 1; v <= 5; ++v) s.insert(Element{Value(v)});
+  const Reaction r("Gt", {Pattern::labeled("x", "a"), Pattern::var("y")},
+                   {Branch::when(expr::parse_expression("y > x"),
+                                 {tuple({"y"})})});
+  runtime::AnchorMemo memo;
+  ASSERT_FALSE(MatchPipeline::find(s, r, nullptr, &memo).has_value());
+  for (std::int64_t v = 11; v <= 30; ++v) s.insert(Element{Value(v)});
+  std::set<Value> picked;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    Rng with_memo(seed);
+    Rng without(seed);
+    const auto got = MatchPipeline::find(s, r, &with_memo, &memo);
+    const auto want = MatchPipeline::find(s, r, &without);
+    ASSERT_TRUE(got.has_value());
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(got->ids, want->ids) << "seed " << seed;
+    EXPECT_EQ(with_memo(), without()) << "seed " << seed;
+    picked.insert(got->produced[0].value());
+  }
+  EXPECT_GT(picked.size(), 1u);
+}
+
 }  // namespace
 }  // namespace gammaflow::gamma
