@@ -150,7 +150,7 @@ void verify() {
     const gamma::Reaction& r = p.stages()[0][0];
     MetricsSnapshot metrics;
     for (const std::size_t n : {256u, 1024u, 2048u}) {
-      gamma::Store store(labeled_ints(n, 17));
+      gamma::Store store(labeled_ints(n, 17), gamma::FieldSet::of(p));
       // O(n^2) probes per sweep: keep the repetition budget flat-ish so the
       // verification stage stays CI-sized even on debug builds.
       const int reps = n >= 2048 ? 1 : (n >= 1024 ? 3 : 10);
@@ -182,7 +182,8 @@ void BM_StoreFind_Hit(benchmark::State& state) {
   const gamma::Program p = gamma::dsl::parse_program(
       "R = replace [x,'h'], [y,'h'] by [x + y,'h']");
   gamma::Store store(labeled_ints(static_cast<std::size_t>(state.range(0)),
-                                  17));
+                                  17),
+                     gamma::FieldSet::of(p));
   const gamma::Reaction& r = p.stages()[0][0];
   Rng rng(5);
   for (auto _ : state) {
@@ -204,7 +205,8 @@ void BM_StoreFind_MissProof(benchmark::State& state) {
   const gamma::Program p = gamma::dsl::parse_program(
       "R = replace [x,'h'], [y,'h'] by [x,'h'] where x < 0");
   gamma::Store store(labeled_ints(static_cast<std::size_t>(state.range(0)),
-                                  17));
+                                  17),
+                     gamma::FieldSet::of(p));
   const gamma::Reaction& r = p.stages()[0][0];
   for (auto _ : state) {
     benchmark::DoNotOptimize(runtime::MatchPipeline::find(store, r));
@@ -227,7 +229,7 @@ void BM_StoreFindCommit_Fixpoint(benchmark::State& state) {
   Rng rng(5);
   for (auto _ : state) {
     state.PauseTiming();
-    gamma::Store store(m);
+    gamma::Store store(m, gamma::FieldSet::of(p));
     state.ResumeTiming();
     while (auto match = runtime::MatchPipeline::find(store, r, &rng)) {
       runtime::MatchPipeline::commit(store, *match);

@@ -35,7 +35,7 @@ MatchOpportunities match_opportunities(const gamma::Program& program,
                                        const gamma::Multiset& m,
                                        std::size_t cap_per_reaction) {
   MatchOpportunities out;
-  gamma::Store store(m);
+  gamma::Store store(m, gamma::FieldSet::of(program));
   for (const gamma::Reaction* r : program.all_reactions()) {
     const std::size_t n = runtime::MatchPipeline::enumerate(
         store, *r, cap_per_reaction, [](const gamma::Match&) { return true; });
@@ -48,7 +48,7 @@ MatchOpportunities match_opportunities(const gamma::Program& program,
 
 std::size_t concurrent_firings(const gamma::Program& program,
                                const gamma::Multiset& m, std::uint64_t seed) {
-  gamma::Store store(m);
+  gamma::Store store(m, gamma::FieldSet::of(program));
   Rng rng(seed);
   std::size_t fired = 0;
   bool progressed = true;
@@ -74,7 +74,7 @@ double match_probability(const gamma::Reaction& reaction,
   if (n < k) return 0.0;
   double tuples = 1.0;
   for (std::size_t i = 0; i < k; ++i) tuples *= static_cast<double>(n - i);
-  gamma::Store store(m);
+  gamma::Store store(m, gamma::FieldSet::of(reaction));
   const std::size_t enabled = runtime::MatchPipeline::enumerate(
       store, reaction, cap, [](const gamma::Match&) { return true; });
   return static_cast<double>(enabled) / tuples;

@@ -1,6 +1,7 @@
 #include "gammaflow/analysis/interference.hpp"
 
 #include <algorithm>
+#include <span>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -282,8 +283,8 @@ Multiset synthesize_state(const Reaction& r1, const Reaction& r2,
   return m;
 }
 
-bool ids_overlap(const std::vector<gamma::Store::Id>& a,
-                 const std::vector<gamma::Store::Id>& b) {
+bool ids_overlap(std::span<const gamma::Store::Id> a,
+                 std::span<const gamma::Store::Id> b) {
   return std::any_of(a.begin(), a.end(), [&](gamma::Store::Id id) {
     return std::find(b.begin(), b.end(), id) != b.end();
   });
@@ -634,7 +635,9 @@ InterferenceReport analyze_interference(const Program& program,
 
       for (const Multiset& state : probe_pool) {
         if (finding.status == PairStatus::Diverges) break;
-        gamma::Store store(state);
+        gamma::FieldSet fields = gamma::FieldSet::of(*reactions[i]);
+        fields.add(*reactions[j]);
+        const gamma::Store store(state, fields);
         std::vector<gamma::Match> m1s;
         std::vector<gamma::Match> m2s;
         const std::size_t limit = options.probe_matches;
@@ -656,12 +659,12 @@ InterferenceReport analyze_interference(const Program& program,
           if (finding.status == PairStatus::Diverges) break;
           const std::size_t b0 = (i == j) ? a + 1 : 0;
           for (std::size_t b = b0; b < m2s.size(); ++b) {
-            if (!ids_overlap(m1s[a].ids, m2s[b].ids)) continue;
+            if (!ids_overlap(m1s[a].ids.span(), m2s[b].ids.span())) continue;
             // Two conflicting enabled firings from a reachable state: run
             // the continuation from both successors. Distinct fixpoints are
             // two complete runs of the program disagreeing — a proof.
-            gamma::Store s1(state);
-            gamma::Store s2(state);
+            gamma::Store s1(state, fields);
+            gamma::Store s2(state, fields);
             // Re-find the same matches in the fresh stores: ids are stable
             // because Store construction inserts in multiset order.
             runtime::MatchPipeline::commit(s1, m1s[a]);

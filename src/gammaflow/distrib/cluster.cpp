@@ -141,6 +141,7 @@ class Simulation {
   Simulation(const gamma::Program& program, const Multiset& initial,
              const ClusterOptions& options)
       : program_(program),
+        fields_(gamma::FieldSet::of(program)),
         options_(options),
         injector_(options.faults, options.seed),
         telemetry_(options, "distrib"),
@@ -169,6 +170,7 @@ class Simulation {
                            " node slot(s) (nodes + scheduled joins)");
       }
     }
+    for (Node& n : nodes_) n.shard = Store(fields_);
     for (std::size_t i = 0; i < options_.nodes; ++i) state_[i] = NState::Member;
     pending_joins_ = options_.faults.membership.joins;
     pending_leaves_ = options_.faults.membership.leaves;
@@ -311,6 +313,7 @@ class Simulation {
   }
 
   const gamma::Program& program_;
+  const gamma::FieldSet fields_;  // what every node's shard indexes
   ClusterOptions options_;
   FaultInjector injector_;
   runtime::EngineTelemetry telemetry_;
@@ -505,7 +508,7 @@ void Simulation::load_resume_state() {
 
 void Simulation::install_wal_state(std::size_t i, WalNodeState st) {
   Node n;
-  for (const Element& e : st.shard) n.shard.insert(e);
+  n.shard = Store(st.shard, fields_);
   n.next_seq = st.next_seq;
   n.message_count = st.message_count;
   n.pull_pending = st.pull_pending;
@@ -867,6 +870,7 @@ void Simulation::deactivate(std::size_t l) {
   const std::uint64_t keep_seq = nodes_[l].next_seq;
   const std::uint64_t keep_fires = nodes_[l].fires;
   nodes_[l] = Node{};
+  nodes_[l].shard = Store(fields_);
   nodes_[l].next_seq = keep_seq;  // receivers keep their seen-sets; a rejoin
                                   // must not reuse acknowledged numbers
   nodes_[l].fires = keep_fires;
@@ -927,7 +931,7 @@ void Simulation::rebalance(const runtime::EpochShardMap& old_map) {
     if (node.shard.size() == 0) continue;
     const bool leaving = state_[i] == NState::Draining;
     std::map<std::size_t, std::vector<Element>> moves;
-    Store kept;
+    Store kept(fields_);
     for (const Element& e : node.shard.to_multiset()) {
       const std::size_t owner = epoch_map_.owner(e);
       const bool move =
@@ -1144,7 +1148,7 @@ void Simulation::react() {
             for (const Store::Id id : match->ids) {
               consumed.push_back(node.shard.element(id));
             }
-            wal_[i].log_fire(consumed, match->produced);
+            wal_[i].log_fire(consumed, match->produced());
           }
           runtime::MatchPipeline::commit(node.shard, *match,
                                          recording_ ? &rctx : nullptr);
@@ -1172,7 +1176,7 @@ std::optional<Element> Simulation::take_random(Node& node) {
   const auto& elems = snapshot.elements();
   const Element chosen = elems[node.rng.bounded(elems.size())];
   // Remove one matching instance.
-  Store fresh;
+  Store fresh(fields_);
   bool skipped = false;
   for (const Element& e : elems) {
     if (!skipped && e == chosen) {
@@ -1230,7 +1234,7 @@ void Simulation::communicate() {
         for (const Element& e : node.shard.to_multiset()) {
           moves[epoch_map_.owner(e)].push_back(e);
         }
-        node.shard = Store{};
+        node.shard = Store(fields_);
         node.answered_pull_this_round = true;
         for (auto& [to, elems] : moves) {
           send_reliable(i, to, MsgKind::Elements, std::move(elems));
@@ -1243,7 +1247,7 @@ void Simulation::communicate() {
       if (wal_live(i)) wal_[i].log_pull_answered();
       if (i != 0 && node.shard.size() > 0) {
         std::vector<Element> all = node.shard.to_multiset().elements();
-        node.shard = Store{};
+        node.shard = Store(fields_);
         node.answered_pull_this_round = true;  // receipt-activated
         send_reliable(i, 0, MsgKind::Elements, std::move(all));
       }

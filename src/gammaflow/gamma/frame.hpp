@@ -1,0 +1,76 @@
+// Slot frame: the binder values of one match attempt, indexed by binder slot
+// (CompiledReaction::slots(), first occurrence across the replace list).
+// The match pipeline binds store columns straight into a frame and the
+// compiled bytecode reads its slots, so no name is looked up and no value
+// is copied per probe. An Int or Nil field is constructed in place in the
+// frame; any other payload is referenced where the store keeps it. One frame
+// serves a whole backtracking search: depth d writes only the slots its
+// pattern binds first, which every deeper depth reads and no shallower one
+// does, so trying the next candidate at depth d simply overwrites them
+// (DESIGN §15.6).
+#pragma once
+
+#include <cstdint>
+#include <new>
+#include <span>
+
+#include "gammaflow/common/inline_vec.hpp"
+#include "gammaflow/common/value.hpp"
+
+namespace gammaflow::gamma {
+
+/// What one pattern field does to the frame when it meets an element field,
+/// precomputed per field by CompiledReaction.
+struct FieldOp {
+  enum class Kind : std::uint8_t {
+    Lit,   // the field must equal `value`
+    Bind,  // the field's value goes into slot `slot` (its first occurrence)
+    Eq,    // the field must equal slot `slot`, bound by an earlier field
+  };
+  Kind kind = Kind::Bind;
+  std::uint32_t slot = 0;
+  Value value;
+};
+
+class Frame {
+ public:
+  /// Every slot starts unbound (null).
+  explicit Frame(std::size_t slots) {
+    values_.resize(slots);
+    slots_.resize(slots);
+  }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+  /// The slot pointers the bytecode Vm reads. A slot never bound is null.
+  [[nodiscard]] std::span<const Value* const> slots() const noexcept {
+    return slots_.span();
+  }
+  [[nodiscard]] const Value* slot(std::size_t s) const noexcept {
+    return slots_[s];
+  }
+
+  /// Slot `s` holds Int `v`, built in place in the frame.
+  void bind_int(std::size_t s, std::int64_t v) noexcept {
+    slots_[s] = ::new (reset(s)) Value(v);
+  }
+  /// Slot `s` holds Nil, built in place in the frame.
+  void bind_nil(std::size_t s) noexcept { slots_[s] = ::new (reset(s)) Value(); }
+  /// Slot `s` refers to `v`, which must outlive the frame's use.
+  void bind_ref(std::size_t s, const Value& v) noexcept { slots_[s] = &v; }
+
+ private:
+  /// Destroys slot `s`'s owned value and returns its storage.
+  Value* reset(std::size_t s) noexcept {
+    Value* v = &values_[s];
+    v->~Value();
+    return v;
+  }
+
+  // Inline for the slot counts the paper uses; neither moves after the
+  // constructor sizes them.
+  InlineVec<Value, 8> values_;
+  InlineVec<const Value*, 8> slots_;
+};
+
+}  // namespace gammaflow::gamma

@@ -23,7 +23,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
                              const RunOptions& options) const {
   RunResult result;
   Rng rng(options.seed);
-  Store store(initial);
+  Store store(initial, FieldSet::of(program));
 
   runtime::StepLoop loop(options, options.max_steps, "indexed engine",
                          "max_steps");
@@ -41,6 +41,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
        stage_idx < program.stages().size() && loop.running(); ++stage_idx) {
     const auto& stage = program.stages()[stage_idx];
     std::vector<runtime::AnchorMemo> memos(stage.size());
+    std::vector<std::uint64_t> fires(stage.size(), 0);
 
     // Pre-resolved per-reaction latency histograms keep string building off
     // the firing path.
@@ -79,7 +80,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
               break;
             }
             if (!loop.admit(result.steps)) break;
-            ++result.fires_by_reaction[r.name()];
+            ++fires[idx];
             ++result.steps;
             const runtime::RecordCtx rctx =
                 recording.ctx(static_cast<std::int64_t>(stage_idx));
@@ -130,6 +131,7 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
       }
     }
     for (const runtime::AnchorMemo& memo : memos) anchor_skips += memo.skips();
+    runtime::add_fires(stage, fires, result.fires_by_reaction);
   }
 
   if (tel) {

@@ -89,7 +89,7 @@ struct StageObs {
 struct StageResult {
   Outcome outcome = Outcome::Completed;
   std::uint64_t steps = 0;
-  std::map<std::string, std::uint64_t> fires;
+  std::vector<std::uint64_t> fires;  // by reaction position in the stage
   std::exception_ptr error;
 };
 
@@ -102,7 +102,7 @@ struct StageResult {
 struct ShardTask {
   std::vector<std::size_t> reactions;  // stage positions owned by this shard
   Rng rng;
-  std::map<std::string, std::uint64_t> fires;
+  std::vector<std::uint64_t> fires;  // by stage position
   WorkerMetrics wm;
   runtime::RecordCtx rctx;  // provenance coordinates (recorder null = off)
 
@@ -155,7 +155,7 @@ void run_shard(Store& store, const std::vector<Reaction>& stage,
           stop.publish(Outcome::BudgetExhausted);
           return;
         }
-        ++task.fires[r.name()];
+        ++task.fires[idx];
         ++task.wm.fires;
         ++task.wm.class_fast_commits;
         runtime::MatchPipeline::commit(
@@ -181,14 +181,16 @@ StageResult run_sharded_stage(const std::vector<Reaction>& stage,
                               const runtime::StepLoop& loop, Rng& seed_rng,
                               unsigned workers, std::uint64_t prior_steps,
                               const StageObs& ob, WorkerMetrics& total,
-                              const runtime::RunRecording& recording) {
+                              const runtime::RunRecording& recording,
+                              const FieldSet& fields) {
   runtime::ShardedStore sharded(
-      current, runtime::ShardMap(plan.label_shard, plan.shard_count));
+      current, runtime::ShardMap(plan.label_shard, plan.shard_count), fields);
 
   std::vector<ShardTask> tasks;
   tasks.reserve(plan.shard_count);
   for (std::size_t s = 0; s < plan.shard_count; ++s) {
     tasks.emplace_back(seed_rng.split());
+    tasks.back().fires.assign(stage.size(), 0);
     tasks.back().rctx = recording.ctx(static_cast<std::int64_t>(stage_idx),
                                       static_cast<std::int64_t>(s));
   }
@@ -229,9 +231,10 @@ StageResult run_sharded_stage(const std::vector<Reaction>& stage,
   StageResult out;
   out.error = error;
   out.outcome = stop.outcome();
+  out.fires.assign(stage.size(), 0);
   for (ShardTask& task : tasks) {  // shard order: deterministic merge
     out.steps += task.wm.fires;
-    for (const auto& [name, n] : task.fires) out.fires[name] += n;
+    for (std::size_t i = 0; i < stage.size(); ++i) out.fires[i] += task.fires[i];
     total.add(task.wm);
   }
   current = sharded.to_multiset();
@@ -252,11 +255,12 @@ struct StageShared {
   bool done = false;
   Outcome outcome = Outcome::Completed;
   std::uint64_t steps = 0;
-  std::map<std::string, std::uint64_t> fires;
+  std::vector<std::uint64_t> fires;  // by reaction position in the stage
   runtime::RecordCtx rctx;  // provenance coordinates (recorder null = off)
   std::exception_ptr error;
 
-  explicit StageShared(Store s) : store(std::move(s)) {}
+  StageShared(Store s, std::size_t reactions)
+      : store(std::move(s)), fires(reactions, 0) {}
 };
 
 void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
@@ -333,7 +337,7 @@ void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
           sh.cv.notify_all();
           return;
         }
-        ++sh.fires[proposal->reaction->name()];
+        ++sh.fires[proposal_idx];
         ++sh.steps;
         ++wm.fires;
         runtime::MatchPipeline::commit(
@@ -384,8 +388,9 @@ StageResult run_optimistic_stage(const std::vector<Reaction>& stage,
                                  const runtime::StepLoop& loop, Rng& seed_rng,
                                  unsigned workers, std::uint64_t prior_steps,
                                  const StageObs& ob, WorkerMetrics& total,
-                                 const runtime::RunRecording& recording) {
-  StageShared shared{Store(current)};
+                                 const runtime::RunRecording& recording,
+                                 const FieldSet& fields) {
+  StageShared shared(Store(current, fields), stage.size());
   shared.rctx = recording.ctx(static_cast<std::int64_t>(stage_idx));
   std::vector<WorkerMetrics> wm(workers);
 
@@ -427,6 +432,7 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
   const runtime::EngineTelemetry telemetry(options, "gamma");
   obs::Telemetry* const tel = telemetry.sink();
   WorkerMetrics total;
+  const FieldSet fields = FieldSet::of(program);
   GF_DEBUG << "gamma parallel run: " << workers << " workers, "
            << program.stages().size() << " stage(s), |M|=" << initial.size();
 
@@ -445,16 +451,16 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
                << " shard(s)";
       sr = run_sharded_stage(stage, stage_idx, plan, current, options, loop,
                              seed_rng, workers, result.steps, ob, total,
-                             recording);
+                             recording, fields);
     } else {
       sr = run_optimistic_stage(stage, stage_idx, current, options, loop,
                                 seed_rng, workers, result.steps, ob, total,
-                                recording);
+                                recording, fields);
     }
     if (sr.error) std::rethrow_exception(sr.error);
     result.outcome = sr.outcome;
     result.steps += sr.steps;
-    for (const auto& [name, n] : sr.fires) result.fires_by_reaction[name] += n;
+    runtime::add_fires(stage, sr.fires, result.fires_by_reaction);
     // One journal round per stage: workers joined, `current` is consistent.
     if (recording) recording.round(current);
   }

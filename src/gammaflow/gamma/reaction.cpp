@@ -14,14 +14,23 @@ namespace gammaflow::gamma {
 CompiledReaction::CompiledReaction(const Reaction& reaction) {
   const auto t0 = std::chrono::steady_clock::now();
   joins_.resize(reaction.patterns().size());
+  field_ops_.resize(reaction.patterns().size());
   for (std::size_t d = 0; d < reaction.patterns().size(); ++d) {
     const std::size_t outer_slots = slots_.size();
     const auto& fields = reaction.patterns()[d].fields();
+    std::vector<FieldOp>& ops = field_ops_[d];
+    ops.reserve(fields.size());
     for (std::size_t i = 0; i < fields.size(); ++i) {
       const PatternField& f = fields[i];
-      if (!f.is_binder()) continue;
+      if (!f.is_binder()) {
+        ops.emplace_back(FieldOp::Kind::Lit, std::uint32_t{0}, f.value());
+        continue;
+      }
       const auto it = std::find(slots_.begin(), slots_.end(), f.name());
       const auto slot = static_cast<std::size_t>(it - slots_.begin());
+      ops.emplace_back(
+          it == slots_.end() ? FieldOp::Kind::Bind : FieldOp::Kind::Eq,
+          static_cast<std::uint32_t>(slot));
       // A field or slot past the uint16 range keeps the base-bucket scan.
       if (slot < outer_slots &&
           std::max(i, slot) < BatchPlan::kNoField) {
@@ -143,54 +152,19 @@ std::size_t CompiledReaction::instr_count() const noexcept {
   return n;
 }
 
-void CompiledReaction::bind_slots(const expr::Env& env,
-                                  std::vector<const Value*>& out) const {
-  out.assign(slots_.size(), nullptr);
-  // Fast path: Reaction::match binds the Env in exactly slot order (first
-  // binder occurrence across the replace list), so the i-th entry IS slot i.
-  auto it = env.begin();
-  std::size_t i = 0;
-  for (; i < slots_.size() && it != env.end(); ++i, ++it) {
-    if (it->first != slots_[i]) break;
-    out[i] = &it->second;
+std::optional<std::uint32_t> CompiledReaction::apply(
+    std::span<const Value* const> slots, expr::Vm& vm, Outputs& out) const {
+  std::uint32_t firing = 0;
+  for (; firing < branches_.size(); ++firing) {
+    const BranchCode& bc = branches_[firing];
+    if (bc.is_else || !bc.condition) break;
+    if (vm.run(*bc.condition, slots).truthy()) break;
   }
-  if (i == slots_.size() && it == env.end()) return;
-  // Caller-built environment in some other shape: fall back to name lookup.
-  // Names missing from env stay null — LoadSlot throws only if referenced,
-  // mirroring the walker's lazy Env::lookup.
-  for (std::size_t k = 0; k < slots_.size(); ++k) out[k] = env.find(slots_[k]);
-}
-
-std::optional<std::vector<Element>> CompiledReaction::apply(
-    const expr::Env& env, expr::Vm& vm) const {
-  thread_local std::vector<const Value*> slot_ptrs;
-  bind_slots(env, slot_ptrs);
-  const std::span<const Value* const> slots(slot_ptrs);
-
-  const BranchCode* firing = nullptr;
-  for (const BranchCode& bc : branches_) {
-    if (bc.is_else || !bc.condition) {
-      firing = &bc;
-      break;
-    }
-    if (vm.run(*bc.condition, slots).truthy()) {
-      firing = &bc;
-      break;
-    }
+  if (firing == branches_.size()) return std::nullopt;
+  for (const auto& tuple : branches_[firing].outputs) {
+    for (const expr::Chunk& chunk : tuple) out.push_back(vm.run(chunk, slots));
   }
-  if (!firing) return std::nullopt;
-
-  std::vector<Element> produced;
-  produced.reserve(firing->outputs.size());
-  for (const auto& tuple : firing->outputs) {
-    std::vector<Value> fields;
-    fields.reserve(tuple.size());
-    for (const expr::Chunk& chunk : tuple) {
-      fields.push_back(vm.run(chunk, slots));
-    }
-    produced.emplace_back(std::move(fields));
-  }
-  return produced;
+  return firing;
 }
 
 Reaction::Reaction(std::string name, std::vector<Pattern> patterns,

@@ -12,6 +12,7 @@
 // (M - {x..}) + A(x..) from Eq. (1).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -19,10 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "gammaflow/common/inline_vec.hpp"
 #include "gammaflow/expr/ast.hpp"
 #include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/expr/env.hpp"
 #include "gammaflow/gamma/element.hpp"
+#include "gammaflow/gamma/frame.hpp"
 #include "gammaflow/gamma/pattern.hpp"
 
 namespace gammaflow::gamma {
@@ -31,14 +34,19 @@ class Reaction;
 
 /// Bytecode cache for one reaction: every condition and by-list field
 /// expression compiled once against the reaction's binder-slot layout (first
-/// occurrence across the replace list, which is exactly the order
-/// Reaction::match binds an Env in — so slot pointers come straight out of
-/// the match environment with no name lookups). Built eagerly by the
-/// Reaction constructor and shared by copies; immutable, thread-safe to
-/// read, each evaluating thread brings its own expr::Vm.
+/// occurrence across the replace list), plus one FieldOp per pattern field
+/// that binds or checks those slots in a Frame. The match pipeline binds
+/// store columns into a Frame with the ops and runs the bytecode on its
+/// slots, with no name lookups. Built eagerly by the Reaction constructor and
+/// shared by copies; immutable, thread-safe to read, each evaluating thread
+/// brings its own expr::Vm.
 class CompiledReaction {
  public:
   explicit CompiledReaction(const Reaction& reaction);
+
+  /// A firing's output fields, tuple after tuple: the tuple arities are the
+  /// firing branch's. Inline for the output widths the paper uses.
+  using Outputs = InlineVec<Value, 8>;
 
   struct BranchCode {
     /// Missing = unconditional (or else) branch, mirroring Branch::condition.
@@ -119,6 +127,14 @@ class CompiledReaction {
   [[nodiscard]] const std::vector<std::string>& slots() const noexcept {
     return slots_;
   }
+  /// The frame ops, one list per pattern with one op per field: Lit for a
+  /// literal, Bind for a binder's first occurrence across the replace list,
+  /// Eq for every later one. Matching patterns 0..k-1 in order into one
+  /// Frame is Pattern::match into one Env, slot for name.
+  [[nodiscard]] const std::vector<std::vector<FieldOp>>& field_ops()
+      const noexcept {
+    return field_ops_;
+  }
   [[nodiscard]] const std::vector<BranchCode>& branches() const noexcept {
     return branches_;
   }
@@ -127,17 +143,18 @@ class CompiledReaction {
   /// Total bytecode instructions across all chunks.
   [[nodiscard]] std::size_t instr_count() const noexcept;
 
-  /// VM analogue of Reaction::apply: selects the firing branch under `env`
-  /// and evaluates its outputs by running bytecode on `vm`. Produces the
-  /// same result (or the same thrown error) as the AST walker.
-  [[nodiscard]] std::optional<std::vector<Element>> apply(
-      const expr::Env& env, expr::Vm& vm) const;
+  /// VM analogue of Reaction::apply over a slot frame: the index of the
+  /// firing branch under `slots` (nullopt: no branch fires), with that
+  /// branch's outputs appended to `out`. The same branch, outputs and thrown
+  /// error as the AST walker under the Env binding each slot's name.
+  [[nodiscard]] std::optional<std::uint32_t> apply(
+      std::span<const Value* const> slots, expr::Vm& vm, Outputs& out) const;
 
  private:
-  void bind_slots(const expr::Env& env, std::vector<const Value*>& out) const;
   void build_batch_plan(const Reaction& reaction);
 
   std::vector<std::string> slots_;
+  std::vector<std::vector<FieldOp>> field_ops_;
   std::vector<std::vector<JoinField>> joins_;
   std::vector<BranchCode> branches_;
   std::optional<BatchPlan> batch_;
@@ -188,8 +205,8 @@ class Reaction {
   /// Selects the firing branch under `env` and evaluates its outputs by
   /// walking the expression trees. nullopt = patterns matched but no branch
   /// applies (reaction not enabled on this tuple). Engines run the compiled
-  /// form (compiled().apply); this walker is the reference the differential
-  /// tests compare it against.
+  /// form (compiled().apply over a Frame); this walker is the reference the
+  /// differential tests compare it against.
   [[nodiscard]] std::optional<std::vector<Element>> apply(
       const expr::Env& env) const;
 

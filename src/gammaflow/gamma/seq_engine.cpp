@@ -19,7 +19,7 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
                                 const RunOptions& options) const {
   RunResult result;
   Rng rng(options.seed);
-  Store store(initial);
+  Store store(initial, FieldSet::of(program));
 
   runtime::StepLoop loop(options, options.max_steps, "sequential engine",
                          "max_steps");
@@ -31,16 +31,19 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
   Histogram* const enabled_hist =
       tel ? &tel->stats().hist("gamma.enabled_matches") : nullptr;
   std::uint64_t attempts = 0;
+  // Reused across steps: once it has grown, gathering allocates nothing.
+  std::vector<Match> matches;
 
   for (std::size_t stage_idx = 0;
        stage_idx < program.stages().size() && loop.running(); ++stage_idx) {
     const auto& stage = program.stages()[stage_idx];
+    std::vector<std::uint64_t> fires(stage.size(), 0);
     while (!loop.should_stop()) {
       obs::Span step_span(tel, rec, "step");
       // Gather the enabled matches of every reaction, capped for safety on
       // large multisets. The cap is per step, re-enumerated from scratch, so
       // no stale match is ever fired.
-      std::vector<Match> matches;
+      matches.clear();
       for (const Reaction& r : stage) {
         ++attempts;
         runtime::MatchPipeline::enumerate(
@@ -58,13 +61,14 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
       const Match& chosen =
           matches[static_cast<std::size_t>(rng.bounded(matches.size()))];
       if (!loop.admit(result.steps)) break;
-      ++result.fires_by_reaction[chosen.reaction->name()];
+      ++fires[static_cast<std::size_t>(chosen.reaction - stage.data())];
       ++result.steps;
       const runtime::RecordCtx rctx =
           recording.ctx(static_cast<std::int64_t>(stage_idx));
       runtime::MatchPipeline::commit(store, chosen,
                                      recording ? &rctx : nullptr);
     }
+    runtime::add_fires(stage, fires, result.fires_by_reaction);
     // One journal round per stage fixed point: the store the next stage
     // starts from.
     if (recording) recording.round(store);

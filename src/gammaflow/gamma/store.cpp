@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <utility>
 
 namespace gammaflow::gamma {
@@ -21,6 +22,51 @@ Value Store::ColumnGroup::field_value(std::size_t row, std::size_t f) const {
   return c.spill[static_cast<std::size_t>(c.data[row])];
 }
 
+FieldSet FieldSet::of(const Program& program) {
+  FieldSet set;
+  for (const auto& stage : program.stages()) {
+    for (const Reaction& r : stage) set.add(r);
+  }
+  return set;
+}
+
+FieldSet FieldSet::of(const Reaction& reaction) {
+  FieldSet set;
+  set.add(reaction);
+  return set;
+}
+
+void FieldSet::add(std::size_t field) {
+  const auto it = std::lower_bound(fields_.begin(), fields_.end(), field);
+  if (it == fields_.end() || *it != field) fields_.insert(it, field);
+}
+
+void FieldSet::add(const Reaction& reaction) {
+  for (const Pattern& p : reaction.patterns()) {
+    if (const auto key = p.key_constraint()) add(key->first);
+  }
+  for (const auto& joins : reaction.compiled().joins()) {
+    for (const CompiledReaction::JoinField& j : joins) add(j.field);
+  }
+}
+
+bool FieldSet::contains(std::size_t field) const noexcept {
+  return std::binary_search(fields_.begin(), fields_.end(), field);
+}
+
+bool Store::ColumnGroup::field_equals(std::size_t row, std::size_t f,
+                                      const Value& v) const noexcept {
+  const Column& c = cols[f];
+  const std::uint8_t tag = c.tags[row];
+  if (const std::int64_t* vi = v.if_int()) {
+    return tag == kIntTag && c.data[row] == *vi;
+  }
+  if (tag == kIntTag) return false;
+  if (tag == kNilTag) return v.is_nil();
+  if (v.is_nil()) return false;
+  return c.spill[static_cast<std::size_t>(c.data[row])] == v;
+}
+
 std::uint32_t Store::group_for_arity(std::size_t arity) {
   const auto it = group_of_arity_.find(arity);
   if (it != group_of_arity_.end()) return it->second;
@@ -32,7 +78,7 @@ std::uint32_t Store::group_for_arity(std::size_t arity) {
   return gi;
 }
 
-Store::Id Store::insert(Element e) {
+Store::Id Store::insert(std::span<const Value> fields) {
   // Self-triggered collection: without it, append-only rows would grow with
   // TOTAL firings, not live elements, and batch sweeps would scan the dead.
   // Never runs mid-search (searches don't insert), so gathered row
@@ -54,13 +100,13 @@ Store::Id Store::insert(Element e) {
     inserted_at_.push_back(0);
   }
 
-  const std::size_t arity = e.arity();
+  const std::size_t arity = fields.size();
   const std::uint32_t gi = group_for_arity(arity);
   ColumnGroup& g = groups_[gi];
   const auto row = static_cast<std::uint32_t>(g.rows);
   for (std::size_t f = 0; f < arity; ++f) {
     Column& c = g.cols[f];
-    const Value& v = e.field(f);
+    const Value& v = fields[f];
     if (const std::int64_t* i = v.if_int()) {
       c.data.push_back(*i);
     } else if (v.is_nil()) {
@@ -81,8 +127,9 @@ Store::Id Store::insert(Element e) {
   // Appending keeps every bucket sorted by insertion stamp.
   inserted_at_[id] = version_;
   arity_index_[arity].push_back(id);
-  for (std::size_t f = 0; f < arity; ++f) {
-    field_index_[FieldKey{f, e.field(f)}].push_back(id);
+  for (const std::size_t f : indexed_.fields()) {
+    if (f >= arity) break;
+    field_index_[FieldKey{f, fields[f]}].push_back(id);
   }
   ++live_count_;
   ++version_;
@@ -94,7 +141,8 @@ void Store::remove(Id id) {
   const Loc loc = locs_[id];
   ColumnGroup& g = groups_[loc.group];
   unindex(arity_index_.find(g.arity)->second, id);
-  for (std::size_t f = 0; f < g.arity; ++f) {
+  for (const std::size_t f : indexed_.fields()) {
+    if (f >= g.arity) break;
     const auto it = field_index_.find(FieldKey{f, g.field_value(loc.row, f)});
     unindex(it->second, id);
     if (it->second.empty()) field_index_.erase(it);
@@ -138,25 +186,33 @@ Element Store::element(Id id) const {
   return Element(std::move(fields));
 }
 
-bool Store::match_pattern(const Pattern& p, Id id, expr::Env& env) const {
+bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame) const {
   const Loc loc = locs_[id];
   const ColumnGroup& g = groups_[loc.group];
-  if (g.arity != p.arity()) return false;
-  Value scratch;
+  if (g.arity != ops.size()) return false;
   for (std::size_t f = 0; f < g.arity; ++f) {
-    const Column& c = g.cols[f];
-    const std::uint8_t tag = c.tags[loc.row];
-    const Value* v;
-    if (tag == kIntTag) {
-      scratch = Value(c.data[loc.row]);
-      v = &scratch;
-    } else if (tag == kNilTag) {
-      scratch = Value();
-      v = &scratch;
-    } else {
-      v = &c.spill[static_cast<std::size_t>(c.data[loc.row])];
+    const FieldOp& op = ops[f];
+    switch (op.kind) {
+      case FieldOp::Kind::Lit:
+        if (!g.field_equals(loc.row, f, op.value)) return false;
+        break;
+      case FieldOp::Kind::Eq:
+        if (!g.field_equals(loc.row, f, *frame.slot(op.slot))) return false;
+        break;
+      case FieldOp::Kind::Bind: {
+        const Column& c = g.cols[f];
+        const std::uint8_t tag = c.tags[loc.row];
+        if (tag == kIntTag) {
+          frame.bind_int(op.slot, c.data[loc.row]);
+        } else if (tag == kNilTag) {
+          frame.bind_nil(op.slot);
+        } else {
+          frame.bind_ref(op.slot,
+                         c.spill[static_cast<std::size_t>(c.data[loc.row])]);
+        }
+        break;
+      }
     }
-    if (!p.fields()[f].match(*v, env)) return false;
   }
   return true;
 }
@@ -169,6 +225,10 @@ const Store::Bucket* Store::bucket(const Pattern& p) const {
 
 const Store::Bucket* Store::field_bucket(std::size_t field,
                                          const Value& value) const {
+  if (!indexed_.contains(field)) {
+    throw EngineError(std::string("field bucket query on unindexed field ")
+                          .append(std::to_string(field)));
+  }
   auto it = field_index_.find(FieldKey{field, value});
   return it == field_index_.end() ? nullptr : &it->second;
 }
@@ -222,6 +282,14 @@ Multiset Store::to_multiset() const {
     if (alive_[id]) m.add(element(static_cast<Id>(id)));
   }
   return m;
+}
+
+std::vector<Element> Match::produced() const {
+  std::vector<Element> out;
+  for_each_output([&](std::span<const Value> tuple) {
+    out.emplace_back(std::vector<Value>(tuple.begin(), tuple.end()));
+  });
+  return out;
 }
 
 std::uint64_t column_compactions_total() noexcept {

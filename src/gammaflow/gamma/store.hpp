@@ -7,7 +7,11 @@
 // dead rows are the garbage debt, counted exactly at remove() time.
 //
 // Secondary indexes map (field, value) and arity to candidate id lists so
-// reaction matching probes a bucket instead of scanning the multiset.
+// reaction matching probes a bucket instead of scanning the multiset. Only
+// the fields of the store's FieldSet get (field, value) buckets: the fields
+// some pattern of the program constrains (a literal key or a join field),
+// the only ones a search ever probes. Other fields cost insert() and
+// remove() nothing.
 // Buckets are EXACT: every bucket holds precisely the live occupants with
 // its key, in insertion order, at all times. insert() appends; remove()
 // unindexes the id from its arity bucket and every (field, value) bucket
@@ -28,14 +32,48 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "gammaflow/expr/env.hpp"
+#include "gammaflow/common/inline_vec.hpp"
+#include "gammaflow/gamma/frame.hpp"
 #include "gammaflow/gamma/multiset.hpp"
+#include "gammaflow/gamma/program.hpp"
 #include "gammaflow/gamma/reaction.hpp"
 
 namespace gammaflow::gamma {
+
+/// The element fields a Store keeps (field, value) buckets for. A search
+/// probes a field bucket only for a pattern's key constraint (its first
+/// literal field) and for its join fields (CompiledReaction::joins()), so
+/// the set a program needs is those fields over all its reactions; indexing
+/// any other field would only slow insert() and remove().
+class FieldSet {
+ public:
+  FieldSet() = default;
+  FieldSet(std::initializer_list<std::size_t> fields) {
+    for (const std::size_t f : fields) add(f);
+  }
+  /// The key-constraint and join fields of every reaction of every stage.
+  [[nodiscard]] static FieldSet of(const Program& program);
+  [[nodiscard]] static FieldSet of(const Reaction& reaction);
+
+  /// Adds the reaction's key-constraint and join fields.
+  void add(const Reaction& reaction);
+
+  [[nodiscard]] bool contains(std::size_t field) const noexcept;
+  /// Ascending, no duplicates.
+  [[nodiscard]] const std::vector<std::size_t>& fields() const noexcept {
+    return fields_;
+  }
+
+ private:
+  void add(std::size_t field);
+
+  std::vector<std::size_t> fields_;
+};
 
 class Store {
  public:
@@ -73,6 +111,10 @@ class Store {
     }
     /// Field f of `row` materialized back to a Value (any kind).
     [[nodiscard]] Value field_value(std::size_t row, std::size_t f) const;
+    /// Field f of `row` == `v`, read off the column without materializing
+    /// the field (a spilled payload compares in place).
+    [[nodiscard]] bool field_equals(std::size_t row, std::size_t f,
+                                    const Value& v) const noexcept;
   };
 
   /// Where an id's current occupant lives in the column groups.
@@ -81,12 +123,18 @@ class Store {
     std::uint32_t row = 0;
   };
 
+  /// An empty store indexing no field.
   Store() = default;
-  explicit Store(const Multiset& m) {
+  /// An empty store indexing the fields in `indexed`.
+  explicit Store(FieldSet indexed) : indexed_(std::move(indexed)) {}
+  Store(const Multiset& m, FieldSet indexed) : indexed_(std::move(indexed)) {
     for (const Element& e : m) insert(e);
   }
 
-  Id insert(Element e);
+  Id insert(const Element& e) { return insert(std::span(e.fields())); }
+  /// Inserts the element with these fields, written straight into the
+  /// columns (the commit path builds no Element).
+  Id insert(std::span<const Value> fields);
   void remove(Id id);
 
   [[nodiscard]] bool alive(Id id) const noexcept {
@@ -101,11 +149,16 @@ class Store {
     const Loc loc = locs_[id];
     return RowRef{&groups_[loc.group], loc.row};
   }
-  /// Matches `p` against the element at `id` directly on the columns —
-  /// the scalar probe path, with no Element materialization. Same
-  /// semantics as Pattern::match(element(id), env). Precondition: alive(id).
-  [[nodiscard]] bool match_pattern(const Pattern& p, Id id,
-                                   expr::Env& env) const;
+  /// Runs one pattern's frame ops (CompiledReaction::field_ops()) on the
+  /// element at `id`, straight off the columns: checks its arity, literal
+  /// and Eq fields, and binds its Bind fields into `frame` — Int and Nil
+  /// payloads in place, others by reference into the store (valid until the
+  /// next mutation). False on a mismatch, with the pattern's Bind slots then
+  /// unspecified. The scalar probe of the match pipeline; the same verdict
+  /// and bindings as Pattern::match(element(id), env). Precondition:
+  /// alive(id).
+  [[nodiscard]] bool bind(std::span<const FieldOp> ops, Id id,
+                          Frame& frame) const;
   [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// The bucket the pattern probes: the (field,value) bucket when the
@@ -119,7 +172,9 @@ class Store {
   /// bucket (they are ==), Int 1 and Real 1.0 do not, and a NaN key finds
   /// the NaN-carrying ids, which no binder matches. So it holds every id a
   /// pattern whose field `field` must equal `value` can match. Read-only;
-  /// valid until the next mutation.
+  /// valid until the next mutation. Throws EngineError when `field` is not
+  /// in the store's FieldSet: the search reads null as "nothing can match",
+  /// so a null for an unindexed field would be a false fixpoint proof.
   [[nodiscard]] const Bucket* field_bucket(std::size_t field,
                                            const Value& value) const;
 
@@ -146,7 +201,8 @@ class Store {
   }
 
   /// Number of (field,value) buckets. Empty buckets are dropped on
-  /// remove(), so this never exceeds the live distinct (field,value) pairs.
+  /// remove(), so this never exceeds the live distinct (field,value) pairs
+  /// over the indexed fields.
   [[nodiscard]] std::size_t field_bucket_count() const noexcept {
     return field_index_.size();
   }
@@ -215,6 +271,7 @@ class Store {
                                                    std::uint64_t stamp) const;
   void unindex(Bucket& bucket, Id id) const;
 
+  FieldSet indexed_;
   std::vector<ColumnGroup> groups_;
   std::unordered_map<std::size_t, std::uint32_t> group_of_arity_;
   std::vector<Loc> locs_;
@@ -235,12 +292,29 @@ class Store {
 /// report per-run deltas as the `store.column_compactions` metric.
 [[nodiscard]] std::uint64_t column_compactions_total() noexcept;
 
-/// One enabled match of a reaction, as runtime::MatchPipeline finds it.
+/// One enabled match of a reaction, as runtime::MatchPipeline finds it:
+/// which elements, which branch fires, and the values that branch produces.
+/// Everything is inline for the reaction sizes the paper uses, so finding
+/// and committing a match allocates nothing.
 struct Match {
   const Reaction* reaction = nullptr;
-  std::vector<Store::Id> ids;  // one per pattern, all distinct
-  expr::Env env;               // bindings from the replace list
-  std::vector<Element> produced;  // outputs of the firing branch
+  InlineVec<Store::Id, 4> ids;  // one per pattern, all distinct
+  std::uint32_t branch = 0;     // index of the firing branch
+  /// The firing branch's output fields, evaluated when the match was found
+  /// (so an evaluation error surfaces at the search, as the walker's does).
+  CompiledReaction::Outputs outputs;
+
+  /// Calls fn(std::span<const Value>) once per produced tuple, in order.
+  template <typename Fn>
+  void for_each_output(Fn&& fn) const {
+    const Value* at = outputs.data();
+    for (const auto& tuple : reaction->branches()[branch].outputs) {
+      fn(std::span<const Value>(at, tuple.size()));
+      at += tuple.size();
+    }
+  }
+  /// The produced tuples as Elements (journals, WAL, tests).
+  [[nodiscard]] std::vector<Element> produced() const;
 };
 
 }  // namespace gammaflow::gamma

@@ -11,21 +11,6 @@ using gamma::Store;
 constexpr std::uint8_t kIntTag = static_cast<std::uint8_t>(ValueKind::Int);
 constexpr std::uint8_t kNilTag = static_cast<std::uint8_t>(ValueKind::Nil);
 
-/// Structural equality between a column field and a Value, without
-/// materializing the field (spill payloads compare by reference).
-bool field_equals_value(const Store::ColumnGroup& g, std::uint32_t row,
-                        std::size_t f, const Value& v) {
-  const Store::Column& c = g.cols[f];
-  const std::uint8_t tag = c.tags[row];
-  if (const std::int64_t* vi = v.if_int()) {
-    return tag == kIntTag && c.data[row] == *vi;
-  }
-  if (tag == kIntTag) return false;
-  if (tag == kNilTag) return v.kind() == ValueKind::Nil;
-  if (v.kind() == ValueKind::Nil) return false;
-  return c.spill[static_cast<std::size_t>(c.data[row])] == v;
-}
-
 /// Structural equality between two fields of the same row (the repeated
 /// binder constraint). Value equality is variant-structural, so differing
 /// tags can never be equal.
@@ -46,12 +31,10 @@ bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
 bool BatchMatcher::begin(const gamma::Store& store,
                          const gamma::Reaction& reaction,
                          const Scan& scan, std::uint16_t join_field,
-                         const expr::Env& outer_env) {
+                         std::span<const Value* const> outer) {
   using Kind = CompiledReaction::BatchPlan::FieldCheck::Kind;
-  const CompiledReaction& compiled = reaction.compiled();
-  const CompiledReaction::BatchPlan* plan = compiled.batch_plan();
+  const CompiledReaction::BatchPlan* plan = reaction.compiled().batch_plan();
   if (plan == nullptr) return false;
-  const std::vector<std::string>& slots = compiled.slots();
 
   // Field checks minus the one the probed (field, value) bucket implies.
   // Outer bindings are EqSlot comparands (any kind — compared per lane).
@@ -62,10 +45,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
   for (const auto& check : plan->checks) {
     if (check.field == implied) continue;
     const Value* eq_value = nullptr;
-    if (check.kind == Kind::EqSlot) {
-      eq_value = outer_env.find(slots[check.slot]);
-      if (eq_value == nullptr) return false;  // malformed outer env
-    }
+    if (check.kind == Kind::EqSlot) eq_value = outer[check.slot];
     checks_.push_back(ActiveCheck{&check, eq_value});
   }
   any_condition_ = std::any_of(plan->conditions.begin(),
@@ -78,15 +58,14 @@ bool BatchMatcher::begin(const gamma::Store& store,
   scan_ = scan;
 
   // Guard broadcast scalars must be Int to enter the lane model.
-  slots_.assign(slots.size(), expr::BatchVm::SlotInput{});
+  slots_.assign(outer.size(), expr::BatchVm::SlotInput{});
   gather_.clear();
   if (any_condition_) {
-    for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (std::size_t s = 0; s < outer.size(); ++s) {
       if (plan->cond_slot_used[s] == 0 || plan->slot_is_vector[s] != 0) {
         continue;
       }
-      const Value* v = outer_env.find(slots[s]);
-      const std::int64_t* vi = v != nullptr ? v->if_int() : nullptr;
+      const std::int64_t* vi = outer[s]->if_int();
       if (vi == nullptr) return false;  // non-Int broadcast: stay scalar
       slots_[s].scalar = *vi;
     }
@@ -120,14 +99,13 @@ bool BatchMatcher::chunk(std::size_t t, std::size_t width) {
                g.cols[check.field].data[rr.row] == check.imm;
           break;
         case Kind::Lit:
-          ok = field_equals_value(g, rr.row, check.field, check.value);
+          ok = g.field_equals(rr.row, check.field, check.value);
           break;
         case Kind::EqField:
           ok = fields_equal(g, rr.row, check.field, check.other);
           break;
         case Kind::EqSlot:
-          ok = field_equals_value(g, rr.row, check.field,
-                                  *checks_[ci].eq_value);
+          ok = g.field_equals(rr.row, check.field, *checks_[ci].eq_value);
           break;
       }
     }

@@ -23,10 +23,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gammaflow/expr/bytecode.hpp"
-#include "gammaflow/expr/env.hpp"
 #include "gammaflow/gamma/reaction.hpp"
 #include "gammaflow/gamma/store.hpp"
 
@@ -56,7 +56,8 @@ class BatchMatcher {
   static constexpr std::size_t kMaxChunk = 1024;
 
   /// Prepares a sweep of `scan` (ids of the innermost candidate bucket) for
-  /// `reaction` under the outer bindings `outer_env`. `join_field` names
+  /// `reaction` under the outer bindings in the frame slots `outer`.
+  /// `join_field` names
   /// the join field whose (field, bound value) bucket `scan` runs over, or is
   /// BatchPlan::kNoField for the pattern's base bucket; the field check
   /// that bucket implies is dropped for the sweep. False when this visit
@@ -64,12 +65,12 @@ class BatchMatcher {
   /// outer binding feeding a guard is not Int — or would not pay: with no
   /// guard and no remaining field check the sweep could clear only arity
   /// mismatches, which the scalar probe rejects just as cheaply. The caller
-  /// then keeps the plain scalar probe loop. The scanned bucket and
-  /// `outer_env` must outlive the chunk() calls of this sweep.
+  /// then keeps the plain scalar probe loop. The scanned bucket and the
+  /// outer slot values must outlive the chunk() calls of this sweep.
   [[nodiscard]] bool begin(const gamma::Store& store,
                            const gamma::Reaction& reaction, const Scan& scan,
                            std::uint16_t join_field,
-                           const expr::Env& outer_env);
+                           std::span<const Value* const> outer);
 
   /// Computes fire bits for scan positions [t, t+width): fire()[j] covers
   /// scan[t+j]. False when a lane faulted — the caller resumes scalar
@@ -88,8 +89,8 @@ class BatchMatcher {
 
   expr::BatchVm vm_;
   /// The plan's field checks this sweep runs (the probed bucket's implied
-  /// check left out), each with its EqSlot comparand pointing into the
-  /// caller's outer_env (null for the other kinds).
+  /// check left out), each with its EqSlot comparand pointing at the
+  /// caller's outer slot value (null for the other kinds).
   struct ActiveCheck {
     const gamma::CompiledReaction::BatchPlan::FieldCheck* check = nullptr;
     const Value* eq_value = nullptr;

@@ -10,25 +10,29 @@
 namespace gammaflow::runtime {
 namespace {
 
-using gamma::Element;
+using gamma::CompiledReaction;
+using gamma::Frame;
 using gamma::Match;
 using gamma::Reaction;
 using gamma::Store;
 
-/// Selects the firing branch and evaluates its outputs with the reaction's
-/// compiled bytecode on this thread's Vm (nullopt: no branch fires).
-std::optional<std::vector<Element>> apply_compiled(const Reaction& reaction,
-                                                   const expr::Env& env) {
+/// This thread's bytecode Vm for conditions and outputs.
+expr::Vm& thread_vm() {
   thread_local expr::Vm vm;
-  return reaction.compiled().apply(env, vm);
+  return vm;
 }
 
 // The shared backtracking core. Visits enabled matches of `reaction`; for
-// each, builds a Match and calls `fn`; stops when fn returns false or
+// each, fills in a Match and calls `fn`; stops when fn returns false or
 // `limit` is reached. `rng` randomizes the probe order inside each candidate
 // bucket (cyclic start offset — cheap fairness without shuffling). Buckets
 // are exact (only live ids, insertion order), so the search never mutates
 // the store and every probed id is alive.
+//
+// One Frame carries the bindings of every depth: a probe at depth d runs
+// pattern d's field ops on the candidate's columns, writing only the slots
+// pattern d binds first, so backtracking needs no copy (DESIGN.md §15.6).
+// The Match is likewise filled in place, and the visitor sees it complete.
 //
 // Each depth's BASE bucket is the pattern's literal-key bucket or its arity
 // bucket. A depth with join fields (CompiledReaction::joins) probes the
@@ -45,35 +49,39 @@ std::optional<std::vector<Element>> apply_compiled(const Reaction& reaction,
 // the first fire or error of the scan is the one a full scan meets
 // (DESIGN.md §15.5). A visit that completes with no fire records a new
 // watermark; a throwing one records nothing.
+template <typename Visit>
 std::size_t search(const Store& store, const Reaction& reaction,
                    std::size_t limit, Rng* rng, AnchorMemo* memo,
-                   const std::function<bool(Match&)>& fn) {
+                   Visit&& fn) {
+  const CompiledReaction& compiled = reaction.compiled();
   const auto& patterns = reaction.patterns();
-  const auto& joins = reaction.compiled().joins();
+  const auto& joins = compiled.joins();
+  const auto& ops = compiled.field_ops();
   const std::size_t k = patterns.size();
   if (k != 2) memo = nullptr;
 
-  std::vector<const Store::Bucket*> buckets(k);
+  InlineVec<const Store::Bucket*, 4> buckets;
   for (std::size_t i = 0; i < k; ++i) {
-    buckets[i] = store.bucket(patterns[i]);
-    if (buckets[i] == nullptr || buckets[i]->empty()) return 0;
+    const Store::Bucket* b = store.bucket(patterns[i]);
+    if (b == nullptr || b->empty()) return 0;
+    buckets.push_back(b);
   }
 
-  std::vector<expr::Env> envs(k + 1);
-  std::vector<Store::Id> chosen(k);
+  Frame frame(compiled.slots().size());
+  Match m;
+  m.reaction = &reaction;
+  m.ids.resize(k);
+  expr::Vm& vm = thread_vm();
   std::size_t visited = 0;
   bool stop = false;
 
   auto dfs = [&](auto&& self, std::size_t depth) -> void {
     if (stop) return;
     if (depth == k) {
-      auto produced = apply_compiled(reaction, envs[k]);
-      if (!produced) return;  // patterns matched but no branch fires
-      Match m;
-      m.reaction = &reaction;
-      m.ids = chosen;
-      m.env = envs[k];
-      m.produced = std::move(*produced);
+      m.outputs.clear();
+      const auto branch = compiled.apply(frame.slots(), vm, m.outputs);
+      if (!branch) return;  // patterns matched but no branch fires
+      m.branch = *branch;
       ++visited;
       if (!fn(m) || visited >= limit) stop = true;
       return;
@@ -81,12 +89,10 @@ std::size_t search(const Store& store, const Reaction& reaction,
     const Store::Bucket& base = *buckets[depth];
     const std::size_t start = rng ? rng->bounded(base.size()) : 0;
     const Store::Bucket* narrowest = &base;
-    std::uint16_t join_field = gamma::CompiledReaction::BatchPlan::kNoField;
+    std::uint16_t join_field = CompiledReaction::BatchPlan::kNoField;
     for (const auto& join : joins[depth]) {
-      // envs[depth] binds the outer slots in slot order (first occurrence
-      // across the replace list), so the slot index is the binding index.
-      const Value& bound = envs[depth].begin()[join.slot].second;
-      const Store::Bucket* b = store.field_bucket(join.field, bound);
+      const Store::Bucket* b =
+          store.field_bucket(join.field, *frame.slot(join.slot));
       if (b == nullptr) return;  // no live element carries the bound value
       if (b->size() < narrowest->size()) {
         narrowest = b;
@@ -97,7 +103,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
     const std::size_t n = bucket.size();
     // Depth 1 of a memoized two-pattern search is an anchor's inner visit.
     const bool anchored = memo != nullptr && depth == 1;
-    const std::uint64_t mark = anchored ? memo->watermark(store, chosen[0]) : 0;
+    const std::uint64_t mark = anchored ? memo->watermark(store, m.ids[0]) : 0;
     const std::size_t p = mark == 0 ? 0 : store.first_stamped(bucket, mark);
     if (p == n) {
       memo->count_skip();
@@ -110,18 +116,13 @@ std::size_t search(const Store& store, const Reaction& reaction,
     const Scan scan = from >= p ? Scan{ids + from, n - from, ids + p, n - p}
                                 : Scan{ids + p, n - p, nullptr, n - p};
     const std::size_t visited_before = visited;
+    const std::span<const gamma::FieldOp> depth_ops(ops[depth]);
     auto probe = [&](const Store::Id id) {
-      bool dup = false;
       for (std::size_t d = 0; d < depth; ++d) {
-        if (chosen[d] == id) {
-          dup = true;
-          break;
-        }
+        if (m.ids[d] == id) return;
       }
-      if (dup) return;
-      envs[depth + 1] = envs[depth];
-      if (!store.match_pattern(patterns[depth], id, envs[depth + 1])) return;
-      chosen[depth] = id;
+      if (!store.bind(depth_ops, id, frame)) return;
+      m.ids[depth] = id;
       self(self, depth + 1);
     };
     std::size_t t = 0;
@@ -133,7 +134,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
       // are identical to the scalar scan, which serves the whole bucket
       // when the reaction has no batch plan.
       thread_local BatchMatcher matcher;
-      if (matcher.begin(store, reaction, scan, join_field, envs[depth])) {
+      if (matcher.begin(store, reaction, scan, join_field, frame.slots())) {
         std::size_t width = BatchMatcher::kMinChunk;
         while (t < scan.size && !stop) {
           const std::size_t w = std::min(width, scan.size - t);
@@ -148,7 +149,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
       }
     }
     for (; t < scan.size && !stop; ++t) probe(scan[t]);
-    if (anchored && visited == visited_before) memo->record(store, chosen[0]);
+    if (anchored && visited == visited_before) memo->record(store, m.ids[0]);
   };
   dfs(dfs, 0);
   return visited;
@@ -171,24 +172,26 @@ std::size_t MatchPipeline::enumerate(
     const Store& store, const Reaction& reaction, std::size_t limit,
     const std::function<bool(const Match&)>& fn) {
   return search(store, reaction, limit, nullptr, nullptr,
-                [&](Match& m) { return fn(m); });
+                [&](const Match& m) { return fn(m); });
 }
 
 bool MatchPipeline::validate(const Store& store, Match& match) {
-  const auto& patterns = match.reaction->patterns();
-  if (match.ids.size() != patterns.size()) return false;
-  expr::Env env;
+  const CompiledReaction& compiled = match.reaction->compiled();
+  const auto& ops = compiled.field_ops();
+  if (match.ids.size() != ops.size()) return false;
+  Frame frame(compiled.slots().size());
   for (std::size_t i = 0; i < match.ids.size(); ++i) {
     // alive() alone is not enough — a recycled slot is alive with different
-    // content — but re-running the pattern match on the current occupants
+    // content — but re-running the pattern's ops on the current occupants
     // catches that too, so the pair of checks is exact.
     if (!store.alive(match.ids[i])) return false;
-    if (!store.match_pattern(patterns[i], match.ids[i], env)) return false;
+    if (!store.bind(ops[i], match.ids[i], frame)) return false;
   }
-  auto produced = apply_compiled(*match.reaction, env);
-  if (!produced) return false;
-  match.env = std::move(env);
-  match.produced = std::move(*produced);
+  match.outputs.clear();
+  const auto branch =
+      compiled.apply(frame.slots(), thread_vm(), match.outputs);
+  if (!branch) return false;
+  match.branch = *branch;
   return true;
 }
 
@@ -205,14 +208,22 @@ void MatchPipeline::commit(Store& store, const Match& match,
     for (const Store::Id id : match.ids) {
       fire.consumed.push_back(store.element(id).to_string());
     }
-    fire.produced.reserve(match.produced.size());
-    for (const Element& e : match.produced) {
+    for (const gamma::Element& e : match.produced()) {
       fire.produced.push_back(e.to_string());
     }
     rec->recorder->fire(std::move(fire));
   }
   for (const Store::Id id : match.ids) store.remove(id);
-  for (const Element& e : match.produced) store.insert(e);
+  match.for_each_output(
+      [&](std::span<const Value> fields) { store.insert(fields); });
+}
+
+void add_fires(const std::vector<gamma::Reaction>& stage,
+               std::span<const std::uint64_t> fires,
+               std::map<std::string, std::uint64_t>& by_name) {
+  for (std::size_t i = 0; i < stage.size(); ++i) {
+    if (fires[i] != 0) by_name[stage[i].name()] += fires[i];
+  }
 }
 
 void observe_reaction_compile(obs::Telemetry* tel,

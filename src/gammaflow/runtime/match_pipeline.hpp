@@ -14,9 +14,11 @@
 //               (a match bitmap from the compiled condition) instead of
 //               per-element probes, falling back to the scalar bytecode
 //               scan whenever the reaction has no batch plan or a chunk
-//               faults. Conditions and outputs always run the reaction's
-//               compiled bytecode; Reaction::apply(env) (the AST walker)
-//               is the reference the differential tests compare against.
+//               faults. Candidates bind into one slot frame per search,
+//               and conditions and outputs always run the reaction's
+//               compiled bytecode on it; Reaction::apply(env) (the AST
+//               walker) is the reference the differential tests compare
+//               against.
 //   enumerate — every enabled match up to a limit (the SequentialEngine's
 //               Eq. (1)-literal uniform choice, and match counting).
 //   validate  — re-check a proposal against CURRENT slot contents; the
@@ -28,7 +30,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "gammaflow/common/rng.hpp"
@@ -105,15 +110,17 @@ struct MatchPipeline {
 
   /// Revalidates `match` against the store's CURRENT slot contents: all ids
   /// alive, patterns still match, a branch still fires. On success the
-  /// match's env/produced are recomputed from the current occupants and the
-  /// commit may proceed; false means another thread invalidated the proposal
-  /// (the optimistic engines re-search — progress happened elsewhere).
+  /// match's branch and outputs are recomputed from the current occupants
+  /// (bound into a Frame, as the search binds them) and the commit may
+  /// proceed; false means another thread invalidated the proposal (the
+  /// optimistic engines re-search — progress happened elsewhere).
   [[nodiscard]] static bool validate(const gamma::Store& store,
                                      gamma::Match& match);
 
-  /// Applies a match: removes the consumed ids, inserts the produced
-  /// elements. Precondition: all ids alive (fresh find, or validate passed,
-  /// or the caller owns every reaction that could consume them).
+  /// Applies a match: removes the consumed ids, then writes the match's
+  /// output tuples straight into the store's columns. Precondition: all ids
+  /// alive (fresh find, or validate passed, or the caller owns every
+  /// reaction that could consume them).
   ///
   /// With a RecordCtx whose recorder is set, emits the firing's provenance
   /// (reaction, consumed elements rendered BEFORE removal, produced) to the
@@ -122,6 +129,14 @@ struct MatchPipeline {
   static void commit(gamma::Store& store, const gamma::Match& match,
                      const RecordCtx* rec = nullptr);
 };
+
+/// Adds one stage's fire counts, indexed like the stage's reactions, to a
+/// count by reaction name; reactions that never fired add no entry. The
+/// engines count by index on the fire path and name the counts once per
+/// stage.
+void add_fires(const std::vector<gamma::Reaction>& stage,
+               std::span<const std::uint64_t> fires,
+               std::map<std::string, std::uint64_t>& by_name);
 
 /// Feeds every reaction's one-time bytecode compile cost into the
 /// "expr.compile_ms" histogram — the shared tail of every Gamma engine's

@@ -89,11 +89,13 @@ ShardPlan plan_shards(const std::vector<gamma::Reaction>& stage,
   return plan;
 }
 
-ShardedStore::ShardedStore(const gamma::Multiset& initial, ShardMap map)
+ShardedStore::ShardedStore(const gamma::Multiset& initial, ShardMap map,
+                           const gamma::FieldSet& fields)
     : map_(std::move(map)) {
   shards_.reserve(map_.shards());
   for (std::size_t s = 0; s < map_.shards(); ++s) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->store = gamma::Store(fields);
   }
   for (const gamma::Element& e : initial) {
     shards_[map_.route(e)]->store.insert(e);

@@ -202,7 +202,9 @@ class ShardedStore {
     std::mutex mutex;
   };
 
-  ShardedStore(const gamma::Multiset& initial, ShardMap map);
+  /// Routes `initial` into shard stores that each index `fields`.
+  ShardedStore(const gamma::Multiset& initial, ShardMap map,
+               const gamma::FieldSet& fields);
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();

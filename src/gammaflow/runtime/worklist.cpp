@@ -27,16 +27,16 @@ WakeupIndex::WakeupIndex(std::vector<WakeKeys> keys) : keys_(std::move(keys)) {
   }
 }
 
-void WakeupIndex::wake(const gamma::Element& e,
+void WakeupIndex::wake(std::span<const Value> fields,
                        std::vector<std::size_t>& out) const {
   out.insert(out.end(), always_.begin(), always_.end());
-  if (e.arity() >= 2 && e.field(1).is_str()) {
-    const auto it = by_label_.find(e.field(1).as_str());
+  if (fields.size() >= 2 && fields[1].is_str()) {
+    const auto it = by_label_.find(fields[1].as_str());
     if (it != by_label_.end()) {
       out.insert(out.end(), it->second.begin(), it->second.end());
     }
   }
-  const auto it = by_arity_.find(e.arity());
+  const auto it = by_arity_.find(fields.size());
   if (it != by_arity_.end()) {
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
@@ -48,6 +48,7 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
     : program_(std::move(program)),
       index_(std::move(keys)),
       options_(options),
+      store_(gamma::FieldSet::of(program_)),
       rng_(options.seed),
       recording_(options, "worklist", "gamma") {
   if (program_.stage_count() > 1) {
@@ -71,14 +72,14 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
   recording_.begin(gamma::Multiset{});
 }
 
-void IncrementalFixpoint::wake_element(const gamma::Element& e) {
+void IncrementalFixpoint::wake_element(std::span<const Value> fields) {
   wake_scratch_.clear();
   if (options_.rescan) {
     for (std::size_t i = 0; i < reactions_->size(); ++i) {
       wake_scratch_.push_back(i);
     }
   } else {
-    index_.wake(e, wake_scratch_);
+    index_.wake(fields, wake_scratch_);
   }
   for (const std::size_t idx : wake_scratch_) {
     if (dirty_[idx] != 0) continue;
@@ -127,9 +128,8 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
         ++last_fires_;
         const RecordCtx rctx = recording_.ctx(0);
         MatchPipeline::commit(store_, *match, recording_ ? &rctx : nullptr);
-        for (const gamma::Element& produced : match->produced) {
-          wake_element(produced);
-        }
+        match->for_each_output(
+            [&](std::span<const Value> produced) { wake_element(produced); });
       }
       if (!exhausted && dirty_[idx] == 0) {
         // Stopped mid-drain (deadline/budget/cancel) with r possibly still
@@ -153,7 +153,7 @@ Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements)
   for (const gamma::Element& e : elements) {
     store_.insert(e);
     ++stats_.injected;
-    wake_element(e);
+    wake_element(e.fields());
   }
   last_outcome_ = saturate(loop);
   if (recording_) recording_.round(store_);
@@ -168,10 +168,7 @@ Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements)
 }
 
 Outcome IncrementalFixpoint::inject(const gamma::Multiset& elements) {
-  std::vector<gamma::Element> flat;
-  flat.reserve(elements.size());
-  for (const gamma::Element& e : elements) flat.push_back(e);
-  return inject(flat);
+  return inject(elements.elements());
 }
 
 std::uint64_t IncrementalFixpoint::anchor_skips() const noexcept {

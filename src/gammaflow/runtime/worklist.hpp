@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,11 +73,12 @@ class WakeupIndex {
     return keys_.at(reaction);
   }
 
-  /// Appends every reaction index whose keys admit `e`: the always-wake
-  /// list, the label bucket for e's string field 1 (when present), and the
-  /// arity bucket for e's arity. A reaction keyed on both the label and the
-  /// arity appears twice; callers dedup via their dirty flags.
-  void wake(const gamma::Element& e, std::vector<std::size_t>& out) const;
+  /// Appends every reaction index whose keys admit the element with these
+  /// fields: the always-wake list, the label bucket for its string field 1
+  /// (when present), and the arity bucket for its arity. A reaction keyed
+  /// on both the label and the arity appears twice; callers dedup via their
+  /// dirty flags.
+  void wake(std::span<const Value> fields, std::vector<std::size_t>& out) const;
 
  private:
   std::vector<WakeKeys> keys_;
@@ -154,7 +156,7 @@ class IncrementalFixpoint {
   void finish_recording();
 
  private:
-  void wake_element(const gamma::Element& e);
+  void wake_element(std::span<const Value> fields);
   [[nodiscard]] std::uint64_t anchor_skips() const noexcept;
   Outcome saturate(StepLoop& loop);
 

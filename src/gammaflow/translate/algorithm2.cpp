@@ -277,7 +277,8 @@ MappingRun map_until_fixpoint(const Reaction& reaction,
     // True-fixpoint check through the Gamma matcher (a failed round could
     // just be an unlucky pairing).
     {
-      gamma::Store store{gamma::Multiset(current)};
+      const gamma::Store store(gamma::Multiset(current),
+                               gamma::FieldSet::of(reaction));
       if (!runtime::MatchPipeline::find(store, reaction, &rng)) break;
     }
     if (run.rounds >= max_rounds) {

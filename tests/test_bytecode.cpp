@@ -323,12 +323,22 @@ std::vector<GammaCase> gamma_corpus() {
   return cases;
 }
 
+/// One match as a caller sees it: the consumed ids and the produced
+/// elements.
+struct SeenMatch {
+  std::vector<gamma::Store::Id> ids;
+  std::vector<gamma::Element> produced;
+
+  static SeenMatch of(const gamma::Match& m) {
+    return {{m.ids.begin(), m.ids.end()}, m.produced()};
+  }
+  friend bool operator==(const SeenMatch&, const SeenMatch&) = default;
+};
+
 /// What a caller of find/enumerate observes: the matches in visit order
 /// (ids and produced elements), then the error text if the search threw.
 struct Probe {
-  std::vector<std::pair<std::vector<gamma::Store::Id>,
-                        std::vector<gamma::Element>>>
-      matches;
+  std::vector<SeenMatch> matches;
   std::string error;
 
   friend bool operator==(const Probe&, const Probe&) = default;
@@ -349,9 +359,7 @@ struct Probe {
 template <typename Search>
 Probe probe(Search&& search) {
   Probe p;
-  const auto visit = [&](const gamma::Match& m) {
-    p.matches.emplace_back(m.ids, m.produced);
-  };
+  const auto visit = [&](const SeenMatch& m) { p.matches.push_back(m); };
   try {
     search(visit);
   } catch (const TypeError& ex) {
@@ -364,13 +372,14 @@ Probe probe(Search&& search) {
 
 /// The match pipeline's cyclic scan with the walker at the leaf: per depth
 /// visit one rng->bounded(n) start offset (0 without an rng), then the
-/// bucket in cyclic order — duplicate-id check, Store::match_pattern,
-/// recursion — and Reaction::apply(env) once every pattern is bound. Stops
-/// after `limit` matches.
+/// bucket in cyclic order — duplicate-id check, Pattern::match on the
+/// materialized element into a name-keyed Env, recursion — and
+/// Reaction::apply(env) once every pattern is bound. Stops after `limit`
+/// matches.
 void reference_search(const gamma::Store& store,
                       const gamma::Reaction& reaction, std::size_t limit,
                       Rng* rng,
-                      const std::function<void(const gamma::Match&)>& visit) {
+                      const std::function<void(const SeenMatch&)>& visit) {
   const auto& patterns = reaction.patterns();
   const std::size_t k = patterns.size();
   std::vector<const gamma::Store::Bucket*> buckets(k);
@@ -378,8 +387,7 @@ void reference_search(const gamma::Store& store,
     buckets[i] = store.bucket(patterns[i]);
     if (buckets[i] == nullptr || buckets[i]->empty()) return;
   }
-  gamma::Match m;
-  m.reaction = &reaction;
+  SeenMatch m;
   m.ids.resize(k);
   std::vector<Env> envs(k + 1);
   std::size_t visited = 0;
@@ -387,7 +395,6 @@ void reference_search(const gamma::Store& store,
     if (depth == k) {
       auto produced = reaction.apply(envs[k]);
       if (!produced) return;
-      m.env = envs[k];
       m.produced = std::move(*produced);
       visit(m);
       ++visited;
@@ -401,7 +408,7 @@ void reference_search(const gamma::Store& store,
       const auto bound = m.ids.begin() + static_cast<std::ptrdiff_t>(depth);
       if (std::find(m.ids.begin(), bound, id) != bound) continue;
       envs[depth + 1] = envs[depth];
-      if (!store.match_pattern(patterns[depth], id, envs[depth + 1])) continue;
+      if (!patterns[depth].match(store.element(id), envs[depth + 1])) continue;
       m.ids[depth] = id;
       dfs(depth + 1);
     }
@@ -427,7 +434,7 @@ std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
                                               const std::string& what,
                                               std::size_t max_steps = 4096,
                                               bool check_enumerate = true) {
-  gamma::Store store(initial);
+  gamma::Store store(initial, gamma::FieldSet::of(program));
   Rng pipeline_rng(seed);
   Rng reference_rng(seed);
   std::size_t fires = 0;
@@ -447,7 +454,7 @@ std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
           const Probe got_all = probe([&](const auto& visit) {
             (void)runtime::MatchPipeline::enumerate(
                 store, r, kEnumerateLimit, [&](const gamma::Match& m) {
-                  visit(m);
+                  visit(SeenMatch::of(m));
                   return true;
                 });
           });
@@ -461,7 +468,7 @@ std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
         const Probe got = probe([&](const auto& visit) {
           found = runtime::MatchPipeline::find(store, r, &pipeline_rng,
                                                &memos[ri]);
-          if (found) visit(*found);
+          if (found) visit(SeenMatch::of(*found));
         });
         EXPECT_EQ(got, want) << where << " (find)";
         if (got != want || !got.error.empty()) return fires;
@@ -506,7 +513,7 @@ struct ReferenceRun {
 ReferenceRun reference_run(const gamma::Program& program,
                            const gamma::Multiset& initial,
                            std::uint64_t seed) {
-  gamma::Store store(initial);
+  gamma::Store store(initial, gamma::FieldSet::of(program));
   Rng rng(seed);
   ReferenceRun out;
   for (const auto& stage : program.stages()) {
@@ -514,9 +521,9 @@ ReferenceRun reference_run(const gamma::Program& program,
     while (progressed) {
       progressed = false;
       for (const gamma::Reaction& r : stage) {
-        std::optional<gamma::Match> found;
+        std::optional<SeenMatch> found;
         reference_search(store, r, 1, &rng,
-                         [&](const gamma::Match& m) { found = m; });
+                         [&](const SeenMatch& m) { found = m; });
         if (!found) continue;
         for (const gamma::Store::Id id : found->ids) store.remove(id);
         for (const gamma::Element& e : found->produced) store.insert(e);
@@ -1078,6 +1085,78 @@ TEST(BatchCorpus, CompiledReactionExposesItsBatchPlan) {
   }
   EXPECT_EQ(joins, (std::vector<std::vector<std::pair<int, int>>>{
                        {}, {{2, 1}}, {{0, 1}, {1, 0}}}));
+}
+
+TEST(BytecodeCorpus, CompiledApplyOverAFrameMatchesTheWalker) {
+  // CompiledReaction::apply over a slot frame against Reaction::apply over
+  // the Env that Reaction::match binds: the same firing branch, the same
+  // outputs and the same error text, on multi-branch, else, `by 0` and
+  // faulting reactions over Int, Real, string and Bool fields.
+  const char* const reactions[] = {
+      "R = replace x, y by [x / y] if x > y by [y, x] if x < y by 0 else",
+      "R = replace [x, 'a'], [y, 'a'] by [x + y, 'a'] if x + y > 3 "
+      "by [x, 'b'], [y, 'b'] else",
+      "R = replace x, y by [x] where x % y == 0",
+      "R = replace [x, k], [y, k] by [x * y, k] if k by [x - y, k] else",
+  };
+  const std::vector<std::vector<gamma::Element>> tuples = {
+      {gamma::Element{Value(6)}, gamma::Element{Value(3)}},
+      {gamma::Element{Value(3)}, gamma::Element{Value(6)}},
+      {gamma::Element{Value(4)}, gamma::Element{Value(4)}},
+      {gamma::Element{Value(1)}, gamma::Element{Value(0)}},
+      {gamma::Element{Value(2.5)}, gamma::Element{Value(0.5)}},
+      {gamma::Element{Value("s")}, gamma::Element{Value(1)}},
+      {gamma::Element::labeled(Value(1), "a"),
+       gamma::Element::labeled(Value(2), "a")},
+      {gamma::Element::labeled(Value(3), "a"),
+       gamma::Element::labeled(Value(2), "a")},
+      {gamma::Element{Value(5), Value(true)},
+       gamma::Element{Value(2), Value(true)}},
+      {gamma::Element{Value(5), Value(false)},
+       gamma::Element{Value(2), Value(false)}},
+      {gamma::Element{Value(5), Value(7)}, gamma::Element{Value(2), Value(7)}},
+  };
+  std::size_t compared = 0;
+  for (const char* text : reactions) {
+    const gamma::Reaction r = gamma::dsl::parse_reaction(text);
+    const gamma::CompiledReaction& compiled = r.compiled();
+    for (const auto& tuple : tuples) {
+      std::vector<const gamma::Element*> elements;
+      for (const gamma::Element& e : tuple) elements.push_back(&e);
+      Env env;
+      if (!r.match(elements, env)) continue;
+      gamma::Frame frame(compiled.slots().size());
+      for (std::size_t s = 0; s < compiled.slots().size(); ++s) {
+        frame.bind_ref(s, env.lookup(compiled.slots()[s]));
+      }
+      std::optional<std::vector<gamma::Element>> want;
+      const Observed want_error = observe([&] {
+        want = r.apply(env);
+        return Value();
+      });
+      std::optional<std::vector<gamma::Element>> got;
+      const Observed got_error = observe([&] {
+        expr::Vm vm;
+        gamma::CompiledReaction::Outputs out;
+        const auto branch = compiled.apply(frame.slots(), vm, out);
+        if (branch) {
+          gamma::Match m;
+          m.reaction = &r;
+          m.branch = *branch;
+          m.outputs = out;
+          got = m.produced();
+        }
+        return Value();
+      });
+      const std::string where = std::string(text) + " on " +
+                                tuple[0].to_string() + ", " +
+                                tuple[1].to_string();
+      EXPECT_EQ(got_error, want_error) << where;
+      EXPECT_EQ(got, want) << where;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 19u);  // every tuple a reaction's patterns match
 }
 
 TEST(BytecodeCorpus, CompiledReactionReportsFootprint) {

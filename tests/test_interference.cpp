@@ -466,13 +466,13 @@ TEST(Property, IndependentPairsCommuteOn500RandomStates) {
       const auto v = static_cast<std::int64_t>(rng.bounded(100));
       m.add(Element::labeled(Value(v), rng.bounded(2) ? "a" : "b"));
     }
-    gamma::Store forward{m};
+    gamma::Store forward(m, gamma::FieldSet::of(p));
     const auto ma = runtime::MatchPipeline::find(forward, ra, &rng);
     const auto mb = runtime::MatchPipeline::find(forward, rb, &rng);
     if (!ma || !mb) continue;  // state lacks an 'a' or a 'b'
     ++exercised;
 
-    gamma::Store backward{m};  // same state => same slot ids
+    gamma::Store backward(m, gamma::FieldSet::of(p));  // same state => same slot ids
     runtime::MatchPipeline::commit(forward, *ma);
     runtime::MatchPipeline::commit(forward, *mb);
     runtime::MatchPipeline::commit(backward, *mb);

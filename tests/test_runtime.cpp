@@ -215,13 +215,20 @@ TEST(ShardedStoreTest, PartitionRoundTripsAndVersionIsMonotone) {
   }
   init.add(Element{Value(99)});  // inert: hash-routed, must survive
 
-  ShardedStore sharded(init, ShardMap({{"a", 0}, {"b", 1}}, 2));
+  ShardedStore sharded(init, ShardMap({{"a", 0}, {"b", 1}}, 2),
+                       gamma::FieldSet{1});
   EXPECT_EQ(sharded.shard_count(), 2u);
   EXPECT_EQ(sharded.size(), 11u);
   EXPECT_EQ(sharded.to_multiset(), init);
   // Every 'a' element lives on shard 0, every 'b' on shard 1.
   EXPECT_GE(sharded.shard(0).store.size(), 5u);
   EXPECT_GE(sharded.shard(1).store.size(), 5u);
+  // Every shard indexes the fields it was given, and only those.
+  for (std::size_t s = 0; s < 2; ++s) {
+    const gamma::Store& store = sharded.shard(s).store;
+    EXPECT_NE(store.field_bucket(1, Value(s == 0 ? "a" : "b")), nullptr);
+    EXPECT_THROW((void)store.field_bucket(0, Value(0)), EngineError);
+  }
 
   const std::uint64_t v0 = sharded.version();
   sharded.shard(0).store.insert(Element::labeled(Value(50), "a"));
@@ -232,7 +239,7 @@ TEST(ShardedStoreTest, PartitionRoundTripsAndVersionIsMonotone) {
 
 TEST(MatchPipelineTest, ConstFindValidateCommitRoundTrip) {
   const Program p = parse("R = replace x, y by x + y where x <= y");
-  gamma::Store store(ints(1, 3));
+  gamma::Store store(ints(1, 3), gamma::FieldSet::of(p));
   const gamma::Reaction& r = p.stages()[0][0];
 
   const gamma::Store& cstore = store;
@@ -249,7 +256,7 @@ TEST(MatchPipelineTest, ConstFindValidateCommitRoundTrip) {
 
 TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
   const Program p = parse("R = replace x, y by x where x < y");
-  gamma::Store store(ints(4, 4));  // one element: arity-2 pattern cannot bind
+  gamma::Store store(ints(4, 4), gamma::FieldSet::of(p));  // one element: arity-2 pattern cannot bind
   EXPECT_FALSE(MatchPipeline::find(store, p.stages()[0][0]).has_value());
 }
 
@@ -258,7 +265,7 @@ TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
 TEST(AnchorMemoTest, SecondFailingFindEvaluatesNoLanesAndKeepsTheRngStream) {
   const Program p = parse("R = replace x, y by x where x + y < 0");
   const gamma::Reaction& r = p.stages()[0][0];
-  const gamma::Store store(ints(1, 200));
+  const gamma::Store store(ints(1, 200), gamma::FieldSet::of(p));
   Rng memo_rng(11);
   Rng plain_rng(11);
   AnchorMemo memo;

@@ -8,6 +8,7 @@
 
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/parser.hpp"
+#include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
 
@@ -20,6 +21,11 @@ std::vector<expr::ExprPtr> tuple(std::initializer_list<const char*> fields) {
   std::vector<expr::ExprPtr> out;
   for (const char* f : fields) out.push_back(expr::parse_expression(f));
   return out;
+}
+
+/// The match's ids as a vector.
+std::vector<Store::Id> ids(const Match& m) {
+  return {m.ids.begin(), m.ids.end()};
 }
 
 /// Size of the bucket `p` probes (0 when there is none).
@@ -60,7 +66,7 @@ TEST(Store, VersionAdvancesOnMutation) {
 }
 
 TEST(Store, CandidatesByLabelBucket) {
-  Store s;
+  Store s(FieldSet{1});
   s.insert(Element::tagged(Value(1), "A", 0));
   s.insert(Element::tagged(Value(2), "B", 0));
   s.insert(Element::tagged(Value(3), "A", 1));
@@ -80,7 +86,7 @@ TEST(Store, CandidatesByArityForUnconstrained) {
 }
 
 TEST(Store, RemoveUnindexesTheIdFromItsBuckets) {
-  Store s;
+  Store s(FieldSet{1});
   const auto id1 = s.insert(Element::tagged(Value(1), "A", 0));
   const auto id2 = s.insert(Element::tagged(Value(2), "A", 0));
   const auto id3 = s.insert(Element::tagged(Value(3), "B", 0));
@@ -98,7 +104,7 @@ TEST(Store, RemoveUnindexesTheIdFromItsBuckets) {
 TEST(Store, BucketsAreExactBeforeAnyCompaction) {
   // Lookups are read-only and see exactly the live occupants right after a
   // remove; compaction rewrites rows, never bucket contents.
-  Store s;
+  Store s(FieldSet{1});
   const auto id1 = s.insert(Element::tagged(Value(1), "A", 0));
   const auto id2 = s.insert(Element::tagged(Value(2), "A", 0));
   s.remove(id1);
@@ -118,7 +124,7 @@ TEST(Store, FieldBucketHoldsEveryIdAJoinCanMatch) {
   // base bucket, so that bucket must contain every id the joined pattern
   // can match. Keys are index identity: ±0.0 share a bucket (and match
   // each other), Int 1 and Real 1.0 do not (and never match each other).
-  Store s;
+  Store s(FieldSet{1, 2});
   const auto neg_zero = s.insert(Element{Value(1), Value(-0.0)});
   const auto pos_zero = s.insert(Element{Value(2), Value(0.0)});
   const auto int_one = s.insert(Element{Value(3), Value(1)});
@@ -137,8 +143,15 @@ TEST(Store, FieldBucketHoldsEveryIdAJoinCanMatch) {
   EXPECT_EQ(s.field_bucket(2, Value(0.0)), nullptr);
 
   // Superset: under k bound to each key, every id [y, k] matches is in
-  // the (1, k) bucket; a NaN key matches nothing at all.
-  const Pattern joined({PatternField::bind("y"), PatternField::bind("k")});
+  // the (1, k) bucket; a NaN key matches nothing at all. The frame ops are
+  // those of the join's inner pattern: slot 0 is k, bound by the outer one.
+  const Reaction join("J",
+                      {Pattern({PatternField::bind("x"), PatternField::bind("k")}),
+                       Pattern({PatternField::bind("y"), PatternField::bind("k")})},
+                      {Branch::unconditional({tuple({"x + y", "k"})})});
+  const std::span<const FieldOp> joined(join.compiled().field_ops()[1]);
+  ASSERT_EQ(join.compiled().slots(),
+            (std::vector<std::string>{"x", "k", "y"}));
   const std::vector<Store::Id> ids{neg_zero, pos_zero, int_one,
                                    real_one, nan,      wide};
   for (const Value& key : {Value(-0.0), Value(0.0), Value(1), Value(1.0),
@@ -146,9 +159,9 @@ TEST(Store, FieldBucketHoldsEveryIdAJoinCanMatch) {
     const Store::Bucket* bucket = s.field_bucket(1, key);
     ASSERT_NE(bucket, nullptr) << key;
     for (const Store::Id id : ids) {
-      expr::Env env;
-      env.bind("k", key);
-      if (!s.match_pattern(joined, id, env)) continue;
+      Frame frame(3);
+      frame.bind_ref(1, key);
+      if (!s.bind(joined, id, frame)) continue;
       EXPECT_FALSE(key.is_real() && std::isnan(key.as_real())) << id;
       EXPECT_NE(std::find(bucket->begin(), bucket->end(), id), bucket->end())
           << key << " id " << id;
@@ -160,7 +173,7 @@ TEST(Store, ScanPositionContinuesTheWiderCyclicScan) {
   // A cyclic scan of the narrow bucket from scan_position(narrow, id)
   // visits the ids both buckets share in the order a cyclic scan of the
   // wider bucket from `id` does.
-  Store s;
+  Store s(FieldSet{1});
   std::vector<Store::Id> ids;
   for (int i = 0; i < 6; ++i) {
     ids.push_back(s.insert(Element{Value(i), Value(i % 2 == 1 ? "odd" : "even")}));
@@ -194,7 +207,7 @@ TEST(Store, BucketsStayBoundedUnderSlotReuse) {
   // old registration lingered, the label bucket would grow by one per
   // rewrite and matching would degrade to O(total firings). (Observed:
   // Fig. 2's reduced program at z=4000 took 54s instead of 0.2s.)
-  Store s;
+  Store s(FieldSet{1});
   for (int i = 0; i < 10000; ++i) {
     const auto id = s.insert(Element::tagged(Value(i), "L", 0));
     s.remove(id);
@@ -214,7 +227,7 @@ TEST(Store, RandomizedBucketsEqualLiveOccupantsInInsertionOrder) {
                                      Value(2),        Value(std::string("a")),
                                      Value(std::string("b")), Value(true),
                                      Value(2.5),      Value()};
-  Store s;
+  Store s(FieldSet{0, 1, 2});
   std::vector<std::pair<Store::Id, Element>> live;  // insertion order
   Rng rng(2024);
   for (int step = 0; step < 500; ++step) {
@@ -276,7 +289,7 @@ TEST(Store, FieldIndexDoesNotLeakBucketsForRetiredValues) {
   // A long-lived session that keeps producing fresh values (keyed sums)
   // must not keep one index node per value ever seen: 10^5 insert/remove
   // cycles of distinct values leave only the live pairs' buckets behind.
-  Store s;
+  Store s(FieldSet{0, 1});
   const auto keep = s.insert(Element::labeled(Value(-1), "K"));
   for (std::int64_t i = 0; i < 100000; ++i) {
     s.remove(s.insert(Element::labeled(Value(i), "K")));
@@ -289,7 +302,7 @@ TEST(Store, FieldIndexDoesNotLeakBucketsForRetiredValues) {
 
 TEST(Store, NanFieldsUnindexCleanly) {
   // NaN != NaN as a Value, yet remove() must still find the NaN's bucket.
-  Store s;
+  Store s(FieldSet{0});
   const auto id = s.insert(Element{Value(std::nan(""))});
   EXPECT_EQ(s.field_bucket_count(), 1u);
   s.remove(id);
@@ -301,7 +314,7 @@ TEST(Store, ToMultisetRoundTrip) {
   const Multiset m{Element::tagged(Value(1), "A", 0),
                    Element::tagged(Value(1), "A", 0),
                    Element::tagged(Value(2), "B", 1)};
-  const Store s(m);
+  const Store s(m, FieldSet{});
   EXPECT_EQ(s.to_multiset(), m);
 }
 
@@ -313,19 +326,19 @@ Reaction adder() {
 }
 
 TEST(FindMatch, FindsEnabledPair) {
-  Store s;
+  Store s(FieldSet::of(adder()));
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
   const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->ids.size(), 2u);
-  ASSERT_EQ(m->produced.size(), 1u);
-  EXPECT_EQ(m->produced[0], Element::labeled(Value(5), "S"));
+  ASSERT_EQ(m->produced().size(), 1u);
+  EXPECT_EQ(m->produced()[0], Element::labeled(Value(5), "S"));
 }
 
 TEST(FindMatch, NoMatchWhenLabelMissing) {
-  Store s;
+  Store s(FieldSet::of(adder()));
   s.insert(Element::labeled(Value(2), "L"));
   EXPECT_FALSE(MatchPipeline::find(s, adder()).has_value());
 }
@@ -351,11 +364,11 @@ TEST(FindMatch, ConditionGatesMatch) {
   // Both orderings exist as candidate tuples; only (2,9) is enabled.
   const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->produced[0], Element{Value(2)});
+  EXPECT_EQ(m->produced()[0], Element{Value(2)});
 }
 
 TEST(FindMatch, CommitAppliesRewrite) {
-  Store s;
+  Store s(FieldSet::of(adder()));
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
@@ -370,7 +383,7 @@ TEST(FindMatch, CommitAppliesRewrite) {
 TEST(FindMatch, RandomizedIsFairAcrossPairs) {
   // Two independent L/R pairs; randomized probing should pick different
   // first matches across seeds.
-  Store s;
+  Store s(FieldSet::of(adder()));
   s.insert(Element::labeled(Value(1), "L"));
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(10), "R"));
@@ -380,9 +393,33 @@ TEST(FindMatch, RandomizedIsFairAcrossPairs) {
     Rng rng(seed);
     const auto m = MatchPipeline::find(s, r, &rng);
     ASSERT_TRUE(m.has_value());
-    first_values.insert(m->produced[0].value());
+    first_values.insert(m->produced()[0].value());
   }
   EXPECT_EQ(first_values.size(), 2u);  // both 11 and 12 observed
+}
+
+TEST(FindMatch, WideReactionsSpillPastTheInlineBuffers) {
+  // Five patterns, ten binders and ten output fields: more ids, frame
+  // slots and output values than a match or frame keeps inline.
+  Store s;
+  for (int i = 0; i < 5; ++i) s.insert(Element{Value(i), Value(10 * i)});
+  const Reaction r = dsl::parse_reaction(
+      "W = replace [a, b], [c, d], [e, f], [g, h], [i, j] "
+      "by [a, b, c, d, e, f, g, h, i, j]");
+  auto m = MatchPipeline::find(s, r);
+  ASSERT_TRUE(m.has_value());
+  ASSERT_EQ(m->ids.size(), 5u);
+  std::vector<Value> want;
+  for (const Store::Id id : m->ids) {
+    const Element e = s.element(id);
+    want.insert(want.end(), e.fields().begin(), e.fields().end());
+  }
+  ASSERT_EQ(m->produced().size(), 1u);
+  EXPECT_EQ(m->produced()[0], Element(want));
+  EXPECT_TRUE(MatchPipeline::validate(s, *m));
+  EXPECT_EQ(m->produced()[0], Element(want));
+  MatchPipeline::commit(s, *m);
+  EXPECT_EQ(s.to_multiset(), Multiset{Element(want)});
 }
 
 TEST(EnumerateMatches, CountsOrderedTuples) {
@@ -495,22 +532,80 @@ TEST(Store, LivenessBitmapTracksRows) {
   EXPECT_EQ(s.dead_rows(), 65u);
 }
 
-TEST(Store, MatchPatternAgreesWithElementMatch) {
+TEST(Store, FrameBindAgreesWithElementMatch) {
+  // The frame matcher (a reaction's field ops run on the columns) against
+  // Pattern::match on the materialized elements, over every ordered tuple
+  // of stored elements: the same verdict, and on a match the same value in
+  // every slot as the Env holds under the slot's name. The elements mix
+  // Int, Real (NaN included), string, Bool and Nil fields, so Lit, Bind
+  // and Eq each meet in-place and spilled payloads.
   Store s;
-  const auto id = s.insert(Element::tagged(Value(41), "A", 3));
-  const Pattern hit = Pattern::tagged("x", "A", "v");
-  const Pattern missLabel = Pattern::tagged("x", "B", "v");
-  const Pattern missArity = Pattern::labeled("x", "A");
-  for (const Pattern* p : {&hit, &missLabel, &missArity}) {
-    expr::Env direct;
-    expr::Env viaColumns;
-    EXPECT_EQ(p->match(s.element(id), direct),
-              s.match_pattern(*p, id, viaColumns));
+  const std::vector<Element> elements = {
+      Element::tagged(Value(41), "A", 3),
+      Element::tagged(Value(41), "B", 3),
+      Element::tagged(Value(7), "B", 4),
+      Element::labeled(Value(41), "A"),
+      Element{Value(5), Value(5)},
+      Element{Value(5), Value(6)},
+      Element{Value("s"), Value("s")},
+      Element{Value(std::nan("")), Value(std::nan(""))},
+      Element{Value(), Value()},
+      Element{Value(2.5), Value(true)},
+      Element{Value(3)},
+      Element{Value(6)},
+  };
+  std::vector<Store::Id> ids;
+  for (const Element& e : elements) ids.push_back(s.insert(e));
+
+  const char* const reactions[] = {
+      "R = replace [x, 'A', v] by x",
+      "R = replace [x, 'B', v] by x",
+      "R = replace [x, 'A'] by x",
+      "R = replace [x, x] by x",
+      "R = replace [x, y] by x",
+      "R = replace x by x",
+      "R = replace [x, 'A', v], [y, 'B', v] by x",
+      "R = replace [x, y], [y, x] by x",
+      "R = replace [x, k], [k, y], [y] by x",
+  };
+  for (const char* text : reactions) {
+    const Reaction r = dsl::parse_reaction(text);
+    const CompiledReaction& compiled = r.compiled();
+    const std::size_t k = r.arity();
+    std::vector<std::size_t> at(k, 0);
+    std::size_t matched = 0;
+    while (true) {
+      expr::Env env;
+      bool want = true;
+      Frame frame(compiled.slots().size());
+      bool got = true;
+      for (std::size_t d = 0; d < k; ++d) {
+        want = want && r.patterns()[d].match(elements[at[d]], env);
+        got = got && s.bind(compiled.field_ops()[d], ids[at[d]], frame);
+      }
+      std::string where = std::string(text) + " on";
+      for (const std::size_t a : at) {
+        where.append(" ").append(elements[a].to_string());
+      }
+      EXPECT_EQ(got, want) << where;
+      if (got && want) {
+        ++matched;
+        for (std::size_t slot = 0; slot < compiled.slots().size(); ++slot) {
+          const Value* bound = env.find(compiled.slots()[slot]);
+          ASSERT_NE(bound, nullptr) << where;
+          ASSERT_NE(frame.slot(slot), nullptr) << where;
+          // Value == is false for NaN; compare the rendering instead.
+          EXPECT_EQ(frame.slot(slot)->to_string(), bound->to_string())
+              << where << " slot " << compiled.slots()[slot];
+          EXPECT_EQ(frame.slot(slot)->kind(), bound->kind()) << where;
+        }
+      }
+      std::size_t d = 0;
+      while (d < k && ++at[d] == elements.size()) at[d++] = 0;
+      if (d == k) break;
+    }
+    EXPECT_GT(matched, 0u) << text;
   }
-  expr::Env env;
-  ASSERT_TRUE(s.match_pattern(hit, id, env));
-  EXPECT_EQ(*env.find("x"), Value(41));
-  EXPECT_EQ(*env.find("v"), Value(3));
 }
 
 TEST(EnumerateMatches, OnlyEnabledMatchesVisited) {
@@ -567,7 +662,7 @@ TEST(AnchorMemo, ReusedAnchorSlotStartsFresh) {
   EXPECT_EQ(memo.watermark(s, anchor), 0u);
   const auto m = MatchPipeline::find(s, r, nullptr, &memo);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->ids, (std::vector<Store::Id>{anchor, candidate}));
+  EXPECT_EQ(ids(*m), (std::vector<Store::Id>{anchor, candidate}));
 }
 
 TEST(AnchorMemo, ReusedCandidateSlotIsRescanned) {
@@ -585,7 +680,7 @@ TEST(AnchorMemo, ReusedCandidateSlotIsRescanned) {
   ASSERT_EQ(s.insert(Element{Value(4)}), candidate);
   const auto m = MatchPipeline::find(s, r, nullptr, &memo);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->ids, (std::vector<Store::Id>{anchor, candidate}));
+  EXPECT_EQ(ids(*m), (std::vector<Store::Id>{anchor, candidate}));
   EXPECT_EQ(memo.skips(), 0u);
 }
 
@@ -593,7 +688,7 @@ TEST(AnchorMemo, SuffixScanKeepsTheCyclicOrderAndTheRngStream) {
   // One anchor [10,'a'] fails against 1..5; then 11..30 arrive, all of
   // which fire. A seeded find must pick the candidate a full cyclic scan
   // from the drawn start picks, not the first one past the watermark.
-  Store s;
+  Store s(FieldSet{1});
   s.insert(Element::labeled(Value(10), "a"));
   for (std::int64_t v = 1; v <= 5; ++v) s.insert(Element{Value(v)});
   const Reaction r("Gt", {Pattern::labeled("x", "a"), Pattern::var("y")},
@@ -610,11 +705,78 @@ TEST(AnchorMemo, SuffixScanKeepsTheCyclicOrderAndTheRngStream) {
     const auto want = MatchPipeline::find(s, r, &without);
     ASSERT_TRUE(got.has_value());
     ASSERT_TRUE(want.has_value());
-    EXPECT_EQ(got->ids, want->ids) << "seed " << seed;
+    EXPECT_EQ(ids(*got), ids(*want)) << "seed " << seed;
     EXPECT_EQ(with_memo(), without()) << "seed " << seed;
-    picked.insert(got->produced[0].value());
+    picked.insert(got->produced()[0].value());
   }
   EXPECT_GT(picked.size(), 1u);
+}
+
+TEST(Store, IndexesOnlyConstrainedFields) {
+  // The derived set holds each pattern's key-constraint field and its join
+  // fields, over every stage; the store builds (field, value) buckets for
+  // exactly those fields, so field_bucket_count() counts the distinct
+  // values of the constrained fields alone.
+  const Program program = dsl::parse_program(
+      "A = replace [x, 'a', t], [y, 'a', t] by [x + y, 'a', t]\n"
+      ";\n"
+      "B = replace [k, v, w, u], [k, z, w, q] by [k, v + z, w, u]");
+  const FieldSet fields = FieldSet::of(program);
+  EXPECT_EQ(fields.fields(), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_TRUE(FieldSet::of(dsl::parse_reaction("R = replace x, y by x + y"))
+                  .fields()
+                  .empty());
+  EXPECT_EQ(FieldSet::of(dsl::parse_reaction(
+                             "R = replace [x, 'a'], [y, 'b'] by [x + y, 'c']"))
+                .fields(),
+            (std::vector<std::size_t>{1}));
+
+  Store s(fields);
+  std::set<std::pair<std::size_t, Value>> distinct;
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Value> f;
+    const std::size_t arity = 1 + rng.bounded(4);
+    for (std::size_t j = 0; j < arity; ++j) {
+      f.push_back(Value(static_cast<std::int64_t>(rng.bounded(6))));
+    }
+    for (std::size_t j = 0; j < std::min<std::size_t>(arity, 3); ++j) {
+      distinct.emplace(j, f[j]);
+    }
+    s.insert(Element(std::move(f)));
+  }
+  EXPECT_EQ(s.field_bucket_count(), distinct.size());
+
+  // A program that constrains no field gets no field bucket at all.
+  Store plain(FieldSet::of(dsl::parse_program("R = replace x, y by x + y")));
+  for (int i = 0; i < 50; ++i) plain.insert(Element{Value(i), Value(i)});
+  EXPECT_EQ(plain.field_bucket_count(), 0u);
+  EXPECT_EQ(bucket_size(plain, Pattern::var("x")), 0u);
+}
+
+TEST(Store, UnindexedFieldQueryThrows) {
+  // The search reads a null bucket as "no live element carries the value",
+  // a fixpoint proof; an unindexed field must never answer null.
+  Store s(FieldSet{1});
+  s.insert(Element{Value(1), Value(2), Value(3)});
+  EXPECT_NE(s.field_bucket(1, Value(2)), nullptr);
+  EXPECT_EQ(s.field_bucket(1, Value(9)), nullptr);
+  EXPECT_THROW((void)s.field_bucket(0, Value(1)), EngineError);
+  EXPECT_THROW((void)s.field_bucket(2, Value(9)), EngineError);
+  EXPECT_THROW((void)s.bucket(Pattern({PatternField::literal(Value(1)),
+                                       PatternField::bind("y")})),
+               EngineError);
+  // So does a search whose reaction needs an index the store lacks.
+  const Reaction keyed = dsl::parse_reaction(
+      "R = replace [x, k], [y, k] by [x + y, k]");
+  Store unkeyed;
+  unkeyed.insert(Element{Value(1), Value(2)});
+  unkeyed.insert(Element{Value(3), Value(2)});
+  EXPECT_THROW((void)MatchPipeline::find(unkeyed, keyed), EngineError);
+  Store right(FieldSet::of(keyed));
+  right.insert(Element{Value(1), Value(2)});
+  right.insert(Element{Value(3), Value(2)});
+  EXPECT_TRUE(MatchPipeline::find(right, keyed).has_value());
 }
 
 }  // namespace
