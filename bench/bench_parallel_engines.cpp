@@ -3,11 +3,22 @@
 //   - the dataflow wavefront profile (how many node instances are fireable
 //     per step) widens with the workload's width;
 //   - the Gamma concurrent-firings count does the same;
-// and engine comparisons: sequential-oracle vs indexed vs parallel Gamma,
-// interpreter vs parallel-PE dataflow, worker sweeps 1..8.
+// then the wall-clock side: every Gamma row timed on the indexed engine and
+// on the parallel engine at 1, 2 and 4 workers in this one process, with
+// each parallel time's ratio to the indexed one; and the timed engine
+// comparisons: sequential-oracle vs indexed vs parallel Gamma, interpreter
+// vs parallel-PE dataflow, worker sweeps.
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "bench_util.hpp"
 #include "gammaflow/analysis/analysis.hpp"
-#include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
@@ -28,11 +39,8 @@ gamma::Multiset random_ints(std::size_t n, std::uint64_t seed) {
   return m;
 }
 
-// --- conflict classes: paired conflict-free vs high-contention workloads ---
-
 /// `chains` independent countdown populations: reaction i touches only label
-/// "c<i>", so interference analysis splits the program into `chains` conflict
-/// classes and the parallel engine can commit without revalidation.
+/// "c<i>".
 gamma::Program chain_program(std::size_t chains) {
   std::ostringstream src;
   for (std::size_t i = 0; i < chains; ++i) {
@@ -54,84 +62,154 @@ gamma::Multiset chain_init(std::size_t chains, std::size_t per_chain,
   return m;
 }
 
-/// Every element shares one label: all reactions compete, one conflict
-/// class, and the class optimization (correctly) never engages.
-gamma::Program contended_program() {
-  return gamma::dsl::parse_program(
-      "R = replace [x,'h'], [y,'h'] by [x + y,'h']");
+/// 4096 `[v, k]` over 64 labels: `replace [x, k], [y, k]` joins on k, so
+/// every fire probes a (field, bound value) bucket, and the fixpoint holds
+/// one `[sum, k]` per label.
+struct KeyedCase {
+  gamma::Program program;
+  gamma::Multiset initial;
+  gamma::Multiset sums;
+};
+
+const KeyedCase& keyed_case() {
+  static const KeyedCase c = [] {
+    KeyedCase kc;
+    kc.program =
+        gamma::dsl::parse_program("Rkey = replace [x, k], [y, k] by [x + y, k]");
+    Rng rng(17);
+    std::vector<std::int64_t> sums(64, 0);
+    for (std::size_t i = 0; i < 4096; ++i) {
+      const auto v = static_cast<std::int64_t>(rng.bounded(1000));
+      sums[i % 64] += v;
+      kc.initial.add(gamma::Element{
+          Value(v), Value(std::string("k").append(std::to_string(i % 64)))});
+    }
+    for (std::size_t k = 0; k < sums.size(); ++k) {
+      kc.sums.add(gamma::Element{
+          Value(sums[k]), Value(std::string("k").append(std::to_string(k)))});
+    }
+    return kc;
+  }();
+  return c;
 }
 
-gamma::Multiset contended_init(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  gamma::Multiset m;
-  for (std::size_t i = 0; i < n; ++i) {
-    m.add(gamma::Element::labeled(
-        Value(static_cast<std::int64_t>(rng.bounded(1000))), "h"));
-  }
-  return m;
+/// One Gamma workload of the wall-clock table.
+struct GammaRow {
+  std::string name;
+  gamma::Program program;
+  gamma::Multiset initial;
+};
+
+std::vector<GammaRow> gamma_rows() {
+  std::vector<GammaRow> rows;
+  const gamma::Program sum = gamma::dsl::parse_program("R = replace x, y by x + y");
+  rows.push_back({"sum 1024", sum, random_ints(1024, 13)});
+  rows.push_back({"sum 16384", sum, random_ints(16384, 13)});
+  rows.push_back({"keyed 4096/64", keyed_case().program, keyed_case().initial});
+  rows.push_back({"chains 8x8", chain_program(8), chain_init(8, 8, 16)});
+  gamma::Multiset sieve;
+  for (std::int64_t i = 2; i <= 999; ++i) sieve.add(gamma::Element{Value(i)});
+  rows.push_back({"sieve 2..999",
+                  gamma::dsl::parse_program(
+                      "R = replace x, y by x where (y % x == 0) and (x > 1)"),
+                  std::move(sieve)});
+  rows.push_back({"min 4096",
+                  gamma::dsl::parse_program("R = replace x, y by x where x < y"),
+                  random_ints(4096, 13)});
+  return rows;
 }
 
-gamma::RunResult run_instrumented(const gamma::Program& p,
-                                  const gamma::Multiset& m,
-                                  bool with_classes, unsigned workers) {
-  obs::Telemetry tel;
+/// Milliseconds of one run; `ok` is cleared when its fixpoint is not `want`.
+double timed_ms(const gamma::Engine& engine, const GammaRow& row,
+                unsigned workers, const gamma::Multiset& want, bool& ok) {
   gamma::RunOptions opts;
   opts.workers = workers;
-  opts.telemetry = &tel;
-  if (with_classes) {
-    opts.conflict_classes =
-        analysis::analyze_interference(p, m).engine_classes();
-  }
-  return gamma::ParallelEngine().run(p, m, opts);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto r = engine.run(row.program, row.initial, opts);
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  ok = ok && r.final_multiset == want;
+  return std::chrono::duration<double, std::milli>(dt).count();
 }
 
-void verify_conflict_classes() {
-  bench::header(
-      "E11 — interference-derived conflict classes in the parallel engine",
-      "claim: on class-partitionable workloads the sharded store commits "
-      "with zero conflicts and no revalidation; on contended single-class "
-      "workloads behavior is unchanged");
-  const gamma::Program chains = chain_program(8);
-  const gamma::Multiset chains_m = chain_init(8, 16, 24);
-  const gamma::Program hot = contended_program();
-  const gamma::Multiset hot_m = contended_init(512, 29);
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
-  bench::Table table(
-      {"workload", "classes", "store", "fires", "conflicts", "fast_commits"},
-      14);
-  struct Case {
-    const char* name;
-    const char* tag;
-    const char* store;  // the path the engine actually takes
-    const gamma::Program* p;
-    const gamma::Multiset* m;
-    bool with_classes;
+/// How many threads' worth of work this machine does at once right now:
+/// one fixed ALU loop per thread, 4 threads against 1, as a throughput
+/// ratio (4.0 = four free cores, 1.0 = none to spare). Shared hosts move
+/// it from run to run, and no par/idx ratio can beat 1/ceiling.
+double thread_ceiling() {
+  const auto spin = [] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 20'000'000; ++i) x = x * 6364136223846793005ULL + 1;
+    benchmark::DoNotOptimize(x);
   };
-  // Without classes the engine takes the optimistic global-lock path; with
-  // them a conflict-free workload takes the per-shard-lock path. Contended
-  // (one class) cannot shard: both rows are the optimistic path, behavior
-  // unchanged.
-  for (const Case c :
-       {Case{"conflict-free", "baseline", "global", &chains, &chains_m, false},
-        Case{"conflict-free", "classes", "sharded", &chains, &chains_m, true},
-        Case{"contended", "baseline", "global", &hot, &hot_m, false},
-        Case{"contended", "classes", "global", &hot, &hot_m, true}}) {
-    const auto r = run_instrumented(*c.p, *c.m, c.with_classes, 4);
-    const auto counter = [&](const char* name) {
-      const auto it = r.metrics.counters.find(name);
-      return it == r.metrics.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    table.row(c.name, c.with_classes ? "on" : "off", c.store, r.steps,
-              counter("gamma.commit_conflicts"),
-              counter("gamma.class_fast_commits"));
-    bench::metrics_json(
-        std::cout, std::string("parallel_gamma_") + c.name + '_' + c.tag,
-        r.metrics);
+  const auto seconds = [&](unsigned threads) {
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      std::vector<std::jthread> pool;
+      for (unsigned t = 0; t < threads; ++t) pool.emplace_back(spin);
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  const double one = seconds(1);
+  return 4.0 * one / seconds(4);
+}
+
+std::string fixed(double v, int precision) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(precision) << v;
+  return out.str();
+}
+
+/// E8's wall-clock table: `par` at 1, 2 and 4 workers against `idx` on
+/// every Gamma row, timed interleaved (idx, par1, par2, par4 per rep) in
+/// this process, medians of 7 reps. `same` is NO when any run's fixpoint
+/// differs from the indexed engine's.
+void verify_gamma_wall_clock() {
+  bench::header("E8 — parallel Gamma against the indexed engine",
+                "claim: partition -> local fixpoint -> merge reaches the "
+                "indexed engine's fixpoint on every row; ratios are par/idx "
+                "wall-clock from this run");
+  std::cout << "(" << std::thread::hardware_concurrency()
+            << " hardware thread(s); 4 threads ran " << fixed(thread_ceiling(), 2)
+            << "x the work of 1 just before the table)\n";
+  bench::Table table({"workload", "idx_ms", "par1_ms", "par2_ms", "par4_ms",
+                      "par1/idx", "par2/idx", "par4/idx", "same"},
+                     13);
+  constexpr int kReps = 7;
+  constexpr std::array<unsigned, 3> kWorkers = {1, 2, 4};
+  const gamma::IndexedEngine idx;
+  const gamma::ParallelEngine par;
+  for (const GammaRow& row : gamma_rows()) {
+    const gamma::Multiset want =
+        idx.run(row.program, row.initial).final_multiset;
+    bool ok = true;
+    std::vector<double> idx_ms;
+    std::array<std::vector<double>, kWorkers.size()> par_ms;
+    for (int rep = 0; rep < kReps; ++rep) {
+      idx_ms.push_back(timed_ms(idx, row, 1, want, ok));
+      for (std::size_t w = 0; w < kWorkers.size(); ++w) {
+        par_ms[w].push_back(timed_ms(par, row, kWorkers[w], want, ok));
+      }
+    }
+    const double base = median(idx_ms);
+    std::array<double, kWorkers.size()> med{};
+    for (std::size_t w = 0; w < kWorkers.size(); ++w) {
+      med[w] = median(par_ms[w]);
+    }
+    table.row(row.name, fixed(base, 3), fixed(med[0], 3), fixed(med[1], 3),
+              fixed(med[2], 3), fixed(med[0] / base, 2),
+              fixed(med[1] / base, 2), fixed(med[2] / base, 2),
+              ok ? "yes" : "NO");
   }
 }
 
 void verify() {
-  verify_conflict_classes();
   bench::header("E8 — natural parallelism of both models",
                 "claim: exposed parallelism grows with workload width in "
                 "both models (hardware-independent profiles)");
@@ -146,14 +224,12 @@ void verify() {
     table.row(loops, profile.max_width, speedup.str(),
               analysis::concurrent_firings(conv.program, conv.initial));
   }
-  std::cout << "(this container has " << std::thread::hardware_concurrency()
-            << " hardware thread(s); wall-clock speedups below reflect that, "
-               "the profiles above do not)\n";
+  verify_gamma_wall_clock();
 
   // One instrumented parallel-engine run so the BENCH_*.json trajectory
-  // carries engine-internal counters (match attempts, commit conflicts,
-  // quiescence rounds), not just wall time. The timed benchmarks below run
-  // with telemetry off, as users would.
+  // carries engine-internal counters (match attempts and failures, passes,
+  // anchor skips), not just wall time. The timed benchmarks below run with
+  // telemetry off, as users would.
   const gamma::Program p =
       gamma::dsl::parse_program("R = replace x, y by x + y");
   obs::Telemetry tel;
@@ -222,37 +298,6 @@ BENCHMARK(BM_GammaSum_Parallel4)
 
 // --- Gamma engines on the keyed-sum join (perfbench `parallel`) ---
 
-/// 4096 `[v, k]` over 64 labels: `replace [x, k], [y, k]` joins on k, so
-/// every fire probes a (field, bound value) bucket, and the fixpoint holds
-/// one `[sum, k]` per label.
-struct KeyedCase {
-  gamma::Program program;
-  gamma::Multiset initial;
-  gamma::Multiset sums;
-};
-
-const KeyedCase& keyed_case() {
-  static const KeyedCase c = [] {
-    KeyedCase kc;
-    kc.program =
-        gamma::dsl::parse_program("Rkey = replace [x, k], [y, k] by [x + y, k]");
-    Rng rng(17);
-    std::vector<std::int64_t> sums(64, 0);
-    for (std::size_t i = 0; i < 4096; ++i) {
-      const auto v = static_cast<std::int64_t>(rng.bounded(1000));
-      sums[i % 64] += v;
-      kc.initial.add(gamma::Element{
-          Value(v), Value(std::string("k").append(std::to_string(i % 64)))});
-    }
-    for (std::size_t k = 0; k < sums.size(); ++k) {
-      kc.sums.add(gamma::Element{
-          Value(sums[k]), Value(std::string("k").append(std::to_string(k)))});
-    }
-    return kc;
-  }();
-  return c;
-}
-
 /// Times `Engine` on the keyed case; the row's label says whether the last
 /// timed run reached the per-label sums (`NO` on a mismatch).
 template <typename Engine>
@@ -280,60 +325,22 @@ void BM_GammaKeyed_Parallel4(benchmark::State& state) {
 }
 BENCHMARK(BM_GammaKeyed_Parallel4)->Unit(benchmark::kMillisecond);
 
-// --- conflict-class ablation: same workload, classes on/off ---
-// The interference analysis runs in setup (it is a one-time compile step);
-// the timed region is the engine run it accelerates.
+// --- Gamma engines on independent countdown chains ---
 
 void BM_GammaChains_Parallel(benchmark::State& state) {
-  const bool with_classes = state.range(0) != 0;
-  const auto chains = static_cast<std::size_t>(state.range(1));
+  const auto chains = static_cast<std::size_t>(state.range(0));
   const gamma::Program p = chain_program(chains);
   const gamma::Multiset m = chain_init(chains, 8, 16);
   gamma::RunOptions opts;
   opts.workers = 4;
-  if (with_classes) {
-    opts.conflict_classes =
-        analysis::analyze_interference(p, m).engine_classes();
-  }
   const gamma::ParallelEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(p, m, opts));
   }
-  state.SetLabel(with_classes ? "classes" : "baseline");
 }
 BENCHMARK(BM_GammaChains_Parallel)
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Unit(benchmark::kMicrosecond);
-
-// --- sharded-store ablation: per-shard locks vs global lock ---------------
-// The sharded arm passes the conflict classes, whose plan gives each class
-// its own lock; the global-lock arm passes none, so the engine keeps the
-// optimistic shared/exclusive global lock.
-void BM_GammaChains_ShardAblation(benchmark::State& state) {
-  const bool shard = state.range(0) != 0;
-  const auto chains = static_cast<std::size_t>(state.range(1));
-  const gamma::Program p = chain_program(chains);
-  const gamma::Multiset m = chain_init(chains, 8, 16);
-  gamma::RunOptions opts;
-  opts.workers = 4;
-  if (shard) {
-    opts.conflict_classes =
-        analysis::analyze_interference(p, m).engine_classes();
-  }
-  const gamma::ParallelEngine engine;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(p, m, opts));
-  }
-  state.SetLabel(shard ? "sharded" : "global-lock");
-}
-BENCHMARK(BM_GammaChains_ShardAblation)
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8})
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 // --- dataflow engines on the multi-loop workload ---

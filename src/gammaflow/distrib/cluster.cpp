@@ -14,7 +14,7 @@
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
-#include "gammaflow/runtime/sharded_store.hpp"
+#include "gammaflow/runtime/shard_map.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
 namespace gammaflow::distrib {

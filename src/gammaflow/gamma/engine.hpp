@@ -10,12 +10,12 @@
 //     per step, use on small multisets.
 //   IndexedEngine    — index-guided first-match selection with randomized
 //     probe order. The fast single-threaded engine.
-//   ParallelEngine   — worker threads. With a sound shard plan (conflict
-//     classes + label-literal patterns, see runtime/sharded_store.hpp) the
-//     stage runs on a ShardedStore: each shard is an independent local
-//     fixpoint under its own lock, no revalidation, fully deterministic.
-//     Otherwise workers match optimistically under a shared lock and commit
-//     under an exclusive lock, with version-stamped quiescence detection.
+//   ParallelEngine   — partition -> local fixpoint -> merge: per stage the
+//     multiset is dealt round-robin into `workers` parts, each part runs
+//     the indexed stage policy to its own fixed point on its own thread,
+//     and parts merge pairwise, rerunning the policy at every level, until
+//     one store holds the stage (DESIGN §10.2). A completed run is a
+//     function of (seed, program, initial, workers).
 //
 // All three are thin policies over runtime::StepLoop / MatchPipeline; the
 // deadline/cancel/budget/telemetry scaffolding lives there, shared with the
@@ -47,18 +47,13 @@ struct RunOptions : runtime::RunOptions {
   std::size_t uniform_cap = 4096;
   /// Precomputed conflict classes (reaction name -> class id), normally
   /// InterferenceReport::engine_classes(). Reactions in different classes
-  /// touch provably disjoint element populations. When every reaction of a
-  /// stage is covered and the stage spans >= 2 classes:
-  ///   ParallelEngine  — partitions the STORE by class (runtime::ShardedStore)
-  ///     when the plan is sound: each shard runs its own lock-free local
-  ///     fixpoint, commits without revalidation ("gamma.class_fast_commits"
-  ///     counts these), and commit_conflicts drops to zero.
-  ///   IndexedEngine   — runs each class to its own fixpoint once instead of
-  ///     re-passing over all reactions (sound because a quiescent class
-  ///     cannot be re-enabled from outside: feed edges stay inside classes).
-  /// Unknown or missing names simply disable the optimization for that
-  /// stage; semantics never change. Left empty, ParallelEngine stays on the
-  /// optimistic single-store path (the A/B baseline for bench_store).
+  /// touch provably disjoint element populations. Only IndexedEngine reads
+  /// them: when every reaction of a stage is covered and the stage spans
+  /// >= 2 classes, it runs each class to its own fixpoint once instead of
+  /// re-passing over all reactions (sound because a quiescent class cannot
+  /// be re-enabled from outside: feed edges stay inside classes). Unknown
+  /// or missing names simply disable the optimization for that stage;
+  /// semantics never change.
   std::map<std::string, std::size_t> conflict_classes;
 };
 

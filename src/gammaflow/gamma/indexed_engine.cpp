@@ -1,23 +1,54 @@
-// IndexedEngine: the fast single-threaded engine. Per step it probes
-// reactions in a seeded random order and fires the first enabled match found
-// through the label/arity indexes. A full pass over every reaction with no
-// match is the stage fixed point (the index search is exhaustive, so "no
-// match found" is a proof, not a heuristic). Scaffolding (deadline, cancel,
-// budget, recorder, telemetry tail) comes from runtime::StepLoop & friends;
-// this file keeps only the probe-order and conflict-class scheduling policy.
-// Each reaction keeps an AnchorMemo for its stage, so a re-probe skips the
-// candidates an earlier failed sweep already ruled out (DESIGN §15.5).
-#include <algorithm>
-#include <numeric>
-
+// IndexedEngine: the fast single-threaded engine. Each stage runs the
+// indexed stage policy (gamma/stage_fixpoint.hpp) over one store: seeded
+// shuffled passes, each reaction fired while enabled through the label/arity
+// indexes, a pass with no fire as the fixed-point proof. Scaffolding
+// (deadline, cancel, budget, recorder, telemetry tail) comes from
+// runtime::StepLoop & friends.
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/stage_fixpoint.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
 namespace gammaflow::gamma {
+namespace {
+
+/// The whole-run StepLoop as the stage policy's gate, journaling one round
+/// per pass that fired: the granularity the viz scrubber steps through for
+/// this engine.
+class LoopGate {
+ public:
+  LoopGate(runtime::StepLoop& loop, std::uint64_t& steps,
+           const runtime::RunRecording& recording, std::size_t stage_idx)
+      : loop_(loop),
+        steps_(steps),
+        recording_(recording),
+        ctx_(recording.ctx(static_cast<std::int64_t>(stage_idx))) {}
+
+  [[nodiscard]] bool running() const noexcept { return loop_.running(); }
+  [[nodiscard]] bool should_stop() { return loop_.should_stop(); }
+  [[nodiscard]] bool admit() {
+    if (!loop_.admit(steps_)) return false;
+    ++steps_;
+    return true;
+  }
+  [[nodiscard]] const runtime::RecordCtx* record() const noexcept {
+    return recording_ ? &ctx_ : nullptr;
+  }
+  void pass_done(const Store& store, std::uint64_t pass_fires) const {
+    if (recording_ && pass_fires > 0) recording_.round(store);
+  }
+
+ private:
+  runtime::StepLoop& loop_;
+  std::uint64_t& steps_;
+  const runtime::RunRecording& recording_;
+  runtime::RecordCtx ctx_;
+};
+
+}  // namespace
 
 RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
                              const RunOptions& options) const {
@@ -40,98 +71,15 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
   for (std::size_t stage_idx = 0;
        stage_idx < program.stages().size() && loop.running(); ++stage_idx) {
     const auto& stage = program.stages()[stage_idx];
-    std::vector<runtime::AnchorMemo> memos(stage.size());
-    std::vector<std::uint64_t> fires(stage.size(), 0);
-
-    // Pre-resolved per-reaction latency histograms keep string building off
-    // the firing path.
-    std::vector<Histogram*> fire_hist;
-    if (tel) {
-      fire_hist.reserve(stage.size());
-      for (const Reaction& r : stage) {
-        fire_hist.push_back(&tel->stats().hist("gamma.fire_us." + r.name()));
-      }
-    }
-
-    // Runs the reactions in `subset` to their combined fixed point (a full
-    // pass over the subset with no match is the proof, as the index search
-    // is exhaustive).
-    const auto run_to_fixpoint = [&](std::vector<std::size_t> order) {
-      bool progressed = true;
-      while (progressed && loop.running()) {
-        progressed = false;
-        ++passes;
-        obs::Span pass_span(tel, rec, "pass");
-        std::uint64_t pass_fires = 0;
-        std::shuffle(order.begin(), order.end(), rng);
-        for (const std::size_t idx : order) {
-          if (!loop.running()) break;
-          const Reaction& r = stage[idx];
-          // Fire this reaction repeatedly while it stays enabled: cheaper
-          // than re-shuffling after every step, and fairness across
-          // reactions is restored by the shuffled outer pass.
-          while (!loop.should_stop()) {
-            const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-            auto match =
-                runtime::MatchPipeline::find(store, r, &rng, &memos[idx]);
-            ++attempts;
-            if (!match) {
-              ++failures;
-              break;
-            }
-            if (!loop.admit(result.steps)) break;
-            ++fires[idx];
-            ++result.steps;
-            const runtime::RecordCtx rctx =
-                recording.ctx(static_cast<std::int64_t>(stage_idx));
-            runtime::MatchPipeline::commit(store, *match,
-                                           recording ? &rctx : nullptr);
-            progressed = true;
-            ++pass_fires;
-            if (tel) {
-              fire_hist[idx]->observe(
-                  static_cast<double>(tel->now_us() - fire_start));
-            }
-          }
-        }
-        pass_span.set_arg(pass_fires);
-        // One journal round per pass: the granularity the viz scrubber
-        // steps through for this engine.
-        if (recording && pass_fires > 0) recording.round(store);
-      }
-    };
-
-    // Conflict-class scheduling: when the caller's classes cover the whole
-    // stage with >= 2 classes, run each class to its own fixpoint once, in
-    // shuffled order, with no global re-pass. Sound because interference
-    // (compete AND feed edges) stays inside a class: a quiescent class can
-    // never be re-enabled by another class's firings.
-    std::vector<std::vector<std::size_t>> groups;
-    if (!options.conflict_classes.empty() && stage.size() >= 2) {
-      std::map<std::size_t, std::vector<std::size_t>> by_class;
-      bool covered = true;
-      for (std::size_t i = 0; i < stage.size() && covered; ++i) {
-        const auto it = options.conflict_classes.find(stage[i].name());
-        covered = it != options.conflict_classes.end();
-        if (covered) by_class[it->second].push_back(i);
-      }
-      if (covered && by_class.size() >= 2) {
-        for (auto& [c, idxs] : by_class) groups.push_back(std::move(idxs));
-      }
-    }
-    if (groups.empty()) {
-      std::vector<std::size_t> all(stage.size());
-      std::iota(all.begin(), all.end(), std::size_t{0});
-      run_to_fixpoint(std::move(all));
-    } else {
-      std::shuffle(groups.begin(), groups.end(), rng);
-      for (auto& group : groups) {
-        if (!loop.running()) break;
-        run_to_fixpoint(std::move(group));
-      }
-    }
-    for (const runtime::AnchorMemo& memo : memos) anchor_skips += memo.skips();
-    runtime::add_fires(stage, fires, result.fires_by_reaction);
+    StageMemory mem(stage.size());
+    LoopGate gate(loop, result.steps, recording, stage_idx);
+    run_stage_fixpoint(store, stage, options.conflict_classes, rng, mem,
+                       StageObs(tel, rec, stage), gate);
+    attempts += mem.attempts;
+    failures += mem.failures;
+    passes += mem.passes;
+    anchor_skips += mem.anchor_skips();
+    runtime::add_fires(stage, mem.fires, result.fires_by_reaction);
   }
 
   if (tel) {

@@ -1,488 +1,259 @@
-// ParallelEngine: multithreaded multiset rewriting. Two store disciplines,
-// chosen per stage:
+// ParallelEngine: Gamma's "natural parallelism" as partition -> local
+// fixpoint -> merge (DESIGN §10.2). Per stage:
 //
-// SHARDED (runtime::ShardedStore, when plan_shards accepts the stage's
-// conflict classes and RunOptions::shard is on): the store is partitioned by
-// conflict class, so each shard is a closed sub-chemistry — every match a
-// shard can ever enable is local to it. Workers claim whole shards (atomic
-// index + per-shard mutex) and run each to its own fixed point with no
-// global lock, no revalidation ("gamma.class_fast_commits" counts every
-// commit; "gamma.commit_conflicts" is zero by construction). Each shard owns
-// a pre-split Rng drawn in shard order, so a completed run is deterministic
-// in (seed, program, initial) regardless of worker count or claim order.
+//   partition — the stage's multiset is dealt round-robin, in its element
+//     order, into `workers` part stores; each part gets an Rng split from
+//     the run seed in part order;
+//   local fixpoints — every part runs the indexed stage policy
+//     (gamma/stage_fixpoint.hpp) to its own fixed point, on its own thread;
+//   merge — parts merge pairwise (0+1, 2+3, ...; an odd part carries to the
+//     next level) and each merged part runs the policy again, until one
+//     store holds the whole stage.
 //
-// OPTIMISTIC (single store, the general fallback): workers search for
-// matches under a SHARED lock (read-only index probing) and commit under an
-// EXCLUSIVE lock, revalidating the match first — element slots are reused,
-// so between search and commit an id may have died or been recycled.
-// Revalidation (runtime::MatchPipeline::validate) re-runs the pattern match
-// and branch selection on the current slot contents, which makes the scheme
-// linearizable: every committed firing was enabled at its commit point.
-// Termination ("global termination state" in the paper) is the version-
-// stamped quiescence vote (runtime::QuiescenceVote): when every worker's
-// exhaustive search failed at the SAME store version, the stage is at its
-// fixed point.
+// Sound because patterns are positive: a match inside a part is a match in
+// the union, so every local fire is a legal step of Eq. (1), and the last
+// level runs the policy over the whole store, so its fixed point is the
+// stage's. Deterministic because the cut, the Rngs and the merge tree
+// depend only on (seed, program, initial, workers), and each part is run
+// by one thread: a completed run, and its journal, do not depend on thread
+// timing. Each part journals into a recorder of its own, absorbed into the
+// run's in part order after every level.
 //
-// Scaffolding — deadline/cancel governors, the firing budget, the run
-// recorder, and the telemetry tail — comes from runtime::StepLoop & friends;
-// this file keeps the worker topology and commit strategy.
+// The firing budget, the deadline and cancellation stay run-wide (one
+// atomic fire count, one StopFlag). An error ends its part's thread and
+// stops the others; after the join the engine rethrows the error of the
+// lowest-numbered part, as IndexedEngine would throw it.
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
+#include <map>
+#include <memory>
 #include <numeric>
-#include <shared_mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "gammaflow/common/logging.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/stage_fixpoint.hpp"
 #include "gammaflow/gamma/store.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
-#include "gammaflow/runtime/sharded_store.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
 namespace gammaflow::gamma {
 namespace {
 
-/// Per-worker/per-shard metric slots, written race-free by the owner and
-/// summed into the StatsRegistry after the stage's threads joined.
-struct WorkerMetrics {
-  std::uint64_t match_attempts = 0;
-  std::uint64_t match_failures = 0;
-  std::uint64_t commit_conflicts = 0;
-  std::uint64_t search_retries = 0;
-  std::uint64_t quiescence_rounds = 0;
-  std::uint64_t fires = 0;
-  std::uint64_t class_fast_commits = 0;
-
-  void add(const WorkerMetrics& m) {
-    match_attempts += m.match_attempts;
-    match_failures += m.match_failures;
-    commit_conflicts += m.commit_conflicts;
-    search_retries += m.search_retries;
-    quiescence_rounds += m.quiescence_rounds;
-    fires += m.fires;
-    class_fast_commits += m.class_fast_commits;
-  }
-};
-
-/// Read-only telemetry context shared by a stage's workers; null members
-/// when telemetry is off.
-struct StageObs {
-  obs::Telemetry* tel = nullptr;
-  // Indexed by reaction position in the stage ("gamma.fire_us.<name>").
-  std::vector<Histogram*> fire_hist;
-
-  StageObs(obs::Telemetry* t, const std::vector<Reaction>& stage) : tel(t) {
-    if (tel == nullptr) return;
-    fire_hist.reserve(stage.size());
-    for (const Reaction& r : stage) {
-      fire_hist.push_back(&tel->stats().hist("gamma.fire_us." + r.name()));
+/// One part of a stage's partition: its store, the Rng and policy memory
+/// that go with that store, its journal (null when recording is off), and
+/// the error that ended its thread, if any.
+struct Part {
+  Part(const FieldSet& fields, Rng r, std::size_t reactions,
+       const obs::RunRecorder* run_journal)
+      : store(fields), rng(std::move(r)), mem(reactions) {
+    if (run_journal != nullptr) {
+      journal = std::make_unique<obs::RunRecorder>(run_journal->limits());
     }
   }
-};
 
-/// What one stage hands back to the run driver, whichever discipline ran it.
-struct StageResult {
-  Outcome outcome = Outcome::Completed;
-  std::uint64_t steps = 0;
-  std::vector<std::uint64_t> fires;  // by reaction position in the stage
-  std::exception_ptr error;
-};
-
-// ---------------------------------------------------------------------------
-// Sharded discipline
-// ---------------------------------------------------------------------------
-
-/// One shard's private execution state. The Rng is pre-split in shard order
-/// (NOT claim order) — determinism lives here.
-struct ShardTask {
-  std::vector<std::size_t> reactions;  // stage positions owned by this shard
-  Rng rng;
-  std::vector<std::uint64_t> fires;  // by stage position
-  WorkerMetrics wm;
-  runtime::RecordCtx rctx;  // provenance coordinates (recorder null = off)
-
-  explicit ShardTask(Rng r) : rng(std::move(r)) {}
-};
-
-/// Runs one shard's closed sub-chemistry to its fixed point: shuffled passes
-/// over the shard's reactions, firing each while it stays enabled (the
-/// indexed-engine policy, applied shard-locally). Commits never revalidate —
-/// the shard lock is total ownership. `fired` is the run-wide budget gate.
-void run_shard(Store& store, const std::vector<Reaction>& stage,
-               ShardTask& task, const RunOptions& options,
-               RunGovernor& governor, runtime::StopFlag& stop,
-               std::atomic<std::uint64_t>& fired, std::mutex& error_mutex,
-               std::exception_ptr& error, const StageObs& ob) {
-  obs::Telemetry* const tel = ob.tel;
-  std::vector<std::size_t> order = task.reactions;
-  bool progressed = true;
-  while (progressed && !stop.stopped()) {
-    progressed = false;
-    std::shuffle(order.begin(), order.end(), task.rng);
-    for (const std::size_t idx : order) {
-      if (stop.stopped()) return;
-      const Reaction& r = stage[idx];
-      while (true) {
-        if (governor.should_stop()) {
-          stop.publish(governor.outcome());
-          return;
-        }
-        const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-        auto match = runtime::MatchPipeline::find(store, r, &task.rng);
-        ++task.wm.match_attempts;
-        if (!match) {
-          ++task.wm.match_failures;
-          break;
-        }
-        // Run-wide budget gate: claim a step slot, give it back on refusal.
-        const std::uint64_t n = fired.fetch_add(1, std::memory_order_relaxed);
-        bool admitted = false;
-        try {
-          admitted = runtime::admit_step(options.limit_policy, n,
-                                         options.max_steps, "parallel engine",
-                                         "max_steps");
-        } catch (...) {
-          const std::scoped_lock lk(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-        if (!admitted) {
-          fired.fetch_sub(1, std::memory_order_relaxed);
-          stop.publish(Outcome::BudgetExhausted);
-          return;
-        }
-        ++task.fires[idx];
-        ++task.wm.fires;
-        ++task.wm.class_fast_commits;
-        runtime::MatchPipeline::commit(
-            store, *match, task.rctx.recorder != nullptr ? &task.rctx : nullptr);
-        if (store.needs_compact()) store.compact();
-        progressed = true;
-        if (tel) {
-          ob.fire_hist[idx]->observe(
-              static_cast<double>(tel->now_us() - fire_start));
-        }
-      }
-    }
-  }
-}
-
-/// Stage driver for the sharded discipline. Workers claim shards by atomic
-/// index and hold the shard mutex for the whole local fixpoint; per-shard
-/// fire counts and metrics merge in shard order after join.
-StageResult run_sharded_stage(const std::vector<Reaction>& stage,
-                              std::size_t stage_idx,
-                              const runtime::ShardPlan& plan,
-                              Multiset& current, const RunOptions& options,
-                              const runtime::StepLoop& loop, Rng& seed_rng,
-                              unsigned workers, std::uint64_t prior_steps,
-                              const StageObs& ob, WorkerMetrics& total,
-                              const runtime::RunRecording& recording,
-                              const FieldSet& fields) {
-  runtime::ShardedStore sharded(
-      current, runtime::ShardMap(plan.label_shard, plan.shard_count), fields);
-
-  std::vector<ShardTask> tasks;
-  tasks.reserve(plan.shard_count);
-  for (std::size_t s = 0; s < plan.shard_count; ++s) {
-    tasks.emplace_back(seed_rng.split());
-    tasks.back().fires.assign(stage.size(), 0);
-    tasks.back().rctx = recording.ctx(static_cast<std::int64_t>(stage_idx),
-                                      static_cast<std::int64_t>(s));
-  }
-  for (std::size_t i = 0; i < stage.size(); ++i) {
-    tasks[plan.reaction_shard[i]].reactions.push_back(i);
-  }
-
-  runtime::StopFlag stop;
-  std::atomic<std::uint64_t> fired{prior_steps};
-  std::atomic<std::size_t> next_shard{0};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-
-  const unsigned nthreads = static_cast<unsigned>(
-      std::min<std::size_t>(workers, plan.shard_count));
-  auto worker = [&](unsigned wid) {
-    obs::ThreadRecorder* const rec =
-        ob.tel ? &ob.tel->register_thread("gamma-worker-" + std::to_string(wid))
-               : nullptr;
-    RunGovernor governor = loop.make_governor(options);
-    while (!stop.stopped()) {
-      const std::size_t s =
-          next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (s >= sharded.shard_count()) return;
-      runtime::ShardedStore::Shard& shard = sharded.shard(s);
-      const std::scoped_lock lk(shard.mutex);
-      obs::Span span(ob.tel, rec, "shard");
-      run_shard(shard.store, stage, tasks[s], options, governor,
-                stop, fired, error_mutex, error, ob);
-      span.set_arg(tasks[s].wm.fires);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(nthreads);
-  for (unsigned w = 0; w < nthreads; ++w) threads.emplace_back(worker, w);
-  for (auto& t : threads) t.join();
-
-  StageResult out;
-  out.error = error;
-  out.outcome = stop.outcome();
-  out.fires.assign(stage.size(), 0);
-  for (ShardTask& task : tasks) {  // shard order: deterministic merge
-    out.steps += task.wm.fires;
-    for (std::size_t i = 0; i < stage.size(); ++i) out.fires[i] += task.fires[i];
-    total.add(task.wm);
-  }
-  current = sharded.to_multiset();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Optimistic discipline
-// ---------------------------------------------------------------------------
-
-struct StageShared {
   Store store;
-  std::shared_mutex mutex;
-  std::condition_variable_any cv;
-
-  // All guarded by `mutex` (exclusive side):
-  runtime::QuiescenceVote vote;
-  bool done = false;
-  Outcome outcome = Outcome::Completed;
-  std::uint64_t steps = 0;
-  std::vector<std::uint64_t> fires;  // by reaction position in the stage
-  runtime::RecordCtx rctx;  // provenance coordinates (recorder null = off)
+  Rng rng;
+  StageMemory mem;
+  std::unique_ptr<obs::RunRecorder> journal;
   std::exception_ptr error;
-
-  StageShared(Store s, std::size_t reactions)
-      : store(std::move(s)), fires(reactions, 0) {}
 };
 
-void worker_loop(StageShared& sh, const std::vector<Reaction>& stage,
-                 const RunOptions& options, const runtime::StepLoop& loop,
-                 Rng rng,
-                 unsigned total_workers, unsigned worker_id,
-                 std::uint64_t prior_steps, const StageObs& ob,
-                 WorkerMetrics& wm) {
-  std::vector<std::size_t> order(stage.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::uint64_t my_mark = runtime::QuiescenceVote::kNone;
-  RunGovernor governor = loop.make_governor(options);
+/// A part's gate: the run-wide StopFlag and fire count, and a governor of
+/// the part's own over the run's cancel token and deadline.
+class PartGate {
+ public:
+  PartGate(runtime::StopFlag& stop, std::atomic<std::uint64_t>& fired,
+           RunGovernor governor, const RunOptions& options,
+           runtime::RecordCtx ctx)
+      : stop_(stop),
+        fired_(fired),
+        governor_(governor),
+        policy_(options.limit_policy),
+        budget_(options.max_steps),
+        ctx_(ctx) {}
 
-  obs::Telemetry* const tel = ob.tel;
-  obs::ThreadRecorder* const rec =
-      tel ? &tel->register_thread("gamma-worker-" + std::to_string(worker_id))
-          : nullptr;
-
-  while (true) {
-    if (governor.should_stop()) {
-      // Cooperative exit: first worker to notice flips `done` so waiting
-      // peers wake and join; the store stays valid for the partial result.
-      std::unique_lock lock(sh.mutex);
-      if (!sh.done) {
-        sh.done = true;
-        sh.outcome = governor.outcome();
-        sh.cv.notify_all();
-      }
-      return;
-    }
-    // --- search phase (shared lock) ---
-    std::optional<Match> proposal;
-    std::size_t proposal_idx = 0;
-    std::uint64_t v_start = 0;
-    const std::uint64_t search_start = tel ? tel->now_us() : 0;
-    {
-      obs::Span search_span(tel, rec, "search");
-      std::shared_lock lock(sh.mutex);
-      if (sh.done) return;
-      v_start = sh.store.version();
-      std::shuffle(order.begin(), order.end(), rng);
-      const Store& cstore = sh.store;
-      for (const std::size_t idx : order) {
-        ++wm.match_attempts;
-        proposal = runtime::MatchPipeline::find(cstore, stage[idx], &rng);
-        if (proposal) {
-          proposal_idx = idx;
-          break;
-        }
-        ++wm.match_failures;
-      }
-    }
-
-    // --- commit phase (exclusive lock) ---
-    obs::Span commit_span(tel, rec, proposal ? "commit" : "quiesce");
-    std::unique_lock lock(sh.mutex);
-    if (sh.done) return;
-
-    if (proposal) {
-      // Revalidate on current slot contents (ids may have been consumed or
-      // recycled since the search).
-      if (runtime::MatchPipeline::validate(sh.store, *proposal)) {
-        bool admitted = false;
-        try {
-          admitted = runtime::admit_step(
-              options.limit_policy, prior_steps + sh.steps, options.max_steps,
-              "parallel engine", "max_steps");
-        } catch (...) {
-          sh.error = std::current_exception();
-        }
-        if (!admitted) {
-          sh.outcome = Outcome::BudgetExhausted;
-          sh.done = true;
-          sh.cv.notify_all();
-          return;
-        }
-        ++sh.fires[proposal_idx];
-        ++sh.steps;
-        ++wm.fires;
-        runtime::MatchPipeline::commit(
-            sh.store, *proposal,
-            sh.rctx.recorder != nullptr ? &sh.rctx : nullptr);
-        // Removes leave dead column rows behind (the garbage debt). Settle
-        // it here, where we hold the exclusive lock anyway.
-        if (sh.store.needs_compact()) sh.store.compact();
-        if (tel) {
-          // Search-to-commit latency: what one firing of this reaction cost
-          // this worker, conflicts and lock waits included.
-          ob.fire_hist[proposal_idx]->observe(
-              static_cast<double>(tel->now_us() - search_start));
-        }
-        sh.cv.notify_all();  // wake quiescent workers: version moved
-        continue;
-      }
-      // Invalidated proposal: fall through and re-search. This is progress
-      // for someone else (another worker consumed our elements), so no
-      // quiescence bookkeeping here.
-      ++wm.commit_conflicts;
-      if (rec) rec->instant("conflict", tel->now_us());
-      continue;
-    }
-
-    // --- failed exhaustive search: quiescence protocol ---
-    if (sh.store.version() != v_start) {
-      // World changed while we searched: the empty search proves nothing.
-      ++wm.search_retries;
-      continue;
-    }
-    ++wm.quiescence_rounds;
-    if (sh.vote.quiet(v_start, my_mark, total_workers)) {
-      sh.done = true;
-      sh.cv.notify_all();
-      return;
-    }
-    sh.cv.wait(lock, [&] {
-      return sh.done || sh.store.version() != v_start;
-    });
-    if (sh.done) return;
+  [[nodiscard]] bool running() const noexcept { return !stop_.stopped(); }
+  [[nodiscard]] bool should_stop() {
+    if (stop_.stopped()) return true;
+    if (!governor_.should_stop()) return false;
+    stop_.publish(governor_.outcome());
+    return true;
   }
-}
-
-StageResult run_optimistic_stage(const std::vector<Reaction>& stage,
-                                 std::size_t stage_idx, Multiset& current,
-                                 const RunOptions& options,
-                                 const runtime::StepLoop& loop, Rng& seed_rng,
-                                 unsigned workers, std::uint64_t prior_steps,
-                                 const StageObs& ob, WorkerMetrics& total,
-                                 const runtime::RunRecording& recording,
-                                 const FieldSet& fields) {
-  StageShared shared(Store(current, fields), stage.size());
-  shared.rctx = recording.ctx(static_cast<std::int64_t>(stage_idx));
-  std::vector<WorkerMetrics> wm(workers);
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    threads.emplace_back(worker_loop, std::ref(shared), std::cref(stage),
-                         std::cref(options), std::cref(loop), seed_rng.split(),
-                         workers, w, prior_steps,
-                         std::cref(ob), std::ref(wm[w]));
+  /// Claims a slot of the run-wide budget, and gives it back on refusal.
+  [[nodiscard]] bool admit() {
+    const std::uint64_t n = fired_.fetch_add(1, std::memory_order_relaxed);
+    if (runtime::admit_step(policy_, n, budget_, "parallel engine",
+                            "max_steps")) {
+      return true;
+    }
+    fired_.fetch_sub(1, std::memory_order_relaxed);
+    stop_.publish(Outcome::BudgetExhausted);
+    return false;
   }
-  for (auto& t : threads) t.join();
+  [[nodiscard]] const runtime::RecordCtx* record() const noexcept {
+    return ctx_.recorder != nullptr ? &ctx_ : nullptr;
+  }
+  // The run journals one round per stage, after the last level.
+  void pass_done(const Store& /*store*/, std::uint64_t /*fires*/) const {}
 
-  StageResult out;
-  out.error = shared.error;
-  out.outcome = shared.outcome;
-  out.steps = shared.steps;
-  out.fires = std::move(shared.fires);
-  for (const WorkerMetrics& m : wm) total.add(m);
-  current = shared.store.to_multiset();
-  return out;
-}
+ private:
+  runtime::StopFlag& stop_;
+  std::atomic<std::uint64_t>& fired_;
+  RunGovernor governor_;
+  LimitPolicy policy_;
+  std::uint64_t budget_;
+  runtime::RecordCtx ctx_;
+};
 
 }  // namespace
 
 RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
                               const RunOptions& options) const {
-  const unsigned workers = std::max(1u, options.workers);
+  const std::size_t workers = std::max(1u, options.workers);
 
   RunResult result;
-  Multiset current = initial;
+  Multiset current;
+  // The multiset a stage deals from: `initial`, then the previous stage's
+  // result (dealing from `initial` in place saves copying it).
+  const Multiset* stage_input = &initial;
   Rng seed_rng(options.seed);
-  // One StepLoop for the whole run: the absolute deadline every worker
-  // governor shares, the run-wide firing budget, and the wall clock.
-  runtime::StepLoop loop(options, options.max_steps, "parallel engine",
-                         "max_steps");
+  // One StepLoop for the whole run: the absolute deadline every part's
+  // governor shares, and the wall clock.
+  const runtime::StepLoop loop(options, options.max_steps, "parallel engine",
+                               "max_steps");
   const runtime::RunRecording recording(options, "parallel", "gamma");
   recording.begin(initial);
   const runtime::EngineTelemetry telemetry(options, "gamma");
   obs::Telemetry* const tel = telemetry.sink();
-  WorkerMetrics total;
   const FieldSet fields = FieldSet::of(program);
-  GF_DEBUG << "gamma parallel run: " << workers << " workers, "
+  // Parts run without class scheduling: a part is not a closed class.
+  const std::map<std::string, std::size_t> no_classes;
+  runtime::StopFlag stop;
+  std::atomic<std::uint64_t> fired{0};
+  std::uint64_t attempts = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t passes = 0;
+  std::uint64_t anchor_skips = 0;
+  GF_DEBUG << "gamma parallel run: " << workers << " part(s), "
            << program.stages().size() << " stage(s), |M|=" << initial.size();
 
   for (std::size_t stage_idx = 0;
-       stage_idx < program.stages().size() &&
-       result.outcome == Outcome::Completed;
-       ++stage_idx) {
+       stage_idx < program.stages().size() && !stop.stopped(); ++stage_idx) {
     const auto& stage = program.stages()[stage_idx];
-    const StageObs ob(tel, stage);
-    const runtime::ShardPlan plan =
-        runtime::plan_shards(stage, options.conflict_classes);
 
-    StageResult sr;
-    if (plan.sharded) {
-      GF_DEBUG << "stage " << stage_idx << ": sharded, " << plan.shard_count
-               << " shard(s)";
-      sr = run_sharded_stage(stage, stage_idx, plan, current, options, loop,
-                             seed_rng, workers, result.steps, ob, total,
-                             recording, fields);
-    } else {
-      sr = run_optimistic_stage(stage, stage_idx, current, options, loop,
-                                seed_rng, workers, result.steps, ob, total,
-                                recording, fields);
+    std::vector<Part> parts;
+    parts.reserve(workers);
+    for (std::size_t p = 0; p < workers; ++p) {
+      parts.emplace_back(fields, seed_rng.split(), stage.size(),
+                         recording.sink());
     }
-    if (sr.error) std::rethrow_exception(sr.error);
-    result.outcome = sr.outcome;
-    result.steps += sr.steps;
-    runtime::add_fires(stage, sr.fires, result.fires_by_reaction);
-    // One journal round per stage: workers joined, `current` is consistent.
+    std::size_t dealt = 0;
+    for (const Element& e : *stage_input) {
+      parts[dealt++ % workers].store.insert(e);
+    }
+
+    const auto run_part = [&](std::size_t p, const char* span_name) {
+      Part& part = parts[p];
+      try {
+        obs::ThreadRecorder* const rec =
+            tel ? &tel->register_thread(std::string("gamma-part-")
+                                            .append(std::to_string(p)))
+                : nullptr;
+        const obs::Span span(tel, rec, span_name);
+        PartGate gate(stop, fired, loop.make_governor(options), options,
+                      runtime::RecordCtx{part.journal.get(),
+                                         static_cast<std::int64_t>(stage_idx),
+                                         static_cast<std::int64_t>(p)});
+        run_stage_fixpoint(part.store, stage, no_classes, part.rng, part.mem,
+                           StageObs(tel, rec, stage), gate);
+      } catch (...) {
+        part.error = std::current_exception();
+        // Winds the other parts down; the error, not this outcome, is what
+        // the run reports.
+        stop.publish(Outcome::Cancelled);
+      }
+    };
+
+    // Level 0 runs every part; the level at stride s merges part i + s into
+    // part i for every i that is a multiple of 2s, and reruns part i.
+    std::vector<std::size_t> jobs(workers);
+    std::iota(jobs.begin(), jobs.end(), std::size_t{0});
+    for (std::size_t stride = 1;; stride *= 2) {
+      const char* const span_name = stride == 1 ? "part" : "merge";
+      {
+        // jthreads join when the block ends, on every path out of it.
+        std::vector<std::jthread> threads;
+        threads.reserve(jobs.size() - 1);
+        for (std::size_t j = 1; j < jobs.size(); ++j) {
+          threads.emplace_back(run_part, jobs[j], span_name);
+        }
+        run_part(jobs[0], span_name);
+      }
+      for (const std::size_t p : jobs) {
+        if (parts[p].error) std::rethrow_exception(parts[p].error);
+      }
+      if (recording) {
+        for (const std::size_t p : jobs) {
+          recording.sink()->absorb_fires(parts[p].journal->take());
+        }
+      }
+      if (stride >= workers || stop.stopped()) break;
+      jobs.clear();
+      for (std::size_t i = 0; i + stride < workers; i += 2 * stride) {
+        parts[i].store.append(parts[i + stride].store);
+        parts[i + stride].store = Store();
+        jobs.push_back(i);
+      }
+    }
+    // A stopped run skipped levels: its unmerged parts join part 0 as they
+    // are, which is the valid partial state.
+    for (std::size_t p = 1; p < workers; ++p) {
+      parts[0].store.append(parts[p].store);
+    }
+
+    std::vector<std::uint64_t> fires(stage.size(), 0);
+    for (const Part& part : parts) {
+      for (std::size_t i = 0; i < stage.size(); ++i) {
+        fires[i] += part.mem.fires[i];
+      }
+      attempts += part.mem.attempts;
+      failures += part.mem.failures;
+      passes += part.mem.passes;
+      anchor_skips += part.mem.anchor_skips();
+    }
+    for (const std::uint64_t n : fires) result.steps += n;
+    runtime::add_fires(stage, fires, result.fires_by_reaction);
+    current = parts[0].store.to_multiset();
+    stage_input = &current;
+    // One journal round per stage: every level joined, `current` is whole.
     if (recording) recording.round(current);
   }
+  if (stage_input == &initial) current = initial;  // no stage ran
 
   if (tel) {
     auto& stats = tel->stats();
-    stats.count("gamma.match_attempts", total.match_attempts);
-    stats.count("gamma.match_failures", total.match_failures);
-    stats.count("gamma.commit_conflicts", total.commit_conflicts);
-    stats.count("gamma.search_retries", total.search_retries);
-    stats.count("gamma.quiescence_rounds", total.quiescence_rounds);
+    stats.count("gamma.match_attempts", attempts);
+    stats.count("gamma.match_failures", failures);
     stats.count("gamma.fires", result.steps);
-    stats.count("gamma.class_fast_commits", total.class_fast_commits);
+    stats.count("gamma.passes", passes);
+    stats.count("gamma.anchor_skips", anchor_skips);
     runtime::observe_reaction_compile(tel, program);
   }
+  result.outcome = stop.outcome();
   telemetry.finish(result.outcome, result.metrics);
   result.final_multiset = std::move(current);
   recording.finish(result.outcome, result.final_multiset);
   result.wall_seconds = loop.wall_seconds();
   GF_DEBUG << "gamma parallel run done: " << result.steps << " fires, |M|="
-           << result.final_multiset.size() << ", "
-           << result.wall_seconds << "s";
+           << result.final_multiset.size() << ", " << result.wall_seconds
+           << "s";
   return result;
 }
 

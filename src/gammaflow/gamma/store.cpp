@@ -157,6 +157,27 @@ void Store::remove(Id id) {
   // The dead row lingers (masked by the liveness bitmap) until compact().
 }
 
+void Store::append(const Store& other) {
+  std::vector<Id> ids;
+  ids.reserve(other.size());
+  for (Id id = 0; id < other.alive_.size(); ++id) {
+    if (other.alive_[id]) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end(), [&other](Id a, Id b) {
+    return other.inserted_at_[a] < other.inserted_at_[b];
+  });
+  std::vector<Value> fields;
+  for (const Id id : ids) {
+    const Loc loc = other.locs_[id];
+    const ColumnGroup& g = other.groups_[loc.group];
+    fields.clear();
+    for (std::size_t f = 0; f < g.arity; ++f) {
+      fields.push_back(g.field_value(loc.row, f));
+    }
+    insert(fields);
+  }
+}
+
 Store::Bucket::const_iterator Store::lower_bound(const Bucket& bucket,
                                                 std::uint64_t stamp) const {
   return std::lower_bound(

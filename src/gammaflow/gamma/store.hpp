@@ -18,7 +18,7 @@
 // (binary search on the per-slot insertion stamp, then an ordered erase)
 // and drops a field bucket that becomes empty, so the field index holds
 // only keys some live element carries. Nothing in a bucket is ever stale,
-// which keeps lookups read-only (safe under shared locks) and keeps the
+// which keeps lookups read-only (safe for concurrent readers) and keeps the
 // seeded pick stream — rng->bounded(bucket size), then a cyclic scan in
 // insertion order — independent of when garbage was last collected.
 // compact() rewrites column groups densely (inserts self-trigger it once
@@ -26,7 +26,7 @@
 // O(live)).
 //
 // The matching machinery itself (backtracking candidate search, batch
-// bitmap evaluation, match revalidation, commit) lives in
+// bitmap evaluation, commit) lives in
 // runtime/match_pipeline.hpp — one implementation for every engine.
 #pragma once
 
@@ -136,6 +136,9 @@ class Store {
   /// columns (the commit path builds no Element).
   Id insert(std::span<const Value> fields);
   void remove(Id id);
+  /// Inserts `other`'s live elements in the order `other` stamped them
+  /// (its insertion order): how the parallel engine merges two parts.
+  void append(const Store& other);
 
   [[nodiscard]] bool alive(Id id) const noexcept {
     return id < alive_.size() && alive_[id];
@@ -163,8 +166,8 @@ class Store {
 
   /// The bucket the pattern probes: the (field,value) bucket when the
   /// pattern carries a literal constraint, otherwise the arity bucket; null
-  /// when no such bucket exists (nothing can match). Read-only, so safe
-  /// under a shared lock; the pointer stays valid until the next mutation.
+  /// when no such bucket exists (nothing can match). Read-only; the
+  /// pointer stays valid until the next mutation.
   [[nodiscard]] const Bucket* bucket(const Pattern& p) const;
 
   /// The (field,value) bucket: live ids of ANY arity whose field `field`

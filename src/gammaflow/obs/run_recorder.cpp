@@ -160,6 +160,10 @@ void RunRecorder::set_session(std::string session) {
 
 void RunRecorder::fire(FireRecord record) {
   const std::lock_guard<std::mutex> lock(mu_);
+  fire_locked(std::move(record));
+}
+
+void RunRecorder::fire_locked(FireRecord record) {
   ++journal_.fires_total;
   ++fires_in_round_;
   if (journal_.fires.size() >= limits_.max_fires) {
@@ -168,6 +172,14 @@ void RunRecorder::fire(FireRecord record) {
   }
   record.round = journal_.rounds.size();
   journal_.fires.push_back(std::move(record));
+}
+
+void RunRecorder::absorb_fires(Journal part) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (FireRecord& record : part.fires) fire_locked(std::move(record));
+  journal_.fires_total += part.fires_dropped;
+  journal_.fires_dropped += part.fires_dropped;
+  fires_in_round_ += part.fires_dropped;
 }
 
 void RunRecorder::close_round_locked(const StoreCounts& store,

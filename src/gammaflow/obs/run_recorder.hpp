@@ -41,7 +41,7 @@ struct FireRecord {
   std::uint64_t round = 0;             // assigned by the recorder
   std::vector<std::string> consumed;   // element / token strings
   std::vector<std::string> produced;
-  std::int64_t shard = -1;             // sharded-store shard id, -1 = n/a
+  std::int64_t shard = -1;             // parallel Gamma part, -1 = n/a
   std::int64_t node = -1;              // distrib cluster node, -1 = n/a
 };
 
@@ -100,6 +100,16 @@ class RunRecorder {
   /// Records one firing (budgeted; drops count toward fires_dropped).
   void fire(FireRecord record);
 
+  /// Records `part`'s fires, in order, as if each had been fire()d here;
+  /// the fires `part` dropped count as dropped here too. The parallel Gamma
+  /// engine's parts record into recorders of their own (with limits())
+  /// and are absorbed in part order, which keeps its journal deterministic.
+  void absorb_fires(Journal part);
+
+  [[nodiscard]] const RecorderLimits& limits() const noexcept {
+    return limits_;
+  }
+
   /// Closes a round: computes the delta of `store` against the last kept
   /// snapshot. Budget-dropped rounds leave the baseline untouched, so the
   /// dropped delta folds into the next kept round.
@@ -116,6 +126,7 @@ class RunRecorder {
   [[nodiscard]] Journal take();
 
  private:
+  void fire_locked(FireRecord record);
   void close_round_locked(const StoreCounts& store, bool budget_exempt);
 
   mutable std::mutex mu_;

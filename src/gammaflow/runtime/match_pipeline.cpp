@@ -175,26 +175,6 @@ std::size_t MatchPipeline::enumerate(
                 [&](const Match& m) { return fn(m); });
 }
 
-bool MatchPipeline::validate(const Store& store, Match& match) {
-  const CompiledReaction& compiled = match.reaction->compiled();
-  const auto& ops = compiled.field_ops();
-  if (match.ids.size() != ops.size()) return false;
-  Frame frame(compiled.slots().size());
-  for (std::size_t i = 0; i < match.ids.size(); ++i) {
-    // alive() alone is not enough — a recycled slot is alive with different
-    // content — but re-running the pattern's ops on the current occupants
-    // catches that too, so the pair of checks is exact.
-    if (!store.alive(match.ids[i])) return false;
-    if (!store.bind(ops[i], match.ids[i], frame)) return false;
-  }
-  match.outputs.clear();
-  const auto branch =
-      compiled.apply(frame.slots(), thread_vm(), match.outputs);
-  if (!branch) return false;
-  match.branch = *branch;
-  return true;
-}
-
 void MatchPipeline::commit(Store& store, const Match& match,
                            const RecordCtx* rec) {
   if (rec != nullptr && rec->recorder != nullptr) {

@@ -1,4 +1,4 @@
-// The one match→validate→commit pipeline every Gamma runtime calls — the
+// The one match→commit pipeline every Gamma runtime calls — the
 // executable core of Eq. (1)'s "let x1..xn ∈ M such that Ri(x1..xn)". The
 // backtracking candidate search used to live in gamma/store.cpp with each
 // engine re-wrapping it; now the sequential/indexed/parallel engines, the
@@ -6,8 +6,7 @@
 //
 //   find      — one enabled match (first in bucket order, or randomized via
 //               a cyclic start offset when given an Rng). Read-only: the
-//               store's buckets are exact, so there is nothing to prune and
-//               concurrent searchers may call it under a shared lock. With
+//               store's buckets are exact, so there is nothing to prune. With
 //               an AnchorMemo, a two-pattern reaction's anchors skip the
 //               candidates an earlier sweep already proved fail. The
 //               innermost candidate bucket is evaluated as column batches
@@ -21,9 +20,6 @@
 //               against.
 //   enumerate — every enabled match up to a limit (the SequentialEngine's
 //               Eq. (1)-literal uniform choice, and match counting).
-//   validate  — re-check a proposal against CURRENT slot contents; the
-//               optimistic commit path's guard (ids may have died or been
-//               recycled between a shared-lock search and the commit).
 //   commit    — apply a match: remove consumed ids, insert produced
 //               elements. One step of (M - {x..}) + A(x..).
 #pragma once
@@ -108,19 +104,9 @@ struct MatchPipeline {
       const gamma::Store& store, const gamma::Reaction& reaction,
       std::size_t limit, const std::function<bool(const gamma::Match&)>& fn);
 
-  /// Revalidates `match` against the store's CURRENT slot contents: all ids
-  /// alive, patterns still match, a branch still fires. On success the
-  /// match's branch and outputs are recomputed from the current occupants
-  /// (bound into a Frame, as the search binds them) and the commit may
-  /// proceed; false means another thread invalidated the proposal (the
-  /// optimistic engines re-search — progress happened elsewhere).
-  [[nodiscard]] static bool validate(const gamma::Store& store,
-                                     gamma::Match& match);
-
   /// Applies a match: removes the consumed ids, then writes the match's
   /// output tuples straight into the store's columns. Precondition: all ids
-  /// alive (fresh find, or validate passed, or the caller owns every
-  /// reaction that could consume them).
+  /// alive (the match is from a find on the store as it is now).
   ///
   /// With a RecordCtx whose recorder is set, emits the firing's provenance
   /// (reaction, consumed elements rendered BEFORE removal, produced) to the

@@ -57,7 +57,7 @@ struct RunOptions {
 struct RecordCtx {
   obs::RunRecorder* recorder = nullptr;
   std::int64_t stage = -1;  // gamma stage index
-  std::int64_t shard = -1;  // ShardedStore shard id
+  std::int64_t shard = -1;  // parallel Gamma engine part index
   std::int64_t node = -1;   // distrib cluster node index
 };
 

@@ -1,4 +1,4 @@
-#include "gammaflow/runtime/sharded_store.hpp"
+#include "gammaflow/runtime/shard_map.hpp"
 
 #include <algorithm>
 
@@ -87,37 +87,6 @@ ShardPlan plan_shards(const std::vector<gamma::Reaction>& stage,
     plan.label_shard.emplace(label, shard_of_class.at(c));
   }
   return plan;
-}
-
-ShardedStore::ShardedStore(const gamma::Multiset& initial, ShardMap map,
-                           const gamma::FieldSet& fields)
-    : map_(std::move(map)) {
-  shards_.reserve(map_.shards());
-  for (std::size_t s = 0; s < map_.shards(); ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->store = gamma::Store(fields);
-  }
-  for (const gamma::Element& e : initial) {
-    shards_[map_.route(e)]->store.insert(e);
-  }
-}
-
-std::size_t ShardedStore::size() const noexcept {
-  std::size_t total = 0;
-  for (const auto& s : shards_) total += s->store.size();
-  return total;
-}
-
-std::uint64_t ShardedStore::version() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s->store.version();
-  return total;
-}
-
-gamma::Multiset ShardedStore::to_multiset() const {
-  gamma::Multiset m;
-  for (const auto& s : shards_) m.add(s->store.to_multiset());
-  return m;
 }
 
 }  // namespace gammaflow::runtime

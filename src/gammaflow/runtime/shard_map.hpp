@@ -1,21 +1,18 @@
 // Conflict-class sharding of the multiset. PR 3's interference analysis
 // proves that reactions in different conflict classes touch disjoint element
 // populations (compete AND feed edges stay inside a class); this module
-// turns that proof into a partition of the store itself:
+// turns that proof into a routing of elements to shards:
 //
-//   plan_shards  — decides whether a stage may run sharded, and assigns
-//                  every reaction and every label to a shard. The plan is
-//                  accepted only when it is STATICALLY sound (see below);
-//                  anything else falls back to the single-store engine path,
-//                  so semantics never depend on the plan.
-//   ShardMap     — label -> shard routing with an element-hash fallback,
-//                  shared by the ParallelEngine's ShardedStore and the
-//                  distributed cluster's placement/stirring (a cluster node
-//                  IS a shard with a network between it and its peers).
-//   ShardedStore — one gamma::Store (+ lock) per shard. A worker that holds
-//                  a shard's lock owns a complete, closed sub-chemistry:
-//                  every match it can ever make is local, so it matches and
-//                  commits with no global coordination and no revalidation.
+//   plan_shards   — decides whether a stage may be sharded, and assigns
+//                   every reaction and every label to a shard. The plan is
+//                   accepted only when it is STATICALLY sound (see below).
+//                   `gammaflow viz --graph shards` draws it.
+//   ShardMap      — label -> shard routing with an element-hash fallback:
+//                   the distributed cluster's placement and stirring (a
+//                   cluster node IS a shard with a network between it and
+//                   its peers).
+//   EpochShardMap — the rendezvous-hashed, epoch-stamped form the elastic
+//                   cluster rebalances with.
 //
 // Soundness rules enforced by plan_shards (any failure => not sharded):
 //   1. every reaction of the stage has a conflict class;
@@ -36,8 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -46,12 +41,11 @@
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/multiset.hpp"
 #include "gammaflow/gamma/reaction.hpp"
-#include "gammaflow/gamma/store.hpp"
 
 namespace gammaflow::runtime {
 
 struct ShardPlan {
-  /// False => run the stage on the classic single-store path.
+  /// False => the stage has no sound shard plan.
   bool sharded = false;
   std::size_t shard_count = 1;
   /// Shard of each reaction, indexed by stage position.
@@ -70,8 +64,7 @@ struct ShardPlan {
 
 /// Label -> shard routing with an element-hash fallback. `home()` is the
 /// hint (nullopt when the element carries no mapped label); `route()` is
-/// total. The cluster builds one from label_affinity with shards = nodes;
-/// the ParallelEngine builds one from a ShardPlan.
+/// total. The cluster builds one from label_affinity with shards = nodes.
 class ShardMap {
  public:
   ShardMap(std::unordered_map<std::string, std::size_t> label_shard,
@@ -187,40 +180,6 @@ class EpochShardMap {
  private:
   std::vector<std::size_t> members_;
   std::uint64_t epoch_ = 0;
-};
-
-/// The partitioned store: shards()[s] holds the elements routed to shard s.
-/// Each shard carries its own mutex; the sharded ParallelEngine path claims
-/// a shard by locking it for the whole local fixpoint (the lock IS the
-/// ownership — one owner per shard instead of one global lock over all
-/// workers), and aggregate reads (size/version/to_multiset) are only called
-/// after the owners released.
-class ShardedStore {
- public:
-  struct Shard {
-    gamma::Store store;
-    std::mutex mutex;
-  };
-
-  /// Routes `initial` into shard stores that each index `fields`.
-  ShardedStore(const gamma::Multiset& initial, ShardMap map,
-               const gamma::FieldSet& fields);
-
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
-  [[nodiscard]] Shard& shard(std::size_t s) noexcept { return *shards_[s]; }
-  [[nodiscard]] const ShardMap& map() const noexcept { return map_; }
-
-  /// Live elements across all shards. Not synchronized with live owners.
-  [[nodiscard]] std::size_t size() const noexcept;
-  /// Sum of shard version stamps (monotone across commits anywhere).
-  [[nodiscard]] std::uint64_t version() const noexcept;
-  [[nodiscard]] gamma::Multiset to_multiset() const;
-
- private:
-  ShardMap map_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace gammaflow::runtime

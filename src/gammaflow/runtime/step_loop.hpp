@@ -7,9 +7,6 @@
 //                     the cluster's round loop are thin policies over it.
 //   StopFlag        — the multithreaded analogue of StepLoop's sticky
 //                     outcome: first publisher wins, workers poll one atomic.
-//   QuiescenceVote  — version-stamped termination detection for the Gamma
-//                     ParallelEngine (all workers exhaustively failed at the
-//                     same store version => stage fixed point).
 //   InFlight        — token/message in-flight counting (the dataflow
 //                     ParallelEngine's quiescence condition; the distributed
 //                     cluster's Safra counters are the per-node refinement).
@@ -149,38 +146,6 @@ class StopFlag {
   static_assert(static_cast<std::uint8_t>(Outcome::Completed) == 0,
                 "StopFlag encodes 'no stop' as Outcome::Completed");
   std::atomic<std::uint8_t> state_{0};
-};
-
-/// Version-stamped quiescence vote: the Gamma ParallelEngine's termination
-/// detection ("global termination state" in the paper). A worker whose
-/// EXHAUSTIVE search failed reports the store version it searched at; when
-/// all `voters` have reported at the same version, no reaction is enabled
-/// anywhere and the stage has reached its fixed point. Any commit moves the
-/// version and implicitly restarts the vote.
-///
-/// Externally synchronized: call under the store's exclusive lock. `my_mark`
-/// is the caller's per-worker slot (initialize to kNone), which keeps one
-/// worker from voting twice at the same version.
-class QuiescenceVote {
- public:
-  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
-
-  [[nodiscard]] bool quiet(std::uint64_t version, std::uint64_t& my_mark,
-                           unsigned voters) noexcept {
-    if (version_ != version) {
-      version_ = version;
-      count_ = 0;
-      // A mark from a previous vote is stale; the caller's slot resets too.
-      my_mark = kNone;
-    }
-    if (my_mark == version) return false;  // already voted at this version
-    my_mark = version;
-    return ++count_ >= voters;
-  }
-
- private:
-  std::uint64_t version_ = kNone;
-  unsigned count_ = 0;
 };
 
 /// Atomic in-flight counter: covers every token/message that is queued or

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "gammaflow/runtime/sharded_store.hpp"
+#include "gammaflow/runtime/shard_map.hpp"
 #include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::viz {

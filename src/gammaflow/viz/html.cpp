@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "gammaflow/common/json.hpp"
-#include "gammaflow/runtime/sharded_store.hpp"
+#include "gammaflow/runtime/shard_map.hpp"
 #include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::viz {

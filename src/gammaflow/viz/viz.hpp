@@ -1,7 +1,7 @@
 // Visualization: the renderer half of ROADMAP item 5 (`gammaflow viz`).
 // Consumes the structures the rest of the system already computes — dataflow
 // graphs (dataflow/graph.hpp), interference reports and conflict classes
-// (analysis/interference.hpp), shard plans (runtime/sharded_store.hpp), and
+// (analysis/interference.hpp), shard plans (runtime/shard_map.hpp), and
 // run journals (obs/run_recorder.hpp) — and renders them as:
 //
 //   * DOT, one writer per graph kind, and

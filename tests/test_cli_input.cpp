@@ -1,8 +1,9 @@
 // Hostile text through the built CLI must end in a documented error, never a
-// crash. Each case below overflowed the stack of a recursive parser (exit
+// crash. Most cases below overflowed the stack of a recursive parser (exit
 // 139) before its nesting was capped at expr::kMaxExprDepth: the expression
 // parser, which reads `.gamma` guards, `.src` expressions and serve `create`
-// programs, and the `.src` statement parser's nested blocks.
+// programs, and the `.src` statement parser's nested blocks. One is an
+// evaluation error raised on the parallel engine's threads.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -111,6 +112,21 @@ TEST_F(CliInput, RunRejectsDeeplyNestedSourceBlocks) {
   EXPECT_EQ(run.output,
             "gammaflow: ParseError at 258:12: " + std::string(kNestingError) +
                 "\n");
+}
+
+TEST_F(CliInput, RungammaParallelEvaluationErrorExitsOne) {
+  // The parallel engine used to evaluate in worker threads with no handler
+  // and abort (exit 134); it now reports the error as the indexed one does.
+  const fs::path prog = write("div.gamma", "R = replace x, y by x / y\n");
+  const std::string args =
+      "rungamma " + prog.string() + " --init \"[4] [0] [7] [2] [0]\"";
+  const std::string want = "gammaflow: TypeError: integer division by zero\n";
+  const CliRun idx = run_cli(args + " --engine idx");
+  EXPECT_EQ(idx.exit_code, 1) << idx.output;
+  EXPECT_EQ(idx.output, want);
+  const CliRun par = run_cli(args + " --engine par --workers 4");
+  EXPECT_EQ(par.exit_code, 1) << par.output;
+  EXPECT_EQ(par.output, want);
 }
 
 TEST_F(CliInput, ServeStdioRejectsDeepCreateAndKeepsServing) {

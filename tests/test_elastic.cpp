@@ -16,7 +16,7 @@
 #include "gammaflow/distrib/wal.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
-#include "gammaflow/runtime/sharded_store.hpp"
+#include "gammaflow/runtime/shard_map.hpp"
 
 namespace gammaflow::distrib {
 namespace {

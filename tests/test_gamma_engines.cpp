@@ -5,7 +5,9 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
@@ -355,6 +357,131 @@ TEST(ParallelEngine, ManyWorkersConvergeOnLargeMultiset) {
   const auto r = ParallelEngine().run(p, m, opts);
   EXPECT_EQ(r.final_multiset, (Multiset{Element{Value(expected)}}));
   EXPECT_EQ(r.steps, 499u);
+}
+
+/// The error text `engine` throws on `m`, or "no error".
+std::string error_of(const Engine& engine, const Program& p, const Multiset& m,
+                     unsigned workers) {
+  RunOptions opts;
+  opts.workers = workers;
+  try {
+    (void)engine.run(p, m, opts);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(ParallelEngine, EvaluationErrorIsRethrownAsIndexedThrowsIt) {
+  // Every schedule ends dividing a zero by a zero: there are always at
+  // least two zeros, since x / y consumes a zero only to produce one.
+  const Program p = dsl::parse_program("R = replace x, y by x / y");
+  const Multiset m = ints({4, 0, 7, 2, 0});
+  const std::string want = error_of(IndexedEngine(), p, m, 1);
+  EXPECT_EQ(want, "TypeError: integer division by zero");
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    EXPECT_EQ(error_of(ParallelEngine(), p, m, workers), want)
+        << workers << " worker(s)";
+  }
+}
+
+TEST(ParallelEngine, ErrorFirstRaisedAtAMergeLevelIsRethrown) {
+  // One element per part: no part can fire, so the first match, and the
+  // division by zero, happen when the parts merge.
+  const Program p = dsl::parse_program("R = replace x, y by x / (y - y)");
+  const Multiset m = ints({4, 7});
+  for (const unsigned workers : {2u, 4u}) {
+    EXPECT_EQ(error_of(ParallelEngine(), p, m, workers),
+              "TypeError: integer division by zero")
+        << workers << " worker(s)";
+  }
+}
+
+TEST(ParallelEngine, BudgetRunsOutAtAMergeLevel) {
+  // Two parts of 10 each take 9 fires apiece; the merge needs one more.
+  const Program p = dsl::parse_program("R = replace x, y by x + y");
+  Multiset m;
+  for (std::int64_t i = 1; i <= 20; ++i) m.add(Element{Value(i)});
+  RunOptions opts;
+  opts.workers = 2;
+  opts.max_steps = 18;
+  opts.limit_policy = LimitPolicy::Partial;
+  const auto r = ParallelEngine().run(p, m, opts);
+  EXPECT_EQ(r.outcome, Outcome::BudgetExhausted);
+  EXPECT_EQ(r.steps, 18u);
+  ASSERT_EQ(r.final_multiset.size(), 2u);
+  EXPECT_EQ(r.final_multiset.elements()[0].value().as_int() +
+                r.final_multiset.elements()[1].value().as_int(),
+            210);
+
+  opts.limit_policy = LimitPolicy::Throw;
+  try {
+    (void)ParallelEngine().run(p, m, opts);
+    FAIL() << "expected EngineError";
+  } catch (const EngineError& e) {
+    EXPECT_STREQ(e.what(),
+                 "EngineError: parallel engine exceeded max_steps=18");
+  }
+}
+
+/// Replays `j`'s fires over its initial store, requiring every consumed
+/// element to be present; true when the replay lands on the final store.
+bool replays_strictly(const obs::Journal& j) {
+  obs::StoreCounts store = j.initial;
+  for (const obs::FireRecord& fire : j.fires) {
+    for (const std::string& e : fire.consumed) {
+      const auto it = store.find(e);
+      if (it == store.end()) return false;
+      if (--it->second == 0) store.erase(it);
+    }
+    for (const std::string& e : fire.produced) ++store[e];
+  }
+  return store == j.final_store;
+}
+
+TEST(ParallelEngine, JournalsAreByteIdenticalAcrossRunsAndReplay) {
+  struct Case {
+    const char* name;
+    const char* src;
+    Multiset initial;
+  };
+  Multiset keyed;
+  Multiset sum;
+  for (std::int64_t i = 0; i < 512; ++i) {
+    keyed.add(Element{Value((i * 37) % 1000),
+                      Value(std::string("k").append(std::to_string(i % 16)))});
+    sum.add(Element{Value((i * 53) % 2001 - 1000)});
+  }
+  Multiset sieve;
+  for (std::int64_t i = 2; i <= 200; ++i) sieve.add(Element{Value(i)});
+  const std::vector<Case> cases = {
+      {"keyed", "Rkey = replace [x, k], [y, k] by [x + y, k]", keyed},
+      {"sum", "Rsum = replace x, y by x + y", sum},
+      {"sieve", "Rsieve = replace x, y by [x] where (y % x == 0) and (x > 1)",
+       sieve}};
+  for (const Case& c : cases) {
+    const Program p = dsl::parse_program(c.src);
+    RunOptions opts;
+    opts.workers = 4;
+    opts.seed = 5;
+    std::string first;
+    for (int rep = 0; rep < 20; ++rep) {
+      obs::RunRecorder recorder;
+      opts.record = &recorder;
+      const auto r = ParallelEngine().run(p, c.initial, opts);
+      const obs::Journal j = recorder.take();
+      ASSERT_EQ(r.outcome, Outcome::Completed) << c.name;
+      ASSERT_EQ(j.fires_dropped, 0u) << c.name;
+      EXPECT_EQ(obs::verify_journal(j), "") << c.name;
+      EXPECT_TRUE(replays_strictly(j)) << c.name;
+      const std::string text = obs::journal_to_string(j);
+      if (rep == 0) {
+        first = text;
+      } else {
+        ASSERT_EQ(text, first) << c.name << ": run " << rep << " differs";
+      }
+    }
+  }
 }
 
 TEST(ParallelEngine, SingleWorkerDegeneratesGracefully) {

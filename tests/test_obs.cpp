@@ -227,7 +227,7 @@ TEST(TelemetryEndToEnd, ParallelGammaRunFillsTraceAndMetrics) {
   EXPECT_EQ(result.steps, 255u);
   EXPECT_GT(result.metrics.counters.at("gamma.match_attempts"), 0u);
   EXPECT_EQ(result.metrics.counters.at("gamma.fires"), 255u);
-  EXPECT_GT(result.metrics.counters.at("gamma.quiescence_rounds"), 0u);
+  EXPECT_GT(result.metrics.counters.at("gamma.passes"), 0u);
   EXPECT_EQ(result.metrics.histograms.at("gamma.fire_us.Rsum").count, 255u);
 
   // Spans from at least two distinct worker threads in the exported trace.

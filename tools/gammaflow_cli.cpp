@@ -105,8 +105,7 @@ void print_usage(std::ostream& out) {
       "                                output\n"
       "         --classes              rungamma: derive conflict classes from\n"
       "                                interference analysis and hand them to\n"
-      "                                the engine (par: no-revalidation\n"
-      "                                commits; idx: class scheduling)\n"
+      "                                the engine (idx: class scheduling)\n"
       "         --affinity             distrib: place elements by conflict-\n"
       "                                class label affinity\n"
       "optimize: --out <file>          write the rewritten program to a file\n"
