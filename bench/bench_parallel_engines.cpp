@@ -349,9 +349,14 @@ void BM_DataflowLoops_Interpreter(benchmark::State& state) {
   const dataflow::Graph g = paper::multi_loop_graph(
       static_cast<std::size_t>(state.range(0)), 16, true);
   const dataflow::Interpreter engine;
+  std::uint64_t fires = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(g));
+    const dataflow::DfRunResult r = engine.run(g);
+    fires += r.fires;
+    benchmark::DoNotOptimize(r);
   }
+  // items_per_second is fires per second: 1e9 / it is ns per fire.
+  state.SetItemsProcessed(static_cast<std::int64_t>(fires));
 }
 BENCHMARK(BM_DataflowLoops_Interpreter)
     ->RangeMultiplier(2)
@@ -363,12 +368,19 @@ void BM_DataflowLoops_ParallelPEs(benchmark::State& state) {
   const dataflow::ParallelEngine engine;
   dataflow::DfRunOptions opts;
   opts.workers = static_cast<unsigned>(state.range(0));
+  std::uint64_t fires = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(g, opts));
+    const dataflow::DfRunResult r = engine.run(g, opts);
+    fires += r.fires;
+    benchmark::DoNotOptimize(r);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(fires));
   state.SetLabel(std::to_string(state.range(0)) + " workers");
 }
+// Real time: the PEs' CPU time is not the calling thread's, so items per
+// second (fires) are taken over the wall clock.
 BENCHMARK(BM_DataflowLoops_ParallelPEs)
+    ->UseRealTime()
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

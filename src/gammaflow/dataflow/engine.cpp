@@ -29,7 +29,15 @@ Value DfRunResult::single_output(const std::string& name) const {
   return values.front();
 }
 
-Firing fire_node(const Node& node, const std::vector<Value>& inputs, Tag tag) {
+Firing fire_node(const Node& node, std::span<const Value> inputs, Tag tag) {
+  // The one guard before the unchecked inputs[i] reads below.
+  if (inputs.size() < input_arity(node)) {
+    throw EngineError(std::string(to_string(node.kind))
+                          .append(" node fired with ")
+                          .append(std::to_string(inputs.size()))
+                          .append(" operand(s), needs ")
+                          .append(std::to_string(input_arity(node))));
+  }
   Firing f;
   switch (node.kind) {
     case NodeKind::Const:
@@ -39,16 +47,16 @@ Firing fire_node(const Node& node, const std::vector<Value>& inputs, Tag tag) {
       return f;
     case NodeKind::Arith:
       f.emits = true;
-      f.value = expr::apply(node.op, inputs.at(0),
-                            node.has_immediate ? node.constant : inputs.at(1));
+      f.value = expr::apply(node.op, inputs[0],
+                            node.has_immediate ? node.constant : inputs[1]);
       f.tag = tag;
       return f;
     case NodeKind::Cmp: {
       // Int 1/0, matching the elements Algorithm 1's comparison reactions
       // produce — keeps dataflow and Gamma results structurally equal.
       const Value b =
-          expr::apply(node.op, inputs.at(0),
-                      node.has_immediate ? node.constant : inputs.at(1));
+          expr::apply(node.op, inputs[0],
+                      node.has_immediate ? node.constant : inputs[1]);
       f.emits = true;
       f.value = Value(b.truthy() ? std::int64_t{1} : std::int64_t{0});
       f.tag = tag;
@@ -56,19 +64,19 @@ Firing fire_node(const Node& node, const std::vector<Value>& inputs, Tag tag) {
     }
     case NodeKind::Steer:
       f.emits = true;
-      f.value = inputs.at(kSteerData);
+      f.value = inputs[kSteerData];
       f.tag = tag;
-      f.port = inputs.at(kSteerControl).truthy() ? kSteerTrue : kSteerFalse;
+      f.port = inputs[kSteerControl].truthy() ? kSteerTrue : kSteerFalse;
       return f;
     case NodeKind::IncTag:
       f.emits = true;
-      f.value = inputs.at(0);
+      f.value = inputs[0];
       f.tag = tag + 1;
       return f;
     case NodeKind::DecTag:
       if (tag == 0) throw EngineError("dectag on tag 0");
       f.emits = true;
-      f.value = inputs.at(0);
+      f.value = inputs[0];
       f.tag = tag - 1;
       return f;
     case NodeKind::Output:

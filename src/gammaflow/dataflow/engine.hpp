@@ -9,6 +9,10 @@
 //   ParallelEngine  — PEs (worker threads) own hash-partitioned nodes, route
 //                     tokens via MPSC inboxes, and terminate by in-flight
 //                     token counting.
+// Both park waiting operands in a MatchStore (match_store.hpp): per-node
+// tag tables with inline two-operand frames, so matching allocates nothing
+// once the tables have grown. Both report leftovers sorted by
+// (node, tag, port).
 // Both are thin policies over runtime::StepLoop / StopFlag / InFlight; the
 // deadline/cancel/budget/telemetry scaffolding is shared with the Gamma
 // engines and the distributed cluster.
@@ -16,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,6 +60,9 @@ struct PendingOperand {
   PortId port = 0;
   Tag tag = 0;
   Value value;
+
+  friend bool operator==(const PendingOperand&,
+                         const PendingOperand&) = default;
 };
 
 struct DfRunResult {
@@ -70,6 +78,7 @@ struct DfRunResult {
   /// Interpreter only: number of simultaneously fireable node instances per
   /// wavefront — the graph's exposed parallelism over time.
   std::vector<std::size_t> wavefronts;
+  /// Sorted by (node, tag, port) on both engines.
   std::vector<PendingOperand> leftovers;
   /// Trace-reuse statistics (only meaningful when options.memoize).
   std::uint64_t memo_hits = 0;
@@ -123,17 +132,18 @@ class ParallelEngine final : public DfEngine {
       const std::vector<std::pair<Label, Token>>& extra_tokens) const override;
 };
 
-/// Computes the token a node emits when firing with `inputs` (tag-matched).
-/// Shared by both engines and unit-testable in isolation. For Steer the
-/// result is (value, port): port 0=true, 1=false. IncTag/DecTag adjust the
-/// tag. Output nodes return no emission.
+/// Computes the token a node emits when firing with `inputs` (tag-matched,
+/// indexed by input port). Shared by both engines and unit-testable in
+/// isolation; fewer inputs than the node's arity throw EngineError. For
+/// Steer the result is (value, port): port 0=true, 1=false. IncTag/DecTag
+/// adjust the tag. Output nodes return no emission.
 struct Firing {
   bool emits = false;
   Value value;
   Tag tag = 0;
   PortId port = 0;
 };
-[[nodiscard]] Firing fire_node(const Node& node, const std::vector<Value>& inputs,
+[[nodiscard]] Firing fire_node(const Node& node, std::span<const Value> inputs,
                                Tag tag);
 
 /// Canonical run-journal rendering of a token parked at (dst, port) with

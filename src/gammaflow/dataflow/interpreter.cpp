@@ -4,10 +4,10 @@
 // (what a machine with unbounded PEs could do per step), while execution
 // itself stays deterministic.
 #include <array>
-#include <deque>
 #include <unordered_map>
 
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/dataflow/match_store.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
@@ -40,7 +40,7 @@ namespace {
 struct ReadyInstance {
   NodeId node;
   Tag tag;
-  std::vector<Value> inputs;
+  OperandFrame frame;
 };
 
 // Local aliases: the journal renderings are shared with the parallel engine
@@ -55,7 +55,7 @@ class Machine {
         options_(options),
         loop_(options, options.max_fires, "interpreter", "max_fires"),
         telemetry_(options, "df"),
-        waiting_(graph.node_count()) {
+        waiting_(graph) {
     result_.fires_by_node.assign(graph.node_count(), 0);
     if ((jrec_ = options.record) != nullptr) {
       // The dataflow "store" is the set of parked tokens plus captured
@@ -71,28 +71,21 @@ class Machine {
   }
 
   void deliver(NodeId node, PortId port, Token token) {
-    const std::size_t arity = input_arity(graph_.node(node));
-    if (arity == 1) {
-      ready_.push_back(ReadyInstance{node, token.tag, {std::move(token.value)}});
-      return;
-    }
     // Tag-matching store: operands wait until all ports hold this tag.
-    auto& slots = waiting_[node][token.tag];
-    if (slots.values.empty()) slots.values.resize(arity);
-    if (slots.values[port].has_value()) {
-      // A second operand for an occupied (tag, port) slot means the graph
-      // violates the single-assignment discipline for this iteration.
-      throw EngineError("duplicate operand at node " + std::to_string(node) +
-                        " port " + std::to_string(port) + " tag " +
-                        std::to_string(token.tag));
-    }
-    slots.values[port] = std::move(token.value);
-    if (++slots.filled == arity) {
-      std::vector<Value> inputs;
-      inputs.reserve(arity);
-      for (auto& v : slots.values) inputs.push_back(std::move(*v));
-      waiting_[node].erase(token.tag);
-      ready_.push_back(ReadyInstance{node, token.tag, std::move(inputs)});
+    OperandFrame frame;
+    switch (
+        waiting_.put(node, port, token.tag, std::move(token.value), frame)) {
+      case MatchStore::Put::Waiting:
+        return;
+      case MatchStore::Put::Ready:
+        next_.push_back(ReadyInstance{node, token.tag, std::move(frame)});
+        return;
+      case MatchStore::Put::Duplicate:
+        // A second operand for an occupied (tag, port) slot means the graph
+        // violates the single-assignment discipline for this iteration.
+        throw EngineError("duplicate operand at node " + std::to_string(node) +
+                          " port " + std::to_string(port) + " tag " +
+                          std::to_string(token.tag));
     }
   }
 
@@ -142,28 +135,30 @@ class Machine {
       deliver(e.dst, e.dst_port, token);
     }
 
-    while (!ready_.empty() && loop_.running()) {
-      // One wavefront: everything currently ready fires "simultaneously".
-      const std::size_t wave = ready_.size();
+    while (!next_.empty() && loop_.running()) {
+      // One wavefront: everything currently ready fires "simultaneously";
+      // what it makes ready lands in next_ for the following one.
+      current_.swap(next_);
+      next_.clear();
+      const std::size_t wave = current_.size();
       result_.wavefronts.push_back(wave);
       obs::Span wave_span(tel_, rec_, "wavefront");
       if (tel_ != nullptr) {
         wave_span.set_arg(wave);
         wave_hist_->observe(static_cast<double>(wave));
       }
-      for (std::size_t i = 0; i < wave; ++i) {
+      for (head_ = 0; head_ < wave; ++head_) {
         if (stopping()) break;  // unfired instances become leftovers
-        ReadyInstance inst = std::move(ready_.front());
-        ready_.pop_front();
+        ReadyInstance& inst = current_[head_];
         const Node& node = graph_.node(inst.node);
         count_fire(inst.node);
         if (node.kind == NodeKind::Output) {
           if (jrec_ != nullptr) {
             record_fire(inst.node, &inst,
-                        {out_str(node.name, inst.tag, inst.inputs[0])});
+                        {out_str(node.name, inst.tag, inst.frame.values[0])});
           }
-          result_.outputs[node.name].emplace_back(inst.tag,
-                                                  std::move(inst.inputs[0]));
+          result_.outputs[node.name].emplace_back(
+              inst.tag, std::move(inst.frame.values[0]));
           continue;
         }
         std::vector<std::string> produced;
@@ -175,11 +170,12 @@ class Machine {
       // Ready tokens the wavefront produced for the next one: the token
       // queue depth over time.
       if (tel_ != nullptr) {
-        ready_hist_->observe(static_cast<double>(ready_.size()));
+        ready_hist_->observe(
+            static_cast<double>(current_.size() - head_ + next_.size()));
       }
     }
 
-    collect_leftovers();
+    result_.leftovers = pending();
     if (tel_ != nullptr) {
       auto& stats = tel_->stats();
       for (std::size_t k = 0; k < fires_by_kind_.size(); ++k) {
@@ -201,11 +197,6 @@ class Machine {
   }
 
  private:
-  struct Slots {
-    std::vector<std::optional<Value>> values;
-    std::size_t filled = 0;
-  };
-
   /// Fires `node`, with DF-DTM-style trace reuse for pure operator nodes
   /// when enabled: the same (node, operands) always produces the same value,
   /// so a cache hit skips the computation. Tag-dependent kinds (inctag,
@@ -214,9 +205,9 @@ class Machine {
     const bool cacheable =
         options_.memoize &&
         (node.kind == NodeKind::Arith || node.kind == NodeKind::Cmp);
-    if (!cacheable) {
-      return fire_node(node, inst.inputs, inst.tag);
-    }
+    const std::span<const Value> inputs =
+        inst.frame.operands(waiting_.arity(inst.node));
+    if (!cacheable) return fire_node(node, inputs, inst.tag);
 
     // Operation-level reuse: the cache is keyed by the OPERATION signature
     // (kind, operator, immediate), not the node id, so identical
@@ -227,7 +218,7 @@ class Machine {
         (static_cast<std::size_t>(node.op) << 1) ^
         static_cast<std::size_t>(node.has_immediate);
     if (node.has_immediate) key ^= node.constant.hash() << 16;
-    for (const Value& v : inst.inputs) {
+    for (const Value& v : inputs) {
       key ^= v.hash() + 0x9e3779b97f4a7c15ULL + (key << 6) + (key >> 2);
     }
     const auto [lo, hi] = memo_.equal_range(key);
@@ -236,7 +227,7 @@ class Machine {
       if (e.kind == node.kind && e.op == node.op &&
           e.has_immediate == node.has_immediate &&
           (!node.has_immediate || e.immediate == node.constant) &&
-          e.inputs == inst.inputs) {
+          e.inputs == inst.frame.values) {
         ++result_.memo_hits;
         Firing f;
         f.emits = true;
@@ -246,9 +237,9 @@ class Machine {
       }
     }
     ++result_.memo_misses;
-    Firing f = fire_node(node, inst.inputs, inst.tag);
+    Firing f = fire_node(node, inputs, inst.tag);
     memo_.emplace(key, MemoEntry{node.kind, node.op, node.has_immediate,
-                                 node.constant, inst.inputs, f.value});
+                                 node.constant, inst.frame.values, f.value});
     return f;
   }
 
@@ -257,7 +248,7 @@ class Machine {
     expr::BinOp op;
     bool has_immediate;
     Value immediate;
-    std::vector<Value> inputs;
+    std::array<Value, kMaxInputs> inputs;  // unused ports hold nil
     Value value;
   };
 
@@ -282,10 +273,10 @@ class Machine {
                             std::to_string(node)
                       : n.name;
     if (inst != nullptr) {
-      fr.consumed.reserve(inst->inputs.size());
-      for (PortId p = 0; p < inst->inputs.size(); ++p) {
-        fr.consumed.push_back(
-            tok_str(graph_, node, p, inst->tag, inst->inputs[p]));
+      const auto inputs = inst->frame.operands(waiting_.arity(node));
+      fr.consumed.reserve(inputs.size());
+      for (PortId p = 0; p < inputs.size(); ++p) {
+        fr.consumed.push_back(tok_str(graph_, node, p, inst->tag, inputs[p]));
       }
     }
     fr.produced = std::move(produced);
@@ -295,27 +286,7 @@ class Machine {
   /// The journal's store view: every parked token (ready or tag-matching)
   /// plus every captured output.
   [[nodiscard]] obs::StoreCounts snapshot() const {
-    obs::StoreCounts counts;
-    for (const ReadyInstance& inst : ready_) {
-      for (PortId p = 0; p < inst.inputs.size(); ++p) {
-        ++counts[tok_str(graph_, inst.node, p, inst.tag, inst.inputs[p])];
-      }
-    }
-    for (NodeId node = 0; node < waiting_.size(); ++node) {
-      for (const auto& [tag, slots] : waiting_[node]) {
-        for (PortId p = 0; p < slots.values.size(); ++p) {
-          if (slots.values[p].has_value()) {
-            ++counts[tok_str(graph_, node, p, tag, *slots.values[p])];
-          }
-        }
-      }
-    }
-    for (const auto& [name, tokens] : result_.outputs) {
-      for (const auto& [tag, value] : tokens) {
-        ++counts[out_str(name, tag, value)];
-      }
-    }
-    return counts;
+    return journal_store(graph_, result_.outputs, pending());
   }
 
   void count_fire(NodeId node) {
@@ -326,33 +297,33 @@ class Machine {
     }
   }
 
-  void collect_leftovers() {
-    // On an early stop, ready-but-unfired instances are still part of the
-    // machine state: surface their operands instead of dropping them.
-    for (const ReadyInstance& inst : ready_) {
-      for (PortId p = 0; p < inst.inputs.size(); ++p) {
-        result_.leftovers.push_back(
-            PendingOperand{inst.node, p, inst.tag, inst.inputs[p]});
+  /// Every operand still in the machine, in leftover order: ready but
+  /// unfired instances (on an early stop) and the tag-matching store.
+  [[nodiscard]] std::vector<PendingOperand> pending() const {
+    std::vector<PendingOperand> out;
+    const auto add = [&](const ReadyInstance& inst) {
+      const auto inputs = inst.frame.operands(waiting_.arity(inst.node));
+      for (PortId p = 0; p < inputs.size(); ++p) {
+        out.push_back(PendingOperand{inst.node, p, inst.tag, inputs[p]});
       }
-    }
-    for (NodeId node = 0; node < waiting_.size(); ++node) {
-      for (const auto& [tag, slots] : waiting_[node]) {
-        for (PortId p = 0; p < slots.values.size(); ++p) {
-          if (slots.values[p].has_value()) {
-            result_.leftovers.push_back(
-                PendingOperand{node, p, tag, *slots.values[p]});
-          }
-        }
-      }
-    }
+    };
+    for (std::size_t i = head_; i < current_.size(); ++i) add(current_[i]);
+    for (const ReadyInstance& inst : next_) add(inst);
+    waiting_.append_to(out);
+    sort_leftovers(out);
+    return out;
   }
 
   const Graph& graph_;
   const DfRunOptions& options_;
   runtime::StepLoop loop_;
   runtime::EngineTelemetry telemetry_;
-  std::vector<std::unordered_map<Tag, Slots>> waiting_;
-  std::deque<ReadyInstance> ready_;
+  MatchStore waiting_;
+  // The wavefront being fired (from head_ on, the unfired part) and the
+  // one it makes ready; both keep their capacity from wave to wave.
+  std::vector<ReadyInstance> current_;
+  std::vector<ReadyInstance> next_;
+  std::size_t head_ = 0;
   std::unordered_multimap<std::size_t, MemoEntry> memo_;
   DfRunResult result_;
 

@@ -16,11 +16,11 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "gammaflow/common/logging.hpp"
 #include "gammaflow/common/mpsc_queue.hpp"
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/dataflow/match_store.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
@@ -38,15 +38,10 @@ struct Routed {
   Token token;
 };
 
-struct Slots {
-  std::vector<std::optional<Value>> values;
-  std::size_t filled = 0;
-};
-
 struct WorkerState {
   MpscQueue<Routed> inbox;
-  // Matching stores for owned nodes.
-  std::unordered_map<NodeId, std::unordered_map<Tag, Slots>> waiting;
+  // Matching store; only the tables of owned nodes are ever used.
+  MatchStore waiting;
   // Worker-local results, merged after join.
   std::map<std::string, std::vector<std::pair<Tag, Value>>> outputs;
   std::vector<std::uint64_t> fires_by_node;
@@ -67,7 +62,10 @@ class ParallelRun {
         loop_(options, options.max_fires, "parallel dataflow engine",
               "max_fires"),
         telemetry_(options, "df") {
-    for (auto& w : workers_) w.fires_by_node.assign(graph.node_count(), 0);
+    for (auto& w : workers_) {
+      w.fires_by_node.assign(graph.node_count(), 0);
+      w.waiting = MatchStore(graph);
+    }
     if ((jrec_ = options.record) != nullptr) {
       jrec_->begin("parallel", "dataflow", {});
     }
@@ -173,30 +171,14 @@ class ParallelRun {
         auto& dst = result.outputs[name];
         dst.insert(dst.end(), tokens.begin(), tokens.end());
       }
-      for (const auto& [node, tags] : w.waiting) {
-        for (const auto& [tag, slots] : tags) {
-          for (PortId p = 0; p < slots.values.size(); ++p) {
-            if (slots.values[p].has_value()) {
-              result.leftovers.push_back(
-                  PendingOperand{node, p, tag, *slots.values[p]});
-            }
-          }
-        }
-      }
+      w.waiting.append_to(result.leftovers);
     }
+    sort_leftovers(result.leftovers);
     if (jrec_ != nullptr) {
       // The final store: captured outputs plus every parked leftover token
       // (assembled post-join, so no concurrent mutators).
-      obs::StoreCounts counts;
-      for (const auto& [name, tokens] : result.outputs) {
-        for (const auto& [tag, value] : tokens) {
-          ++counts[journal_output_str(name, tag, value)];
-        }
-      }
-      for (const PendingOperand& p : result.leftovers) {
-        ++counts[journal_token_str(graph_, p.node, p.port, p.tag, p.value)];
-      }
-      jrec_->finish(to_string(result.outcome), std::move(counts));
+      jrec_->finish(to_string(result.outcome),
+                    journal_store(graph_, result.outputs, result.leftovers));
     }
     result.wall_seconds = loop_.wall_seconds();
     GF_DEBUG << "dataflow parallel run done: " << result.fires << " firings, "
@@ -311,23 +293,19 @@ class ParallelRun {
   void absorb(WorkerState& me, Routed& routed) {
     ++me.absorbed;
     const Node& node = graph_.node(routed.node);
-    const std::size_t arity = input_arity(node);
-    std::vector<Value> inputs;
-    if (arity == 1) {
-      inputs.push_back(std::move(routed.token.value));
-    } else {
-      auto& slots = me.waiting[routed.node][routed.token.tag];
-      if (slots.values.empty()) slots.values.resize(arity);
-      if (slots.values[routed.port].has_value()) {
+    OperandFrame frame;
+    switch (me.waiting.put(routed.node, routed.port, routed.token.tag,
+                           std::move(routed.token.value), frame)) {
+      case MatchStore::Put::Waiting:
+        return;  // still waiting for partners
+      case MatchStore::Put::Duplicate:
         failed_.store(true);  // single-assignment violation; surfaced as limit
         return;
-      }
-      slots.values[routed.port] = std::move(routed.token.value);
-      if (++slots.filled < arity) return;  // still waiting for partners
-      inputs.reserve(arity);
-      for (auto& v : slots.values) inputs.push_back(std::move(*v));
-      me.waiting[routed.node].erase(routed.token.tag);
+      case MatchStore::Put::Ready:
+        break;
     }
+    const std::span<const Value> inputs =
+        frame.operands(me.waiting.arity(routed.node));
 
     // Run-wide budget gate: claim a fire slot, give it back on refusal.
     const std::uint64_t n = total_fires_.fetch_add(1, std::memory_order_relaxed);
@@ -346,10 +324,7 @@ class ParallelRun {
       // Park the assembled-but-unfired operands back in the matching store
       // so the partial result reports them as leftovers. (Harmless on the
       // Throw path: the captured error discards the result after join.)
-      Slots& slots = me.waiting[routed.node][routed.token.tag];
-      slots.values.clear();
-      for (Value& v : inputs) slots.values.emplace_back(std::move(v));
-      slots.filled = slots.values.size();
+      me.waiting.park(routed.node, routed.token.tag, std::move(frame));
       return;
     }
     ++me.fires_by_node[routed.node];
@@ -372,7 +347,7 @@ class ParallelRun {
         jrec_->fire(std::move(fr));
       }
       me.outputs[node.name].emplace_back(routed.token.tag,
-                                         std::move(inputs[0]));
+                                         std::move(frame.values[0]));
       return;
     }
     const Firing firing = fire_node(node, inputs, routed.token.tag);

@@ -17,6 +17,8 @@
 
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
@@ -47,6 +49,16 @@ constexpr const char* kReduce = "R = replace x, y by x + y";
 constexpr const char* kKeyed = "R = replace [x, k], [y, k] by [x + y, k]";
 
 constexpr std::size_t kElements = 4096;
+
+/// The dataflow side's loop: z = 10000 iterations of x = x + y, compiled
+/// from source to a tagged loop graph (90,011 fires).
+constexpr const char* kLoopSource = R"(int y = 3;
+int z = 10000;
+int x = 5;
+for (i = z; i > 0; i--)
+  x = x + y;
+output x;
+)";
 
 gamma::Multiset reduce_input(std::size_t n) {
   gamma::Multiset m;
@@ -86,6 +98,20 @@ Count count_run(const gamma::Engine& engine, const gamma::Program& program,
   Count c;
   c.allocations = g_allocations.load() - before;
   c.fires = result.steps;
+  return c;
+}
+
+/// Allocations and fires of one dataflow run (after a first run of the
+/// same graph, as for the Gamma engines).
+Count count_df_run(const dataflow::DfEngine& engine,
+                   const dataflow::Graph& graph,
+                   const dataflow::DfRunOptions& options) {
+  (void)engine.run(graph, options);
+  const std::uint64_t before = g_allocations.load();
+  const dataflow::DfRunResult result = engine.run(graph, options);
+  Count c;
+  c.allocations = g_allocations.load() - before;
+  c.fires = result.fires;
   return c;
 }
 
@@ -157,6 +183,29 @@ TEST(Alloc, WorklistInjectFiresWithoutAllocating) {
     ASSERT_GT(c.fires, kElements / 2);
     EXPECT_LE(c.per_fire(), 1.0) << text;
   }
+}
+
+TEST(Alloc, DataflowInterpreterFiresWithoutAllocating) {
+  // Operands wait in inline frames of the per-node tag tables and ready
+  // instances in two reused wavefront vectors: what is left is growth.
+  const dataflow::Graph graph = frontend::compile_source(kLoopSource);
+  const Count c =
+      count_df_run(dataflow::Interpreter{}, graph, dataflow::DfRunOptions{});
+  report("dataflow interpreter loop z=10000", c);
+  ASSERT_GT(c.fires, 90'000u);
+  EXPECT_LT(c.per_fire(), 0.05);
+}
+
+TEST(Alloc, DataflowParallelEngineFiresWithoutAllocatingInItsStore) {
+  // One PE, so every token crosses its MPSC inbox: the inbox's deque
+  // chunks (about 0.1 per fire) are the remaining per-fire allocations.
+  const dataflow::Graph graph = frontend::compile_source(kLoopSource);
+  dataflow::DfRunOptions options;
+  options.workers = 1;
+  const Count c = count_df_run(dataflow::ParallelEngine{}, graph, options);
+  report("dataflow parallel engine (1 PE) loop z=10000", c);
+  ASSERT_GT(c.fires, 90'000u);
+  EXPECT_LE(c.per_fire(), 0.5);
 }
 
 TEST(Alloc, StoreLoadsAMultisetWithoutPerElementAllocations) {

@@ -3,14 +3,21 @@
 // parallel PE engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/dataflow/match_store.hpp"
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
@@ -390,6 +397,151 @@ TEST(ParallelEngine, MatchesInterpreterOnExampleSources) {
           << file << " output " << name;
     }
   }
+}
+
+// ---- leftovers: one order for both engines ----
+
+/// Port 0 of an add gets tags 0 and 2 and port 1 tags 1 and 3, and a steer's
+/// data (tag 1) never meets its control (tag 0): every operand stays parked,
+/// on both ports of two two-input nodes.
+Graph leftovers_on_both_ports_graph() {
+  GraphBuilder b;
+  auto a = b.constant(Value(1), "a");
+  auto c = b.constant(Value(2), "c");
+  const NodeId add = b.arith(BinOp::Add, "add");
+  b.connect(a, add, 0);
+  b.connect(b.inctag(b.inctag(a)), add, 0);
+  b.connect(b.inctag(c), add, 1);
+  b.connect(b.inctag(b.inctag(b.inctag(c))), add, 1);
+  b.connect(GraphBuilder::out(add), b.output("never"), 0);
+  (void)b.steer(b.inctag(c), a, "st");
+  return std::move(b).build();
+}
+
+/// UnmatchedOperandReportedAsLeftover's graph.
+Graph unmatched_operand_graph() {
+  GraphBuilder b;
+  auto a = b.constant(Value(1), "a");
+  auto c = b.constant(Value(2), "c");
+  const NodeId add = b.arith(BinOp::Add);
+  b.connect(a, add, 0);
+  b.connect(b.inctag(c), add, 1);
+  b.connect(GraphBuilder::out(add), b.output("never"), 0);
+  return std::move(b).build();
+}
+
+TEST(Leftovers, SortedByNodeTagPortAndEqualAcrossEngines) {
+  for (const Graph& g :
+       {unmatched_operand_graph(), leftovers_on_both_ports_graph()}) {
+    const auto expected = Interpreter().run(g);
+    ASSERT_EQ(expected.outcome, Outcome::Completed);
+    ASSERT_FALSE(expected.leftovers.empty());
+    EXPECT_TRUE(std::is_sorted(
+        expected.leftovers.begin(), expected.leftovers.end(),
+        [](const PendingOperand& a, const PendingOperand& b) {
+          return std::tie(a.node, a.tag, a.port) <
+                 std::tie(b.node, b.tag, b.port);
+        }));
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      DfRunOptions opts;
+      opts.workers = workers;
+      const auto r = ParallelEngine().run(g, opts);
+      ASSERT_EQ(r.outcome, Outcome::Completed);
+      EXPECT_EQ(r.leftovers, expected.leftovers) << workers << " workers";
+    }
+  }
+  const auto r = Interpreter().run(leftovers_on_both_ports_graph());
+  EXPECT_EQ(r.leftovers.size(), 6u);  // 4 on the add, 2 on the steer
+}
+
+TEST(Leftovers, PartialBudgetStopIsRepeatableOnTheInterpreter) {
+  DfRunOptions opts;
+  opts.limit_policy = LimitPolicy::Partial;
+  for (const auto& [g, budget] :
+       {std::pair{infinite_loop_graph(), std::uint64_t{500}},
+        std::pair{paper::multi_loop_graph(4, 16, true), std::uint64_t{100}}}) {
+    opts.max_fires = budget;
+    const auto a = Interpreter().run(g, opts);
+    const auto b = Interpreter().run(g, opts);
+    ASSERT_EQ(a.outcome, Outcome::BudgetExhausted);
+    EXPECT_FALSE(a.leftovers.empty());
+    EXPECT_EQ(a.leftovers, b.leftovers);
+  }
+}
+
+// ---- the matching store against a reference map ----
+
+TEST(MatchStore, AgreesWithAMapUnderRandomPutsAndParks) {
+  // One two-input node. Tags come from a small range, so waiting instances
+  // share probe runs and erasing one has to shift others back.
+  GraphBuilder b;
+  const NodeId add = b.arith(BinOp::Add);
+  b.connect(b.constant(Value(0)), add, 0);
+  b.connect(b.constant(Value(0)), add, 1);
+  const Graph g = std::move(b).build();
+  MatchStore store(g);
+  ASSERT_EQ(store.arity(add), 2u);
+  std::map<Tag, std::array<std::optional<std::int64_t>, 2>> ref;
+  Rng rng(11);
+  for (std::int64_t i = 0; i < 20000; ++i) {
+    const Tag tag = rng.bounded(200);
+    const auto port = static_cast<PortId>(rng.bounded(2));
+    OperandFrame ready;
+    const MatchStore::Put put = store.put(add, port, tag, Value(i), ready);
+    auto& expected = ref[tag];
+    if (expected[port]) {
+      ASSERT_EQ(put, MatchStore::Put::Duplicate) << i;
+      continue;
+    }
+    expected[port] = i;
+    if (!expected[1 - port]) {
+      ASSERT_EQ(put, MatchStore::Put::Waiting) << i;
+      continue;
+    }
+    ASSERT_EQ(put, MatchStore::Put::Ready) << i;
+    EXPECT_EQ(ready.values[0], Value(*expected[0]));
+    EXPECT_EQ(ready.values[1], Value(*expected[1]));
+    if (i % 10 == 0) {
+      store.park(add, tag, std::move(ready));  // a refused fire parks back
+    } else {
+      ref.erase(tag);
+    }
+  }
+  std::vector<PendingOperand> parked;
+  store.append_to(parked);
+  sort_leftovers(parked);
+  std::vector<PendingOperand> expected;
+  for (const auto& [tag, ports] : ref) {
+    for (PortId p = 0; p < 2; ++p) {
+      if (ports[p]) expected.push_back(PendingOperand{add, p, tag, *ports[p]});
+    }
+  }
+  EXPECT_EQ(parked, expected);
+}
+
+// ---- fire_node ----
+
+TEST(FireNode, TooFewOperandsThrowEngineError) {
+  const auto node = [](NodeKind kind, BinOp op = BinOp::Add) {
+    Node n;
+    n.kind = kind;
+    n.op = op;
+    return n;
+  };
+  const std::array<Value, 1> one{Value(1)};
+  for (const Node& n :
+       {node(NodeKind::Arith), node(NodeKind::Cmp, BinOp::Lt),
+        node(NodeKind::Steer)}) {
+    EXPECT_THROW((void)fire_node(n, one, 0), EngineError) << to_string(n.kind);
+    EXPECT_THROW((void)fire_node(n, {}, 0), EngineError) << to_string(n.kind);
+  }
+  EXPECT_THROW((void)fire_node(node(NodeKind::IncTag), {}, 0), EngineError);
+  // The same span with enough operands for the node fires normally.
+  EXPECT_EQ(fire_node(node(NodeKind::IncTag), one, 4).tag, 5u);
+  Node imm = node(NodeKind::Arith);
+  imm.has_immediate = true;
+  imm.constant = Value(2);
+  EXPECT_EQ(fire_node(imm, one, 0).value, Value(3));
 }
 
 }  // namespace
