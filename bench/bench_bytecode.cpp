@@ -28,7 +28,7 @@ using namespace gammaflow;
 namespace {
 
 expr::ExprPtr parse_expr(const std::string& text) {
-  expr::TokenStream ts(expr::tokenize(text));
+  expr::TokenStream ts(text);
   expr::ExprPtr e = expr::parse_expression(ts);
   if (!ts.done()) throw Error("trailing input in '" + text + "'");
   return e;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "bench_util.hpp"
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/lexer.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/paper/figures.hpp"
@@ -99,6 +100,37 @@ void BM_Grammar_Lexer(benchmark::State& state) {
 BENCHMARK(BM_Grammar_Lexer)
     ->RangeMultiplier(10)
     ->Range(10, 10000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// perfbench's `--init` shapes, 4096 elements: `[int]` (reduce) or
+/// `[int,'kNN']` over 64 labels (parallel).
+std::string elements_source(bool pairs) {
+  std::string text;
+  Rng rng(5);
+  for (std::size_t i = 0; i < 4096; ++i) {
+    text.append(i == 0 ? "[" : " [")
+        .append(std::to_string(static_cast<std::int64_t>(rng.bounded(2001)) -
+                               1000));
+    if (pairs) text.append(",'k").append(std::to_string(i % 64)).append("'");
+    text.append("]");
+  }
+  return text;
+}
+
+/// The element read layer: `--init` and serve element text to a Multiset.
+void BM_ReadElements(benchmark::State& state) {
+  const std::string source = elements_source(state.range(0) != 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gamma::dsl::parse_elements(source));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(source.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_ReadElements)
+    ->ArgName("pairs")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

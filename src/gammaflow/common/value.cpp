@@ -108,6 +108,11 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
 
 namespace {
 
+/// Int add/sub/mul/neg wrap in two's complement (the result the hardware
+/// gives), computed in unsigned arithmetic so that overflow is defined.
+std::int64_t wrapped(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+std::uint64_t bits(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+
 template <typename IntOp, typename RealOp>
 Value numeric_binop(const char* name, const Value& a, const Value& b,
                     IntOp int_op, RealOp real_op) {
@@ -122,21 +127,27 @@ Value add(const Value& a, const Value& b) {
   if (a.is_str() && b.is_str()) return Value(a.as_str() + b.as_str());
   return numeric_binop(
       "add", a, b,
-      [](std::int64_t x, std::int64_t y) { return Value(x + y); },
+      [](std::int64_t x, std::int64_t y) {
+        return Value(wrapped(bits(x) + bits(y)));
+      },
       [](double x, double y) { return Value(x + y); });
 }
 
 Value sub(const Value& a, const Value& b) {
   return numeric_binop(
       "sub", a, b,
-      [](std::int64_t x, std::int64_t y) { return Value(x - y); },
+      [](std::int64_t x, std::int64_t y) {
+        return Value(wrapped(bits(x) - bits(y)));
+      },
       [](double x, double y) { return Value(x - y); });
 }
 
 Value mul(const Value& a, const Value& b) {
   return numeric_binop(
       "mul", a, b,
-      [](std::int64_t x, std::int64_t y) { return Value(x * y); },
+      [](std::int64_t x, std::int64_t y) {
+        return Value(wrapped(bits(x) * bits(y)));
+      },
       [](double x, double y) { return Value(x * y); });
 }
 
@@ -162,7 +173,7 @@ Value mod(const Value& a, const Value& b) {
 }
 
 Value neg(const Value& a) {
-  if (a.is_int()) return Value(-a.as_int());
+  if (a.is_int()) return Value(wrapped(0 - bits(a.as_int())));
   if (a.is_real()) return Value(-a.as_real());
   kind_error("neg", a);
 }

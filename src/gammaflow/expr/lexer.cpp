@@ -1,8 +1,7 @@
 #include "gammaflow/expr/lexer.hpp"
 
-#include <cctype>
 #include <charconv>
-#include <unordered_map>
+#include <string>
 
 namespace gammaflow::expr {
 
@@ -59,244 +58,230 @@ const char* to_string(TokenKind kind) noexcept {
 
 namespace {
 
-std::string lowercase(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
+struct Keyword {
+  std::string_view word;  // lower case
+  TokenKind kind;
+};
+
+constexpr Keyword kKeywords[] = {
+    {"replace", TokenKind::KwReplace}, {"by", TokenKind::KwBy},
+    {"if", TokenKind::KwIf},           {"else", TokenKind::KwElse},
+    {"where", TokenKind::KwWhere},     {"and", TokenKind::KwAnd},
+    {"or", TokenKind::KwOr},           {"not", TokenKind::KwNot},
+    {"true", TokenKind::KwTrue},       {"false", TokenKind::KwFalse},
+    {"nil", TokenKind::KwNil},
+};
+
+// The frontend's keywords; type words are interchangeable with 'var'.
+constexpr Keyword kImperative[] = {
+    {"for", TokenKind::KwFor}, {"while", TokenKind::KwWhile},
+    {"output", TokenKind::KwOutput},
+    {"var", TokenKind::KwVar}, {"int", TokenKind::KwVar},
+    {"real", TokenKind::KwVar}, {"bool", TokenKind::KwVar},
+};
+
+// The "C" locale's classes, spelled out so they inline.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+bool is_ident_start(char c) { return is_alpha(c) || c == '_'; }
+bool is_ident(char c) { return is_ident_start(c) || is_digit(c); }
+
+/// Case-insensitive: the paper's listings mix "if"/"If".
+bool spells(std::string_view ident, std::string_view lower) {
+  if (ident.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < ident.size(); ++i) {
+    const char c = ident[i];
+    if ((c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) !=
+        lower[i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TokenKind keyword_kind(std::string_view ident, LexMode mode) {
-  static const std::unordered_map<std::string, TokenKind> kKeywords = {
-      {"replace", TokenKind::KwReplace}, {"by", TokenKind::KwBy},
-      {"if", TokenKind::KwIf},           {"else", TokenKind::KwElse},
-      {"where", TokenKind::KwWhere},     {"and", TokenKind::KwAnd},
-      {"or", TokenKind::KwOr},           {"not", TokenKind::KwNot},
-      {"true", TokenKind::KwTrue},       {"false", TokenKind::KwFalse},
-      {"nil", TokenKind::KwNil},
-  };
-  // The frontend's keywords; type words are interchangeable with 'var'.
-  static const std::unordered_map<std::string, TokenKind> kImperative = {
-      {"for", TokenKind::KwFor},   {"while", TokenKind::KwWhile},
-      {"output", TokenKind::KwOutput},
-      {"var", TokenKind::KwVar},   {"int", TokenKind::KwVar},
-      {"real", TokenKind::KwVar},  {"bool", TokenKind::KwVar},
-  };
-  const std::string lower = lowercase(ident);
   if (mode == LexMode::Imperative) {
-    if (auto it = kImperative.find(lower); it != kImperative.end()) {
-      return it->second;
+    for (const Keyword& k : kImperative) {
+      if (spells(ident, k.word)) return k.kind;
     }
   }
-  auto it = kKeywords.find(lower);
-  return it == kKeywords.end() ? TokenKind::Ident : it->second;
+  for (const Keyword& k : kKeywords) {
+    if (spells(ident, k.word)) return k.kind;
+  }
+  return TokenKind::Ident;
 }
-
-class Cursor {
- public:
-  explicit Cursor(std::string_view src) : src_(src) {}
-
-  [[nodiscard]] bool done() const noexcept { return pos_ >= src_.size(); }
-  [[nodiscard]] char peek(std::size_t ahead = 0) const noexcept {
-    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
-  }
-
-  char advance() noexcept {
-    const char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    return c;
-  }
-
-  [[nodiscard]] int line() const noexcept { return line_; }
-  [[nodiscard]] int column() const noexcept { return column_; }
-
- private:
-  std::string_view src_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
-};
 
 }  // namespace
 
-std::vector<Token> tokenize(std::string_view source, LexMode mode) {
-  const bool imperative = mode == LexMode::Imperative;
-  std::vector<Token> tokens;
-  Cursor cur(source);
+void Lexer::fail(const std::string& what, int line, int column) {
+  pos_ = src_.size();
+  throw ParseError(what, line, column);
+}
 
-  auto push = [&](TokenKind kind, std::string text, Value value, int line,
-                  int column) {
-    tokens.push_back(Token{kind, std::move(text), std::move(value), line, column});
-  };
-
-  while (!cur.done()) {
-    const int line = cur.line();
-    const int column = cur.column();
-    const char c = cur.peek();
-
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      cur.advance();
-      continue;
-    }
-    if (c == '#' || (imperative && c == '/' && cur.peek(1) == '/')) {
-      while (!cur.done() && cur.peek() != '\n') cur.advance();  // line comment
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string ident;
-      while (!cur.done() && (std::isalnum(static_cast<unsigned char>(cur.peek())) ||
-                             cur.peek() == '_')) {
-        ident += cur.advance();
-      }
-      const TokenKind kind = keyword_kind(ident, mode);
-      Value value;
-      if (kind == TokenKind::KwTrue) value = Value(true);
-      if (kind == TokenKind::KwFalse) value = Value(false);
-      push(kind, std::move(ident), std::move(value), line, column);
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::string digits;
-      bool is_real = false;
-      while (!cur.done() && std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-        digits += cur.advance();
-      }
-      if (cur.peek() == '.' && std::isdigit(static_cast<unsigned char>(cur.peek(1)))) {
-        is_real = true;
-        digits += cur.advance();
-        while (!cur.done() && std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-          digits += cur.advance();
-        }
-      }
-      if (cur.peek() == 'e' || cur.peek() == 'E') {
-        const char sign = cur.peek(1);
-        const char first = (sign == '+' || sign == '-') ? cur.peek(2) : sign;
-        if (std::isdigit(static_cast<unsigned char>(first))) {
-          is_real = true;
-          digits += cur.advance();  // e
-          if (sign == '+' || sign == '-') digits += cur.advance();
-          while (!cur.done() && std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-            digits += cur.advance();
-          }
-        }
-      }
-      if (is_real) {
-        push(TokenKind::RealLit, digits, Value(std::stod(digits)), line, column);
-      } else {
-        std::int64_t v = 0;
-        const auto [ptr, ec] =
-            std::from_chars(digits.data(), digits.data() + digits.size(), v);
-        if (ec != std::errc{} || ptr != digits.data() + digits.size()) {
-          throw ParseError("integer literal out of range: " + digits, line, column);
-        }
-        push(TokenKind::IntLit, digits, Value(v), line, column);
-      }
-      continue;
-    }
-    if (c == '\'') {
-      cur.advance();
-      std::string text;
-      while (!cur.done() && cur.peek() != '\'') {
-        if (cur.peek() == '\n') {
-          throw ParseError("unterminated string literal", line, column);
-        }
-        text += cur.advance();
-      }
-      if (cur.done()) throw ParseError("unterminated string literal", line, column);
-      cur.advance();  // closing quote
-      push(TokenKind::StrLit, text, Value(text), line, column);
-      continue;
-    }
-
-    cur.advance();
-    switch (c) {
-      case '+':
-        if (imperative && cur.peek() == '+') {
-          cur.advance();
-          push(TokenKind::PlusPlus, "++", {}, line, column);
-        } else if (imperative && cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::PlusEq, "+=", {}, line, column);
-        } else {
-          push(TokenKind::Plus, "+", {}, line, column);
-        }
-        break;
-      case '-':
-        if (imperative && cur.peek() == '-') {
-          cur.advance();
-          push(TokenKind::MinusMinus, "--", {}, line, column);
-        } else if (imperative && cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::MinusEq, "-=", {}, line, column);
-        } else {
-          push(TokenKind::Minus, "-", {}, line, column);
-        }
-        break;
-      case '{':
-        if (!imperative) {
-          throw ParseError("unexpected '{'", line, column);
-        }
-        push(TokenKind::LBrace, "{", {}, line, column);
-        break;
-      case '}':
-        if (!imperative) {
-          throw ParseError("unexpected '}'", line, column);
-        }
-        push(TokenKind::RBrace, "}", {}, line, column);
-        break;
-      case '*': push(TokenKind::Star, "*", {}, line, column); break;
-      case '/': push(TokenKind::Slash, "/", {}, line, column); break;
-      case '%': push(TokenKind::Percent, "%", {}, line, column); break;
-      case ',': push(TokenKind::Comma, ",", {}, line, column); break;
-      case '[': push(TokenKind::LBracket, "[", {}, line, column); break;
-      case ']': push(TokenKind::RBracket, "]", {}, line, column); break;
-      case '(': push(TokenKind::LParen, "(", {}, line, column); break;
-      case ')': push(TokenKind::RParen, ")", {}, line, column); break;
-      case '|': push(TokenKind::Pipe, "|", {}, line, column); break;
-      case ';': push(TokenKind::Semicolon, ";", {}, line, column); break;
-      case '<':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Le, "<=", {}, line, column);
-        } else {
-          push(TokenKind::Lt, "<", {}, line, column);
-        }
-        break;
-      case '>':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Ge, ">=", {}, line, column);
-        } else {
-          push(TokenKind::Gt, ">", {}, line, column);
-        }
-        break;
-      case '=':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::EqEq, "==", {}, line, column);
-        } else {
-          push(TokenKind::Assign, "=", {}, line, column);
-        }
-        break;
-      case '!':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Ne, "!=", {}, line, column);
-        } else {
-          throw ParseError("unexpected '!'", line, column);
-        }
-        break;
-      default:
-        throw ParseError(std::string("unexpected character '") + c + "'", line,
-                         column);
+void Lexer::next(Token& out) {
+  const bool imperative = mode_ == LexMode::Imperative;
+  while (pos_ < src_.size()) {
+    const char c = peek();
+    if (c == '\n') {
+      ++line_;
+      line_start_ = ++pos_;
+    } else if (is_space(c)) {
+      ++pos_;
+    } else if (c == '#' || (imperative && c == '/' && peek(1) == '/')) {
+      while (pos_ < src_.size() && peek() != '\n') ++pos_;  // line comment
+    } else {
+      break;
     }
   }
 
-  tokens.push_back(Token{TokenKind::End, "", {}, cur.line(), cur.column()});
+  const int line = line_;
+  const int column = static_cast<int>(pos_ - line_start_) + 1;
+  const std::size_t start = pos_;
+  out.line = line;
+  out.column = column;
+  out.value = Value();
+  // The token's spelling is the source slice it covers.
+  const auto spelled = [&](TokenKind kind) {
+    out.kind = kind;
+    out.text.assign(src_.substr(start, pos_ - start));
+  };
+  if (pos_ >= src_.size()) {
+    out.kind = TokenKind::End;
+    out.text.clear();
+    return;
+  }
+
+  const char c = peek();
+  if (is_ident_start(c)) {
+    while (is_ident(peek())) ++pos_;
+    spelled(keyword_kind(src_.substr(start, pos_ - start), mode_));
+    if (out.kind == TokenKind::KwTrue) out.value = Value(true);
+    if (out.kind == TokenKind::KwFalse) out.value = Value(false);
+    return;
+  }
+  if (is_digit(c)) {
+    bool is_real = false;
+    while (is_digit(peek())) ++pos_;
+    if (peek() == '.' && is_digit(peek(1))) {
+      is_real = true;
+      ++pos_;
+      while (is_digit(peek())) ++pos_;
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      const char sign = peek(1);
+      const char first = (sign == '+' || sign == '-') ? peek(2) : sign;
+      if (is_digit(first)) {
+        is_real = true;
+        ++pos_;  // e
+        if (sign == '+' || sign == '-') ++pos_;
+        while (is_digit(peek())) ++pos_;
+      }
+    }
+    if (is_real) {
+      spelled(TokenKind::RealLit);
+      try {
+        out.value = Value(std::stod(out.text));
+      } catch (...) {
+        pos_ = src_.size();  // out of range: the lexer stops here, as on error
+        throw;
+      }
+    } else {
+      spelled(TokenKind::IntLit);
+      std::int64_t v = 0;
+      const char* const end = out.text.data() + out.text.size();
+      const auto [ptr, ec] = std::from_chars(out.text.data(), end, v);
+      if (ec != std::errc{} || ptr != end) {
+        fail("integer literal out of range: " + out.text, line, column);
+      }
+      out.value = Value(v);
+    }
+    return;
+  }
+  if (c == '\'') {
+    ++pos_;
+    while (pos_ < src_.size() && peek() != '\'') {
+      if (peek() == '\n') fail("unterminated string literal", line, column);
+      ++pos_;
+    }
+    if (pos_ >= src_.size()) fail("unterminated string literal", line, column);
+    out.kind = TokenKind::StrLit;
+    out.text.assign(src_.substr(start + 1, pos_ - start - 1));
+    out.value = Value(out.text);
+    ++pos_;  // closing quote
+    return;
+  }
+
+  ++pos_;
+  // A one-character token, or two when `second` follows.
+  const auto pair = [&](char second, TokenKind two, TokenKind one) {
+    if (peek() == second) {
+      ++pos_;
+      return two;
+    }
+    return one;
+  };
+  TokenKind kind = TokenKind::End;
+  switch (c) {
+    case '+':
+      kind = TokenKind::Plus;
+      if (imperative) {
+        kind = peek() == '+' ? pair('+', TokenKind::PlusPlus, kind)
+                             : pair('=', TokenKind::PlusEq, kind);
+      }
+      break;
+    case '-':
+      kind = TokenKind::Minus;
+      if (imperative) {
+        kind = peek() == '-' ? pair('-', TokenKind::MinusMinus, kind)
+                             : pair('=', TokenKind::MinusEq, kind);
+      }
+      break;
+    case '{':
+      if (!imperative) fail("unexpected '{'", line, column);
+      kind = TokenKind::LBrace;
+      break;
+    case '}':
+      if (!imperative) fail("unexpected '}'", line, column);
+      kind = TokenKind::RBrace;
+      break;
+    case '*': kind = TokenKind::Star; break;
+    case '/': kind = TokenKind::Slash; break;
+    case '%': kind = TokenKind::Percent; break;
+    case ',': kind = TokenKind::Comma; break;
+    case '[': kind = TokenKind::LBracket; break;
+    case ']': kind = TokenKind::RBracket; break;
+    case '(': kind = TokenKind::LParen; break;
+    case ')': kind = TokenKind::RParen; break;
+    case '|': kind = TokenKind::Pipe; break;
+    case ';': kind = TokenKind::Semicolon; break;
+    case '<': kind = pair('=', TokenKind::Le, TokenKind::Lt); break;
+    case '>': kind = pair('=', TokenKind::Ge, TokenKind::Gt); break;
+    case '=': kind = pair('=', TokenKind::EqEq, TokenKind::Assign); break;
+    case '!':
+      if (peek() != '=') fail("unexpected '!'", line, column);
+      ++pos_;
+      kind = TokenKind::Ne;
+      break;
+    default:
+      fail(std::string("unexpected character '") + c + "'", line, column);
+  }
+  spelled(kind);
+}
+
+void Lexer::drain() {
+  Token t;
+  do {
+    next(t);
+  } while (t.kind != TokenKind::End);
+}
+
+std::vector<Token> tokenize(std::string_view source, LexMode mode) {
+  std::vector<Token> tokens;
+  Lexer lexer(source, mode);
+  do {
+    lexer.next(tokens.emplace_back());
+  } while (tokens.back().kind != TokenKind::End);
   return tokens;
 }
 

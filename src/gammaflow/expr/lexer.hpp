@@ -51,8 +51,41 @@ struct Token {
 /// type words int/real/bool lex as KwVar.
 enum class LexMode : std::uint8_t { Expression, Imperative };
 
-/// Tokenizes the whole input eagerly. Throws ParseError on bad characters,
-/// unterminated strings, or malformed numbers. `#` starts a line comment.
+/// The one lexer: yields the tokens of `source` one at a time, so a parser
+/// reads text without holding a token vector. Raises ParseError on bad
+/// characters, unterminated strings, or malformed numbers. `#` starts a line
+/// comment.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view source,
+                 LexMode mode = LexMode::Expression) noexcept
+      : src_(source), mode_(mode) {}
+
+  /// Lexes the next token into `out`, reusing its text buffer. At the end
+  /// of the input, and on every call after it, `out` is the End token. After
+  /// an error the lexer is at the end.
+  void next(Token& out);
+
+  /// Lexes and discards the rest of the input: raises the first lex error
+  /// in it, if any.
+  void drain();
+
+ private:
+  [[nodiscard]] char peek(std::size_t ahead = 0) const noexcept {
+    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
+  }
+  [[noreturn]] void fail(const std::string& what, int line, int column);
+
+  std::string_view src_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  // Where line_ starts: a column is the byte offset from here, plus one.
+  // Only whitespace crosses a newline, so only its skip loop moves these.
+  std::size_t line_start_ = 0;
+  LexMode mode_;
+};
+
+/// Tokenizes the whole input eagerly (a loop over Lexer, ending with End).
 [[nodiscard]] std::vector<Token> tokenize(std::string_view source,
                                           LexMode mode = LexMode::Expression);
 

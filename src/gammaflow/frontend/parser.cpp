@@ -14,8 +14,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view source)
-      : ts_(expr::tokenize(source, expr::LexMode::Imperative)) {}
+  explicit Parser(TokenStream& ts) : ts_(ts) {}
 
   ProgramAst parse() {
     ProgramAst program;
@@ -98,8 +97,8 @@ class Parser {
   /// Parses one statement; may append several AST nodes (a for-loop becomes
   /// init + while).
   void statement(Block& out) {
-    const Token& t = ts_.peek();
-    switch (t.kind) {
+    const int line = ts_.peek().line;
+    switch (ts_.peek().kind) {
       case TokenKind::KwVar:
         // `int x = e;` — the type word is documentation; semantics stay
         // dynamic like the rest of the system.
@@ -127,7 +126,7 @@ class Parser {
         Block else_body;
         if (ts_.accept(TokenKind::KwElse)) else_body = block();
         out.push_back(Stmt::make_if(std::move(cond), std::move(then_body),
-                                    std::move(else_body), t.line));
+                                    std::move(else_body), line));
         return;
       }
       case TokenKind::KwWhile: {
@@ -135,7 +134,7 @@ class Parser {
         ts_.expect(TokenKind::LParen);
         expr::ExprPtr cond = expr::parse_expression(ts_);
         ts_.expect(TokenKind::RParen);
-        out.push_back(Stmt::make_while(std::move(cond), block(), t.line));
+        out.push_back(Stmt::make_while(std::move(cond), block(), line));
         return;
       }
       case TokenKind::KwFor: {
@@ -159,7 +158,7 @@ class Parser {
         Block body = block();
         if (step) body.push_back(std::move(step));
         out.push_back(
-            Stmt::make_while(std::move(cond), std::move(body), t.line));
+            Stmt::make_while(std::move(cond), std::move(body), line));
         return;
       }
       default:
@@ -167,14 +166,15 @@ class Parser {
     }
   }
 
-  TokenStream ts_;
+  TokenStream& ts_;
   std::size_t block_depth_ = 0;  // bodies open around the current statement
 };
 
 }  // namespace
 
 ProgramAst parse_source(std::string_view source) {
-  return Parser(source).parse();
+  return expr::parse_text(source, expr::LexMode::Imperative,
+                         [](TokenStream& ts) { return Parser(ts).parse(); });
 }
 
 }  // namespace gammaflow::frontend

@@ -1,5 +1,6 @@
 #include "gammaflow/gamma/dsl/parser.hpp"
 
+#include <iterator>
 #include <set>
 
 #include "gammaflow/common/error.hpp"
@@ -8,6 +9,7 @@
 
 namespace gammaflow::gamma::dsl {
 
+using expr::LexMode;
 using expr::Token;
 using expr::TokenKind;
 using expr::TokenStream;
@@ -117,10 +119,7 @@ Reaction parse_reaction_body(TokenStream& ts) {
   return Reaction(name, std::move(patterns), std::move(branches));
 }
 
-}  // namespace
-
-Program parse_program(std::string_view source) {
-  TokenStream ts(expr::tokenize(source));
+Program parse_program_body(TokenStream& ts) {
   std::vector<std::vector<Reaction>> stages;
   std::vector<Reaction> current;
   std::set<std::string> names;
@@ -148,43 +147,82 @@ Program parse_program(std::string_view source) {
   return program;
 }
 
-Reaction parse_reaction(std::string_view source) {
-  TokenStream ts(expr::tokenize(source));
-  Reaction r = parse_reaction_body(ts);
-  if (!ts.done()) {
-    const Token& t = ts.peek();
-    throw ParseError("trailing input after reaction: '" + t.text + "'", t.line,
-                     t.column);
+/// One field of an element. A lone literal, or `-` and a number, that ends
+/// the field becomes its Value straight off the tokens. Anything else is an
+/// expression and must fold to a literal; that path gives a lone literal the
+/// same Value, so the shortcut is invisible.
+Value element_field(TokenStream& ts) {
+  const auto ends_field = [](TokenKind kind) {
+    return kind == TokenKind::Comma || kind == TokenKind::RBracket ||
+           kind == TokenKind::End;
+  };
+  const TokenKind first = ts.peek().kind;
+  if (ends_field(ts.peek(1).kind)) {
+    switch (first) {
+      case TokenKind::IntLit:
+      case TokenKind::RealLit:
+      case TokenKind::StrLit:
+      case TokenKind::KwTrue:
+      case TokenKind::KwFalse:
+      case TokenKind::KwNil:  // its token's value is nil
+        return ts.advance().value;
+      default:
+        break;
+    }
+  } else if (first == TokenKind::Minus && ends_field(ts.peek(2).kind) &&
+             (ts.peek(1).kind == TokenKind::IntLit ||
+              ts.peek(1).kind == TokenKind::RealLit)) {
+    ts.advance();
+    return neg(ts.advance().value);
   }
-  return r;
+  const expr::ExprPtr e = expr::parse_expression(ts);
+  const expr::ExprPtr folded = expr::simplify(e);
+  if (folded->kind() != expr::Expr::Kind::Literal) {
+    throw Error("multiset element fields must be literals, got '" +
+                e->to_string() + "'");
+  }
+  return folded->literal();
+}
+
+}  // namespace
+
+Program parse_program(std::string_view source) {
+  return expr::parse_text(source, LexMode::Expression, parse_program_body);
+}
+
+Reaction parse_reaction(std::string_view source) {
+  return expr::parse_text(source, LexMode::Expression, [](TokenStream& ts) {
+    Reaction r = parse_reaction_body(ts);
+    if (!ts.done()) {
+      const Token& t = ts.peek();
+      throw ParseError("trailing input after reaction: '" + t.text + "'",
+                       t.line, t.column);
+    }
+    return r;
+  });
 }
 
 Multiset parse_elements(std::string_view source) {
-  Multiset m;
-  TokenStream ts(expr::tokenize(source));
-  const auto literal_field = [&]() -> Value {
-    const expr::ExprPtr e = expr::parse_expression(ts);
-    const expr::ExprPtr folded = expr::simplify(e);
-    if (folded->kind() != expr::Expr::Kind::Literal) {
-      throw Error("multiset element fields must be literals, got '" +
-                  e->to_string() + "'");
+  return expr::parse_text(source, LexMode::Expression, [](TokenStream& ts) {
+    Multiset m;
+    std::vector<Value> fields;  // one element's fields, reused
+    while (!ts.done()) {
+      ts.accept(TokenKind::Comma);
+      if (ts.done()) break;
+      fields.clear();
+      if (ts.accept(TokenKind::LBracket)) {
+        fields.push_back(element_field(ts));
+        while (ts.accept(TokenKind::Comma)) fields.push_back(element_field(ts));
+        ts.expect(TokenKind::RBracket);
+      } else {
+        fields.push_back(element_field(ts));
+      }
+      // Exactly sized: the element's one allocation.
+      m.add(Element(std::vector<Value>(std::make_move_iterator(fields.begin()),
+                                       std::make_move_iterator(fields.end()))));
     }
-    return folded->literal();
-  };
-  while (!ts.done()) {
-    ts.accept(TokenKind::Comma);
-    if (ts.done()) break;
-    std::vector<Value> fields;
-    if (ts.accept(TokenKind::LBracket)) {
-      fields.push_back(literal_field());
-      while (ts.accept(TokenKind::Comma)) fields.push_back(literal_field());
-      ts.expect(TokenKind::RBracket);
-    } else {
-      fields.push_back(literal_field());
-    }
-    m.add(Element(std::move(fields)));
-  }
-  return m;
+    return m;
+  });
 }
 
 std::string print(const Program& program) { return program.to_string(); }

@@ -231,5 +231,50 @@ TEST(Alloc, StoreLoadsAMultisetWithoutPerElementAllocations) {
   EXPECT_LE(large - small, 16u);
 }
 
+/// perfbench's `--init` shapes: 4096 `[int]` (reduce) and 4096
+/// `[int,'kNN']` over 64 labels (parallel).
+std::string ints_text(std::size_t n) {
+  std::string text;
+  Rng rng(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    text.append(i == 0 ? "[" : " [")
+        .append(std::to_string(static_cast<std::int64_t>(rng.bounded(2001)) - 1000))
+        .append("]");
+  }
+  return text;
+}
+
+std::string pairs_text(std::size_t n) {
+  std::string text;
+  Rng rng(12);
+  for (std::size_t i = 0; i < n; ++i) {
+    text.append(i == 0 ? "[" : " [")
+        .append(std::to_string(rng.bounded(1000)))
+        .append(",'k")
+        .append(std::to_string(i % 64))
+        .append("']");
+  }
+  return text;
+}
+
+TEST(Alloc, ElementReaderAllocatesOnlyTheElements) {
+  // Each element costs its field vector; the multiset's own growth is
+  // amortized. A token vector or an expression tree per field would show
+  // as one or more further allocations per element.
+  for (const auto& [what, text] :
+       {std::pair{"4096 [int]", ints_text(kElements)},
+        std::pair{"4096 [int,'kNN']", pairs_text(kElements)}}) {
+    const std::uint64_t before = g_allocations.load();
+    const gamma::Multiset m = gamma::dsl::parse_elements(text);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    ASSERT_EQ(m.size(), kElements);
+    const double per_element =
+        static_cast<double>(allocations) / static_cast<double>(kElements);
+    std::cout << "[ alloc ] parse_elements " << what << ": " << allocations
+              << " allocations = " << per_element << " per element\n";
+    EXPECT_LE(per_element, 1.5) << what;
+  }
+}
+
 }  // namespace
 }  // namespace gammaflow

@@ -37,7 +37,7 @@ using expr::Env;
 using expr::ExprPtr;
 
 ExprPtr parse(const std::string& text) {
-  expr::TokenStream ts(expr::tokenize(text));
+  expr::TokenStream ts(text);
   ExprPtr e = expr::parse_expression(ts);
   EXPECT_TRUE(ts.done()) << "trailing input in: " << text;
   return e;

@@ -114,6 +114,38 @@ TEST_F(CliInput, RunRejectsDeeplyNestedSourceBlocks) {
                 "\n");
 }
 
+/// A guard `x < y + 1 + 1 ...` with `operators` binary operators.
+std::string flat_guard_program(std::size_t operators) {
+  std::string text = "R = replace x, y by x where x < y";
+  for (std::size_t i = 1; i < operators; ++i) text += " + 1";
+  return text + "\n";
+}
+
+TEST_F(CliInput, RungammaRejectsFlatGuardPastTheOperatorCap) {
+  // 100k terms used to parse, then crash in the passes that recurse down
+  // the chain (exit 139).
+  const fs::path prog = write("flat.gamma", flat_guard_program(100'000));
+  const CliRun run =
+      run_cli("rungamma " + prog.string() + " --init \"[1] [2]\"");
+  EXPECT_EQ(run.exit_code, 1) << run.output.substr(0, 200);
+  // The 4097th operator is the 4096th '+'.
+  const std::size_t column =
+      std::string("R = replace x, y by x where x < y").size() + 4 * 4095 + 2;
+  EXPECT_EQ(run.output, std::string("gammaflow: ParseError at 1:")
+                            .append(std::to_string(column))
+                            .append(": more than 4096 binary operators in "
+                                    "one expression\n"));
+}
+
+TEST_F(CliInput, RungammaRunsAFlatGuardAtTheOperatorCap) {
+  const fs::path prog = write("flat.gamma", flat_guard_program(4096));
+  for (const char* engine : {"--engine idx", "--engine par --workers 4"}) {
+    const CliRun run = run_cli("rungamma " + prog.string() +
+                               " --init \"[1] [2] [3]\" " + engine);
+    EXPECT_EQ(run.exit_code, 0) << engine << ": " << run.output;
+  }
+}
+
 TEST_F(CliInput, RungammaParallelEvaluationErrorExitsOne) {
   // The parallel engine used to evaluate in worker threads with no handler
   // and abort (exit 134); it now reports the error as the indexed one does.
@@ -142,6 +174,29 @@ TEST_F(CliInput, ServeStdioRejectsDeepCreateAndKeepsServing) {
             R"({"error":"bad_program","message":"ParseError at 1:285: )" +
                 std::string(kNestingError) + "\",\"ok\":false}\n" +
                 R"({"ok":true,"pong":true})" + "\n");
+}
+
+TEST_F(CliInput, ServeStdioRejectsLongInjectAndKeepsServing) {
+  // A 100k-term element field used to crash the daemon (SIGSEGV) in the
+  // fold that follows parsing; it is now a bad_elements reply.
+  std::string field = "1";
+  for (int i = 0; i < 100'000; ++i) field += "+1";
+  const fs::path script = write(
+      "script.jsonl",
+      std::string(R"({"verb":"create","session":"s"})") + "\n" +
+          R"({"verb":"inject","session":"s","elements":"[)" + field +
+          ",'a']\"}\n" + R"({"verb":"ping"})" + "\n");
+  const CliRun run =
+      run_cli("serve " + std::string(GF_REPO_DIR) +
+              "/examples/programs/min.gamma --stdio < " + script.string());
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  // The create reply carries a timing; the two after it are exact.
+  const std::size_t created = run.output.find('\n');
+  ASSERT_NE(created, std::string::npos) << run.output;
+  EXPECT_EQ(run.output.substr(created + 1),
+            R"({"error":"bad_elements","message":"ParseError at 1:8195: )"
+            R"(more than 4096 binary operators in one expression","ok":false})"
+            "\n" R"({"ok":true,"pong":true})" "\n");
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/expr/bytecode.hpp"
+#include "gammaflow/expr/eval.hpp"
 #include "gammaflow/expr/lexer.hpp"
 #include "gammaflow/expr/parser.hpp"
+#include "gammaflow/expr/simplify.hpp"
 
 namespace gammaflow::expr {
 namespace {
@@ -198,6 +201,49 @@ TEST(Parser, NestingPastTheCapIsAParseError) {
             "ParseError at 1:257: nesting deeper than 256");
   EXPECT_EQ(parse_error(std::string(50'000, '-') + "x"),
             "ParseError at 1:257: nesting deeper than 256");
+}
+
+/// `x + 1 + 1 ...` with `operators` binary operators.
+std::string sum_chain(std::size_t operators) {
+  std::string chain = "x";
+  for (std::size_t i = 0; i < operators; ++i) chain += " + 1";
+  return chain;
+}
+
+TEST(Parser, OperatorChainAtTheCapParsesAndEvaluates) {
+  // Simplify, the walker, compile and destruction each recurse once per
+  // operator of the chain: at the cap they must all still fit the stack.
+  const ExprPtr e = parse_expression(sum_chain(kMaxExprOperators));
+  const auto sum = static_cast<std::int64_t>(kMaxExprOperators) + 1;
+  Env env;
+  env.bind("x", Value(1));
+  EXPECT_EQ(eval(simplify(e), env), Value(sum));
+  const std::string slot_names[] = {"x"};
+  const Chunk chunk = compile(e, slot_names);
+  const Value one(1);
+  const Value* const slots[] = {&one};
+  Vm vm;
+  EXPECT_EQ(vm.run(chunk, slots), Value(sum));
+  EXPECT_TRUE(equal(parse_expression(e->to_string()), e));
+}
+
+TEST(Parser, OperatorChainPastTheCapIsAParseError) {
+  // The 4097th '+' sits at column 4 * 4097 - 1.
+  const std::string past =
+      "ParseError at 1:16387: more than 4096 binary operators in one "
+      "expression";
+  EXPECT_EQ(parse_error(sum_chain(kMaxExprOperators + 1)), past);
+  // A chain that used to overflow the stack after parsing.
+  EXPECT_EQ(parse_error(sum_chain(100'000)), past);
+  // The cap counts every binary operator of the expression, inside
+  // parentheses or not.
+  const std::string half =
+      std::string("(").append(sum_chain(kMaxExprOperators / 2)).append(")");
+  EXPECT_EQ(parse_error(half + " * " + half),
+            "ParseError at 1:16390: more than 4096 binary operators in one "
+            "expression");
+  EXPECT_EQ(parse_error(half + " * " + half.substr(0, half.size() - 5) + ")"),
+            "");
 }
 
 // Property: print -> parse returns a structurally identical tree, for random

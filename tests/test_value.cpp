@@ -2,6 +2,8 @@
 // comparisons, truthiness, printing, hashing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <unordered_set>
 
 #include "gammaflow/common/value.hpp"
@@ -97,6 +99,17 @@ TEST(Value, Neg) {
   EXPECT_EQ(neg(Value(5)), Value(-5));
   EXPECT_EQ(neg(Value(-2.5)), Value(2.5));
   EXPECT_THROW((void)neg(Value("x")), TypeError);
+}
+
+TEST(Value, IntArithmeticWrapsAtTheRange) {
+  // Two's-complement wrap-around, defined rather than signed overflow (a
+  // multiset literal can reach it: `[9223372036854775807 * 2]`).
+  const Value max(std::numeric_limits<std::int64_t>::max());
+  const Value min(std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(add(max, Value(1)), min);
+  EXPECT_EQ(sub(min, Value(1)), max);
+  EXPECT_EQ(mul(max, Value(2)), Value(-2));
+  EXPECT_EQ(neg(min), min);
 }
 
 TEST(Value, ComparisonsNumeric) {

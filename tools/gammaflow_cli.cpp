@@ -202,12 +202,6 @@ dataflow::Graph load_graph(const std::string& path) {
   throw Error("expected a .src or .df file, got '" + path + "'");
 }
 
-/// Parses "--init" elements: a sequence of [expr, expr, ...] tuples (fields
-/// must be literals) or bare literals.
-gamma::Multiset parse_elements(const std::string& text) {
-  return gamma::dsl::parse_elements(text);
-}
-
 struct Options {
   std::optional<std::string> init;
   std::string engine = "idx";
@@ -575,7 +569,7 @@ int run_worklist(const gamma::Program& program, const gamma::Multiset& initial,
 int cmd_rungamma(const std::string& path, const Options& opts) {
   if (!opts.init) throw Error("rungamma needs --init \"<elements>\"");
   gamma::Program program = gamma::dsl::parse_program(read_file(path));
-  const gamma::Multiset initial = parse_elements(*opts.init);
+  const gamma::Multiset initial = gamma::dsl::parse_elements(*opts.init);
   if (opts.worklist) return run_worklist(program, initial, opts);
   obs::Telemetry tel;
   obs::RunRecorder rec;
@@ -621,7 +615,7 @@ int cmd_distrib(const std::string& path, const Options& opts) {
   }
   gamma::Program program = gamma::dsl::parse_program(read_file(path));
   const gamma::Multiset initial =
-      opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+      opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
   obs::Telemetry tel;
   obs::RunRecorder rec;
   if (opts.optimize) {
@@ -739,7 +733,7 @@ int cmd_serve(const std::string& path, const Options& opts) {
 int cmd_optimize(const std::string& path, const Options& opts) {
   const gamma::Program program = gamma::dsl::parse_program(read_file(path));
   const gamma::Multiset initial =
-      opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+      opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
   const auto r = analysis::optimize_program(
       program, initial, make_optimize_options(opts, nullptr));
 
@@ -770,7 +764,7 @@ int cmd_optimize(const std::string& path, const Options& opts) {
 int cmd_fuse(const std::string& path, const Options& opts) {
   const gamma::Program program = gamma::dsl::parse_program(read_file(path));
   const gamma::Multiset initial =
-      opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+      opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
   std::cout << analysis::optimize_program(program, initial,
                                          analysis::reduction_options())
                    .program
@@ -792,8 +786,8 @@ int cmd_expand(const std::string& path) {
 int cmd_reconstruct(const std::string& path, const Options& opts) {
   if (!opts.init) throw Error("reconstruct needs --init \"<elements>\"");
   const gamma::Program program = gamma::dsl::parse_program(read_file(path));
-  const dataflow::Graph g =
-      translate::reconstruct_graph(program, parse_elements(*opts.init));
+  const dataflow::Graph g = translate::reconstruct_graph(
+      program, gamma::dsl::parse_elements(*opts.init));
   dataflow::write_text(std::cout, g);
   // Translation validation: Algorithm 2's output must verify clean of
   // errors (structure, tag discipline, token balance).
@@ -826,7 +820,7 @@ int report_exit(const analysis::LintReport& report, bool werror) {
 int cmd_lint(const std::string& path, const Options& opts) {
   const gamma::Program program = gamma::dsl::parse_program(read_file(path));
   const gamma::Multiset initial =
-      opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+      opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
   const auto report = analysis::lint_program(program, initial);
   if (opts.json) {
     analysis::write_json(std::cout, report);
@@ -854,7 +848,7 @@ int cmd_check(const std::string& path, const Options& opts) {
   // Gamma side: lint + interference/confluence.
   const gamma::Program program = gamma::dsl::parse_program(read_file(path));
   const gamma::Multiset initial =
-      opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+      opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
   auto lint = analysis::lint_program(program, initial);
   // Optimizer-side lints: boundedness (divergence risk) and dead reactions
   // the label-flow pass cannot see (unsatisfiable conditions, zero-bound
@@ -902,7 +896,7 @@ int cmd_dot(const std::string& path, const Options& opts) {
   if (ends_with(path, ".gamma")) {
     const gamma::Program program = gamma::dsl::parse_program(read_file(path));
     const gamma::Multiset initial =
-        opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+        opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
     analysis::InterferenceOptions iopts;
     iopts.seed = opts.seed;
     const auto report = analysis::analyze_interference(program, initial, iopts);
@@ -925,7 +919,7 @@ int cmd_viz(const std::string& path, const Options& opts) {
   if (is_gamma) {
     program = gamma::dsl::parse_program(read_file(path));
     const gamma::Multiset initial =
-        opts.init ? parse_elements(*opts.init) : gamma::Multiset{};
+        opts.init ? gamma::dsl::parse_elements(*opts.init) : gamma::Multiset{};
     analysis::InterferenceOptions iopts;
     iopts.seed = opts.seed;
     report = analysis::analyze_interference(*program, initial, iopts);
@@ -973,8 +967,8 @@ int cmd_viz(const std::string& path, const Options& opts) {
     gamma::RunOptions ropts;
     ropts.seed = opts.seed;
     ropts.record = &rec;
-    (void)make_engine(opts.engine)->run(*program, parse_elements(*opts.init),
-                                        ropts);
+    (void)make_engine(opts.engine)->run(
+        *program, gamma::dsl::parse_elements(*opts.init), ropts);
     journal = rec.take();
     have_journal = true;
   } else if (!is_gamma) {
