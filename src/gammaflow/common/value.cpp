@@ -108,11 +108,6 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
 
 namespace {
 
-/// Int add/sub/mul/neg wrap in two's complement (the result the hardware
-/// gives), computed in unsigned arithmetic so that overflow is defined.
-std::int64_t wrapped(std::uint64_t v) { return static_cast<std::int64_t>(v); }
-std::uint64_t bits(std::int64_t v) { return static_cast<std::uint64_t>(v); }
-
 template <typename IntOp, typename RealOp>
 Value numeric_binop(const char* name, const Value& a, const Value& b,
                     IntOp int_op, RealOp real_op) {
@@ -128,7 +123,7 @@ Value add(const Value& a, const Value& b) {
   return numeric_binop(
       "add", a, b,
       [](std::int64_t x, std::int64_t y) {
-        return Value(wrapped(bits(x) + bits(y)));
+        return Value(wrapping_add(x, y));
       },
       [](double x, double y) { return Value(x + y); });
 }
@@ -137,7 +132,7 @@ Value sub(const Value& a, const Value& b) {
   return numeric_binop(
       "sub", a, b,
       [](std::int64_t x, std::int64_t y) {
-        return Value(wrapped(bits(x) - bits(y)));
+        return Value(wrapping_sub(x, y));
       },
       [](double x, double y) { return Value(x - y); });
 }
@@ -146,7 +141,7 @@ Value mul(const Value& a, const Value& b) {
   return numeric_binop(
       "mul", a, b,
       [](std::int64_t x, std::int64_t y) {
-        return Value(wrapped(bits(x) * bits(y)));
+        return Value(wrapping_mul(x, y));
       },
       [](double x, double y) { return Value(x * y); });
 }
@@ -156,7 +151,7 @@ Value div(const Value& a, const Value& b) {
       "div", a, b,
       [](std::int64_t x, std::int64_t y) {
         if (y == 0) throw TypeError("integer division by zero");
-        return Value(x / y);
+        return Value(y == -1 ? wrapping_neg(x) : x / y);
       },
       [](double x, double y) {
         if (y == 0.0) throw TypeError("real division by zero");
@@ -166,14 +161,15 @@ Value div(const Value& a, const Value& b) {
 
 Value mod(const Value& a, const Value& b) {
   if (a.is_int() && b.is_int()) {
-    if (b.as_int() == 0) throw TypeError("mod by zero");
-    return Value(a.as_int() % b.as_int());
+    const std::int64_t y = b.as_int();
+    if (y == 0) throw TypeError("mod by zero");
+    return Value(y == -1 ? std::int64_t{0} : a.as_int() % y);
   }
   kind_error("mod", a, b);
 }
 
 Value neg(const Value& a) {
-  if (a.is_int()) return Value(wrapped(0 - bits(a.as_int())));
+  if (a.is_int()) return Value(wrapping_neg(a.as_int()));
   if (a.is_real()) return Value(-a.as_real());
   kind_error("neg", a);
 }

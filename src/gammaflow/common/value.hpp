@@ -84,9 +84,30 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
+/// Int add/sub/mul/neg wrap in two's complement (the result the hardware
+/// gives), computed in unsigned arithmetic so that overflow is defined.
+/// Inline so the bytecode VMs' Int fast paths share them.
+constexpr std::int64_t wrapping_add(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                   static_cast<std::uint64_t>(y));
+}
+constexpr std::int64_t wrapping_sub(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
+                                   static_cast<std::uint64_t>(y));
+}
+constexpr std::int64_t wrapping_mul(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
+                                   static_cast<std::uint64_t>(y));
+}
+constexpr std::int64_t wrapping_neg(std::int64_t x) noexcept {
+  return wrapping_sub(0, x);
+}
+
 /// Checked arithmetic with int->real promotion. Division: int/int is integer
 /// division (C semantics, as the paper's loop example uses integers); any
-/// real operand promotes. Mod requires two ints.
+/// real operand promotes. Mod requires two ints. A -1 divisor never traps:
+/// `x / -1` is wrapping negation (INT64_MIN / -1 == INT64_MIN) and
+/// `x % -1` is 0.
 Value add(const Value& a, const Value& b);
 Value sub(const Value& a, const Value& b);
 Value mul(const Value& a, const Value& b);

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/expr/eval.hpp"
@@ -40,49 +42,6 @@ OpCode opcode_for(BinOp op) {
   throw ProgramError("bytecode: operator has no direct opcode");
 }
 
-/// Evaluates a variable-free subtree exactly as the walker would, including
-/// short-circuit logic: `lhs and rhs` folds to false when lhs folds falsy
-/// even if rhs references variables or would throw — the walker never
-/// evaluates rhs in that case either. Returns nullopt (no fold) whenever
-/// evaluation would throw, preserving the runtime error for the Vm.
-std::optional<Value> fold(const Expr& e) {
-  try {
-    switch (e.kind()) {
-      case Expr::Kind::Literal:
-        return e.literal();
-      case Expr::Kind::Var:
-        return std::nullopt;
-      case Expr::Kind::Unary: {
-        auto a = fold(*e.operand());
-        if (!a) return std::nullopt;
-        return apply(e.un_op(), *a);
-      }
-      case Expr::Kind::Binary: {
-        auto a = fold(*e.lhs());
-        if (!a) return std::nullopt;
-        if (e.bin_op() == BinOp::And) {
-          if (!a->truthy()) return Value(false);
-          auto b = fold(*e.rhs());
-          if (!b) return std::nullopt;
-          return Value(b->truthy());
-        }
-        if (e.bin_op() == BinOp::Or) {
-          if (a->truthy()) return Value(true);
-          auto b = fold(*e.rhs());
-          if (!b) return std::nullopt;
-          return Value(b->truthy());
-        }
-        auto b = fold(*e.rhs());
-        if (!b) return std::nullopt;
-        return apply(e.bin_op(), *a, *b);
-      }
-    }
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 class Compiler {
  public:
   explicit Compiler(std::span<const std::string> slot_names)
@@ -90,6 +49,7 @@ class Compiler {
 
   Chunk compile(const ExprPtr& e) {
     if (!e) throw ProgramError("bytecode: cannot compile a null expression");
+    fold(*e);
     const std::uint16_t result = emit(*e, 0);
     push({OpCode::Ret, 0, result, 0});
     chunk_.slot_names.assign(slots_.begin(), slots_.end());
@@ -97,22 +57,90 @@ class Compiler {
   }
 
  private:
-  /// Emits code leaving the result in register `dst`; returns `dst`.
+  /// A node's entry in `folded_`: its subtree's constant value, if it has
+  /// one (the literal itself, or a value in `computed_`), and the subtree's
+  /// size in nodes (a folded subtree's entries are skipped as one).
+  struct Folded {
+    const Value* value = nullptr;
+    std::size_t nodes = 1;
+  };
+
+  /// Appends, in pre-order, the value of every subtree that evaluates
+  /// without variables exactly as the walker would (see `value_of`). Each
+  /// node is decided once from its children's entries, so folding is linear
+  /// in the tree's size.
+  std::size_t fold(const Expr& e) {
+    const std::size_t at = folded_.size();
+    folded_.emplace_back();
+    const Value* a = nullptr;
+    const Value* b = nullptr;
+    if (e.kind() == Expr::Kind::Unary) a = folded_[fold(*e.operand())].value;
+    if (e.kind() == Expr::Kind::Binary) {
+      const std::size_t lhs = fold(*e.lhs());
+      const std::size_t rhs = fold(*e.rhs());
+      a = folded_[lhs].value;
+      b = folded_[rhs].value;
+    }
+    folded_[at].value = value_of(e, a, b);
+    folded_[at].nodes = folded_.size() - at;
+    return at;
+  }
+
+  /// `e`'s value from its operands' (`a`, `b`; null when an operand has
+  /// none), including short-circuit logic: `lhs and rhs` folds to false
+  /// when lhs folds falsy even if rhs references variables or would throw —
+  /// the walker never evaluates rhs in that case either. Null (no fold)
+  /// whenever evaluation would throw, preserving the runtime error for the
+  /// Vm.
+  const Value* value_of(const Expr& e, const Value* a, const Value* b) {
+    try {
+      switch (e.kind()) {
+        case Expr::Kind::Literal:
+          return &e.literal();
+        case Expr::Kind::Var:
+          return nullptr;
+        case Expr::Kind::Unary:
+          if (a == nullptr) return nullptr;
+          return &computed_.emplace_back(apply(e.un_op(), *a));
+        case Expr::Kind::Binary:
+          if (a == nullptr) return nullptr;
+          if (e.bin_op() == BinOp::And) {
+            if (!a->truthy()) return &computed_.emplace_back(false);
+            if (b == nullptr) return nullptr;
+            return &computed_.emplace_back(b->truthy());
+          }
+          if (e.bin_op() == BinOp::Or) {
+            if (a->truthy()) return &computed_.emplace_back(true);
+            if (b == nullptr) return nullptr;
+            return &computed_.emplace_back(b->truthy());
+          }
+          if (b == nullptr) return nullptr;
+          return &computed_.emplace_back(apply(e.bin_op(), *a, *b));
+      }
+    } catch (const Error&) {
+      return nullptr;
+    }
+    return nullptr;
+  }
+
+  /// Emits code leaving the result in register `dst`; returns `dst`. Walks
+  /// the tree in the pre-order `fold` recorded it in: a subtree with a value
+  /// is one constant load.
   /// Register discipline: a binary node evaluates lhs into dst and rhs into
   /// dst+1, so live registers form a stack and the high-water mark equals
   /// the tree's right-spine depth.
   std::uint16_t emit(const Expr& e, std::uint16_t dst) {
     reserve(dst);
-    if (e.kind() != Expr::Kind::Literal) {
-      if (auto v = fold(e)) {
-        push({OpCode::LoadConst, dst, intern(*std::move(v)), 0});
-        return dst;
-      }
+    const Folded& folded = folded_[next_];
+    if (folded.value) {
+      push({OpCode::LoadConst, dst, intern(*folded.value), 0});
+      next_ += folded.nodes;
+      return dst;
     }
+    ++next_;
     switch (e.kind()) {
       case Expr::Kind::Literal:
-        push({OpCode::LoadConst, dst, intern(e.literal()), 0});
-        return dst;
+        break;  // a literal always folds
       case Expr::Kind::Var:
         push({OpCode::LoadSlot, dst, slot_of(e.var()), 0});
         return dst;
@@ -157,13 +185,13 @@ class Compiler {
     throw ProgramError("unbound variable '" + name + "' (not a binder slot)");
   }
 
-  std::uint16_t intern(Value v) {
+  std::uint16_t intern(const Value& v) {
     for (std::size_t i = 0; i < chunk_.consts.size(); ++i) {
       if (chunk_.consts[i] == v) {
         return checked_u16(i, "bytecode: constant index");
       }
     }
-    chunk_.consts.push_back(std::move(v));
+    chunk_.consts.push_back(v);
     return checked_u16(chunk_.consts.size() - 1, "bytecode: constant pool");
   }
 
@@ -181,6 +209,9 @@ class Compiler {
   }
 
   std::span<const std::string> slots_;
+  std::vector<Folded> folded_;
+  std::deque<Value> computed_;  // non-literal folded values; never moved
+  std::size_t next_ = 0;        // emit's position in folded_
   Chunk chunk_;
 };
 
@@ -293,7 +324,8 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         break;
       }
       // Binary value ops: an inline Int×Int fast path (the dominant case in
-      // reaction conditions) with a fall-through to the checked helpers in
+      // reaction conditions; + - * wrap as value.cpp's do, and a 0 or -1
+      // divisor takes the helper) with a fall-through to the checked helpers in
       // value.cpp for every other kind combination — promotion, string
       // concat, and the exact TypeError texts all come from the same single
       // source of truth as the walker. Comparisons intentionally go through
@@ -303,7 +335,7 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         const Value& y = regs_[in.b];
         const std::int64_t* xi = x.if_int();
         const std::int64_t* yi = y.if_int();
-        regs_[in.dst] = (xi && yi) ? Value(*xi + *yi) : add(x, y);
+        regs_[in.dst] = (xi && yi) ? Value(wrapping_add(*xi, *yi)) : add(x, y);
         ++pc;
         break;
       }
@@ -312,7 +344,7 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         const Value& y = regs_[in.b];
         const std::int64_t* xi = x.if_int();
         const std::int64_t* yi = y.if_int();
-        regs_[in.dst] = (xi && yi) ? Value(*xi - *yi) : sub(x, y);
+        regs_[in.dst] = (xi && yi) ? Value(wrapping_sub(*xi, *yi)) : sub(x, y);
         ++pc;
         break;
       }
@@ -321,7 +353,7 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         const Value& y = regs_[in.b];
         const std::int64_t* xi = x.if_int();
         const std::int64_t* yi = y.if_int();
-        regs_[in.dst] = (xi && yi) ? Value(*xi * *yi) : mul(x, y);
+        regs_[in.dst] = (xi && yi) ? Value(wrapping_mul(*xi, *yi)) : mul(x, y);
         ++pc;
         break;
       }
@@ -330,8 +362,8 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         const Value& y = regs_[in.b];
         const std::int64_t* xi = x.if_int();
         const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi && *yi != 0) ? Value(*xi / *yi) : div(x, y);
+        regs_[in.dst] = (xi && yi && *yi != 0 && *yi != -1) ? Value(*xi / *yi)
+                                                            : div(x, y);
         ++pc;
         break;
       }
@@ -340,8 +372,8 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
         const Value& y = regs_[in.b];
         const std::int64_t* xi = x.if_int();
         const std::int64_t* yi = y.if_int();
-        regs_[in.dst] =
-            (xi && yi && *yi != 0) ? Value(*xi % *yi) : mod(x, y);
+        regs_[in.dst] = (xi && yi && *yi != 0 && *yi != -1) ? Value(*xi % *yi)
+                                                            : mod(x, y);
         ++pc;
         break;
       }
@@ -420,7 +452,7 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
       case OpCode::Neg: {
         const Value& x = regs_[in.a];
         const std::int64_t* xi = x.if_int();
-        regs_[in.dst] = xi ? Value(-*xi) : neg(x);
+        regs_[in.dst] = xi ? Value(wrapping_neg(*xi)) : neg(x);
         ++pc;
         break;
       }
@@ -746,15 +778,23 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
   };
   // Any zero divisor — even in a lane the scalar scan might never reach —
   // aborts the batch; the caller's scalar fallback then reproduces the
-  // walker's exact match-or-throw order.
-  auto divmod = [&](const BatchInstr& in, auto f) -> bool {
+  // walker's exact match-or-throw order. A -1 divisor is no fault, but the
+  // hardware op `f` traps on INT64_MIN / -1, so a lane dividing by -1 takes
+  // value.cpp's result from `by_minus_one`; a sweep without one runs `f`.
+  auto divmod = [&](const BatchInstr& in, auto f, auto by_minus_one) -> bool {
+    const auto checked = [&](std::int64_t x, std::int64_t y) {
+      return y == -1 ? by_minus_one(x) : f(x, y);
+    };
     std::int64_t* d = dst_of(in);
     const Src a = src(in.a);
     const Src b = src(in.b);
     if (b.col == nullptr) {
       if (b.s == 0) return false;
       if (!in.dst_vec) {
-        d[0] = f(a.s, b.s);
+        d[0] = checked(a.s, b.s);
+      } else if (b.s == -1) {
+        const std::int64_t* x = a.col;
+        for (std::size_t i = 0; i < n; ++i) d[i] = by_minus_one(x[i]);
       } else {
         const std::int64_t* x = a.col;
         const std::int64_t ys = b.s;
@@ -763,15 +803,24 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
       return true;
     }
     const std::int64_t* y = b.col;
+    bool minus_one = false;
     for (std::size_t i = 0; i < n; ++i) {
       if (y[i] == 0) return false;
+      if (y[i] == -1) minus_one = true;
     }
-    if (a.col != nullptr) {
-      const std::int64_t* x = a.col;
-      for (std::size_t i = 0; i < n; ++i) d[i] = f(x[i], y[i]);
+    const auto sweep = [&](auto g) {
+      if (a.col != nullptr) {
+        const std::int64_t* x = a.col;
+        for (std::size_t i = 0; i < n; ++i) d[i] = g(x[i], y[i]);
+      } else {
+        const std::int64_t xs = a.s;
+        for (std::size_t i = 0; i < n; ++i) d[i] = g(xs, y[i]);
+      }
+    };
+    if (minus_one) {
+      sweep(checked);
     } else {
-      const std::int64_t xs = a.s;
-      for (std::size_t i = 0; i < n; ++i) d[i] = f(xs, y[i]);
+      sweep(f);
     }
     return true;
   };
@@ -780,21 +829,33 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
   for (const BatchInstr& in : chunk.code) {
     switch (in.op) {
       case BatchOp::Add:
-        binary(in, [](std::int64_t x, std::int64_t y) { return x + y; });
+        binary(in, [](std::int64_t x, std::int64_t y) {
+          return wrapping_add(x, y);
+        });
         break;
       case BatchOp::Sub:
-        binary(in, [](std::int64_t x, std::int64_t y) { return x - y; });
+        binary(in, [](std::int64_t x, std::int64_t y) {
+          return wrapping_sub(x, y);
+        });
         break;
       case BatchOp::Mul:
-        binary(in, [](std::int64_t x, std::int64_t y) { return x * y; });
+        binary(in, [](std::int64_t x, std::int64_t y) {
+          return wrapping_mul(x, y);
+        });
         break;
       case BatchOp::Div:
-        if (!divmod(in, [](std::int64_t x, std::int64_t y) { return x / y; }))
+        if (!divmod(
+                in, [](std::int64_t x, std::int64_t y) { return x / y; },
+                [](std::int64_t x) { return wrapping_neg(x); })) {
           return false;
+        }
         break;
       case BatchOp::Mod:
-        if (!divmod(in, [](std::int64_t x, std::int64_t y) { return x % y; }))
+        if (!divmod(
+                in, [](std::int64_t x, std::int64_t y) { return x % y; },
+                [](std::int64_t) { return std::int64_t{0}; })) {
           return false;
+        }
         break;
       // Comparisons go through double exactly like the scalar Vm (and
       // value.cpp's compare()), so lanes match bit-for-bit even past 2^53.
@@ -829,7 +890,7 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
         });
         break;
       case BatchOp::Neg:
-        unary(in, [](std::int64_t x) { return -x; });
+        unary(in, [](std::int64_t x) { return wrapping_neg(x); });
         break;
       case BatchOp::Not:
         unary(in, [&](std::int64_t x) { return as_lane(x == 0); });

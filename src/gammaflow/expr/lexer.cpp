@@ -1,6 +1,7 @@
 #include "gammaflow/expr/lexer.hpp"
 
 #include <charconv>
+#include <stdexcept>
 #include <string>
 
 namespace gammaflow::expr {
@@ -182,9 +183,8 @@ void Lexer::next(Token& out) {
       spelled(TokenKind::RealLit);
       try {
         out.value = Value(std::stod(out.text));
-      } catch (...) {
-        pos_ = src_.size();  // out of range: the lexer stops here, as on error
-        throw;
+      } catch (const std::out_of_range&) {
+        fail("real literal out of range: " + out.text, line, column);
       }
     } else {
       spelled(TokenKind::IntLit);

@@ -10,10 +10,12 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -197,6 +199,94 @@ TEST(Bytecode, LiteralFoldingKeepsPoolSmall) {
   EXPECT_EQ(folded.consts[0], Value(std::int64_t{20}));
   const expr::Chunk kept = expr::compile(parse("1 / 0 + a"), kSlots);
   EXPECT_GT(kept.code.size(), folded.code.size());
+}
+
+/// `a + 1 + ... + 1` with `operators` additions, leaning left as the parser
+/// builds it.
+ExprPtr left_chain(std::size_t operators) {
+  ExprPtr e = expr::var("a");
+  for (std::size_t i = 0; i < operators; ++i) {
+    e = expr::Expr::binary(expr::BinOp::Add, e, expr::lit(Value(1)));
+  }
+  return e;
+}
+
+TEST(Bytecode, CompileTimeIsLinearInALeftLeaningChain) {
+  // Constant folding used to re-walk each node's whole subtree, so compile
+  // time grew quadratically down a left-leaning chain: 4x the operators
+  // cost ~20x the time. Deciding each node once makes it ~4x. The chains
+  // stay small enough to sit in cache: from ~4096 operators on, even a bare
+  // walk of the tree slows per node (~7x the time for 4x the nodes).
+  const ExprPtr shorter = left_chain(256);
+  const ExprPtr longer = left_chain(1024);
+  using Clock = std::chrono::steady_clock;
+  const auto time = [](const ExprPtr& e, Clock::duration& best) {
+    const auto t0 = Clock::now();
+    const expr::Chunk chunk = expr::compile(e, kSlots);
+    best = std::min(best, Clock::now() - t0);
+    return chunk.code.size();
+  };
+  auto best_short = Clock::duration::max();
+  auto best_long = Clock::duration::max();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(time(shorter, best_short), 2 * 256 + 2u);
+    EXPECT_EQ(time(longer, best_long), 2 * 1024 + 2u);
+  }
+  const double ratio = static_cast<double>(best_long.count()) /
+                       static_cast<double>(std::max<Clock::rep>(
+                           best_short.count(), 1));
+  EXPECT_LE(ratio, 8.0) << "best of 3: 1024 operators "
+                        << best_long.count() << " ticks, 256 operators "
+                        << best_short.count() << " ticks";
+}
+
+/// Listings pinned on the compiler that folded by re-walking subtrees:
+/// deciding foldability once per node must not move a constant or an
+/// instruction.
+TEST(Bytecode, DisassemblyGoldens) {
+  const std::pair<const char*, const char*> goldens[] = {
+      {"(2 + 3) * 4 + a",
+       "0: loadconst r0, 20\n"
+       "1: loadslot r1, s0 (a)\n"
+       "2: add r0, r0, r1\n"
+       "3: ret r0\n"},
+      {"1 / 0 + a",
+       "0: loadconst r0, 1\n"
+       "1: loadconst r1, 0\n"
+       "2: div r0, r0, r1\n"
+       "3: loadslot r1, s0 (a)\n"
+       "4: add r0, r0, r1\n"
+       "5: ret r0\n"},
+      {"false and 1 / 0 > 1",
+       "0: loadconst r0, false\n"
+       "1: ret r0\n"},
+      {"true and a > 1 / 0",
+       "0: loadconst r0, true\n"
+       "1: jumpiffalsy r0, ->8 (r0)\n"
+       "2: loadslot r0, s0 (a)\n"
+       "3: loadconst r1, 1\n"
+       "4: loadconst r2, 0\n"
+       "5: div r1, r1, r2\n"
+       "6: gt r0, r0, r1\n"
+       "7: truthy r0, r0\n"
+       "8: ret r0\n"},
+      {"(1 + 2) + (a + (3 * 4))",
+       "0: loadconst r0, 3\n"
+       "1: loadslot r1, s0 (a)\n"
+       "2: loadconst r2, 12\n"
+       "3: add r1, r1, r2\n"
+       "4: add r0, r0, r1\n"
+       "5: ret r0\n"},
+      {"'x' and a",
+       "0: loadconst r0, 'x'\n"
+       "1: jumpiffalsy r0, ->4 (r0)\n"
+       "2: loadslot r0, s0 (a)\n"
+       "3: truthy r0, r0\n"
+       "4: ret r0\n"},
+  };
+  for (const auto& [text, want] : goldens) {
+    EXPECT_EQ(expr::compile(parse(text), kSlots).disassemble(), want) << text;
+  }
 }
 
 TEST(Bytecode, DisassembleMentionsEveryInstruction) {
@@ -714,6 +804,116 @@ TEST(BatchVmTest, RuntimeZeroDivisorAbortsTheBatch) {
   const std::vector<std::int64_t> safe = {1, 2, 3};
   slots[0].column = safe.data();
   EXPECT_TRUE(vm.run(*by_a, slots, safe.size(), out));
+}
+
+// ---------------------------------------------------------------------------
+// Int arithmetic at the int64 bounds: INT64_MIN / -1 and INT64_MIN % -1
+// used to trap (SIGFPE) in value.cpp and in both VMs' fast paths, and the
+// VMs' Add/Sub/Mul/Neg fast paths overflowed signed ints (UB). All of them
+// wrap in two's complement now; `x / -1` is wrapping negation and `x % -1`
+// is 0, the result every other divisor already gives.
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+TEST(IntBounds, ValueArithmeticWraps) {
+  EXPECT_EQ(div(Value(kMin), Value(-1)), Value(kMin));
+  EXPECT_EQ(mod(Value(kMin), Value(-1)), Value(std::int64_t{0}));
+  EXPECT_EQ(div(Value(kMax), Value(-1)), Value(-kMax));
+  EXPECT_EQ(mod(Value(7), Value(-1)), Value(std::int64_t{0}));
+  EXPECT_EQ(add(Value(kMax), Value(1)), Value(kMin));
+  EXPECT_EQ(sub(Value(kMin), Value(1)), Value(kMax));
+  EXPECT_EQ(mul(Value(kMax), Value(2)), Value(std::int64_t{-2}));
+  EXPECT_EQ(neg(Value(kMin)), Value(kMin));
+}
+
+TEST(IntBounds, ValueVmAndBatchVmAgree) {
+  const std::vector<std::int64_t> edges = {kMin, kMax, -1, 2, kMin + 1};
+  // Every (x, y) pair as lanes: a = x, b = y, c = Value's x op y.
+  std::vector<std::int64_t> xs;
+  std::vector<std::int64_t> ys;
+  for (const std::int64_t x : edges) {
+    for (const std::int64_t y : edges) {
+      xs.push_back(x);
+      ys.push_back(y);
+    }
+  }
+  constexpr std::array<std::uint8_t, 4> kVecABC = {1, 1, 1, 0};
+  constexpr std::array<std::uint8_t, 4> kVecAC = {1, 0, 1, 0};
+  constexpr std::array<std::uint8_t, 4> kScalar = {0, 0, 0, 0};
+  const std::pair<const char*, expr::BinOp> ops[] = {
+      {"+", expr::BinOp::Add}, {"-", expr::BinOp::Sub},
+      {"*", expr::BinOp::Mul}, {"/", expr::BinOp::Div},
+      {"%", expr::BinOp::Mod}};
+  for (const auto& [op, bin_op] : ops) {
+    std::vector<std::int64_t> want;
+    expr::Vm vm;
+    const expr::Chunk value_chunk =
+        compile_scalar(std::string("a ") + op + " b");
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const Value x(xs[i]);
+      const Value y(ys[i]);
+      want.push_back(expr::apply(bin_op, x, y).as_int());
+      const Value* ptrs[4] = {&x, &y, nullptr, nullptr};
+      EXPECT_EQ(vm.run(value_chunk, ptrs), Value(want.back()))
+          << xs[i] << ' ' << op << ' ' << ys[i];
+    }
+    // The lane value minus the expected one is exactly 0 only when they
+    // agree (a bare `==` compares through double, which is not exact here).
+    const expr::Chunk check =
+        compile_scalar(std::string("a ") + op + " b - c == 0");
+    const auto lanes = [&](std::span<const std::uint8_t> layout,
+                           std::span<const std::int64_t> a,
+                           std::span<const std::int64_t> b,
+                           std::span<const std::int64_t> c) {
+      const auto batch = expr::compile_batch(check, layout);
+      EXPECT_TRUE(batch.has_value()) << op;
+      std::vector<expr::BatchVm::SlotInput> slots(kSlots.size());
+      slots[0] = {a.data(), a[0]};
+      slots[1] = {b.data(), b[0]};
+      slots[2] = {c.data(), c[0]};
+      expr::BatchVm bvm;
+      std::vector<std::uint8_t> out;
+      if (!batch || !bvm.run(*batch, slots, a.size(), out)) return false;
+      return std::all_of(out.begin(), out.end(),
+                         [](std::uint8_t lane) { return lane != 0; });
+    };
+    // Per-lane divisors, -1 among them.
+    EXPECT_TRUE(lanes(kVecABC, xs, ys, want)) << op;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const std::span<const std::int64_t> b(&ys[i], 1);
+      // One broadcast divisor for a column of dividends...
+      const std::vector<std::int64_t> column(3, xs[i]);
+      const std::vector<std::int64_t> expected(3, want[i]);
+      EXPECT_TRUE(lanes(kVecAC, column, b, expected))
+          << xs[i] << ' ' << op << ' ' << ys[i];
+      // ...and all-scalar operands.
+      EXPECT_TRUE(lanes(kScalar, std::span<const std::int64_t>(&xs[i], 1), b,
+                        std::span<const std::int64_t>(&want[i], 1)))
+          << xs[i] << ' ' << op << ' ' << ys[i];
+    }
+  }
+}
+
+TEST(IntBounds, EnginesWrapAProductPastInt64Max) {
+  // The product is computed by the Vm's Mul fast path (signed overflow
+  // before; the sanitizer build runs this test with UBSan).
+  const gamma::Program program =
+      gamma::dsl::parse_program("R = replace x, y by x * y\n");
+  gamma::Multiset init;
+  init.add(gamma::Element{Value(kMax)});
+  init.add(gamma::Element{Value(2)});
+  gamma::Multiset want;
+  want.add(gamma::Element{Value(std::int64_t{-2})});
+  std::vector<std::unique_ptr<gamma::Engine>> engines;
+  engines.push_back(std::make_unique<gamma::SequentialEngine>());
+  engines.push_back(std::make_unique<gamma::IndexedEngine>());
+  engines.push_back(std::make_unique<gamma::ParallelEngine>());
+  for (const auto& engine : engines) {
+    EXPECT_EQ(engine->run(program, init, gamma::RunOptions{}).final_multiset,
+              want)
+        << engine->name();
+  }
 }
 
 TEST(BatchVmTest, CountersAdvancePerEvalAndLane) {

@@ -3,16 +3,22 @@
 // 139) before its nesting was capped at expr::kMaxExprDepth: the expression
 // parser, which reads `.gamma` guards, `.src` expressions and serve `create`
 // programs, and the `.src` statement parser's nested blocks. One is an
-// evaluation error raised on the parallel engine's threads.
+// evaluation error raised on the parallel engine's threads; others are Int
+// division that trapped (SIGFPE, exit 136) and a real literal out of
+// double's range. The last checks that the CLI links the way the build's
+// configure probe chose.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 namespace {
@@ -197,6 +203,128 @@ TEST_F(CliInput, ServeStdioRejectsLongInjectAndKeepsServing) {
             R"({"error":"bad_elements","message":"ParseError at 1:8195: )"
             R"(more than 4096 binary operators in one expression","ok":false})"
             "\n" R"({"ok":true,"pong":true})" "\n");
+}
+
+TEST_F(CliInput, RungammaDividesInt64MinByMinusOne) {
+  // Both used to raise SIGFPE while the element reader folded the field.
+  const std::string min_gamma =
+      std::string(GF_REPO_DIR) + "/examples/programs/min.gamma";
+  const CliRun div = run_cli("rungamma " + min_gamma +
+                             " --init \"[(-9223372036854775807-1)/-1]\"");
+  EXPECT_EQ(div.exit_code, 0) << div.output;
+  EXPECT_EQ(div.output.substr(0, div.output.find('\n')),
+            "{[-9223372036854775808]}");
+  const CliRun mod = run_cli("rungamma " + min_gamma +
+                             " --init \"[(-9223372036854775807-1)%-1]\"");
+  EXPECT_EQ(mod.exit_code, 0) << mod.output;
+  EXPECT_EQ(mod.output.substr(0, mod.output.find('\n')), "{[0]}");
+}
+
+TEST_F(CliInput, ServeStdioDividesInt64MinByMinusOneAndKeepsServing) {
+  // The inject used to kill the daemon (exit 136, no reply).
+  const fs::path script = write(
+      "script.jsonl",
+      std::string(R"({"verb":"create","session":"s"})") + "\n" +
+          R"({"verb":"inject","session":"s","elements":)"
+          R"("[(-9223372036854775807-1)/-1]"})" "\n" +
+          R"({"verb":"ping"})" + "\n");
+  const CliRun run =
+      run_cli("serve " + std::string(GF_REPO_DIR) +
+              "/examples/programs/min.gamma --stdio < " + script.string());
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  // The create and inject replies carry timings; check their verdicts.
+  const std::size_t created = run.output.find('\n');
+  ASSERT_NE(created, std::string::npos) << run.output;
+  const std::size_t injected = run.output.find('\n', created + 1);
+  ASSERT_NE(injected, std::string::npos) << run.output;
+  const std::string inject_reply =
+      run.output.substr(created + 1, injected - created - 1);
+  EXPECT_NE(inject_reply.find(R"("ok":true)"), std::string::npos)
+      << inject_reply;
+  EXPECT_NE(inject_reply.find(R"("store_size":1)"), std::string::npos)
+      << inject_reply;
+  EXPECT_EQ(run.output.substr(injected + 1), R"({"ok":true,"pong":true})"
+                                             "\n");
+}
+
+TEST_F(CliInput, RungammaRejectsRealLiteralOutOfRange) {
+  // Used to escape as std::out_of_range: "gammaflow: stod".
+  const std::string min_gamma =
+      std::string(GF_REPO_DIR) + "/examples/programs/min.gamma";
+  for (const char* literal : {"1e400", "1e-400"}) {
+    const CliRun run =
+        run_cli("rungamma " + min_gamma + " --init \"[" + literal + "]\"");
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_EQ(run.output,
+              std::string("gammaflow: ParseError at 1:2: real literal out "
+                          "of range: ") +
+                  literal + "\n");
+  }
+}
+
+TEST_F(CliInput, ServeStdioRejectsRealLiteralOutOfRangeAndKeepsServing) {
+  // Used to answer {"error":"internal","message":"stod"}.
+  const fs::path script = write(
+      "script.jsonl",
+      std::string(R"({"verb":"create","session":"s"})") + "\n" +
+          R"({"verb":"inject","session":"s","elements":"[1e400]"})" "\n" +
+          R"({"verb":"ping"})" + "\n");
+  const CliRun run =
+      run_cli("serve " + std::string(GF_REPO_DIR) +
+              "/examples/programs/min.gamma --stdio < " + script.string());
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  const std::size_t created = run.output.find('\n');
+  ASSERT_NE(created, std::string::npos) << run.output;
+  EXPECT_EQ(run.output.substr(created + 1),
+            R"({"error":"bad_elements","message":"ParseError at 1:2: )"
+            R"(real literal out of range: 1e400","ok":false})"
+            "\n" R"({"ok":true,"pong":true})" "\n");
+}
+
+/// Whether the ELF executable at `path` names a program interpreter (a
+/// PT_INTERP program header: the dynamic loader). nullopt when the file is
+/// not a little-endian 64-bit ELF this reader understands.
+std::optional<bool> elf_has_interpreter(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::array<unsigned char, 64> header{};
+  if (!in.read(reinterpret_cast<char*>(header.data()), header.size())) {
+    return std::nullopt;
+  }
+  // A little-endian field of `bytes` bytes at `p`.
+  const auto field = [](const unsigned char* p, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = bytes - 1; i >= 0; --i) v = (v << 8) | p[i];
+    return v;
+  };
+  // "\x7fELF", ELFCLASS64, ELFDATA2LSB.
+  if (std::memcmp(header.data(), "\x7f" "ELF", 4) != 0 || header[4] != 2 ||
+      header[5] != 1) {
+    return std::nullopt;
+  }
+  const std::uint64_t phoff = field(&header[32], 8);
+  const std::uint64_t phentsize = field(&header[54], 2);
+  const std::uint64_t phnum = field(&header[56], 2);
+  constexpr std::uint64_t kPtInterp = 3;
+  std::array<unsigned char, 4> type{};
+  for (std::uint64_t i = 0; i < phnum; ++i) {
+    in.seekg(static_cast<std::streamoff>(phoff + i * phentsize));
+    if (!in.read(reinterpret_cast<char*>(type.data()), type.size())) {
+      return std::nullopt;
+    }
+    if (field(type.data(), 4) == kPtInterp) return true;
+  }
+  return false;
+}
+
+TEST(CliLink, BinaryLinksAsTheConfigureProbeChose) {
+  // The configure probe links the CLI statically where the toolchain can
+  // (no dynamic loader to run at every start); a dependency that silently
+  // breaks that would cost every run again, so it fails here instead.
+  const std::optional<bool> interp = elf_has_interpreter(GF_CLI_PATH);
+  if (!interp) GTEST_SKIP() << "not a 64-bit little-endian ELF: " << GF_CLI_PATH;
+  EXPECT_EQ(*interp, !GF_CLI_STATIC)
+      << GF_CLI_PATH << (GF_CLI_STATIC ? " should link statically"
+                                       : " should link dynamically");
 }
 
 }  // namespace

@@ -185,6 +185,11 @@ cd')", R"(error: ParseError at 1:1: unterminated string literal)"},
   [x)", R"(error: multiset element fields must be literals, got 'x')"},
     {R"([1]
   [2,,3])", R"(error: ParseError at 2:6: expected expression, found ',' ',')"},
+    // A real literal out of double's range is a located ParseError, as an
+    // out-of-range int is (it escaped as std::out_of_range "stod" before).
+    {R"(1e400)", R"(error: ParseError at 1:1: real literal out of range: 1e400)"},
+    {R"(-1e400)", R"(error: ParseError at 1:2: real literal out of range: 1e400)"},
+    {R"(1e-400)", R"(error: ParseError at 1:1: real literal out of range: 1e-400)"},
 };
 
 TEST(ElementReader, GoldenTable) {
