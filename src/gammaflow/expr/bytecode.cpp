@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -58,69 +57,80 @@ class Compiler {
 
  private:
   /// A node's entry in `folded_`: its subtree's constant value, if it has
-  /// one (the literal itself, or a value in `computed_`), and the subtree's
-  /// size in nodes (a folded subtree's entries are skipped as one).
+  /// one and no ancestor folds too, and the subtree's size in nodes (a
+  /// folded subtree's entries are skipped as one).
   struct Folded {
-    const Value* value = nullptr;
+    std::optional<Value> value;
     std::size_t nodes = 1;
   };
 
-  /// Appends, in pre-order, the value of every subtree that evaluates
-  /// without variables exactly as the walker would (see `value_of`). Each
-  /// node is decided once from its children's entries, so folding is linear
-  /// in the tree's size.
+  /// Records, in pre-order, the value of every maximal subtree that
+  /// evaluates without variables exactly as the walker would (see
+  /// `value_of`). Each node is decided once from its children's entries, so
+  /// folding is linear in the tree's size; once a node folds, its children's
+  /// values are dropped, so a constant chain holds one intermediate at a
+  /// time, as the walker does.
   std::size_t fold(const Expr& e) {
     const std::size_t at = folded_.size();
     folded_.emplace_back();
-    const Value* a = nullptr;
-    const Value* b = nullptr;
-    if (e.kind() == Expr::Kind::Unary) a = folded_[fold(*e.operand())].value;
-    if (e.kind() == Expr::Kind::Binary) {
+    std::optional<Value> value;
+    if (e.kind() == Expr::Kind::Unary) {
+      const std::size_t operand = fold(*e.operand());
+      value = value_of(e, folded_[operand].value, std::nullopt);
+      if (value) folded_[operand].value.reset();
+    } else if (e.kind() == Expr::Kind::Binary) {
       const std::size_t lhs = fold(*e.lhs());
       const std::size_t rhs = fold(*e.rhs());
-      a = folded_[lhs].value;
-      b = folded_[rhs].value;
+      value = value_of(e, folded_[lhs].value, folded_[rhs].value);
+      if (value) {
+        folded_[lhs].value.reset();
+        folded_[rhs].value.reset();
+      }
+    } else {
+      value = value_of(e, std::nullopt, std::nullopt);
     }
-    folded_[at].value = value_of(e, a, b);
+    folded_[at].value = std::move(value);
     folded_[at].nodes = folded_.size() - at;
     return at;
   }
 
-  /// `e`'s value from its operands' (`a`, `b`; null when an operand has
+  /// `e`'s value from its operands' (`a`, `b`; empty when an operand has
   /// none), including short-circuit logic: `lhs and rhs` folds to false
   /// when lhs folds falsy even if rhs references variables or would throw —
-  /// the walker never evaluates rhs in that case either. Null (no fold)
+  /// the walker never evaluates rhs in that case either. Empty (no fold)
   /// whenever evaluation would throw, preserving the runtime error for the
   /// Vm.
-  const Value* value_of(const Expr& e, const Value* a, const Value* b) {
+  static std::optional<Value> value_of(const Expr& e,
+                                       const std::optional<Value>& a,
+                                       const std::optional<Value>& b) {
     try {
       switch (e.kind()) {
         case Expr::Kind::Literal:
-          return &e.literal();
+          return e.literal();
         case Expr::Kind::Var:
-          return nullptr;
+          return std::nullopt;
         case Expr::Kind::Unary:
-          if (a == nullptr) return nullptr;
-          return &computed_.emplace_back(apply(e.un_op(), *a));
+          if (!a) return std::nullopt;
+          return apply(e.un_op(), *a);
         case Expr::Kind::Binary:
-          if (a == nullptr) return nullptr;
+          if (!a) return std::nullopt;
           if (e.bin_op() == BinOp::And) {
-            if (!a->truthy()) return &computed_.emplace_back(false);
-            if (b == nullptr) return nullptr;
-            return &computed_.emplace_back(b->truthy());
+            if (!a->truthy()) return Value(false);
+            if (!b) return std::nullopt;
+            return Value(b->truthy());
           }
           if (e.bin_op() == BinOp::Or) {
-            if (a->truthy()) return &computed_.emplace_back(true);
-            if (b == nullptr) return nullptr;
-            return &computed_.emplace_back(b->truthy());
+            if (a->truthy()) return Value(true);
+            if (!b) return std::nullopt;
+            return Value(b->truthy());
           }
-          if (b == nullptr) return nullptr;
-          return &computed_.emplace_back(apply(e.bin_op(), *a, *b));
+          if (!b) return std::nullopt;
+          return apply(e.bin_op(), *a, *b);
       }
     } catch (const Error&) {
-      return nullptr;
+      return std::nullopt;
     }
-    return nullptr;
+    return std::nullopt;
   }
 
   /// Emits code leaving the result in register `dst`; returns `dst`. Walks
@@ -210,8 +220,7 @@ class Compiler {
 
   std::span<const std::string> slots_;
   std::vector<Folded> folded_;
-  std::deque<Value> computed_;  // non-literal folded values; never moved
-  std::size_t next_ = 0;        // emit's position in folded_
+  std::size_t next_ = 0;  // emit's position in folded_
   Chunk chunk_;
 };
 
@@ -778,23 +787,16 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
   };
   // Any zero divisor — even in a lane the scalar scan might never reach —
   // aborts the batch; the caller's scalar fallback then reproduces the
-  // walker's exact match-or-throw order. A -1 divisor is no fault, but the
-  // hardware op `f` traps on INT64_MIN / -1, so a lane dividing by -1 takes
-  // value.cpp's result from `by_minus_one`; a sweep without one runs `f`.
-  auto divmod = [&](const BatchInstr& in, auto f, auto by_minus_one) -> bool {
-    const auto checked = [&](std::int64_t x, std::int64_t y) {
-      return y == -1 ? by_minus_one(x) : f(x, y);
-    };
+  // walker's exact match-or-throw order. A -1 divisor is no fault: `f`
+  // gives value.cpp's result for it per lane.
+  auto divmod = [&](const BatchInstr& in, auto f) -> bool {
     std::int64_t* d = dst_of(in);
     const Src a = src(in.a);
     const Src b = src(in.b);
     if (b.col == nullptr) {
       if (b.s == 0) return false;
       if (!in.dst_vec) {
-        d[0] = checked(a.s, b.s);
-      } else if (b.s == -1) {
-        const std::int64_t* x = a.col;
-        for (std::size_t i = 0; i < n; ++i) d[i] = by_minus_one(x[i]);
+        d[0] = f(a.s, b.s);
       } else {
         const std::int64_t* x = a.col;
         const std::int64_t ys = b.s;
@@ -803,24 +805,15 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
       return true;
     }
     const std::int64_t* y = b.col;
-    bool minus_one = false;
     for (std::size_t i = 0; i < n; ++i) {
       if (y[i] == 0) return false;
-      if (y[i] == -1) minus_one = true;
     }
-    const auto sweep = [&](auto g) {
-      if (a.col != nullptr) {
-        const std::int64_t* x = a.col;
-        for (std::size_t i = 0; i < n; ++i) d[i] = g(x[i], y[i]);
-      } else {
-        const std::int64_t xs = a.s;
-        for (std::size_t i = 0; i < n; ++i) d[i] = g(xs, y[i]);
-      }
-    };
-    if (minus_one) {
-      sweep(checked);
+    if (a.col != nullptr) {
+      const std::int64_t* x = a.col;
+      for (std::size_t i = 0; i < n; ++i) d[i] = f(x[i], y[i]);
     } else {
-      sweep(f);
+      const std::int64_t xs = a.s;
+      for (std::size_t i = 0; i < n; ++i) d[i] = f(xs, y[i]);
     }
     return true;
   };
@@ -844,16 +837,16 @@ bool BatchVm::run(const BatchChunk& chunk, std::span<const SlotInput> slots,
         });
         break;
       case BatchOp::Div:
-        if (!divmod(
-                in, [](std::int64_t x, std::int64_t y) { return x / y; },
-                [](std::int64_t x) { return wrapping_neg(x); })) {
+        if (!divmod(in, [](std::int64_t x, std::int64_t y) {
+              return y == -1 ? wrapping_neg(x) : x / y;
+            })) {
           return false;
         }
         break;
       case BatchOp::Mod:
-        if (!divmod(
-                in, [](std::int64_t x, std::int64_t y) { return x % y; },
-                [](std::int64_t) { return std::int64_t{0}; })) {
+        if (!divmod(in, [](std::int64_t x, std::int64_t y) {
+              return y == -1 ? std::int64_t{0} : x % y;
+            })) {
           return false;
         }
         break;

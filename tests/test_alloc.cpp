@@ -5,7 +5,9 @@
 // runs a program to its fixpoint and divides by the fires it made. Setup
 // (the store's column and bucket growth, the result multiset) is amortized
 // over thousands of fires; a per-fire allocation anywhere on the match,
-// commit or drain path shows up as a ratio of 1 or more.
+// commit or drain path shows up as a ratio of 1 or more. On glibc the
+// counter also tracks the heap bytes live through operator new and their
+// high-water mark, for the cases that bound a peak rather than a count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,26 +20,58 @@
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/expr/ast.hpp"
+#include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/worklist.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+/// The bytes a block holds; 0 where the C library cannot say.
+std::int64_t block_bytes(void* p) {
+#if defined(__GLIBC__)
+  return static_cast<std::int64_t>(malloc_usable_size(p));
+#else
+  (void)p;
+  return 0;
+#endif
+}
+
+void release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(block_bytes(p), std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // Out of line, so the compiler never sees `free` applied to a pointer that
 // came from `new` (GCC's -Wmismatched-new-delete once they are inlined).
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const std::int64_t bytes = block_bytes(p);
+  const std::int64_t live =
+      g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace gammaflow {
@@ -274,6 +308,36 @@ TEST(Alloc, ElementReaderAllocatesOnlyTheElements) {
               << " allocations = " << per_element << " per element\n";
     EXPECT_LE(per_element, 1.5) << what;
   }
+}
+
+TEST(Alloc, ConstantFoldingHoldsOneIntermediateAtATime) {
+  // Reaction guards are compiled without simplify, so the bytecode folder
+  // alone turns `x > 'L...L' + 'a' + ... + 'a'` into one constant. Each
+  // step's string is one byte longer than the last; keeping every
+  // intermediate until compile ends would hold operators x literal bytes
+  // (64 MB here), where the walker holds about one at a time.
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "live heap bytes come from glibc's malloc_usable_size";
+#endif
+  constexpr std::size_t kLiteral = 64 * 1024;
+  constexpr std::size_t kOperators = 1024;
+  expr::ExprPtr chain = expr::lit(Value(std::string(kLiteral, 'L')));
+  for (std::size_t i = 0; i < kOperators; ++i) {
+    chain = expr::Expr::binary(expr::BinOp::Add, chain, expr::lit(Value("a")));
+  }
+  const expr::ExprPtr guard =
+      expr::Expr::binary(expr::BinOp::Gt, expr::var("x"), chain);
+  const std::string slots[] = {"x"};
+  const std::int64_t before = g_live_bytes.load();
+  g_peak_bytes.store(before);
+  const expr::Chunk chunk = expr::compile(guard, slots);
+  const std::int64_t held = g_peak_bytes.load() - before;
+  ASSERT_EQ(chunk.consts.size(), 1u);
+  EXPECT_EQ(chunk.consts[0].as_str().size(), kLiteral + kOperators);
+  std::cout << "[ alloc ] compile of a " << kOperators
+            << "-operator constant string chain: peak " << held
+            << " bytes above the tree\n";
+  EXPECT_LT(held, static_cast<std::int64_t>(16 * kLiteral));
 }
 
 }  // namespace

@@ -217,6 +217,11 @@ TEST(Bytecode, CompileTimeIsLinearInALeftLeaningChain) {
   // cost ~20x the time. Deciding each node once makes it ~4x. The chains
   // stay small enough to sit in cache: from ~4096 operators on, even a bare
   // walk of the tree slows per node (~7x the time for 4x the nodes).
+  // Sanitizer redzones and shadow checks change the per-node cost with the
+  // footprint, so the ratio means nothing there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer instrumentation skews per-node compile cost";
+#endif
   const ExprPtr shorter = left_chain(256);
   const ExprPtr longer = left_chain(1024);
   using Clock = std::chrono::steady_clock;
@@ -226,16 +231,19 @@ TEST(Bytecode, CompileTimeIsLinearInALeftLeaningChain) {
     best = std::min(best, Clock::now() - t0);
     return chunk.code.size();
   };
+  // Each round times both sizes back to back, so a busy machine slows both;
+  // the best of 7 rounds drops the rounds a preemption landed in.
+  constexpr int kRounds = 7;
   auto best_short = Clock::duration::max();
   auto best_long = Clock::duration::max();
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     EXPECT_EQ(time(shorter, best_short), 2 * 256 + 2u);
     EXPECT_EQ(time(longer, best_long), 2 * 1024 + 2u);
   }
   const double ratio = static_cast<double>(best_long.count()) /
                        static_cast<double>(std::max<Clock::rep>(
                            best_short.count(), 1));
-  EXPECT_LE(ratio, 8.0) << "best of 3: 1024 operators "
+  EXPECT_LE(ratio, 8.0) << "best of " << kRounds << ": 1024 operators "
                         << best_long.count() << " ticks, 256 operators "
                         << best_short.count() << " ticks";
 }
