@@ -11,6 +11,7 @@
 
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/distrib/wal.hpp"
+#include "gammaflow/gamma/stage_fixpoint.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
@@ -21,7 +22,6 @@ namespace gammaflow::distrib {
 
 using gamma::Element;
 using gamma::Multiset;
-using gamma::Reaction;
 using gamma::Store;
 
 void ClusterOptions::validate() const {
@@ -111,6 +111,10 @@ struct OutboxEntry {
 
 struct Node {
   Store shard;
+  // The stage policy's anchor memos over `shard`: they key on (id, stamp),
+  // which a new Store reuses, so they belong to this one store (see
+  // Simulation::reset_shard) and travel with it into replicas.
+  gamma::StageMemory memory{0};
   Rng rng{0};
   // Safra state.
   bool black = false;              // received a message since last token pass
@@ -170,7 +174,7 @@ class Simulation {
                            " node slot(s) (nodes + scheduled joins)");
       }
     }
-    for (Node& n : nodes_) n.shard = Store(fields_);
+    for (Node& n : nodes_) reset_shard(n, Store(fields_));
     for (std::size_t i = 0; i < options_.nodes; ++i) state_[i] = NState::Member;
     pending_joins_ = options_.faults.membership.joins;
     pending_leaves_ = options_.faults.membership.leaves;
@@ -200,11 +204,13 @@ class Simulation {
     } else {
       place_initial(initial);
     }
-    epoch_map_ = runtime::EpochShardMap(member_list(), epoch_);
+    epoch_map_ = runtime::EpochShardMap(member_list());
 
-    Multiset placed;
-    for (Node& n : nodes_) placed.add(n.shard.to_multiset());
-    recording_.begin(placed);
+    if (recording_) {
+      Multiset placed;
+      for (Node& n : nodes_) placed.add(n.shard.to_multiset());
+      recording_.begin(placed);
+    }
 
     // Seed the replicas with the placed state so a crash in the very first
     // rounds restores the initial shard. Holders default to the R ring
@@ -268,6 +274,13 @@ class Simulation {
     Node snap = n;
     snap.held_token.reset();
     return snap;
+  }
+
+  /// Replaces a node's shard with `shard`, and its stage memory with an
+  /// empty one: the old memos' (id, stamp) keys mean other elements there.
+  void reset_shard(Node& n, Store shard) const {
+    n.shard = std::move(shard);
+    n.memory = gamma::StageMemory(program_.stages().front().size());
   }
 
   void place_initial(const Multiset& initial);
@@ -348,26 +361,7 @@ class Simulation {
   std::size_t token_timeout_ = 64;
   std::size_t token_idle_rounds_ = 0;
   std::uint64_t token_gen_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t laps_ = 0;
-  std::uint64_t acks_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t lost_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t delayed_ = 0;
-  std::uint64_t dup_suppressed_ = 0;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t token_regens_ = 0;
-  std::uint64_t epochs_ = 0;
-  std::uint64_t joins_ = 0;
-  std::uint64_t leaves_ = 0;
-  std::uint64_t rebalances_ = 0;
-  std::uint64_t labels_moved_ = 0;
-  std::uint64_t replica_waits_ = 0;
-  std::uint64_t wal_replays_ = 0;
+  ClusterResult result_;  // the counters accumulate here during the run
   bool token_in_flight_ = false;
   bool pull_armed_ = true;
   bool verified_ = false;
@@ -456,7 +450,7 @@ void Simulation::load_resume_state() {
     }
     st.pending.clear();
     install_wal_state(i, std::move(st));
-    ++wal_replays_;
+    ++result_.wal_replays;
   }
 
   // Global settlement: the simulator holds every surviving WAL at once, so
@@ -508,7 +502,7 @@ void Simulation::load_resume_state() {
 
 void Simulation::install_wal_state(std::size_t i, WalNodeState st) {
   Node n;
-  n.shard = Store(st.shard, fields_);
+  reset_shard(n, Store(st.shard, fields_));
   n.next_seq = st.next_seq;
   n.message_count = st.message_count;
   n.pull_pending = st.pull_pending;
@@ -575,29 +569,9 @@ ClusterResult Simulation::run() {
     }
   }
 
-  ClusterResult result;
+  ClusterResult result = std::move(result_);
   result.outcome = loop.outcome();
   result.rounds = round_;
-  result.migrations = migrations_;
-  result.messages = messages_;
-  result.token_laps = laps_;
-  result.acks = acks_;
-  result.retransmissions = retransmissions_;
-  result.messages_lost = lost_;
-  result.messages_duplicated = duplicated_;
-  result.messages_delayed = delayed_;
-  result.duplicates_suppressed = dup_suppressed_;
-  result.crashes = crashes_;
-  result.recoveries = recoveries_;
-  result.checkpoints = checkpoints_;
-  result.token_regenerations = token_regens_;
-  result.epochs = epochs_;
-  result.joins = joins_;
-  result.leaves = leaves_;
-  result.rebalances = rebalances_;
-  result.labels_moved = labels_moved_;
-  result.replica_waits = replica_waits_;
-  result.wal_replays = wal_replays_;
   for (const WalWriter& w : wal_) {
     result.wal_bytes += w.bytes();
     result.wal_records += w.records();
@@ -674,7 +648,7 @@ void Simulation::crash_and_recover() {
 }
 
 void Simulation::crash(std::size_t i, std::size_t downtime) {
-  ++crashes_;
+  ++result_.crashes;
   // The live in-memory state dies with the process. The stale Node is left
   // in place while the node is down (nothing reads it: deliver drops,
   // react/communicate/checkpoint skip) and overwritten at restart. A held
@@ -703,8 +677,8 @@ void Simulation::try_restore(std::size_t i) {
     WalNodeState st = replay_node_wal(wal_node_path(options_.wal_dir, i));
     if (st.valid) {
       install_wal_state(i, std::move(st));
-      ++wal_replays_;
-      ++recoveries_;
+      ++result_.wal_replays;
+      ++result_.recoveries;
       return;
     }
   }
@@ -713,11 +687,11 @@ void Simulation::try_restore(std::size_t i) {
     restored.black = true;
     restored.down_until = 0;
     nodes_[i] = std::move(restored);
-    ++recoveries_;
+    ++result_.recoveries;
     return;
   }
   // No durable copy reachable this round: stay down, try again next round.
-  ++replica_waits_;
+  ++result_.replica_waits;
   nodes_[i].down_until = round_ + 1;
 }
 
@@ -776,7 +750,7 @@ void Simulation::join_node(std::size_t j) {
   const runtime::EpochShardMap old_map = epoch_map_;
   state_[j] = NState::Member;
   nodes_[j].quiescent_rounds = 0;
-  ++joins_;
+  ++result_.joins;
   bump_epoch();
   rebalance(old_map);
 }
@@ -870,14 +844,14 @@ void Simulation::deactivate(std::size_t l) {
   const std::uint64_t keep_seq = nodes_[l].next_seq;
   const std::uint64_t keep_fires = nodes_[l].fires;
   nodes_[l] = Node{};
-  nodes_[l].shard = Store(fields_);
+  reset_shard(nodes_[l], Store(fields_));
   nodes_[l].next_seq = keep_seq;  // receivers keep their seen-sets; a rejoin
                                   // must not reuse acknowledged numbers
   nodes_[l].fires = keep_fires;
   nodes_[l].rng = reseeder_.split();
   state_[l] = NState::Inactive;
   previously_left_[l] = true;
-  ++leaves_;
+  ++result_.leaves;
   if (!holders_.empty()) {
     // Re-replication: before the process exits, the leaver streams every
     // replica it holds to the shrunken ring's successors (it is up — a
@@ -904,8 +878,8 @@ void Simulation::deactivate(std::size_t l) {
 
 void Simulation::bump_epoch() {
   ++epoch_;
-  ++epochs_;
-  epoch_map_ = runtime::EpochShardMap(member_list(), epoch_);
+  ++result_.epochs;
+  epoch_map_ = runtime::EpochShardMap(member_list());
   ++token_gen_;
   token_in_flight_ = false;
   token_idle_rounds_ = 0;
@@ -923,7 +897,7 @@ void Simulation::bump_epoch() {
 /// owns those. Senders blacken (a passive node sending violates EWD998's
 /// premise otherwise).
 void Simulation::rebalance(const runtime::EpochShardMap& old_map) {
-  ++rebalances_;
+  ++result_.rebalances;
   if (epoch_map_.members().empty()) return;
   for (std::size_t i = 0; i < capacity_; ++i) {
     if (state_[i] == NState::Inactive || down(i)) continue;
@@ -931,22 +905,19 @@ void Simulation::rebalance(const runtime::EpochShardMap& old_map) {
     if (node.shard.size() == 0) continue;
     const bool leaving = state_[i] == NState::Draining;
     std::map<std::size_t, std::vector<Element>> moves;
-    Store kept(fields_);
-    for (const Element& e : node.shard.to_multiset()) {
+    for (Store::Id id = 0; id < node.shard.slots(); ++id) {
+      if (!node.shard.alive(id)) continue;
+      Element e = node.shard.element(id);
       const std::size_t owner = epoch_map_.owner(e);
-      const bool move =
-          owner != i && (leaving || old_map.owner(e) != owner);
-      if (move) {
-        moves[owner].push_back(e);
-      } else {
-        kept.insert(e);
+      if (owner != i && (leaving || old_map.owner(e) != owner)) {
+        node.shard.remove(id);
+        moves[owner].push_back(std::move(e));
       }
     }
     if (moves.empty()) continue;
-    node.shard = std::move(kept);
     node.black = true;
     for (auto& [to, elems] : moves) {
-      labels_moved_ += elems.size();
+      result_.labels_moved += elems.size();
       send_reliable(i, to, MsgKind::Elements, std::move(elems));
     }
   }
@@ -986,7 +957,7 @@ void Simulation::send_reliable(std::size_t from, std::size_t to,
   Node& sender = nodes_[from];
   const std::uint64_t seq = sender.next_seq++;
   ++sender.message_count;
-  if (kind == MsgKind::Elements) migrations_ += elements.size();
+  if (kind == MsgKind::Elements) result_.migrations += elements.size();
   if (wal_live(from)) {
     wal_[from].log_send(to, seq, kind == MsgKind::Pull ? 1 : 0, elements);
   }
@@ -997,7 +968,7 @@ void Simulation::send_reliable(std::size_t from, std::size_t to,
 
 void Simulation::send_ack(std::size_t from, std::size_t to,
                           std::uint64_t seq) {
-  ++acks_;
+  ++result_.acks;
   transmit(from, to, MsgKind::Ack, seq, {});
 }
 
@@ -1005,17 +976,17 @@ void Simulation::send_ack(std::size_t from, std::size_t to,
 /// reordering delays it, duplication enqueues a second copy.
 void Simulation::transmit(std::size_t from, std::size_t to, MsgKind kind,
                           std::uint64_t seq, std::vector<Element> elements) {
-  ++messages_;
+  ++result_.messages;
   if (injector_.severed(from, to, round_) || injector_.lose()) {
-    ++lost_;
+    ++result_.messages_lost;
     return;
   }
   std::size_t jitter = injector_.jitter();
-  if (jitter > 0) ++delayed_;
+  if (jitter > 0) ++result_.messages_delayed;
   const bool duplicate = injector_.duplicate();
   if (duplicate) {
-    ++duplicated_;
-    ++messages_;
+    ++result_.messages_duplicated;
+    ++result_.messages;
     wires_.push_back(Wire{from, to,
                           round_ + options_.latency + 1 + injector_.jitter(),
                           kind, seq, elements});
@@ -1034,11 +1005,11 @@ void Simulation::send_token(std::size_t from, std::size_t to,
   // regenerated by the watchdog), but the network never forges copies —
   // duplication is what the generation stamp guards against.
   if (injector_.severed(from, to, round_) || injector_.lose()) {
-    ++lost_;
+    ++result_.messages_lost;
     return;
   }
   std::size_t jitter = injector_.jitter();
-  if (jitter > 0) ++delayed_;
+  if (jitter > 0) ++result_.messages_delayed;
   token_msgs_.push_back(
       TokenMsg{to, round_ + options_.latency + jitter, token});
 }
@@ -1062,7 +1033,7 @@ void Simulation::deliver() {
       // A dead process reads nothing off the wire; a departed node's
       // address is void (only late duplicate copies can land here — the
       // drain protocol waits for every unacked transfer before leaving).
-      ++lost_;
+      ++result_.messages_lost;
       return true;
     }
     Node& node = nodes_[m.to];
@@ -1073,7 +1044,7 @@ void Simulation::deliver() {
           // Duplicate (network copy or retransmission): suppress so the
           // message counters stay balanced, but re-ack — the original
           // ack may be the thing that got lost.
-          ++dup_suppressed_;
+          ++result_.duplicates_suppressed;
           ack(m.to, m.from, m.seq);
           return true;
         }
@@ -1090,7 +1061,7 @@ void Simulation::deliver() {
       case MsgKind::Pull: {
         node.black = true;
         if (!node.seen[m.from].insert(m.seq).second) {
-          ++dup_suppressed_;
+          ++result_.duplicates_suppressed;
         } else {
           if (wal_live(m.to)) wal_[m.to].log_pull(m.from, m.seq);
           --node.message_count;
@@ -1125,8 +1096,42 @@ void Simulation::deliver() {
 }
 
 // --- phase 2: local chemistry (Members only; Draining nodes only drain) ---
+
+/// A node's gate for one round of the stage policy: the call ends after
+/// `budget` fires, and with a WAL each fire is logged before its commit.
+struct RoundGate {
+  std::size_t budget;
+  WalWriter* wal;                     // null without a WAL
+  const runtime::RecordCtx* journal;  // null when not recording
+  std::size_t fires = 0;
+
+  [[nodiscard]] bool running() const noexcept { return fires < budget; }
+  [[nodiscard]] bool should_stop() const noexcept { return !running(); }
+  [[nodiscard]] bool admit(const Store& store, const gamma::Match& match) {
+    if (wal != nullptr) {
+      std::vector<Element> consumed;
+      consumed.reserve(match.ids.size());
+      for (const Store::Id id : match.ids) {
+        consumed.push_back(store.element(id));
+      }
+      wal->log_fire(consumed, match.produced());
+    }
+    ++fires;
+    return true;
+  }
+  [[nodiscard]] const runtime::RecordCtx* record() const noexcept {
+    return journal;
+  }
+  void pass_done(const Store& /*store*/, std::uint64_t /*fires*/) const {}
+};
+
 void Simulation::react() {
   const auto& stage = program_.stages().front();
+  // No conflict classes (a shard is not a closed class) and no stage
+  // telemetry: the cluster reports its own distrib.* metrics and one span
+  // per round.
+  const std::map<std::string, std::size_t> no_classes;
+  const gamma::StageObs no_obs(nullptr, nullptr, stage);
   for (std::size_t i = 0; i < capacity_; ++i) {
     Node& node = nodes_[i];
     node.fired_this_round = false;
@@ -1135,31 +1140,15 @@ void Simulation::react() {
       if (state_[i] != NState::Inactive && !down(i)) ++node.quiescent_rounds;
       continue;
     }
-    for (std::size_t k = 0; k < options_.fires_per_round; ++k) {
-      bool fired = false;
-      for (const Reaction& r : stage) {
-        if (auto match =
-                runtime::MatchPipeline::find(node.shard, r, &node.rng)) {
-          const runtime::RecordCtx rctx =
-              recording_.ctx(-1, -1, static_cast<std::int64_t>(i));
-          if (wal_live(i)) {
-            std::vector<Element> consumed;
-            consumed.reserve(match->ids.size());
-            for (const Store::Id id : match->ids) {
-              consumed.push_back(node.shard.element(id));
-            }
-            wal_[i].log_fire(consumed, match->produced());
-          }
-          runtime::MatchPipeline::commit(node.shard, *match,
-                                         recording_ ? &rctx : nullptr);
-          ++node.fires;
-          fired = true;
-          node.fired_this_round = true;
-          break;
-        }
-      }
-      if (!fired) break;
-    }
+    const runtime::RecordCtx rctx =
+        recording_.ctx(-1, -1, static_cast<std::int64_t>(i));
+    RoundGate gate{options_.fires_per_round,
+                   wal_live(i) ? &wal_[i] : nullptr,
+                   recording_ ? &rctx : nullptr};
+    gamma::run_stage_fixpoint(node.shard, stage, no_classes, node.rng,
+                              node.memory, no_obs, gate);
+    node.fires += gate.fires;
+    node.fired_this_round = gate.fires > 0;
     if (node.fired_this_round) {
       node.quiescent_rounds = 0;
     } else {
@@ -1169,23 +1158,14 @@ void Simulation::react() {
   if (nodes_[0].fired_this_round) verified_ = false;
 }
 
-/// Picks and removes one random live element from a shard.
+/// Picks and removes one random live element from a shard: the k-th live
+/// id in slot order, k drawn uniformly.
 std::optional<Element> Simulation::take_random(Node& node) {
   if (node.shard.size() == 0) return std::nullopt;
-  const Multiset snapshot = node.shard.to_multiset();
-  const auto& elems = snapshot.elements();
-  const Element chosen = elems[node.rng.bounded(elems.size())];
-  // Remove one matching instance.
-  Store fresh(fields_);
-  bool skipped = false;
-  for (const Element& e : elems) {
-    if (!skipped && e == chosen) {
-      skipped = true;
-      continue;
-    }
-    fresh.insert(e);
-  }
-  node.shard = std::move(fresh);
+  const Store::Id id =
+      node.shard.nth_live(node.rng.bounded(node.shard.size()));
+  Element chosen = node.shard.element(id);
+  node.shard.remove(id);
   return chosen;
 }
 
@@ -1196,7 +1176,7 @@ void Simulation::flush_retries(std::size_t i) {
   Node& node = nodes_[i];
   for (OutboxEntry& e : node.outbox) {
     if (e.next_retry_round > round_) continue;
-    ++retransmissions_;
+    ++result_.retransmissions;
     node.black = true;
     transmit(i, e.to, e.kind, e.seq, e.elements);
     ++e.attempts;
@@ -1234,7 +1214,7 @@ void Simulation::communicate() {
         for (const Element& e : node.shard.to_multiset()) {
           moves[epoch_map_.owner(e)].push_back(e);
         }
-        node.shard = Store(fields_);
+        reset_shard(node, Store(fields_));
         node.answered_pull_this_round = true;
         for (auto& [to, elems] : moves) {
           send_reliable(i, to, MsgKind::Elements, std::move(elems));
@@ -1247,7 +1227,7 @@ void Simulation::communicate() {
       if (wal_live(i)) wal_[i].log_pull_answered();
       if (i != 0 && node.shard.size() > 0) {
         std::vector<Element> all = node.shard.to_multiset().elements();
-        node.shard = Store(fields_);
+        reset_shard(node, Store(fields_));
         node.answered_pull_this_round = true;  // receipt-activated
         send_reliable(i, 0, MsgKind::Elements, std::move(all));
       }
@@ -1336,7 +1316,7 @@ void Simulation::pass_tokens() {
     if (i == 0 && token_in_flight_) {
       // Lap completed back at the initiator: decide or start a new lap.
       token_in_flight_ = false;
-      ++laps_;
+      ++result_.token_laps;
       const bool clean = !token.black && !node.black &&
                          token.count + node.message_count + residual_count_ == 0;
       if (clean && !node.active_this_round()) {
@@ -1398,7 +1378,7 @@ void Simulation::token_watchdog() {
   if (++token_idle_rounds_ <= token_timeout_) return;
   token_idle_rounds_ = 0;
   ++token_gen_;
-  ++token_regens_;
+  ++result_.token_regenerations;
   initiator.held_token = Token{true, 0, token_gen_};
   token_in_flight_ = false;
 }
@@ -1451,7 +1431,7 @@ void Simulation::checkpoint() {
     holders_[i] = ring_successors(i, options_.replication_factor);
     if (nodes_[i].shard.version() != replica_shard_versions_[i]) {
       replica_shard_versions_[i] = nodes_[i].shard.version();
-      ++checkpoints_;
+      ++result_.checkpoints;
     }
     replicas_[i] = snapshot_of(nodes_[i]);
     replica_rounds_[i] = round_;

@@ -29,7 +29,7 @@ class LoopGate {
 
   [[nodiscard]] bool running() const noexcept { return loop_.running(); }
   [[nodiscard]] bool should_stop() { return loop_.should_stop(); }
-  [[nodiscard]] bool admit() {
+  [[nodiscard]] bool admit(const Store& /*store*/, const Match& /*match*/) {
     if (!loop_.admit(steps_)) return false;
     ++steps_;
     return true;

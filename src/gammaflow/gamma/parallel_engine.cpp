@@ -87,7 +87,7 @@ class PartGate {
     return true;
   }
   /// Claims a slot of the run-wide budget, and gives it back on refusal.
-  [[nodiscard]] bool admit() {
+  [[nodiscard]] bool admit(const Store& /*store*/, const Match& /*match*/) {
     const std::uint64_t n = fired_.fetch_add(1, std::memory_order_relaxed);
     if (runtime::admit_step(policy_, n, budget_, "parallel engine",
                             "max_steps")) {

@@ -85,35 +85,29 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
   const auto key = inner.key_constraint();
   if (key) plan.key_field = static_cast<std::uint16_t>(key->first);
 
+  // Each check is built whole, in place, in its branch (kind, field, other,
+  // slot, imm, value; members left out keep their defaults): a default-built
+  // check moved in after its Value is assigned reads to GCC 12 as a
+  // maybe-uninitialized variant under the sanitizers.
+  using Check = BatchPlan::FieldCheck;
   std::vector<std::uint16_t> first_field(slots_.size(), BatchPlan::kNoField);
   const auto& fields = inner.fields();
   for (std::size_t i = 0; i < fields.size(); ++i) {
     const PatternField& f = fields[i];
     const auto fi = static_cast<std::uint16_t>(i);
     if (!f.is_binder()) {
-      BatchPlan::FieldCheck c;
-      c.field = fi;
       if (const std::int64_t* v = f.value().if_int()) {
-        c.kind = BatchPlan::FieldCheck::Kind::LitInt;
-        c.imm = *v;
+        plan.checks.emplace_back(Check::Kind::LitInt, fi, 0, 0, *v);
       } else {
-        c.kind = BatchPlan::FieldCheck::Kind::Lit;
-        c.value = f.value();
+        plan.checks.emplace_back(Check::Kind::Lit, fi, 0, 0, 0, f.value());
       }
-      plan.checks.push_back(std::move(c));
       continue;
     }
     const std::uint16_t s = slot_index(f.name());
-    BatchPlan::FieldCheck c;
-    c.field = fi;
     if (outer_bound[s] != 0) {
-      c.kind = BatchPlan::FieldCheck::Kind::EqSlot;
-      c.slot = s;
-      plan.checks.push_back(std::move(c));
+      plan.checks.emplace_back(Check::Kind::EqSlot, fi, 0, s);
     } else if (first_field[s] != BatchPlan::kNoField) {
-      c.kind = BatchPlan::FieldCheck::Kind::EqField;
-      c.other = first_field[s];
-      plan.checks.push_back(std::move(c));
+      plan.checks.emplace_back(Check::Kind::EqField, fi, first_field[s]);
     } else {
       first_field[s] = fi;
       plan.vector_slots.push_back(BatchPlan::VectorSlot{s, fi});

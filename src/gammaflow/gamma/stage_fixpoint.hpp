@@ -1,7 +1,8 @@
 // The indexed stage policy, written once: run one stage's reactions over one
 // store to the store's fixed point. IndexedEngine runs it on the whole store;
 // ParallelEngine runs it on each part of its partition and again at every
-// merge level (DESIGN §10.2).
+// merge level (DESIGN §10.2); each node of the distributed cluster runs it on
+// its shard, a round's worth of fires at a time (DESIGN §6).
 //
 // The policy: shuffled passes over the reactions, firing each one while it
 // stays enabled; a full pass with no fire is the fixed-point proof (the
@@ -14,7 +15,9 @@
 // next fire is within budget, and where a fire is journaled. A Gate provides
 //   bool running();        // false once the run has stopped
 //   bool should_stop();    // cooperative stop probe, once per fire
-//   bool admit();          // budget gate for the next fire; counts it
+//   bool admit(const Store&, const Match&);  // budget gate for a found
+//                                            // match, before its commit;
+//                                            // counts it
 //   const runtime::RecordCtx* record();  // journal target, null when off
 //   void pass_done(const Store&, std::uint64_t pass_fires);
 #pragma once
@@ -107,7 +110,7 @@ void run_stage_fixpoint(Store& store, const std::vector<Reaction>& stage,
             ++mem.failures;
             break;
           }
-          if (!gate.admit()) break;
+          if (!gate.admit(store, *match)) break;
           ++mem.fires[idx];
           runtime::MatchPipeline::commit(store, *match, gate.record());
           progressed = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -92,13 +93,13 @@ Store::Id Store::insert(std::span<const Value> fields) {
   if (!free_list_.empty()) {
     id = free_list_.back();
     free_list_.pop_back();
-    alive_[id] = true;
   } else {
     id = static_cast<Id>(locs_.size());
     locs_.push_back(Loc{});
-    alive_.push_back(true);
+    if ((id & 63) == 0) alive_.push_back(0);
     inserted_at_.push_back(0);
   }
+  alive_[id >> 6] |= std::uint64_t{1} << (id & 63);
 
   const std::size_t arity = fields.size();
   const std::uint32_t gi = group_for_arity(arity);
@@ -147,7 +148,7 @@ void Store::remove(Id id) {
     unindex(it->second, id);
     if (it->second.empty()) field_index_.erase(it);
   }
-  alive_[id] = false;
+  alive_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
   g.live_bits[loc.row >> 6] &= ~(std::uint64_t{1} << (loc.row & 63));
   --g.live_rows;
   ++dead_rows_;
@@ -160,8 +161,8 @@ void Store::remove(Id id) {
 void Store::append(const Store& other) {
   std::vector<Id> ids;
   ids.reserve(other.size());
-  for (Id id = 0; id < other.alive_.size(); ++id) {
-    if (other.alive_[id]) ids.push_back(id);
+  for (Id id = 0; id < other.slots(); ++id) {
+    if (other.alive(id)) ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end(), [&other](Id a, Id b) {
     return other.inserted_at_[a] < other.inserted_at_[b];
@@ -299,10 +300,23 @@ void Store::compact() {
 
 Multiset Store::to_multiset() const {
   Multiset m;
-  for (std::size_t id = 0; id < locs_.size(); ++id) {
-    if (alive_[id]) m.add(element(static_cast<Id>(id)));
+  for (Id id = 0; id < slots(); ++id) {
+    if (alive(id)) m.add(element(id));
   }
   return m;
+}
+
+Store::Id Store::nth_live(std::size_t k) const noexcept {
+  std::size_t w = 0;
+  for (;; ++w) {
+    const auto live = static_cast<std::size_t>(std::popcount(alive_[w]));
+    if (k < live) break;
+    k -= live;
+  }
+  std::uint64_t word = alive_[w];
+  for (; k > 0; --k) word &= word - 1;  // drops the lowest live slot
+  const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+  return static_cast<Id>(w * 64 + bit);
 }
 
 std::vector<Element> Match::produced() const {

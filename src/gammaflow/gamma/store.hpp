@@ -141,8 +141,17 @@ class Store {
   void append(const Store& other);
 
   [[nodiscard]] bool alive(Id id) const noexcept {
-    return id < alive_.size() && alive_[id];
+    return id < locs_.size() && ((alive_[id >> 6] >> (id & 63)) & 1) != 0;
   }
+  /// One past the highest slot id ever handed out: every live id is below
+  /// it, in the slot order to_multiset() lists them in.
+  [[nodiscard]] Id slots() const noexcept {
+    return static_cast<Id>(locs_.size());
+  }
+  /// The k-th live id in slot order: the id of the k-th element
+  /// to_multiset() lists. Counts 64 slots at a time. Precondition:
+  /// k < size().
+  [[nodiscard]] Id nth_live(std::size_t k) const noexcept;
   /// The element at `id`, materialized from its column-group row.
   /// Precondition: alive(id).
   [[nodiscard]] Element element(Id id) const;
@@ -278,7 +287,7 @@ class Store {
   std::vector<ColumnGroup> groups_;
   std::unordered_map<std::size_t, std::uint32_t> group_of_arity_;
   std::vector<Loc> locs_;
-  std::vector<bool> alive_;
+  std::vector<std::uint64_t> alive_;  // liveness by slot id, 64 per word
   /// Per-slot insertion stamp (version() at insert): strictly increasing
   /// along every bucket, so remove() finds an id by binary search.
   std::vector<std::uint64_t> inserted_at_;

@@ -7,12 +7,11 @@
 //                   every reaction and every label to a shard. The plan is
 //                   accepted only when it is STATICALLY sound (see below).
 //                   `gammaflow viz --graph shards` draws it.
-//   ShardMap      — label -> shard routing with an element-hash fallback:
-//                   the distributed cluster's placement and stirring (a
-//                   cluster node IS a shard with a network between it and
-//                   its peers).
-//   EpochShardMap — the rendezvous-hashed, epoch-stamped form the elastic
-//                   cluster rebalances with.
+//   ShardMap      — label -> shard routing: the distributed cluster's
+//                   placement and stirring hint (a cluster node IS a shard
+//                   with a network between it and its peers).
+//   EpochShardMap — the rendezvous-hashed form the elastic cluster
+//                   rebalances with, one map per membership epoch.
 //
 // Soundness rules enforced by plan_shards (any failure => not sharded):
 //   1. every reaction of the stage has a conflict class;
@@ -62,16 +61,14 @@ struct ShardPlan {
     const std::vector<gamma::Reaction>& stage,
     const std::map<std::string, std::size_t>& conflict_classes);
 
-/// Label -> shard routing with an element-hash fallback. `home()` is the
-/// hint (nullopt when the element carries no mapped label); `route()` is
-/// total. The cluster builds one from label_affinity with shards = nodes.
+/// Label -> shard routing: `home()` is the hint, nullopt when the element
+/// carries no mapped label. The cluster builds one from label_affinity with
+/// shards = nodes.
 class ShardMap {
  public:
   ShardMap(std::unordered_map<std::string, std::size_t> label_shard,
            std::size_t shards) noexcept
       : label_shard_(std::move(label_shard)), shards_(shards ? shards : 1) {}
-
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
   /// The shard of the element's label: nullopt when there is no map, the
   /// element has no string label at field 1, or the label is unmapped.
@@ -84,43 +81,30 @@ class ShardMap {
     return it->second % shards_;
   }
 
-  /// home() with an element-hash fallback — total routing.
-  [[nodiscard]] std::size_t route(const gamma::Element& e) const {
-    if (const auto h = home(e)) return *h;
-    return e.hash() % shards_;
-  }
-
  private:
   std::unordered_map<std::string, std::size_t> label_shard_;
   std::size_t shards_;
 };
 
-/// Epoch-stamped label -> node routing over an EXPLICIT member set, the
-/// consistent-hash extension of ShardMap the elastic cluster rebalances
-/// with. ShardMap routes `key % shards`, so adding a shard reshuffles almost
-/// every label; EpochShardMap uses rendezvous (highest-random-weight)
+/// Label -> node routing over an EXPLICIT member set, the consistent-hash
+/// extension of ShardMap the elastic cluster rebalances with. ShardMap
+/// routes `key % shards`, so adding a shard reshuffles almost every label;
+/// EpochShardMap uses rendezvous (highest-random-weight)
 /// hashing instead: each (key, member) pair gets a deterministic weight and
 /// the key lives on the member with the highest weight. Membership changes
 /// therefore move exactly the keys the new member wins (join) or the leaver
 /// owned (leave) — everything else keeps its owner, which is what makes the
-/// cluster's rebalance incremental. Each map carries the membership epoch
-/// that produced it; `moved()` is the delta predicate the rebalance (and the
+/// cluster's rebalance incremental (the cluster builds one per membership
+/// epoch). `moved()` is the delta predicate the rebalance (and the
 /// epoch-delta tests) are built on.
 class EpochShardMap {
  public:
   EpochShardMap() = default;
-  EpochShardMap(std::vector<std::size_t> members, std::uint64_t epoch)
-      : members_(std::move(members)), epoch_(epoch) {}
+  explicit EpochShardMap(std::vector<std::size_t> members)
+      : members_(std::move(members)) {}
 
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const std::vector<std::size_t>& members() const noexcept {
     return members_;
-  }
-  [[nodiscard]] bool contains(std::size_t node) const noexcept {
-    for (const std::size_t m : members_) {
-      if (m == node) return true;
-    }
-    return false;
   }
 
   /// The stable routing key of an element: FNV-1a of the field-1 string
@@ -179,7 +163,6 @@ class EpochShardMap {
 
  private:
   std::vector<std::size_t> members_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace gammaflow::runtime

@@ -189,10 +189,9 @@ TEST_P(DfEngineSuite, ExtraTokenInjection) {
   const Graph g = std::move(b).build();
 
   // Inject an extra pair with tag 7: two results arrive.
-  const std::vector<std::pair<Label, Token>> extra{
-      {Label("ea"), Token{Value(10), 7}},
-      {Label("eb"), Token{Value(20), 7}},
-  };
+  std::vector<std::pair<Label, Token>> extra;
+  extra.emplace_back(Label("ea"), Token{Value(10), 7});
+  extra.emplace_back(Label("eb"), Token{Value(20), 7});
   const auto r = make_engine(GetParam())->run(g, DfRunOptions{}, extra);
   const auto values = r.output_values("sum");
   ASSERT_EQ(values.size(), 2u);
@@ -202,8 +201,8 @@ TEST_P(DfEngineSuite, ExtraTokenInjection) {
 
 TEST_P(DfEngineSuite, InjectionOnUnknownEdgeThrows) {
   const Graph g = paper::fig1_graph();
-  const std::vector<std::pair<Label, Token>> extra{
-      {Label("no_such_edge"), Token{Value(1), 0}}};
+  std::vector<std::pair<Label, Token>> extra;
+  extra.emplace_back(Label("no_such_edge"), Token{Value(1), 0});
   EXPECT_THROW((void)make_engine(GetParam())->run(g, DfRunOptions{}, extra),
                EngineError);
 }

@@ -1,5 +1,5 @@
 // Elastic durable cluster (membership churn + WAL durability): the
-// epoch-stamped rendezvous map's incremental-move contract, membership
+// rendezvous map's incremental-move contract, membership
 // schedule validation, churn x fault sweeps against the centralized oracle,
 // replication-factor crash overlap, and the write-ahead-log recovery paths
 // (torn tails, kill-all resume, snapshot-vs-pure-log replay equivalence).
@@ -50,8 +50,8 @@ struct WalDir {
 // --- EpochShardMap: the incremental-move contract --------------------------
 
 TEST(EpochShardMap, JoinMovesOnlyKeysTheJoinerWins) {
-  const runtime::EpochShardMap before({0, 1, 2}, 1);
-  const runtime::EpochShardMap after({0, 1, 2, 3}, 2);
+  const runtime::EpochShardMap before({0, 1, 2});
+  const runtime::EpochShardMap after({0, 1, 2, 3});
   std::size_t moved = 0;
   for (std::uint64_t key = 0; key < 5000; ++key) {
     const std::size_t was = before.owner_of(key);
@@ -69,8 +69,8 @@ TEST(EpochShardMap, JoinMovesOnlyKeysTheJoinerWins) {
 }
 
 TEST(EpochShardMap, LeaveMovesOnlyTheLeaversKeys) {
-  const runtime::EpochShardMap before({0, 1, 2, 3}, 4);
-  const runtime::EpochShardMap after({0, 1, 3}, 5);
+  const runtime::EpochShardMap before({0, 1, 2, 3});
+  const runtime::EpochShardMap after({0, 1, 3});
   for (std::uint64_t key = 0; key < 5000; ++key) {
     if (before.owner_of(key) != after.owner_of(key)) {
       EXPECT_EQ(before.owner_of(key), 2u)
@@ -80,15 +80,15 @@ TEST(EpochShardMap, LeaveMovesOnlyTheLeaversKeys) {
 }
 
 TEST(EpochShardMap, SameMembersMoveNothing) {
-  const runtime::EpochShardMap a({0, 2, 5}, 1);
-  const runtime::EpochShardMap b({0, 2, 5}, 9);  // epoch differs, members not
+  const runtime::EpochShardMap a({0, 2, 5});
+  const runtime::EpochShardMap b({5, 0, 2});  // same members, another order
   for (std::uint64_t key = 0; key < 2000; ++key) {
     EXPECT_FALSE(runtime::EpochShardMap::moved(key, a, b));
   }
 }
 
 TEST(EpochShardMap, LabeledElementsOfOneLabelCoRoute) {
-  const runtime::EpochShardMap map({0, 1, 2, 3, 4}, 1);
+  const runtime::EpochShardMap map({0, 1, 2, 3, 4});
   const auto a1 = gamma::Element::labeled(Value(std::int64_t{1}), "alpha");
   const auto a2 = gamma::Element::labeled(Value(std::int64_t{999}), "alpha");
   const auto b = gamma::Element::labeled(Value(std::int64_t{1}), "beta");
@@ -212,11 +212,21 @@ TEST(Elastic, ChurnTimesFaultSweepMatchesOracleOn200Seeds) {
   // an actively faulty network, 200 seeds, every final multiset identical
   // to the centralized fixed point. Conservation arguments this verifies:
   // rebalance retries, drain completion, replica restore, and Safra
-  // generation bumps across epochs.
-  const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
+  // generation bumps across epochs. Every fourth seed also runs min.gamma's
+  // reaction (two patterns and a guard, so the nodes' anchor memos skip
+  // work) one fire per round, with a WAL and a replica that lags it: a
+  // restart then installs either a replica or the WAL, and each must bring
+  // a memo that belongs to the shard it installs.
+  const auto sum = gamma::dsl::parse_program("R = replace x, y by x + y");
+  const auto min =
+      gamma::dsl::parse_program("Rmin = replace x, y by x where x < y");
   const gamma::Multiset m = ints(1, 30);
-  const auto expected = gamma::IndexedEngine().run(p, m).final_multiset;
+  const auto expected = gamma::IndexedEngine().run(sum, m).final_multiset;
+  const auto expected_min = gamma::IndexedEngine().run(min, m).final_multiset;
+  const WalDir dir("sweep");
   std::size_t churny_runs = 0;
+  std::uint64_t replica_restores = 0;
+  std::uint64_t wal_restores = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     ClusterOptions o = opts(4, seed);
     o.faults.membership.joins.push_back({3, 4});
@@ -227,12 +237,24 @@ TEST(Elastic, ChurnTimesFaultSweepMatchesOracleOn200Seeds) {
     o.faults.duplication = 0.05;
     o.faults.crash_rate = 0.01;
     o.faults.max_crashes = 4;
-    const auto r = run_distributed(p, m, o);
+    const auto r = run_distributed(sum, m, o);
     ASSERT_EQ(r.final_multiset, expected) << "seed " << seed;
     ASSERT_EQ(r.outcome, Outcome::Completed) << "seed " << seed;
     if (r.epochs > 2) ++churny_runs;
+
+    if (seed % 4 != 0) continue;
+    o.fires_per_round = 1;
+    o.wal_dir = dir.path;
+    o.checkpoint_every = 3;
+    const auto rm = run_distributed(min, m, o);
+    ASSERT_EQ(rm.final_multiset, expected_min) << "min, seed " << seed;
+    ASSERT_EQ(rm.outcome, Outcome::Completed) << "min, seed " << seed;
+    replica_restores += rm.recoveries - rm.wal_replays;
+    wal_restores += rm.wal_replays;
   }
   EXPECT_GT(churny_runs, 0u);  // random churn genuinely triggered
+  EXPECT_GT(replica_restores, 0u);
+  EXPECT_GT(wal_restores, 0u);
 }
 
 TEST(Elastic, LeaverDoesNotStrandACrashedNodesReplica) {
@@ -276,8 +298,8 @@ TEST(Elastic, RebalanceMovesOnlyLabelsWhoseAssignmentChanged) {
   o.faults.membership.joins.push_back({2, 3});
   const auto r = run_distributed(p, m, o);
 
-  const runtime::EpochShardMap before({0, 1, 2}, 0);
-  const runtime::EpochShardMap after({0, 1, 2, 3}, 1);
+  const runtime::EpochShardMap before({0, 1, 2});
+  const runtime::EpochShardMap after({0, 1, 2, 3});
   std::uint64_t expected_moves = 0;
   for (const gamma::Element& e : m) {
     const std::size_t placed = e.hash() % 3;  // Placement::Hash

@@ -35,7 +35,7 @@ TEST(ExprAst, BinaryTreeStructure) {
 }
 
 TEST(ExprAst, OperatorSugar) {
-  auto e = (var("a") + var("b")) * lit(Value(2));
+  auto e = (var("a") + var("b")) * Expr::lit(Value(2));
   EXPECT_EQ(e->to_string(), "(a + b) * 2");
 }
 

@@ -178,14 +178,13 @@ TEST(PlanShards, AnalysisClassesShardKChains) {
 
 // --- ShardMap ----------------------------------------------------------------
 
-TEST(ShardMapTest, HomeIsAHintRouteIsTotal) {
+TEST(ShardMapTest, HomeIsTheMappedLabelsShard) {
   const ShardMap map({{"a", 0}, {"b", 1}}, 2);
   const Element labelled = Element::labeled(Value(7), "b");
   const Element inert = Element{Value(7)};
   ASSERT_TRUE(map.home(labelled).has_value());
   EXPECT_EQ(*map.home(labelled), 1u);
   EXPECT_FALSE(map.home(inert).has_value());
-  EXPECT_LT(map.route(inert), 2u);  // hash fallback still routes
 }
 
 // --- MatchPipeline ---------------------------------------------------------

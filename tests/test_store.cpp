@@ -318,6 +318,30 @@ TEST(Store, ToMultisetRoundTrip) {
   EXPECT_EQ(s.to_multiset(), m);
 }
 
+TEST(Store, NthLiveIsTheKthElementToMultisetLists) {
+  // Spans several 64-slot liveness words, with holes and reused slots.
+  Store s;
+  Rng rng(5);
+  std::vector<Store::Id> live;
+  for (int i = 0; i < 300; ++i) live.push_back(s.insert(Element{Value(i)}));
+  for (int round = 0; round < 200; ++round) {
+    if (rng.coin(0.5) && !live.empty()) {
+      const std::size_t k = rng.bounded(live.size());
+      s.remove(live[k]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      live.push_back(s.insert(Element{Value(1000 + round)}));
+    }
+  }
+  const Multiset listed = s.to_multiset();
+  ASSERT_EQ(listed.size(), s.size());
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    const Store::Id id = s.nth_live(k);
+    ASSERT_TRUE(s.alive(id)) << "k " << k;
+    EXPECT_EQ(s.element(id), listed.elements()[k]) << "k " << k;
+  }
+}
+
 TEST(Store, AppendKeepsTheOtherStoresInsertionOrder) {
   // Slot reuse puts the other store's slot order out of insertion order;
   // append must follow the stamps, so the appended buckets list the
@@ -762,7 +786,7 @@ TEST(Store, IndexesOnlyConstrainedFields) {
     std::vector<Value> f;
     const std::size_t arity = 1 + rng.bounded(4);
     for (std::size_t j = 0; j < arity; ++j) {
-      f.push_back(Value(static_cast<std::int64_t>(rng.bounded(6))));
+      f.emplace_back(static_cast<std::int64_t>(rng.bounded(6)));
     }
     for (std::size_t j = 0; j < std::min<std::size_t>(arity, 3); ++j) {
       distinct.emplace(j, f[j]);

@@ -588,13 +588,14 @@ int cmd_rungamma(const std::string& path, const Options& opts) {
     ropts.limit_policy = LimitPolicy::Partial;
   }
   if (opts.classes) {
+    // The engine reads only the classes, which the footprints fix before
+    // any commutation probe runs.
     analysis::InterferenceOptions iopts;
-    iopts.seed = opts.seed;
+    iopts.probe_states = 0;
     const auto report = analysis::analyze_interference(program, initial, iopts);
     ropts.conflict_classes = report.engine_classes();
     std::cerr << "# conflict classes: " << report.class_count << " over "
-              << report.reactions.size() << " reaction(s), verdict "
-              << analysis::to_string(report.verdict) << '\n';
+              << report.reactions.size() << " reaction(s)\n";
   }
   const auto result = make_engine(opts.engine)->run(program, initial, ropts);
   std::cout << result.final_multiset << '\n'
@@ -654,8 +655,9 @@ int cmd_distrib(const std::string& path, const Options& opts) {
                 "' (want hash|rr|single)");
   }
   if (opts.affinity) {
+    // As with --classes: the label map needs no commutation probe.
     analysis::InterferenceOptions iopts;
-    iopts.seed = opts.seed;
+    iopts.probe_states = 0;
     const auto report = analysis::analyze_interference(program, initial, iopts);
     copts.label_affinity = report.label_affinity();
     std::cerr << "# affinity placement: " << copts.label_affinity.size()
