@@ -5,9 +5,11 @@
 //   - E18 dense match: the exhaustive failed search (one fixed-point proof)
 //     on growing dense buckets must find nothing.
 // Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
-// probes) and find+commit fixpoints.
+// probes), find+commit fixpoints, and the store's own insert/remove at a
+// steady size.
 #include <chrono>
 #include <cstdlib>
+#include <span>
 
 #include "bench_util.hpp"
 #include "gammaflow/common/rng.hpp"
@@ -132,6 +134,35 @@ BENCHMARK(BM_StoreFindCommit_Fixpoint)
     ->Range(16, 1024)
     ->ArgName("n")
     ->Unit(benchmark::kMicrosecond);
+
+// --- Store insert/remove -------------------------------------------------
+
+/// The store half of a fire at a steady size n: each iteration removes the
+/// element at a uniformly random rank of the arity bucket (a select) and
+/// inserts a fresh one. Flat in n when removal does not move the bucket.
+void BM_StoreRemove_RandomRank(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  gamma::Store store;
+  std::int64_t next = 0;
+  for (; next < state.range(0); ++next) {
+    store.insert(gamma::Element{Value(next)});
+  }
+  const gamma::Pattern any = gamma::Pattern::var("x");
+  Rng rng(11);
+  for (auto _ : state) {
+    store.remove(store.bucket(any)[rng.bounded(n)]);
+    const Value v(next++);
+    benchmark::DoNotOptimize(store.insert(std::span<const Value>(&v, 1)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StoreRemove_RandomRank)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->ArgName("n")
+    ->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

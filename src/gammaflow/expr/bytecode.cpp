@@ -69,29 +69,53 @@ class Compiler {
   /// `value_of`). Each node is decided once from its children's entries, so
   /// folding is linear in the tree's size; once a node folds, its children's
   /// values are dropped, so a constant chain holds one intermediate at a
-  /// time, as the walker does.
-  std::size_t fold(const Expr& e) {
-    const std::size_t at = folded_.size();
+  /// time, as the walker does. The walk keeps its own stack, so its depth
+  /// costs heap, not call frames.
+  void fold(const Expr& root) {
+    struct Pending {
+      const Expr* e;
+      std::size_t at;        // the node's entry in folded_
+      std::size_t next = 0;  // children entered so far
+    };
+    std::vector<Pending> stack{{&root, 0}};
     folded_.emplace_back();
-    std::optional<Value> value;
-    if (e.kind() == Expr::Kind::Unary) {
-      const std::size_t operand = fold(*e.operand());
-      value = value_of(e, folded_[operand].value, std::nullopt);
-      if (value) folded_[operand].value.reset();
-    } else if (e.kind() == Expr::Kind::Binary) {
-      const std::size_t lhs = fold(*e.lhs());
-      const std::size_t rhs = fold(*e.rhs());
-      value = value_of(e, folded_[lhs].value, folded_[rhs].value);
-      if (value) {
-        folded_[lhs].value.reset();
-        folded_[rhs].value.reset();
+    while (!stack.empty()) {
+      Pending& top = stack.back();
+      const Expr& e = *top.e;
+      const std::size_t children = e.kind() == Expr::Kind::Binary  ? 2
+                                    : e.kind() == Expr::Kind::Unary ? 1
+                                                                    : 0;
+      if (top.next < children) {
+        const Expr& child = e.kind() == Expr::Kind::Unary ? *e.operand()
+                            : top.next == 0               ? *e.lhs()
+                                                          : *e.rhs();
+        ++top.next;
+        stack.push_back({&child, folded_.size()});
+        folded_.emplace_back();
+        continue;
       }
-    } else {
-      value = value_of(e, std::nullopt, std::nullopt);
+      // Pre-order: the first child's entry follows the node's, the second
+      // follows the first child's subtree.
+      const std::size_t at = top.at;
+      const std::size_t lhs = at + 1;
+      std::optional<Value> value;
+      if (children == 1) {
+        value = value_of(e, folded_[lhs].value, std::nullopt);
+        if (value) folded_[lhs].value.reset();
+      } else if (children == 2) {
+        const std::size_t rhs = lhs + folded_[lhs].nodes;
+        value = value_of(e, folded_[lhs].value, folded_[rhs].value);
+        if (value) {
+          folded_[lhs].value.reset();
+          folded_[rhs].value.reset();
+        }
+      } else {
+        value = value_of(e, std::nullopt, std::nullopt);
+      }
+      folded_[at].value = std::move(value);
+      folded_[at].nodes = folded_.size() - at;
+      stack.pop_back();
     }
-    folded_[at].value = std::move(value);
-    folded_[at].nodes = folded_.size() - at;
-    return at;
   }
 
   /// `e`'s value from its operands' (`a`, `b`; empty when an operand has

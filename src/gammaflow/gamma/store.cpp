@@ -69,14 +69,23 @@ bool Store::ColumnGroup::field_equals(std::size_t row, std::size_t f,
 }
 
 std::uint32_t Store::group_for_arity(std::size_t arity) {
-  const auto it = group_of_arity_.find(arity);
-  if (it != group_of_arity_.end()) return it->second;
+  if (arity < group_of_arity_.size() && group_of_arity_[arity] != 0) {
+    return group_of_arity_[arity] - 1;
+  }
   const auto gi = static_cast<std::uint32_t>(groups_.size());
-  group_of_arity_.emplace(arity, gi);
+  if (group_of_arity_.size() <= arity) group_of_arity_.resize(arity + 1, 0);
+  group_of_arity_[arity] = gi + 1;
   groups_.emplace_back();
   groups_.back().arity = arity;
   groups_.back().cols.resize(arity);
   return gi;
+}
+
+const Store::ColumnGroup* Store::group_of(std::size_t arity) const noexcept {
+  if (arity >= group_of_arity_.size() || group_of_arity_[arity] == 0) {
+    return nullptr;
+  }
+  return &groups_[group_of_arity_[arity] - 1];
 }
 
 Store::Id Store::insert(std::span<const Value> fields) {
@@ -104,7 +113,7 @@ Store::Id Store::insert(std::span<const Value> fields) {
   const std::size_t arity = fields.size();
   const std::uint32_t gi = group_for_arity(arity);
   ColumnGroup& g = groups_[gi];
-  const auto row = static_cast<std::uint32_t>(g.rows);
+  const auto row = static_cast<std::uint32_t>(g.rows());
   for (std::size_t f = 0; f < arity; ++f) {
     Column& c = g.cols[f];
     const Value& v = fields[f];
@@ -119,15 +128,12 @@ Store::Id Store::insert(std::span<const Value> fields) {
     c.tags.push_back(static_cast<std::uint8_t>(v.kind()));
   }
   g.row_ids.push_back(id);
-  if ((g.rows & 63) == 0) g.live_bits.push_back(0);
-  g.live_bits[g.rows >> 6] |= std::uint64_t{1} << (g.rows & 63);
-  ++g.rows;
-  ++g.live_rows;
+  g.stamps.push_back(version_);
+  g.live.push_set();
   locs_[id] = Loc{gi, row};
 
   // Appending keeps every bucket sorted by insertion stamp.
   inserted_at_[id] = version_;
-  arity_index_[arity].push_back(id);
   for (const std::size_t f : indexed_.fields()) {
     if (f >= arity) break;
     field_index_[FieldKey{f, fields[f]}].push_back(id);
@@ -141,7 +147,6 @@ void Store::remove(Id id) {
   if (!alive(id)) throw EngineError("remove of dead element id");
   const Loc loc = locs_[id];
   ColumnGroup& g = groups_[loc.group];
-  unindex(arity_index_.find(g.arity)->second, id);
   for (const std::size_t f : indexed_.fields()) {
     if (f >= g.arity) break;
     const auto it = field_index_.find(FieldKey{f, g.field_value(loc.row, f)});
@@ -149,8 +154,7 @@ void Store::remove(Id id) {
     if (it->second.empty()) field_index_.erase(it);
   }
   alive_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
-  g.live_bits[loc.row >> 6] &= ~(std::uint64_t{1} << (loc.row & 63));
-  --g.live_rows;
+  g.live.reset(loc.row);
   ++dead_rows_;
   free_list_.push_back(id);
   --live_count_;
@@ -187,14 +191,26 @@ Store::Bucket::const_iterator Store::lower_bound(const Bucket& bucket,
 }
 
 void Store::unindex(Bucket& bucket, Id id) const {
-  // Ordered erase: the survivors keep their insertion order, so the bucket
-  // stays exactly what a fresh scan of the live occupants would list.
+  // Ordered erase from a (field, value) bucket: the survivors keep their
+  // insertion order, so the bucket stays exactly what a fresh scan of the
+  // live occupants would list. These buckets are the narrow ones; the
+  // arity bucket is a group's live rows and needs no erase.
   bucket.erase(lower_bound(bucket, inserted_at_[id]));
 }
 
+std::size_t Store::first_stamped(Candidates bucket,
+                                 std::uint64_t stamp) const {
+  if (bucket.ids != nullptr) {
+    return static_cast<std::size_t>(lower_bound(*bucket.ids, stamp) -
+                                    bucket.ids->begin());
+  }
+  if (bucket.group == nullptr) return 0;
+  return bucket.group->live.rank(bucket.group->first_row_stamped(stamp));
+}
+
 std::size_t Store::scan_position(const Bucket& narrow, Id id) const {
-  const std::size_t p = first_stamped(narrow, inserted_at_[id]);
-  return p == narrow.size() ? 0 : p;
+  const auto p = lower_bound(narrow, inserted_at_[id]);
+  return p == narrow.end() ? 0 : static_cast<std::size_t>(p - narrow.begin());
 }
 
 Element Store::element(Id id) const {
@@ -239,10 +255,11 @@ bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame) const {
   return true;
 }
 
-const Store::Bucket* Store::bucket(const Pattern& p) const {
-  if (auto key = p.key_constraint()) return field_bucket(key->first, key->second);
-  auto it = arity_index_.find(p.arity());
-  return it == arity_index_.end() ? nullptr : &it->second;
+Store::Candidates Store::bucket(const Pattern& p) const {
+  if (auto key = p.key_constraint()) {
+    return Candidates{field_bucket(key->first, key->second), nullptr};
+  }
+  return Candidates{nullptr, group_of(p.arity())};
 }
 
 const Store::Bucket* Store::field_bucket(std::size_t field,
@@ -258,16 +275,17 @@ const Store::Bucket* Store::field_bucket(std::size_t field,
 void Store::compact() {
   for (std::uint32_t gi = 0; gi < groups_.size(); ++gi) {
     ColumnGroup& g = groups_[gi];
-    if (g.live_rows == g.rows) continue;
+    if (g.live_rows() == g.rows()) continue;
     ColumnGroup packed;
     packed.arity = g.arity;
     packed.cols.resize(g.arity);
-    packed.row_ids.reserve(g.live_rows);
+    packed.row_ids.reserve(g.live_rows());
+    packed.stamps.reserve(g.live_rows());
     for (Column& c : packed.cols) {
-      c.data.reserve(g.live_rows);
-      c.tags.reserve(g.live_rows);
+      c.data.reserve(g.live_rows());
+      c.tags.reserve(g.live_rows());
     }
-    for (std::size_t row = 0; row < g.rows; ++row) {
+    for (std::size_t row = 0; row < g.rows(); ++row) {
       if (!g.row_live(row)) continue;
       for (std::size_t f = 0; f < g.arity; ++f) {
         Column& src = g.cols[f];
@@ -282,15 +300,12 @@ void Store::compact() {
         }
         dst.tags.push_back(tag);
       }
-      if ((packed.rows & 63) == 0) packed.live_bits.push_back(0);
-      packed.live_bits[packed.rows >> 6] |= std::uint64_t{1}
-                                            << (packed.rows & 63);
       const Id id = g.row_ids[row];
-      locs_[id] = Loc{gi, static_cast<std::uint32_t>(packed.rows)};
+      locs_[id] = Loc{gi, static_cast<std::uint32_t>(packed.row_ids.size())};
       packed.row_ids.push_back(id);
-      ++packed.rows;
-      ++packed.live_rows;
+      packed.stamps.push_back(g.stamps[row]);
     }
+    packed.live.assign_set(packed.row_ids.size());
     g = std::move(packed);
     ++column_compactions_;
     g_column_compactions.fetch_add(1, std::memory_order_relaxed);

@@ -6,21 +6,29 @@
 // Value variant per field. A per-row liveness bitmap masks removed rows;
 // dead rows are the garbage debt, counted exactly at remove() time.
 //
-// Secondary indexes map (field, value) and arity to candidate id lists so
-// reaction matching probes a bucket instead of scanning the multiset. Only
-// the fields of the store's FieldSet get (field, value) buckets: the fields
-// some pattern of the program constrains (a literal key or a join field),
-// the only ones a search ever probes. Other fields cost insert() and
-// remove() nothing.
-// Buckets are EXACT: every bucket holds precisely the live occupants with
+// Reaction matching probes a candidate bucket instead of scanning the
+// multiset. A pattern with no literal key probes its ARITY BUCKET, which is
+// the live rows of its arity's column group: rows only append and
+// compact() keeps their order, so those rows are exactly the arity's
+// elements in insertion order. The liveness bitmap carries rank/select (a
+// Fenwick tree over its words' popcounts), so remove() clears a bit in
+// O(log n), "the k-th live element" is a select, and "entries stamped at or
+// after s" is a binary search of the group's per-row stamp column. A
+// pattern with a literal key, and a join's bound value, probe a
+// (field, value) bucket: an id list kept for the fields of the store's
+// FieldSet only, the fields some pattern of the program constrains (a
+// literal key or a join field), the only ones a search ever probes. Other
+// fields cost insert() and remove() nothing.
+// Buckets are EXACT: every bucket lists precisely the live occupants with
 // its key, in insertion order, at all times. insert() appends; remove()
-// unindexes the id from its arity bucket and every (field, value) bucket
-// (binary search on the per-slot insertion stamp, then an ordered erase)
-// and drops a field bucket that becomes empty, so the field index holds
-// only keys some live element carries. Nothing in a bucket is ever stale,
-// which keeps lookups read-only (safe for concurrent readers) and keeps the
-// seeded pick stream — rng->bounded(bucket size), then a cyclic scan in
-// insertion order — independent of when garbage was last collected.
+// clears the row's live bit and unindexes the id from every (field, value)
+// bucket (binary search on the per-slot insertion stamp, then an ordered
+// erase — these buckets are the narrow ones) and drops a field bucket that
+// becomes empty, so the field index holds only keys some live element
+// carries. Nothing in a bucket is ever stale, which keeps lookups
+// read-only (safe for concurrent readers) and keeps the seeded pick stream
+// — rng->bounded(bucket size), then a cyclic scan in insertion order —
+// independent of when garbage was last collected.
 // compact() rewrites column groups densely (inserts self-trigger it once
 // the dead-row debt crosses the threshold, so long worklist runs stay
 // O(live)).
@@ -30,6 +38,7 @@
 // runtime/match_pipeline.hpp — one implementation for every engine.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
@@ -38,6 +47,7 @@
 #include <vector>
 
 #include "gammaflow/common/inline_vec.hpp"
+#include "gammaflow/common/rank_bitmap.hpp"
 #include "gammaflow/gamma/frame.hpp"
 #include "gammaflow/gamma/multiset.hpp"
 #include "gammaflow/gamma/program.hpp"
@@ -79,8 +89,8 @@ class Store {
  public:
   using Id = std::uint32_t;
 
-  /// An index bucket: the live ids carrying one (field,value) key or one
-  /// arity, in insertion order. Exact — no dead or reused slots.
+  /// A (field, value) bucket: the live ids carrying one key, in insertion
+  /// order. Exact — no dead or reused slots.
   using Bucket = std::vector<Id>;
 
   /// One field of a column group: Int payloads inline in `data`, every
@@ -96,18 +106,32 @@ class Store {
 
   /// Per-arity SoA block: `cols[f]` holds field f of every element of this
   /// arity ever inserted (dead rows linger until compaction — the liveness
-  /// bitmap masks them out). Row order is append order; compact() preserves
-  /// it while dropping dead rows.
+  /// bitmap masks them out). Row order is append order, which is insertion
+  /// order; compact() preserves it while dropping dead rows. So the live
+  /// rows are the arity bucket.
   struct ColumnGroup {
     std::size_t arity = 0;
     std::vector<Column> cols;
     std::vector<Id> row_ids;  // row -> current slot id at insert time
-    std::vector<std::uint64_t> live_bits;  // 64 rows per word
-    std::size_t rows = 0;       // total rows, dead included
-    std::size_t live_rows = 0;
+    /// Row -> its insertion stamp (Store::stamp of the occupant), strictly
+    /// increasing down the rows.
+    std::vector<std::uint64_t> stamps;
+    RankBitmap live;  // one position per row, dead included
 
+    [[nodiscard]] std::size_t rows() const noexcept { return live.size(); }
+    [[nodiscard]] std::size_t live_rows() const noexcept {
+      return live.count();
+    }
     [[nodiscard]] bool row_live(std::size_t row) const noexcept {
-      return ((live_bits[row >> 6] >> (row & 63)) & 1u) != 0;
+      return live.test(row);
+    }
+    /// The first row, live or dead, stamped at or after `stamp`, or rows()
+    /// when there is none. One binary search.
+    [[nodiscard]] std::size_t first_row_stamped(
+        std::uint64_t stamp) const noexcept {
+      return static_cast<std::size_t>(
+          std::lower_bound(stamps.begin(), stamps.end(), stamp) -
+          stamps.begin());
     }
     /// Field f of `row` materialized back to a Value (any kind).
     [[nodiscard]] Value field_value(std::size_t row, std::size_t f) const;
@@ -115,6 +139,30 @@ class Store {
     /// the field (a spilled payload compares in place).
     [[nodiscard]] bool field_equals(std::size_t row, std::size_t f,
                                     const Value& v) const noexcept;
+  };
+
+  /// The bucket a pattern probes, as a view: a (field, value) bucket's id
+  /// list, or an arity's column group, whose live rows are that arity's
+  /// elements. Either way the live ids in insertion order. Valid until the
+  /// next mutation.
+  struct Candidates {
+    const Bucket* ids = nullptr;
+    const ColumnGroup* group = nullptr;
+
+    /// False when no such bucket exists (nothing can match).
+    explicit operator bool() const noexcept {
+      return ids != nullptr || group != nullptr;
+    }
+    [[nodiscard]] std::size_t size() const noexcept {
+      if (ids != nullptr) return ids->size();
+      return group != nullptr ? group->live_rows() : 0;
+    }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+    /// The k-th id (for a group, a select over its live rows).
+    /// Precondition: k < size().
+    [[nodiscard]] Id operator[](std::size_t k) const noexcept {
+      return ids != nullptr ? (*ids)[k] : group->row_ids[group->live.select(k)];
+    }
   };
 
   /// Where an id's current occupant lives in the column groups.
@@ -174,10 +222,10 @@ class Store {
   [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// The bucket the pattern probes: the (field,value) bucket when the
-  /// pattern carries a literal constraint, otherwise the arity bucket; null
-  /// when no such bucket exists (nothing can match). Read-only; the
-  /// pointer stays valid until the next mutation.
-  [[nodiscard]] const Bucket* bucket(const Pattern& p) const;
+  /// pattern carries a literal constraint, otherwise the arity bucket (its
+  /// column group); false when no such bucket exists (nothing can match).
+  /// Read-only; valid until the next mutation.
+  [[nodiscard]] Candidates bucket(const Pattern& p) const;
 
   /// The (field,value) bucket: live ids of ANY arity whose field `field`
   /// holds `value`, or null when none does. Real -0.0 and 0.0 share a
@@ -205,12 +253,10 @@ class Store {
   }
 
   /// Index of the first entry of `bucket` stamped at or after `stamp`, or
-  /// bucket.size() when there is none. One binary search.
-  [[nodiscard]] std::size_t first_stamped(const Bucket& bucket,
-                                          std::uint64_t stamp) const {
-    return static_cast<std::size_t>(lower_bound(bucket, stamp) -
-                                    bucket.begin());
-  }
+  /// bucket.size() when there is none. One binary search (on a group, over
+  /// its row stamps, then a rank).
+  [[nodiscard]] std::size_t first_stamped(Candidates bucket,
+                                          std::uint64_t stamp) const;
 
   /// Number of (field,value) buckets. Empty buckets are dropped on
   /// remove(), so this never exceeds the live distinct (field,value) pairs
@@ -235,8 +281,8 @@ class Store {
 
   /// Rewrites every column group densely (dropping dead rows, rebuilding
   /// the spill sidecars), settling the garbage debt. Engines call this from
-  /// an exclusive section when needs_compact(). Buckets hold ids, not rows,
-  /// so they need no rewrite.
+  /// an exclusive section when needs_compact(). Field buckets hold ids,
+  /// not rows, so they need no rewrite.
   void compact();
 
   /// Column-group compactions performed by THIS store (the
@@ -278,6 +324,7 @@ class Store {
   };
 
   std::uint32_t group_for_arity(std::size_t arity);
+  [[nodiscard]] const ColumnGroup* group_of(std::size_t arity) const noexcept;
   /// First entry of `bucket` inserted no earlier than `stamp`.
   [[nodiscard]] Bucket::const_iterator lower_bound(const Bucket& bucket,
                                                    std::uint64_t stamp) const;
@@ -285,11 +332,12 @@ class Store {
 
   FieldSet indexed_;
   std::vector<ColumnGroup> groups_;
-  std::unordered_map<std::size_t, std::uint32_t> group_of_arity_;
+  /// Arity -> group index + 1; 0 (or past the end) for no group yet.
+  std::vector<std::uint32_t> group_of_arity_;
   std::vector<Loc> locs_;
   std::vector<std::uint64_t> alive_;  // liveness by slot id, 64 per word
   /// Per-slot insertion stamp (version() at insert): strictly increasing
-  /// along every bucket, so remove() finds an id by binary search.
+  /// along every field bucket, so remove() finds an id by binary search.
   std::vector<std::uint64_t> inserted_at_;
   std::vector<Id> free_list_;
   std::size_t live_count_ = 0;
@@ -297,7 +345,6 @@ class Store {
   std::uint64_t version_ = 0;
   std::uint64_t column_compactions_ = 0;
   std::unordered_map<FieldKey, Bucket, FieldKeyHash> field_index_;
-  std::unordered_map<std::size_t, Bucket> arity_index_;
 };
 
 /// Process-wide count of column-group compactions (all stores); engines

@@ -55,7 +55,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
 
   store_ = &store;
   plan_ = plan;
-  scan_ = scan;
+  scan_ = &scan;
 
   // Guard broadcast scalars must be Int to enter the lane model.
   slots_.assign(outer.size(), expr::BatchVm::SlotInput{});
@@ -77,16 +77,30 @@ bool BatchMatcher::begin(const gamma::Store& store,
   return true;
 }
 
-bool BatchMatcher::chunk(std::size_t t, std::size_t width) {
+bool BatchMatcher::chunk(ScanCursor& at, std::size_t width) {
   rows_.resize(width);
   shape_ok_.assign(width, 0);
+
+  // The chunk's entries: an arity bucket's are its group's rows already;
+  // an id list's go through the store's slot table. The cursor is walked as
+  // a local so its state stays in registers.
+  ScanCursor walk = at;
+  if (const Store::ColumnGroup* group = scan_->group) {
+    for (std::size_t j = 0; j < width; ++j) {
+      rows_[j] = Store::RowRef{group, static_cast<std::uint32_t>(walk.next())};
+    }
+  } else {
+    for (std::size_t j = 0; j < width; ++j) {
+      rows_[j] = store_->row(scan_->ids[walk.next()]);
+    }
+  }
+  at = walk;
 
   // Pass 1 — structural mask: arity and the plan's field checks, straight
   // off the columns. A cleared lane here is one the scalar probe would
   // reject structurally, never one it could fire on.
   for (std::size_t j = 0; j < width; ++j) {
-    const Store::RowRef rr = store_->row(scan_[t + j]);
-    rows_[j] = rr;
+    const Store::RowRef rr = rows_[j];
     const Store::ColumnGroup& g = *rr.group;
     if (g.arity != plan_->arity) continue;
     bool ok = true;

@@ -17,11 +17,13 @@
 // so skipping them is invisible — that skip is the whole speedup.
 //
 // Sweeps are CHUNKED along the scan order (small chunks first, doubling up
-// to kMaxChunk): a dense bucket whose first probe fires pays one small
-// batch, while a sparse bucket amortizes the per-chunk setup over ever
-// wider vectorized sweeps.
+// to kMaxChunk, counted in live entries): a dense bucket whose first probe
+// fires pays one small batch, while a sparse bucket amortizes the
+// per-chunk setup over ever wider vectorized sweeps.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,20 +34,102 @@
 
 namespace gammaflow::runtime {
 
-/// The ids one innermost bucket visit probes, in scan order: the `head`
-/// run, then the `tail` run, both contiguous stretches of the probed
-/// bucket. A full cyclic scan from position `from` is head = from..n-1,
-/// tail = 0..from-1; a scan limited by a failed-anchor watermark drops the
-/// bucket's prefix stamped before it (DESIGN.md §15.5).
+/// The entries one bucket visit probes, in scan order: the head run, then
+/// the tail run. Positions index the probed bucket's id list (`ids`) or, for
+/// an arity bucket, the rows of its column group (`group`), of which a scan
+/// visits the live ones only. A full cyclic scan from entry `from` is
+/// head = from..n-1, tail = 0..from-1; a scan limited by a failed-anchor
+/// watermark drops the bucket's prefix stamped before it (DESIGN.md §15.5).
 struct Scan {
-  const gamma::Store::Id* head = nullptr;
-  std::size_t head_size = 0;
-  const gamma::Store::Id* tail = nullptr;
-  std::size_t size = 0;  // head_size plus the tail run
+  const gamma::Store::Id* ids = nullptr;
+  const gamma::Store::ColumnGroup* group = nullptr;
+  std::size_t head = 0;       // position of the head run's first entry
+  std::size_t tail = 0;       // position of the tail run's first entry
+  std::size_t head_size = 0;  // entries in the head run
+  std::size_t size = 0;       // head_size plus the tail run's entries
+  std::size_t skipped = 0;    // the bucket's entries stamped before the mark
 
-  [[nodiscard]] gamma::Store::Id operator[](std::size_t t) const noexcept {
-    return t < head_size ? head[t] : tail[t - head_size];
+  /// The scan of `bucket`'s entries stamped at or after `mark` (all of
+  /// them when `mark` is 0), starting at the first; empty when there are
+  /// none.
+  [[nodiscard]] static Scan of(const gamma::Store& store,
+                               gamma::Store::Candidates bucket,
+                               std::uint64_t mark);
+
+  /// Makes the scan cyclic from the bucket's entry `from` (a select on a
+  /// group). Precondition: from < the bucket's size.
+  void start_at(std::size_t from) noexcept {
+    if (from <= skipped) return;
+    head = group != nullptr ? group->live.select(from) : from;
+    head_size = skipped + size - from;
   }
+
+  /// The id at a position next() returned.
+  [[nodiscard]] gamma::Store::Id id(std::size_t pos) const noexcept {
+    return group != nullptr ? group->row_ids[pos] : ids[pos];
+  }
+};
+
+inline Scan Scan::of(const gamma::Store& store,
+                     gamma::Store::Candidates bucket, std::uint64_t mark) {
+  Scan scan;
+  scan.ids = bucket.ids != nullptr ? bucket.ids->data() : nullptr;
+  scan.group = bucket.group;
+  // `tail` is the first entry's position (on a group, the first row
+  // stamped at or after the mark, which may be dead).
+  if (mark != 0) {
+    if (scan.group != nullptr) {
+      scan.tail = scan.group->first_row_stamped(mark);
+      scan.skipped = scan.group->live.rank(scan.tail);
+    } else {
+      scan.skipped = scan.tail = store.first_stamped(bucket, mark);
+    }
+  }
+  scan.head = scan.tail;
+  scan.size = scan.head_size = bucket.size() - scan.skipped;
+  return scan;
+}
+
+/// Walks a Scan's entries in scan order. A copy saves the place. On a
+/// group it walks the live bits of the group's bitmap a word at a time.
+class ScanCursor {
+ public:
+  explicit ScanCursor(const Scan& scan) noexcept : scan_(scan) {
+    seek(scan.head);
+  }
+
+  /// Entries walked so far: the scan position of the next one.
+  [[nodiscard]] std::size_t taken() const noexcept { return taken_; }
+
+  /// The next entry's position (an index into `ids`, or a live row of
+  /// `group`). Precondition: taken() < size.
+  std::size_t next() noexcept {
+    if (taken_++ == scan_.head_size) seek(scan_.tail);
+    if (scan_.group == nullptr) return pos_++;
+    while (bits_ == 0) bits_ = scan_.group->live.word(++pos_);
+    const std::size_t row =
+        pos_ * 64 + static_cast<std::size_t>(std::countr_zero(bits_));
+    bits_ &= bits_ - 1;
+    return row;
+  }
+
+ private:
+  void seek(std::size_t at) noexcept {
+    if (scan_.group == nullptr) {
+      pos_ = at;
+      return;
+    }
+    pos_ = at >> 6;
+    bits_ = 0;
+    if (at < scan_.group->rows()) {
+      bits_ = scan_.group->live.word(pos_) & (~std::uint64_t{0} << (at & 63));
+    }
+  }
+
+  Scan scan_;
+  std::size_t pos_ = 0;     // the next index into `ids`, or a bitmap word
+  std::uint64_t bits_ = 0;  // on a group: word pos_'s live rows not taken
+  std::size_t taken_ = 0;
 };
 
 /// Per-thread scratch for batch sweeps; the match pipeline keeps one per
@@ -55,7 +139,7 @@ class BatchMatcher {
   static constexpr std::size_t kMinChunk = 64;
   static constexpr std::size_t kMaxChunk = 1024;
 
-  /// Prepares a sweep of `scan` (ids of the innermost candidate bucket) for
+  /// Prepares a sweep of `scan` (the innermost candidate bucket) for
   /// `reaction` under the outer bindings in the frame slots `outer`.
   /// `join_field` names
   /// the join field whose (field, bound value) bucket `scan` runs over, or is
@@ -72,19 +156,24 @@ class BatchMatcher {
                            std::uint16_t join_field,
                            std::span<const Value* const> outer);
 
-  /// Computes fire bits for scan positions [t, t+width): fire()[j] covers
-  /// scan[t+j]. False when a lane faulted — the caller resumes scalar
-  /// probing at scan position t (earlier chunks were already exact).
-  [[nodiscard]] bool chunk(std::size_t t, std::size_t width);
+  /// Takes the next `width` entries of the scan from `at` and computes
+  /// their fire bits: fire()[j] covers id(j), the j-th entry taken.
+  /// False when a lane faulted — the caller resumes scalar probing where
+  /// `at` stood before the call (earlier chunks were already exact).
+  [[nodiscard]] bool chunk(ScanCursor& at, std::size_t width);
 
   [[nodiscard]] const std::uint8_t* fire() const noexcept {
     return fire_.data();
+  }
+  /// The id of the chunk's j-th entry.
+  [[nodiscard]] gamma::Store::Id id(std::size_t j) const noexcept {
+    return rows_[j].group->row_ids[rows_[j].row];
   }
 
  private:
   const gamma::Store* store_ = nullptr;
   const gamma::CompiledReaction::BatchPlan* plan_ = nullptr;
-  Scan scan_;
+  const Scan* scan_ = nullptr;
   bool any_condition_ = false;
 
   expr::BatchVm vm_;

@@ -60,10 +60,10 @@ std::size_t search(const Store& store, const Reaction& reaction,
   const std::size_t k = patterns.size();
   if (k != 2) memo = nullptr;
 
-  InlineVec<const Store::Bucket*, 4> buckets;
+  InlineVec<Store::Candidates, 4> buckets;
   for (std::size_t i = 0; i < k; ++i) {
-    const Store::Bucket* b = store.bucket(patterns[i]);
-    if (b == nullptr || b->empty()) return 0;
+    const Store::Candidates b = store.bucket(patterns[i]);
+    if (b.empty()) return 0;
     buckets.push_back(b);
   }
 
@@ -86,35 +86,36 @@ std::size_t search(const Store& store, const Reaction& reaction,
       if (!fn(m) || visited >= limit) stop = true;
       return;
     }
-    const Store::Bucket& base = *buckets[depth];
+    const Store::Candidates base = buckets[depth];
     const std::size_t start = rng ? rng->bounded(base.size()) : 0;
-    const Store::Bucket* narrowest = &base;
+    const Store::Bucket* narrower = nullptr;
     std::uint16_t join_field = CompiledReaction::BatchPlan::kNoField;
     for (const auto& join : joins[depth]) {
       const Store::Bucket* b =
           store.field_bucket(join.field, *frame.slot(join.slot));
       if (b == nullptr) return;  // no live element carries the bound value
-      if (b->size() < narrowest->size()) {
-        narrowest = b;
+      if (b->size() < (narrower ? narrower->size() : base.size())) {
+        narrower = b;
         join_field = join.field;
       }
     }
-    const Store::Bucket& bucket = *narrowest;
-    const std::size_t n = bucket.size();
     // Depth 1 of a memoized two-pattern search is an anchor's inner visit.
     const bool anchored = memo != nullptr && depth == 1;
     const std::uint64_t mark = anchored ? memo->watermark(store, m.ids[0]) : 0;
-    const std::size_t p = mark == 0 ? 0 : store.first_stamped(bucket, mark);
-    if (p == n) {
+    const Store::Candidates probed =
+        narrower == nullptr ? base : Store::Candidates{narrower, nullptr};
+    Scan scan = Scan::of(store, probed, mark);
+    if (scan.size == 0) {
       memo->count_skip();
       return;
     }
-    const std::size_t from =
-        narrowest == &base ? start : store.scan_position(bucket, base[start]);
-    // The cyclic scan from `from` over positions p..n-1 only.
-    const Store::Id* ids = bucket.data();
-    const Scan scan = from >= p ? Scan{ids + from, n - from, ids + p, n - p}
-                                : Scan{ids + p, n - p, nullptr, n - p};
+    // A join bucket starts where base[start] falls in insertion order; a
+    // one-entry bucket starts at 0 wherever that is, with no select.
+    if (narrower == nullptr) {
+      scan.start_at(start);
+    } else if (narrower->size() > 1) {
+      scan.start_at(store.scan_position(*narrower, base[start]));
+    }
     const std::size_t visited_before = visited;
     const std::span<const gamma::FieldOp> depth_ops(ops[depth]);
     auto probe = [&](const Store::Id id) {
@@ -125,7 +126,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
       m.ids[depth] = id;
       self(self, depth + 1);
     };
-    std::size_t t = 0;
+    ScanCursor at(scan);
     if (depth + 1 == k) {
       // Innermost bucket: sweep chunks of the scan as column batches and
       // probe only the lanes the fire bitmap keeps. The sweep starts at the
@@ -136,19 +137,22 @@ std::size_t search(const Store& store, const Reaction& reaction,
       thread_local BatchMatcher matcher;
       if (matcher.begin(store, reaction, scan, join_field, frame.slots())) {
         std::size_t width = BatchMatcher::kMinChunk;
-        while (t < scan.size && !stop) {
-          const std::size_t w = std::min(width, scan.size - t);
-          if (!matcher.chunk(t, w)) break;  // fault: resume scalar
+        while (at.taken() < scan.size && !stop) {
+          const std::size_t w = std::min(width, scan.size - at.taken());
+          const ScanCursor before = at;
+          if (!matcher.chunk(at, w)) {  // fault: resume scalar
+            at = before;
+            break;
+          }
           const std::uint8_t* fire = matcher.fire();
           for (std::size_t j = 0; j < w && !stop; ++j) {
-            if (fire[j] != 0) probe(scan[t + j]);
+            if (fire[j] != 0) probe(matcher.id(j));
           }
-          t += w;
           width = std::min(width * 2, BatchMatcher::kMaxChunk);
         }
       }
     }
-    for (; t < scan.size && !stop; ++t) probe(scan[t]);
+    while (at.taken() < scan.size && !stop) probe(scan.id(at.next()));
     if (anchored && visited == visited_before) memo->record(store, m.ids[0]);
   };
   dfs(dfs, 0);

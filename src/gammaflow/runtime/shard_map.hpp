@@ -72,14 +72,7 @@ class ShardMap {
 
   /// The shard of the element's label: nullopt when there is no map, the
   /// element has no string label at field 1, or the label is unmapped.
-  [[nodiscard]] std::optional<std::size_t> home(
-      const gamma::Element& e) const {
-    if (label_shard_.empty()) return std::nullopt;
-    if (e.arity() < 2 || !e.field(1).is_str()) return std::nullopt;
-    const auto it = label_shard_.find(e.field(1).as_str());
-    if (it == label_shard_.end()) return std::nullopt;
-    return it->second % shards_;
-  }
+  [[nodiscard]] std::optional<std::size_t> home(const gamma::Element& e) const;
 
  private:
   std::unordered_map<std::string, std::size_t> label_shard_;

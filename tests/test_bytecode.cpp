@@ -480,10 +480,10 @@ void reference_search(const gamma::Store& store,
                       const std::function<void(const SeenMatch&)>& visit) {
   const auto& patterns = reaction.patterns();
   const std::size_t k = patterns.size();
-  std::vector<const gamma::Store::Bucket*> buckets(k);
+  std::vector<gamma::Store::Candidates> buckets(k);
   for (std::size_t i = 0; i < k; ++i) {
     buckets[i] = store.bucket(patterns[i]);
-    if (buckets[i] == nullptr || buckets[i]->empty()) return;
+    if (buckets[i].empty()) return;
   }
   SeenMatch m;
   m.ids.resize(k);
@@ -498,7 +498,7 @@ void reference_search(const gamma::Store& store,
       ++visited;
       return;
     }
-    const gamma::Store::Bucket& bucket = *buckets[depth];
+    const gamma::Store::Candidates bucket = buckets[depth];
     const std::size_t n = bucket.size();
     const std::size_t start = rng != nullptr ? rng->bounded(n) : 0;
     for (std::size_t t = 0; t < n && visited < limit; ++t) {

@@ -8,6 +8,7 @@
 #include "gammaflow/common/json.hpp"
 #include "gammaflow/common/label.hpp"
 #include "gammaflow/common/mpsc_queue.hpp"
+#include "gammaflow/common/rank_bitmap.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/common/stats.hpp"
 
@@ -131,6 +132,49 @@ TEST(Rng, UsableWithStdShuffle) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(RankBitmap, RankAndSelectMatchAModel) {
+  // Random appends and clears, with a rebuild now and then, checked after
+  // every step against a plain vector<bool>: count, every bit, every rank
+  // and every select.
+  RankBitmap bits;
+  std::vector<bool> model;
+  Rng rng(99);
+  for (int step = 0; step < 1500; ++step) {
+    const std::uint64_t op = rng.bounded(16);
+    std::vector<std::size_t> set;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      if (model[i]) set.push_back(i);
+    }
+    if (op < 9 || set.empty()) {
+      bits.push_set();
+      model.push_back(true);
+    } else if (op < 15) {
+      const std::size_t i = set[rng.bounded(set.size())];
+      bits.reset(i);
+      model[i] = false;
+    } else {
+      bits.assign_set(set.size());
+      model.assign(set.size(), true);
+    }
+    set.clear();
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      if (model[i]) set.push_back(i);
+    }
+    ASSERT_EQ(bits.size(), model.size()) << step;
+    ASSERT_EQ(bits.count(), set.size()) << step;
+    std::size_t below = 0;
+    for (std::size_t i = 0; i <= model.size(); ++i) {
+      ASSERT_EQ(bits.rank(i), below) << "step " << step << " rank " << i;
+      if (i == model.size()) break;
+      ASSERT_EQ(bits.test(i), model[i]) << "step " << step << " bit " << i;
+      if (model[i]) ++below;
+    }
+    for (std::size_t k = 0; k < set.size(); ++k) {
+      ASSERT_EQ(bits.select(k), set[k]) << "step " << step << " select " << k;
+    }
+  }
 }
 
 TEST(StatsRegistry, RecordAndQuery) {

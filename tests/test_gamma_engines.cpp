@@ -3,12 +3,15 @@
 // step limits, traces, sequential stages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
@@ -342,6 +345,48 @@ TEST(IndexedEngine, TraceStagesAreMonotone) {
   EXPECT_EQ(j.fires[0].stage, 0);
   EXPECT_EQ(j.fires[1].stage, 1);
   EXPECT_EQ(r.final_multiset, (Multiset{Element::labeled(Value(1), "r")}));
+}
+
+TEST(IndexedEngine, PerFireCostDoesNotGrowWithTheInput) {
+  // A fire removes two elements and inserts one. Removal clears a live bit
+  // and updates a rank tree, O(log n), so the time per fire stays about
+  // flat as the input grows 16-fold. Both sizes run back to back in each
+  // of 3 rounds, so a busy machine slows both, and the best round of each
+  // is compared.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer instrumentation skews per-fire cost";
+#endif
+  const Program p = dsl::parse_program("R = replace x, y by x + y");
+  const auto draw = [](std::size_t n) {
+    Rng rng(n);
+    Multiset m;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto v = static_cast<std::int64_t>(rng.bounded(2001)) - 1000;
+      m.add(Element{Value(v)});
+    }
+    return m;
+  };
+  const Multiset small = draw(1024);
+  const Multiset large = draw(16384);
+  using Clock = std::chrono::steady_clock;
+  const auto per_fire = [&](const Multiset& m) {
+    RunOptions opts;
+    opts.seed = 1;
+    const auto t0 = Clock::now();
+    const RunResult r = IndexedEngine().run(p, m, opts);
+    const std::chrono::duration<double, std::micro> dt = Clock::now() - t0;
+    EXPECT_EQ(r.steps, m.size() - 1);
+    return dt.count() / static_cast<double>(r.steps);
+  };
+  double best_small = std::numeric_limits<double>::infinity();
+  double best_large = best_small;
+  for (int round = 0; round < 3; ++round) {
+    best_small = std::min(best_small, per_fire(small));
+    best_large = std::min(best_large, per_fire(large));
+  }
+  EXPECT_LE(best_large, 1.5 * best_small)
+      << "us per fire: " << best_small << " at 1024 ints, " << best_large
+      << " at 16384";
 }
 
 TEST(ParallelEngine, ManyWorkersConvergeOnLargeMultiset) {

@@ -11,11 +11,15 @@
 //   (the same with --worklist instead of --engine idx)
 //   gammaflow serve tests/golden/replace_xy.gamma --stdio < (the script
 //       written by ServeTranscriptMatchesGolden)
+// Those 64 elements fill one bitmap word and never compact, so the same
+// run over 5000 elements (many words, several compactions) is pinned by
+// the FNV-1a digest of its journal instead of a golden file.
 // Serve replies carry a wall-clock `quiesce_us`; it is masked before the
 // comparison, everything else must match byte for byte.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -87,14 +91,14 @@ class PickStream : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Records a seeded rungamma run of the pinned program and returns the
-  /// journal text.
-  std::string record(const std::string& engine_args) {
+  /// Records a seeded rungamma run of the pinned program over the ints
+  /// 0..count-1 and returns the journal text.
+  std::string record(const std::string& engine_args, int count = 64) {
     const fs::path out = dir_ / "journal.json";
     run_cli(std::string("rungamma ")
                 .append(golden("replace_xy.gamma").string())
                 .append(" --init \"")
-                .append(init_ints(64))
+                .append(init_ints(count))
                 .append("\" ")
                 .append(engine_args)
                 .append(" --seed 7 --record-out ")
@@ -108,6 +112,28 @@ class PickStream : public ::testing::Test {
 
 TEST_F(PickStream, IndexedJournalMatchesGolden) {
   EXPECT_EQ(record("--engine idx"), read_file(golden("pick_idx_seed7.json")));
+}
+
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST_F(PickStream, IndexedJournalAtScaleMatchesDigest) {
+  // 4999 fires over 79 bitmap words, with 4 column compactions on the way.
+  // The digest and size were captured with the CLI built at commit
+  // ac0d88feb7c8b81c62a3fef9b5e4affb14922ba2, whose arity buckets were
+  // id lists with an ordered erase:
+  //   gammaflow rungamma tests/golden/replace_xy.gamma --engine idx --seed 7
+  //       --init "[0] ... [4999]" --record-out journal.json
+  const std::string journal = record("--engine idx", 5000);
+  EXPECT_EQ(journal.size(), 569604u);
+  EXPECT_EQ(fnv1a(journal), 0xddca459bfc04475bULL);
 }
 
 TEST_F(PickStream, WorklistJournalMatchesGolden) {
