@@ -81,13 +81,13 @@ void verify() {
     dataflow::DfRunOptions off;
     dataflow::DfRunResult plain;
     const std::uint64_t ns_off =
-        time_ns([&] { plain = dataflow::Interpreter().run(g, off, {}); });
+        time_ns([&] { plain = dataflow::Interpreter().run(g, off); });
     obs::RunRecorder rec;
     dataflow::DfRunOptions on;
     on.record = &rec;
     dataflow::DfRunResult recorded;
     const std::uint64_t ns_on =
-        time_ns([&] { recorded = dataflow::Interpreter().run(g, on, {}); });
+        time_ns([&] { recorded = dataflow::Interpreter().run(g, on); });
     const obs::Journal j = rec.take();
     const bool ok = plain.outputs == recorded.outputs &&
                     obs::verify_journal(j).empty();
@@ -144,7 +144,7 @@ void BM_Df_RecordOn(benchmark::State& state) {
     obs::RunRecorder rec;
     dataflow::DfRunOptions opts;
     opts.record = &rec;
-    benchmark::DoNotOptimize(interp.run(g, opts, {}));
+    benchmark::DoNotOptimize(interp.run(g, opts));
     benchmark::DoNotOptimize(rec.take());
   }
 }

@@ -2,7 +2,8 @@
 // plus a Fenwick tree over the words' popcounts. Positions only append
 // (set) and clear, which is how a column group's rows live and die, so the
 // k-th live row and the number of live rows before a row each cost one
-// walk of the tree and one word.
+// walk of the tree and one word. count_bits and select_in_word, the
+// in-word popcount and select, are free functions for other bitmaps too.
 #pragma once
 
 #include <array>
@@ -12,6 +13,52 @@
 #include <vector>
 
 namespace gammaflow {
+
+namespace detail {
+
+inline constexpr std::uint64_t kBytes = 0x0101010101010101ULL;
+
+/// Per-byte popcounts of x, one count in each byte.
+inline std::uint64_t byte_counts(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  return (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+}
+
+/// kSelectInByte[b * 8 + r]: position of the r-th set bit of byte b.
+inline constexpr std::array<std::uint8_t, 2048> kSelectInByte = [] {
+  std::array<std::uint8_t, 2048> table{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    std::size_t r = 0;
+    for (std::uint8_t bit = 0; bit < 8; ++bit) {
+      if (((b >> bit) & 1u) != 0) table[b * 8 + r++] = bit;
+    }
+  }
+  return table;
+}();
+
+}  // namespace detail
+
+/// Set bits of x. Written out rather than std::popcount, which is a library
+/// call on a baseline x86-64 target.
+inline std::size_t count_bits(std::uint64_t x) noexcept {
+  return static_cast<std::size_t>((detail::byte_counts(x) * detail::kBytes) >>
+                                  56);
+}
+
+/// Position of the k-th set bit of x, counting from 0 (k < count_bits(x)):
+/// the byte holding it from running byte sums, then a table lookup inside
+/// the byte.
+inline std::size_t select_in_word(std::uint64_t x, std::size_t k) noexcept {
+  using detail::kBytes;
+  const std::uint64_t sums = detail::byte_counts(x) * kBytes;  // bytes 0..i
+  // High bit of byte i set iff sums[i] <= k; count them without a branch.
+  const std::uint64_t le =
+      ((k * kBytes | 0x8080808080808080ULL) - sums) & 0x8080808080808080ULL;
+  const std::size_t shift = (((le >> 7) * kBytes) >> 56) * 8;
+  const std::size_t rest = k - (((sums << 8) >> shift) & 0xFF);
+  return shift + detail::kSelectInByte[((x >> shift) & 0xFF) * 8 + rest];
+}
 
 class RankBitmap {
  public:
@@ -98,42 +145,6 @@ class RankBitmap {
   }
 
  private:
-  static constexpr std::uint64_t kBytes = 0x0101010101010101ULL;
-
-  /// Per-byte popcounts of x, one count in each byte. Written out rather
-  /// than std::popcount, which is a library call on a baseline x86-64
-  /// target.
-  static std::uint64_t byte_counts(std::uint64_t x) noexcept {
-    x -= (x >> 1) & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    return (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  }
-  static std::size_t count_bits(std::uint64_t x) noexcept {
-    return static_cast<std::size_t>((byte_counts(x) * kBytes) >> 56);
-  }
-  /// Position of the k-th set bit of x (k < popcount(x)): the byte holding
-  /// it from running byte sums, then a table lookup inside the byte.
-  static std::size_t select_in_word(std::uint64_t x, std::size_t k) noexcept {
-    const std::uint64_t sums = byte_counts(x) * kBytes;  // bytes 0..i
-    // High bit of byte i set iff sums[i] <= k; count them without a branch.
-    const std::uint64_t le =
-        ((k * kBytes | 0x8080808080808080ULL) - sums) & 0x8080808080808080ULL;
-    const std::size_t shift = (((le >> 7) * kBytes) >> 56) * 8;
-    const std::size_t rest = k - (((sums << 8) >> shift) & 0xFF);
-    return shift + kSelectInByte[((x >> shift) & 0xFF) * 8 + rest];
-  }
-  /// kSelectInByte[b * 8 + r]: position of the r-th set bit of byte b.
-  static constexpr std::array<std::uint8_t, 2048> kSelectInByte = [] {
-    std::array<std::uint8_t, 2048> table{};
-    for (std::size_t b = 0; b < 256; ++b) {
-      std::size_t r = 0;
-      for (std::uint8_t bit = 0; bit < 8; ++bit) {
-        if (((b >> bit) & 1u) != 0) table[b * 8 + r++] = bit;
-      }
-    }
-    return table;
-  }();
-
   void add(std::size_t w, std::uint32_t delta) noexcept {
     for (std::size_t node = w + 1; node <= words_.size();
          node += node & (~node + 1)) {

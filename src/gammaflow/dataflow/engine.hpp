@@ -99,18 +99,12 @@ class DfEngine {
  public:
   virtual ~DfEngine() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Runs the graph: every Const node emits its value with tag 0, plus any
-  /// `extra_tokens` injected on named edges (edge label -> tokens).
-  [[nodiscard]] virtual DfRunResult run(
-      const Graph& graph, const DfRunOptions& options,
-      const std::vector<std::pair<Label, Token>>& extra_tokens) const = 0;
+  /// Runs the graph: every Const node emits its value with tag 0.
+  [[nodiscard]] virtual DfRunResult run(const Graph& graph,
+                                        const DfRunOptions& options) const = 0;
 
   [[nodiscard]] DfRunResult run(const Graph& graph) const {
-    return run(graph, DfRunOptions{}, {});
-  }
-  [[nodiscard]] DfRunResult run(const Graph& graph,
-                                const DfRunOptions& options) const {
-    return run(graph, options, {});
+    return run(graph, DfRunOptions{});
   }
 };
 
@@ -118,18 +112,16 @@ class Interpreter final : public DfEngine {
  public:
   using DfEngine::run;
   [[nodiscard]] std::string name() const override { return "interpreter"; }
-  [[nodiscard]] DfRunResult run(
-      const Graph& graph, const DfRunOptions& options,
-      const std::vector<std::pair<Label, Token>>& extra_tokens) const override;
+  [[nodiscard]] DfRunResult run(const Graph& graph,
+                                const DfRunOptions& options) const override;
 };
 
 class ParallelEngine final : public DfEngine {
  public:
   using DfEngine::run;
   [[nodiscard]] std::string name() const override { return "parallel"; }
-  [[nodiscard]] DfRunResult run(
-      const Graph& graph, const DfRunOptions& options,
-      const std::vector<std::pair<Label, Token>>& extra_tokens) const override;
+  [[nodiscard]] DfRunResult run(const Graph& graph,
+                                const DfRunOptions& options) const override;
 };
 
 /// Computes the token a node emits when firing with `inputs` (tag-matched,

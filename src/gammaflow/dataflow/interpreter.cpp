@@ -59,7 +59,7 @@ class Machine {
     result_.fires_by_node.assign(graph.node_count(), 0);
     if ((jrec_ = options.record) != nullptr) {
       // The dataflow "store" is the set of parked tokens plus captured
-      // outputs; it starts empty (Const roots and injections are fires).
+      // outputs; it starts empty (Const roots are fires).
       jrec_->begin("interpreter", "dataflow", {});
     }
     if ((tel_ = telemetry_.sink()) != nullptr) {
@@ -112,7 +112,7 @@ class Machine {
     }
   }
 
-  DfRunResult run(const std::vector<std::pair<Label, Token>>& extra_tokens) {
+  DfRunResult run() {
     for (const NodeId root : graph_.roots()) {
       if (stopping()) break;
       const Firing f = fire_node(graph_.node(root), {}, 0);
@@ -120,19 +120,6 @@ class Machine {
       std::vector<std::string> produced;
       emit_from(root, f, jrec_ != nullptr ? &produced : nullptr);
       record_fire(root, nullptr, std::move(produced));
-    }
-    for (const auto& [label, token] : extra_tokens) {
-      const auto eid = graph_.find_edge(label);
-      if (!eid) throw EngineError("inject on unknown edge '" + label.str() + "'");
-      const Edge& e = graph_.edge(*eid);
-      if (jrec_ != nullptr) {
-        obs::FireRecord fr;
-        fr.reaction = "inject:" + label.str();
-        fr.produced.push_back(
-            tok_str(graph_, e.dst, e.dst_port, token.tag, token.value));
-        jrec_->fire(std::move(fr));
-      }
-      deliver(e.dst, e.dst_port, token);
     }
 
     while (!next_.empty() && loop_.running()) {
@@ -340,12 +327,11 @@ class Machine {
 
 }  // namespace
 
-DfRunResult Interpreter::run(
-    const Graph& graph, const DfRunOptions& options,
-    const std::vector<std::pair<Label, Token>>& extra_tokens) const {
+DfRunResult Interpreter::run(const Graph& graph,
+                             const DfRunOptions& options) const {
   graph.validate();
   Machine machine(graph, options);
-  return machine.run(extra_tokens);
+  return machine.run();
 }
 
 }  // namespace gammaflow::dataflow

@@ -1,29 +1,21 @@
 #include "gammaflow/dataflow/optimize.hpp"
 
-#include <deque>
-#include <optional>
+#include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gammaflow/dataflow/engine.hpp"
+#include "gammaflow/dataflow/match_store.hpp"
 
 namespace gammaflow::dataflow {
 namespace {
 
-/// What happens to each node in one rewrite round.
-struct Action {
-  enum class Kind { Keep, Fold, Bypass, Drop };
-  Kind kind = Kind::Keep;
-  Value folded;  // Fold: replacement constant
-};
+using Port = GraphBuilder::Port;
 
-/// The single producer of (node, port), when there is exactly one.
-std::optional<GraphBuilder::Port> single_producer(const Graph& g, NodeId node,
-                                                  PortId port) {
-  const auto& in = g.in_edges(node, port);
-  if (in.size() != 1) return std::nullopt;
-  const Edge& e = g.edge(in[0]);
-  return GraphBuilder::Port{e.src, e.src_port};
-}
+/// What becomes of a node. An identity node is Bypass until its source is
+/// resolved (Resolving while a walk passes through it), then Forward.
+enum class State : std::uint8_t { Keep, Fold, Bypass, Resolving, Forward };
 
 bool is_identity_immediate(const Node& n) {
   if (!n.has_immediate || n.kind != NodeKind::Arith) return false;
@@ -39,147 +31,141 @@ bool is_identity_immediate(const Node& n) {
   }
 }
 
-/// Liveness: reachability to any Output node.
-std::vector<bool> live_set(const Graph& g) {
-  std::vector<bool> live(g.node_count(), false);
-  std::deque<NodeId> queue;
-  for (const NodeId out : g.outputs()) {
-    live[out] = true;
-    queue.push_back(out);
-  }
-  // Predecessor propagation over edges.
-  while (!queue.empty()) {
-    const NodeId n = queue.front();
-    queue.pop_front();
-    for (const Edge& e : g.edges()) {
-      if (e.dst == n && !live[e.src]) {
-        live[e.src] = true;
-        queue.push_back(e.src);
-      }
-    }
-  }
-  return live;
-}
-
-/// One rewrite round; returns nullopt when nothing changed.
-std::optional<Graph> round(const Graph& g, const OptimizeOptions& options,
-                           OptimizeResult& stats) {
-  std::vector<Action> actions(g.node_count());
-  bool changed = false;
-
-  if (options.fold_constants || options.bypass_identities) {
-    for (NodeId id = 0; id < g.node_count(); ++id) {
-      const Node& n = g.node(id);
-      if (n.kind != NodeKind::Arith && n.kind != NodeKind::Cmp) continue;
-
-      if (options.bypass_identities && is_identity_immediate(n) &&
-          single_producer(g, id, 0)) {
-        actions[id].kind = Action::Kind::Bypass;
-        ++stats.bypassed;
-        changed = true;
-        continue;
-      }
-      if (!options.fold_constants) continue;
-
-      // Foldable: every input port fed by exactly one Const node.
-      std::vector<Value> inputs;
-      bool foldable = true;
-      const std::size_t arity = input_arity(n);
-      for (PortId p = 0; p < arity && foldable; ++p) {
-        const auto src = single_producer(g, id, p);
-        foldable = src && g.node(src->node).kind == NodeKind::Const;
-        if (foldable) inputs.push_back(g.node(src->node).constant);
-      }
-      if (!foldable) continue;
-      try {
-        const Firing f = fire_node(n, inputs, 0);
-        actions[id].kind = Action::Kind::Fold;
-        actions[id].folded = f.value;
-        ++stats.folded;
-        changed = true;
-      } catch (const Error&) {
-        // would throw at runtime (e.g. 1/0): preserve for the real run
-      }
-    }
-  }
-
-  std::vector<bool> live(g.node_count(), true);
-  if (options.eliminate_dead) {
-    live = live_set(g);
-    for (NodeId id = 0; id < g.node_count(); ++id) {
-      if (!live[id] && actions[id].kind == Action::Kind::Keep) {
-        actions[id].kind = Action::Kind::Drop;
-        ++stats.removed;
-        changed = true;
-      } else if (!live[id]) {
-        actions[id].kind = Action::Kind::Drop;  // folded AND dead: just drop
-        changed = true;
-      }
-    }
-  }
-  if (!changed) return std::nullopt;
-
-  // Rebuild. Folded nodes become Consts; bypassed nodes vanish (their
-  // consumers rewire to the producer); dropped nodes and their edges vanish.
-  GraphBuilder b;
-  std::vector<NodeId> remap(g.node_count(), 0);
-  for (NodeId id = 0; id < g.node_count(); ++id) {
-    switch (actions[id].kind) {
-      case Action::Kind::Keep:
-        remap[id] = b.add_node(g.node(id));
-        break;
-      case Action::Kind::Fold: {
-        Node c;
-        c.kind = NodeKind::Const;
-        c.constant = actions[id].folded;
-        c.name = g.node(id).name;
-        remap[id] = b.add_node(std::move(c));
-        break;
-      }
-      case Action::Kind::Bypass:
-      case Action::Kind::Drop:
-        break;
-    }
-  }
-
-  // Resolves (node, port) through bypass chains to a surviving source.
-  auto resolve = [&](GraphBuilder::Port p) -> std::optional<GraphBuilder::Port> {
-    while (actions[p.node].kind == Action::Kind::Bypass) {
-      const auto src = single_producer(g, p.node, 0);
-      if (!src) return std::nullopt;  // unreachable: bypass requires one
-      p = *src;
-    }
-    if (actions[p.node].kind == Action::Kind::Drop) return std::nullopt;
-    if (actions[p.node].kind == Action::Kind::Fold) {
-      return GraphBuilder::Port{remap[p.node], 0};
-    }
-    return GraphBuilder::Port{remap[p.node], p.port};
-  };
-
-  for (const Edge& e : g.edges()) {
-    const auto dst_kind = actions[e.dst].kind;
-    if (dst_kind == Action::Kind::Drop || dst_kind == Action::Kind::Bypass ||
-        dst_kind == Action::Kind::Fold) {
-      continue;  // consumer gone or no longer takes inputs
-    }
-    const auto src = resolve(GraphBuilder::Port{e.src, e.src_port});
-    if (!src) continue;
-    b.connect(*src, remap[e.dst], e.dst_port, e.label.str());
-  }
-  return std::move(b).build();
+Port producer(const Graph& g, EdgeId eid) {
+  const Edge& e = g.edge(eid);
+  return Port{e.src, e.src_port};
 }
 
 }  // namespace
 
-OptimizeResult optimize(const Graph& graph, const OptimizeOptions& options) {
+OptimizeResult optimize(const Graph& g) {
+  const auto n = static_cast<NodeId>(g.node_count());
   OptimizeResult result;
-  result.graph = graph;
-  while (result.iterations < options.max_iterations) {
-    auto next = round(result.graph, options, result);
-    if (!next) break;
-    result.graph = std::move(*next);
-    ++result.iterations;
+  std::vector<State> state(n, State::Keep);
+  for (NodeId id = 0; id < n; ++id) {
+    if (is_identity_immediate(g.node(id)) && g.in_edges(id, 0).size() == 1) {
+      state[id] = State::Bypass;
+    }
   }
+
+  // Each bypassed node's surviving source, found by one walk down its chain
+  // of bypassed producers and memoized for every node on the walk. A cycle
+  // of identity nodes has no source outside itself: the node where the walk
+  // comes back is kept instead.
+  std::vector<Port> source(n);
+  std::vector<NodeId> path;
+  for (NodeId id = 0; id < n; ++id) {
+    Port p{id, 0};
+    while (state[p.node] == State::Bypass) {
+      state[p.node] = State::Resolving;
+      path.push_back(p.node);
+      p = producer(g, g.in_edges(p.node, 0)[0]);
+    }
+    if (state[p.node] == State::Forward) p = source[p.node];
+    if (state[p.node] == State::Resolving) state[p.node] = State::Keep;
+    for (const NodeId b : path) {
+      if (state[b] != State::Resolving) continue;
+      state[b] = State::Forward;
+      source[b] = p;
+    }
+    path.clear();
+  }
+  const auto resolve = [&](Port p) {
+    return state[p.node] == State::Forward ? source[p.node] : p;
+  };
+
+  // Folding to the fixed point: every kept Arith/Cmp node is examined once,
+  // and again whenever one of its producers becomes constant. A node that
+  // folds queues its consumers; a bypassed node is queued only by its
+  // producer's change, which is its source's fold, and passes it on.
+  std::vector<Value> folded(n);
+  const auto constant = [&](Port p, Value& out) {
+    if (state[p.node] == State::Fold) {
+      out = folded[p.node];
+      return true;
+    }
+    if (g.node(p.node).kind != NodeKind::Const) return false;
+    out = g.node(p.node).constant;
+    return true;
+  };
+  std::vector<NodeId> work;
+  for (NodeId id = n; id-- > 0;) {
+    if (state[id] != State::Forward) work.push_back(id);
+  }
+  std::array<Value, kMaxInputs> inputs;
+  while (!work.empty()) {
+    const NodeId id = work.back();
+    work.pop_back();
+    if (state[id] == State::Fold) continue;
+    const Node& node = g.node(id);
+    if (node.kind != NodeKind::Arith && node.kind != NodeKind::Cmp) continue;
+    if (state[id] == State::Keep) {
+      const std::size_t arity = input_arity(node);
+      bool foldable = true;
+      for (PortId p = 0; p < arity && foldable; ++p) {
+        const auto& in = g.in_edges(id, p);
+        foldable =
+            in.size() == 1 && constant(resolve(producer(g, in[0])), inputs[p]);
+      }
+      if (!foldable) continue;
+      try {
+        folded[id] = fire_node(node, std::span(inputs.data(), arity), 0).value;
+      } catch (const Error&) {
+        continue;  // would throw at runtime (e.g. 1/0): preserve for the run
+      }
+      state[id] = State::Fold;
+      ++result.folded;
+    }
+    for (const EdgeId eid : g.out_edges(id, 0)) work.push_back(g.edge(eid).dst);
+  }
+
+  // Liveness: reverse reachability from the Outputs over the rewritten
+  // graph, where a folded node has no inputs and a bypassed one is skipped.
+  std::vector<bool> live(n, false);
+  std::vector<NodeId> stack = g.outputs();
+  for (const NodeId out : stack) live[out] = true;
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    if (state[id] == State::Fold) continue;
+    for (PortId p = 0; p < input_arity(g.node(id)); ++p) {
+      for (const EdgeId eid : g.in_edges(id, p)) {
+        const NodeId src = resolve(producer(g, eid)).node;
+        if (!live[src]) {
+          live[src] = true;
+          stack.push_back(src);
+        }
+      }
+    }
+  }
+
+  // Rebuild. Folded nodes become Consts; bypassed nodes vanish (their
+  // consumers rewire to the resolved source); dead nodes and their edges
+  // vanish.
+  GraphBuilder b;
+  std::vector<NodeId> remap(n, 0);
+  for (NodeId id = 0; id < n; ++id) {
+    if (state[id] == State::Forward) {
+      ++result.bypassed;
+    } else if (!live[id]) {
+      ++result.removed;
+    } else if (state[id] == State::Fold) {
+      Node c;
+      c.kind = NodeKind::Const;
+      c.constant = std::move(folded[id]);
+      c.name = g.node(id).name;
+      remap[id] = b.add_node(std::move(c));
+    } else {
+      remap[id] = b.add_node(g.node(id));
+    }
+  }
+  for (const Edge& e : g.edges()) {
+    if (!live[e.dst] || state[e.dst] != State::Keep) continue;
+    const Port src = resolve(Port{e.src, e.src_port});
+    b.connect(Port{remap[src.node], src.port}, remap[e.dst], e.dst_port,
+              e.label.str());
+  }
+  result.graph = std::move(b).build();
   return result;
 }
 

@@ -1,17 +1,20 @@
-// Graph optimization passes. Observable-preserving: every Output node's
-// token stream is unchanged; dead regions (the paper's literal Fig. 2
-// discards its whole computation through unconnected FALSE ports!) and
-// foldable arithmetic disappear.
+// Graph optimization. Observable-preserving: every Output node's token
+// stream is unchanged; dead regions (the paper's literal Fig. 2 discards its
+// whole computation through unconnected FALSE ports!) and foldable
+// arithmetic disappear.
 //
-//   * constant folding — an Arith/Cmp node fed exclusively by Const nodes
-//     (or with an immediate) computes one tag-0 value; replace it with a
-//     Const. Nodes that would throw (1/0) are left for runtime.
-//   * identity bypass — immediate x+0, x-0, x*1, x/1 forward their input.
+//   * identity bypass — an immediate x+0, x-0, x*1, x/1 with one producer
+//     forwards its input: its consumers rewire to that producer.
+//   * constant folding — an Arith/Cmp node whose every input port has one
+//     producer that is, through bypassed nodes, a Const or a folded node
+//     computes one tag-0 value; it becomes a Const. Nodes that would throw
+//     (1/0) are left for runtime.
 //   * dead node elimination — nodes with no path to any Output produce
 //     tokens nobody can observe; remove them (with their edges).
 //
-// Passes iterate to a fixed point (folding exposes more folding; bypass
-// exposes dead consts).
+// One worklist pass folds to the fixed point: a node that folds re-examines
+// its consumers, and a bypassed node's source is resolved once. Then one
+// reverse reachability from the Outputs and one rebuild. O(nodes + edges).
 #pragma once
 
 #include <cstddef>
@@ -20,25 +23,16 @@
 
 namespace gammaflow::dataflow {
 
-struct OptimizeOptions {
-  bool fold_constants = true;
-  bool bypass_identities = true;
-  bool eliminate_dead = true;
-  std::size_t max_iterations = 16;
-};
-
 struct OptimizeResult {
   Graph graph;
-  std::size_t folded = 0;
-  std::size_t bypassed = 0;
-  std::size_t removed = 0;  // dead nodes eliminated
-  std::size_t iterations = 0;
+  std::size_t folded = 0;    // Arith/Cmp nodes replaced by a Const
+  std::size_t bypassed = 0;  // identity nodes removed
+  std::size_t removed = 0;   // nodes with no path to an Output, folded or not
 };
 
 /// Optimizes `graph`. The result validates; a graph whose outputs are
 /// unreachable (or that has no outputs) legitimately optimizes to only its
 /// Output nodes' live cone — possibly the empty graph.
-[[nodiscard]] OptimizeResult optimize(const Graph& graph,
-                                      const OptimizeOptions& options = {});
+[[nodiscard]] OptimizeResult optimize(const Graph& graph);
 
 }  // namespace gammaflow::dataflow

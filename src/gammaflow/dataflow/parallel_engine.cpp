@@ -9,7 +9,9 @@
 // ever be produced again (all stores are stable), which is the dataflow
 // quiescence condition. Stop propagation is a runtime::StopFlag; deadlines,
 // the firing budget, and the telemetry tail come from the same runtime core
-// the Gamma engines use.
+// the Gamma engines use. An error in a worker (a failing fire, a duplicate
+// operand, the budget under LimitPolicy::Throw) stops the run; the first one
+// is rethrown after the join.
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -75,11 +77,11 @@ class ParallelRun {
     }
   }
 
-  DfRunResult run(const std::vector<std::pair<Label, Token>>& extra_tokens) {
+  DfRunResult run() {
     GF_DEBUG << "dataflow parallel run: " << worker_count_ << " PE(s), "
              << graph_.node_count() << " nodes";
 
-    // Seed: const emissions and injected tokens, routed before workers start.
+    // Seed: const emissions, routed before workers start.
     for (const NodeId root : graph_.roots()) {
       const Firing f = fire_node(graph_.node(root), {}, 0);
       ++workers_[owner(root)].fires_by_node[root];
@@ -96,19 +98,6 @@ class ParallelRun {
       }
       route_emission(root, f);
     }
-    for (const auto& [label, token] : extra_tokens) {
-      const auto eid = graph_.find_edge(label);
-      if (!eid) throw EngineError("inject on unknown edge '" + label.str() + "'");
-      const Edge& e = graph_.edge(*eid);
-      if (jrec_ != nullptr) {
-        obs::FireRecord fr;
-        fr.reaction = "inject:" + label.str();
-        fr.produced.push_back(journal_token_str(graph_, e.dst, e.dst_port,
-                                                token.tag, token.value));
-        jrec_->fire(std::move(fr));
-      }
-      send(e.dst, e.dst_port, token);
-    }
 
     std::vector<std::thread> threads;
     threads.reserve(worker_count_);
@@ -117,12 +106,6 @@ class ParallelRun {
     }
     for (auto& t : threads) t.join();
     if (error_) std::rethrow_exception(error_);
-    if (failed_.load()) {
-      // Single-assignment violation; surfaced as the budget error it would
-      // become (historical behavior, pinned by the fault suite).
-      throw EngineError("parallel dataflow engine exceeded max_fires=" +
-                        std::to_string(options_.max_fires));
-    }
 
     DfRunResult result;
     result.outcome = stop_.outcome();
@@ -251,7 +234,7 @@ class ParallelRun {
 
     unsigned idle_spins = 0;
     while (true) {
-      if (failed_.load(std::memory_order_relaxed) || stop_.stopped()) {
+      if (stop_.stopped()) {
         close_busy();
         return;
       }
@@ -280,7 +263,18 @@ class ParallelRun {
         busy_tokens = 0;
       }
       ++busy_tokens;
-      absorb(me, *routed);
+      try {
+        absorb(me, *routed);
+      } catch (...) {
+        // The first error wins; the stop winds the other workers down.
+        {
+          const std::scoped_lock lk(error_mutex_);
+          if (!error_) error_ = std::current_exception();
+        }
+        stop_.publish(Outcome::Cancelled);
+        close_busy();
+        return;
+      }
       if (tel_ != nullptr && me.absorbed % kInboxSampleInterval == 0) {
         inbox_hist_->observe(static_cast<double>(me.inbox.size()));
       }
@@ -299,8 +293,15 @@ class ParallelRun {
       case MatchStore::Put::Waiting:
         return;  // still waiting for partners
       case MatchStore::Put::Duplicate:
-        failed_.store(true);  // single-assignment violation; surfaced as limit
-        return;
+        // A second operand for an occupied (tag, port) slot means the graph
+        // violates the single-assignment discipline for this iteration. The
+        // text is the interpreter's.
+        throw EngineError(std::string("duplicate operand at node ")
+                              .append(std::to_string(routed.node))
+                              .append(" port ")
+                              .append(std::to_string(routed.port))
+                              .append(" tag ")
+                              .append(std::to_string(routed.token.tag)));
       case MatchStore::Put::Ready:
         break;
     }
@@ -308,22 +309,14 @@ class ParallelRun {
         frame.operands(me.waiting.arity(routed.node));
 
     // Run-wide budget gate: claim a fire slot, give it back on refusal.
+    // Under LimitPolicy::Throw, admit_step throws instead of refusing.
     const std::uint64_t n = total_fires_.fetch_add(1, std::memory_order_relaxed);
-    bool admitted = false;
-    try {
-      admitted = runtime::admit_step(options_.limit_policy, n,
-                                     options_.max_fires,
-                                     "parallel dataflow engine", "max_fires");
-    } catch (...) {
-      const std::scoped_lock lk(error_mutex_);
-      if (!error_) error_ = std::current_exception();
-    }
-    if (!admitted) {
+    if (!runtime::admit_step(options_.limit_policy, n, options_.max_fires,
+                             "parallel dataflow engine", "max_fires")) {
       total_fires_.fetch_sub(1, std::memory_order_relaxed);
       stop_.publish(Outcome::BudgetExhausted);
       // Park the assembled-but-unfired operands back in the matching store
-      // so the partial result reports them as leftovers. (Harmless on the
-      // Throw path: the captured error discards the result after join.)
+      // so the partial result reports them as leftovers.
       me.waiting.park(routed.node, routed.token.tag, std::move(frame));
       return;
     }
@@ -373,10 +366,9 @@ class ParallelRun {
   runtime::EngineTelemetry telemetry_;
   runtime::InFlight in_flight_;
   std::atomic<std::uint64_t> total_fires_{0};
-  std::atomic<bool> failed_{false};  // single-assignment violation
   runtime::StopFlag stop_;
   std::mutex error_mutex_;
-  std::exception_ptr error_;  // budget EngineError under LimitPolicy::Throw
+  std::exception_ptr error_;  // the first worker error, rethrown after join
 
   obs::Telemetry* tel_ = nullptr;
   obs::RunRecorder* jrec_ = nullptr;
@@ -386,12 +378,11 @@ class ParallelRun {
 
 }  // namespace
 
-DfRunResult ParallelEngine::run(
-    const Graph& graph, const DfRunOptions& options,
-    const std::vector<std::pair<Label, Token>>& extra_tokens) const {
+DfRunResult ParallelEngine::run(const Graph& graph,
+                                const DfRunOptions& options) const {
   graph.validate();
   ParallelRun run_state(graph, options);
-  return run_state.run(extra_tokens);
+  return run_state.run();
 }
 
 }  // namespace gammaflow::dataflow

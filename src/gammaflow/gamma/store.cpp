@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <string>
 #include <utility>
 
@@ -324,14 +323,11 @@ Multiset Store::to_multiset() const {
 Store::Id Store::nth_live(std::size_t k) const noexcept {
   std::size_t w = 0;
   for (;; ++w) {
-    const auto live = static_cast<std::size_t>(std::popcount(alive_[w]));
+    const std::size_t live = count_bits(alive_[w]);
     if (k < live) break;
     k -= live;
   }
-  std::uint64_t word = alive_[w];
-  for (; k > 0; --k) word &= word - 1;  // drops the lowest live slot
-  const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-  return static_cast<Id>(w * 64 + bit);
+  return static_cast<Id>(w * 64 + select_in_word(alive_[w], k));
 }
 
 std::vector<Element> Match::produced() const {

@@ -2,8 +2,8 @@
 // crash. Most cases below overflowed the stack of a recursive parser (exit
 // 139) before its nesting was capped at expr::kMaxExprDepth: the expression
 // parser, which reads `.gamma` guards, `.src` expressions and serve `create`
-// programs, and the `.src` statement parser's nested blocks. One is an
-// evaluation error raised on the parallel engine's threads; others are Int
+// programs, and the `.src` statement parser's nested blocks. Two are
+// evaluation errors raised on the parallel engines' threads; others are Int
 // division that trapped (SIGFPE, exit 136) and a real literal out of
 // double's range. The last checks that the CLI links the way the build's
 // configure probe chose.
@@ -162,6 +162,21 @@ TEST_F(CliInput, RungammaParallelEvaluationErrorExitsOne) {
   const CliRun idx = run_cli(args + " --engine idx");
   EXPECT_EQ(idx.exit_code, 1) << idx.output;
   EXPECT_EQ(idx.output, want);
+  const CliRun par = run_cli(args + " --engine par --workers 4");
+  EXPECT_EQ(par.exit_code, 1) << par.output;
+  EXPECT_EQ(par.output, want);
+}
+
+TEST_F(CliInput, RunParallelEvaluationErrorExitsOne) {
+  // The parallel dataflow engine fired in worker threads with no handler
+  // too (exit 134); it now reports the error as the interpreter does.
+  const fs::path prog = write("div.src", "int a = 1;\nint b = 0;\n"
+                                         "m = a / b;\noutput m;\n");
+  const std::string args = "run " + prog.string();
+  const std::string want = "gammaflow: TypeError: integer division by zero\n";
+  const CliRun interp = run_cli(args);
+  EXPECT_EQ(interp.exit_code, 1) << interp.output;
+  EXPECT_EQ(interp.output, want);
   const CliRun par = run_cli(args + " --engine par --workers 4");
   EXPECT_EQ(par.exit_code, 1) << par.output;
   EXPECT_EQ(par.output, want);

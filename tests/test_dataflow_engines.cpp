@@ -176,35 +176,54 @@ TEST_P(DfEngineSuite, MaxFiresGuardThrows) {
   EXPECT_THROW((void)make_engine(GetParam())->run(g, opts), EngineError);
 }
 
-TEST_P(DfEngineSuite, ExtraTokenInjection) {
-  // A lone arith node fed by injection on both edges.
+/// Two tag-0 producers into the same port: a single-assignment violation
+/// on node 3 (the add), port 0.
+Graph duplicate_operand_graph() {
   GraphBuilder b;
   auto c1 = b.constant(Value(1), "c1");
   auto c2 = b.constant(Value(2), "c2");
+  auto c3 = b.constant(Value(3), "c3");
   const NodeId add = b.arith(BinOp::Add);
-  b.connect(c1, add, 0, "ea");
-  b.connect(c2, add, 1, "eb");
-  const NodeId out = b.output("sum");
+  b.connect(c1, add, 0);
+  b.connect(c2, add, 0);  // same port!
+  b.connect(c3, add, 1);
+  const NodeId out = b.output("o");
   b.connect(GraphBuilder::out(add), out, 0);
-  const Graph g = std::move(b).build();
-
-  // Inject an extra pair with tag 7: two results arrive.
-  std::vector<std::pair<Label, Token>> extra;
-  extra.emplace_back(Label("ea"), Token{Value(10), 7});
-  extra.emplace_back(Label("eb"), Token{Value(20), 7});
-  const auto r = make_engine(GetParam())->run(g, DfRunOptions{}, extra);
-  const auto values = r.output_values("sum");
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], Value(3));   // tag 0
-  EXPECT_EQ(values[1], Value(30));  // tag 7
+  return std::move(b).build();
 }
 
-TEST_P(DfEngineSuite, InjectionOnUnknownEdgeThrows) {
-  const Graph g = paper::fig1_graph();
-  std::vector<std::pair<Label, Token>> extra;
-  extra.emplace_back(Label("no_such_edge"), Token{Value(1), 0});
-  EXPECT_THROW((void)make_engine(GetParam())->run(g, DfRunOptions{}, extra),
-               EngineError);
+/// The text of the `E` that running `g` throws; fails the test if it
+/// returns or throws anything else.
+template <class E>
+std::string error_text(const DfEngine& engine, const Graph& g) {
+  DfRunOptions opts;
+  opts.workers = 3;
+  try {
+    (void)engine.run(g, opts);
+  } catch (const E& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the run returned";
+  return {};
+}
+
+TEST_P(DfEngineSuite, DivisionByZeroThrowsTheEvaluationError) {
+  // The parallel engine used to fire in worker threads with no handler, so
+  // the error aborted the process.
+  GraphBuilder b;
+  auto one = b.constant(Value(1), "one");
+  auto zero = b.constant(Value(0), "zero");
+  b.output(b.arith(BinOp::Div, one, zero), "q");
+  EXPECT_EQ(error_text<TypeError>(*make_engine(GetParam()),
+                                  std::move(b).build()),
+            "TypeError: integer division by zero");
+}
+
+TEST_P(DfEngineSuite, DuplicateOperandThrowsTheInterpretersError) {
+  // The parallel engine used to report this as an exhausted firing budget.
+  EXPECT_EQ(error_text<EngineError>(*make_engine(GetParam()),
+                                    duplicate_operand_graph()),
+            "EngineError: duplicate operand at node 3 port 0 tag 0");
 }
 
 TEST_P(DfEngineSuite, FiresByNodeAccounting) {
@@ -346,19 +365,7 @@ TEST(Interpreter, TraceLimitCapsRecording) {
 }
 
 TEST(Interpreter, DuplicateOperandDetected) {
-  // Two tag-0 producers into the same port: single-assignment violation.
-  GraphBuilder b;
-  auto c1 = b.constant(Value(1), "c1");
-  auto c2 = b.constant(Value(2), "c2");
-  auto c3 = b.constant(Value(3), "c3");
-  const NodeId add = b.arith(BinOp::Add);
-  b.connect(c1, add, 0);
-  b.connect(c2, add, 0);  // same port!
-  b.connect(c3, add, 1);
-  const NodeId out = b.output("o");
-  b.connect(GraphBuilder::out(add), out, 0);
-  const Graph g = std::move(b).build();
-  EXPECT_THROW((void)Interpreter().run(g), EngineError);
+  EXPECT_THROW((void)Interpreter().run(duplicate_operand_graph()), EngineError);
 }
 
 TEST(Interpreter, SingleOutputHelperThrowsOnCounts) {

@@ -257,7 +257,7 @@ TEST(TelemetryEndToEnd, InterpreterCountsFiresByOpcode) {
   dataflow::DfRunOptions opts;
   opts.telemetry = &tel;
   const auto result =
-      dataflow::Interpreter().run(paper::fig2_graph(4, 5, 100, true), opts, {});
+      dataflow::Interpreter().run(paper::fig2_graph(4, 5, 100, true), opts);
   EXPECT_EQ(result.metrics.counters.at("df.fires"), result.fires);
   EXPECT_GT(result.metrics.counters.at("df.fires.steer"), 0u);
   // The loop runs 4 iterations: 4 TRUE steerings per steer gate, then FALSE.
@@ -273,7 +273,7 @@ TEST(TelemetryEndToEnd, ParallelDataflowCountsAbsorbedTokens) {
   opts.workers = 3;
   opts.telemetry = &tel;
   const auto result = dataflow::ParallelEngine().run(
-      paper::fig2_graph(4, 5, 100, true), opts, {});
+      paper::fig2_graph(4, 5, 100, true), opts);
   EXPECT_EQ(result.metrics.counters.at("df.fires"), result.fires);
   EXPECT_GT(result.metrics.counters.at("df.tokens_absorbed"), 0u);
   EXPECT_GT(result.metrics.counters.at("df.fires.arith"), 0u);

@@ -255,7 +255,7 @@ TEST(DataflowRecorder, InterpreterJournalReplaysToOutputs) {
   RunRecorder rec;
   dataflow::DfRunOptions opts;
   opts.record = &rec;
-  const auto result = dataflow::Interpreter().run(g, opts, {});
+  const auto result = dataflow::Interpreter().run(g, opts);
   const Journal j = rec.take();
   expect_text_round_trip(j);
 
@@ -288,7 +288,7 @@ TEST(DataflowRecorder, ParallelEngineJournalReplays) {
   dataflow::DfRunOptions opts;
   opts.workers = 3;
   opts.record = &rec;
-  const auto result = dataflow::ParallelEngine().run(g, opts, {});
+  const auto result = dataflow::ParallelEngine().run(g, opts);
   const Journal j = rec.take();
   expect_text_round_trip(j);
 
@@ -311,7 +311,7 @@ TEST(DataflowRecorder, ParallelEngineJournalsProducersBeforeConsumers) {
     dataflow::DfRunOptions opts;
     opts.workers = 64;
     opts.record = &rec;
-    (void)dataflow::ParallelEngine().run(g, opts, {});
+    (void)dataflow::ParallelEngine().run(g, opts);
     const Journal j = rec.take();
     ASSERT_EQ(obs::verify_journal(j), "") << "run " << run;
   }

@@ -173,7 +173,7 @@ TEST(VizHtml, DataflowViewEmbedsReplayableJournal) {
   obs::RunRecorder rec;
   dataflow::DfRunOptions opts;
   opts.record = &rec;
-  (void)dataflow::Interpreter().run(g, opts, {});
+  (void)dataflow::Interpreter().run(g, opts);
   const obs::Journal journal = rec.take();
 
   viz::HtmlInputs inputs;

@@ -489,8 +489,8 @@ int cmd_run(const std::string& path, const Options& opts) {
   }
   const bool parallel = opts.engine == "par";
   const auto result = parallel
-                          ? dataflow::ParallelEngine().run(g, ropts, {})
-                          : dataflow::Interpreter().run(g, ropts, {});
+                          ? dataflow::ParallelEngine().run(g, ropts)
+                          : dataflow::Interpreter().run(g, ropts);
   if (result.outcome != Outcome::Completed) {
     std::cout << "# stopped early: " << to_string(result.outcome)
               << " (partial outputs below)\n";
@@ -806,8 +806,7 @@ int cmd_opt(const std::string& path) {
   const auto r = dataflow::optimize(load_graph(path));
   dataflow::write_text(std::cout, r.graph);
   std::cerr << "# folded " << r.folded << ", bypassed " << r.bypassed
-            << ", removed " << r.removed << " over " << r.iterations
-            << " iteration(s)\n";
+            << ", removed " << r.removed << '\n';
   return 0;
 }
 
@@ -978,9 +977,9 @@ int cmd_viz(const std::string& path, const Options& opts) {
     dataflow::DfRunOptions ropts;
     ropts.record = &rec;
     if (opts.engine == "par") {
-      (void)dataflow::ParallelEngine().run(*graph, ropts, {});
+      (void)dataflow::ParallelEngine().run(*graph, ropts);
     } else {
-      (void)dataflow::Interpreter().run(*graph, ropts, {});
+      (void)dataflow::Interpreter().run(*graph, ropts);
     }
     journal = rec.take();
     have_journal = true;
