@@ -80,37 +80,4 @@ double match_probability(const gamma::Reaction& reaction,
   return static_cast<double>(enabled) / tuples;
 }
 
-GraphStats graph_stats(const dataflow::Graph& graph) {
-  GraphStats s;
-  s.node_count = graph.node_count();
-  s.edge_count = graph.edge_count();
-  for (const dataflow::Node& n : graph.nodes()) {
-    ++s.nodes_by_kind[dataflow::to_string(n.kind)];
-    if (n.kind == dataflow::NodeKind::Const) ++s.root_count;
-    if (n.kind == dataflow::NodeKind::Output) ++s.output_count;
-  }
-  return s;
-}
-
-ProgramStats program_stats(const gamma::Program& program) {
-  ProgramStats s;
-  s.stage_count = program.stage_count();
-  std::size_t arity_sum = 0;
-  for (const gamma::Reaction* r : program.all_reactions()) {
-    ++s.reaction_count;
-    arity_sum += r->arity();
-    s.max_arity = std::max(s.max_arity, r->arity());
-    for (const gamma::Branch& br : r->branches()) {
-      if (br.condition) ++s.conditional_reactions;
-      s.total_output_tuples += br.outputs.size();
-      if (br.condition) break;  // count the reaction once
-    }
-  }
-  if (s.reaction_count > 0) {
-    s.avg_arity = static_cast<double>(arity_sum) /
-                  static_cast<double>(s.reaction_count);
-  }
-  return s;
-}
-
 }  // namespace gammaflow::analysis

@@ -1,7 +1,6 @@
 // Analyses the paper motivates as cross-model benefits: parallelism profiles
-// of dataflow graphs, match-opportunity counting for Gamma programs (the
-// quantity §III-A3's reduction argument is about), and summary statistics
-// used by the benches and EXPERIMENTS.md.
+// of dataflow graphs and match-opportunity counting for Gamma programs (the
+// quantity §III-A3's reduction argument is about).
 #pragma once
 
 #include <cstdint>
@@ -61,25 +60,5 @@ struct MatchOpportunities {
 [[nodiscard]] double match_probability(const gamma::Reaction& reaction,
                                        const gamma::Multiset& m,
                                        std::size_t cap = 1000000);
-
-/// Structural statistics.
-struct GraphStats {
-  std::map<std::string, std::size_t> nodes_by_kind;
-  std::size_t node_count = 0;
-  std::size_t edge_count = 0;
-  std::size_t root_count = 0;
-  std::size_t output_count = 0;
-};
-[[nodiscard]] GraphStats graph_stats(const dataflow::Graph& graph);
-
-struct ProgramStats {
-  std::size_t reaction_count = 0;
-  std::size_t stage_count = 0;
-  double avg_arity = 0.0;
-  std::size_t max_arity = 0;
-  std::size_t conditional_reactions = 0;  // at least one guarded branch
-  std::size_t total_output_tuples = 0;
-};
-[[nodiscard]] ProgramStats program_stats(const gamma::Program& program);
 
 }  // namespace gammaflow::analysis

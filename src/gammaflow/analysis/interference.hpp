@@ -169,8 +169,8 @@ struct InterferenceReport {
   /// the confluence counterexamples.
   std::vector<PairFinding> pairs;
 
-  /// Reaction name -> conflict class, the form RunOptions::conflict_classes
-  /// consumes.
+  /// Reaction name -> conflict class, the form the optimizer's class check
+  /// compares before and after a rewrite.
   [[nodiscard]] std::map<std::string, std::size_t> engine_classes() const;
   /// Label -> conflict class (consumers win over producers), the form
   /// distrib::ClusterOptions::label_affinity consumes.

@@ -57,7 +57,6 @@ class Json {
   [[nodiscard]] bool is_bool() const noexcept { return v_.index() == 1; }
   [[nodiscard]] bool is_int() const noexcept { return v_.index() == 2; }
   [[nodiscard]] bool is_real() const noexcept { return v_.index() == 3; }
-  [[nodiscard]] bool is_num() const noexcept { return is_int() || is_real(); }
   [[nodiscard]] bool is_str() const noexcept { return v_.index() == 4; }
   [[nodiscard]] bool is_arr() const noexcept { return v_.index() == 5; }
   [[nodiscard]] bool is_obj() const noexcept { return v_.index() == 6; }

@@ -37,11 +37,6 @@ class LabelTable {
     return names_[id];
   }
 
-  std::size_t size() const {
-    std::shared_lock lock(mutex_);
-    return names_.size();
-  }
-
  private:
   LabelTable() {
     names_.emplace_back("");
@@ -60,8 +55,6 @@ Label::Label(std::string_view name) : id_(LabelTable::instance().intern(name)) {
 const std::string& Label::str() const noexcept {
   return LabelTable::instance().name(id_);
 }
-
-std::size_t Label::interned_count() { return LabelTable::instance().size(); }
 
 std::ostream& operator<<(std::ostream& os, Label label) {
   return os << label.str();

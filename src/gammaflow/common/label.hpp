@@ -32,9 +32,6 @@ class Label {
   /// within a process which is all canonicalization needs.
   friend bool operator<(Label a, Label b) noexcept { return a.id_ < b.id_; }
 
-  /// Number of distinct labels interned so far (diagnostics / bench sizing).
-  static std::size_t interned_count();
-
  private:
   Id id_;
 };

@@ -148,5 +148,12 @@ struct Firing {
 /// Journal rendering of a captured output (persists in the final store).
 [[nodiscard]] std::string journal_output_str(const std::string& name, Tag tag,
                                              const Value& value);
+/// Journal label of a node: its name, or "<kind>#<id>" when unnamed.
+[[nodiscard]] std::string journal_node_label(const Graph& graph, NodeId node);
+
+/// The error both engines raise when a second operand reaches an occupied
+/// (tag, port) slot: the graph violates the single-assignment discipline
+/// for that iteration.
+[[nodiscard]] EngineError duplicate_operand(NodeId node, PortId port, Tag tag);
 
 }  // namespace gammaflow::dataflow

@@ -81,11 +81,7 @@ class Machine {
         next_.push_back(ReadyInstance{node, token.tag, std::move(frame)});
         return;
       case MatchStore::Put::Duplicate:
-        // A second operand for an occupied (tag, port) slot means the graph
-        // violates the single-assignment discipline for this iteration.
-        throw EngineError("duplicate operand at node " + std::to_string(node) +
-                          " port " + std::to_string(port) + " tag " +
-                          std::to_string(token.tag));
+        throw duplicate_operand(node, port, token.tag);
     }
   }
 
@@ -95,7 +91,7 @@ class Machine {
     if (tel_ != nullptr) {
       const NodeKind kind = graph_.node(node).kind;
       if (kind == NodeKind::Steer) {
-        ++(firing.port == kSteerData ? steer_true_ : steer_false_);
+        ++(firing.port == kSteerTrue ? steer_true_ : steer_false_);
       } else if (kind == NodeKind::IncTag) {
         tag_hist_->observe(static_cast<double>(firing.tag));
       }
@@ -254,11 +250,7 @@ class Machine {
                    std::vector<std::string> produced) {
     if (jrec_ == nullptr) return;
     obs::FireRecord fr;
-    const Node& n = graph_.node(node);
-    fr.reaction = n.name.empty()
-                      ? std::string(to_string(n.kind)) + "#" +
-                            std::to_string(node)
-                      : n.name;
+    fr.reaction = journal_node_label(graph_, node);
     if (inst != nullptr) {
       const auto inputs = inst->frame.operands(waiting_.arity(node));
       fr.consumed.reserve(inputs.size());

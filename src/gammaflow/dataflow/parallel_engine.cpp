@@ -92,7 +92,7 @@ class ParallelRun {
       total_fires_.fetch_add(1, std::memory_order_relaxed);
       if (jrec_ != nullptr) {
         obs::FireRecord fr;
-        fr.reaction = node_label(root);
+        fr.reaction = journal_node_label(graph_, root);
         fr.produced = emission_strs(root, f);
         jrec_->fire(std::move(fr));
       }
@@ -203,14 +203,6 @@ class ParallelRun {
     return produced;
   }
 
-  /// Journal label for a node: its name, or "<kind>#<id>" when unnamed.
-  [[nodiscard]] std::string node_label(NodeId node) const {
-    const Node& n = graph_.node(node);
-    return n.name.empty()
-               ? std::string(to_string(n.kind)) + "#" + std::to_string(node)
-               : n.name;
-  }
-
   void worker_loop(unsigned my_id) {
     WorkerState& me = workers_[my_id];
     RunGovernor governor = loop_.make_governor(options_);
@@ -293,15 +285,7 @@ class ParallelRun {
       case MatchStore::Put::Waiting:
         return;  // still waiting for partners
       case MatchStore::Put::Duplicate:
-        // A second operand for an occupied (tag, port) slot means the graph
-        // violates the single-assignment discipline for this iteration. The
-        // text is the interpreter's.
-        throw EngineError(std::string("duplicate operand at node ")
-                              .append(std::to_string(routed.node))
-                              .append(" port ")
-                              .append(std::to_string(routed.port))
-                              .append(" tag ")
-                              .append(std::to_string(routed.token.tag)));
+        throw duplicate_operand(routed.node, routed.port, routed.token.tag);
       case MatchStore::Put::Ready:
         break;
     }
@@ -326,7 +310,7 @@ class ParallelRun {
     }
     obs::FireRecord fr;
     if (jrec_ != nullptr) {
-      fr.reaction = node_label(routed.node);
+      fr.reaction = journal_node_label(graph_, routed.node);
       fr.consumed.reserve(inputs.size());
       for (PortId p = 0; p < inputs.size(); ++p) {
         fr.consumed.push_back(journal_token_str(graph_, routed.node, p,
@@ -346,7 +330,7 @@ class ParallelRun {
     const Firing firing = fire_node(node, inputs, routed.token.tag);
     if (tel_ != nullptr) {
       if (node.kind == NodeKind::Steer && firing.emits) {
-        ++(firing.port == kSteerData ? me.steer_true : me.steer_false);
+        ++(firing.port == kSteerTrue ? me.steer_true : me.steer_false);
       } else if (node.kind == NodeKind::IncTag) {
         tag_hist_->observe(static_cast<double>(firing.tag));
       }

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "gammaflow/expr/lexer.hpp"
+
 namespace gammaflow::dataflow {
 namespace {
 
@@ -70,15 +72,9 @@ Value parse_value(const std::string& s, int line_no) {
   if (s == "nil") return {};
   if (s == "true") return Value(true);
   if (s == "false") return Value(false);
-  if (!s.empty() && (std::isdigit(static_cast<unsigned char>(s[0])) ||
-                     s[0] == '-' || s[0] == '+')) {
-    if (s.find('.') != std::string::npos || s.find('e') != std::string::npos ||
-        s.find('E') != std::string::npos) {
-      return Value(std::stod(s));
-    }
-    std::int64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec == std::errc{} && ptr == s.data() + s.size()) return Value(v);
+  if (!s.empty() &&
+      (std::isdigit(static_cast<unsigned char>(s[0])) || s[0] == '-')) {
+    return expr::decode_number(s, line_no, 1);
   }
   throw ParseError("cannot decode value '" + s + "'", line_no, 1);
 }

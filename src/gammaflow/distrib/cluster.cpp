@@ -417,10 +417,10 @@ void Simulation::load_resume_state() {
       case 'D': state_[i] = NState::Draining; break;
       default: state_[i] = NState::Inactive; break;
     }
-    // A restored ring with a hole must run membership-aware even when the
-    // resuming invocation passed no churn schedule: legacy uniform stirring
-    // would route elements at the Inactive slot forever (drop, retry, never
-    // ack — Safra can then never balance).
+    // A restored ring with a hole runs membership-aware even when the
+    // resuming invocation passed no churn schedule: a draining node still
+    // has to complete its leave, and the token watchdog stays on as under
+    // churn.
     if (state_[i] != NState::Member) membership_on_ = true;
   }
   // Scheduled events at or before the restored round already happened.
@@ -1127,10 +1127,8 @@ struct RoundGate {
 
 void Simulation::react() {
   const auto& stage = program_.stages().front();
-  // No conflict classes (a shard is not a closed class) and no stage
-  // telemetry: the cluster reports its own distrib.* metrics and one span
-  // per round.
-  const std::map<std::string, std::size_t> no_classes;
+  // No stage telemetry: the cluster reports its own distrib.* metrics and
+  // one span per round.
   const gamma::StageObs no_obs(nullptr, nullptr, stage);
   for (std::size_t i = 0; i < capacity_; ++i) {
     Node& node = nodes_[i];
@@ -1145,8 +1143,8 @@ void Simulation::react() {
     RoundGate gate{options_.fires_per_round,
                    wal_live(i) ? &wal_[i] : nullptr,
                    recording_ ? &rctx : nullptr};
-    gamma::run_stage_fixpoint(node.shard, stage, no_classes, node.rng,
-                              node.memory, no_obs, gate);
+    gamma::run_stage_fixpoint(node.shard, stage, node.rng, node.memory,
+                              no_obs, gate);
     node.fires += gate.fires;
     node.fired_this_round = gate.fires > 0;
     if (node.fired_this_round) {
@@ -1237,17 +1235,18 @@ void Simulation::communicate() {
       // Active node: diffuse a few random elements (stir the solution).
       // With a label-affinity hint, stirring turns directed: a stray
       // element is routed to its class's home node (where its reaction
-      // partners live), and an element already home stays put. Under
-      // churn, peers are drawn from the CURRENT member set, and an
-      // affinity home that left re-routes to the epoch owner. Sends
-      // still come only from active nodes, so EWD998's premise holds.
+      // partners live), and an element already home stays put. Peers are
+      // drawn uniformly from the OTHER nodes of the CURRENT member set
+      // (with no churn, every node), and an affinity home that left
+      // re-routes to the epoch owner. Sends still come only from active
+      // nodes, so EWD998's premise holds.
       for (std::size_t k = 0; k < options_.migrations_per_round; ++k) {
         if (node.shard.size() <= 1) break;
         auto e = take_random(node);
         if (!e) break;
         std::size_t peer = 0;
         auto home = affinity_.home(*e);
-        if (home && membership_on_ && state_[*home] != NState::Member) {
+        if (home && state_[*home] != NState::Member) {
           home = epoch_map_.owner(*e);  // class home left the ring
         }
         if (home && *home != i) {
@@ -1255,9 +1254,6 @@ void Simulation::communicate() {
         } else if (home) {
           node.shard.insert(std::move(*e));  // already co-located: keep
           continue;
-        } else if (!membership_on_) {
-          peer = node.rng.bounded(capacity_ - 1);
-          if (peer >= i) ++peer;  // uniform over the OTHER nodes
         } else {
           const auto& mem = epoch_map_.members();
           if (mem.size() <= 1) {

@@ -113,7 +113,67 @@ TokenKind keyword_kind(std::string_view ident, LexMode mode) {
   return TokenKind::Ident;
 }
 
+/// Where the numeral starting with a digit at s[pos] ends, and whether it
+/// is real: digits, then an optional fraction ('.' and a digit) and an
+/// optional exponent ('e' or 'E', an optional sign, a digit).
+struct Numeral {
+  std::size_t end;
+  bool is_real;
+};
+
+Numeral scan_numeral(std::string_view s, std::size_t pos) {
+  const auto at = [s](std::size_t i) { return i < s.size() ? s[i] : '\0'; };
+  bool is_real = false;
+  while (is_digit(at(pos))) ++pos;
+  if (at(pos) == '.' && is_digit(at(pos + 1))) {
+    is_real = true;
+    ++pos;
+    while (is_digit(at(pos))) ++pos;
+  }
+  if (at(pos) == 'e' || at(pos) == 'E') {
+    const char sign = at(pos + 1);
+    const bool signed_exp = sign == '+' || sign == '-';
+    if (is_digit(signed_exp ? at(pos + 2) : sign)) {
+      is_real = true;
+      pos += signed_exp ? 2 : 1;
+      while (is_digit(at(pos))) ++pos;
+    }
+  }
+  return {pos, is_real};
+}
+
+/// Decodes a scanned numeral's spelling, after an optional '-'. Raises
+/// ParseError at (line, column) when the value is out of range.
+Value decode_numeral(const std::string& spelling, bool is_real, int line,
+                     int column) {
+  if (is_real) {
+    try {
+      return Value(std::stod(spelling));
+    } catch (const std::out_of_range&) {
+      throw ParseError("real literal out of range: " + spelling, line, column);
+    }
+  }
+  std::int64_t v = 0;
+  const char* const end = spelling.data() + spelling.size();
+  const auto [ptr, ec] = std::from_chars(spelling.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    throw ParseError("integer literal out of range: " + spelling, line,
+                     column);
+  }
+  return Value(v);
+}
+
 }  // namespace
+
+Value decode_number(std::string_view text, int line, int column) {
+  const std::size_t start = !text.empty() && text.front() == '-' ? 1 : 0;
+  const Numeral numeral = scan_numeral(text, start);
+  if (start == text.size() || !is_digit(text[start]) ||
+      numeral.end != text.size()) {
+    throw ParseError("malformed number: " + std::string(text), line, column);
+  }
+  return decode_numeral(std::string(text), numeral.is_real, line, column);
+}
 
 void Lexer::fail(const std::string& what, int line, int column) {
   pos_ = src_.size();
@@ -162,39 +222,14 @@ void Lexer::next(Token& out) {
     return;
   }
   if (is_digit(c)) {
-    bool is_real = false;
-    while (is_digit(peek())) ++pos_;
-    if (peek() == '.' && is_digit(peek(1))) {
-      is_real = true;
-      ++pos_;
-      while (is_digit(peek())) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      const char sign = peek(1);
-      const char first = (sign == '+' || sign == '-') ? peek(2) : sign;
-      if (is_digit(first)) {
-        is_real = true;
-        ++pos_;  // e
-        if (sign == '+' || sign == '-') ++pos_;
-        while (is_digit(peek())) ++pos_;
-      }
-    }
-    if (is_real) {
-      spelled(TokenKind::RealLit);
-      try {
-        out.value = Value(std::stod(out.text));
-      } catch (const std::out_of_range&) {
-        fail("real literal out of range: " + out.text, line, column);
-      }
-    } else {
-      spelled(TokenKind::IntLit);
-      std::int64_t v = 0;
-      const char* const end = out.text.data() + out.text.size();
-      const auto [ptr, ec] = std::from_chars(out.text.data(), end, v);
-      if (ec != std::errc{} || ptr != end) {
-        fail("integer literal out of range: " + out.text, line, column);
-      }
-      out.value = Value(v);
+    const Numeral numeral = scan_numeral(src_, pos_);
+    pos_ = numeral.end;
+    spelled(numeral.is_real ? TokenKind::RealLit : TokenKind::IntLit);
+    try {
+      out.value = decode_numeral(out.text, numeral.is_real, line, column);
+    } catch (const ParseError&) {
+      pos_ = src_.size();
+      throw;
     }
     return;
   }

@@ -85,6 +85,12 @@ class Lexer {
   LexMode mode_;
 };
 
+/// Decodes a number spelled as the lexer spells an IntLit or RealLit,
+/// after an optional '-' that folds into the value (so the int64 minimum
+/// decodes). Raises ParseError at (line, column) when `text` is not one
+/// such number or its value is out of range.
+[[nodiscard]] Value decode_number(std::string_view text, int line, int column);
+
 /// Tokenizes the whole input eagerly (a loop over Lexer, ending with End).
 [[nodiscard]] std::vector<Token> tokenize(std::string_view source,
                                           LexMode mode = LexMode::Expression);

@@ -45,16 +45,6 @@ struct RunOptions : runtime::RunOptions {
   /// SequentialEngine only: cap on enabled matches enumerated per step; the
   /// uniform choice is over the first `uniform_cap` found.
   std::size_t uniform_cap = 4096;
-  /// Precomputed conflict classes (reaction name -> class id), normally
-  /// InterferenceReport::engine_classes(). Reactions in different classes
-  /// touch provably disjoint element populations. Only IndexedEngine reads
-  /// them: when every reaction of a stage is covered and the stage spans
-  /// >= 2 classes, it runs each class to its own fixpoint once instead of
-  /// re-passing over all reactions (sound because a quiescent class cannot
-  /// be re-enabled from outside: feed edges stay inside classes). Unknown
-  /// or missing names simply disable the optimization for that stage;
-  /// semantics never change.
-  std::map<std::string, std::size_t> conflict_classes;
 };
 
 struct RunResult {

@@ -73,8 +73,8 @@ RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
     const auto& stage = program.stages()[stage_idx];
     StageMemory mem(stage.size());
     LoopGate gate(loop, result.steps, recording, stage_idx);
-    run_stage_fixpoint(store, stage, options.conflict_classes, rng, mem,
-                       StageObs(tel, rec, stage), gate);
+    run_stage_fixpoint(store, stage, rng, mem, StageObs(tel, rec, stage),
+                       gate);
     attempts += mem.attempts;
     failures += mem.failures;
     passes += mem.passes;

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -133,8 +132,6 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
   const runtime::EngineTelemetry telemetry(options, "gamma");
   obs::Telemetry* const tel = telemetry.sink();
   const FieldSet fields = FieldSet::of(program);
-  // Parts run without class scheduling: a part is not a closed class.
-  const std::map<std::string, std::size_t> no_classes;
   runtime::StopFlag stop;
   std::atomic<std::uint64_t> fired{0};
   std::uint64_t attempts = 0;
@@ -171,7 +168,7 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
                       runtime::RecordCtx{part.journal.get(),
                                          static_cast<std::int64_t>(stage_idx),
                                          static_cast<std::int64_t>(p)});
-        run_stage_fixpoint(part.store, stage, no_classes, part.rng, part.mem,
+        run_stage_fixpoint(part.store, stage, part.rng, part.mem,
                            StageObs(tel, rec, stage), gate);
       } catch (...) {
         part.error = std::current_exception();

@@ -8,8 +8,7 @@
 // stays enabled; a full pass with no fire is the fixed-point proof (the
 // index search is exhaustive). Each reaction keeps an AnchorMemo for the
 // store, so a re-probe skips the candidates an earlier failed sweep already
-// ruled out (DESIGN §15.5). With conflict classes that cover the stage in
-// >= 2 classes, each class runs to its own fixed point once instead.
+// ruled out (DESIGN §15.5).
 //
 // What differs between the callers is the gate: when to stop, whether the
 // next fire is within budget, and where a fire is journaled. A Gate provides
@@ -24,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -78,82 +76,49 @@ struct StageObs {
 };
 
 /// Runs `stage` over `store` to its fixed point, or until the gate stops
-/// it. `classes` maps reaction names to conflict classes (empty: no class
-/// scheduling). `rng` drives every shuffle and pick.
+/// it. `rng` drives every shuffle and pick.
 template <typename Gate>
 void run_stage_fixpoint(Store& store, const std::vector<Reaction>& stage,
-                        const std::map<std::string, std::size_t>& classes,
                         Rng& rng, StageMemory& mem, const StageObs& ob,
                         Gate& gate) {
   obs::Telemetry* const tel = ob.tel;
-  // Runs the reactions in `order` to their combined fixed point.
-  const auto run_to_fixpoint = [&](std::vector<std::size_t> order) {
-    bool progressed = true;
-    while (progressed && gate.running()) {
-      progressed = false;
-      ++mem.passes;
-      obs::Span pass_span(tel, ob.rec, "pass");
-      std::uint64_t pass_fires = 0;
-      std::shuffle(order.begin(), order.end(), rng);
-      for (const std::size_t idx : order) {
-        if (!gate.running()) break;
-        const Reaction& r = stage[idx];
-        // Fire this reaction repeatedly while it stays enabled: cheaper
-        // than re-shuffling after every step, and fairness across
-        // reactions is restored by the shuffled outer pass.
-        while (!gate.should_stop()) {
-          const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-          auto match =
-              runtime::MatchPipeline::find(store, r, &rng, &mem.memos[idx]);
-          ++mem.attempts;
-          if (!match) {
-            ++mem.failures;
-            break;
-          }
-          if (!gate.admit(store, *match)) break;
-          ++mem.fires[idx];
-          runtime::MatchPipeline::commit(store, *match, gate.record());
-          progressed = true;
-          ++pass_fires;
-          if (tel) {
-            ob.fire_hist[idx]->observe(
-                static_cast<double>(tel->now_us() - fire_start));
-          }
+  std::vector<std::size_t> order(stage.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  bool progressed = true;
+  while (progressed && gate.running()) {
+    progressed = false;
+    ++mem.passes;
+    obs::Span pass_span(tel, ob.rec, "pass");
+    std::uint64_t pass_fires = 0;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const std::size_t idx : order) {
+      if (!gate.running()) break;
+      const Reaction& r = stage[idx];
+      // Fire this reaction repeatedly while it stays enabled: cheaper
+      // than re-shuffling after every step, and fairness across
+      // reactions is restored by the shuffled outer pass.
+      while (!gate.should_stop()) {
+        const std::uint64_t fire_start = tel ? tel->now_us() : 0;
+        auto match =
+            runtime::MatchPipeline::find(store, r, &rng, &mem.memos[idx]);
+        ++mem.attempts;
+        if (!match) {
+          ++mem.failures;
+          break;
+        }
+        if (!gate.admit(store, *match)) break;
+        ++mem.fires[idx];
+        runtime::MatchPipeline::commit(store, *match, gate.record());
+        progressed = true;
+        ++pass_fires;
+        if (tel) {
+          ob.fire_hist[idx]->observe(
+              static_cast<double>(tel->now_us() - fire_start));
         }
       }
-      pass_span.set_arg(pass_fires);
-      gate.pass_done(store, pass_fires);
     }
-  };
-
-  // Conflict-class scheduling: when the classes cover the whole stage with
-  // >= 2 classes, run each class to its own fixpoint once, in shuffled
-  // order, with no global re-pass. Sound because interference (compete AND
-  // feed edges) stays inside a class: a quiescent class can never be
-  // re-enabled by another class's firings.
-  std::vector<std::vector<std::size_t>> groups;
-  if (!classes.empty() && stage.size() >= 2) {
-    std::map<std::size_t, std::vector<std::size_t>> by_class;
-    bool covered = true;
-    for (std::size_t i = 0; i < stage.size() && covered; ++i) {
-      const auto it = classes.find(stage[i].name());
-      covered = it != classes.end();
-      if (covered) by_class[it->second].push_back(i);
-    }
-    if (covered && by_class.size() >= 2) {
-      for (auto& [c, idxs] : by_class) groups.push_back(std::move(idxs));
-    }
-  }
-  if (groups.empty()) {
-    std::vector<std::size_t> all(stage.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    run_to_fixpoint(std::move(all));
-  } else {
-    std::shuffle(groups.begin(), groups.end(), rng);
-    for (auto& group : groups) {
-      if (!gate.running()) break;
-      run_to_fixpoint(std::move(group));
-    }
+    pass_span.set_arg(pass_fires);
+    gate.pass_done(store, pass_fires);
   }
 }
 

@@ -1,37 +1,14 @@
-// Conflict-class sharding of the multiset. PR 3's interference analysis
-// proves that reactions in different conflict classes touch disjoint element
-// populations (compete AND feed edges stay inside a class); this module
-// turns that proof into a routing of elements to shards:
+// Label routing of the multiset for the distributed cluster (a cluster
+// node IS a shard with a network between it and its peers):
 //
-//   plan_shards   — decides whether a stage may be sharded, and assigns
-//                   every reaction and every label to a shard. The plan is
-//                   accepted only when it is STATICALLY sound (see below).
-//                   `gammaflow viz --graph shards` draws it.
-//   ShardMap      — label -> shard routing: the distributed cluster's
-//                   placement and stirring hint (a cluster node IS a shard
-//                   with a network between it and its peers).
+//   ShardMap      — label -> shard routing: the cluster's placement and
+//                   stirring hint, built from the interference analysis's
+//                   label affinity (`distrib --affinity`).
 //   EpochShardMap — the rendezvous-hashed form the elastic cluster
 //                   rebalances with, one map per membership epoch.
-//
-// Soundness rules enforced by plan_shards (any failure => not sharded):
-//   1. every reaction of the stage has a conflict class;
-//   2. every pattern has >= 2 fields with a literal STRING label at field 1
-//      (the repo-wide [value, 'label', ...] convention) — so element routing
-//      by label is total over matchable elements;
-//   3. a label consumed by reactions of two different classes is a
-//      contradiction of rule-disjointness — refuse (defense against
-//      hand-written class maps; analysis-produced maps cannot do this);
-//   4. every output tuple's field-1 expression is a string literal, and a
-//      produced label that some reaction consumes must map to the producing
-//      reaction's own shard (feed edges stay in-class — analysis guarantees
-//      it, the planner re-checks it).
-// Under these rules an element either carries a mapped label (all reactions
-// that can consume it live on its one shard) or can never match any pattern
-// at all (inert: it parks on its hash shard and survives to the result).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -39,27 +16,8 @@
 
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/multiset.hpp"
-#include "gammaflow/gamma/reaction.hpp"
 
 namespace gammaflow::runtime {
-
-struct ShardPlan {
-  /// False => the stage has no sound shard plan.
-  bool sharded = false;
-  std::size_t shard_count = 1;
-  /// Shard of each reaction, indexed by stage position.
-  std::vector<std::size_t> reaction_shard;
-  /// Shard of each consumed/produced label.
-  std::unordered_map<std::string, std::size_t> label_shard;
-};
-
-/// Plans sharding for one stage from conflict classes (reaction name ->
-/// class id, normally InterferenceReport::engine_classes()). Returns an
-/// unsharded plan unless every soundness rule above holds and at least two
-/// shards result. Class ids are renumbered densely into shard ids.
-[[nodiscard]] ShardPlan plan_shards(
-    const std::vector<gamma::Reaction>& stage,
-    const std::map<std::string, std::size_t>& conflict_classes);
 
 /// Label -> shard routing: `home()` is the hint, nullopt when the element
 /// carries no mapped label. The cluster builds one from label_affinity with

@@ -1,7 +1,7 @@
 // DOT writers, one per graph kind. The dataflow graph draws the paper's
-// shape conventions; the three Gamma-side writers render the SAME analysis
-// the engines consume — InterferenceReport and plan_shards — so what the
-// picture shows is what the scheduler does.
+// shape conventions; the two Gamma-side writers render the SAME analysis
+// the optimizer and `distrib --affinity` consume — InterferenceReport — so
+// what the picture shows is what those passes act on.
 #include <cstddef>
 #include <map>
 #include <ostream>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "gammaflow/runtime/shard_map.hpp"
 #include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::viz {
@@ -195,59 +194,6 @@ void write_classes_dot(std::ostream& os, const gamma::Program& program,
         first = false;
       }
       os << "\"];\n";
-    }
-    os << "  }\n";
-  }
-  os << "}\n";
-}
-
-void write_shards_dot(std::ostream& os, const gamma::Program& program,
-                      const analysis::InterferenceReport& report,
-                      const std::string& title) {
-  const std::map<std::string, std::size_t> classes = report.engine_classes();
-  os << "digraph \"" << dot_escape(title) << "\" {\n"
-     << "  rankdir=LR;\n"
-     << "  node [shape=box, style=filled, fillcolor=white, fontsize=11];\n";
-  for (std::size_t s = 0; s < program.stages().size(); ++s) {
-    const std::vector<gamma::Reaction>& stage = program.stages()[s];
-    const runtime::ShardPlan plan = runtime::plan_shards(stage, classes);
-    os << "  subgraph cluster_stage" << s << " {\n"
-       << "    label=\"stage " << s
-       << (plan.sharded ? "" : " (single store)") << "\";\n"
-       << "    style=bold;\n";
-    if (plan.sharded) {
-      for (std::size_t sh = 0; sh < plan.shard_count; ++sh) {
-        os << "    subgraph cluster_stage" << s << "_shard" << sh << " {\n"
-           << "      label=\"shard " << sh << "\";\n"
-           << "      style=filled;\n      fillcolor=\"" << class_fill(sh)
-           << "\";\n";
-        for (std::size_t k = 0; k < stage.size(); ++k) {
-          if (plan.reaction_shard[k] != sh) continue;
-          os << "      st" << s << "r" << k << " [label=\""
-             << dot_escape(stage[k].name()) << "\"];\n";
-        }
-        std::set<std::string> labels;  // sorted for stable golden output
-        for (const auto& [label, shard] : plan.label_shard) {
-          if (shard == sh) labels.insert(label);
-        }
-        if (!labels.empty()) {
-          os << "      st" << s << "sh" << sh
-             << "labels [shape=note, label=\"";
-          bool first = true;
-          for (const std::string& l : labels) {
-            if (!first) os << "\\n";
-            os << dot_escape(l);
-            first = false;
-          }
-          os << "\"];\n";
-        }
-        os << "    }\n";
-      }
-    } else {
-      for (std::size_t k = 0; k < stage.size(); ++k) {
-        os << "    st" << s << "r" << k << " [label=\""
-           << dot_escape(stage[k].name()) << "\"];\n";
-      }
     }
     os << "  }\n";
   }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "gammaflow/common/json.hpp"
-#include "gammaflow/runtime/shard_map.hpp"
 #include "gammaflow/viz/viz.hpp"
 
 namespace gammaflow::viz {
@@ -24,7 +23,6 @@ struct VizNode {
   std::string label;  // display text
   std::string kind;
   long long cls = -1;
-  long long shard = -1;
   long long stage = -1;
   double x = 0.0;
   double y = 0.0;
@@ -112,18 +110,6 @@ void build_gamma_view(const gamma::Program& program,
                       const analysis::InterferenceReport* report,
                       std::vector<VizNode>& nodes,
                       std::vector<VizEdge>& edges) {
-  std::map<std::string, std::size_t> classes;
-  std::vector<std::size_t> shard_of;  // global reaction index -> shard (-1)
-  if (report != nullptr) classes = report->engine_classes();
-  {
-    for (const std::vector<gamma::Reaction>& stage : program.stages()) {
-      const runtime::ShardPlan plan = runtime::plan_shards(stage, classes);
-      for (std::size_t k = 0; k < stage.size(); ++k) {
-        shard_of.push_back(plan.sharded ? plan.reaction_shard[k]
-                                        : static_cast<std::size_t>(-1));
-      }
-    }
-  }
   std::map<long long, int> column_fill;  // class/column -> members placed
   std::size_t i = 0;
   for (std::size_t s = 0; s < program.stages().size(); ++s) {
@@ -135,9 +121,6 @@ void build_gamma_view(const gamma::Program& program,
       vn.stage = static_cast<long long>(s);
       if (report != nullptr && i < report->class_of.size()) {
         vn.cls = static_cast<long long>(report->class_of[i]);
-      }
-      if (shard_of[i] != static_cast<std::size_t>(-1)) {
-        vn.shard = static_cast<long long>(shard_of[i]);
       }
       const long long col = vn.cls >= 0 ? vn.cls : static_cast<long long>(i);
       vn.x = 120.0 + 220.0 * static_cast<double>(col);
@@ -183,8 +166,8 @@ void write_data_json(std::ostream& os, const HtmlInputs& inputs) {
     os << "{\"key\":" << json_quote(n.key)
        << ",\"label\":" << json_quote(n.label);
     os << ",\"kind\":\"" << n.kind << "\",\"cls\":" << n.cls
-       << ",\"shard\":" << n.shard << ",\"stage\":" << n.stage << ",\"x\":"
-       << n.x << ",\"y\":" << n.y << '}';
+       << ",\"stage\":" << n.stage << ",\"x\":" << n.x << ",\"y\":" << n.y
+       << '}';
   }
   os << "],\"edges\":[";
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -353,7 +336,6 @@ function fillFor(n) {
   const mode = colorSel.value;
   let idx = -1;
   if (mode === 'class') idx = n.cls;
-  else if (mode === 'shard') idx = n.shard;
   if (idx === null || idx < 0) return '#ffffff';
   return palette[idx % palette.length] + '40';
 }
@@ -361,7 +343,6 @@ function strokeFor(n) {
   const mode = colorSel.value;
   let idx = -1;
   if (mode === 'class') idx = n.cls;
-  else if (mode === 'shard') idx = n.shard;
   if (idx === null || idx < 0) return '#607d8b';
   return palette[idx % palette.length];
 }
@@ -390,7 +371,7 @@ function renderLegend() {
   const seen = {};
   let html = '';
   for (const n of data.nodes) {
-    const idx = mode === 'class' ? n.cls : (mode === 'shard' ? n.shard : -1);
+    const idx = mode === 'class' ? n.cls : -1;
     if (idx === null || idx < 0 || seen[idx]) continue;
     seen[idx] = true;
     html += '<span><span class="sw" style="background:' +
@@ -591,7 +572,6 @@ void write_html(std::ostream& os, const HtmlInputs& inputs) {
      << "      <span id=\"gf-round-label\"></span>\n"
      << "      <label>color: <select id=\"gf-color\">"
         "<option value=\"class\">conflict class</option>"
-        "<option value=\"shard\">shard</option>"
         "<option value=\"none\">none</option></select></label>\n"
      << "    </div>\n"
      << "    <div id=\"gf-legend\"></div>\n"

@@ -1,13 +1,13 @@
 // Visualization: the renderer half of ROADMAP item 5 (`gammaflow viz`).
 // Consumes the structures the rest of the system already computes — dataflow
 // graphs (dataflow/graph.hpp), interference reports and conflict classes
-// (analysis/interference.hpp), shard plans (runtime/shard_map.hpp), and
-// run journals (obs/run_recorder.hpp) — and renders them as:
+// (analysis/interference.hpp), and run journals (obs/run_recorder.hpp) —
+// and renders them as:
 //
 //   * DOT, one writer per graph kind, and
 //   * one SELF-CONTAINED interactive HTML file: embedded JSON, inline CSS
 //     and JS, no network dependencies — a pan/zoom node graph colored by
-//     conflict class / shard, a per-round & per-fire store-evolution
+//     conflict class, a per-round & per-fire store-evolution
 //     scrubber over the journal, and a provenance view (click a fired
 //     reaction, see what it consumed and produced).
 //
@@ -41,18 +41,11 @@ void write_interference_dot(std::ostream& os, const gamma::Program& program,
                             const analysis::InterferenceReport& report,
                             const std::string& title = "interference");
 
-/// Conflict-class partition: one box per class listing its reactions — the
-/// scheduling view (what the indexed/parallel engines treat as independent).
+/// Conflict-class partition: one box per class listing its reactions —
+/// reactions in different boxes touch provably disjoint elements.
 void write_classes_dot(std::ostream& os, const gamma::Program& program,
                        const analysis::InterferenceReport& report,
                        const std::string& title = "classes");
-
-/// Shard plan per stage (runtime::plan_shards over the report's classes):
-/// reactions and routed labels grouped by shard, or a note when the stage
-/// falls back to the single-store path.
-void write_shards_dot(std::ostream& os, const gamma::Program& program,
-                      const analysis::InterferenceReport& report,
-                      const std::string& title = "shards");
 
 /// Inputs for the HTML renderer; null members simply omit that panel.
 /// Exactly one of `graph` (dataflow view) / `program` (Gamma view) should

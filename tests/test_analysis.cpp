@@ -1,6 +1,9 @@
 // Analyses: parallelism profiles, match-opportunity counts (the §III-A3
-// granularity argument, quantified), structural stats.
+// granularity argument, quantified), and the paper figures' inventories.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 #include "gammaflow/analysis/analysis.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
@@ -109,31 +112,46 @@ TEST(MatchOps, CapIsReported) {
   EXPECT_EQ(ops.per_reaction.at("R"), 100u);
 }
 
+// The paper's Fig. 2 inventory, counted from the structures themselves.
 TEST(GraphStats, Fig2Inventory) {
-  const auto s = graph_stats(paper::fig2_graph(3, 5, 0, true));
-  EXPECT_EQ(s.node_count, 13u);
-  EXPECT_EQ(s.root_count, 3u);
-  EXPECT_EQ(s.output_count, 1u);
-  EXPECT_EQ(s.nodes_by_kind.at("steer"), 3u);
-  EXPECT_EQ(s.nodes_by_kind.at("inctag"), 3u);
-  EXPECT_EQ(s.nodes_by_kind.at("cmp"), 1u);
-  EXPECT_EQ(s.nodes_by_kind.at("arith"), 2u);
-  EXPECT_EQ(s.edge_count, 17u);
+  const dataflow::Graph g = paper::fig2_graph(3, 5, 0, true);
+  std::map<dataflow::NodeKind, std::size_t> by_kind;
+  for (const dataflow::Node& n : g.nodes()) ++by_kind[n.kind];
+  EXPECT_EQ(g.node_count(), 13u);
+  EXPECT_EQ(by_kind[dataflow::NodeKind::Const], 3u);
+  EXPECT_EQ(by_kind[dataflow::NodeKind::Output], 1u);
+  EXPECT_EQ(by_kind[dataflow::NodeKind::Steer], 3u);
+  EXPECT_EQ(by_kind[dataflow::NodeKind::IncTag], 3u);
+  EXPECT_EQ(by_kind[dataflow::NodeKind::Cmp], 1u);
+  EXPECT_EQ(by_kind[dataflow::NodeKind::Arith], 2u);
+  EXPECT_EQ(g.edge_count(), 17u);
 }
 
 TEST(ProgramStats, Fig2Listing) {
-  const auto s = program_stats(paper::fig2_gamma());
-  EXPECT_EQ(s.reaction_count, 9u);
-  EXPECT_EQ(s.stage_count, 1u);
-  EXPECT_EQ(s.max_arity, 2u);
-  EXPECT_GT(s.conditional_reactions, 5u);
-  EXPECT_NEAR(s.avg_arity, 13.0 / 9.0, 1e-9);
+  const gamma::Program p = paper::fig2_gamma();
+  std::size_t arity_sum = 0;
+  std::size_t max_arity = 0;
+  std::size_t conditional = 0;  // at least one guarded branch
+  for (const gamma::Reaction* r : p.all_reactions()) {
+    arity_sum += r->arity();
+    max_arity = std::max(max_arity, r->arity());
+    const auto& branches = r->branches();
+    if (std::any_of(branches.begin(), branches.end(),
+                    [](const gamma::Branch& b) { return b.condition; })) {
+      ++conditional;
+    }
+  }
+  EXPECT_EQ(p.reaction_count(), 9u);
+  EXPECT_EQ(p.stage_count(), 1u);
+  EXPECT_EQ(max_arity, 2u);
+  EXPECT_GT(conditional, 5u);
+  EXPECT_EQ(arity_sum, 13u);
 }
 
 TEST(ProgramStats, EmptyProgram) {
-  const auto s = program_stats(gamma::Program{});
-  EXPECT_EQ(s.reaction_count, 0u);
-  EXPECT_DOUBLE_EQ(s.avg_arity, 0.0);
+  const gamma::Program p;
+  EXPECT_EQ(p.reaction_count(), 0u);
+  EXPECT_TRUE(p.all_reactions().empty());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // programs, and the `.src` statement parser's nested blocks. Two are
 // evaluation errors raised on the parallel engines' threads; others are Int
 // division that trapped (SIGFPE, exit 136) and a real literal out of
-// double's range. The last checks that the CLI links the way the build's
+// double's range, in Gamma text and in a `.df` value. The last checks that the CLI links the way the build's
 // configure probe chose.
 #include <gtest/gtest.h>
 
@@ -275,6 +275,26 @@ TEST_F(CliInput, RungammaRejectsRealLiteralOutOfRange) {
                           "of range: ") +
                   literal + "\n");
   }
+}
+
+TEST_F(CliInput, RunRejectsDfRealOutOfRange) {
+  // `.df` values had a number parser of their own: "gammaflow: stod".
+  const fs::path value = write("value.df",
+                               "dataflow v1\n"
+                               "node kind=const value=1e400 name='c'\n");
+  const fs::path imm = write("imm.df",
+                             "dataflow v1\n"
+                             "node kind=const value=1 name='c'\n"
+                             "node kind=arith op=+ imm=1e-400 name='a'\n");
+  const CliRun a = run_cli("run " + value.string());
+  EXPECT_EQ(a.exit_code, 1) << a.output;
+  EXPECT_EQ(a.output,
+            "gammaflow: ParseError at 2:1: real literal out of range: 1e400\n");
+  const CliRun b = run_cli("run " + imm.string());
+  EXPECT_EQ(b.exit_code, 1) << b.output;
+  EXPECT_EQ(b.output,
+            "gammaflow: ParseError at 3:1: real literal out of range: "
+            "1e-400\n");
 }
 
 TEST_F(CliInput, ServeStdioRejectsRealLiteralOutOfRangeAndKeepsServing) {

@@ -2,6 +2,10 @@
 // serialization round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "gammaflow/dataflow/graph.hpp"
 #include "gammaflow/dataflow/serialize.hpp"
 #include "gammaflow/paper/figures.hpp"
@@ -177,6 +181,30 @@ TEST(Serialize, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)parse_text("dataflow v1\nnode kind=const value=1\nedge src=0\n"),
       ParseError);
+}
+
+TEST(Serialize, NumbersDecodeAsTheExprLexerDecodesThem) {
+  // Reals out of double's range used to escape as std::out_of_range.
+  for (const char* line : {"node kind=const value=1e400",
+                           "node kind=const value=1\n"
+                           "node kind=arith op=+ imm=-1e-400"}) {
+    try {
+      (void)parse_text(std::string("dataflow v1\n") + line + "\n");
+      ADD_FAILURE() << line;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("real literal out of range"),
+                std::string::npos)
+          << e.what();
+      EXPECT_GE(e.line(), 2);
+    }
+  }
+  EXPECT_THROW((void)parse_text("dataflow v1\nnode kind=const value=1.5e\n"),
+               ParseError);
+  // The '-' folds into the value, so the int64 minimum still decodes.
+  const Graph g = parse_text(
+      "dataflow v1\nnode kind=const value=-9223372036854775808 name='m'\n");
+  EXPECT_EQ(g.node(*g.find("m")).constant,
+            Value(std::numeric_limits<std::int64_t>::min()));
 }
 
 TEST(Serialize, CommentsAndBlankLinesIgnored) {

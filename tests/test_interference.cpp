@@ -1,6 +1,6 @@
 // Interference & confluence analysis: footprints, conflict classes, the
-// probe-based confluence verdict, and the engine integrations the classes
-// feed (parallel fast commits, indexed class scheduling, cluster affinity).
+// probe-based confluence verdict, the cluster affinity the classes feed,
+// and oracle checks of the engines on independent chains.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -535,71 +535,32 @@ const char* kChains = R"(
   C = replace [x,'c'] by [x - 1,'c2']
 )";
 
-TEST(EngineIntegration, ParallelClassesEliminateConflictsAndMatchOracle) {
+TEST(EngineIntegration, ParallelMatchesOracleOnIndependentChains) {
   const Program p = parse(kChains);
   const Multiset init = conflict_free_init(40);
-  const auto report = analyze_interference(p, init);
-  ASSERT_EQ(report.class_count, 3u);
-
   const Multiset oracle = gamma::IndexedEngine().run(p, init).final_multiset;
 
   obs::Telemetry telemetry;
   gamma::RunOptions ro;
   ro.workers = 3;
   ro.telemetry = &telemetry;
-  ro.conflict_classes = report.engine_classes();
   const auto result = gamma::ParallelEngine().run(p, init, ro);
 
   EXPECT_EQ(result.final_multiset, oracle);
   EXPECT_EQ(result.steps, 120u);
 }
 
-TEST(EngineIntegration, ParallelIgnoresPartialClassMaps) {
-  // A map that misses a reaction must disable the optimization, not crash
-  // or misschedule.
-  const Program p = parse(kChains);
-  const Multiset init = conflict_free_init(10);
-  const Multiset oracle = gamma::IndexedEngine().run(p, init).final_multiset;
-
-  obs::Telemetry telemetry;
-  gamma::RunOptions ro;
-  ro.workers = 2;
-  ro.telemetry = &telemetry;
-  ro.conflict_classes = {{"A", 0}, {"B", 1}};  // no entry for C
-  const auto result = gamma::ParallelEngine().run(p, init, ro);
-  EXPECT_EQ(result.final_multiset, oracle);
-}
-
-TEST(EngineIntegration, IndexedClassSchedulingMatchesOracle) {
-  const Program p = parse(kChains);
-  const Multiset init = conflict_free_init(25);
-  const auto report = analyze_interference(p, init);
-
-  gamma::RunOptions plain;
-  plain.seed = 11;
-  const auto without = gamma::IndexedEngine().run(p, init, plain);
-
-  gamma::RunOptions with = plain;
-  with.conflict_classes = report.engine_classes();
-  const auto grouped = gamma::IndexedEngine().run(p, init, with);
-
-  EXPECT_EQ(grouped.final_multiset, without.final_multiset);
-  EXPECT_EQ(grouped.steps, without.steps);
-}
-
-TEST(EngineIntegration, MultiStageProgramsRunWithClasses) {
+TEST(EngineIntegration, MultiStageProgramsMatchOracle) {
   const Program p = parse(R"(
     A = replace [x,'a'] by [x + 1,'m'] ;
     B = replace [x,'m'], [y,'m'] by [x + y,'m']
   )");
   Multiset init;
   for (int k = 1; k <= 6; ++k) init.add(Element::labeled(Value(k), "a"));
-  const auto report = analyze_interference(p, init);
   const Multiset oracle = gamma::IndexedEngine().run(p, init).final_multiset;
 
   gamma::RunOptions ro;
   ro.workers = 2;
-  ro.conflict_classes = report.engine_classes();
   EXPECT_EQ(gamma::ParallelEngine().run(p, init, ro).final_multiset, oracle);
   EXPECT_EQ(gamma::IndexedEngine().run(p, init, ro).final_multiset, oracle);
 }

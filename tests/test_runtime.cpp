@@ -1,5 +1,5 @@
 // The runtime core: the StepLoop/StopFlag/InFlight primitives every engine is
-// a thin policy over, the shard planner's soundness rules, and — the point of
+// a thin policy over, the ShardMap label routing, and — the point of
 // sharing one scaffolding — cross-engine contracts: the same corpus is
 // state-identical across all engines (cluster included, the parallel engine
 // at every worker count of a sweep), and the same stop condition classifies
@@ -101,81 +101,6 @@ TEST(InFlightTest, IdleOnlyAtZero) {
   EXPECT_TRUE(in_flight.idle());
 }
 
-// --- plan_shards soundness rules ------------------------------------------
-
-const char* kChains = R"(
-  A = replace [x,'a'] by [x + 1,'a2']
-  B = replace [x,'b'] by [x * 2,'b2']
-  C = replace [x,'c'] by [x - 1,'c2']
-)";
-
-TEST(PlanShards, DisjointLabelledClassesShard) {
-  const Program p = parse(kChains);
-  const auto plan = plan_shards(
-      p.stages()[0], {{"A", 0}, {"B", 1}, {"C", 2}});
-  ASSERT_TRUE(plan.sharded);
-  EXPECT_EQ(plan.shard_count, 3u);
-  ASSERT_EQ(plan.reaction_shard.size(), 3u);
-  // Each consumed label lands on its consumer's shard; 'a2' is produced but
-  // never consumed — inert, so it stays unmapped and hash-routes anywhere.
-  EXPECT_EQ(plan.label_shard.at("a"), plan.reaction_shard[0]);
-  EXPECT_EQ(plan.label_shard.at("b"), plan.reaction_shard[1]);
-  EXPECT_EQ(plan.label_shard.count("a2"), 0u);
-  EXPECT_NE(plan.reaction_shard[0], plan.reaction_shard[1]);
-}
-
-TEST(PlanShards, RefusesPartialClassMaps) {
-  const Program p = parse(kChains);
-  EXPECT_FALSE(plan_shards(p.stages()[0], {{"A", 0}, {"B", 1}}).sharded);
-  EXPECT_FALSE(plan_shards(p.stages()[0], {}).sharded);
-}
-
-TEST(PlanShards, RefusesASingleClass) {
-  const Program p = parse(kChains);
-  EXPECT_FALSE(
-      plan_shards(p.stages()[0], {{"A", 0}, {"B", 0}, {"C", 0}}).sharded);
-}
-
-TEST(PlanShards, RefusesUnlabelledPatterns) {
-  // Plain variables carry no label at field 1: routing would not be total.
-  const Program p = parse("R1 = replace x, y by x + y\nR2 = replace x by x");
-  EXPECT_FALSE(plan_shards(p.stages()[0], {{"R1", 0}, {"R2", 1}}).sharded);
-}
-
-TEST(PlanShards, RefusesALabelConsumedByTwoClasses) {
-  // Both classes consume 'a' — contradicts class disjointness, so the
-  // planner must refuse the hand-written map rather than misroute.
-  const Program p = parse(R"(
-    A = replace [x,'a'] by [x,'a2']
-    B = replace [x,'a'] by [x,'b2']
-  )");
-  EXPECT_FALSE(plan_shards(p.stages()[0], {{"A", 0}, {"B", 1}}).sharded);
-}
-
-TEST(PlanShards, RefusesComputedOutputLabelsThatFeedBack) {
-  // The produced label is not a literal: the planner cannot prove the feed
-  // edge stays in-class.
-  const Program p = parse(R"(
-    A = replace [x,'a'], [y,'pick'] by [x,y]
-    B = replace [x,'b'] by [x,'b2']
-  )");
-  EXPECT_FALSE(plan_shards(p.stages()[0], {{"A", 0}, {"B", 1}}).sharded);
-}
-
-TEST(PlanShards, AnalysisClassesShardKChains) {
-  const Program p = parse(kChains);
-  Multiset init;
-  for (int v = 0; v < 4; ++v) {
-    init.add(Element::labeled(Value(v), "a"));
-    init.add(Element::labeled(Value(v), "b"));
-    init.add(Element::labeled(Value(v), "c"));
-  }
-  const auto report = analysis::analyze_interference(p, init);
-  const auto plan = plan_shards(p.stages()[0], report.engine_classes());
-  EXPECT_TRUE(plan.sharded);
-  EXPECT_EQ(plan.shard_count, 3u);
-}
-
 // --- ShardMap ----------------------------------------------------------------
 
 TEST(ShardMapTest, HomeIsTheMappedLabelsShard) {
@@ -266,6 +191,12 @@ TEST(AnchorMemoTest, ThrowingSweepLeavesNoEntryAndRetriesThrowIdentically) {
 }
 
 // --- Cross-engine equivalence: one corpus, every engine --------------------
+
+const char* kChains = R"(
+  A = replace [x,'a'] by [x + 1,'a2']
+  B = replace [x,'b'] by [x * 2,'b2']
+  C = replace [x,'c'] by [x - 1,'c2']
+)";
 
 struct CorpusCase {
   const char* name;

@@ -70,13 +70,6 @@ TEST(VizDot, ClassesMatchesGolden) {
   EXPECT_EQ(os.str(), golden("fig1_classes.dot"));
 }
 
-TEST(VizDot, ShardsMatchesGolden) {
-  const gamma::Program program = fig1_program();
-  std::ostringstream os;
-  viz::write_shards_dot(os, program, fig1_report(program), "fig1");
-  EXPECT_EQ(os.str(), golden("fig1_shards.dot"));
-}
-
 TEST(VizDot, TwoClassProgramShowsDisjointClusters) {
   // Two reactions on provably disjoint labels: two clusters, no edges.
   const gamma::Program program = gamma::dsl::parse_program(
@@ -100,8 +93,8 @@ TEST(VizDot, DeterministicAcrossWrites) {
   const gamma::Program program = fig1_program();
   const auto report = fig1_report(program);
   std::ostringstream a, b;
-  viz::write_shards_dot(a, program, report, "t");
-  viz::write_shards_dot(b, program, report, "t");
+  viz::write_classes_dot(a, program, report, "t");
+  viz::write_classes_dot(b, program, report, "t");
   EXPECT_EQ(a.str(), b.str());
 }
 

@@ -103,9 +103,6 @@ void print_usage(std::ostream& out) {
       "         --werror               lint/check: warnings also fail (exit 1)\n"
       "         --json                 lint/check/optimize: machine-readable\n"
       "                                output\n"
-      "         --classes              rungamma: derive conflict classes from\n"
-      "                                interference analysis and hand them to\n"
-      "                                the engine (idx: class scheduling)\n"
       "         --affinity             distrib: place elements by conflict-\n"
       "                                class label affinity\n"
       "optimize: --out <file>          write the rewritten program to a file\n"
@@ -161,7 +158,7 @@ void print_usage(std::ostream& out) {
       "viz:     --out <file>           output path (default: <input>.html, or\n"
       "                                stdout for --format dot)\n"
       "         --format html|dot      output kind (default html)\n"
-      "         --graph dataflow|interference|classes|shards\n"
+      "         --graph dataflow|interference|classes\n"
       "                                which graph a DOT render shows (also\n"
       "                                honored by `dot` on .gamma input)\n"
       "         --journal <file.json>  embed an existing run journal instead\n"
@@ -226,7 +223,6 @@ struct Options {
   bool opt_report = false;    // optimize: full report on stdout
   bool cost_model = true;     // optimize: gate rewrites on the cost model
   std::size_t max_steps = 0;  // optimize: fusion step cap (0 = fixpoint)
-  bool classes = false;   // rungamma: feed conflict classes to the engine
   bool affinity = false;  // distrib: label-affinity placement hint
   // --- distrib ---
   std::size_t nodes = 4;
@@ -340,8 +336,6 @@ Options parse_options(int argc, char** argv, int first) {
       opts.max_steps = next_number();
     } else if (arg == "--json") {
       opts.json = true;
-    } else if (arg == "--classes") {
-      opts.classes = true;
     } else if (arg == "--affinity") {
       opts.affinity = true;
     } else if (arg == "--nodes") {
@@ -587,16 +581,6 @@ int cmd_rungamma(const std::string& path, const Options& opts) {
     ropts.deadline = opts.deadline;
     ropts.limit_policy = LimitPolicy::Partial;
   }
-  if (opts.classes) {
-    // The engine reads only the classes, which the footprints fix before
-    // any commutation probe runs.
-    analysis::InterferenceOptions iopts;
-    iopts.probe_states = 0;
-    const auto report = analysis::analyze_interference(program, initial, iopts);
-    ropts.conflict_classes = report.engine_classes();
-    std::cerr << "# conflict classes: " << report.class_count << " over "
-              << report.reactions.size() << " reaction(s)\n";
-  }
   const auto result = make_engine(opts.engine)->run(program, initial, ropts);
   std::cout << result.final_multiset << '\n'
             << "# " << result.steps << " reactions fired\n";
@@ -655,7 +639,7 @@ int cmd_distrib(const std::string& path, const Options& opts) {
                 "' (want hash|rr|single)");
   }
   if (opts.affinity) {
-    // As with --classes: the label map needs no commutation probe.
+    // The label map comes from the footprints alone: no commutation probe.
     analysis::InterferenceOptions iopts;
     iopts.probe_states = 0;
     const auto report = analysis::analyze_interference(program, initial, iopts);
@@ -885,11 +869,9 @@ void write_gamma_dot(std::ostream& os, const std::string& kind,
     viz::write_interference_dot(os, program, report, title);
   } else if (kind == "classes") {
     viz::write_classes_dot(os, program, report, title);
-  } else if (kind == "shards") {
-    viz::write_shards_dot(os, program, report, title);
   } else {
     throw Error("unknown --graph '" + kind +
-                "' for a .gamma input (want interference|classes|shards)");
+                "' for a .gamma input (want interference|classes)");
   }
 }
 
