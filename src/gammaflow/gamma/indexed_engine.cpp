@@ -3,7 +3,7 @@
 // shuffled passes, each reaction fired while enabled through the label/arity
 // indexes, a pass with no fire as the fixed-point proof. Scaffolding
 // (deadline, cancel, budget, recorder, telemetry tail) comes from
-// runtime::StepLoop & friends.
+// runtime::StepLoop & friends, through the policy's LoopGate.
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/stage_fixpoint.hpp"
@@ -13,42 +13,6 @@
 #include "gammaflow/runtime/step_loop.hpp"
 
 namespace gammaflow::gamma {
-namespace {
-
-/// The whole-run StepLoop as the stage policy's gate, journaling one round
-/// per pass that fired: the granularity the viz scrubber steps through for
-/// this engine.
-class LoopGate {
- public:
-  LoopGate(runtime::StepLoop& loop, std::uint64_t& steps,
-           const runtime::RunRecording& recording, std::size_t stage_idx)
-      : loop_(loop),
-        steps_(steps),
-        recording_(recording),
-        ctx_(recording.ctx(static_cast<std::int64_t>(stage_idx))) {}
-
-  [[nodiscard]] bool running() const noexcept { return loop_.running(); }
-  [[nodiscard]] bool should_stop() { return loop_.should_stop(); }
-  [[nodiscard]] bool admit(const Store& /*store*/, const Match& /*match*/) {
-    if (!loop_.admit(steps_)) return false;
-    ++steps_;
-    return true;
-  }
-  [[nodiscard]] const runtime::RecordCtx* record() const noexcept {
-    return recording_ ? &ctx_ : nullptr;
-  }
-  void pass_done(const Store& store, std::uint64_t pass_fires) const {
-    if (recording_ && pass_fires > 0) recording_.round(store);
-  }
-
- private:
-  runtime::StepLoop& loop_;
-  std::uint64_t& steps_;
-  const runtime::RunRecording& recording_;
-  runtime::RecordCtx ctx_;
-};
-
-}  // namespace
 
 RunResult IndexedEngine::run(const Program& program, const Multiset& initial,
                              const RunOptions& options) const {

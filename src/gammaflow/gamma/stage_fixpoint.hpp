@@ -2,13 +2,18 @@
 // store to the store's fixed point. IndexedEngine runs it on the whole store;
 // ParallelEngine runs it on each part of its partition and again at every
 // merge level (DESIGN §10.2); each node of the distributed cluster runs it on
-// its shard, a round's worth of fires at a time (DESIGN §6).
+// its shard, a round's worth of fires at a time (DESIGN §6). The serve
+// worklist (runtime/worklist.hpp) drives the same per-reaction kernel from
+// its dirty queue instead of the shuffled passes (DESIGN §14).
 //
-// The policy: shuffled passes over the reactions, firing each one while it
-// stays enabled; a full pass with no fire is the fixed-point proof (the
-// index search is exhaustive). Each reaction keeps an AnchorMemo for the
-// store, so a re-probe skips the candidates an earlier failed sweep already
-// ruled out (DESIGN §15.5).
+// The kernel, fire_while_enabled, is the step of Eq. (1): fire one reaction
+// while it stays enabled, until a failed find proves it disabled (the index
+// search is exhaustive) or the gate stops it. Each reaction keeps an
+// AnchorMemo for the store, so a re-probe skips the candidates an earlier
+// failed sweep already ruled out (DESIGN §15.5).
+//
+// The policy: shuffled passes over the reactions, running the kernel on each;
+// a full pass with no fire is the fixed-point proof.
 //
 // What differs between the callers is the gate: when to stop, whether the
 // next fire is within budget, and where a fire is journaled. A Gate provides
@@ -19,6 +24,7 @@
 //                                            // counts it
 //   const runtime::RecordCtx* record();  // journal target, null when off
 //   void pass_done(const Store&, std::uint64_t pass_fires);
+// The kernel itself uses only should_stop, admit and record.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +39,7 @@
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
+#include "gammaflow/runtime/step_loop.hpp"
 
 namespace gammaflow::gamma {
 
@@ -75,50 +82,96 @@ struct StageObs {
   std::vector<Histogram*> fire_hist;  // by stage position
 };
 
+/// A single-threaded StepLoop as the gate of IndexedEngine and the serve
+/// worklist. `steps` is the fire count the budget is checked against; a
+/// pass that fired journals one round, the granularity the viz scrubber
+/// steps through for IndexedEngine.
+class LoopGate {
+ public:
+  LoopGate(runtime::StepLoop& loop, std::uint64_t& steps,
+           const runtime::RunRecording& recording, std::size_t stage_idx)
+      : loop_(loop),
+        steps_(steps),
+        recording_(recording),
+        ctx_(recording.ctx(static_cast<std::int64_t>(stage_idx))) {}
+
+  [[nodiscard]] bool running() const noexcept { return loop_.running(); }
+  [[nodiscard]] bool should_stop() { return loop_.should_stop(); }
+  [[nodiscard]] bool admit(const Store& /*store*/, const Match& /*match*/) {
+    if (!loop_.admit(steps_)) return false;
+    ++steps_;
+    return true;
+  }
+  [[nodiscard]] const runtime::RecordCtx* record() const noexcept {
+    return recording_ ? &ctx_ : nullptr;
+  }
+  void pass_done(const Store& store, std::uint64_t pass_fires) const {
+    if (recording_ && pass_fires > 0) recording_.round(store);
+  }
+
+ private:
+  runtime::StepLoop& loop_;
+  std::uint64_t& steps_;
+  const runtime::RunRecording& recording_;
+  runtime::RecordCtx ctx_;
+};
+
+/// Fires `stage[idx]` while it stays enabled. Each attempt finds a match
+/// with the reaction's AnchorMemo, passes it through `gate.admit`, commits
+/// it to `gate.record()`, then calls `on_fire(match)`. Returns true when a
+/// failed find proved the reaction disabled, false when the gate stopped it
+/// first (it may then still be enabled). `rng` drives every pick.
+template <typename Gate, typename OnFire>
+bool fire_while_enabled(Store& store, const std::vector<Reaction>& stage,
+                        std::size_t idx, Rng& rng, StageMemory& mem,
+                        const StageObs& ob, Gate& gate, OnFire&& on_fire) {
+  obs::Telemetry* const tel = ob.tel;
+  const Reaction& r = stage[idx];
+  while (!gate.should_stop()) {
+    const std::uint64_t fire_start = tel ? tel->now_us() : 0;
+    auto match = runtime::MatchPipeline::find(store, r, &rng, &mem.memos[idx]);
+    ++mem.attempts;
+    if (!match) {
+      ++mem.failures;
+      return true;
+    }
+    if (!gate.admit(store, *match)) return false;
+    ++mem.fires[idx];
+    runtime::MatchPipeline::commit(store, *match, gate.record());
+    if (tel) {
+      ob.fire_hist[idx]->observe(
+          static_cast<double>(tel->now_us() - fire_start));
+    }
+    on_fire(*match);
+  }
+  return false;
+}
+
 /// Runs `stage` over `store` to its fixed point, or until the gate stops
 /// it. `rng` drives every shuffle and pick.
 template <typename Gate>
 void run_stage_fixpoint(Store& store, const std::vector<Reaction>& stage,
                         Rng& rng, StageMemory& mem, const StageObs& ob,
                         Gate& gate) {
-  obs::Telemetry* const tel = ob.tel;
   std::vector<std::size_t> order(stage.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   bool progressed = true;
   while (progressed && gate.running()) {
-    progressed = false;
     ++mem.passes;
-    obs::Span pass_span(tel, ob.rec, "pass");
+    obs::Span pass_span(ob.tel, ob.rec, "pass");
     std::uint64_t pass_fires = 0;
     std::shuffle(order.begin(), order.end(), rng);
     for (const std::size_t idx : order) {
       if (!gate.running()) break;
-      const Reaction& r = stage[idx];
-      // Fire this reaction repeatedly while it stays enabled: cheaper
-      // than re-shuffling after every step, and fairness across
-      // reactions is restored by the shuffled outer pass.
-      while (!gate.should_stop()) {
-        const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-        auto match =
-            runtime::MatchPipeline::find(store, r, &rng, &mem.memos[idx]);
-        ++mem.attempts;
-        if (!match) {
-          ++mem.failures;
-          break;
-        }
-        if (!gate.admit(store, *match)) break;
-        ++mem.fires[idx];
-        runtime::MatchPipeline::commit(store, *match, gate.record());
-        progressed = true;
-        ++pass_fires;
-        if (tel) {
-          ob.fire_hist[idx]->observe(
-              static_cast<double>(tel->now_us() - fire_start));
-        }
-      }
+      // Firing a reaction while it stays enabled is cheaper than
+      // re-shuffling after every step; the shuffled pass restores fairness
+      // across reactions.
+      fire_while_enabled(store, stage, idx, rng, mem, ob, gate,
+                         [&pass_fires](const Match&) { ++pass_fires; });
     }
     pass_span.set_arg(pass_fires);
     gate.pass_done(store, pass_fires);
+    progressed = pass_fires > 0;
   }
 }
 

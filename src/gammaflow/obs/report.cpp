@@ -1,7 +1,9 @@
 #include "gammaflow/obs/report.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
+#include <tuple>
 
 namespace gammaflow::obs {
 
@@ -27,8 +29,14 @@ void write_report(std::ostream& os, const MetricsSnapshot& metrics) {
 
 void write_report(std::ostream& os, const Telemetry& telemetry) {
   write_report(os, telemetry.metrics());
-  const auto threads = telemetry.threads();
+  auto threads = telemetry.threads();
   if (threads.empty()) return;
+  // Registration order depends on which worker started first; name order
+  // (then tid) does not.
+  std::sort(threads.begin(), threads.end(), [](const auto& a, const auto& b) {
+    return std::forward_as_tuple(a.name, a.recorder->tid()) <
+           std::forward_as_tuple(b.name, b.recorder->tid());
+  });
   os << "threads:\n";
   for (const auto& t : threads) {
     os << "  " << std::left << std::setw(36) << t.name << std::right

@@ -15,10 +15,11 @@
 //                   footprint admits element e.
 //   IncrementalFixpoint — the driver: inject() inserts elements, wakes their
 //                   footprint-matching reactions onto a dirty queue, and
-//                   drains the queue to quiescence (each drained reaction is
-//                   fired while enabled; its productions wake downstream
-//                   consumers). An empty queue is a fixpoint PROOF, not a
-//                   heuristic — see the invariant below.
+//                   drains the queue to quiescence, one reaction at a time
+//                   through the stage policy's kernel (gamma::
+//                   fire_while_enabled: fire while enabled; its productions
+//                   wake downstream consumers). An empty queue is a fixpoint
+//                   PROOF, not a heuristic — see the invariant below.
 //
 // Equivalence obligation (DESIGN §14): the drain maintains the invariant
 // "every reaction with an enabled match is dirty". Insertions wake every
@@ -42,8 +43,8 @@
 #include "gammaflow/common/cancel.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/program.hpp"
+#include "gammaflow/gamma/stage_fixpoint.hpp"
 #include "gammaflow/gamma/store.hpp"
-#include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/runtime/options.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
@@ -64,13 +65,10 @@ struct WakeKeys {
 /// once per program; wake() is O(woken reactions), not O(all reactions).
 class WakeupIndex {
  public:
-  explicit WakeupIndex(std::vector<WakeKeys> keys);
+  explicit WakeupIndex(const std::vector<WakeKeys>& keys);
 
   [[nodiscard]] std::size_t reaction_count() const noexcept {
-    return keys_.size();
-  }
-  [[nodiscard]] const WakeKeys& keys(std::size_t reaction) const {
-    return keys_.at(reaction);
+    return reactions_;
   }
 
   /// Appends every reaction index whose keys admit the element with these
@@ -81,7 +79,7 @@ class WakeupIndex {
   void wake(std::span<const Value> fields, std::vector<std::size_t>& out) const;
 
  private:
-  std::vector<WakeKeys> keys_;
+  std::size_t reactions_;
   std::unordered_map<std::string, std::vector<std::size_t>> by_label_;
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_arity_;
   std::vector<std::size_t> always_;
@@ -95,23 +93,22 @@ struct WorklistOptions : RunOptions {
   std::uint64_t seed = 1;
   std::uint64_t max_steps = 50'000'000;
   /// A/B baseline: ignore footprints and mark EVERY reaction dirty on every
-  /// insert — the "full rescan" strawman bench_serve compares against. The
-  /// fixpoints are identical either way; only the re-match work differs.
+  /// insert — the "full rescan" strawman bench_serve compares against. It
+  /// replaces every reaction's WakeKeys by `any`. The fixpoints are
+  /// identical either way; only the re-match work differs.
   bool rescan = false;
 };
 
 /// Counters the daemon's stats verb and bench_serve report. `rematches` is
 /// the number of MatchPipeline::find probes — the work the wakeup index
-/// saves versus rescan mode.
+/// saves versus rescan mode; stats() reads it from the session's
+/// StageMemory.
 struct WorklistStats {
   std::uint64_t injected = 0;   // elements inserted via inject()
   std::uint64_t fires = 0;      // lifetime firings (vs. max_steps budget)
   std::uint64_t wakeups = 0;    // reactions enqueued onto the dirty queue
   std::uint64_t rematches = 0;  // MatchPipeline::find probes
   std::uint64_t injects = 0;    // inject() calls
-  /// FIFO batches popped off the dirty queue by the drain (each covers up
-  /// to kDrainBatch reactions); wakeups/drain_batches is the drain width.
-  std::uint64_t drain_batches = 0;
 };
 
 /// Long-lived single-stage fixpoint driver over one Store. Construction
@@ -126,12 +123,6 @@ struct WorklistStats {
 /// meaning. Serve sessions therefore host single-stage programs only.
 class IncrementalFixpoint {
  public:
-  /// Dirty-queue entries drained per deque round-trip. Processing order
-  /// inside a batch is exactly pop order, so firing schedules (and the
-  /// byte-identical-fixpoint guarantee) are unchanged versus one-at-a-time
-  /// draining — the batch only amortizes queue traffic.
-  static constexpr std::size_t kDrainBatch = 8;
-
   IncrementalFixpoint(gamma::Program program, std::vector<WakeKeys> keys,
                       const WorklistOptions& options);
 
@@ -142,13 +133,13 @@ class IncrementalFixpoint {
 
   [[nodiscard]] const gamma::Store& store() const noexcept { return store_; }
   [[nodiscard]] gamma::Multiset snapshot() const { return store_.to_multiset(); }
-  [[nodiscard]] const WorklistStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] Outcome last_outcome() const noexcept { return last_outcome_; }
+  [[nodiscard]] WorklistStats stats() const noexcept {
+    WorklistStats s = stats_;
+    s.rematches = mem_.attempts;
+    return s;
+  }
   /// Firings performed by the most recent inject() call.
   [[nodiscard]] std::uint64_t last_fires() const noexcept { return last_fires_; }
-  [[nodiscard]] const gamma::Program& program() const noexcept {
-    return program_;
-  }
 
   /// Closes the run journal (no-op without RunOptions::record): outcome of
   /// the last inject, final store snapshot. The serve session calls this on
@@ -157,7 +148,6 @@ class IncrementalFixpoint {
 
  private:
   void wake_element(std::span<const Value> fields);
-  [[nodiscard]] std::uint64_t anchor_skips() const noexcept;
   Outcome saturate(StepLoop& loop);
 
   gamma::Program program_;
@@ -168,11 +158,13 @@ class IncrementalFixpoint {
   Rng rng_;
   std::deque<std::size_t> queue_;
   std::vector<char> dirty_;  // reaction index -> currently queued
-  /// One per reaction for the session: the end-of-inject fixpoint proof
-  /// re-sweeps only the candidates inserted since each anchor last failed.
-  std::vector<AnchorMemo> memos_;
+  /// The stage policy's memory for the session: its AnchorMemos let the
+  /// end-of-inject fixpoint proof re-sweep only the candidates inserted
+  /// since each anchor last failed; its attempts are the rematches.
+  gamma::StageMemory mem_;
+  gamma::StageObs obs_;
   std::vector<std::size_t> wake_scratch_;
-  WorklistStats stats_;
+  WorklistStats stats_;  // rematches unused: read from mem_
   Outcome last_outcome_ = Outcome::Completed;
   std::uint64_t last_fires_ = 0;
   RunRecording recording_;

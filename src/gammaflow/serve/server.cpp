@@ -297,7 +297,6 @@ std::string Server::verb_stats(const Json& req) {
                     {"fires", Json(s.fires)},
                     {"wakeups", Json(s.wakeups)},
                     {"rematches", Json(s.rematches)},
-                    {"drain_batches", Json(s.drain_batches)},
                     {"quiesce_p50_us", Json(h.quantile(0.50))},
                     {"quiesce_p99_us", Json(h.quantile(0.99))}});
 }

@@ -5,7 +5,9 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "gammaflow/common/stats.hpp"
 #include "gammaflow/dataflow/engine.hpp"
@@ -154,6 +156,28 @@ TEST(Telemetry, RegisterInternAndSpans) {
   const auto threads = tel.threads();
   ASSERT_EQ(threads.size(), 1u);
   EXPECT_EQ(threads[0].name, "t0");
+}
+
+TEST(Telemetry, ReportListsThreadsByNameThenTid) {
+  obs::Telemetry tel;
+  tel.register_thread("gamma-part-1");
+  tel.register_thread("gamma-part-0");
+  tel.register_thread("gamma-part-1");
+  std::ostringstream report;
+  obs::write_report(report, tel);
+  const std::string text = report.str();
+  const auto block = text.find("threads:\n");
+  ASSERT_NE(block, std::string::npos);
+  std::istringstream lines(text.substr(block));
+  std::string line;
+  std::vector<std::string> names;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    if (line.rfind("  ", 0) == 0 && fields >> name) names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"gamma-part-0", "gamma-part-1",
+                                             "gamma-part-1"}));
 }
 
 TEST(Telemetry, NullSpanIsANoOp) {

@@ -19,6 +19,7 @@
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
+#include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 #include "gammaflow/runtime/worklist.hpp"
 #include "gammaflow/serve/server.hpp"
@@ -221,8 +222,10 @@ TEST(Worklist, MultiStageProgramIsRejected) {
 }
 
 TEST(Worklist, BudgetExhaustionResumesToTheSameFixpoint) {
-  // A budget-starved drain must stop in a valid intermediate state and,
-  // once the budget allows, resume to the exact batch fixpoint.
+  // A budget-starved drain stops after exactly max_steps fires, and a
+  // session with room reaches the batch fixpoint from the same batch. The
+  // budget is for the session's lifetime, so this session cannot resume;
+  // CancelledDrainResumesOnTheNextInject covers the resume.
   const gamma::Program program = gamma::dsl::parse_program(kMin);
   WorklistOptions tight;
   tight.max_steps = 2;
@@ -237,6 +240,47 @@ TEST(Worklist, BudgetExhaustionResumesToTheSameFixpoint) {
   IncrementalFixpoint fresh(program, analysis::wakeup_keys(program), roomy);
   ASSERT_EQ(fresh.inject(batch), Outcome::Completed);
   EXPECT_EQ(render(fresh.snapshot()), "{[2]}");
+}
+
+TEST(Worklist, CancelledDrainResumesOnTheNextInject) {
+  // A drain stopped before its first fire must leave every woken reaction
+  // dirty, so the next inject resumes to the batch fixpoint of the union.
+  const gamma::Program program = gamma::dsl::parse_program(kLabeled);
+  CancelToken token;
+  token.cancel();
+  WorklistOptions wopts;
+  wopts.cancel = &token;
+  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  const std::vector<gamma::Element> batch = {
+      labeled(3, "A"), labeled(4, "A"), labeled(5, "A"),
+      labeled(7, "B"), labeled(2, "B"), labeled(9, "B")};
+  EXPECT_EQ(fix.inject(batch), Outcome::Cancelled);
+  EXPECT_EQ(fix.last_fires(), 0u);
+
+  token.reset();
+  ASSERT_EQ(fix.inject(std::vector<gamma::Element>{}), Outcome::Completed);
+  gamma::Multiset all;
+  for (const gamma::Element& e : batch) all.add(e);
+  const auto expected = gamma::IndexedEngine{}.run(program, all, {});
+  EXPECT_EQ(render(fix.snapshot()), render(expected.final_multiset));
+}
+
+TEST(Worklist, TelemetryObservesEachReactionsFires) {
+  // The drain runs the stage policy's kernel, so a session with telemetry
+  // gets the same per-reaction fire histograms as the batch engines.
+  const gamma::Program program = gamma::dsl::parse_program(kLabeled);
+  obs::Telemetry tel;
+  WorklistOptions wopts;
+  wopts.telemetry = &tel;
+  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  const std::vector<gamma::Element> batch = {
+      labeled(1, "A"), labeled(2, "A"), labeled(5, "B"), labeled(3, "B"),
+      labeled(4, "B")};
+  ASSERT_EQ(fix.inject(batch), Outcome::Completed);
+  const MetricsSnapshot metrics = tel.metrics();
+  EXPECT_EQ(metrics.histograms.at("gamma.fire_us.Rsum").count, 1u);
+  EXPECT_EQ(metrics.histograms.at("gamma.fire_us.Rmax").count, 2u);
+  EXPECT_EQ(metrics.counters.at("serve.fires"), 3u);
 }
 
 // ------------------------------------------------------------- protocol ---
