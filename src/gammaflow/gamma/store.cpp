@@ -135,7 +135,13 @@ Store::Id Store::insert(std::span<const Value> fields) {
   inserted_at_[id] = version_;
   for (const std::size_t f : indexed_.fields()) {
     if (f >= arity) break;
-    field_index_[FieldKey{f, fields[f]}].push_back(id);
+    const auto [it, fresh] = field_index_.try_emplace(FieldKey{f, fields[f]});
+    if (fresh) {
+      it->second = new_bucket_slot();
+    } else if (buckets_[it->second].empty()) {
+      --empty_buckets_;
+    }
+    buckets_[it->second].push_back(id);
   }
   ++live_count_;
   ++version_;
@@ -149,8 +155,10 @@ void Store::remove(Id id) {
   for (const std::size_t f : indexed_.fields()) {
     if (f >= g.arity) break;
     const auto it = field_index_.find(FieldKey{f, g.field_value(loc.row, f)});
-    unindex(it->second, id);
-    if (it->second.empty()) field_index_.erase(it);
+    Bucket& bucket = buckets_[it->second];
+    unindex(bucket, id);
+    // The emptied bucket keeps its slot (and its handles) until compact().
+    if (bucket.empty()) ++empty_buckets_;
   }
   alive_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
   g.live.reset(loc.row);
@@ -263,12 +271,30 @@ Store::Candidates Store::bucket(const Pattern& p) const {
 
 const Store::Bucket* Store::field_bucket(std::size_t field,
                                          const Value& value) const {
+  const Bucket* bucket = field_bucket(field_handle(field, value));
+  return bucket == nullptr || bucket->empty() ? nullptr : bucket;
+}
+
+Store::BucketHandle Store::field_handle(std::size_t field,
+                                        const Value& value) const {
   if (!indexed_.contains(field)) {
     throw EngineError(std::string("field bucket query on unindexed field ")
                           .append(std::to_string(field)));
   }
-  auto it = field_index_.find(FieldKey{field, value});
-  return it == field_index_.end() ? nullptr : &it->second;
+  const auto it = field_index_.find(FieldKey{field, value});
+  if (it == field_index_.end()) return BucketHandle{};
+  return BucketHandle{it->second, bucket_generations_[it->second]};
+}
+
+std::uint32_t Store::new_bucket_slot() {
+  if (!free_buckets_.empty()) {
+    const std::uint32_t slot = free_buckets_.back();
+    free_buckets_.pop_back();
+    return slot;
+  }
+  buckets_.emplace_back();
+  bucket_generations_.push_back(0);
+  return static_cast<std::uint32_t>(buckets_.size() - 1);
 }
 
 void Store::compact() {
@@ -310,6 +336,19 @@ void Store::compact() {
     g_column_compactions.fetch_add(1, std::memory_order_relaxed);
   }
   dead_rows_ = 0;
+  if (empty_buckets_ == 0) return;
+  // Free the emptied buckets' slots; the new generation makes every handle
+  // to them stale, so a reused slot is never read as its old key's bucket.
+  for (auto it = field_index_.begin(); it != field_index_.end();) {
+    if (!buckets_[it->second].empty()) {
+      ++it;
+      continue;
+    }
+    ++bucket_generations_[it->second];
+    free_buckets_.push_back(it->second);
+    it = field_index_.erase(it);
+  }
+  empty_buckets_ = 0;
 }
 
 Multiset Store::to_multiset() const {

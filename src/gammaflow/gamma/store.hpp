@@ -23,14 +23,23 @@
 // its key, in insertion order, at all times. insert() appends; remove()
 // clears the row's live bit and unindexes the id from every (field, value)
 // bucket (binary search on the per-slot insertion stamp, then an ordered
-// erase — these buckets are the narrow ones) and drops a field bucket that
-// becomes empty, so the field index holds only keys some live element
-// carries. Nothing in a bucket is ever stale, which keeps lookups
-// read-only (safe for concurrent readers) and keeps the seeded pick stream
-// — rng->bounded(bucket size), then a cyclic scan in insertion order —
-// independent of when garbage was last collected.
-// compact() rewrites column groups densely (inserts self-trigger it once
-// the dead-row debt crosses the threshold, so long worklist runs stay
+// erase — these buckets are the narrow ones). Nothing in a bucket is ever
+// stale, which keeps lookups read-only (safe for concurrent readers) and
+// keeps the seeded pick stream — rng->bounded(bucket size), then a cyclic
+// scan in insertion order — independent of when garbage was last collected.
+//
+// The (field, value) buckets live in a BUCKET TABLE: a vector of id lists
+// the store owns, with a generation per slot, and a hash index from
+// (field, value) to slot. A lookup hashes the key once and returns a
+// BucketHandle (slot, generation) that finds the same bucket again with no
+// hash: field_bucket(handle) is a bounds check and a generation compare.
+// A bucket that empties keeps its slot, so a key that empties and refills
+// between compactions keeps its handle; compact() frees the empty slots and
+// bumps their generations, so a handle to a freed or reused slot reads as
+// stale. A handle names a slot, not an address, so it stays valid in a
+// copy of the store (the cluster checkpoints whole nodes, memos included).
+// compact() also rewrites column groups densely (inserts self-trigger it
+// once the dead-row debt crosses the threshold, so long worklist runs stay
 // O(live)).
 //
 // The matching machinery itself (backtracking candidate search, batch
@@ -92,6 +101,14 @@ class Store {
   /// A (field, value) bucket: the live ids carrying one key, in insertion
   /// order. Exact — no dead or reused slots.
   using Bucket = std::vector<Id>;
+
+  /// A (field, value) bucket's slot in the bucket table and the slot's
+  /// generation when the handle was taken. The default handle is stale.
+  struct BucketHandle {
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t generation = 0;
+  };
 
   /// One field of a column group: Int payloads inline in `data`, every
   /// other kind spilled to the sidecar (`data[row]` is then the spill
@@ -238,6 +255,24 @@ class Store {
   [[nodiscard]] const Bucket* field_bucket(std::size_t field,
                                            const Value& value) const;
 
+  /// The handle of the (field,value) bucket, found by one hash lookup, or
+  /// the stale default handle when no bucket holds the key. Throws like
+  /// field_bucket(field, value) on an unindexed field.
+  [[nodiscard]] BucketHandle field_handle(std::size_t field,
+                                          const Value& value) const;
+
+  /// The bucket `handle` names, with no hash lookup: null when the handle
+  /// is stale (its slot was freed by compact() since). A valid handle's
+  /// bucket may be empty: every element carrying its key was removed since
+  /// the last compaction, so nothing with that key can match. Read-only;
+  /// valid until the next mutation.
+  [[nodiscard]] const Bucket* field_bucket(BucketHandle handle) const noexcept {
+    return handle.slot < bucket_generations_.size() &&
+                   bucket_generations_[handle.slot] == handle.generation
+               ? &buckets_[handle.slot]
+               : nullptr;
+  }
+
   /// Where a cyclic scan of `narrow` must start to visit the ids it shares
   /// with a wider bucket in the same order as a cyclic scan of that bucket
   /// starting at its entry `id`: the first entry of `narrow` inserted no
@@ -258,11 +293,10 @@ class Store {
   [[nodiscard]] std::size_t first_stamped(Candidates bucket,
                                           std::uint64_t stamp) const;
 
-  /// Number of (field,value) buckets. Empty buckets are dropped on
-  /// remove(), so this never exceeds the live distinct (field,value) pairs
-  /// over the indexed fields.
+  /// Number of non-empty (field,value) buckets: the live distinct
+  /// (field,value) pairs over the indexed fields.
   [[nodiscard]] std::size_t field_bucket_count() const noexcept {
-    return field_index_.size();
+    return field_index_.size() - empty_buckets_;
   }
 
   /// Dead rows still occupying column-group storage — the garbage debt.
@@ -280,7 +314,8 @@ class Store {
   static constexpr std::uint64_t kGarbageCompactThreshold = 4096;
 
   /// Rewrites every column group densely (dropping dead rows, rebuilding
-  /// the spill sidecars), settling the garbage debt. Engines call this from
+  /// the spill sidecars), settling the garbage debt, and frees the bucket
+  /// table's empty slots (their handles go stale). Engines call this from
   /// an exclusive section when needs_compact(). Field buckets hold ids,
   /// not rows, so they need no rewrite.
   void compact();
@@ -329,6 +364,8 @@ class Store {
   [[nodiscard]] Bucket::const_iterator lower_bound(const Bucket& bucket,
                                                    std::uint64_t stamp) const;
   void unindex(Bucket& bucket, Id id) const;
+  /// The table slot for a new (field, value) bucket: a freed one if any.
+  std::uint32_t new_bucket_slot();
 
   FieldSet indexed_;
   std::vector<ColumnGroup> groups_;
@@ -344,7 +381,14 @@ class Store {
   std::uint64_t dead_rows_ = 0;
   std::uint64_t version_ = 0;
   std::uint64_t column_compactions_ = 0;
-  std::unordered_map<FieldKey, Bucket, FieldKeyHash> field_index_;
+  /// The bucket table: slot -> bucket and slot -> generation; freed slots
+  /// are empty and wait on the free list.
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> bucket_generations_;
+  std::vector<std::uint32_t> free_buckets_;
+  /// Slots in field_index_ whose bucket is empty (freed by compact()).
+  std::size_t empty_buckets_ = 0;
+  std::unordered_map<FieldKey, std::uint32_t, FieldKeyHash> field_index_;
 };
 
 /// Process-wide count of column-group compactions (all stores); engines

@@ -48,7 +48,10 @@ expr::Vm& thread_vm() {
 // suffix is empty. The skipped candidates failed before and still fail, so
 // the first fire or error of the scan is the one a full scan meets
 // (DESIGN.md §15.5). A visit that completes with no fire records a new
-// watermark; a throwing one records nothing.
+// watermark, and the handle of its join bucket when it has one join; a
+// throwing one records nothing. A later visit of a proved anchor reads
+// that bucket through the handle while it is valid: the same bucket the
+// lookup would return, with no hash.
 template <typename Visit>
 std::size_t search(const Store& store, const Reaction& reaction,
                    std::size_t limit, Rng* rng, AnchorMemo* memo,
@@ -88,20 +91,34 @@ std::size_t search(const Store& store, const Reaction& reaction,
     }
     const Store::Candidates base = buckets[depth];
     const std::size_t start = rng ? rng->bounded(base.size()) : 0;
+    // Depth 1 of a memoized two-pattern search is an anchor's inner visit.
+    const bool anchored = memo != nullptr && depth == 1;
+    const AnchorMemo::Proof* proof =
+        anchored ? memo->proof(store, m.ids[0]) : nullptr;
+    const bool one_join = joins[depth].size() == 1;
+    Store::BucketHandle join_handle;
     const Store::Bucket* narrower = nullptr;
     std::uint16_t join_field = CompiledReaction::BatchPlan::kNoField;
     for (const auto& join : joins[depth]) {
-      const Store::Bucket* b =
-          store.field_bucket(join.field, *frame.slot(join.slot));
-      if (b == nullptr) return;  // no live element carries the bound value
+      // The proved anchor is the same element, so its join value, and the
+      // bucket of that value, are the ones the proof's sweep probed.
+      const Store::Bucket* b = one_join && proof != nullptr
+                                   ? store.field_bucket(proof->join)
+                                   : nullptr;
+      if (b != nullptr) {
+        join_handle = proof->join;
+      } else {
+        join_handle = store.field_handle(join.field, *frame.slot(join.slot));
+        b = store.field_bucket(join_handle);
+      }
+      // No live element carries the bound value.
+      if (b == nullptr || b->empty()) return;
       if (b->size() < (narrower ? narrower->size() : base.size())) {
         narrower = b;
         join_field = join.field;
       }
     }
-    // Depth 1 of a memoized two-pattern search is an anchor's inner visit.
-    const bool anchored = memo != nullptr && depth == 1;
-    const std::uint64_t mark = anchored ? memo->watermark(store, m.ids[0]) : 0;
+    const std::uint64_t mark = proof != nullptr ? proof->watermark : 0;
     const Store::Candidates probed =
         narrower == nullptr ? base : Store::Candidates{narrower, nullptr};
     Scan scan = Scan::of(store, probed, mark);
@@ -153,7 +170,9 @@ std::size_t search(const Store& store, const Reaction& reaction,
       }
     }
     while (at.taken() < scan.size && !stop) probe(scan.id(at.next()));
-    if (anchored && visited == visited_before) memo->record(store, m.ids[0]);
+    if (anchored && visited == visited_before) {
+      memo->record(store, m.ids[0], join_handle);
+    }
   };
   dfs(dfs, 0);
   return visited;

@@ -51,34 +51,50 @@ namespace gammaflow::runtime {
 /// reused slot starts fresh — it keeps the store version() at which a
 /// complete inner sweep for that anchor found no fire. Guards are pure and
 /// elements immutable, so every candidate stamped before that version still
-/// fails and a later visit scans only the newer ones. Caller-owned: one
-/// memo per reaction, used with one store only. At most one entry per slot.
+/// fails and a later visit scans only the newer ones. When the second
+/// pattern has exactly one join field, the entry also keeps the handle of
+/// the join bucket the sweep probed, so a later visit finds that bucket
+/// with no hash lookup. Caller-owned: one memo per reaction, used with one
+/// store (or a copy of it, taken together with the memo). At most one
+/// entry per slot.
 class AnchorMemo {
  public:
+  /// What a failed sweep proved for one anchor: candidates stamped before
+  /// `watermark` fail.
+  struct Proof {
+    std::uint64_t stamp = 0;      // the anchor's insertion stamp
+    std::uint64_t watermark = 0;  // 0 is "nothing proved", as no entry
+    gamma::Store::BucketHandle join;  // read only for a one-join pattern
+  };
+
+  /// The proof for `id`'s occupant, or null when it has none.
+  [[nodiscard]] const Proof* proof(const gamma::Store& store,
+                                   gamma::Store::Id id) const noexcept {
+    if (id >= entries_.size()) return nullptr;
+    const Proof& p = entries_[id];
+    return p.watermark != 0 && p.stamp == store.stamp(id) ? &p : nullptr;
+  }
   /// The anchor's watermark: candidates stamped before it are proved to
   /// fail. 0 (scan everything) when `id`'s occupant has no entry.
   [[nodiscard]] std::uint64_t watermark(const gamma::Store& store,
                                         gamma::Store::Id id) const noexcept {
-    return id < entries_.size() && entries_[id].stamp == store.stamp(id)
-               ? entries_[id].watermark
-               : 0;
+    const Proof* p = proof(store, id);
+    return p != nullptr ? p->watermark : 0;
   }
-  /// Records that a complete sweep for the anchor at `id` found no fire in
-  /// the store as it is now.
-  void record(const gamma::Store& store, gamma::Store::Id id) {
+  /// Records that a complete sweep for the anchor at `id`, over the join
+  /// bucket `join` when it had one join, found no fire in the store as it
+  /// is now.
+  void record(const gamma::Store& store, gamma::Store::Id id,
+              gamma::Store::BucketHandle join) {
     if (id >= entries_.size()) entries_.resize(id + std::size_t{1});
-    entries_[id] = Entry{store.stamp(id), store.version()};
+    entries_[id] = Proof{store.stamp(id), store.version(), join};
   }
   void count_skip() noexcept { ++skips_; }
   /// Anchor visits skipped outright: no candidate newer than the watermark.
   [[nodiscard]] std::uint64_t skips() const noexcept { return skips_; }
 
  private:
-  struct Entry {
-    std::uint64_t stamp = 0;
-    std::uint64_t watermark = 0;  // 0 is "nothing proved", as no entry
-  };
-  std::vector<Entry> entries_;  // by anchor slot id
+  std::vector<Proof> entries_;  // by anchor slot id
   std::uint64_t skips_ = 0;
 };
 

@@ -106,21 +106,20 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
         [this](std::span<const Value> produced) { wake_element(produced); });
   };
   while (!queue_.empty() && loop.running()) {
+    // The reaction stays queued and dirty while it fires, so the wakes of
+    // its own products are no-ops: the kernel's closing failed find is
+    // made on the store with those products in it and covers them. When
+    // the gate stops it, or an evaluation error leaves the kernel, it is
+    // still at the front and dirty, and the next drain resumes with it.
     const std::size_t idx = queue_.front();
+    if (!gamma::fire_while_enabled(store_, *reactions_, idx, rng_, mem_, obs_,
+                                   gate, on_fire)) {
+      break;
+    }
+    // A failed find proved it disabled: a clear dirty flag keeps "enabled
+    // => dirty" until a later insertion re-wakes it.
     queue_.pop_front();
     dirty_[idx] = 0;
-    // A failed find proves the reaction has NO enabled match in the current
-    // store, so a clear dirty flag preserves "enabled => dirty" until a
-    // later insertion re-wakes it.
-    const bool disabled = gamma::fire_while_enabled(
-        store_, *reactions_, idx, rng_, mem_, obs_, gate, on_fire);
-    if (!disabled && dirty_[idx] == 0) {
-      // Stopped (deadline/budget/cancel) with the reaction possibly still
-      // enabled: keep it dirty, at the front, so the next inject() resumes
-      // the drain from a state that satisfies the invariant.
-      dirty_[idx] = 1;
-      queue_.push_front(idx);
-    }
   }
   return loop.outcome();
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,93 @@ TEST(AnchorMemoTest, ThrowingSweepLeavesNoEntryAndRetriesThrowIdentically) {
   EXPECT_EQ(memo.watermark(store, zero), 0u);
   EXPECT_EQ(memo.skips(), 100u);
   EXPECT_LE(expr::batch_lanes() - lanes0, store.size());  // anchor 0 only
+}
+
+/// Anchors of `store` whose visit a failed memoized find of the keyed join
+/// below takes through the memo's cached join bucket and skips: a proof
+/// with a valid handle, a bucket narrower than the arity bucket, and no
+/// candidate stamped at or after the watermark.
+std::size_t cached_skips(const gamma::Store& store, const AnchorMemo& memo) {
+  std::size_t skips = 0;
+  for (gamma::Store::Id id = 0; id < store.slots(); ++id) {
+    if (!store.alive(id)) continue;
+    const AnchorMemo::Proof* proof = memo.proof(store, id);
+    if (proof == nullptr) continue;
+    const gamma::Store::Bucket* bucket = store.field_bucket(proof->join);
+    if (bucket != nullptr && !bucket->empty() &&
+        bucket->size() < store.size() &&
+        store.stamp(bucket->back()) < proof->watermark) {
+      ++skips;
+    }
+  }
+  return skips;
+}
+
+TEST(AnchorMemoTest, CachedJoinBucketSkipMatchesTheFullVisit) {
+  // Seeded inserts and removes of [v, w] pairs over a small domain, so join
+  // buckets empty and refill, with compactions that free bucket slots and
+  // hand them to other keys, and a copy of the store and the memo taken
+  // partway (the original then churns on and is destroyed). The second
+  // program joins on a field the anchor need not carry, so an anchor's
+  // cached bucket can be freed while the anchor lives. At every step the
+  // memoized find returns the match a find with no memo returns and leaves
+  // the Rng in the same state.
+  for (const char* src :
+       {"R = replace [x, k], [y, k] by [x + y, k] where x + y == 13",
+        "R = replace [x, k], [k, y] by [x + y, k] where x + y == 13"}) {
+    const Program p = parse(src);
+    const gamma::Reaction& r = p.stages()[0][0];
+    std::size_t fast_skips = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      auto store = std::make_unique<gamma::Store>(gamma::FieldSet::of(p));
+      auto memo = std::make_unique<AnchorMemo>();
+      Rng ops(seed);
+      Rng memo_rng(seed * 31);
+      Rng plain_rng(seed * 31);
+      const auto pair = [&ops] {
+        return Element{Value(static_cast<std::int64_t>(ops.bounded(8))),
+                       Value(static_cast<std::int64_t>(ops.bounded(8)))};
+      };
+      for (int step = 0; step < 400; ++step) {
+        SCOPED_TRACE(std::string(src) + " seed " + std::to_string(seed) +
+                     " step " + std::to_string(step));
+        const std::uint64_t op = ops.bounded(10);
+        if (op < 5 || store->size() < 2) {
+          store->insert(pair());
+        } else if (op < 8) {
+          store->remove(store->nth_live(ops.bounded(store->size())));
+        } else if (op == 8) {
+          store->compact();
+        }
+        if (step == 200) {
+          auto copy = std::make_unique<gamma::Store>(*store);
+          auto memo_copy = std::make_unique<AnchorMemo>(*memo);
+          while (store->size() > 4) store->remove(store->nth_live(0));
+          store->compact();
+          for (int i = 0; i < 8; ++i) store->insert(pair());
+          store = std::move(copy);
+          memo = std::move(memo_copy);
+        }
+        const std::size_t eligible = cached_skips(*store, *memo);
+        const auto with_memo =
+            MatchPipeline::find(*store, r, &memo_rng, memo.get());
+        const auto without = MatchPipeline::find(*store, r, &plain_rng);
+        ASSERT_EQ(with_memo.has_value(), without.has_value());
+        Rng memo_next = memo_rng;
+        Rng plain_next = plain_rng;
+        ASSERT_EQ(memo_next(), plain_next());
+        if (!with_memo) {
+          fast_skips += eligible;  // a failed find visits every anchor
+          continue;
+        }
+        ASSERT_EQ(with_memo->ids[0], without->ids[0]);
+        ASSERT_EQ(with_memo->ids[1], without->ids[1]);
+        ASSERT_EQ(with_memo->produced(), without->produced());
+        if (ops.bounded(2) == 0) MatchPipeline::commit(*store, *with_memo);
+      }
+    }
+    EXPECT_GT(fast_skips, 0u) << src;
+  }
 }
 
 // --- Cross-engine equivalence: one corpus, every engine --------------------

@@ -283,6 +283,37 @@ TEST(Worklist, TelemetryObservesEachReactionsFires) {
   EXPECT_EQ(metrics.counters.at("serve.fires"), 3u);
 }
 
+TEST(Worklist, EachDrainEndsInOneFailedProbe) {
+  // A reaction stays dirty while it fires, so its own products do not
+  // re-queue it: each drain of the one-reaction keyed program ends in
+  // exactly one failed find, which proves the fixpoint.
+  const gamma::Program program =
+      gamma::dsl::parse_program("Rkey = replace [x, k], [y, k] by [x + y, k]");
+  WorklistOptions wopts;
+  wopts.seed = 7;
+  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  std::mt19937_64 rng(7);
+  const auto draw = [&rng](std::size_t count) {
+    std::vector<gamma::Element> batch;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string label = "k" + std::to_string(rng() % 32);
+      batch.push_back(labeled(static_cast<std::int64_t>(rng() % 1000),
+                              label.c_str()));
+    }
+    return batch;
+  };
+  ASSERT_EQ(fix.inject(draw(64)), Outcome::Completed);
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_EQ(fix.inject(draw(1 + rng() % 4)), Outcome::Completed);
+  }
+  const runtime::WorklistStats stats = fix.stats();
+  ASSERT_EQ(stats.injects, 257u);
+  EXPECT_GT(stats.fires, stats.injects);
+  EXPECT_EQ(stats.rematches, stats.fires + stats.injects);
+  EXPECT_EQ(stats.wakeups, stats.injects);
+  EXPECT_EQ(fix.store().size(), 32u);
+}
+
 // ------------------------------------------------------------- protocol ---
 
 Json call(serve::Server& server, const std::string& line) {
@@ -298,6 +329,27 @@ serve::ServeOptions min_daemon() {
 std::string error_code(const Json& reply) {
   EXPECT_FALSE(reply.bool_or("ok", true));
   return reply.str_or("error", "");
+}
+
+TEST(Worklist, EvaluationErrorLeavesTheReactionQueued) {
+  // An evaluation error leaves the drain with the faulting reaction still
+  // queued, so the next inject re-probes it and fails the same way instead
+  // of answering `completed` on a store that is not a fixpoint.
+  serve::ServeOptions opts;
+  opts.default_program = "R = replace x, y by x where 10 / (y - x) > 0";
+  serve::Server server(opts);
+  ASSERT_TRUE(call(server, R"({"verb":"create","session":"d"})")
+                  .bool_or("ok", false));
+  EXPECT_EQ(error_code(call(
+                server, R"({"verb":"inject","session":"d","elements":"3 3"})")),
+            "internal");
+  EXPECT_EQ(error_code(call(
+                server,
+                R"({"verb":"inject","session":"d","elements":"[7, 1]"})")),
+            "internal");
+  const Json snap = call(server, R"({"verb":"snapshot","session":"d"})");
+  ASSERT_TRUE(snap.bool_or("ok", false));
+  EXPECT_EQ(snap.int_or("store_size", -1), 3);
 }
 
 TEST(ServeProtocol, PingAndVerbValidation) {
