@@ -2,10 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <ostream>
-#include <sstream>
 
 namespace gammaflow {
 
@@ -32,7 +31,7 @@ const char* kind_name(std::size_t index) noexcept {
 /// Recursion is bounded by kMaxJsonDepth.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse() {
     Json v = value();
@@ -207,7 +206,7 @@ class Parser {
       }
     }
     if (pos_ == start) fail("expected a value");
-    const std::string tok = text_.substr(start, pos_ - start);
+    const std::string tok(text_.substr(start, pos_ - start));
     errno = 0;
     char* end = nullptr;
     if (integral) {
@@ -222,7 +221,7 @@ class Parser {
     return Json(d);
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
@@ -288,16 +287,22 @@ bool Json::bool_or(const std::string& key, bool fallback) const {
 }
 
 std::string Json::to_string() const {
-  std::ostringstream os;
-  write_json(os, *this);
-  return os.str();
+  std::string out;
+  append_json(out, *this);
+  return out;
 }
 
-Json parse_json(const std::string& text) { return Parser(text).parse(); }
+Json parse_json(std::string_view text) { return Parser(text).parse(); }
 
-std::string json_quote(const std::string& s) {
+std::string json_quote(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 2);
+  append_json_string(out, s);
+  return out;
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.reserve(out.size() + s.size() + 2);
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -306,52 +311,64 @@ std::string json_quote(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          const char esc[] = {'\\', 'u', '0', '0', kHex[byte >> 4U],
+                              kHex[byte & 0xFU]};
+          out.append(esc, sizeof(esc));
         } else {
           out.push_back(c);
         }
+      }
     }
   }
   out.push_back('"');
-  return out;
 }
 
-void write_json(std::ostream& out, const Json& value) {
+void append_json_int(std::string& out, std::int64_t n) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), n);
+  out.append(buf, res.ptr);
+}
+
+void append_json_real(std::string& out, double d) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+  out.append(buf, static_cast<std::size_t>(n));
+}
+
+void append_json(std::string& out, const Json& value) {
   if (value.is_null()) {
-    out << "null";
+    out += "null";
   } else if (value.is_bool()) {
-    out << (value.as_bool() ? "true" : "false");
+    out += value.as_bool() ? "true" : "false";
   } else if (value.is_int()) {
-    out << value.as_int();
+    append_json_int(out, value.as_int());
   } else if (value.is_real()) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value.as_num());
-    out << buf;
+    append_json_real(out, value.as_num());
   } else if (value.is_str()) {
-    out << json_quote(value.as_str());
+    append_json_string(out, value.as_str());
   } else if (value.is_arr()) {
-    out << '[';
+    out.push_back('[');
     bool first = true;
     for (const Json& item : value.as_arr()) {
-      if (!first) out << ',';
+      if (!first) out.push_back(',');
       first = false;
-      write_json(out, item);
+      append_json(out, item);
     }
-    out << ']';
+    out.push_back(']');
   } else {
-    out << '{';
+    out.push_back('{');
     bool first = true;
     for (const auto& [key, item] : value.as_obj()) {
-      if (!first) out << ',';
+      if (!first) out.push_back(',');
       first = false;
-      out << json_quote(key) << ':';
-      write_json(out, item);
+      append_json_string(out, key);
+      out.push_back(':');
+      append_json(out, item);
     }
-    out << '}';
+    out.push_back('}');
   }
 }
 

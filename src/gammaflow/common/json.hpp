@@ -1,7 +1,9 @@
 // The one JSON codec: a minimal value type + parser/writer shared by the
 // serve wire protocol (DESIGN §14), the run-journal reader (DESIGN §11) and
 // every hand-ordered JSON writer (journals, Chrome traces, viz HTML,
-// `--json` reports), which escape strings with json_quote.
+// `--json` reports), which escape strings with json_quote. The writer
+// appends to a std::string (append_json and its scalar pieces), so a caller
+// that keeps one string can write reply after reply into it.
 //
 // Scope: objects, arrays, strings, bools, null, and numbers (int64 when the
 // literal is integral, double otherwise). \uXXXX escapes decode to UTF-8;
@@ -12,9 +14,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -92,12 +94,20 @@ class Json {
 
 /// Parses one JSON value (the whole string; trailing garbage is an error).
 /// Throws WireError on malformed input or nesting past kMaxJsonDepth.
-[[nodiscard]] Json parse_json(const std::string& text);
+[[nodiscard]] Json parse_json(std::string_view text);
 
-void write_json(std::ostream& out, const Json& value);
+/// Appends `value` to `out` as JSON, object keys in map order: the one
+/// writer behind Json::to_string. Ints are written exactly, reals as
+/// printf's "%.17g" (so NaN and the infinities come out as nan/inf, which
+/// parse_json does not read back).
+void append_json(std::string& out, const Json& value);
+void append_json_int(std::string& out, std::int64_t n);
+void append_json_real(std::string& out, double d);
+/// Appends `s` quoted and escaped as json_quote does.
+void append_json_string(std::string& out, std::string_view s);
 
 /// Escapes + quotes `s` for embedding in hand-built JSON: '"', '\\', \n,
 /// \r, \t by name, every other byte below 0x20 as \u00XX.
-[[nodiscard]] std::string json_quote(const std::string& s);
+[[nodiscard]] std::string json_quote(std::string_view s);
 
 }  // namespace gammaflow

@@ -18,6 +18,7 @@ namespace gammaflow::expr {
 namespace {
 
 std::atomic<std::uint64_t> g_vm_instrs{0};
+std::atomic<std::uint64_t> g_fold_steps{0};
 
 constexpr std::size_t kOperandLimit =
     std::numeric_limits<std::uint16_t>::max();
@@ -79,6 +80,7 @@ class Compiler {
     };
     std::vector<Pending> stack{{&root, 0}};
     folded_.emplace_back();
+    std::uint64_t steps = 0;  // nodes decided
     while (!stack.empty()) {
       Pending& top = stack.back();
       const Expr& e = *top.e;
@@ -115,7 +117,9 @@ class Compiler {
       folded_[at].value = std::move(value);
       folded_[at].nodes = folded_.size() - at;
       stack.pop_back();
+      ++steps;
     }
+    g_fold_steps.fetch_add(steps, std::memory_order_relaxed);
   }
 
   /// `e`'s value from its operands' (`a`, `b`; empty when an operand has
@@ -521,6 +525,10 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
 
 std::uint64_t vm_instrs_executed() noexcept {
   return g_vm_instrs.load(std::memory_order_relaxed);
+}
+
+std::uint64_t compile_fold_steps() noexcept {
+  return g_fold_steps.load(std::memory_order_relaxed);
 }
 
 // ---- Batch backend --------------------------------------------------------

@@ -91,6 +91,11 @@ struct Chunk {
 [[nodiscard]] Chunk compile(const ExprPtr& e,
                             std::span<const std::string> slot_names);
 
+/// Process-wide count of the nodes compile()'s constant fold has decided (a
+/// relaxed counter, flushed once per compile): one per node of each
+/// compiled tree, so a test can bound the fold's work without a clock.
+[[nodiscard]] std::uint64_t compile_fold_steps() noexcept;
+
 /// Executes chunks. Owns a reusable register file so steady-state evaluation
 /// allocates nothing; one Vm per thread (engines keep one per worker).
 class Vm {

@@ -184,6 +184,25 @@ Value element_field(TokenStream& ts) {
   return folded->literal();
 }
 
+/// The element-list grammar: appends each element's fields to `fields`,
+/// then calls done(first), `first` the index of the element's first field.
+template <typename Done>
+void element_list(TokenStream& ts, std::vector<Value>& fields, Done&& done) {
+  while (!ts.done()) {
+    ts.accept(TokenKind::Comma);
+    if (ts.done()) break;
+    const std::size_t first = fields.size();
+    if (ts.accept(TokenKind::LBracket)) {
+      fields.push_back(element_field(ts));
+      while (ts.accept(TokenKind::Comma)) fields.push_back(element_field(ts));
+      ts.expect(TokenKind::RBracket);
+    } else {
+      fields.push_back(element_field(ts));
+    }
+    done(first);
+  }
+}
+
 }  // namespace
 
 Program parse_program(std::string_view source) {
@@ -202,25 +221,25 @@ Reaction parse_reaction(std::string_view source) {
   });
 }
 
+void read_elements(std::string_view source, FlatElements& out) {
+  out.clear();
+  expr::parse_text(source, LexMode::Expression, [&out](TokenStream& ts) {
+    element_list(ts, out.fields, [&out](std::size_t first) {
+      out.arities.push_back(out.fields.size() - first);
+    });
+  });
+}
+
 Multiset parse_elements(std::string_view source) {
   return expr::parse_text(source, LexMode::Expression, [](TokenStream& ts) {
     Multiset m;
     std::vector<Value> fields;  // one element's fields, reused
-    while (!ts.done()) {
-      ts.accept(TokenKind::Comma);
-      if (ts.done()) break;
-      fields.clear();
-      if (ts.accept(TokenKind::LBracket)) {
-        fields.push_back(element_field(ts));
-        while (ts.accept(TokenKind::Comma)) fields.push_back(element_field(ts));
-        ts.expect(TokenKind::RBracket);
-      } else {
-        fields.push_back(element_field(ts));
-      }
+    element_list(ts, fields, [&](std::size_t) {
       // Exactly sized: the element's one allocation.
       m.add(Element(std::vector<Value>(std::make_move_iterator(fields.begin()),
                                        std::make_move_iterator(fields.end()))));
-    }
+      fields.clear();
+    });
     return m;
   });
 }

@@ -34,10 +34,16 @@ namespace gammaflow::gamma::dsl {
 /// Parses exactly one reaction definition.
 [[nodiscard]] Reaction parse_reaction(std::string_view source);
 
-/// Parses a comma-separated multiset literal — the CLI `--init` syntax and
+/// Reads a comma-separated multiset literal — the CLI `--init` syntax and
 /// the serve protocol's `elements`/`init` fields: tuples in brackets
 /// ("[3,'a'], [1,'b',0]") or bare literals as 1-tuples ("7, 9"). Fields must
 /// fold to literals (constant expressions allowed); throws Error otherwise.
+/// `out` is cleared first and holds the elements in reading order; after a
+/// throw it holds an unspecified prefix, so a caller reads the whole text
+/// before it uses any of it.
+void read_elements(std::string_view source, FlatElements& out);
+
+/// The same elements, read by the same grammar, as a Multiset.
 [[nodiscard]] Multiset parse_elements(std::string_view source);
 
 /// Renders a program in the surface syntax; parse_program(print(p)) yields a

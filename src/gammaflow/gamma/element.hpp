@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,31 @@ class Element {
 };
 
 std::ostream& operator<<(std::ostream& os, const Element& e);
+
+/// Elements laid out flat: every field in reading order, and each element's
+/// arity. The element reader fills one (dsl::read_elements) and a Store
+/// takes its rows through insert(span<const Value>), so a batch of elements
+/// reaches the columns without an Element or a Multiset; a reader that
+/// keeps one reuses its capacity from batch to batch.
+struct FlatElements {
+  std::vector<Value> fields;
+  std::vector<std::size_t> arities;
+
+  void clear() noexcept {
+    fields.clear();
+    arities.clear();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return arities.size(); }
+  /// Calls f(span<const Value>) on each element's fields, in order.
+  template <typename F>
+  void for_each(F&& f) const {
+    std::size_t at = 0;
+    for (const std::size_t n : arities) {
+      f(std::span<const Value>(fields.data() + at, n));
+      at += n;
+    }
+  }
+};
 
 }  // namespace gammaflow::gamma
 

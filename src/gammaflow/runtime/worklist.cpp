@@ -124,16 +124,16 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
   return loop.outcome();
 }
 
-Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements) {
+Outcome IncrementalFixpoint::inject(const gamma::FlatElements& elements) {
   last_fires_ = 0;
   ++stats_.injects;
   const std::uint64_t skips0 = options_.telemetry ? mem_.anchor_skips() : 0;
   StepLoop loop(options_, options_.max_steps, "worklist", "max_steps");
-  for (const gamma::Element& e : elements) {
-    store_.insert(e);
-    ++stats_.injected;
-    wake_element(e.fields());
-  }
+  elements.for_each([this](std::span<const Value> fields) {
+    store_.insert(fields);
+    wake_element(fields);
+  });
+  stats_.injected += elements.size();
   last_outcome_ = saturate(loop);
   if (recording_) recording_.round(store_);
   if (obs::Telemetry* tel = options_.telemetry) {
@@ -144,10 +144,6 @@ Outcome IncrementalFixpoint::inject(const std::vector<gamma::Element>& elements)
     stats.hist("serve.inject_us").observe(loop.wall_seconds() * 1e6);
   }
   return last_outcome_;
-}
-
-Outcome IncrementalFixpoint::inject(const gamma::Multiset& elements) {
-  return inject(elements.elements());
 }
 
 void IncrementalFixpoint::finish_recording() {

@@ -126,10 +126,10 @@ class IncrementalFixpoint {
   IncrementalFixpoint(gamma::Program program, std::vector<WakeKeys> keys,
                       const WorklistOptions& options);
 
-  /// Inserts the elements, wakes their footprint consumers, drains to
-  /// quiescence. Deterministic for a given (program, seed, schedule).
-  Outcome inject(const std::vector<gamma::Element>& elements);
-  Outcome inject(const gamma::Multiset& elements);
+  /// Inserts the elements straight from their flat fields (no Element is
+  /// built), wakes their footprint consumers, drains to quiescence.
+  /// Deterministic for a given (program, seed, schedule).
+  Outcome inject(const gamma::FlatElements& elements);
 
   [[nodiscard]] const gamma::Store& store() const noexcept { return store_; }
   [[nodiscard]] gamma::Multiset snapshot() const { return store_.to_multiset(); }

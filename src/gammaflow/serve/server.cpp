@@ -10,7 +10,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -50,6 +49,12 @@ const char* outcome_error_code(Outcome outcome) noexcept {
   return nullptr;
 }
 
+std::string unknown_session(std::string_view id) {
+  return error_reply("unknown_session",
+                     std::string("no session '").append(id).append("'"),
+                     {{"session", Json(std::string(id))}});
+}
+
 JsonObj counts_to_json(const obs::StoreCounts& counts) {
   JsonObj obj;
   for (const auto& [elem, n] : counts) obj.insert_or_assign(elem, Json(n));
@@ -65,7 +70,69 @@ void fill_inject_reply(JsonObj& reply, const Session::InjectResult& r) {
   reply.insert_or_assign("outcome", Json(std::string(to_string(r.outcome))));
 }
 
+/// The completed inject's reply, written straight into `out` with its keys
+/// in the order a JsonObj sorts them: the bytes fill_inject_reply plus
+/// {"ok":true} would print.
+void append_inject_reply(std::string& out, const Session::InjectResult& r) {
+  out += "{\"fires\":";
+  append_json_int(out, static_cast<std::int64_t>(r.fires));
+  out += ",\"fires_total\":";
+  append_json_int(out, static_cast<std::int64_t>(r.fires_total));
+  out += ",\"ok\":true,\"outcome\":";
+  append_json_string(out, to_string(r.outcome));
+  out += ",\"quiesce_us\":";
+  append_json_real(out, r.quiesce_us);
+  out += ",\"store_size\":";
+  append_json_int(out, static_cast<std::int64_t>(r.store_size));
+  out += '}';
+}
+
 }  // namespace
+
+std::optional<InjectLine> read_inject_line(std::string_view line) {
+  std::size_t pos = 0;
+  const auto skip_blanks = [&] {
+    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) {
+      ++pos;
+    }
+  };
+  const auto take = [&](char c) {
+    skip_blanks();
+    if (pos == line.size() || line[pos] != c) return false;
+    ++pos;
+    return true;
+  };
+  // A string with no escape: the bytes up to its closing quote.
+  const auto string = [&]() -> std::optional<std::string_view> {
+    if (!take('"')) return std::nullopt;
+    std::size_t end = pos;
+    while (end < line.size() && line[end] != '"' && line[end] != '\\') ++end;
+    if (end == line.size() || line[end] != '"') return std::nullopt;
+    const std::string_view s = line.substr(pos, end - pos);
+    pos = end + 1;
+    return s;
+  };
+  if (!take('{')) return std::nullopt;
+  std::optional<std::string_view> verb;
+  std::optional<std::string_view> session;
+  std::optional<std::string_view> elements;
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0 && !take(',')) return std::nullopt;
+    const std::optional<std::string_view> key = string();
+    if (!key || !take(':')) return std::nullopt;
+    std::optional<std::string_view>* slot = *key == "verb"       ? &verb
+                                            : *key == "session"  ? &session
+                                            : *key == "elements" ? &elements
+                                                                 : nullptr;
+    if (slot == nullptr || slot->has_value()) return std::nullopt;
+    *slot = string();
+    if (!*slot) return std::nullopt;
+  }
+  if (!take('}')) return std::nullopt;
+  skip_blanks();
+  if (pos != line.size() || *verb != "inject") return std::nullopt;
+  return InjectLine{*session, *elements};
+}
 
 std::string session_journal_path(const std::string& record_out,
                                  const std::string& session) {
@@ -85,53 +152,74 @@ std::size_t Server::session_count() const {
   return sessions_.size();
 }
 
-std::shared_ptr<Session> Server::find_session(const std::string& id) const {
+std::shared_ptr<Session> Server::find_session(std::string_view id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(id);
   return it == sessions_.end() ? nullptr : it->second;
 }
 
-std::string Server::handle_line(const std::string& line) {
+std::string Server::handle_line(std::string_view line) {
+  std::string out;
+  handle_line(line, out);
+  return out;
+}
+
+void Server::handle_line(std::string_view line, std::string& out) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Telemetry* tel = options_.telemetry) {
     tel->stats().count("serve.requests");
   }
-  Json req;
+  const std::size_t start = out.size();
   try {
-    req = parse_json(line);
+    if (const std::optional<InjectLine> inject = read_inject_line(line)) {
+      verb_inject(inject->session, inject->elements, out);
+      return;
+    }
+    const Json req = parse_json(line);
+    if (!req.is_obj()) {
+      out += error_reply("bad_request", "request must be a JSON object");
+      return;
+    }
+    dispatch(req, out);
   } catch (const WireError& e) {
-    return error_reply("bad_request", e.what());
-  }
-  if (!req.is_obj()) {
-    return error_reply("bad_request", "request must be a JSON object");
-  }
-  try {
-    return dispatch(req);
-  } catch (const WireError& e) {
-    return error_reply("bad_request", e.what());
+    out.resize(start);
+    out += error_reply("bad_request", e.what());
   } catch (const Error& e) {
-    return error_reply("internal", e.what());
+    out.resize(start);
+    out += error_reply("internal", e.what());
   } catch (const std::exception& e) {
-    return error_reply("internal", e.what());
+    out.resize(start);
+    out += error_reply("internal", e.what());
   }
 }
 
-std::string Server::dispatch(const Json& req) {
+void Server::dispatch(const Json& req, std::string& out) {
   const Json* verb = req.get("verb");
   if (verb == nullptr || !verb->is_str()) {
-    return error_reply("bad_request", "missing string field 'verb'");
+    out += error_reply("bad_request", "missing string field 'verb'");
+    return;
   }
   const std::string& v = verb->as_str();
-  if (v == "ping") return reply_str({{"ok", Json(true)}, {"pong", Json(true)}});
-  if (v == "create") return verb_create(req);
-  if (v == "inject") return verb_inject(req);
-  if (v == "query") return verb_query(req);
-  if (v == "snapshot") return verb_snapshot(req);
-  if (v == "stats") return verb_stats(req);
-  if (v == "close") return verb_close(req);
-  if (v == "shutdown") return verb_shutdown();
-  return error_reply("unknown_verb", "no such verb '" + v + "'",
-                     {{"verb", Json(v)}});
+  if (v == "inject") {
+    verb_inject(req, out);
+  } else if (v == "ping") {
+    out += reply_str({{"ok", Json(true)}, {"pong", Json(true)}});
+  } else if (v == "create") {
+    out += verb_create(req);
+  } else if (v == "query") {
+    out += verb_query(req);
+  } else if (v == "snapshot") {
+    out += verb_snapshot(req);
+  } else if (v == "stats") {
+    out += verb_stats(req);
+  } else if (v == "close") {
+    out += verb_close(req);
+  } else if (v == "shutdown") {
+    out += verb_shutdown();
+  } else {
+    out += error_reply("unknown_verb", "no such verb '" + v + "'",
+                       {{"verb", Json(v)}});
+  }
 }
 
 std::string Server::verb_create(const Json& req) {
@@ -153,14 +241,11 @@ std::string Server::verb_create(const Json& req) {
         "serve sessions host single-stage programs; `;` sequencing has no "
         "incremental meaning under streaming injection");
   }
-  gamma::Multiset init;
-  const std::string init_text = req.str_or("init", "");
-  if (!init_text.empty()) {
-    try {
-      init = gamma::dsl::parse_elements(init_text);
-    } catch (const Error& e) {
-      return error_reply("bad_elements", e.what());
-    }
+  gamma::FlatElements init;
+  try {
+    gamma::dsl::read_elements(req.str_or("init", ""), init);
+  } catch (const Error& e) {
+    return error_reply("bad_elements", e.what());
   }
 
   SessionOptions sopts;
@@ -200,41 +285,51 @@ std::string Server::verb_create(const Json& req) {
   return reply_str(std::move(reply));
 }
 
-std::string Server::verb_inject(const Json& req) {
+void Server::verb_inject(const Json& req, std::string& out) {
   const std::string id = req.str_or("session", "");
+  // `elements` is read only once the session is known: a request that names
+  // no live session is unknown_session whatever its `elements` holds.
+  if (!find_session(id)) {
+    out += unknown_session(id);
+    return;
+  }
+  verb_inject(id, req.str_or("elements", ""), out);
+}
+
+void Server::verb_inject(std::string_view id, std::string_view elements,
+                         std::string& out) {
   const std::shared_ptr<Session> session = find_session(id);
   if (!session) {
-    return error_reply("unknown_session", "no session '" + id + "'",
-                       {{"session", Json(id)}});
+    out += unknown_session(id);
+    return;
   }
-  gamma::Multiset elements;
+  // One buffer per connection thread, reused from inject to inject.
+  thread_local gamma::FlatElements flat;
   try {
-    elements = gamma::dsl::parse_elements(req.str_or("elements", ""));
+    gamma::dsl::read_elements(elements, flat);
   } catch (const Error& e) {
-    return error_reply("bad_elements", e.what());
+    out += error_reply("bad_elements", e.what());
+    return;
   }
-  const Session::InjectResult r = session->inject(elements);
-  JsonObj reply;
-  fill_inject_reply(reply, r);
+  const Session::InjectResult r = session->inject(flat);
   if (const char* code = outcome_error_code(r.outcome)) {
     // The drain stopped early: the store is a valid intermediate state and
     // a later inject resumes it, but the fixpoint was NOT reached — an
     // error reply with partial:true, per DESIGN §14.
+    JsonObj reply;
+    fill_inject_reply(reply, r);
     reply.insert_or_assign("partial", Json(true));
-    return error_reply(code, "inject stopped before quiescence",
+    out += error_reply(code, "inject stopped before quiescence",
                        std::move(reply));
+    return;
   }
-  reply.insert_or_assign("ok", Json(true));
-  return reply_str(std::move(reply));
+  append_inject_reply(out, r);
 }
 
 std::string Server::verb_query(const Json& req) {
   const std::string id = req.str_or("session", "");
   const std::shared_ptr<Session> session = find_session(id);
-  if (!session) {
-    return error_reply("unknown_session", "no session '" + id + "'",
-                       {{"session", Json(id)}});
-  }
+  if (!session) return unknown_session(id);
   JsonObj reply{{"ok", Json(true)}};
   if (const Json* element = req.get("element")) {
     gamma::Multiset parsed;
@@ -261,10 +356,7 @@ std::string Server::verb_query(const Json& req) {
 std::string Server::verb_snapshot(const Json& req) {
   const std::string id = req.str_or("session", "");
   const std::shared_ptr<Session> session = find_session(id);
-  if (!session) {
-    return error_reply("unknown_session", "no session '" + id + "'",
-                       {{"session", Json(id)}});
-  }
+  if (!session) return unknown_session(id);
   const obs::StoreCounts counts = session->snapshot_counts();
   std::int64_t total = 0;
   for (const auto& [elem, n] : counts) total += n;
@@ -284,10 +376,7 @@ std::string Server::verb_stats(const Json& req) {
               requests_.load(std::memory_order_relaxed)))}});
   }
   const std::shared_ptr<Session> session = find_session(id);
-  if (!session) {
-    return error_reply("unknown_session", "no session '" + id + "'",
-                       {{"session", Json(id)}});
-  }
+  if (!session) return unknown_session(id);
   const runtime::WorklistStats s = session->stats();
   const HistogramSnapshot h = session->quiesce_histogram();
   return reply_str({{"ok", Json(true)},
@@ -335,10 +424,7 @@ std::string Server::verb_close(const Json& req) {
       sessions_.erase(it);
     }
   }
-  if (!session) {
-    return error_reply("unknown_session", "no session '" + id + "'",
-                       {{"session", Json(id)}});
-  }
+  if (!session) return unknown_session(id);
   JsonObj reply{{"ok", Json(true)},
                 {"session", Json(id)},
                 {"fires_total", Json(session->stats().fires)}};
@@ -347,7 +433,7 @@ std::string Server::verb_close(const Json& req) {
 }
 
 void Server::close_all_sessions() {
-  std::map<std::string, std::shared_ptr<Session>> doomed;
+  std::map<std::string, std::shared_ptr<Session>, std::less<>> doomed;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     doomed.swap(sessions_);
@@ -366,9 +452,13 @@ std::string Server::verb_shutdown() {
 
 void Server::serve_stream(std::istream& in, std::ostream& out) {
   std::string line;
+  std::string reply;
   while (!shutdown_requested() && std::getline(in, line)) {
     if (line.empty()) continue;
-    out << handle_line(line) << '\n' << std::flush;
+    reply.clear();
+    handle_line(line, reply);
+    reply.push_back('\n');
+    out << reply << std::flush;
   }
 }
 
@@ -376,11 +466,20 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
 
 namespace {
 
-/// write(2) the whole buffer, riding out partial writes and EINTR.
+#ifdef MSG_NOSIGNAL
+constexpr int kNoSigpipe = MSG_NOSIGNAL;
+#else
+constexpr int kNoSigpipe = 0;
+#endif
+
+/// send(2) the whole buffer, riding out partial writes and EINTR. A peer
+/// that hung up makes it return false (EPIPE) instead of raising SIGPIPE,
+/// which would end the daemon and every tenant's session with it.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, kNoSigpipe);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -391,6 +490,26 @@ bool write_all(int fd, const std::string& data) {
 }
 
 }  // namespace
+
+void LineSplitter::append(const char* data, std::size_t size) {
+  if (begin_ > 0) {
+    buffer_.erase(0, begin_);
+    scanned_ -= begin_;
+    begin_ = 0;
+  }
+  buffer_.append(data, size);
+}
+
+std::optional<std::string_view> LineSplitter::next() {
+  const std::size_t nl = buffer_.find('\n', scanned_);
+  if (nl == std::string::npos) {
+    scanned_ = buffer_.size();
+    return std::nullopt;
+  }
+  const std::string_view line(buffer_.data() + begin_, nl - begin_);
+  begin_ = scanned_ = nl + 1;
+  return line;
+}
 
 int Server::serve_socket() {
   const std::string& path = options_.socket_path;
@@ -423,19 +542,20 @@ int Server::serve_socket() {
     const int conn = ::accept(listen_fd, nullptr, nullptr);
     if (conn < 0) continue;
     workers.emplace_back([this, conn] {
-      std::string buffer;
+      LineSplitter lines;
+      std::string reply;  // each reply and its '\n', one write(2) each
       char chunk[4096];
       while (true) {
         const ssize_t n = ::read(conn, chunk, sizeof(chunk));
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t nl = 0;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-          const std::string line = buffer.substr(0, nl);
-          buffer.erase(0, nl + 1);
-          if (line.empty()) continue;
-          if (!write_all(conn, handle_line(line) + '\n')) break;
+        lines.append(chunk, static_cast<std::size_t>(n));
+        while (const std::optional<std::string_view> line = lines.next()) {
+          if (line->empty()) continue;
+          reply.clear();
+          handle_line(*line, reply);
+          reply.push_back('\n');
+          if (!write_all(conn, reply)) break;
         }
         if (shutdown_requested()) break;
       }
@@ -478,16 +598,13 @@ std::string Client::call(const std::string& request) {
   }
   char chunk[4096];
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
+    if (const std::optional<std::string_view> line = lines_.next()) {
+      return std::string(*line);
     }
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) throw Error("serve client: daemon hung up mid-reply");
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    lines_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 

@@ -10,17 +10,25 @@
 //                  stream and socket fronts are thin line pumps over it),
 //                  the session table, and the Unix-socket accept loop
 //                  (thread per connection; sessions serialize internally).
+//                  An inject line of the plain shape read_inject_line
+//                  accepts skips the JSON DOM; every other line is parsed
+//                  by parse_json, and both give the same reply bytes.
+//   LineSplitter — cuts a socket's byte stream into lines, each byte
+//                  searched once.
 //   Client       — blocking line-oriented socket client (bench_serve's load
 //                  generator and the CI smoke script).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "gammaflow/common/json.hpp"
 #include "gammaflow/serve/session.hpp"
@@ -58,10 +66,11 @@ class Server {
  public:
   explicit Server(ServeOptions options);
 
-  /// One request line -> one reply line (no trailing newline). Never
-  /// throws: malformed input and failed verbs become
+  /// One request line -> one reply line (no trailing newline), appended to
+  /// `out`. Never throws: malformed input and failed verbs become
   /// {"ok":false,"error":"<code>", ...} replies.
-  [[nodiscard]] std::string handle_line(const std::string& line);
+  void handle_line(std::string_view line, std::string& out);
+  [[nodiscard]] std::string handle_line(std::string_view line);
 
   /// Pumps requests line-by-line until EOF or a shutdown verb — the
   /// `--stdio` front and the in-process protocol tests.
@@ -78,10 +87,15 @@ class Server {
 
  private:
   [[nodiscard]] std::shared_ptr<Session> find_session(
-      const std::string& id) const;
-  std::string dispatch(const Json& req);
+      std::string_view id) const;
+  void dispatch(const Json& req, std::string& out);
   std::string verb_create(const Json& req);
-  std::string verb_inject(const Json& req);
+  void verb_inject(const Json& req, std::string& out);
+  /// The one inject: reads the element text whole, then injects it into the
+  /// session and appends the reply. Both the DOM path and the plain-line
+  /// path end here.
+  void verb_inject(std::string_view session, std::string_view elements,
+                   std::string& out);
   std::string verb_query(const Json& req);
   std::string verb_snapshot(const Json& req);
   std::string verb_stats(const Json& req);
@@ -94,10 +108,41 @@ class Server {
 
   ServeOptions options_;
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<Session>> sessions_;
+  std::map<std::string, std::shared_ptr<Session>, std::less<>> sessions_;
   std::uint64_t next_id_ = 1;
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> requests_{0};
+};
+
+/// An inject request of the one plain shape: an object whose keys are
+/// exactly "verb" (value "inject"), "session" and "elements", once each, in
+/// any order, every value a string with no escape, and no whitespace but
+/// space and tab. The views point into the line.
+struct InjectLine {
+  std::string_view session;
+  std::string_view elements;
+};
+
+/// `line` read as an InjectLine in one pass, or nullopt for any other line,
+/// which handle_line then parses with parse_json.
+[[nodiscard]] std::optional<InjectLine> read_inject_line(std::string_view line);
+
+/// Cuts a byte stream into '\n'-terminated lines. Each byte is searched for
+/// the newline once, however many appends a line spans, and the bytes of
+/// lines already handed out are dropped once per append, so framing a line
+/// costs time linear in its length.
+class LineSplitter {
+ public:
+  /// Adds bytes just read. Views next() returned before are invalidated.
+  void append(const char* data, std::size_t size);
+  /// The next complete line without its '\n', or nullopt when no complete
+  /// line is buffered.
+  [[nodiscard]] std::optional<std::string_view> next();
+
+ private:
+  std::string buffer_;
+  std::size_t begin_ = 0;    // first byte not yet handed out
+  std::size_t scanned_ = 0;  // bytes before this hold no unread '\n'
 };
 
 /// Blocking client for the daemon's Unix socket. Throws Error when the
@@ -114,7 +159,7 @@ class Client {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  LineSplitter lines_;
 };
 
 /// Journal output path for one session: "<stem>.<session>.<ext>" derived

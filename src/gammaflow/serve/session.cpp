@@ -27,7 +27,7 @@ Session::Session(std::string id, gamma::Program program,
   if (recorder_) recorder_->set_session(id_);
 }
 
-Session::InjectResult Session::inject(const gamma::Multiset& elements) {
+Session::InjectResult Session::inject(const gamma::FlatElements& elements) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto t0 = std::chrono::steady_clock::now();
   InjectResult r;

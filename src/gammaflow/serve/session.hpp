@@ -47,7 +47,7 @@ class Session {
     std::size_t store_size = 0;
     double quiesce_us = 0.0;       // injection-to-quiescence wall time
   };
-  [[nodiscard]] InjectResult inject(const gamma::Multiset& elements);
+  [[nodiscard]] InjectResult inject(const gamma::FlatElements& elements);
 
   /// Total multiplicity of elements whose label (string field 1) is `label`.
   [[nodiscard]] std::int64_t count_label(const std::string& label) const;

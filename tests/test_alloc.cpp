@@ -157,10 +157,16 @@ Count count_inject(const gamma::Program& program,
   options.seed = 7;
   runtime::IncrementalFixpoint session(program, analysis::wakeup_keys(program),
                                        options);
-  (void)session.inject(elements);
+  gamma::FlatElements batch;
+  for (const gamma::Element& e : elements) {
+    batch.fields.insert(batch.fields.end(), e.fields().begin(),
+                        e.fields().end());
+    batch.arities.push_back(e.arity());
+  }
+  (void)session.inject(batch);
   const std::uint64_t fires0 = session.stats().fires;
   const std::uint64_t before = g_allocations.load();
-  (void)session.inject(elements);
+  (void)session.inject(batch);
   Count c;
   c.allocations = g_allocations.load() - before;
   c.fires = session.stats().fires - fires0;
@@ -307,6 +313,25 @@ TEST(Alloc, ElementReaderAllocatesOnlyTheElements) {
     std::cout << "[ alloc ] parse_elements " << what << ": " << allocations
               << " allocations = " << per_element << " per element\n";
     EXPECT_LE(per_element, 1.5) << what;
+  }
+}
+
+TEST(Alloc, ReusedFlatElementsReadWithoutPerElementAllocations) {
+  // A serve inject reads into a buffer kept from the last inject: once its
+  // vectors have grown, a read of the same shape allocates nothing per
+  // element (labels this short live inside their string).
+  for (const auto& [what, text] :
+       {std::pair{"4096 [int]", ints_text(kElements)},
+        std::pair{"4096 [int,'kNN']", pairs_text(kElements)}}) {
+    gamma::FlatElements flat;
+    gamma::dsl::read_elements(text, flat);
+    const std::uint64_t before = g_allocations.load();
+    gamma::dsl::read_elements(text, flat);
+    const std::uint64_t allocations = g_allocations.load() - before;
+    ASSERT_EQ(flat.size(), kElements);
+    std::cout << "[ alloc ] read_elements into a reused buffer " << what
+              << ": " << allocations << " allocations\n";
+    EXPECT_LE(allocations, 8u) << what;
   }
 }
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -211,41 +210,28 @@ ExprPtr left_chain(std::size_t operators) {
   return e;
 }
 
-TEST(Bytecode, CompileTimeIsLinearInALeftLeaningChain) {
-  // Constant folding used to re-walk each node's whole subtree, so compile
-  // time grew quadratically down a left-leaning chain: 4x the operators
-  // cost ~20x the time. Deciding each node once makes it ~4x. The chains
-  // stay small enough to sit in cache: from ~4096 operators on, even a bare
-  // walk of the tree slows per node (~7x the time for 4x the nodes).
-  // Sanitizer redzones and shadow checks change the per-node cost with the
-  // footprint, so the ratio means nothing there.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer instrumentation skews per-node compile cost";
-#endif
-  const ExprPtr shorter = left_chain(256);
-  const ExprPtr longer = left_chain(1024);
-  using Clock = std::chrono::steady_clock;
-  const auto time = [](const ExprPtr& e, Clock::duration& best) {
-    const auto t0 = Clock::now();
-    const expr::Chunk chunk = expr::compile(e, kSlots);
-    best = std::min(best, Clock::now() - t0);
-    return chunk.code.size();
+TEST(Bytecode, CompileFoldWorkIsLinearInALeftLeaningChain) {
+  // Constant folding used to re-walk each node's whole subtree, so its work
+  // grew quadratically down a left-leaning chain: 4x the operators cost
+  // ~16x the node visits. Deciding each node once makes the fold's work the
+  // tree's node count. The count is exact on every host and build, where a
+  // ratio of two compile times moved with the machine's load.
+  const auto fold_steps = [](std::size_t operators) {
+    const ExprPtr chain = left_chain(operators);
+    const std::uint64_t before = expr::compile_fold_steps();
+    const expr::Chunk chunk = expr::compile(chain, kSlots);
+    EXPECT_EQ(chunk.code.size(), 2 * operators + 2);
+    return expr::compile_fold_steps() - before;
   };
-  // Each round times both sizes back to back, so a busy machine slows both;
-  // the best of 7 rounds drops the rounds a preemption landed in.
-  constexpr int kRounds = 7;
-  auto best_short = Clock::duration::max();
-  auto best_long = Clock::duration::max();
-  for (int round = 0; round < kRounds; ++round) {
-    EXPECT_EQ(time(shorter, best_short), 2 * 256 + 2u);
-    EXPECT_EQ(time(longer, best_long), 2 * 1024 + 2u);
-  }
-  const double ratio = static_cast<double>(best_long.count()) /
-                       static_cast<double>(std::max<Clock::rep>(
-                           best_short.count(), 1));
-  EXPECT_LE(ratio, 8.0) << "best of " << kRounds << ": 1024 operators "
-                        << best_long.count() << " ticks, 256 operators "
-                        << best_short.count() << " ticks";
+  const std::uint64_t shorter = fold_steps(256);
+  const std::uint64_t longer = fold_steps(1024);
+  // One step per node: the variable, and an operator and a literal per
+  // operator.
+  EXPECT_EQ(shorter, 2 * 256 + 1u);
+  EXPECT_EQ(longer, 2 * 1024 + 1u);
+  EXPECT_LE(longer, 4 * shorter + 4) << "fold steps: 1024 operators "
+                                     << longer << ", 256 operators "
+                                     << shorter;
 }
 
 /// Listings pinned on the compiler that folded by re-walking subtrees:

@@ -2,6 +2,8 @@
 // MPSC queue, JSON codec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -289,6 +291,37 @@ TEST(Json, QuoteRoundTripsEveryByteAndEmitsNoControlBytes) {
   EXPECT_EQ(parse_json(quoted).as_str(), all);
   EXPECT_EQ(json_quote("a\"b\\c\n\r\t\x01"),
             "\"a\\\"b\\\\c\\n\\r\\t\\u0001\"");
+}
+
+TEST(Json, WriterPinsItsBytes) {
+  // The bytes every JSON writer in the project prints: the serve replies,
+  // inline journals and the DOM's to_string. Ints are exact, reals are
+  // printf's "%.17g", keys come out in map order.
+  const auto bytes = [](const Json& v) { return v.to_string(); };
+  EXPECT_EQ(bytes(Json(std::numeric_limits<std::int64_t>::min())),
+            "-9223372036854775808");
+  EXPECT_EQ(bytes(Json(std::numeric_limits<std::int64_t>::max())),
+            "9223372036854775807");
+  EXPECT_EQ(bytes(Json(0)), "0");
+  EXPECT_EQ(bytes(Json(-0.0)), "-0");
+  EXPECT_EQ(bytes(Json(2.5)), "2.5");
+  EXPECT_EQ(bytes(Json(0.1)), "0.10000000000000001");
+  EXPECT_EQ(bytes(Json(1e-310)), "9.9999999999999694e-311");
+  EXPECT_EQ(bytes(Json(1e300)), "1.0000000000000001e+300");
+  EXPECT_EQ(bytes(Json(std::numeric_limits<double>::quiet_NaN())), "nan");
+  EXPECT_EQ(bytes(Json(std::numeric_limits<double>::infinity())), "inf");
+  EXPECT_EQ(bytes(Json(std::string("\x01\x1f\x7f\"\\/\n\r\t\b\f", 11))),
+            R"("\u0001\u001f\"\\/\n\r\t\u0008\u000c")");
+  EXPECT_EQ(bytes(Json(std::string("nul\0byte", 8))), R"("nul\u0000byte")");
+  EXPECT_EQ(bytes(Json(JsonObj{{"z", Json(JsonArr{Json(1), Json(JsonArr{}),
+                                                 Json(JsonObj{})})},
+                               {"a", Json(nullptr)},
+                               {"m", Json(JsonObj{{"k", Json(true)},
+                                                  {"", Json(false)}})}})),
+            R"({"a":null,"m":{"":false,"k":true},"z":[1,[],{}]})");
+  EXPECT_EQ(bytes(Json(JsonArr{})), "[]");
+  // A string with no escape is copied byte for byte, UTF-8 included.
+  EXPECT_EQ(bytes(Json("caf\xc3\xa9 [1,'k']")), "\"caf\xc3\xa9 [1,'k']\"");
 }
 
 }  // namespace

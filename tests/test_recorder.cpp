@@ -33,6 +33,16 @@ gamma::Multiset ints(std::initializer_list<std::int64_t> xs) {
   return m;
 }
 
+/// The same ints laid out as IncrementalFixpoint::inject takes them.
+gamma::FlatElements flat_ints(std::initializer_list<std::int64_t> xs) {
+  gamma::FlatElements out;
+  for (const std::int64_t x : xs) {
+    out.fields.emplace_back(x);
+    out.arities.push_back(1);
+  }
+  return out;
+}
+
 std::unique_ptr<gamma::Engine> make_engine(const std::string& name) {
   if (name == "seq") return std::make_unique<gamma::SequentialEngine>();
   if (name == "idx") return std::make_unique<gamma::IndexedEngine>();
@@ -194,9 +204,9 @@ TEST(Recorder, WorklistJournalReplaysAcrossInjections) {
   runtime::IncrementalFixpoint fix(program, analysis::wakeup_keys(program),
                                    wopts);
   rec.set_session("s1");
-  ASSERT_EQ(fix.inject(ints({9, 4, 7})), Outcome::Completed);
-  ASSERT_EQ(fix.inject(ints({2, 8})), Outcome::Completed);
-  ASSERT_EQ(fix.inject(ints({5})), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat_ints({9, 4, 7})), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat_ints({2, 8})), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat_ints({5})), Outcome::Completed);
   fix.finish_recording();
   const Journal j = rec.take();
   expect_text_round_trip(j);

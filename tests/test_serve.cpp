@@ -4,12 +4,22 @@
 // all three in-process engines and the full-rescan worklist baseline —
 // and the serve protocol's verbs and error replies must match the spec.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gammaflow/analysis/interference.hpp"
@@ -50,6 +60,16 @@ gamma::Element labeled(std::int64_t v, const char* label) {
   return gamma::Element({Value(v), Value(label)});
 }
 
+/// The elements laid out as IncrementalFixpoint::inject takes them.
+gamma::FlatElements flat(const std::vector<gamma::Element>& elements) {
+  gamma::FlatElements out;
+  for (const gamma::Element& e : elements) {
+    out.fields.insert(out.fields.end(), e.fields().begin(), e.fields().end());
+    out.arities.push_back(e.arity());
+  }
+  return out;
+}
+
 /// A randomized injection schedule: 3..18 elements split into 1..5 batches
 /// (some possibly empty — an empty inject must be a no-op).
 std::vector<std::vector<gamma::Element>> random_schedule(std::mt19937_64& rng,
@@ -83,8 +103,8 @@ void check_differential(const gamma::Program& program, std::uint64_t seed,
 
   gamma::Multiset all;
   for (const auto& batch : schedule) {
-    ASSERT_EQ(fix.inject(batch), Outcome::Completed) << "seed " << seed;
-    ASSERT_EQ(rescan.inject(batch), Outcome::Completed) << "seed " << seed;
+    ASSERT_EQ(fix.inject(flat(batch)), Outcome::Completed) << "seed " << seed;
+    ASSERT_EQ(rescan.inject(flat(batch)), Outcome::Completed) << "seed " << seed;
     for (const gamma::Element& e : batch) all.add(e);
   }
 
@@ -160,12 +180,12 @@ TEST(Worklist, FootprintWakeupsAreSparserThanRescan) {
   // index must never re-probe Rsum while rescan probes both every time.
   const std::vector<gamma::Element> seed_batch = {
       labeled(1, "A"), labeled(2, "A"), labeled(5, "B"), labeled(3, "B")};
-  ASSERT_EQ(fix.inject(seed_batch), Outcome::Completed);
-  ASSERT_EQ(rescan.inject(seed_batch), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat(seed_batch)), Outcome::Completed);
+  ASSERT_EQ(rescan.inject(flat(seed_batch)), Outcome::Completed);
   for (std::int64_t v = 0; v < 20; ++v) {
     const std::vector<gamma::Element> one = {labeled(v, "B")};
-    ASSERT_EQ(fix.inject(one), Outcome::Completed);
-    ASSERT_EQ(rescan.inject(one), Outcome::Completed);
+    ASSERT_EQ(fix.inject(flat(one)), Outcome::Completed);
+    ASSERT_EQ(rescan.inject(flat(one)), Outcome::Completed);
   }
 
   EXPECT_EQ(render(fix.snapshot()), render(rescan.snapshot()));
@@ -178,9 +198,9 @@ TEST(Worklist, EmptyInjectIsANoOpAtFixpoint) {
   WorklistOptions wopts;
   IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
   const std::vector<gamma::Element> three = {bare(4), bare(2), bare(9)};
-  ASSERT_EQ(fix.inject(three), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat(three)), Outcome::Completed);
   const std::uint64_t fires = fix.stats().fires;
-  EXPECT_EQ(fix.inject(std::vector<gamma::Element>{}), Outcome::Completed);
+  EXPECT_EQ(fix.inject({}), Outcome::Completed);
   EXPECT_EQ(fix.stats().fires, fires);
   EXPECT_EQ(fix.last_fires(), 0u);
   EXPECT_EQ(render(fix.snapshot()), "{[2]}");
@@ -198,14 +218,14 @@ TEST(Worklist, FixpointProofAfterAnInertInjectCostsLinearLanes) {
   std::vector<gamma::Element> antichain;
   for (std::int64_t v = 400; v < 800; ++v) antichain.push_back(bare(v));
   const std::uint64_t lanes0 = expr::batch_lanes();
-  ASSERT_EQ(fix.inject(antichain), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat(antichain)), Outcome::Completed);
   ASSERT_EQ(fix.last_fires(), 0u);
   const std::uint64_t first_lanes = expr::batch_lanes() - lanes0;
   const std::uint64_t live = fix.store().size();
   EXPECT_GE(first_lanes, live * (live - 1));
 
   const std::uint64_t lanes1 = expr::batch_lanes();
-  ASSERT_EQ(fix.inject(std::vector<gamma::Element>{bare(801)}),
+  ASSERT_EQ(fix.inject(flat(std::vector<gamma::Element>{bare(801)})),
             Outcome::Completed);
   EXPECT_EQ(fix.last_fires(), 0u);
   EXPECT_LE(expr::batch_lanes() - lanes1, 3 * fix.store().size());
@@ -233,12 +253,12 @@ TEST(Worklist, BudgetExhaustionResumesToTheSameFixpoint) {
   IncrementalFixpoint fix(program, analysis::wakeup_keys(program), tight);
   const std::vector<gamma::Element> batch = {bare(9), bare(4), bare(7),
                                              bare(2), bare(8), bare(5)};
-  EXPECT_EQ(fix.inject(batch), Outcome::BudgetExhausted);
+  EXPECT_EQ(fix.inject(flat(batch)), Outcome::BudgetExhausted);
   EXPECT_EQ(fix.stats().fires, 2u);
 
   WorklistOptions roomy;
   IncrementalFixpoint fresh(program, analysis::wakeup_keys(program), roomy);
-  ASSERT_EQ(fresh.inject(batch), Outcome::Completed);
+  ASSERT_EQ(fresh.inject(flat(batch)), Outcome::Completed);
   EXPECT_EQ(render(fresh.snapshot()), "{[2]}");
 }
 
@@ -254,11 +274,11 @@ TEST(Worklist, CancelledDrainResumesOnTheNextInject) {
   const std::vector<gamma::Element> batch = {
       labeled(3, "A"), labeled(4, "A"), labeled(5, "A"),
       labeled(7, "B"), labeled(2, "B"), labeled(9, "B")};
-  EXPECT_EQ(fix.inject(batch), Outcome::Cancelled);
+  EXPECT_EQ(fix.inject(flat(batch)), Outcome::Cancelled);
   EXPECT_EQ(fix.last_fires(), 0u);
 
   token.reset();
-  ASSERT_EQ(fix.inject(std::vector<gamma::Element>{}), Outcome::Completed);
+  ASSERT_EQ(fix.inject({}), Outcome::Completed);
   gamma::Multiset all;
   for (const gamma::Element& e : batch) all.add(e);
   const auto expected = gamma::IndexedEngine{}.run(program, all, {});
@@ -276,7 +296,7 @@ TEST(Worklist, TelemetryObservesEachReactionsFires) {
   const std::vector<gamma::Element> batch = {
       labeled(1, "A"), labeled(2, "A"), labeled(5, "B"), labeled(3, "B"),
       labeled(4, "B")};
-  ASSERT_EQ(fix.inject(batch), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat(batch)), Outcome::Completed);
   const MetricsSnapshot metrics = tel.metrics();
   EXPECT_EQ(metrics.histograms.at("gamma.fire_us.Rsum").count, 1u);
   EXPECT_EQ(metrics.histograms.at("gamma.fire_us.Rmax").count, 2u);
@@ -296,15 +316,15 @@ TEST(Worklist, EachDrainEndsInOneFailedProbe) {
   const auto draw = [&rng](std::size_t count) {
     std::vector<gamma::Element> batch;
     for (std::size_t i = 0; i < count; ++i) {
-      const std::string label = "k" + std::to_string(rng() % 32);
+      const std::string label = std::string("k").append(std::to_string(rng() % 32));
       batch.push_back(labeled(static_cast<std::int64_t>(rng() % 1000),
                               label.c_str()));
     }
     return batch;
   };
-  ASSERT_EQ(fix.inject(draw(64)), Outcome::Completed);
+  ASSERT_EQ(fix.inject(flat(draw(64))), Outcome::Completed);
   for (int i = 0; i < 256; ++i) {
-    ASSERT_EQ(fix.inject(draw(1 + rng() % 4)), Outcome::Completed);
+    ASSERT_EQ(fix.inject(flat(draw(1 + rng() % 4))), Outcome::Completed);
   }
   const runtime::WorklistStats stats = fix.stats();
   ASSERT_EQ(stats.injects, 257u);
@@ -627,6 +647,297 @@ TEST(ServeProtocol, SessionJournalPathInsertsSessionBeforeExtension) {
   EXPECT_EQ(serve::session_journal_path("journal", "s2"), "journal.s2");
   EXPECT_EQ(serve::session_journal_path("a.b/journal", "s3"),
             "a.b/journal.s3");
+}
+
+// ------------------------------------------------------------------ wire ---
+
+TEST(ServeWire, LineSplitterMatchesAReferenceSplitOverRandomChunkings) {
+  // Lines of mixed lengths (empty, short, and longer than a chunk) fed in
+  // seeded random chunks of 1 byte to 8 KiB come out as the reference split
+  // of the whole stream; an unterminated tail is never handed out.
+  std::mt19937_64 rng(0x5e11);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::string stream;
+    std::vector<std::string> want;
+    const std::size_t lines = rng() % 40;
+    for (std::size_t i = 0; i < lines; ++i) {
+      const std::size_t kind = rng() % 4;
+      const std::size_t length = kind == 0   ? 0
+                                 : kind == 3 ? 4096 + rng() % 16384
+                                             : 1 + rng() % 80;
+      std::string line;
+      for (std::size_t j = 0; j < length; ++j) {
+        line.push_back(static_cast<char>(' ' + rng() % 95));
+      }
+      stream.append(line).push_back('\n');
+      want.push_back(std::move(line));
+    }
+    stream.append(rng() % 100, 'x');  // the unterminated tail
+    const std::size_t max_chunk = std::size_t{1} << (rng() % 14);  // 1..8K
+    serve::LineSplitter splitter;
+    std::vector<std::string> got;
+    for (std::size_t at = 0; at < stream.size();) {
+      const std::size_t n =
+          std::min(1 + rng() % max_chunk, stream.size() - at);
+      splitter.append(stream.data() + at, n);
+      at += n;
+      while (const std::optional<std::string_view> line = splitter.next()) {
+        got.emplace_back(*line);
+      }
+    }
+    EXPECT_EQ(got, want) << "trial " << trial << ", chunks up to "
+                         << max_chunk;
+  }
+}
+
+TEST(ServeWire, OnlyThePlainInjectShapeIsReadInOnePass) {
+  const auto read = [](std::string_view line) -> std::string {
+    const std::optional<serve::InjectLine> r = serve::read_inject_line(line);
+    if (!r) return "dom";
+    return std::string(r->session).append("|").append(r->elements);
+  };
+  EXPECT_EQ(read(R"({"verb":"inject","session":"s1","elements":"[1,'k']"})"),
+            "s1|[1,'k']");
+  EXPECT_EQ(read(" {\t\"elements\" :\"1 2\" , \"verb\":\"inject\",\"session\""
+                 ":\"a\"}\t "),
+            "a|1 2");
+  EXPECT_EQ(read(R"({"session":"","elements":"","verb":"inject"})"), "|");
+  for (const char* dom : {
+           R"({"verb":"inject","session":"s\u0031","elements":"1"})",
+           R"({"verb":"inject","session":"s1","elements":"'\''"})",
+           R"({"verb":"inject","session":"a","session":"b","elements":"1"})",
+           R"({"verb":"inject","session":"a","elements":"1","_":0})",
+           R"({"verb":"inject","session":"a"})",
+           R"({"verb":"inject","session":1,"elements":"1"})",
+           R"({"verb":"inject","session":"a","elements":["1"]})",
+           R"({"verb":"ping","session":"a","elements":"1"})",
+           R"({"verb":"inject","session":"a","elements":"1"} x)",
+           R"({"verb":"inject","session":"a","elements":"1")",
+           R"({"verb":"inject","session":"a","elements":"1)",
+           "{\"verb\":\"inject\",\"session\":\"a\",\v\"elements\":\"1\"}",
+           "{\"verb\":\"inject\",\"session\":\"a\",\f\"elements\":\"1\"}",
+           "{\"verb\":\"inject\",\"session\":\"a\",\r\"elements\":\"1\"}",
+           "",
+           "[]",
+       }) {
+    EXPECT_EQ(read(dom), "dom") << dom;
+  }
+}
+
+/// The same request with one more key: a line read_inject_line turns down,
+/// so the server parses it into a JSON DOM first.
+std::string through_the_dom(const std::string& line) {
+  std::string forced = line;
+  forced.insert(forced.rfind('}'), R"(,"_":0)");
+  return forced;
+}
+
+/// `reply` with every drain time (quiesce_us, quiesce_p50_us, ...) as 0.
+std::string mask_quiesce(const std::string& reply) {
+  std::string masked;
+  std::size_t from = 0;
+  for (std::size_t at; (at = reply.find("\"quiesce_", from)) != std::string::npos;) {
+    const std::size_t value = reply.find(':', at) + 1;
+    masked.append(reply, from, value - from).push_back('0');
+    from = reply.find_first_of(",}", value);
+  }
+  return masked.append(reply, from);
+}
+
+/// One seeded inject request: its keys in a random order with random blanks
+/// around the tokens, and sometimes an escaped string or a duplicate key.
+std::string random_inject_line(std::mt19937_64& rng, const std::string& session,
+                               std::string elements) {
+  if (rng() % 8 == 0) {  // escaped quotes: legal JSON, not the plain shape
+    std::string escaped;
+    for (const char c : elements) {
+      if (c == '\'') {
+        escaped += R"(\u0027)";
+      } else {
+        escaped.push_back(c);
+      }
+    }
+    elements = escaped;
+  }
+  std::vector<std::string> fields = {R"("verb":"inject")",
+                                     R"("session":")" + session + "\"",
+                                     R"("elements":")" + elements + "\""};
+  if (rng() % 8 == 0) {  // a duplicate key; the DOM keeps the last
+    fields.insert(fields.begin(), R"("session":"ghost")");
+  }
+  std::shuffle(fields.begin() + 1, fields.end(), rng);
+  const auto blanks = [&rng] {
+    static constexpr std::array<const char*, 4> kBlanks = {"", "", " ", "\t "};
+    return std::string(kBlanks[rng() % kBlanks.size()]);
+  };
+  std::string line = blanks() + "{";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) line += blanks() + ",";
+    std::string field = fields[i];
+    field.insert(field.find(':') + 1, blanks());
+    line += blanks() + field;
+  }
+  return line + blanks() + "}" + blanks();
+}
+
+TEST(ServeWire, PlainAndDomInjectRepliesAreByteIdentical) {
+  // Two daemons get the same seeded script. One reads each line as written,
+  // most injects through the one-pass reader; the other gets every request
+  // with an extra key, which sends it through parse_json. The replies must
+  // be byte-identical once the drain times are masked, and equal to what the
+  // JSON DOM prints for them. Sessions: "t" has
+  // room, "b" runs out of its 24-fire budget, "d" has a 1 ns deadline, and
+  // "ghost" does not exist.
+  std::mt19937_64 rng(0x7a1f5);
+  serve::ServeOptions opts;
+  opts.default_program = kLabeled;
+  serve::Server plain(opts);
+  serve::Server dom(opts);
+  std::vector<std::string> script = {
+      R"({"verb":"create","session":"t","init":"[1,'A'] [4,'B']"})",
+      R"({"verb":"create","session":"b","max_steps":24})",
+      R"({"verb":"create","session":"d","deadline":1e-9})",
+  };
+  const std::array<std::string, 4> sessions = {"t", "b", "d", "ghost"};
+  const auto element = [&rng] {
+    const std::string v = std::to_string(rng() % 100);
+    switch (rng() % 8) {
+      case 0: return v;                                  // bare 1-tuple
+      case 1: return "[" + v + ", 'B']";
+      case 2: return std::string("[x, 'A']");            // bad_elements
+      case 3: return "[" + v + " + 1, 'A']";             // folds
+      default: return "[" + v + ",'A']";
+    }
+  };
+  std::size_t bad = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::string& session = sessions[rng() % sessions.size()];
+    // "d" gets bursts long enough to reach its first deadline probe.
+    const std::size_t count = session == "d" ? 80 + rng() % 80 : rng() % 7;
+    std::string elements;
+    for (std::size_t k = 0; k < count; ++k) {
+      std::string e = element();
+      if (e == "[x, 'A']" && (session == "d" || rng() % 3 != 0)) {
+        e = "[" + std::to_string(k) + ",'A']";
+      }
+      elements += (k == 0 ? "" : rng() % 2 == 0 ? " " : ", ") + e;
+    }
+    script.push_back(random_inject_line(rng, session, elements));
+    if (i % 50 == 49) {
+      for (const std::string& s : sessions) {
+        script.push_back(R"({"verb":"snapshot","session":")" + s + "\"}");
+        script.push_back(R"({"verb":"stats","session":")" + s + "\"}");
+      }
+    }
+  }
+  std::map<std::string, std::size_t> codes;
+  std::size_t one_pass = 0;
+  for (const std::string& line : script) {
+    if (serve::read_inject_line(line)) ++one_pass;
+    const std::string want = mask_quiesce(dom.handle_line(through_the_dom(line)));
+    const std::string got = mask_quiesce(plain.handle_line(line));
+    ASSERT_EQ(got, want) << "line: " << line;
+    // Both paths share the reply writer, so hold it to the DOM's bytes too:
+    // a reply re-printed from its parsed JsonObj (keys in map order) is
+    // unchanged.
+    const Json reply = parse_json(got);
+    ASSERT_EQ(reply.to_string(), got) << "line: " << line;
+    ++codes[reply.bool_or("ok", false) ? "ok" : reply.str_or("error", "")];
+    if (reply.str_or("error", "") == "bad_elements") ++bad;
+  }
+  // Every kind of reply the script aims at turned up.
+  for (const char* code : {"ok", "unknown_session", "bad_elements",
+                           "budget_exhausted", "deadline_exceeded"}) {
+    EXPECT_GT(codes[code], 0u) << code;
+  }
+  EXPECT_GT(bad, 0u);
+  EXPECT_GT(one_pass, script.size() / 2);
+}
+
+TEST(ServeWire, AClientThatHangsUpBeforeItsReplyLeavesTheDaemonServing) {
+  // The daemon writes the reply to a 16 MiB line after the client has
+  // closed its end: the failed write must end that connection only, not
+  // raise SIGPIPE in the daemon (which would end this test binary too).
+  serve::ServeOptions opts = min_daemon();
+  opts.socket_path = (std::filesystem::temp_directory_path() /
+                      ("gf_hangup_" + std::to_string(::getpid()) + ".sock"))
+                         .string();
+  serve::Server server(opts);
+  std::thread daemon([&server] { EXPECT_EQ(server.serve_socket(), 0); });
+  const auto connect = [&opts] {
+    for (int attempt = 0;; ++attempt) {
+      try {
+        return std::make_unique<serve::Client>(opts.socket_path);
+      } catch (const Error&) {
+        if (attempt == 500) throw;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+  };
+  (void)connect();  // the daemon is listening
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, opts.socket_path.c_str(),
+                opts.socket_path.size() + 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string line = std::string(R"({"verb":"ping","pad":")")
+                                 .append(std::size_t{16} << 20, 'x')
+                                 .append("\"}\n");
+    for (std::size_t off = 0; off < line.size();) {
+      const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
+      ASSERT_GT(n, 0);
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);  // before the reply is written
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::unique_ptr<serve::Client> client = connect();
+  EXPECT_TRUE(parse_json(client->call(R"({"verb":"ping"})"))
+                  .bool_or("pong", false));
+  EXPECT_TRUE(parse_json(client->call(R"({"verb":"shutdown"})"))
+                  .bool_or("shutdown", false));
+  daemon.join();
+}
+
+TEST(ServeWire, DomInjectReadsElementsOnlyForALiveSession) {
+  serve::Server server(min_daemon());
+  ASSERT_TRUE(call(server, R"({"verb":"create","session":"t","init":"4"})")
+                  .bool_or("ok", false));
+  EXPECT_EQ(error_code(call(
+                server, R"({"verb":"inject","session":"ghost","elements":7})")),
+            "unknown_session");
+  const Json mistyped =
+      call(server, R"({"verb":"inject","session":"t","elements":7})");
+  EXPECT_EQ(error_code(mistyped), "bad_request");
+  EXPECT_EQ(mistyped.str_or("message", ""),
+            "WireError: expected string, got int");
+  const Json none = call(server, R"({"verb":"inject","session":"t"})");
+  EXPECT_TRUE(none.bool_or("ok", false));
+  EXPECT_EQ(none.int_or("store_size", -1), 1);
+}
+
+TEST(ServeWire, BadElementsMidTextLeavesTheStoreUntouched) {
+  // The whole element text is read before the first insert.
+  serve::ServeOptions opts;
+  opts.default_program = kLabeled;
+  serve::Server server(opts);
+  ASSERT_TRUE(call(server, R"({"verb":"create","session":"t","init":"[1,'B']"})")
+                  .bool_or("ok", false));
+  const Json bad = call(
+      server,
+      R"({"verb":"inject","session":"t","elements":"[5,'B'] [2,'A'] [x] [3,'A']"})");
+  EXPECT_EQ(error_code(bad), "bad_elements");
+  const Json snap = call(server, R"({"verb":"snapshot","session":"t"})");
+  EXPECT_EQ(snap.int_or("store_size", -1), 1);
+  EXPECT_EQ(snap.get("store")->int_or("[1, 'B']", -1), 1);
+  const Json stats = call(server, R"({"verb":"stats","session":"t"})");
+  EXPECT_EQ(stats.int_or("injected", -1), 1);
+  EXPECT_EQ(stats.int_or("injects", -1), 1);
 }
 
 }  // namespace

@@ -526,11 +526,13 @@ int cmd_togamma(const std::string& path) {
 }
 
 /// `rungamma --worklist`: the batch A/B face of the incremental fixpoint.
-/// The whole initial multiset arrives as ONE injection, so for confluent
+/// The whole initial multiset arrives as ONE injection, read flat from the
+/// `--init` text as a serve inject reads its elements, so for confluent
 /// programs the printed fixpoint is byte-identical to the batch engines' —
 /// the equivalence obligation DESIGN §14 states and test_serve checks.
-int run_worklist(const gamma::Program& program, const gamma::Multiset& initial,
-                 const Options& opts) {
+int run_worklist(const gamma::Program& program, const Options& opts) {
+  gamma::FlatElements initial;
+  gamma::dsl::read_elements(*opts.init, initial);
   runtime::WorklistOptions wopts;
   wopts.seed = opts.seed;
   wopts.rescan = opts.rescan;
@@ -563,8 +565,8 @@ int run_worklist(const gamma::Program& program, const gamma::Multiset& initial,
 int cmd_rungamma(const std::string& path, const Options& opts) {
   if (!opts.init) throw Error("rungamma needs --init \"<elements>\"");
   gamma::Program program = gamma::dsl::parse_program(read_file(path));
+  if (opts.worklist) return run_worklist(program, opts);
   const gamma::Multiset initial = gamma::dsl::parse_elements(*opts.init);
-  if (opts.worklist) return run_worklist(program, initial, opts);
   obs::Telemetry tel;
   obs::RunRecorder rec;
   if (opts.optimize) {
