@@ -29,6 +29,12 @@ using gamma::Reaction;
 
 namespace {
 
+/// Enabled-match pairs examined per sampled state and pair.
+constexpr std::size_t kProbeMatches = 4;
+/// Firing budget for each probe fixpoint; exceeding it makes that probe
+/// inconclusive instead of non-terminating.
+constexpr std::uint64_t kProbeMaxSteps = 512;
+
 /// Sound upper bound on the string labels `var` may hold for `cond` to be
 /// true: nullopt when no bound can be proven (the condition may admit any
 /// label). Only pure positive structure is trusted — Or unions, And
@@ -207,7 +213,7 @@ std::vector<std::vector<Multiset>> sample_states(
 
   gamma::RunOptions ro;
   ro.seed = options.seed;
-  ro.max_steps = std::max<std::uint64_t>(options.probe_max_steps * 8, 4096);
+  ro.max_steps = std::max<std::uint64_t>(kProbeMaxSteps * 8, 4096);
   ro.limit_policy = LimitPolicy::Partial;
   obs::RecorderLimits limits;
   limits.max_fires = ro.max_steps;
@@ -640,7 +646,7 @@ InterferenceReport analyze_interference(const Program& program,
         const gamma::Store store(state, fields);
         std::vector<gamma::Match> m1s;
         std::vector<gamma::Match> m2s;
-        const std::size_t limit = options.probe_matches;
+        const std::size_t limit = kProbeMatches;
         runtime::MatchPipeline::enumerate(store, *reactions[i], limit,
                                  [&](const gamma::Match& m) {
                                    m1s.push_back(m);
@@ -673,9 +679,9 @@ InterferenceReport analyze_interference(const Program& program,
             const Multiset m2 = s2.to_multiset();
             const std::uint64_t probe_seed = splitmix64(probe_counter);
             const auto f1 = probe_fixpoint(continuation, m1, probe_seed,
-                                           options.probe_max_steps);
+                                           kProbeMaxSteps);
             const auto f2 = probe_fixpoint(continuation, m2, probe_seed,
-                                           options.probe_max_steps);
+                                           kProbeMaxSteps);
             if (!f1 || !f2) {
               inconclusive = true;
               continue;

@@ -133,11 +133,6 @@ struct InterferenceOptions {
   /// `initial`) for commutation probing; 0 disables probing, leaving
   /// competing pairs Unknown.
   std::size_t probe_states = 24;
-  /// Enabled-match pairs examined per sampled state and pair.
-  std::size_t probe_matches = 4;
-  /// Firing budget for each probe fixpoint; exceeding it makes that probe
-  /// inconclusive instead of non-terminating.
-  std::uint64_t probe_max_steps = 512;
 };
 
 struct InterferenceReport {

@@ -1,16 +1,12 @@
-// Unbounded multi-producer single-consumer queue used for PE token inboxes in
-// the parallel dataflow engine, plus a simple bounded MPMC variant for the
-// Gamma parallel engine's work distribution. Both are mutex+condvar based:
-// on this workload the hot path is the matching store, not the queue, and a
-// blocking queue gives us clean idle/termination semantics.
+// Unbounded multi-producer single-consumer queue: the PE token inboxes of the
+// parallel dataflow engine. It is mutex based; on this workload the hot path
+// is the matching store, not the queue.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace gammaflow {
 
@@ -18,11 +14,8 @@ template <typename T>
 class MpscQueue {
  public:
   void push(T item) {
-    {
-      std::lock_guard lock(mutex_);
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
+    std::lock_guard lock(mutex_);
+    items_.push_back(std::move(item));
   }
 
   /// Non-blocking pop.
@@ -34,21 +27,6 @@ class MpscQueue {
     return item;
   }
 
-  /// Drains everything currently queued into `out`; returns items drained.
-  std::size_t drain(std::vector<T>& out) {
-    std::lock_guard lock(mutex_);
-    const std::size_t n = items_.size();
-    out.reserve(out.size() + n);
-    for (auto& item : items_) out.push_back(std::move(item));
-    items_.clear();
-    return n;
-  }
-
-  [[nodiscard]] bool empty() const {
-    std::lock_guard lock(mutex_);
-    return items_.empty();
-  }
-
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mutex_);
     return items_.size();
@@ -56,7 +34,6 @@ class MpscQueue {
 
  private:
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<T> items_;
 };
 

@@ -29,14 +29,6 @@ Value DfRunResult::single_output(const std::string& name) const {
   return values.front();
 }
 
-std::string journal_node_label(const Graph& graph, NodeId node) {
-  const Node& n = graph.node(node);
-  return n.name.empty() ? std::string(to_string(n.kind))
-                              .append("#")
-                              .append(std::to_string(node))
-                        : n.name;
-}
-
 EngineError duplicate_operand(NodeId node, PortId port, Tag tag) {
   return EngineError(std::string("duplicate operand at node ")
                          .append(std::to_string(node))

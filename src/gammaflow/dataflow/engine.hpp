@@ -11,7 +11,9 @@
 //                     token counting.
 // Both park waiting operands in a MatchStore (match_store.hpp): per-node
 // tag tables with inline two-operand frames, so matching allocates nothing
-// once the tables have grown. Both report leftovers sorted by
+// once the tables have grown. Both fire a ready instance through one
+// FireStep (fire_step.hpp), which counts, applies, journals and routes it,
+// and seeds the Const roots. Both report leftovers sorted by
 // (node, tag, port).
 // Both are thin policies over runtime::StepLoop / StopFlag / InFlight; the
 // deadline/cancel/budget/telemetry scaffolding is shared with the Gamma
@@ -65,10 +67,12 @@ struct PendingOperand {
                          const PendingOperand&) = default;
 };
 
+/// Output-node results keyed by node name, as (tag, value) in arrival order.
+using Outputs = std::map<std::string, std::vector<std::pair<Tag, Value>>>;
+
 struct DfRunResult {
-  /// Output-node results keyed by node name, as (tag, value) in arrival
-  /// order. output_values("m") gives just the values sorted by tag.
-  std::map<std::string, std::vector<std::pair<Tag, Value>>> outputs;
+  /// output_values("m") gives just the values of output "m" sorted by tag.
+  Outputs outputs;
   /// Why the run returned. Anything but Completed means outputs/leftovers
   /// are the valid PARTIAL state at the stop point (tokens still queued at
   /// the stop are reported as leftovers, not lost silently).
@@ -125,10 +129,11 @@ class ParallelEngine final : public DfEngine {
 };
 
 /// Computes the token a node emits when firing with `inputs` (tag-matched,
-/// indexed by input port). Shared by both engines and unit-testable in
-/// isolation; fewer inputs than the node's arity throw EngineError. For
-/// Steer the result is (value, port): port 0=true, 1=false. IncTag/DecTag
-/// adjust the tag. Output nodes return no emission.
+/// indexed by input port). Applied by the FireStep and by the optimizer's
+/// constant folding, and unit-testable in isolation; fewer inputs than the
+/// node's arity throw EngineError. For Steer the result is (value, port):
+/// port 0=true, 1=false. IncTag/DecTag adjust the tag. Output nodes return
+/// no emission.
 struct Firing {
   bool emits = false;
   Value value;
@@ -141,15 +146,13 @@ struct Firing {
 /// Canonical run-journal rendering of a token parked at (dst, port) with
 /// `tag`: producers (emissions onto an in-edge) and consumers (firings)
 /// render the same token identically, which is what makes journal
-/// fire-replay exact. Shared by both engines and the round-trip tests.
+/// fire-replay exact. Used by the FireStep and the round-trip tests.
 [[nodiscard]] std::string journal_token_str(const Graph& graph, NodeId dst,
                                             PortId port, Tag tag,
                                             const Value& value);
 /// Journal rendering of a captured output (persists in the final store).
 [[nodiscard]] std::string journal_output_str(const std::string& name, Tag tag,
                                              const Value& value);
-/// Journal label of a node: its name, or "<kind>#<id>" when unnamed.
-[[nodiscard]] std::string journal_node_label(const Graph& graph, NodeId node);
 
 /// The error both engines raise when a second operand reaches an occupied
 /// (tag, port) slot: the graph violates the single-assignment discipline

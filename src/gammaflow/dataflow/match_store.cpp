@@ -108,7 +108,7 @@ void sort_leftovers(std::vector<PendingOperand>& leftovers) {
 
 obs::StoreCounts journal_store(
     const Graph& graph,
-    const std::map<std::string, std::vector<std::pair<Tag, Value>>>& outputs,
+    const Outputs& outputs,
     const std::vector<PendingOperand>& parked) {
   obs::StoreCounts counts;
   for (const auto& [name, tokens] : outputs) {

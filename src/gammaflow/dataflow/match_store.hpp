@@ -84,7 +84,6 @@ void sort_leftovers(std::vector<PendingOperand>& leftovers);
 /// parked operand, in the shared canonical renderings.
 [[nodiscard]] obs::StoreCounts journal_store(
     const Graph& graph,
-    const std::map<std::string, std::vector<std::pair<Tag, Value>>>& outputs,
-    const std::vector<PendingOperand>& parked);
+    const Outputs& outputs, const std::vector<PendingOperand>& parked);
 
 }  // namespace gammaflow::dataflow

@@ -41,6 +41,7 @@ Port producer(const Graph& g, EdgeId eid) {
 OptimizeResult optimize(const Graph& g) {
   const auto n = static_cast<NodeId>(g.node_count());
   OptimizeResult result;
+  result.visits = 3 * std::size_t{n};  // the three whole-graph loops
   std::vector<State> state(n, State::Keep);
   for (NodeId id = 0; id < n; ++id) {
     if (is_identity_immediate(g.node(id)) && g.in_edges(id, 0).size() == 1) {
@@ -57,6 +58,7 @@ OptimizeResult optimize(const Graph& g) {
   for (NodeId id = 0; id < n; ++id) {
     Port p{id, 0};
     while (state[p.node] == State::Bypass) {
+      ++result.visits;
       state[p.node] = State::Resolving;
       path.push_back(p.node);
       p = producer(g, g.in_edges(p.node, 0)[0]);
@@ -96,6 +98,7 @@ OptimizeResult optimize(const Graph& g) {
   while (!work.empty()) {
     const NodeId id = work.back();
     work.pop_back();
+    ++result.visits;
     if (state[id] == State::Fold) continue;
     const Node& node = g.node(id);
     if (node.kind != NodeKind::Arith && node.kind != NodeKind::Cmp) continue;
@@ -127,6 +130,7 @@ OptimizeResult optimize(const Graph& g) {
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
+    ++result.visits;
     if (state[id] == State::Fold) continue;
     for (PortId p = 0; p < input_arity(g.node(id)); ++p) {
       for (const EdgeId eid : g.in_edges(id, p)) {

@@ -28,6 +28,10 @@ struct OptimizeResult {
   std::size_t folded = 0;    // Arith/Cmp nodes replaced by a Const
   std::size_t bypassed = 0;  // identity nodes removed
   std::size_t removed = 0;   // nodes with no path to an Output, folded or not
+  /// The pass's work, exact on every host: each node once in each of the
+  /// three whole-graph loops (marking, resolving, rebuilding), plus one
+  /// visit per step of a bypass walk and per worklist or stack pop.
+  std::size_t visits = 0;
 };
 
 /// Optimizes `graph`. The result validates; a graph whose outputs are

@@ -156,13 +156,10 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
       parts[dealt++ % workers].store.insert(e);
     }
 
-    const auto run_part = [&](std::size_t p, const char* span_name) {
+    const auto run_part = [&](std::size_t p, const char* span_name,
+                              obs::ThreadRecorder* rec) {
       Part& part = parts[p];
       try {
-        obs::ThreadRecorder* const rec =
-            tel ? &tel->register_thread(std::string("gamma-part-")
-                                            .append(std::to_string(p)))
-                : nullptr;
         const obs::Span span(tel, rec, span_name);
         PartGate gate(stop, fired, loop.make_governor(options), options,
                       runtime::RecordCtx{part.journal.get(),
@@ -184,14 +181,23 @@ RunResult ParallelEngine::run(const Program& program, const Multiset& initial,
     std::iota(jobs.begin(), jobs.end(), std::size_t{0});
     for (std::size_t stride = 1;; stride *= 2) {
       const char* const span_name = stride == 1 ? "part" : "merge";
+      // Each job's trace thread, registered in part order before any job
+      // runs, so a traced run gets the same tids every time.
+      std::vector<obs::ThreadRecorder*> recs(jobs.size(), nullptr);
+      if (tel) {
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+          recs[j] = &tel->register_thread(
+              std::string("gamma-part-").append(std::to_string(jobs[j])));
+        }
+      }
       {
         // jthreads join when the block ends, on every path out of it.
         std::vector<std::jthread> threads;
         threads.reserve(jobs.size() - 1);
         for (std::size_t j = 1; j < jobs.size(); ++j) {
-          threads.emplace_back(run_part, jobs[j], span_name);
+          threads.emplace_back(run_part, jobs[j], span_name, recs[j]);
         }
-        run_part(jobs[0], span_name);
+        run_part(jobs[0], span_name, recs[0]);
       }
       for (const std::size_t p : jobs) {
         if (parts[p].error) std::rethrow_exception(parts[p].error);

@@ -300,8 +300,7 @@ class Store {
   }
 
   /// Dead rows still occupying column-group storage — the garbage debt.
-  /// Exact (counted at remove()), unlike the old observation-sampled
-  /// stale-seen scheme.
+  /// Exact: counted at remove().
   [[nodiscard]] std::uint64_t dead_rows() const noexcept { return dead_rows_; }
 
   /// True once the garbage debt crosses kGarbageCompactThreshold: the next

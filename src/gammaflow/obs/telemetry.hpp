@@ -80,9 +80,11 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Registers the calling thread under `name` ("gamma-worker-3"); cold path.
-  /// The returned recorder is owned by the Telemetry and exclusive to the
-  /// registering thread for writing.
+  /// Registers a trace thread under `name` ("gamma-part-3"); cold path. Tids
+  /// number registrations in order, so the parallel engines register their
+  /// workers from the coordinating thread, in worker order, before any
+  /// starts. The returned recorder is owned by the Telemetry and written by
+  /// one thread at a time.
   ThreadRecorder& register_thread(const std::string& name);
 
   /// Copies `s` into telemetry-lifetime storage so hot paths can stamp

@@ -42,21 +42,43 @@ Session::InjectResult Session::inject(const gamma::FlatElements& elements) {
   return r;
 }
 
-std::int64_t Session::count_label(const std::string& label) const {
-  const std::lock_guard<std::mutex> lock(mu_);
+namespace {
+
+/// Live elements of `store` whose row satisfies `match(group, row)`, read
+/// off the column groups: no Element is built.
+template <class Match>
+std::int64_t count_rows(const gamma::Store& store, Match match) {
   std::int64_t n = 0;
-  for (const gamma::Element& e : fix_->snapshot()) {
-    if (e.arity() >= 2 && e.field(1).is_str() &&
-        e.field(1).as_str() == label) {
-      ++n;
-    }
+  for (gamma::Store::Id id = 0; id < store.slots(); ++id) {
+    if (!store.alive(id)) continue;
+    const gamma::Store::RowRef r = store.row(id);
+    if (match(*r.group, r.row)) ++n;
   }
   return n;
 }
 
+}  // namespace
+
+std::int64_t Session::count_label(const std::string& label) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const Value key(label);
+  return count_rows(fix_->store(), [&](const gamma::Store::ColumnGroup& g,
+                                       std::size_t row) {
+    return g.arity >= 2 && g.field_equals(row, 1, key);
+  });
+}
+
 std::int64_t Session::count_element(const gamma::Element& element) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(fix_->snapshot().count(element));
+  const std::vector<Value>& fields = element.fields();
+  return count_rows(fix_->store(), [&](const gamma::Store::ColumnGroup& g,
+                                       std::size_t row) {
+    if (g.arity != fields.size()) return false;
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      if (!g.field_equals(row, f, fields[f])) return false;
+    }
+    return true;
+  });
 }
 
 std::size_t Session::store_size() const {

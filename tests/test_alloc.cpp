@@ -27,6 +27,7 @@
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/worklist.hpp"
+#include "gammaflow/serve/session.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -333,6 +334,33 @@ TEST(Alloc, ReusedFlatElementsReadWithoutPerElementAllocations) {
               << ": " << allocations << " allocations\n";
     EXPECT_LE(allocations, 8u) << what;
   }
+}
+
+TEST(Alloc, ServeQueryCountsWithoutCopyingTheStore) {
+  // A serve `query` by label or by element counts off the session store's
+  // live rows: it used to copy the whole store into a Multiset per request,
+  // one Element (and its field vector) per row.
+  serve::Session session("s",
+                         gamma::dsl::parse_program(
+                             "R = replace [x, 'a'], [y, 'b'] by [x + y, 'c']"),
+                         serve::SessionOptions{});
+  gamma::FlatElements batch;
+  for (std::size_t i = 0; i < kElements; ++i) {
+    batch.fields.emplace_back(static_cast<std::int64_t>(i));
+    batch.fields.emplace_back(std::string("k").append(std::to_string(i % 16)));
+    batch.arities.push_back(2);
+  }
+  ASSERT_EQ(session.inject(batch).store_size, kElements);
+  const gamma::Element five{Value(5), Value("k5")};
+  const std::uint64_t before = g_allocations.load();
+  const std::int64_t labelled = session.count_label("k3");
+  const std::int64_t exact = session.count_element(five);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(labelled, static_cast<std::int64_t>(kElements / 16));
+  EXPECT_EQ(exact, 1);
+  std::cout << "[ alloc ] serve label + element query over " << kElements
+            << " elements: " << allocations << " allocations\n";
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(Alloc, ConstantFoldingHoldsOneIntermediateAtATime) {

@@ -231,16 +231,6 @@ TEST(MpscQueue, FifoOrderSingleProducer) {
   EXPECT_FALSE(q.try_pop().has_value());
 }
 
-TEST(MpscQueue, DrainEmptiesQueue) {
-  MpscQueue<int> q;
-  q.push(1);
-  q.push(2);
-  std::vector<int> out;
-  EXPECT_EQ(q.drain(out), 2u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(MpscQueue, ConcurrentProducersDeliverAll) {
   MpscQueue<int> q;
   constexpr int kProducers = 4;

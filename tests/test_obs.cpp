@@ -303,6 +303,43 @@ TEST(TelemetryEndToEnd, ParallelDataflowCountsAbsorbedTokens) {
   EXPECT_GT(result.metrics.counters.at("df.fires.arith"), 0u);
 }
 
+TEST(TelemetryEndToEnd, ParallelEnginesRegisterTraceThreadsInWorkerOrder) {
+  // Tids number registrations, so each parallel engine registers its
+  // workers before any starts, in worker order: a traced run gets the same
+  // tid map every time.
+  const auto names = [](const obs::Telemetry& tel) {
+    std::vector<std::string> out;
+    for (const auto& t : tel.threads()) out.push_back(t.name);
+    return out;
+  };
+  for (int run = 0; run < 3; ++run) {
+    obs::Telemetry gamma_tel;
+    gamma::RunOptions gopts;
+    gopts.workers = 4;
+    gopts.telemetry = &gamma_tel;
+    gamma::Multiset m;
+    for (int i = 1; i <= 64; ++i) m.add(gamma::Element{Value(i)});
+    (void)gamma::ParallelEngine().run(
+        gamma::dsl::parse_program("Rsum = replace x, y by x + y"), m, gopts);
+    // Level 0 runs parts 0-3; the merges rerun parts 0 and 2, then 0.
+    EXPECT_EQ(names(gamma_tel),
+              (std::vector<std::string>{"gamma-part-0", "gamma-part-1",
+                                        "gamma-part-2", "gamma-part-3",
+                                        "gamma-part-0", "gamma-part-2",
+                                        "gamma-part-0"}));
+
+    obs::Telemetry df_tel;
+    dataflow::DfRunOptions dopts;
+    dopts.workers = 4;
+    dopts.telemetry = &df_tel;
+    (void)dataflow::ParallelEngine().run(paper::fig2_graph(4, 5, 100, true),
+                                         dopts);
+    EXPECT_EQ(names(df_tel),
+              (std::vector<std::string>{"df-worker-0", "df-worker-1",
+                                        "df-worker-2", "df-worker-3"}));
+  }
+}
+
 TEST(TelemetryEndToEnd, DisabledTelemetryLeavesMetricsEmpty) {
   const gamma::Program p =
       gamma::dsl::parse_program("Rsum = replace x, y by x + y");

@@ -3,8 +3,7 @@
 // expression graphs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
+#include <cstdint>
 
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/dataflow/optimize.hpp"
@@ -190,41 +189,34 @@ TEST(Optimize, IdentityCycleKeepsOneNode) {
   EXPECT_TRUE(Interpreter().run(r.graph).outputs.empty());
 }
 
-TEST(Optimize, PassTimeIsLinearInAConstantChain) {
+TEST(Optimize, PassWorkIsLinearInAConstantChain) {
   // Folding used to take one whole-graph round per link, up to 16 rounds,
   // each with an O(nodes x edges) liveness walk, so 4x the nodes cost ~16x
-  // the time. One pass makes it ~4x, for a `+ 1` chain that folds and for a
-  // `+ 0` chain that bypasses. Both sizes run back to back in each of 7
-  // rounds, so a busy machine slows both, and the best round of each is
-  // compared: at ~3 ms a pass, a preempted round is common on a loaded
-  // machine, and three rounds were sometimes all hit.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer instrumentation skews per-node cost";
-#endif
-  using Clock = std::chrono::steady_clock;
-  constexpr int kRounds = 7;
-  const auto time = [](const Graph& g, Clock::duration& best) {
-    const auto t0 = Clock::now();
-    const auto r = optimize(g);
-    best = std::min(best, Clock::now() - t0);
+  // the time. One pass visits each node a fixed number of times, for a
+  // `+ 1` chain that folds and for a `+ 0` chain that bypasses. The count is
+  // exact on every host, build and sanitizer, where a ratio of two pass
+  // times moved with the machine's load.
+  const auto visits = [](std::size_t links, std::int64_t imm) {
+    const auto r = optimize(constant_chain(links, imm));
     EXPECT_EQ(r.graph.node_count(), 2u);
+    return r.visits;
   };
   for (const std::int64_t imm : {1, 0}) {
-    const Graph shorter = constant_chain(8192, imm);
-    const Graph longer = constant_chain(32768, imm);
-    auto best_short = Clock::duration::max();
-    auto best_long = Clock::duration::max();
-    for (int round = 0; round < kRounds; ++round) {
-      time(shorter, best_short);
-      time(longer, best_long);
-    }
-    const double ratio = static_cast<double>(best_long.count()) /
-                         static_cast<double>(std::max<Clock::rep>(
-                             best_short.count(), 1));
-    EXPECT_LE(ratio, 5.0) << "x + " << imm << ", best of " << kRounds
-                          << ": 32768 nodes "
-                          << best_long.count() << " ticks, 8192 nodes "
-                          << best_short.count() << " ticks";
+    const std::size_t shorter = visits(8192, imm);
+    const std::size_t longer = visits(32768, imm);
+    // n links make n + 2 nodes, and the marking, resolving and rebuilding
+    // loops visit each of them: 3n + 6. A `+ 1` chain's fold worklist pops
+    // every node once, and each link and the output once more when its
+    // producer folds (2n + 2); the liveness stack pops the output and the
+    // last folded link (2): 5n + 10 in all. A `+ 0` chain's links are each
+    // walked once (n) and never queued; the worklist and the liveness stack
+    // each pop the root and the output (4): 4n + 10.
+    const std::size_t per_link = imm == 1 ? 5 : 4;
+    EXPECT_EQ(shorter, per_link * 8192 + 10) << "x + " << imm;
+    EXPECT_EQ(longer, per_link * 32768 + 10) << "x + " << imm;
+    EXPECT_LE(longer, 4 * shorter) << "x + " << imm << ": 32768 links "
+                                   << longer << " visits, 8192 links "
+                                   << shorter;
   }
 }
 
