@@ -6,10 +6,13 @@
 //     on growing dense buckets must find nothing.
 // Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
 // probes), find+commit fixpoints, and the store's own insert/remove at a
-// steady size.
+// steady size, on bare ints and on string-labelled pairs.
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "gammaflow/common/rng.hpp"
@@ -161,6 +164,39 @@ BENCHMARK(BM_StoreRemove_RandomRank)
     ->Arg(4096)
     ->Arg(16384)
     ->Arg(65536)
+    ->ArgName("n")
+    ->Unit(benchmark::kNanosecond);
+
+/// The same at a steady size n for string-labelled pairs [v, 'kN'] over
+/// 64 labels, with the label field indexed (the keyed programs' layout):
+/// the remove unindexes the label bucket, the insert writes the label and
+/// indexes it again.
+void BM_StoreInsertRemove_Labelled(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Value> labels;
+  for (int k = 0; k < 64; ++k) {
+    labels.emplace_back(std::string("k").append(std::to_string(k)));
+  }
+  gamma::Store store(gamma::FieldSet{1});
+  std::int64_t next = 0;
+  for (; next < state.range(0); ++next) {
+    store.insert(gamma::Element{Value(next), labels[static_cast<std::size_t>(next % 64)]});
+  }
+  const gamma::Pattern pair({gamma::PatternField::bind("x"),
+                             gamma::PatternField::bind("k")});
+  Rng rng(11);
+  for (auto _ : state) {
+    store.remove(store.bucket(pair)[rng.bounded(n)]);
+    const std::array<Value, 2> fields{Value(next), labels[static_cast<std::size_t>(next % 64)]};
+    ++next;
+    benchmark::DoNotOptimize(store.insert(fields));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StoreInsertRemove_Labelled)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
     ->ArgName("n")
     ->Unit(benchmark::kNanosecond);
 

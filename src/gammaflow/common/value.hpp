@@ -48,6 +48,9 @@ class Value {
   [[nodiscard]] const bool* if_bool() const noexcept {
     return std::get_if<bool>(&rep_);
   }
+  [[nodiscard]] const std::string* if_str() const noexcept {
+    return std::get_if<std::string>(&rep_);
+  }
 
   /// Accessors throw TypeError when the stored kind differs.
   [[nodiscard]] std::int64_t as_int() const;

@@ -2,12 +2,12 @@
 // (CompiledReaction::slots(), first occurrence across the replace list).
 // The match pipeline binds store columns straight into a frame and the
 // compiled bytecode reads its slots, so no name is looked up and no value
-// is copied per probe. An Int or Nil field is constructed in place in the
-// frame; any other payload is referenced where the store keeps it. One frame
-// serves a whole backtracking search: depth d writes only the slots its
-// pattern binds first, which every deeper depth reads and no shallower one
-// does, so trying the next candidate at depth d simply overwrites them
-// (DESIGN §15.6).
+// is copied per probe. An Int, Real, Bool or Nil field is constructed in
+// place in the frame; a string is referenced at its entry in the store's
+// symbol table. One frame serves a whole backtracking search: depth d
+// writes only the slots its pattern binds first, which every deeper depth
+// reads and no shallower one does, so trying the next candidate at depth d
+// simply overwrites them (DESIGN §15.6).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +52,14 @@ class Frame {
 
   /// Slot `s` holds Int `v`, built in place in the frame.
   void bind_int(std::size_t s, std::int64_t v) noexcept {
+    slots_[s] = ::new (reset(s)) Value(v);
+  }
+  /// Slot `s` holds Real `v`, built in place in the frame.
+  void bind_real(std::size_t s, double v) noexcept {
+    slots_[s] = ::new (reset(s)) Value(v);
+  }
+  /// Slot `s` holds Bool `v`, built in place in the frame.
+  void bind_bool(std::size_t s, bool v) noexcept {
     slots_[s] = ::new (reset(s)) Value(v);
   }
   /// Slot `s` holds Nil, built in place in the frame.

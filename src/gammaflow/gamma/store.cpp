@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -10,16 +13,74 @@ namespace gammaflow::gamma {
 namespace {
 std::atomic<std::uint64_t> g_column_compactions{0};
 
-constexpr std::uint8_t kIntTag = static_cast<std::uint8_t>(ValueKind::Int);
-constexpr std::uint8_t kNilTag = static_cast<std::uint8_t>(ValueKind::Nil);
+constexpr std::uint8_t tag_of(ValueKind kind) noexcept {
+  return static_cast<std::uint8_t>(kind);
+}
+constexpr std::uint8_t kNilTag = tag_of(ValueKind::Nil);
+constexpr std::uint8_t kIntTag = tag_of(ValueKind::Int);
+constexpr std::uint8_t kRealTag = tag_of(ValueKind::Real);
+constexpr std::uint8_t kBoolTag = tag_of(ValueKind::Bool);
+constexpr std::uint8_t kStrTag = tag_of(ValueKind::Str);
+
+/// A symbol's text hash: its home slot in the symbol index, and the tag
+/// an index entry keeps to skip most text compares.
+std::uint32_t text_hash(std::string_view text) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ text.size();
+  std::size_t i = 0;
+  for (; i + 8 <= text.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, text.data() + i, 8);
+    h = (h ^ word) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, text.data() + i, text.size() - i);
+  return static_cast<std::uint32_t>(((h ^ tail) * 0x94d049bb133111ebULL) >>
+                                    32);
+}
+
+/// `v` as a cell when it is not a string (a string needs the table).
+Store::Cell inline_cell(const Value& v) noexcept {
+  if (const std::int64_t* i = v.if_int()) return {kIntTag, *i};
+  switch (v.kind()) {
+    case ValueKind::Real:
+      return {kRealTag, std::bit_cast<std::int64_t>(v.as_real())};
+    case ValueKind::Bool:
+      return {kBoolTag, *v.if_bool() ? 1 : 0};
+    default:
+      return {kNilTag, 0};
+  }
+}
 }  // namespace
 
-Value Store::ColumnGroup::field_value(std::size_t row, std::size_t f) const {
-  const Column& c = cols[f];
-  const std::uint8_t tag = c.tags[row];
-  if (tag == kIntTag) return Value(c.data[row]);
-  if (tag == kNilTag) return Value();
-  return c.spill[static_cast<std::size_t>(c.data[row])];
+Store::FieldKey::FieldKey(std::size_t f, Cell c) noexcept
+    : field(f), tag(c.tag), payload(c.payload) {
+  if (tag != kRealTag) return;
+  const double d = std::bit_cast<double>(payload);
+  if (d == 0.0) {
+    payload = 0;  // -0.0 == 0.0
+  } else if (std::isnan(d)) {
+    payload = std::bit_cast<std::int64_t>(
+        std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
+Value Store::field_value(const ColumnGroup& g, std::size_t row,
+                         std::size_t f) const {
+  const Column& c = g.cols[f];
+  const std::int64_t payload = c.data[row];
+  switch (c.tags[row]) {
+    case kIntTag:
+      return Value(payload);
+    case kRealTag:
+      return Value(std::bit_cast<double>(payload));
+    case kBoolTag:
+      return Value(payload != 0);
+    case kStrTag:
+      return symbols_[static_cast<std::size_t>(payload)];
+    default:
+      return Value();
+  }
 }
 
 FieldSet FieldSet::of(const Program& program) {
@@ -54,17 +115,107 @@ bool FieldSet::contains(std::size_t field) const noexcept {
   return std::binary_search(fields_.begin(), fields_.end(), field);
 }
 
-bool Store::ColumnGroup::field_equals(std::size_t row, std::size_t f,
-                                      const Value& v) const noexcept {
-  const Column& c = cols[f];
-  const std::uint8_t tag = c.tags[row];
-  if (const std::int64_t* vi = v.if_int()) {
-    return tag == kIntTag && c.data[row] == *vi;
+std::optional<std::uint32_t> Store::symbol_at(const Value& v) const noexcept {
+  // Addresses compared as integers: `v` may lie in any object.
+  const auto at = reinterpret_cast<std::uintptr_t>(&v);
+  const auto first = reinterpret_cast<std::uintptr_t>(symbols_.data());
+  if (at < first || at >= first + symbols_.size() * sizeof(Value)) {
+    return std::nullopt;
   }
-  if (tag == kIntTag) return false;
-  if (tag == kNilTag) return v.is_nil();
-  if (v.is_nil()) return false;
-  return c.spill[static_cast<std::size_t>(c.data[row])] == v;
+  return static_cast<std::uint32_t>((at - first) / sizeof(Value));
+}
+
+bool Store::field_equals(RowRef r, std::size_t f,
+                         const Value& v) const noexcept {
+  const Column& c = r.group->cols[f];
+  if (const std::int64_t* i = v.if_int()) {
+    return c.tags[r.row] == kIntTag && c.data[r.row] == *i;
+  }
+  if (!v.is_str()) return c.holds(r.row, inline_cell(v));
+  if (c.tags[r.row] != kStrTag) return false;
+  const auto id = static_cast<std::uint32_t>(c.data[r.row]);
+  if (const auto sym = symbol_at(v)) return *sym == id;
+  return *symbols_[id].if_str() == *v.if_str();
+}
+
+std::optional<Store::Cell> Store::cell_of(const Value& v) const {
+  if (!v.is_str()) return inline_cell(v);
+  if (const auto sym = symbol_at(v)) return Cell{kStrTag, *sym};
+  const std::string& text = *v.if_str();
+  const std::size_t at = index_slot(text, text_hash(text));
+  if (symbol_index_.empty() || symbol_index_[at] == 0) return std::nullopt;
+  return Cell{kStrTag, entry_id(symbol_index_[at])};
+}
+
+std::size_t Store::index_slot(std::string_view text,
+                              std::uint32_t hash) const noexcept {
+  if (symbol_index_.empty()) return 0;
+  const std::size_t mask = symbol_index_.size() - 1;
+  for (std::size_t at = hash & mask;; at = (at + 1) & mask) {
+    const std::uint64_t entry = symbol_index_[at];
+    if (entry == 0) return at;
+    if (entry >> 32 == hash && symbol_text(entry) == text) {
+      return at;
+    }
+  }
+}
+
+Store::Cell Store::intern(const Value& v) {
+  if (!v.is_str()) return inline_cell(v);
+  const std::string& text = *v.if_str();
+  const std::uint32_t hash = text_hash(text);
+  // Kept at most half full, so a probe always meets an empty entry.
+  if (2 * (symbol_count() + 1) > symbol_index_.size()) {
+    std::vector<std::uint64_t> old(
+        std::max<std::size_t>(16, 2 * symbol_index_.size()), 0);
+    old.swap(symbol_index_);
+    for (const std::uint64_t held : old) {
+      if (held == 0) continue;
+      symbol_index_[index_slot(symbol_text(held),
+                               static_cast<std::uint32_t>(held >> 32))] =
+          held;
+    }
+  }
+  std::uint64_t& entry = symbol_index_[index_slot(text, hash)];
+  if (entry == 0) {
+    std::uint32_t id;
+    if (free_symbols_.empty()) {
+      id = static_cast<std::uint32_t>(symbols_.size());
+      symbols_.push_back(v);
+      symbol_holders_.push_back(0);
+    } else {
+      id = free_symbols_.back();
+      free_symbols_.pop_back();
+      symbols_[id] = v;
+    }
+    entry = std::uint64_t{hash} << 32 | (id + 1);
+  }
+  const std::uint32_t id = entry_id(entry);
+  ++symbol_holders_[id];
+  return Cell{kStrTag, id};
+}
+
+void Store::unindex_symbol(std::uint32_t id) noexcept {
+  const std::string& text = *symbols_[id].if_str();
+  const std::size_t mask = symbol_index_.size() - 1;
+  std::size_t hole = index_slot(text, text_hash(text));
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home slot lies cyclically after the hole.
+  for (std::size_t at = (hole + 1) & mask; symbol_index_[at] != 0;
+       at = (at + 1) & mask) {
+    const std::size_t home = (symbol_index_[at] >> 32) & mask;
+    if (((at - home) & mask) >= ((at - hole) & mask)) {
+      symbol_index_[hole] = symbol_index_[at];
+      hole = at;
+    }
+  }
+  symbol_index_[hole] = 0;
+}
+
+void Store::release(Cell c) {
+  if (c.tag != kStrTag) return;
+  const auto id = static_cast<std::uint32_t>(c.payload);
+  if (--symbol_holders_[id] == 0) unheld_symbols_.push_back(id);
 }
 
 std::uint32_t Store::group_for_arity(std::size_t arity) {
@@ -87,7 +238,7 @@ const Store::ColumnGroup* Store::group_of(std::size_t arity) const noexcept {
   return &groups_[group_of_arity_[arity] - 1];
 }
 
-Store::Id Store::insert(std::span<const Value> fields) {
+void Store::maybe_compact() {
   // Self-triggered collection: without it, append-only rows would grow with
   // TOTAL firings, not live elements, and batch sweeps would scan the dead.
   // Never runs mid-search (searches don't insert), so gathered row
@@ -96,7 +247,10 @@ Store::Id Store::insert(std::span<const Value> fields) {
       dead_rows_ > 4 * live_count_ + 256) {
     compact();
   }
+}
 
+template <typename CellOf>
+Store::Id Store::insert_row(std::size_t arity, CellOf&& cell_of_field) {
   Id id;
   if (!free_list_.empty()) {
     id = free_list_.back();
@@ -109,22 +263,14 @@ Store::Id Store::insert(std::span<const Value> fields) {
   }
   alive_[id >> 6] |= std::uint64_t{1} << (id & 63);
 
-  const std::size_t arity = fields.size();
   const std::uint32_t gi = group_for_arity(arity);
   ColumnGroup& g = groups_[gi];
   const auto row = static_cast<std::uint32_t>(g.rows());
   for (std::size_t f = 0; f < arity; ++f) {
+    const Cell cell = cell_of_field(f);
     Column& c = g.cols[f];
-    const Value& v = fields[f];
-    if (const std::int64_t* i = v.if_int()) {
-      c.data.push_back(*i);
-    } else if (v.is_nil()) {
-      c.data.push_back(0);
-    } else {
-      c.data.push_back(static_cast<std::int64_t>(c.spill.size()));
-      c.spill.push_back(v);
-    }
-    c.tags.push_back(static_cast<std::uint8_t>(v.kind()));
+    c.data.push_back(cell.payload);
+    c.tags.push_back(cell.tag);
   }
   g.row_ids.push_back(id);
   g.stamps.push_back(version_);
@@ -135,7 +281,9 @@ Store::Id Store::insert(std::span<const Value> fields) {
   inserted_at_[id] = version_;
   for (const std::size_t f : indexed_.fields()) {
     if (f >= arity) break;
-    const auto [it, fresh] = field_index_.try_emplace(FieldKey{f, fields[f]});
+    const Column& c = g.cols[f];
+    const auto [it, fresh] =
+        field_index_.try_emplace(FieldKey{f, Cell{c.tags[row], c.data[row]}});
     if (fresh) {
       it->second = new_bucket_slot();
     } else if (buckets_[it->second].empty()) {
@@ -148,17 +296,31 @@ Store::Id Store::insert(std::span<const Value> fields) {
   return id;
 }
 
+Store::Id Store::insert(std::span<const Value> fields) {
+  maybe_compact();
+  return insert_row(fields.size(),
+                    [&](std::size_t f) { return intern(fields[f]); });
+}
+
 void Store::remove(Id id) {
   if (!alive(id)) throw EngineError("remove of dead element id");
   const Loc loc = locs_[id];
   ColumnGroup& g = groups_[loc.group];
   for (const std::size_t f : indexed_.fields()) {
     if (f >= g.arity) break;
-    const auto it = field_index_.find(FieldKey{f, g.field_value(loc.row, f)});
+    const Column& c = g.cols[f];
+    const auto it = field_index_.find(
+        FieldKey{f, Cell{c.tags[loc.row], c.data[loc.row]}});
     Bucket& bucket = buckets_[it->second];
     unindex(bucket, id);
     // The emptied bucket keeps its slot (and its handles) until compact().
     if (bucket.empty()) ++empty_buckets_;
+  }
+  // A symbol no row holds any more keeps its id until compact().
+  if (!symbols_.empty()) {
+    for (const Column& c : g.cols) {
+      release(Cell{c.tags[loc.row], c.data[loc.row]});
+    }
   }
   alive_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
   g.live.reset(loc.row);
@@ -178,15 +340,26 @@ void Store::append(const Store& other) {
   std::sort(ids.begin(), ids.end(), [&other](Id a, Id b) {
     return other.inserted_at_[a] < other.inserted_at_[b];
   });
-  std::vector<Value> fields;
+  // Each of `other`'s symbols is interned here once, on first use.
+  constexpr std::int64_t kUnseen = -1;
+  std::vector<std::int64_t> symbol_here(other.symbols_.size(), kUnseen);
   for (const Id id : ids) {
+    maybe_compact();
     const Loc loc = other.locs_[id];
     const ColumnGroup& g = other.groups_[loc.group];
-    fields.clear();
-    for (std::size_t f = 0; f < g.arity; ++f) {
-      fields.push_back(g.field_value(loc.row, f));
-    }
-    insert(fields);
+    insert_row(g.arity, [&](std::size_t f) {
+      Cell cell{g.cols[f].tags[loc.row], g.cols[f].data[loc.row]};
+      if (cell.tag != kStrTag) return cell;
+      std::int64_t& here = symbol_here[static_cast<std::size_t>(cell.payload)];
+      if (here == kUnseen) {
+        here = intern(other.symbols_[static_cast<std::size_t>(cell.payload)])
+                   .payload;
+      } else {
+        ++symbol_holders_[static_cast<std::size_t>(here)];
+      }
+      cell.payload = here;
+      return cell;
+    });
   }
 }
 
@@ -226,34 +399,38 @@ Element Store::element(Id id) const {
   std::vector<Value> fields;
   fields.reserve(g.arity);
   for (std::size_t f = 0; f < g.arity; ++f) {
-    fields.push_back(g.field_value(loc.row, f));
+    fields.push_back(field_value(g, loc.row, f));
   }
   return Element(std::move(fields));
 }
 
 bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame) const {
-  const Loc loc = locs_[id];
-  const ColumnGroup& g = groups_[loc.group];
+  const RowRef r = row(id);
+  const ColumnGroup& g = *r.group;
   if (g.arity != ops.size()) return false;
   for (std::size_t f = 0; f < g.arity; ++f) {
     const FieldOp& op = ops[f];
     switch (op.kind) {
       case FieldOp::Kind::Lit:
-        if (!g.field_equals(loc.row, f, op.value)) return false;
+        if (!field_equals(r, f, op.value)) return false;
         break;
       case FieldOp::Kind::Eq:
-        if (!g.field_equals(loc.row, f, *frame.slot(op.slot))) return false;
+        if (!field_equals(r, f, *frame.slot(op.slot))) return false;
         break;
       case FieldOp::Kind::Bind: {
         const Column& c = g.cols[f];
-        const std::uint8_t tag = c.tags[loc.row];
+        const std::uint8_t tag = c.tags[r.row];
+        const std::int64_t payload = c.data[r.row];
         if (tag == kIntTag) {
-          frame.bind_int(op.slot, c.data[loc.row]);
-        } else if (tag == kNilTag) {
-          frame.bind_nil(op.slot);
+          frame.bind_int(op.slot, payload);
+        } else if (tag == kStrTag) {
+          frame.bind_ref(op.slot, symbols_[static_cast<std::size_t>(payload)]);
+        } else if (tag == kRealTag) {
+          frame.bind_real(op.slot, std::bit_cast<double>(payload));
+        } else if (tag == kBoolTag) {
+          frame.bind_bool(op.slot, payload != 0);
         } else {
-          frame.bind_ref(op.slot,
-                         c.spill[static_cast<std::size_t>(c.data[loc.row])]);
+          frame.bind_nil(op.slot);
         }
         break;
       }
@@ -281,9 +458,31 @@ Store::BucketHandle Store::field_handle(std::size_t field,
     throw EngineError(std::string("field bucket query on unindexed field ")
                           .append(std::to_string(field)));
   }
-  const auto it = field_index_.find(FieldKey{field, value});
+  const std::optional<Cell> cell = cell_of(value);
+  if (!cell) return BucketHandle{};
+  const auto it = field_index_.find(FieldKey{field, *cell});
   if (it == field_index_.end()) return BucketHandle{};
   return BucketHandle{it->second, bucket_generations_[it->second]};
+}
+
+std::size_t Store::count_field(std::size_t field, const Value& value) const {
+  if (indexed_.contains(field)) {
+    // A NaN key's bucket holds the NaN fields, none of which equals it.
+    if (value.is_real() && std::isnan(value.as_real())) return 0;
+    const Bucket* bucket = field_bucket(field, value);
+    return bucket == nullptr ? 0 : bucket->size();
+  }
+  const std::optional<Cell> cell = cell_of(value);
+  if (!cell) return 0;
+  std::size_t n = 0;
+  for (const ColumnGroup& g : groups_) {
+    if (g.arity <= field) continue;
+    const Column& c = g.cols[field];
+    for (std::size_t row = 0; row < g.rows(); ++row) {
+      if (g.row_live(row) && c.holds(row, *cell)) ++n;
+    }
+  }
+  return n;
 }
 
 std::uint32_t Store::new_bucket_slot() {
@@ -313,17 +512,10 @@ void Store::compact() {
     for (std::size_t row = 0; row < g.rows(); ++row) {
       if (!g.row_live(row)) continue;
       for (std::size_t f = 0; f < g.arity; ++f) {
-        Column& src = g.cols[f];
+        const Column& src = g.cols[f];
         Column& dst = packed.cols[f];
-        const std::uint8_t tag = src.tags[row];
-        if (tag == kIntTag || tag == kNilTag) {
-          dst.data.push_back(src.data[row]);
-        } else {
-          dst.data.push_back(static_cast<std::int64_t>(dst.spill.size()));
-          dst.spill.push_back(
-              std::move(src.spill[static_cast<std::size_t>(src.data[row])]));
-        }
-        dst.tags.push_back(tag);
+        dst.data.push_back(src.data[row]);
+        dst.tags.push_back(src.tags[row]);
       }
       const Id id = g.row_ids[row];
       locs_[id] = Loc{gi, static_cast<std::uint32_t>(packed.row_ids.size())};
@@ -336,19 +528,34 @@ void Store::compact() {
     g_column_compactions.fetch_add(1, std::memory_order_relaxed);
   }
   dead_rows_ = 0;
-  if (empty_buckets_ == 0) return;
   // Free the emptied buckets' slots; the new generation makes every handle
   // to them stale, so a reused slot is never read as its old key's bucket.
-  for (auto it = field_index_.begin(); it != field_index_.end();) {
-    if (!buckets_[it->second].empty()) {
-      ++it;
-      continue;
+  // Every bucket of an unheld symbol is among them, so once this pass is
+  // done no key names a symbol freed below.
+  if (empty_buckets_ != 0) {
+    for (auto it = field_index_.begin(); it != field_index_.end();) {
+      if (!buckets_[it->second].empty()) {
+        ++it;
+        continue;
+      }
+      ++bucket_generations_[it->second];
+      free_buckets_.push_back(it->second);
+      it = field_index_.erase(it);
     }
-    ++bucket_generations_[it->second];
-    free_buckets_.push_back(it->second);
-    it = field_index_.erase(it);
+    empty_buckets_ = 0;
   }
-  empty_buckets_ = 0;
+  free_unheld_symbols();
+}
+
+void Store::free_unheld_symbols() {
+  // An id listed twice, or held again since, is skipped.
+  for (const std::uint32_t id : unheld_symbols_) {
+    if (symbol_holders_[id] != 0 || !symbols_[id].is_str()) continue;
+    unindex_symbol(id);
+    symbols_[id] = Value();  // a freed id never reads as its old string
+    free_symbols_.push_back(id);
+  }
+  unheld_symbols_.clear();
 }
 
 Multiset Store::to_multiset() const {

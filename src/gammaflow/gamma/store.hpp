@@ -1,9 +1,13 @@
 // Indexed element store: the engines' internal multiset representation,
 // laid out as a structure-of-arrays. Elements live in per-arity COLUMN
-// GROUPS: each field is a contiguous int64 column (the dominant Int case)
-// with a tag byte per row and a spill sidecar holding non-Int payloads, so
-// a compiled condition can sweep a whole candidate batch without touching a
-// Value variant per field. A per-row liveness bitmap masks removed rows;
+// GROUPS: each field is a contiguous int64 payload column with a tag byte
+// per row, so a compiled condition can sweep a whole candidate batch
+// without touching a Value variant per field. Every kind is inline: an Int
+// is itself, a Bool 0/1, a Real its bits, Nil 0, and a string the id of an
+// entry in the store's SYMBOL TABLE, where each distinct string is kept
+// once. A string is hashed once, when insert() interns it; remove(), the
+// field checks and a join probe whose value was bound from the store
+// compare and hash ids only. A per-row liveness bitmap masks removed rows;
 // dead rows are the garbage debt, counted exactly at remove() time.
 //
 // Reaction matching probes a candidate bucket instead of scanning the
@@ -30,7 +34,7 @@
 //
 // The (field, value) buckets live in a BUCKET TABLE: a vector of id lists
 // the store owns, with a generation per slot, and a hash index from
-// (field, value) to slot. A lookup hashes the key once and returns a
+// (field, tag, payload) to slot. A lookup hashes the key once and returns a
 // BucketHandle (slot, generation) that finds the same bucket again with no
 // hash: field_bucket(handle) is a bounds check and a generation compare.
 // A bucket that empties keeps its slot, so a key that empties and refills
@@ -40,7 +44,8 @@
 // copy of the store (the cluster checkpoints whole nodes, memos included).
 // compact() also rewrites column groups densely (inserts self-trigger it
 // once the dead-row debt crosses the threshold, so long worklist runs stay
-// O(live)).
+// O(live)) and, in the same pass, frees the symbols no live row holds: a
+// symbol's buckets are empty by then, so no key names a freed id.
 //
 // The matching machinery itself (backtracking candidate search, batch
 // bitmap evaluation, commit) lives in
@@ -48,10 +53,13 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -110,15 +118,31 @@ class Store {
     std::uint32_t generation = 0;
   };
 
-  /// One field of a column group: Int payloads inline in `data`, every
-  /// other kind spilled to the sidecar (`data[row]` is then the spill
-  /// index; Nil carries no payload at all). `tags[row]` is the ValueKind.
-  /// Read-only outside Store; the batch matcher reads `data`/`tags`
-  /// directly for its dense sweeps.
+  /// One field as a column holds it: its ValueKind tag and an int64
+  /// payload — the Int itself, 0/1 for a Bool, a Real's bits, a string's
+  /// symbol id in this store's table, 0 for Nil.
+  struct Cell {
+    std::uint8_t tag = 0;
+    std::int64_t payload = 0;
+  };
+
+  /// One field of a column group: `data[row]` is the payload and
+  /// `tags[row]` the ValueKind. Read-only outside Store; the batch matcher
+  /// reads them directly for its dense sweeps.
   struct Column {
     std::vector<std::int64_t> data;
     std::vector<std::uint8_t> tags;
-    std::vector<Value> spill;
+
+    /// Row `row` holds a field equal to `c`: the same kind and an equal
+    /// payload, Reals compared by value (-0.0 == 0.0, a NaN equals nothing).
+    [[nodiscard]] bool holds(std::size_t row, Cell c) const noexcept {
+      if (tags[row] != c.tag) return false;
+      if (c.tag == static_cast<std::uint8_t>(ValueKind::Real)) {
+        return std::bit_cast<double>(data[row]) ==
+               std::bit_cast<double>(c.payload);
+      }
+      return data[row] == c.payload;
+    }
   };
 
   /// Per-arity SoA block: `cols[f]` holds field f of every element of this
@@ -150,12 +174,6 @@ class Store {
           std::lower_bound(stamps.begin(), stamps.end(), stamp) -
           stamps.begin());
     }
-    /// Field f of `row` materialized back to a Value (any kind).
-    [[nodiscard]] Value field_value(std::size_t row, std::size_t f) const;
-    /// Field f of `row` == `v`, read off the column without materializing
-    /// the field (a spilled payload compares in place).
-    [[nodiscard]] bool field_equals(std::size_t row, std::size_t f,
-                                    const Value& v) const noexcept;
   };
 
   /// The bucket a pattern probes, as a view: a (field, value) bucket's id
@@ -228,15 +246,37 @@ class Store {
   }
   /// Runs one pattern's frame ops (CompiledReaction::field_ops()) on the
   /// element at `id`, straight off the columns: checks its arity, literal
-  /// and Eq fields, and binds its Bind fields into `frame` — Int and Nil
-  /// payloads in place, others by reference into the store (valid until the
-  /// next mutation). False on a mismatch, with the pattern's Bind slots then
-  /// unspecified. The scalar probe of the match pipeline; the same verdict
-  /// and bindings as Pattern::match(element(id), env). Precondition:
-  /// alive(id).
+  /// and Eq fields, and binds its Bind fields into `frame` — Int, Real,
+  /// Bool and Nil payloads in place, a string by reference to its symbol
+  /// table entry (valid until the next mutation). False on a mismatch, with
+  /// the pattern's Bind slots then unspecified. The scalar probe of the
+  /// match pipeline; the same verdict and bindings as
+  /// Pattern::match(element(id), env). Precondition: alive(id).
   [[nodiscard]] bool bind(std::span<const FieldOp> ops, Id id,
                           Frame& frame) const;
   [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
+
+  /// The cell every field equal to `v` holds in this store (compare it with
+  /// Column::holds), or nullopt when no field can equal `v`: a string this
+  /// store never interned. Hashes a string only when it is not a symbol
+  /// table entry itself.
+  [[nodiscard]] std::optional<Cell> cell_of(const Value& v) const;
+
+  /// Live elements whose field `field` equals `value`: the size of its
+  /// (field, value) bucket when `field` is indexed, otherwise a sweep of
+  /// the column comparing cells. 0 at once for a string never interned.
+  [[nodiscard]] std::size_t count_field(std::size_t field,
+                                        const Value& value) const;
+
+  /// Strings the symbol table holds: every one a live row holds, plus
+  /// those released since the last compact().
+  [[nodiscard]] std::size_t symbol_count() const noexcept {
+    return symbols_.size() - free_symbols_.size();
+  }
+  /// Entries of the symbol table, freed ones (awaiting reuse) included.
+  [[nodiscard]] std::size_t symbol_slots() const noexcept {
+    return symbols_.size();
+  }
 
   /// The bucket the pattern probes: the (field,value) bucket when the
   /// pattern carries a literal constraint, otherwise the arity bucket (its
@@ -247,7 +287,7 @@ class Store {
   /// The (field,value) bucket: live ids of ANY arity whose field `field`
   /// holds `value`, or null when none does. Real -0.0 and 0.0 share a
   /// bucket (they are ==), Int 1 and Real 1.0 do not, and a NaN key finds
-  /// the NaN-carrying ids, which no binder matches. So it holds every id a
+  /// the ids carrying any NaN, which no binder matches. So it holds every id a
   /// pattern whose field `field` must equal `value` can match. Read-only;
   /// valid until the next mutation. Throws EngineError when `field` is not
   /// in the store's FieldSet: the search reads null as "nothing can match",
@@ -312,11 +352,12 @@ class Store {
   }
   static constexpr std::uint64_t kGarbageCompactThreshold = 4096;
 
-  /// Rewrites every column group densely (dropping dead rows, rebuilding
-  /// the spill sidecars), settling the garbage debt, and frees the bucket
-  /// table's empty slots (their handles go stale). Engines call this from
-  /// an exclusive section when needs_compact(). Field buckets hold ids,
-  /// not rows, so they need no rewrite.
+  /// Rewrites every column group densely (dropping dead rows), settling
+  /// the garbage debt, frees the bucket table's empty slots (their handles
+  /// go stale) and the symbols no live row holds (their entries are
+  /// cleared, so a freed id never reads as its old string). Engines call
+  /// this from an exclusive section when needs_compact(). Field buckets
+  /// hold ids, not rows, so they need no rewrite.
   void compact();
 
   /// Column-group compactions performed by THIS store (the
@@ -334,22 +375,23 @@ class Store {
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
  private:
+  /// A bucket's key: the field and its cell, with a Real's payload
+  /// normalized so that -0.0 and 0.0 share a key and every NaN shares one
+  /// (a NaN field must still find its own bucket when remove() unindexes
+  /// it).
   struct FieldKey {
     std::size_t field;
-    Value value;
-    bool operator==(const FieldKey& o) const noexcept {
-      // Index identity, not Value ==: a NaN field must still find its own
-      // bucket again when remove() unindexes it.
-      return field == o.field &&
-             (value == o.value || (is_nan(value) && is_nan(o.value)));
-    }
-    static bool is_nan(const Value& v) noexcept {
-      return v.is_real() && std::isnan(v.as_real());
-    }
+    std::uint8_t tag;
+    std::int64_t payload;
+    FieldKey(std::size_t f, Cell c) noexcept;
+    bool operator==(const FieldKey& o) const noexcept = default;
   };
   struct FieldKeyHash {
     std::size_t operator()(const FieldKey& k) const noexcept {
-      return k.value.hash() * 0x9e3779b97f4a7c15ULL + k.field;
+      const auto x = (static_cast<std::uint64_t>(k.payload) ^
+                      (std::uint64_t{k.tag} << 56)) *
+                     0x9e3779b97f4a7c15ULL;
+      return static_cast<std::size_t>((x ^ (x >> 29)) + k.field);
     }
   };
   struct Loc {
@@ -357,6 +399,45 @@ class Store {
     std::uint32_t row = 0;
   };
 
+  /// Field f of `r`'s row equals `v`, read off the column: nothing is
+  /// materialized and nothing hashed. A string `v` held in this store's
+  /// symbol table (a frame slot the store bound) compares ids; any other
+  /// string compares its text with the row's symbol.
+  [[nodiscard]] bool field_equals(RowRef r, std::size_t f,
+                                  const Value& v) const noexcept;
+  /// Self-triggered collection before an insert (see insert()).
+  void maybe_compact();
+  /// `v` as a cell, interning a string (and counting the new holder).
+  Cell intern(const Value& v);
+  /// A cell that holds a symbol drops one holder.
+  void release(Cell c);
+  /// The symbol index entry holding `text` (whose text_hash is `hash`),
+  /// or the empty entry where it would go.
+  [[nodiscard]] std::size_t index_slot(std::string_view text,
+                                       std::uint32_t hash) const noexcept;
+  /// The symbol id an index entry holds.
+  [[nodiscard]] static std::uint32_t entry_id(std::uint64_t entry) noexcept {
+    return static_cast<std::uint32_t>(entry) - 1;
+  }
+  /// The text of the symbol an index entry holds.
+  [[nodiscard]] const std::string& symbol_text(
+      std::uint64_t entry) const noexcept {
+    return *symbols_[entry_id(entry)].if_str();
+  }
+  /// Drops symbol `id` from the symbol index.
+  void unindex_symbol(std::uint32_t id) noexcept;
+  /// The symbol id of `v` when it is an entry of the symbol table itself.
+  [[nodiscard]] std::optional<std::uint32_t> symbol_at(
+      const Value& v) const noexcept;
+  /// Appends a row of `arity` fields, field f being cell_of_field(f) (a
+  /// symbol already counted), and indexes it.
+  template <typename CellOf>
+  Id insert_row(std::size_t arity, CellOf&& cell_of_field);
+  /// Field f of `row` materialized back to a Value (any kind).
+  [[nodiscard]] Value field_value(const ColumnGroup& g, std::size_t row,
+                                  std::size_t f) const;
+  /// Frees every symbol no live row holds (part of compact()).
+  void free_unheld_symbols();
   std::uint32_t group_for_arity(std::size_t arity);
   [[nodiscard]] const ColumnGroup* group_of(std::size_t arity) const noexcept;
   /// First entry of `bucket` inserted no earlier than `stamp`.
@@ -388,6 +469,17 @@ class Store {
   /// Slots in field_index_ whose bucket is empty (freed by compact()).
   std::size_t empty_buckets_ = 0;
   std::unordered_map<FieldKey, std::uint32_t, FieldKeyHash> field_index_;
+  /// The symbol table: id -> string Value (Nil once freed), id -> live
+  /// fields holding it, and freed ids awaiting reuse.
+  std::vector<Value> symbols_;
+  std::vector<std::uint32_t> symbol_holders_;
+  std::vector<std::uint32_t> free_symbols_;
+  /// Symbols whose holder count fell to 0 since the last compact().
+  std::vector<std::uint32_t> unheld_symbols_;
+  /// Text -> symbol id, open addressing with linear probing over a
+  /// power-of-two table at most half full: an entry packs the text's hash
+  /// (high half) and id + 1 (low half); 0 is empty.
+  std::vector<std::uint64_t> symbol_index_;
 };
 
 /// Process-wide count of column-group compactions (all stores); engines

@@ -9,21 +9,13 @@ using gamma::CompiledReaction;
 using gamma::Store;
 
 constexpr std::uint8_t kIntTag = static_cast<std::uint8_t>(ValueKind::Int);
-constexpr std::uint8_t kNilTag = static_cast<std::uint8_t>(ValueKind::Nil);
 
-/// Structural equality between two fields of the same row (the repeated
-/// binder constraint). Value equality is variant-structural, so differing
-/// tags can never be equal.
+/// Equality between two fields of the same row (the repeated binder
+/// constraint): the same tag and equal payloads, as Value == has it.
 bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
                   std::size_t fa, std::size_t fb) {
   const Store::Column& a = g.cols[fa];
-  const Store::Column& b = g.cols[fb];
-  const std::uint8_t ta = a.tags[row];
-  if (ta != b.tags[row]) return false;
-  if (ta == kIntTag) return a.data[row] == b.data[row];
-  if (ta == kNilTag) return true;
-  return a.spill[static_cast<std::size_t>(a.data[row])] ==
-         b.spill[static_cast<std::size_t>(b.data[row])];
+  return g.cols[fb].holds(row, Store::Cell{a.tags[row], a.data[row]});
 }
 
 }  // namespace
@@ -37,16 +29,29 @@ bool BatchMatcher::begin(const gamma::Store& store,
   if (plan == nullptr) return false;
 
   // Field checks minus the one the probed (field, value) bucket implies.
-  // Outer bindings are EqSlot comparands (any kind — compared per lane).
+  // A literal or outer binding (any kind) is encoded as a store cell once
+  // here, so every lane compares payloads.
   const std::uint16_t implied =
       join_field != CompiledReaction::BatchPlan::kNoField ? join_field
                                                           : plan->key_field;
   checks_.clear();
   for (const auto& check : plan->checks) {
     if (check.field == implied) continue;
-    const Value* eq_value = nullptr;
-    if (check.kind == Kind::EqSlot) eq_value = outer[check.slot];
-    checks_.push_back(ActiveCheck{&check, eq_value});
+    ActiveCheck active{&check, std::nullopt};
+    switch (check.kind) {
+      case Kind::LitInt:
+        active.cell = Store::Cell{kIntTag, check.imm};
+        break;
+      case Kind::Lit:
+        active.cell = store.cell_of(check.value);
+        break;
+      case Kind::EqSlot:
+        active.cell = store.cell_of(*outer[check.slot]);
+        break;
+      case Kind::EqField:
+        break;
+    }
+    checks_.push_back(active);
   }
   any_condition_ = std::any_of(plan->conditions.begin(),
                                plan->conditions.end(),
@@ -105,22 +110,12 @@ bool BatchMatcher::chunk(ScanCursor& at, std::size_t width) {
     if (g.arity != plan_->arity) continue;
     bool ok = true;
     for (std::size_t ci = 0; ci < checks_.size() && ok; ++ci) {
-      const auto& check = *checks_[ci].check;
-      using Kind = CompiledReaction::BatchPlan::FieldCheck::Kind;
-      switch (check.kind) {
-        case Kind::LitInt:
-          ok = g.cols[check.field].tags[rr.row] == kIntTag &&
-               g.cols[check.field].data[rr.row] == check.imm;
-          break;
-        case Kind::Lit:
-          ok = g.field_equals(rr.row, check.field, check.value);
-          break;
-        case Kind::EqField:
-          ok = fields_equal(g, rr.row, check.field, check.other);
-          break;
-        case Kind::EqSlot:
-          ok = g.field_equals(rr.row, check.field, *checks_[ci].eq_value);
-          break;
+      const ActiveCheck& active = checks_[ci];
+      const auto& check = *active.check;
+      if (check.kind == CompiledReaction::BatchPlan::FieldCheck::Kind::EqField) {
+        ok = fields_equal(g, rr.row, check.field, check.other);
+      } else {
+        ok = active.cell && g.cols[check.field].holds(rr.row, *active.cell);
       }
     }
     if (ok) shape_ok_[j] = 1;

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -149,8 +150,8 @@ class BatchMatcher {
   /// outer binding feeding a guard is not Int — or would not pay: with no
   /// guard and no remaining field check the sweep could clear only arity
   /// mismatches, which the scalar probe rejects just as cheaply. The caller
-  /// then keeps the plain scalar probe loop. The scanned bucket and the
-  /// outer slot values must outlive the chunk() calls of this sweep.
+  /// then keeps the plain scalar probe loop. The scanned bucket must
+  /// outlive the chunk() calls of this sweep.
   [[nodiscard]] bool begin(const gamma::Store& store,
                            const gamma::Reaction& reaction, const Scan& scan,
                            std::uint16_t join_field,
@@ -178,11 +179,12 @@ class BatchMatcher {
 
   expr::BatchVm vm_;
   /// The plan's field checks this sweep runs (the probed bucket's implied
-  /// check left out), each with its EqSlot comparand pointing at the
-  /// caller's outer slot value (null for the other kinds).
+  /// check left out), each with its literal or outer slot comparand as the
+  /// store's cell (unset for EqField, and for a string the store never
+  /// interned, which no lane holds).
   struct ActiveCheck {
     const gamma::CompiledReaction::BatchPlan::FieldCheck* check = nullptr;
-    const Value* eq_value = nullptr;
+    std::optional<gamma::Store::Cell> cell;
   };
   std::vector<ActiveCheck> checks_;
   /// Vector slots the guards actually read: index into columns_ per slot.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "gammaflow/analysis/interference.hpp"
+#include "gammaflow/common/inline_vec.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
 namespace gammaflow::serve {
@@ -42,43 +43,32 @@ Session::InjectResult Session::inject(const gamma::FlatElements& elements) {
   return r;
 }
 
-namespace {
-
-/// Live elements of `store` whose row satisfies `match(group, row)`, read
-/// off the column groups: no Element is built.
-template <class Match>
-std::int64_t count_rows(const gamma::Store& store, Match match) {
-  std::int64_t n = 0;
-  for (gamma::Store::Id id = 0; id < store.slots(); ++id) {
-    if (!store.alive(id)) continue;
-    const gamma::Store::RowRef r = store.row(id);
-    if (match(*r.group, r.row)) ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
 std::int64_t Session::count_label(const std::string& label) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const Value key(label);
-  return count_rows(fix_->store(), [&](const gamma::Store::ColumnGroup& g,
-                                       std::size_t row) {
-    return g.arity >= 2 && g.field_equals(row, 1, key);
-  });
+  return static_cast<std::int64_t>(fix_->store().count_field(1, Value(label)));
 }
 
 std::int64_t Session::count_element(const gamma::Element& element) const {
   const std::lock_guard<std::mutex> lock(mu_);
+  const gamma::Store& store = fix_->store();
   const std::vector<Value>& fields = element.fields();
-  return count_rows(fix_->store(), [&](const gamma::Store::ColumnGroup& g,
-                                       std::size_t row) {
-    if (g.arity != fields.size()) return false;
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      if (!g.field_equals(row, f, fields[f])) return false;
-    }
-    return true;
-  });
+  // Each field as the store's cell, so the sweep compares payloads.
+  InlineVec<gamma::Store::Cell, 8> cells;
+  for (const Value& v : fields) {
+    const auto cell = store.cell_of(v);
+    if (!cell) return 0;  // a string no element holds
+    cells.push_back(*cell);
+  }
+  std::int64_t n = 0;
+  for (gamma::Store::Id id = 0; id < store.slots(); ++id) {
+    if (!store.alive(id)) continue;
+    const gamma::Store::RowRef r = store.row(id);
+    if (r.group->arity != cells.size()) continue;
+    std::size_t f = 0;
+    while (f < cells.size() && r.group->cols[f].holds(r.row, cells[f])) ++f;
+    if (f == cells.size()) ++n;
+  }
+  return n;
 }
 
 std::size_t Session::store_size() const {

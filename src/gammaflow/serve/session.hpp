@@ -49,7 +49,9 @@ class Session {
   };
   [[nodiscard]] InjectResult inject(const gamma::FlatElements& elements);
 
-  /// Total multiplicity of elements whose label (string field 1) is `label`.
+  /// Total multiplicity of elements whose label (string field 1) is `label`:
+  /// the size of its (1, label) bucket when the program indexes field 1,
+  /// otherwise a sweep of column 1 comparing symbol ids.
   [[nodiscard]] std::int64_t count_label(const std::string& label) const;
   /// Multiplicity of exactly `element`.
   [[nodiscard]] std::int64_t count_element(const gamma::Element& element) const;

@@ -231,6 +231,30 @@ TEST(Worklist, FixpointProofAfterAnInertInjectCostsLinearLanes) {
   EXPECT_LE(expr::batch_lanes() - lanes1, 3 * fix.store().size());
 }
 
+TEST(Worklist, SymbolTableStaysBoundedUnderLabelChurn) {
+  // A session that keeps meeting fresh labels, each consumed again, must
+  // free them: its store's symbol table stays O(live), not O(every label
+  // ever injected).
+  const gamma::Program program = gamma::dsl::parse_program(
+      "Rpair = replace [x, k], [y, k] by [x + y, 'sum']");
+  WorklistOptions wopts;
+  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  std::int64_t label = 0;
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<gamma::Element> batch;
+    for (int i = 0; i < 100; ++i, ++label) {
+      const std::string name = std::string("L").append(std::to_string(label));
+      batch.push_back(gamma::Element({Value(1), Value(name)}));
+      batch.push_back(gamma::Element({Value(2), Value(name)}));
+    }
+    ASSERT_EQ(fix.inject(flat(batch)), Outcome::Completed);
+  }
+  EXPECT_EQ(render(fix.snapshot()), "{[300000, 'sum']}");
+  const gamma::Store& store = fix.store();
+  EXPECT_LE(store.symbol_slots(),
+            store.size() + gamma::Store::kGarbageCompactThreshold);
+}
+
 TEST(Worklist, MultiStageProgramIsRejected) {
   const gamma::Program two = gamma::dsl::parse_program(
       "R1 = replace x, y by x where x < y ;\n"
@@ -455,6 +479,55 @@ TEST(ServeProtocol, LabelQueriesCountStringField1) {
                  R"({"verb":"query","session":"lab","element":"[3,'A']"})")
                 .int_or("count", -1),
             1);
+}
+
+/// Elements of `m` of arity >= 2 whose field 1 is the string `label`.
+std::int64_t scan_label(const gamma::Multiset& m, const char* label) {
+  std::int64_t n = 0;
+  for (const gamma::Element& e : m) {
+    if (e.arity() >= 2 && e.field(1) == Value(label)) ++n;
+  }
+  return n;
+}
+
+TEST(ServeSession, LabelCountsMatchARowScanWhetherField1IsIndexedOrNot) {
+  // kLabeled's literal labels make field 1 an indexed field, so a label
+  // count is its bucket's size; Rkeep constrains no field, so the count
+  // sweeps column 1. Both must count what a scan of the rows counts, over
+  // arities 1 to 3 and labels on field 0 as well.
+  const char* const programs[] = {
+      kLabeled, "Rkeep = replace [x, k, t] by [x, k] where t > 1"};
+  for (const char* text : programs) {
+    serve::Session session("s", gamma::dsl::parse_program(text),
+                           serve::SessionOptions{});
+    std::mt19937_64 rng(7);
+    const char* const labels[] = {"A", "B", "C"};
+    std::vector<gamma::Element> batch;
+    for (int i = 0; i < 300; ++i) {
+      const auto v = static_cast<std::int64_t>(rng() % 50);
+      const char* label = labels[rng() % 3];
+      switch (rng() % 4) {
+        case 0:
+          batch.push_back(bare(v));
+          break;
+        case 1:
+          batch.push_back(gamma::Element({Value(v), Value(label), Value(1)}));
+          break;
+        case 2:
+          batch.push_back(gamma::Element({Value(label), Value(v)}));
+          break;
+        default:
+          batch.push_back(labeled(v, label));
+          break;
+      }
+    }
+    ASSERT_EQ(session.inject(flat(batch)).outcome, Outcome::Completed);
+    const gamma::Multiset rows = session.snapshot();
+    for (const char* label : {"A", "B", "C", "Z"}) {
+      EXPECT_EQ(session.count_label(label), scan_label(rows, label))
+          << text << " label " << label;
+    }
+  }
 }
 
 TEST(ServeProtocol, SessionErrorsMatchTheSpec) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
+#include <tuple>
 
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/expr/parser.hpp"
@@ -316,6 +318,206 @@ TEST(Store, NanFieldsUnindexCleanly) {
   EXPECT_EQ(bucket_size(s, Pattern::var("x")), 0u);
 }
 
+/// The same value bit for bit: what a store must give back (Value == calls
+/// a NaN unequal to itself and -0.0 equal to 0.0).
+bool identical(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (!a.is_real()) return a == b;
+  return std::bit_cast<std::uint64_t>(a.as_real()) ==
+         std::bit_cast<std::uint64_t>(b.as_real());
+}
+
+bool identical(const Element& a, const Element& b) {
+  if (a.arity() != b.arity()) return false;
+  for (std::size_t f = 0; f < a.arity(); ++f) {
+    if (!identical(a.field(f), b.field(f))) return false;
+  }
+  return true;
+}
+
+/// Bucket key identity: Value ==, except that every NaN shares one key.
+bool same_key(const Value& a, const Value& b) {
+  return a == b || (a.is_real() && b.is_real() && std::isnan(a.as_real()) &&
+                    std::isnan(b.as_real()));
+}
+
+TEST(Store, MixedKindsAgreeWithANaiveMultisetModel) {
+  // Differential against a plain list of elements over every field kind,
+  // through random inserts, removes and compactions: Ints, Reals (+-0.0
+  // and NaNs with different payloads and signs), Bools, strings and Nil.
+  // Buckets and handles, cell counts, frame binds, element() and
+  // to_multiset() must all agree with the model, on a store indexing every
+  // field and on one indexing none (whose counts sweep the columns).
+  const std::vector<Value> domain = {
+      Value(0),          Value(1),           Value(-1),
+      Value(0.0),        Value(-0.0),        Value(1.0),
+      Value(std::nan("")), Value(std::nan("7")), Value(-std::nan("")),
+      Value(true),       Value(false),       Value("a"),
+      Value("b"),        Value("zz"),        Value()};
+  Store indexed(FieldSet{0, 1, 2});
+  Store plain;
+  // (indexed id, plain id, element) in insertion order.
+  std::vector<std::tuple<Store::Id, Store::Id, Element>> live;
+  Rng rng(35);
+  for (int step = 0; step < 1000; ++step) {
+    const std::uint64_t roll = rng.bounded(20);
+    if (roll == 0) {
+      indexed.compact();
+      plain.compact();
+    } else if (live.empty() || roll < 11) {
+      std::vector<Value> fields(1 + rng.bounded(3));
+      for (Value& v : fields) v = domain[rng.bounded(domain.size())];
+      Element e(std::move(fields));
+      const Store::Id a = indexed.insert(e);
+      const Store::Id b = plain.insert(e);
+      live.emplace_back(a, b, std::move(e));
+    } else {
+      const std::size_t at = rng.bounded(live.size());
+      indexed.remove(std::get<0>(live[at]));
+      plain.remove(std::get<1>(live[at]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    const std::string where = "step " + std::to_string(step);
+
+    for (const auto& [a, b, e] : live) {
+      ASSERT_TRUE(identical(indexed.element(a), e)) << where;
+      ASSERT_TRUE(identical(plain.element(b), e)) << where;
+    }
+    std::vector<std::pair<Store::Id, const Element*>> by_slot;
+    for (const auto& [a, b, e] : live) by_slot.emplace_back(a, &e);
+    std::sort(by_slot.begin(), by_slot.end());
+    const Multiset snapshot = indexed.to_multiset();
+    ASSERT_EQ(snapshot.size(), by_slot.size()) << where;
+    auto listed = snapshot.begin();
+    for (const auto& [id, e] : by_slot) {
+      ASSERT_TRUE(identical(*listed++, *e)) << where;
+    }
+
+    for (std::size_t f = 0; f < 3; ++f) {
+      for (const Value& d : domain) {
+        Store::Bucket want;
+        std::size_t equal = 0;
+        for (const auto& [a, b, e] : live) {
+          if (e.arity() <= f) continue;
+          if (same_key(e.field(f), d)) want.push_back(a);
+          if (e.field(f) == d) ++equal;
+        }
+        const std::string key = where + " field " + std::to_string(f) +
+                                " value " + d.to_string();
+        const Store::Bucket* got = indexed.field_bucket(f, d);
+        if (want.empty()) {
+          EXPECT_EQ(got, nullptr) << key;
+        } else {
+          ASSERT_NE(got, nullptr) << key;
+          EXPECT_EQ(*got, want) << key;
+          EXPECT_EQ(indexed.field_bucket(indexed.field_handle(f, d)), got)
+              << key;
+        }
+        EXPECT_EQ(indexed.count_field(f, d), equal) << key;
+        EXPECT_EQ(plain.count_field(f, d), equal) << key;
+      }
+    }
+
+    // Frame binds on a few random (outer, inner) pairs: the outer element
+    // binds every field, the inner one meets each field op kind.
+    for (int probe = 0; probe < 4 && !live.empty(); ++probe) {
+      const auto& [oa, ob, outer] = live[rng.bounded(live.size())];
+      const auto& [ia, ib, inner] = live[rng.bounded(live.size())];
+      const std::string pair = where + " " + outer.to_string() + " then " +
+                               inner.to_string();
+      std::vector<FieldOp> binds(outer.arity());  // Bind ops
+      for (std::size_t f = 0; f < outer.arity(); ++f) {
+        binds[f].slot = static_cast<std::uint32_t>(f);
+      }
+      // Slot 3 holds an outside value; slots 0..2 the outer element's.
+      Frame frame(4);
+      const Value& outside = domain[rng.bounded(domain.size())];
+      frame.bind_ref(3, outside);
+      ASSERT_TRUE(indexed.bind(binds, oa, frame)) << pair;
+      for (std::size_t f = 0; f < outer.arity(); ++f) {
+        EXPECT_TRUE(identical(*frame.slot(f), outer.field(f))) << pair;
+      }
+      const Value& lit = domain[rng.bounded(domain.size())];
+      const std::uint32_t eq_slot = static_cast<std::uint32_t>(
+          rng.bounded(2) == 0 ? 3 : rng.bounded(outer.arity()));
+      for (std::size_t f = 0; f < inner.arity(); ++f) {
+        for (const FieldOp::Kind kind : {FieldOp::Kind::Lit,
+                                         FieldOp::Kind::Eq}) {
+          std::vector<FieldOp> ops(inner.arity());  // Bind ops into slot 4
+          for (FieldOp& op : ops) op.slot = 4;
+          ops[f].kind = kind;
+          ops[f].slot = eq_slot;
+          ops[f].value = lit;
+          Frame inner_frame(5);
+          for (std::uint32_t s = 0; s < 4; ++s) {
+            inner_frame.bind_ref(
+                s, frame.slot(s) != nullptr ? *frame.slot(s) : outside);
+          }
+          const Value& comparand =
+              kind == FieldOp::Kind::Lit ? lit : *inner_frame.slot(eq_slot);
+          EXPECT_EQ(indexed.bind(ops, ia, inner_frame),
+                    inner.field(f) == comparand)
+              << pair << " field " << f << " against " << comparand;
+        }
+      }
+    }
+  }
+}
+
+TEST(Store, CompactFreesTheSymbolsNoLiveRowHolds) {
+  // A long run through fresh labels, each consumed again, keeps its symbol
+  // table O(live): compaction frees the labels no live row holds, and
+  // their ids are reused.
+  Store s(FieldSet{1});
+  const auto keep = s.insert(Element::labeled(Value(-1), "keep"));
+  for (std::int64_t i = 0; i < 100000; ++i) {
+    const std::string label = std::string("L").append(std::to_string(i));
+    const auto a = s.insert(Element::labeled(Value(i), label));
+    const auto b = s.insert(Element::labeled(Value(i + 1), label));
+    s.remove(a);
+    s.remove(b);
+  }
+  // Every symbol not freed yet is held by a live row or a dead one.
+  EXPECT_LE(s.symbol_slots(), s.size() + Store::kGarbageCompactThreshold);
+  s.compact();
+  EXPECT_EQ(s.symbol_count(), 1u);
+  EXPECT_EQ(s.count_field(1, Value("keep")), 1u);
+  EXPECT_EQ(s.field_bucket(1, Value("L99999")), nullptr);
+  EXPECT_FALSE(s.cell_of(Value("L99999")).has_value());
+  EXPECT_TRUE(s.alive(keep));
+  EXPECT_EQ(s.element(keep), Element::labeled(Value(-1), "keep"));
+}
+
+TEST(Store, FreedSymbolIdIsNeverReadAsItsOldString) {
+  Store s(FieldSet{1});
+  s.remove(s.insert(Element::labeled(Value(1), "old")));
+  s.compact();
+  EXPECT_EQ(s.symbol_count(), 0u);
+  ASSERT_EQ(s.symbol_slots(), 1u);
+  // The new label takes the freed id; nothing finds the old one through it.
+  const auto id = s.insert(Element::labeled(Value(2), "new"));
+  EXPECT_EQ(s.symbol_slots(), 1u);
+  EXPECT_EQ(s.element(id), Element::labeled(Value(2), "new"));
+  EXPECT_EQ(s.field_bucket(1, Value("old")), nullptr);
+  EXPECT_EQ(s.count_field(1, Value("old")), 0u);
+  EXPECT_EQ(*s.field_bucket(1, Value("new")), Store::Bucket{id});
+  EXPECT_EQ(s.to_multiset(), Multiset{Element::labeled(Value(2), "new")});
+}
+
+TEST(Store, CopiesKeepTheirOwnSymbolTables) {
+  // A copy (a cluster checkpoint) reads its strings from its own table:
+  // freeing and reusing symbols in the original leaves the copy intact.
+  Store s(FieldSet{1});
+  const auto a = s.insert(Element::labeled(Value(1), "a"));
+  const Store copy = s;
+  s.remove(a);
+  s.compact();
+  s.insert(Element::labeled(Value(2), "b"));
+  EXPECT_EQ(copy.element(a), Element::labeled(Value(1), "a"));
+  EXPECT_EQ(*copy.field_bucket(1, Value("a")), Store::Bucket{a});
+  EXPECT_EQ(copy.field_bucket(1, Value("b")), nullptr);
+}
+
 TEST(Store, ToMultisetRoundTrip) {
   const Multiset m{Element::tagged(Value(1), "A", 0),
                    Element::tagged(Value(1), "A", 0),
@@ -554,9 +756,10 @@ TEST(Store, NeedsCompactTripsAtTheDeadRowThreshold) {
 }
 
 TEST(Store, SpillSidecarRoundTripsNonIntFields) {
-  // Every non-Int kind goes through the tag/spill sidecar; materialization
-  // must reproduce the exact Value (kind and payload), before and after the
-  // columns are rewritten.
+  // Every non-Int kind is an inline column payload too (a Real's bits, a
+  // Bool's 0/1, a string's symbol id, Nil's 0); materialization must
+  // reproduce the exact Value (kind and payload), before and after the
+  // columns are rewritten and the dead row's symbol is freed.
   Store s;
   const Element mixed{Value(7), Value("label"), Value(2.5), Value(true),
                       Value()};
@@ -592,7 +795,7 @@ TEST(Store, FrameBindAgreesWithElementMatch) {
   // of stored elements: the same verdict, and on a match the same value in
   // every slot as the Env holds under the slot's name. The elements mix
   // Int, Real (NaN included), string, Bool and Nil fields, so Lit, Bind
-  // and Eq each meet in-place and spilled payloads.
+  // and Eq each meet every kind of column payload.
   Store s;
   const std::vector<Element> elements = {
       Element::tagged(Value(41), "A", 3),
