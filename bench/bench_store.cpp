@@ -5,8 +5,9 @@
 //   - E18 dense match: the exhaustive failed search (one fixed-point proof)
 //     on growing dense buckets must find nothing.
 // Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
-// probes), find+commit fixpoints, and the store's own insert/remove at a
-// steady size, on bare ints and on string-labelled pairs.
+// probes), find+commit fixpoints, the store's own insert/remove at a
+// steady size, on bare ints and on string-labelled pairs, and keyed fires
+// on string against int labels (E30).
 #include <array>
 #include <chrono>
 #include <cstdlib>
@@ -199,6 +200,49 @@ BENCHMARK(BM_StoreInsertRemove_Labelled)
     ->Arg(16384)
     ->ArgName("n")
     ->Unit(benchmark::kNanosecond);
+
+// --- Keyed fires: string labels against int labels ------------------------
+
+/// perfbench `parallel`'s shape: 4096 [v, label] over 64 labels, reduced to
+/// one sum per label by find + commit through a MatchSite, as the engines
+/// fire. `label(i)` is the label of element i.
+template <typename Label>
+void keyed_fire_fixpoint(benchmark::State& state, Label&& label) {
+  const gamma::Program p = gamma::dsl::parse_program(
+      "Rkey = replace [x, k], [y, k] by [x + y, k]");
+  const gamma::Reaction& r = p.stages()[0][0];
+  Rng values(3);
+  gamma::Multiset m;
+  for (std::int64_t i = 0; i < 4096; ++i) {
+    m.add(gamma::Element{
+        Value(static_cast<std::int64_t>(values.bounded(1000))), label(i % 64)});
+  }
+  Rng rng(5);
+  for (auto _ : state) {
+    state.PauseTiming();
+    gamma::Store store(m, gamma::FieldSet::of(p));
+    runtime::MatchSite site;
+    state.ResumeTiming();
+    while (runtime::MatchPipeline::find(store, r, &rng, site)) {
+      runtime::MatchPipeline::commit(store, site.match());
+    }
+    if (store.size() != 64) state.SkipWithError("not one sum per label");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (4096 - 64));
+}
+
+void BM_KeyedFire_Labelled(benchmark::State& state) {
+  keyed_fire_fixpoint(state, [](std::int64_t k) {
+    return Value(std::string("k").append(std::to_string(k)));
+  });
+}
+BENCHMARK(BM_KeyedFire_Labelled)->Unit(benchmark::kMicrosecond);
+
+void BM_KeyedFire_Int(benchmark::State& state) {
+  keyed_fire_fixpoint(state, [](std::int64_t k) { return Value(k); });
+}
+BENCHMARK(BM_KeyedFire_Int)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

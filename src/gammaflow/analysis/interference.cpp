@@ -669,10 +669,10 @@ InterferenceReport analyze_interference(const Program& program,
             // Two conflicting enabled firings from a reachable state: run
             // the continuation from both successors. Distinct fixpoints are
             // two complete runs of the program disagreeing — a proof.
-            gamma::Store s1(state, fields);
-            gamma::Store s2(state, fields);
-            // Re-find the same matches in the fresh stores: ids are stable
-            // because Store construction inserts in multiset order.
+            // Copies of the store the matches were found on: the same ids
+            // and symbols, so each match commits there as found.
+            gamma::Store s1(store);
+            gamma::Store s2(store);
             runtime::MatchPipeline::commit(s1, m1s[a]);
             runtime::MatchPipeline::commit(s2, m2s[b]);
             const Multiset m1 = s1.to_multiset();

@@ -45,13 +45,6 @@ std::optional<NodeId> Graph::find(const std::string& name) const {
   return found;
 }
 
-std::optional<EdgeId> Graph::find_edge(Label label) const {
-  for (EdgeId id = 0; id < edges_.size(); ++id) {
-    if (edges_[id].label == label) return id;
-  }
-  return std::nullopt;
-}
-
 void Graph::validate() const {
   std::unordered_set<Label> labels;
   for (EdgeId eid = 0; eid < edges_.size(); ++eid) {

@@ -60,8 +60,6 @@ class Graph {
 
   /// Looks up a node by name; nullopt when absent or ambiguous.
   [[nodiscard]] std::optional<NodeId> find(const std::string& name) const;
-  /// Looks up an edge by label.
-  [[nodiscard]] std::optional<EdgeId> find_edge(Label label) const;
 
   /// Structural checks: port indices in range, arities respected, every
   /// non-root input port fed by at least one edge, unique edge labels.

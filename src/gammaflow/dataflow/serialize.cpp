@@ -148,12 +148,6 @@ void write_text(std::ostream& os, const Graph& graph) {
   }
 }
 
-std::string to_text(const Graph& graph) {
-  std::ostringstream os;
-  write_text(os, graph);
-  return os.str();
-}
-
 Graph parse_text(std::string_view text) {
   std::istringstream is{std::string(text)};
   std::string line;

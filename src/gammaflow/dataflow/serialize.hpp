@@ -19,7 +19,6 @@
 namespace gammaflow::dataflow {
 
 void write_text(std::ostream& os, const Graph& graph);
-[[nodiscard]] std::string to_text(const Graph& graph);
 
 /// Throws ParseError (with line info) on malformed input and GraphError on
 /// structurally invalid graphs.

@@ -111,9 +111,9 @@ struct OutboxEntry {
 
 struct Node {
   Store shard;
-  // The stage policy's anchor memos over `shard`: they key on (id, stamp),
-  // which a new Store reuses, so they belong to this one store (see
-  // Simulation::reset_shard) and travel with it into replicas.
+  // The stage policy's match sites over `shard`: their anchor memos key on
+  // (id, stamp), which a new Store reuses, so they belong to this one store
+  // (see Simulation::reset_shard) and travel with it into replicas.
   gamma::StageMemory memory{0};
   Rng rng{0};
   // Safra state.
@@ -1114,7 +1114,7 @@ struct RoundGate {
       for (const Store::Id id : match.ids) {
         consumed.push_back(store.element(id));
       }
-      wal->log_fire(consumed, match.produced());
+      wal->log_fire(consumed, match.produced(store));
     }
     ++fires;
     return true;

@@ -23,24 +23,33 @@ namespace gammaflow::gamma {
 /// precomputed per field by CompiledReaction.
 struct FieldOp {
   enum class Kind : std::uint8_t {
-    Lit,   // the field must equal `value`
-    Bind,  // the field's value goes into slot `slot` (its first occurrence)
-    Eq,    // the field must equal slot `slot`, bound by an earlier field
+    Lit,   // the field must equal the reaction's literal `index`
+    Bind,  // the field's value goes into slot `index` (its first occurrence)
+    Eq,    // the field must equal slot `index`, bound by an earlier field
   };
   Kind kind = Kind::Bind;
-  std::uint32_t slot = 0;
-  Value value;
+  /// A slot, or for Lit an index into CompiledReaction::literals().
+  std::uint32_t index = 0;
 };
 
 class Frame {
  public:
+  /// A frame of no slots; resize() sizes it.
+  Frame() = default;
   /// Every slot starts unbound (null).
-  explicit Frame(std::size_t slots) {
+  explicit Frame(std::size_t slots) { resize(slots); }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+  /// Resizes the frame to `slots` slots, every one unbound. A search's
+  /// caller keeps one frame per reaction and sizes it once.
+  void resize(std::size_t slots) {
+    values_.clear();
+    slots_.clear();
     values_.resize(slots);
     slots_.resize(slots);
   }
-  Frame(const Frame&) = delete;
-  Frame& operator=(const Frame&) = delete;
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
   /// The slot pointers the bytecode Vm reads. A slot never bound is null.
   [[nodiscard]] std::span<const Value* const> slots() const noexcept {
@@ -75,8 +84,8 @@ class Frame {
     return v;
   }
 
-  // Inline for the slot counts the paper uses; neither moves after the
-  // constructor sizes them.
+  // Inline for the slot counts the paper uses; neither moves after
+  // resize() sizes them.
   InlineVec<Value, 8> values_;
   InlineVec<const Value*, 8> slots_;
 };

@@ -21,9 +21,9 @@ bool Pattern::match(const Element& e, expr::Env& env) const {
   return true;
 }
 
-std::optional<std::pair<std::size_t, Value>> Pattern::key_constraint() const {
+std::optional<std::size_t> Pattern::key_field() const noexcept {
   for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (!fields_[i].is_binder()) return std::make_pair(i, fields_[i].value());
+    if (!fields_[i].is_binder()) return i;
   }
   return std::nullopt;
 }

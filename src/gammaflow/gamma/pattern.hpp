@@ -88,11 +88,11 @@ class Pattern {
 
   [[nodiscard]] bool match(const Element& e, expr::Env& env) const;
 
-  /// The first literal-constrained field, if any: (field index, value).
-  /// Engines use it to narrow candidates to an index bucket. Converter
-  /// patterns always constrain field 1 (the edge label).
-  [[nodiscard]] std::optional<std::pair<std::size_t, Value>> key_constraint()
-      const;
+  /// The index of the first literal-constrained field, if any: the key
+  /// constraint, whose literal is fields()[*key_field()].value(). Engines
+  /// use it to narrow candidates to an index bucket. Converter patterns
+  /// always constrain field 1 (the edge label).
+  [[nodiscard]] std::optional<std::size_t> key_field() const noexcept;
 
   /// All binder names in field order (first occurrence only).
   [[nodiscard]] std::vector<std::string> binders() const;

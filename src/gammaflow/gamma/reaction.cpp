@@ -23,14 +23,16 @@ CompiledReaction::CompiledReaction(const Reaction& reaction) {
     for (std::size_t i = 0; i < fields.size(); ++i) {
       const PatternField& f = fields[i];
       if (!f.is_binder()) {
-        ops.emplace_back(FieldOp::Kind::Lit, std::uint32_t{0}, f.value());
+        ops.push_back(FieldOp{FieldOp::Kind::Lit,
+                              static_cast<std::uint32_t>(literals_.size())});
+        literals_.push_back(f.value());
         continue;
       }
       const auto it = std::find(slots_.begin(), slots_.end(), f.name());
       const auto slot = static_cast<std::size_t>(it - slots_.begin());
-      ops.emplace_back(
+      ops.push_back(FieldOp{
           it == slots_.end() ? FieldOp::Kind::Bind : FieldOp::Kind::Eq,
-          static_cast<std::uint32_t>(slot));
+          static_cast<std::uint32_t>(slot)});
       // A field or slot past the uint16 range keeps the base-bucket scan.
       if (slot < outer_slots &&
           std::max(i, slot) < BatchPlan::kNoField) {
@@ -41,20 +43,34 @@ CompiledReaction::CompiledReaction(const Reaction& reaction) {
       }
     }
   }
+  pattern_literals_ = literals_.size();
   const std::span<const std::string> slot_span(slots_);
   branches_.reserve(reaction.branches().size());
   for (const Branch& br : reaction.branches()) {
     BranchCode bc;
     bc.is_else = br.is_else;
     if (br.condition) bc.condition = expr::compile(br.condition, slot_span);
-    bc.outputs.reserve(br.outputs.size());
     for (const auto& tuple : br.outputs) {
-      std::vector<expr::Chunk> fields;
-      fields.reserve(tuple.size());
       for (const auto& field : tuple) {
-        fields.push_back(expr::compile(field, slot_span));
+        expr::Chunk chunk = expr::compile(field, slot_span);
+        // A bare load (one load, then its return) produces a slot's value or
+        // a constant as it is.
+        const auto& code = chunk.code;
+        const bool bare = code.size() == 2 && code[1].op == expr::OpCode::Ret &&
+                          code[1].a == code[0].dst;
+        if (bare && code[0].op == expr::OpCode::LoadSlot) {
+          bc.fields.push_back({OutputField::Kind::Slot, code[0].a});
+        } else if (bare && code[0].op == expr::OpCode::LoadConst) {
+          bc.fields.push_back({OutputField::Kind::Literal,
+                               static_cast<std::uint32_t>(literals_.size())});
+          literals_.push_back(chunk.consts[code[0].a]);
+        } else {
+          bc.fields.push_back(
+              {OutputField::Kind::Computed,
+               static_cast<std::uint32_t>(bc.chunks.size())});
+        }
+        bc.chunks.push_back(std::move(chunk));
       }
-      bc.outputs.push_back(std::move(fields));
     }
     branches_.push_back(std::move(bc));
   }
@@ -82,16 +98,14 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
   std::vector<std::uint8_t> outer_bound(slots_.size(), 0);
   for (const JoinField& j : joins_.back()) outer_bound[j.slot] = 1;
 
-  const auto key = inner.key_constraint();
-  if (key) plan.key_field = static_cast<std::uint16_t>(key->first);
+  if (const auto key = inner.key_field()) {
+    plan.key_field = static_cast<std::uint16_t>(*key);
+  }
 
-  // Each check is built whole, in place, in its branch (kind, field, other,
-  // slot, imm, value; members left out keep their defaults): a default-built
-  // check moved in after its Value is assigned reads to GCC 12 as a
-  // maybe-uninitialized variant under the sanitizers.
   using Check = BatchPlan::FieldCheck;
   std::vector<std::uint16_t> first_field(slots_.size(), BatchPlan::kNoField);
   const auto& fields = inner.fields();
+  const std::vector<FieldOp>& inner_ops = field_ops_.back();
   for (std::size_t i = 0; i < fields.size(); ++i) {
     const PatternField& f = fields[i];
     const auto fi = static_cast<std::uint16_t>(i);
@@ -99,7 +113,8 @@ void CompiledReaction::build_batch_plan(const Reaction& reaction) {
       if (const std::int64_t* v = f.value().if_int()) {
         plan.checks.emplace_back(Check::Kind::LitInt, fi, 0, 0, *v);
       } else {
-        plan.checks.emplace_back(Check::Kind::Lit, fi, 0, 0, 0, f.value());
+        plan.checks.emplace_back(Check::Kind::Lit, fi, 0, 0,
+                                 std::int64_t{inner_ops[i].index});
       }
       continue;
     }
@@ -139,26 +154,19 @@ std::size_t CompiledReaction::instr_count() const noexcept {
   std::size_t n = 0;
   for (const BranchCode& bc : branches_) {
     if (bc.condition) n += bc.condition->code.size();
-    for (const auto& tuple : bc.outputs) {
-      for (const expr::Chunk& c : tuple) n += c.code.size();
-    }
+    for (const expr::Chunk& c : bc.chunks) n += c.code.size();
   }
   return n;
 }
 
-std::optional<std::uint32_t> CompiledReaction::apply(
-    std::span<const Value* const> slots, expr::Vm& vm, Outputs& out) const {
-  std::uint32_t firing = 0;
-  for (; firing < branches_.size(); ++firing) {
+std::optional<std::uint32_t> CompiledReaction::select(
+    std::span<const Value* const> slots, expr::Vm& vm) const {
+  for (std::uint32_t firing = 0; firing < branches_.size(); ++firing) {
     const BranchCode& bc = branches_[firing];
-    if (bc.is_else || !bc.condition) break;
-    if (vm.run(*bc.condition, slots).truthy()) break;
+    if (bc.is_else || !bc.condition) return firing;
+    if (vm.run(*bc.condition, slots).truthy()) return firing;
   }
-  if (firing == branches_.size()) return std::nullopt;
-  for (const auto& tuple : branches_[firing].outputs) {
-    for (const expr::Chunk& chunk : tuple) out.push_back(vm.run(chunk, slots));
-  }
-  return firing;
+  return std::nullopt;
 }
 
 Reaction::Reaction(std::string name, std::vector<Pattern> patterns,

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "gammaflow/common/inline_vec.hpp"
 #include "gammaflow/expr/ast.hpp"
 #include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/expr/env.hpp"
@@ -44,15 +43,27 @@ class CompiledReaction {
  public:
   explicit CompiledReaction(const Reaction& reaction);
 
-  /// A firing's output fields, tuple after tuple: the tuple arities are the
-  /// firing branch's. Inline for the output widths the paper uses.
-  using Outputs = InlineVec<Value, 8>;
+  /// How the firing branch produces one by-list field. A bare binder copies
+  /// its slot and a bare literal is one of literals(), so neither runs the
+  /// Vm and the match pipeline hands the store the field's cell as it is;
+  /// any other field runs its chunk.
+  struct OutputField {
+    enum class Kind : std::uint8_t { Slot, Literal, Computed };
+    Kind kind = Kind::Computed;
+    /// The slot, the index into literals(), or the index into `chunks`.
+    std::uint32_t index = 0;
+  };
 
   struct BranchCode {
     /// Missing = unconditional (or else) branch, mirroring Branch::condition.
     std::optional<expr::Chunk> condition;
     bool is_else = false;
-    std::vector<std::vector<expr::Chunk>> outputs;
+    /// The by-list fields, tuple after tuple (the tuple arities are those of
+    /// the Branch's outputs).
+    std::vector<OutputField> fields;
+    /// Every field's compiled expression, in field order; a Computed field
+    /// runs chunks[index].
+    std::vector<expr::Chunk> chunks;
   };
 
   /// Batch-matching plan for the INNERMOST pattern (the last replace-list
@@ -71,7 +82,7 @@ class CompiledReaction {
     struct FieldCheck {
       enum class Kind : std::uint8_t {
         LitInt,   // field holds Int `imm`
-        Lit,      // field equals `value` (non-Int literal; per-lane compare)
+        Lit,      // field equals literal `imm` of literals() (non-Int)
         EqField,  // field equals earlier field `other` of the same element
         EqSlot,   // field equals the outer binding of slot `slot`
       };
@@ -80,7 +91,6 @@ class CompiledReaction {
       std::uint16_t other = 0;
       std::uint16_t slot = 0;
       std::int64_t imm = 0;
-      Value value;
     };
     /// Innermost binders (first occurrence): slot -> source field. These are
     /// the lane columns the matcher gathers for condition slots.
@@ -138,17 +148,29 @@ class CompiledReaction {
   [[nodiscard]] const std::vector<BranchCode>& branches() const noexcept {
     return branches_;
   }
+  /// The reaction's literals: first every pattern literal, in replace-list
+  /// order (the Lit ops' indices), then every bare literal by-list field
+  /// (the Literal output fields'). A store the reaction runs on holds each
+  /// as a cell: runtime::MatchSite pins the strings once.
+  [[nodiscard]] const std::vector<Value>& literals() const noexcept {
+    return literals_;
+  }
+  /// literals()[i] is a pattern literal exactly when i < pattern_literals().
+  [[nodiscard]] std::size_t pattern_literals() const noexcept {
+    return pattern_literals_;
+  }
   /// Wall time spent compiling this reaction (`expr.compile_ms` metric).
   [[nodiscard]] double compile_ms() const noexcept { return compile_ms_; }
   /// Total bytecode instructions across all chunks.
   [[nodiscard]] std::size_t instr_count() const noexcept;
 
-  /// VM analogue of Reaction::apply over a slot frame: the index of the
-  /// firing branch under `slots` (nullopt: no branch fires), with that
-  /// branch's outputs appended to `out`. The same branch, outputs and thrown
-  /// error as the AST walker under the Env binding each slot's name.
-  [[nodiscard]] std::optional<std::uint32_t> apply(
-      std::span<const Value* const> slots, expr::Vm& vm, Outputs& out) const;
+  /// The index of the firing branch under `slots` (nullopt: no branch
+  /// fires): the first whose guard holds, the unconditional one, or the
+  /// else. The same branch and thrown error as Reaction::apply under the
+  /// Env binding each slot's name; running the branch's chunks in order then
+  /// gives its outputs.
+  [[nodiscard]] std::optional<std::uint32_t> select(
+      std::span<const Value* const> slots, expr::Vm& vm) const;
 
  private:
   void build_batch_plan(const Reaction& reaction);
@@ -157,6 +179,8 @@ class CompiledReaction {
   std::vector<std::vector<FieldOp>> field_ops_;
   std::vector<std::vector<JoinField>> joins_;
   std::vector<BranchCode> branches_;
+  std::vector<Value> literals_;
+  std::size_t pattern_literals_ = 0;
   std::optional<BatchPlan> batch_;
   double compile_ms_ = 0.0;
 };

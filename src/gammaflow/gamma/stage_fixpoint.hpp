@@ -8,9 +8,11 @@
 //
 // The kernel, fire_while_enabled, is the step of Eq. (1): fire one reaction
 // while it stays enabled, until a failed find proves it disabled (the index
-// search is exhaustive) or the gate stops it. Each reaction keeps an
-// AnchorMemo for the store, so a re-probe skips the candidates an earlier
-// failed sweep already ruled out (DESIGN §15.5).
+// search is exhaustive) or the gate stops it. Each reaction keeps a
+// runtime::MatchSite for the store: its literals pinned there, the Match and
+// Frame every find fills in place, and an AnchorMemo, so a re-probe skips
+// the candidates an earlier failed sweep already ruled out (DESIGN §15.5,
+// §15.6).
 //
 // The policy: shuffled passes over the reactions, running the kernel on each;
 // a full pass with no fire is the fixed-point proof.
@@ -43,20 +45,21 @@
 
 namespace gammaflow::gamma {
 
-/// The policy's state over one store: one AnchorMemo and one fire count per
-/// reaction of the stage (by stage position), plus the probe counters
-/// behind the `gamma.*` metrics. The memos belong to that store.
+/// The policy's state over one store: one MatchSite (with its AnchorMemo)
+/// and one fire count per reaction of the stage (by stage position), plus
+/// the probe counters behind the `gamma.*` metrics. The sites belong to
+/// that store.
 struct StageMemory {
   explicit StageMemory(std::size_t reactions)
-      : memos(reactions), fires(reactions, 0) {}
+      : sites(reactions), fires(reactions, 0) {}
 
   [[nodiscard]] std::uint64_t anchor_skips() const noexcept {
     std::uint64_t skips = 0;
-    for (const runtime::AnchorMemo& memo : memos) skips += memo.skips();
+    for (const runtime::MatchSite& site : sites) skips += site.memo().skips();
     return skips;
   }
 
-  std::vector<runtime::AnchorMemo> memos;
+  std::vector<runtime::MatchSite> sites;
   std::vector<std::uint64_t> fires;
   std::uint64_t attempts = 0;
   std::uint64_t failures = 0;
@@ -117,7 +120,7 @@ class LoopGate {
 };
 
 /// Fires `stage[idx]` while it stays enabled. Each attempt finds a match
-/// with the reaction's AnchorMemo, passes it through `gate.admit`, commits
+/// into the reaction's MatchSite, passes it through `gate.admit`, commits
 /// it to `gate.record()`, then calls `on_fire(match)`. Returns true when a
 /// failed find proved the reaction disabled, false when the gate stopped it
 /// first (it may then still be enabled). `rng` drives every pick.
@@ -127,22 +130,24 @@ bool fire_while_enabled(Store& store, const std::vector<Reaction>& stage,
                         const StageObs& ob, Gate& gate, OnFire&& on_fire) {
   obs::Telemetry* const tel = ob.tel;
   const Reaction& r = stage[idx];
+  runtime::MatchSite& site = mem.sites[idx];
+  const Match& match = site.match();
   while (!gate.should_stop()) {
     const std::uint64_t fire_start = tel ? tel->now_us() : 0;
-    auto match = runtime::MatchPipeline::find(store, r, &rng, &mem.memos[idx]);
+    const bool found = runtime::MatchPipeline::find(store, r, &rng, site);
     ++mem.attempts;
-    if (!match) {
+    if (!found) {
       ++mem.failures;
       return true;
     }
-    if (!gate.admit(store, *match)) return false;
+    if (!gate.admit(store, match)) return false;
     ++mem.fires[idx];
-    runtime::MatchPipeline::commit(store, *match, gate.record());
+    runtime::MatchPipeline::commit(store, match, gate.record());
     if (tel) {
       ob.fire_hist[idx]->observe(
           static_cast<double>(tel->now_us() - fire_start));
     }
-    on_fire(*match);
+    on_fire(match);
   }
   return false;
 }

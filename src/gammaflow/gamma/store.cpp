@@ -12,6 +12,8 @@ namespace gammaflow::gamma {
 
 namespace {
 std::atomic<std::uint64_t> g_column_compactions{0};
+std::atomic<std::uint64_t> g_lineages{0};
+thread_local StoreWork t_work;
 
 constexpr std::uint8_t tag_of(ValueKind kind) noexcept {
   return static_cast<std::uint8_t>(kind);
@@ -25,6 +27,7 @@ constexpr std::uint8_t kStrTag = tag_of(ValueKind::Str);
 /// A symbol's text hash: its home slot in the symbol index, and the tag
 /// an index entry keeps to skip most text compares.
 std::uint32_t text_hash(std::string_view text) noexcept {
+  ++t_work.symbol_hashes;
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ text.size();
   std::size_t i = 0;
   for (; i + 8 <= text.size(); i += 8) {
@@ -39,8 +42,15 @@ std::uint32_t text_hash(std::string_view text) noexcept {
                                     32);
 }
 
-/// `v` as a cell when it is not a string (a string needs the table).
-Store::Cell inline_cell(const Value& v) noexcept {
+}  // namespace
+
+StoreWork store_work() noexcept { return t_work; }
+
+std::uint64_t Store::next_lineage() noexcept {
+  return g_lineages.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+Store::Cell Store::inline_cell(const Value& v) noexcept {
   if (const std::int64_t* i = v.if_int()) return {kIntTag, *i};
   switch (v.kind()) {
     case ValueKind::Real:
@@ -51,7 +61,6 @@ Store::Cell inline_cell(const Value& v) noexcept {
       return {kNilTag, 0};
   }
 }
-}  // namespace
 
 Store::FieldKey::FieldKey(std::size_t f, Cell c) noexcept
     : field(f), tag(c.tag), payload(c.payload) {
@@ -65,19 +74,16 @@ Store::FieldKey::FieldKey(std::size_t f, Cell c) noexcept
   }
 }
 
-Value Store::field_value(const ColumnGroup& g, std::size_t row,
-                         std::size_t f) const {
-  const Column& c = g.cols[f];
-  const std::int64_t payload = c.data[row];
-  switch (c.tags[row]) {
+Value Store::value(Cell c) const {
+  switch (c.tag) {
     case kIntTag:
-      return Value(payload);
+      return Value(c.payload);
     case kRealTag:
-      return Value(std::bit_cast<double>(payload));
+      return Value(std::bit_cast<double>(c.payload));
     case kBoolTag:
-      return Value(payload != 0);
+      return Value(c.payload != 0);
     case kStrTag:
-      return symbols_[static_cast<std::size_t>(payload)];
+      return symbols_[static_cast<std::size_t>(c.payload)];
     default:
       return Value();
   }
@@ -104,7 +110,7 @@ void FieldSet::add(std::size_t field) {
 
 void FieldSet::add(const Reaction& reaction) {
   for (const Pattern& p : reaction.patterns()) {
-    if (const auto key = p.key_constraint()) add(key->first);
+    if (const auto key = p.key_field()) add(*key);
   }
   for (const auto& joins : reaction.compiled().joins()) {
     for (const CompiledReaction::JoinField& j : joins) add(j.field);
@@ -183,6 +189,7 @@ Store::Cell Store::intern(const Value& v) {
       id = static_cast<std::uint32_t>(symbols_.size());
       symbols_.push_back(v);
       symbol_holders_.push_back(0);
+      symbol_pinned_.push_back(0);
     } else {
       id = free_symbols_.back();
       free_symbols_.pop_back();
@@ -193,6 +200,25 @@ Store::Cell Store::intern(const Value& v) {
   const std::uint32_t id = entry_id(entry);
   ++symbol_holders_[id];
   return Cell{kStrTag, id};
+}
+
+Store::Cell Store::pin(const Value& v) {
+  const Cell c = intern(v);
+  if (c.tag != kStrTag) return c;
+  const auto id = static_cast<std::size_t>(c.payload);
+  if (symbol_pinned_[id] != 0) {
+    --symbol_holders_[id];  // the pin already holds it
+  } else {
+    symbol_pinned_[id] = 1;
+    ++pinned_count_;
+  }
+  return c;
+}
+
+std::size_t Store::symbol_holders(std::string_view text) const {
+  const std::size_t at = index_slot(text, text_hash(text));
+  if (symbol_index_.empty() || symbol_index_[at] == 0) return 0;
+  return symbol_holders_[entry_id(symbol_index_[at])];
 }
 
 void Store::unindex_symbol(std::uint32_t id) noexcept {
@@ -260,6 +286,7 @@ Store::Id Store::insert_row(std::size_t arity, CellOf&& cell_of_field) {
     locs_.push_back(Loc{});
     if ((id & 63) == 0) alive_.push_back(0);
     inserted_at_.push_back(0);
+    id_buckets_.resize(id_buckets_.size() + indexed_.fields().size());
   }
   alive_[id >> 6] |= std::uint64_t{1} << (id & 63);
 
@@ -279,17 +306,20 @@ Store::Id Store::insert_row(std::size_t arity, CellOf&& cell_of_field) {
 
   // Appending keeps every bucket sorted by insertion stamp.
   inserted_at_[id] = version_;
-  for (const std::size_t f : indexed_.fields()) {
-    if (f >= arity) break;
-    const Column& c = g.cols[f];
-    const auto [it, fresh] =
-        field_index_.try_emplace(FieldKey{f, Cell{c.tags[row], c.data[row]}});
+  const std::vector<std::size_t>& indexed = indexed_.fields();
+  std::uint32_t* slots = id_buckets_.data() + std::size_t{id} * indexed.size();
+  for (std::size_t j = 0; j < indexed.size() && indexed[j] < arity; ++j) {
+    const Column& c = g.cols[indexed[j]];
+    ++t_work.index_lookups;
+    const auto [it, fresh] = field_index_.try_emplace(
+        FieldKey{indexed[j], Cell{c.tags[row], c.data[row]}});
     if (fresh) {
       it->second = new_bucket_slot();
     } else if (buckets_[it->second].empty()) {
       --empty_buckets_;
     }
     buckets_[it->second].push_back(id);
+    slots[j] = it->second;
   }
   ++live_count_;
   ++version_;
@@ -302,16 +332,31 @@ Store::Id Store::insert(std::span<const Value> fields) {
                     [&](std::size_t f) { return intern(fields[f]); });
 }
 
+void Store::replace(const Match& match) {
+  for (const Cell c : match.outputs) {
+    if (c.tag == kStrTag) ++symbol_holders_[static_cast<std::size_t>(c.payload)];
+  }
+  for (const Id id : match.ids) remove(id);
+  match.for_each_output([&](std::span<const Cell> tuple) {
+    maybe_compact();
+    insert_row(tuple.size(), [&](std::size_t f) {
+      const Cell c = tuple[f];
+      return c.tag == kTextTag
+                 ? intern(match.texts[static_cast<std::size_t>(c.payload)])
+                 : c;
+    });
+  });
+}
+
 void Store::remove(Id id) {
   if (!alive(id)) throw EngineError("remove of dead element id");
   const Loc loc = locs_[id];
   ColumnGroup& g = groups_[loc.group];
-  for (const std::size_t f : indexed_.fields()) {
-    if (f >= g.arity) break;
-    const Column& c = g.cols[f];
-    const auto it = field_index_.find(
-        FieldKey{f, Cell{c.tags[loc.row], c.data[loc.row]}});
-    Bucket& bucket = buckets_[it->second];
+  const std::vector<std::size_t>& indexed = indexed_.fields();
+  const std::uint32_t* slots =
+      id_buckets_.data() + std::size_t{id} * indexed.size();
+  for (std::size_t j = 0; j < indexed.size() && indexed[j] < g.arity; ++j) {
+    Bucket& bucket = buckets_[slots[j]];
     unindex(bucket, id);
     // The emptied bucket keeps its slot (and its handles) until compact().
     if (bucket.empty()) ++empty_buckets_;
@@ -375,7 +420,9 @@ void Store::unindex(Bucket& bucket, Id id) const {
   // insertion order, so the bucket stays exactly what a fresh scan of the
   // live occupants would list. These buckets are the narrow ones; the
   // arity bucket is a group's live rows and needs no erase.
-  bucket.erase(lower_bound(bucket, inserted_at_[id]));
+  const auto at = lower_bound(bucket, inserted_at_[id]);
+  t_work.ids_shifted += static_cast<std::uint64_t>(bucket.end() - at - 1);
+  bucket.erase(at);
 }
 
 std::size_t Store::first_stamped(Candidates bucket,
@@ -398,13 +445,14 @@ Element Store::element(Id id) const {
   const ColumnGroup& g = groups_[loc.group];
   std::vector<Value> fields;
   fields.reserve(g.arity);
-  for (std::size_t f = 0; f < g.arity; ++f) {
-    fields.push_back(field_value(g, loc.row, f));
+  for (const Column& c : g.cols) {
+    fields.push_back(value(Cell{c.tags[loc.row], c.data[loc.row]}));
   }
   return Element(std::move(fields));
 }
 
-bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame) const {
+bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame,
+                 std::span<const Cell> literals) const {
   const RowRef r = row(id);
   const ColumnGroup& g = *r.group;
   if (g.arity != ops.size()) return false;
@@ -412,25 +460,25 @@ bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame) const {
     const FieldOp& op = ops[f];
     switch (op.kind) {
       case FieldOp::Kind::Lit:
-        if (!field_equals(r, f, op.value)) return false;
+        if (!g.cols[f].holds(r.row, literals[op.index])) return false;
         break;
       case FieldOp::Kind::Eq:
-        if (!field_equals(r, f, *frame.slot(op.slot))) return false;
+        if (!field_equals(r, f, *frame.slot(op.index))) return false;
         break;
       case FieldOp::Kind::Bind: {
         const Column& c = g.cols[f];
         const std::uint8_t tag = c.tags[r.row];
         const std::int64_t payload = c.data[r.row];
         if (tag == kIntTag) {
-          frame.bind_int(op.slot, payload);
+          frame.bind_int(op.index, payload);
         } else if (tag == kStrTag) {
-          frame.bind_ref(op.slot, symbols_[static_cast<std::size_t>(payload)]);
+          frame.bind_ref(op.index, symbols_[static_cast<std::size_t>(payload)]);
         } else if (tag == kRealTag) {
-          frame.bind_real(op.slot, std::bit_cast<double>(payload));
+          frame.bind_real(op.index, std::bit_cast<double>(payload));
         } else if (tag == kBoolTag) {
-          frame.bind_bool(op.slot, payload != 0);
+          frame.bind_bool(op.index, payload != 0);
         } else {
-          frame.bind_nil(op.slot);
+          frame.bind_nil(op.index);
         }
         break;
       }
@@ -440,10 +488,10 @@ bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame) const {
 }
 
 Store::Candidates Store::bucket(const Pattern& p) const {
-  if (auto key = p.key_constraint()) {
-    return Candidates{field_bucket(key->first, key->second), nullptr};
+  if (const auto key = p.key_field()) {
+    return Candidates{field_bucket(*key, p.fields()[*key].value()), nullptr};
   }
-  return Candidates{nullptr, group_of(p.arity())};
+  return arity_bucket(p.arity());
 }
 
 const Store::Bucket* Store::field_bucket(std::size_t field,
@@ -454,13 +502,18 @@ const Store::Bucket* Store::field_bucket(std::size_t field,
 
 Store::BucketHandle Store::field_handle(std::size_t field,
                                         const Value& value) const {
+  const std::optional<Cell> cell = cell_of(value);
+  return field_handle(field, cell ? *cell : Cell{kTextTag, 0});
+}
+
+Store::BucketHandle Store::field_handle(std::size_t field, Cell key) const {
   if (!indexed_.contains(field)) {
     throw EngineError(std::string("field bucket query on unindexed field ")
                           .append(std::to_string(field)));
   }
-  const std::optional<Cell> cell = cell_of(value);
-  if (!cell) return BucketHandle{};
-  const auto it = field_index_.find(FieldKey{field, *cell});
+  if (key.tag == kTextTag) return BucketHandle{};
+  ++t_work.index_lookups;
+  const auto it = field_index_.find(FieldKey{field, key});
   if (it == field_index_.end()) return BucketHandle{};
   return BucketHandle{it->second, bucket_generations_[it->second]};
 }
@@ -523,6 +576,7 @@ void Store::compact() {
       packed.stamps.push_back(g.stamps[row]);
     }
     packed.live.assign_set(packed.row_ids.size());
+    t_work.rows_copied += packed.row_ids.size();
     g = std::move(packed);
     ++column_compactions_;
     g_column_compactions.fetch_add(1, std::memory_order_relaxed);
@@ -576,10 +630,17 @@ Store::Id Store::nth_live(std::size_t k) const noexcept {
   return static_cast<Id>(w * 64 + select_in_word(alive_[w], k));
 }
 
-std::vector<Element> Match::produced() const {
+std::vector<Element> Match::produced(const Store& store) const {
   std::vector<Element> out;
-  for_each_output([&](std::span<const Value> tuple) {
-    out.emplace_back(std::vector<Value>(tuple.begin(), tuple.end()));
+  for_each_output([&](std::span<const Store::Cell> tuple) {
+    std::vector<Value> fields;
+    fields.reserve(tuple.size());
+    for (const Store::Cell c : tuple) {
+      fields.push_back(c.tag == Store::kTextTag
+                           ? texts[static_cast<std::size_t>(c.payload)]
+                           : store.value(c));
+    }
+    out.emplace_back(std::move(fields));
   });
   return out;
 }

@@ -24,13 +24,15 @@
 // literal key or a join field), the only ones a search ever probes. Other
 // fields cost insert() and remove() nothing.
 // Buckets are EXACT: every bucket lists precisely the live occupants with
-// its key, in insertion order, at all times. insert() appends; remove()
-// clears the row's live bit and unindexes the id from every (field, value)
-// bucket (binary search on the per-slot insertion stamp, then an ordered
-// erase — these buckets are the narrow ones). Nothing in a bucket is ever
-// stale, which keeps lookups read-only (safe for concurrent readers) and
-// keeps the seeded pick stream — rng->bounded(bucket size), then a cyclic
-// scan in insertion order — independent of when garbage was last collected.
+// its key, in insertion order, at all times. insert() appends and records,
+// per live id, the bucket slot of each of its indexed fields; remove()
+// clears the row's live bit and unindexes the id from those buckets through
+// the recorded slots, with no hash (binary search on the per-slot insertion
+// stamp, then an ordered erase — these buckets are the narrow ones). Nothing
+// in a bucket is ever stale, which keeps lookups read-only (safe for
+// concurrent readers) and keeps the seeded pick stream — rng->bounded(bucket
+// size), then a cyclic scan in insertion order — independent of when garbage
+// was last collected.
 //
 // The (field, value) buckets live in a BUCKET TABLE: a vector of id lists
 // the store owns, with a generation per slot, and a hash index from
@@ -45,7 +47,16 @@
 // compact() also rewrites column groups densely (inserts self-trigger it
 // once the dead-row debt crosses the threshold, so long worklist runs stay
 // O(live)) and, in the same pass, frees the symbols no live row holds: a
-// symbol's buckets are empty by then, so no key names a freed id.
+// symbol's buckets are empty by then, so no key names a freed id. A live
+// row's buckets are never empty, so compact() never frees a slot a live id
+// recorded.
+//
+// A fire never turns a label back into a Value. A reaction's literal
+// strings are PINNED in the store when the reaction binds to it (pin(): one
+// holder each, for the store's life, so compact() never frees them), and a
+// Match carries its outputs as this store's cells: a field copied from a
+// bound element is that element's cell, a literal its pinned cell. replace()
+// commits a Match with no string copied and none hashed but a computed one.
 //
 // The matching machinery itself (backtracking candidate search, batch
 // bitmap evaluation, commit) lives in
@@ -71,6 +82,21 @@
 #include "gammaflow/gamma/reaction.hpp"
 
 namespace gammaflow::gamma {
+
+struct Match;
+
+/// Work the stores of this thread have done, counted for the work-count
+/// tests: strings hashed into a symbol index, lookups of the (field, value)
+/// index, ids an ordered unindex shifted, and rows compact() copied.
+/// Monotone; read the delta over the operation of interest.
+struct StoreWork {
+  std::uint64_t symbol_hashes = 0;
+  std::uint64_t index_lookups = 0;
+  std::uint64_t ids_shifted = 0;
+  std::uint64_t rows_copied = 0;
+};
+/// This thread's counts so far.
+[[nodiscard]] StoreWork store_work() noexcept;
 
 /// The element fields a Store keeps (field, value) buckets for. A search
 /// probes a field bucket only for a pattern's key constraint (its first
@@ -125,6 +151,13 @@ class Store {
     std::uint8_t tag = 0;
     std::int64_t payload = 0;
   };
+  /// The tag of a cell that no column holds, so it equals no field and keys
+  /// no bucket: a string this store has not interned. In a Match's outputs
+  /// its payload indexes the string in Match::texts.
+  static constexpr std::uint8_t kTextTag = 0xff;
+
+  /// `v` as a cell, when `v` is not a string (a string needs a table).
+  [[nodiscard]] static Cell inline_cell(const Value& v) noexcept;
 
   /// One field of a column group: `data[row]` is the payload and
   /// `tags[row]` the ValueKind. Read-only outside Store; the batch matcher
@@ -216,9 +249,17 @@ class Store {
 
   Id insert(const Element& e) { return insert(std::span(e.fields())); }
   /// Inserts the element with these fields, written straight into the
-  /// columns (the commit path builds no Element).
+  /// columns; each string is hashed once, to intern it.
   Id insert(std::span<const Value> fields);
+  /// Unindexes `id` through the bucket slots its insert recorded and
+  /// releases its symbols: no hash. Throws EngineError when `id` is dead.
   void remove(Id id);
+  /// One step of (M - {x..}) + A(x..): removes the match's ids, then inserts
+  /// its output tuples. A symbol cell is held again with no hash (it is held
+  /// before the removes, so no compaction between frees it); a kTextTag
+  /// cell's string is interned. Precondition: the match was found on this
+  /// store, or on a copy with the same symbols, and its ids are alive.
+  void replace(const Match& match);
   /// Inserts `other`'s live elements in the order `other` stamped them
   /// (its insertion order): how the parallel engine merges two parts.
   void append(const Store& other);
@@ -252,8 +293,11 @@ class Store {
   /// the pattern's Bind slots then unspecified. The scalar probe of the
   /// match pipeline; the same verdict and bindings as
   /// Pattern::match(element(id), env). Precondition: alive(id).
-  [[nodiscard]] bool bind(std::span<const FieldOp> ops, Id id,
-                          Frame& frame) const;
+  /// `literals` are the reaction's literals as this store's cells
+  /// (CompiledReaction::literals(), a string never interned a kTextTag
+  /// cell); Lit ops compare cells.
+  [[nodiscard]] bool bind(std::span<const FieldOp> ops, Id id, Frame& frame,
+                          std::span<const Cell> literals) const;
   [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// The cell every field equal to `v` holds in this store (compare it with
@@ -261,6 +305,32 @@ class Store {
   /// store never interned. Hashes a string only when it is not a symbol
   /// table entry itself.
   [[nodiscard]] std::optional<Cell> cell_of(const Value& v) const;
+  /// The cell of `v` when `v` is an entry of this store's symbol table
+  /// itself (a string a frame slot bound from the store), read off its
+  /// address with no hash; nullopt for any other value.
+  [[nodiscard]] std::optional<Cell> symbol_cell(const Value& v) const noexcept {
+    const auto id = symbol_at(v);
+    if (!id) return std::nullopt;
+    return Cell{static_cast<std::uint8_t>(ValueKind::Str), *id};
+  }
+  /// The value a cell of this store holds (not a kTextTag cell).
+  [[nodiscard]] Value value(Cell c) const;
+
+  /// The cell of `v`, a string interned for the store's life: pinned
+  /// strings hold one holder each that nothing releases, so compact() never
+  /// frees them and their cells stay valid in this store and in its copies.
+  /// Pinning a pinned string adds nothing. A non-string is its inline cell.
+  Cell pin(const Value& v);
+  /// Strings pin() has pinned.
+  [[nodiscard]] std::size_t pinned_symbols() const noexcept {
+    return pinned_count_;
+  }
+  /// Holders of the string `text` in the symbol table: the live fields
+  /// holding it, plus one when it is pinned; 0 when it is not interned.
+  [[nodiscard]] std::size_t symbol_holders(std::string_view text) const;
+  /// Shared by a store and its copies, and by no other store: a cell pinned
+  /// in a store of one lineage is valid in every store of that lineage.
+  [[nodiscard]] std::uint64_t lineage() const noexcept { return lineage_; }
 
   /// Live elements whose field `field` equals `value`: the size of its
   /// (field, value) bucket when `field` is indexed, otherwise a sweep of
@@ -281,8 +351,15 @@ class Store {
   /// The bucket the pattern probes: the (field,value) bucket when the
   /// pattern carries a literal constraint, otherwise the arity bucket (its
   /// column group); false when no such bucket exists (nothing can match).
-  /// Read-only; valid until the next mutation.
+  /// Read-only; valid until the next mutation. The match pipeline probes
+  /// the same buckets by the key's pinned cell (field_handle) and
+  /// arity_bucket().
   [[nodiscard]] Candidates bucket(const Pattern& p) const;
+  /// The live elements of arity `arity` (its column group), in insertion
+  /// order; false when no element of that arity was ever inserted.
+  [[nodiscard]] Candidates arity_bucket(std::size_t arity) const noexcept {
+    return Candidates{nullptr, group_of(arity)};
+  }
 
   /// The (field,value) bucket: live ids of ANY arity whose field `field`
   /// holds `value`, or null when none does. Real -0.0 and 0.0 share a
@@ -300,6 +377,9 @@ class Store {
   /// field_bucket(field, value) on an unindexed field.
   [[nodiscard]] BucketHandle field_handle(std::size_t field,
                                           const Value& value) const;
+  /// The same for the key's cell in this store: one lookup of the
+  /// (field, value) index, no string hashed.
+  [[nodiscard]] BucketHandle field_handle(std::size_t field, Cell key) const;
 
   /// The bucket `handle` names, with no hash lookup: null when the handle
   /// is stale (its slot was freed by compact() since). A valid handle's
@@ -343,21 +423,16 @@ class Store {
   /// Exact: counted at remove().
   [[nodiscard]] std::uint64_t dead_rows() const noexcept { return dead_rows_; }
 
-  /// True once the garbage debt crosses kGarbageCompactThreshold: the next
-  /// exclusive section should call compact(). insert() also self-triggers
-  /// collection past the threshold (or when dead rows dwarf live ones), so
-  /// batch sweeps and memory stay O(live) even on paths that never check.
-  [[nodiscard]] bool needs_compact() const noexcept {
-    return dead_rows_ >= kGarbageCompactThreshold;
-  }
+  /// insert() collects once the garbage debt reaches this many dead rows
+  /// (or when dead rows dwarf live ones), so batch sweeps and memory stay
+  /// O(live).
   static constexpr std::uint64_t kGarbageCompactThreshold = 4096;
 
   /// Rewrites every column group densely (dropping dead rows), settling
   /// the garbage debt, frees the bucket table's empty slots (their handles
-  /// go stale) and the symbols no live row holds (their entries are
-  /// cleared, so a freed id never reads as its old string). Engines call
-  /// this from an exclusive section when needs_compact(). Field buckets
-  /// hold ids, not rows, so they need no rewrite.
+  /// go stale) and the symbols no live row holds and no pin holds (their
+  /// entries are cleared, so a freed id never reads as its old string).
+  /// Field buckets hold ids, not rows, so they need no rewrite.
   void compact();
 
   /// Column-group compactions performed by THIS store (the
@@ -426,6 +501,8 @@ class Store {
   }
   /// Drops symbol `id` from the symbol index.
   void unindex_symbol(std::uint32_t id) noexcept;
+  /// A lineage no store has had.
+  static std::uint64_t next_lineage() noexcept;
   /// The symbol id of `v` when it is an entry of the symbol table itself.
   [[nodiscard]] std::optional<std::uint32_t> symbol_at(
       const Value& v) const noexcept;
@@ -433,9 +510,6 @@ class Store {
   /// symbol already counted), and indexes it.
   template <typename CellOf>
   Id insert_row(std::size_t arity, CellOf&& cell_of_field);
-  /// Field f of `row` materialized back to a Value (any kind).
-  [[nodiscard]] Value field_value(const ColumnGroup& g, std::size_t row,
-                                  std::size_t f) const;
   /// Frees every symbol no live row holds (part of compact()).
   void free_unheld_symbols();
   std::uint32_t group_for_arity(std::size_t arity);
@@ -457,6 +531,10 @@ class Store {
   /// along every field bucket, so remove() finds an id by binary search.
   std::vector<std::uint64_t> inserted_at_;
   std::vector<Id> free_list_;
+  /// Per slot id, the bucket table slot of each indexed field its occupant
+  /// has (indexed_.fields() order, those below its arity): remove() finds
+  /// the buckets with no hash.
+  std::vector<std::uint32_t> id_buckets_;
   std::size_t live_count_ = 0;
   std::uint64_t dead_rows_ = 0;
   std::uint64_t version_ = 0;
@@ -476,6 +554,10 @@ class Store {
   std::vector<std::uint32_t> free_symbols_;
   /// Symbols whose holder count fell to 0 since the last compact().
   std::vector<std::uint32_t> unheld_symbols_;
+  /// Id -> 1 when pin() pinned it (then never freed).
+  std::vector<std::uint8_t> symbol_pinned_;
+  std::size_t pinned_count_ = 0;
+  std::uint64_t lineage_ = next_lineage();
   /// Text -> symbol id, open addressing with linear probing over a
   /// power-of-two table at most half full: an entry packs the text's hash
   /// (high half) and id + 1 (low half); 0 is empty.
@@ -487,28 +569,34 @@ class Store {
 [[nodiscard]] std::uint64_t column_compactions_total() noexcept;
 
 /// One enabled match of a reaction, as runtime::MatchPipeline finds it:
-/// which elements, which branch fires, and the values that branch produces.
+/// which elements, which branch fires, and the fields that branch produces.
 /// Everything is inline for the reaction sizes the paper uses, so finding
 /// and committing a match allocates nothing.
 struct Match {
   const Reaction* reaction = nullptr;
   InlineVec<Store::Id, 4> ids;  // one per pattern, all distinct
   std::uint32_t branch = 0;     // index of the firing branch
-  /// The firing branch's output fields, evaluated when the match was found
-  /// (so an evaluation error surfaces at the search, as the walker's does).
-  CompiledReaction::Outputs outputs;
+  /// The firing branch's output fields as cells of the store searched,
+  /// tuple after tuple, evaluated when the match was found (so an
+  /// evaluation error surfaces at the search, as the walker's does). A
+  /// string that is not a symbol there yet (a computed one) is a kTextTag
+  /// cell whose payload indexes `texts`.
+  InlineVec<Store::Cell, 8> outputs;
+  InlineVec<Value, 2> texts;
 
-  /// Calls fn(std::span<const Value>) once per produced tuple, in order.
+  /// Calls fn(std::span<const Store::Cell>) once per produced tuple, in
+  /// order.
   template <typename Fn>
   void for_each_output(Fn&& fn) const {
-    const Value* at = outputs.data();
+    const Store::Cell* at = outputs.data();
     for (const auto& tuple : reaction->branches()[branch].outputs) {
-      fn(std::span<const Value>(at, tuple.size()));
+      fn(std::span<const Store::Cell>(at, tuple.size()));
       at += tuple.size();
     }
   }
-  /// The produced tuples as Elements (journals, WAL, tests).
-  [[nodiscard]] std::vector<Element> produced() const;
+  /// The produced tuples as Elements, read off `store` (the store searched
+  /// or a copy of it): journals, WAL, tests.
+  [[nodiscard]] std::vector<Element> produced(const Store& store) const;
 };
 
 }  // namespace gammaflow::gamma

@@ -23,14 +23,16 @@ bool fields_equal(const Store::ColumnGroup& g, std::uint32_t row,
 bool BatchMatcher::begin(const gamma::Store& store,
                          const gamma::Reaction& reaction,
                          const Scan& scan, std::uint16_t join_field,
-                         std::span<const Value* const> outer) {
+                         std::span<const Value* const> outer,
+                         std::span<const Store::Cell> literals) {
   using Kind = CompiledReaction::BatchPlan::FieldCheck::Kind;
   const CompiledReaction::BatchPlan* plan = reaction.compiled().batch_plan();
   if (plan == nullptr) return false;
 
   // Field checks minus the one the probed (field, value) bucket implies.
-  // A literal or outer binding (any kind) is encoded as a store cell once
-  // here, so every lane compares payloads.
+  // A literal is the reaction's cell for it, and an outer binding (any
+  // kind) is encoded as a store cell once here, so every lane compares
+  // payloads.
   const std::uint16_t implied =
       join_field != CompiledReaction::BatchPlan::kNoField ? join_field
                                                           : plan->key_field;
@@ -43,7 +45,7 @@ bool BatchMatcher::begin(const gamma::Store& store,
         active.cell = Store::Cell{kIntTag, check.imm};
         break;
       case Kind::Lit:
-        active.cell = store.cell_of(check.value);
+        active.cell = literals[static_cast<std::size_t>(check.imm)];
         break;
       case Kind::EqSlot:
         active.cell = store.cell_of(*outer[check.slot]);

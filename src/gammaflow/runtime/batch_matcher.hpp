@@ -141,7 +141,8 @@ class BatchMatcher {
   static constexpr std::size_t kMaxChunk = 1024;
 
   /// Prepares a sweep of `scan` (the innermost candidate bucket) for
-  /// `reaction` under the outer bindings in the frame slots `outer`.
+  /// `reaction` under the outer bindings in the frame slots `outer`, with
+  /// the reaction's literals as the store's cells in `literals`.
   /// `join_field` names
   /// the join field whose (field, bound value) bucket `scan` runs over, or is
   /// BatchPlan::kNoField for the pattern's base bucket; the field check
@@ -155,7 +156,8 @@ class BatchMatcher {
   [[nodiscard]] bool begin(const gamma::Store& store,
                            const gamma::Reaction& reaction, const Scan& scan,
                            std::uint16_t join_field,
-                           std::span<const Value* const> outer);
+                           std::span<const Value* const> outer,
+                           std::span<const gamma::Store::Cell> literals);
 
   /// Takes the next `width` entries of the scan from `at` and computes
   /// their fire bits: fire()[j] covers id(j), the j-th entry taken.

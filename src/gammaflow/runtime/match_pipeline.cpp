@@ -15,6 +15,7 @@ using gamma::Frame;
 using gamma::Match;
 using gamma::Reaction;
 using gamma::Store;
+using Cell = Store::Cell;
 
 /// This thread's bytecode Vm for conditions and outputs.
 expr::Vm& thread_vm() {
@@ -33,6 +34,12 @@ expr::Vm& thread_vm() {
 // pattern d's field ops on the candidate's columns, writing only the slots
 // pattern d binds first, so backtracking needs no copy (DESIGN.md §15.6).
 // The Match is likewise filled in place, and the visitor sees it complete.
+// Both are the caller's. `literals` are the reaction's literals as cells of
+// `store` (a kTextTag cell for a string the store does not hold): the Lit
+// field checks compare them, a literal key probes by its cell, and a
+// literal output is its cell unless it is a kTextTag one. A copied binder
+// output is its slot's cell; only a computed output runs the Vm. `keys`,
+// when not empty, caches each pattern's literal-key bucket handle.
 //
 // Each depth's BASE bucket is the pattern's literal-key bucket or its arity
 // bucket. A depth with join fields (CompiledReaction::joins) probes the
@@ -55,7 +62,9 @@ expr::Vm& thread_vm() {
 template <typename Visit>
 std::size_t search(const Store& store, const Reaction& reaction,
                    std::size_t limit, Rng* rng, AnchorMemo* memo,
-                   Visit&& fn) {
+                   std::span<const Cell> literals,
+                   std::span<Store::BucketHandle> keys, Frame& frame,
+                   Match& m, Visit&& fn) {
   const CompiledReaction& compiled = reaction.compiled();
   const auto& patterns = reaction.patterns();
   const auto& joins = compiled.joins();
@@ -65,26 +74,77 @@ std::size_t search(const Store& store, const Reaction& reaction,
 
   InlineVec<Store::Candidates, 4> buckets;
   for (std::size_t i = 0; i < k; ++i) {
-    const Store::Candidates b = store.bucket(patterns[i]);
+    Store::Candidates b = store.arity_bucket(patterns[i].arity());
+    if (const auto key = patterns[i].key_field()) {
+      const Store::Bucket* ids =
+          keys.empty() ? nullptr : store.field_bucket(keys[i]);
+      if (ids == nullptr) {
+        const Store::BucketHandle handle =
+            store.field_handle(*key, literals[ops[i][*key].index]);
+        if (!keys.empty()) keys[i] = handle;
+        ids = store.field_bucket(handle);
+      }
+      b = Store::Candidates{ids, nullptr};
+    }
     if (b.empty()) return 0;
     buckets.push_back(b);
   }
 
-  Frame frame(compiled.slots().size());
-  Match m;
   m.reaction = &reaction;
   m.ids.resize(k);
   expr::Vm& vm = thread_vm();
   std::size_t visited = 0;
   bool stop = false;
 
+  // A string output that is no symbol of the store goes to m.texts.
+  const auto push_text = [&m](Value text) {
+    m.outputs.push_back(
+        Cell{Store::kTextTag, static_cast<std::int64_t>(m.texts.size())});
+    m.texts.push_back(std::move(text));
+  };
+  const auto fill_outputs = [&](const CompiledReaction::BranchCode& bc) {
+    m.outputs.clear();
+    m.texts.clear();
+    for (const CompiledReaction::OutputField& out : bc.fields) {
+      switch (out.kind) {
+        case CompiledReaction::OutputField::Kind::Slot: {
+          const Value& v = *frame.slot(out.index);
+          if (!v.is_str()) {
+            m.outputs.push_back(Store::inline_cell(v));
+          } else if (const auto cell = store.symbol_cell(v)) {
+            m.outputs.push_back(*cell);
+          } else {
+            push_text(v);
+          }
+          break;
+        }
+        case CompiledReaction::OutputField::Kind::Literal:
+          if (literals[out.index].tag == Store::kTextTag) {
+            push_text(compiled.literals()[out.index]);
+          } else {
+            m.outputs.push_back(literals[out.index]);
+          }
+          break;
+        case CompiledReaction::OutputField::Kind::Computed: {
+          Value v = vm.run(bc.chunks[out.index], frame.slots());
+          if (v.is_str()) {
+            push_text(std::move(v));
+          } else {
+            m.outputs.push_back(Store::inline_cell(v));
+          }
+          break;
+        }
+      }
+    }
+  };
+
   auto dfs = [&](auto&& self, std::size_t depth) -> void {
     if (stop) return;
     if (depth == k) {
-      m.outputs.clear();
-      const auto branch = compiled.apply(frame.slots(), vm, m.outputs);
+      const auto branch = compiled.select(frame.slots(), vm);
       if (!branch) return;  // patterns matched but no branch fires
       m.branch = *branch;
+      fill_outputs(compiled.branches()[*branch]);
       ++visited;
       if (!fn(m) || visited >= limit) stop = true;
       return;
@@ -139,7 +199,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
       for (std::size_t d = 0; d < depth; ++d) {
         if (m.ids[d] == id) return;
       }
-      if (!store.bind(depth_ops, id, frame)) return;
+      if (!store.bind(depth_ops, id, frame, literals)) return;
       m.ids[depth] = id;
       self(self, depth + 1);
     };
@@ -152,7 +212,8 @@ std::size_t search(const Store& store, const Reaction& reaction,
       // are identical to the scalar scan, which serves the whole bucket
       // when the reaction has no batch plan.
       thread_local BatchMatcher matcher;
-      if (matcher.begin(store, reaction, scan, join_field, frame.slots())) {
+      if (matcher.begin(store, reaction, scan, join_field, frame.slots(),
+                        literals)) {
         std::size_t width = BatchMatcher::kMinChunk;
         while (at.taken() < scan.size && !stop) {
           const std::size_t w = std::min(width, scan.size - at.taken());
@@ -178,24 +239,95 @@ std::size_t search(const Store& store, const Reaction& reaction,
   return visited;
 }
 
+/// The reaction's literals as cells of a store that is only read: a
+/// pattern literal the store holds is its symbol, and a string literal
+/// otherwise a kTextTag cell. A literal output string is always kTextTag
+/// (its text), as no pin keeps a symbol alive until the commit.
+InlineVec<Cell, 8> unpinned_literals(const Store& store,
+                                     const CompiledReaction& compiled) {
+  InlineVec<Cell, 8> cells;
+  const std::vector<Value>& literals = compiled.literals();
+  for (std::size_t i = 0; i < literals.size(); ++i) {
+    const Value& v = literals[i];
+    if (!v.is_str()) {
+      cells.push_back(Store::inline_cell(v));
+    } else {
+      const auto held = i < compiled.pattern_literals() ? store.cell_of(v)
+                                                        : std::nullopt;
+      cells.push_back(held.value_or(Cell{Store::kTextTag, 0}));
+    }
+  }
+  return cells;
+}
+
 }  // namespace
+
+MatchSite::MatchSite(const MatchSite& other)
+    : reaction_(other.reaction_),
+      lineage_(other.lineage_),
+      literals_(other.literals_),
+      keys_(other.keys_),
+      match_(other.match_),
+      memo_(other.memo_) {
+  frame_.resize(other.frame_.size());
+}
+
+MatchSite& MatchSite::operator=(const MatchSite& other) {
+  if (this != &other) {
+    reaction_ = other.reaction_;
+    lineage_ = other.lineage_;
+    literals_ = other.literals_;
+    keys_ = other.keys_;
+    frame_.resize(other.frame_.size());
+    match_ = other.match_;
+    memo_ = other.memo_;
+  }
+  return *this;
+}
+
+void MatchSite::bind(Store& store, const Reaction& reaction) {
+  if (reaction_ == &reaction && lineage_ == store.lineage()) return;
+  const CompiledReaction& compiled = reaction.compiled();
+  literals_.clear();
+  for (const Value& v : compiled.literals()) literals_.push_back(store.pin(v));
+  keys_.clear();
+  keys_.resize(reaction.arity());
+  frame_.resize(compiled.slots().size());
+  reaction_ = &reaction;
+  lineage_ = store.lineage();
+}
+
+bool MatchPipeline::find(Store& store, const Reaction& reaction, Rng* rng,
+                         MatchSite& site) {
+  site.bind(store, reaction);
+  return search(store, reaction, 1, rng, &site.memo_, site.literals_,
+                std::span(site.keys_.data(), site.keys_.size()), site.frame_,
+                site.match_, [](const Match&) { return false; }) != 0;
+}
 
 std::optional<Match> MatchPipeline::find(const Store& store,
                                          const Reaction& reaction, Rng* rng,
                                          AnchorMemo* memo) {
-  std::optional<Match> found;
-  search(store, reaction, 1, rng, memo, [&](Match& m) {
-    found = std::move(m);
-    return false;
-  });
+  const InlineVec<Cell, 8> literals =
+      unpinned_literals(store, reaction.compiled());
+  Frame frame(reaction.compiled().slots().size());
+  std::optional<Match> found(std::in_place);
+  if (search(store, reaction, 1, rng, memo, literals.span(), {}, frame,
+             *found, [](const Match&) { return false; }) == 0) {
+    found.reset();
+  }
   return found;
 }
 
 std::size_t MatchPipeline::enumerate(
     const Store& store, const Reaction& reaction, std::size_t limit,
     const std::function<bool(const Match&)>& fn) {
-  return search(store, reaction, limit, nullptr, nullptr,
-                [&](const Match& m) { return fn(m); });
+  const InlineVec<Cell, 8> literals =
+      unpinned_literals(store, reaction.compiled());
+  Frame frame(reaction.compiled().slots().size());
+  Match m;
+  return search(store, reaction, limit, nullptr, nullptr, literals.span(), {},
+                frame, m, [&](const Match& found) { return fn(found); });
 }
 
 void MatchPipeline::commit(Store& store, const Match& match,
@@ -211,14 +343,12 @@ void MatchPipeline::commit(Store& store, const Match& match,
     for (const Store::Id id : match.ids) {
       fire.consumed.push_back(store.element(id).to_string());
     }
-    for (const gamma::Element& e : match.produced()) {
+    for (const gamma::Element& e : match.produced(store)) {
       fire.produced.push_back(e.to_string());
     }
     rec->recorder->fire(std::move(fire));
   }
-  for (const Store::Id id : match.ids) store.remove(id);
-  match.for_each_output(
-      [&](std::span<const Value> fields) { store.insert(fields); });
+  store.replace(match);
 }
 
 void add_fires(const std::vector<gamma::Reaction>& stage,

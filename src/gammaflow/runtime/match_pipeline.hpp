@@ -14,14 +14,20 @@
 //               per-element probes, falling back to the scalar bytecode
 //               scan whenever the reaction has no batch plan or a chunk
 //               faults. Candidates bind into one slot frame per search,
-//               and conditions and outputs always run the reaction's
-//               compiled bytecode on it; Reaction::apply(env) (the AST
-//               walker) is the reference the differential tests compare
-//               against.
+//               and conditions and computed outputs always run the
+//               reaction's compiled bytecode on it; Reaction::apply(env)
+//               (the AST walker) is the reference the differential tests
+//               compare against. The engines' find fills the Match and
+//               Frame of a caller-owned MatchSite, in which the reaction's
+//               literals are pinned store cells, so a steady-state fire
+//               builds no Value for a label, copies no string and hashes
+//               none: a copied label or a literal reaches the Match as its
+//               cell.
 //   enumerate — every enabled match up to a limit (the SequentialEngine's
 //               Eq. (1)-literal uniform choice, and match counting).
 //   commit    — apply a match: remove consumed ids, insert produced
-//               elements. One step of (M - {x..}) + A(x..).
+//               elements (Store::replace). One step of (M - {x..}) +
+//               A(x..).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "gammaflow/common/inline_vec.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/options.hpp"
@@ -98,14 +105,57 @@ class AnchorMemo {
   std::uint64_t skips_ = 0;
 };
 
+/// One reaction's search state over one store, owned by the caller and
+/// reused by every find (DESIGN.md §15.6): the reaction's literals as the
+/// store's cells (its strings pinned there once, Store::pin), the handle of
+/// each literal-key bucket as last found, the slot Frame a search binds
+/// into, the Match it fills, and the reaction's AnchorMemo. A site binds on
+/// its first find, and again when it meets another reaction or a store of
+/// another lineage (Store::lineage); a copy stays bound, since a copy of the
+/// store holds the same pins. StageMemory keeps one per reaction.
+class MatchSite {
+ public:
+  MatchSite() = default;
+  MatchSite(const MatchSite& other);
+  MatchSite& operator=(const MatchSite& other);
+
+  /// The match the last successful find filled.
+  [[nodiscard]] const gamma::Match& match() const noexcept { return match_; }
+  [[nodiscard]] AnchorMemo& memo() noexcept { return memo_; }
+  [[nodiscard]] const AnchorMemo& memo() const noexcept { return memo_; }
+
+ private:
+  friend struct MatchPipeline;
+  /// Pins the reaction's literals in `store` unless bound to both already.
+  void bind(gamma::Store& store, const gamma::Reaction& reaction);
+
+  const gamma::Reaction* reaction_ = nullptr;
+  std::uint64_t lineage_ = 0;
+  std::vector<gamma::Store::Cell> literals_;  // CompiledReaction::literals()
+  InlineVec<gamma::Store::BucketHandle, 4> keys_;  // one per pattern
+  gamma::Frame frame_;
+  gamma::Match match_;
+  AnchorMemo memo_;
+};
+
 struct MatchPipeline {
-  /// One enabled match of `reaction` (patterns match AND a branch fires),
-  /// or nullopt after an EXHAUSTIVE failed search (the fixed-point proof the
-  /// engines' termination detection rests on). `memo`, when given, is the
-  /// reaction's AnchorMemo: read to skip proved failures and updated after
-  /// each anchor sweep that completes with no fire. It changes neither the
-  /// rng stream nor the match found; a null memo is an empty one, and
-  /// reactions of other than two patterns ignore it.
+  /// The engines' find: fills `site.match()` with one enabled match of
+  /// `reaction` (patterns match AND a branch fires) and returns true, or
+  /// returns false after an EXHAUSTIVE failed search (the fixed-point proof
+  /// the engines' termination detection rests on). Binds the site to
+  /// (store, reaction) first when needed, which may pin strings in `store`;
+  /// otherwise the store is only read. The site's AnchorMemo is read to
+  /// skip proved failures and updated after each anchor sweep that
+  /// completes with no fire. It changes neither the rng stream nor the
+  /// match found, and reactions of other than two patterns ignore it.
+  [[nodiscard]] static bool find(gamma::Store& store,
+                                 const gamma::Reaction& reaction, Rng* rng,
+                                 MatchSite& site);
+
+  /// The same search on a store it only reads, with a fresh Frame and Match
+  /// and no pins: a literal string is looked up by its text, and the match
+  /// returned, or nullopt. `memo`, when given, acts as the site's; a null
+  /// memo is an empty one.
   [[nodiscard]] static std::optional<gamma::Match> find(
       const gamma::Store& store, const gamma::Reaction& reaction,
       Rng* rng = nullptr, AnchorMemo* memo = nullptr);
@@ -121,8 +171,9 @@ struct MatchPipeline {
       std::size_t limit, const std::function<bool(const gamma::Match&)>& fn);
 
   /// Applies a match: removes the consumed ids, then writes the match's
-  /// output tuples straight into the store's columns. Precondition: all ids
-  /// alive (the match is from a find on the store as it is now).
+  /// output cells straight into the store's columns (Store::replace).
+  /// Precondition: all ids alive, and the match found on this store or on
+  /// a copy of it.
   ///
   /// With a RecordCtx whose recorder is set, emits the firing's provenance
   /// (reaction, consumed elements rendered BEFORE removal, produced) to the

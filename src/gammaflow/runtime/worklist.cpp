@@ -28,19 +28,53 @@ WakeupIndex::WakeupIndex(const std::vector<WakeKeys>& keys)
   }
 }
 
-void WakeupIndex::wake(std::span<const Value> fields,
-                       std::vector<std::size_t>& out) const {
-  out.insert(out.end(), always_.begin(), always_.end());
-  if (fields.size() >= 2 && fields[1].is_str()) {
-    const auto it = by_label_.find(fields[1].as_str());
-    if (it != by_label_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
+void WakeupIndex::pin_labels(gamma::Store& store) {
+  for (const auto& [label, woken] : by_label_) {
+    const auto id = static_cast<std::size_t>(store.pin(Value(label)).payload);
+    if (by_symbol_.size() <= id) by_symbol_.resize(id + 1);
+    by_symbol_[id] = woken;
   }
-  const auto it = by_arity_.find(fields.size());
+}
+
+const std::vector<std::size_t>* WakeupIndex::by_text(
+    const Value& label) const {
+  if (!label.is_str()) return nullptr;
+  const auto it = by_label_.find(label.as_str());
+  return it != by_label_.end() ? &it->second : nullptr;
+}
+
+void WakeupIndex::wake_by(const std::vector<std::size_t>* by_label,
+                          std::size_t arity,
+                          std::vector<std::size_t>& out) const {
+  out.insert(out.end(), always_.begin(), always_.end());
+  if (by_label != nullptr) {
+    out.insert(out.end(), by_label->begin(), by_label->end());
+  }
+  const auto it = by_arity_.find(arity);
   if (it != by_arity_.end()) {
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
+}
+
+void WakeupIndex::wake(std::span<const Value> fields,
+                       std::vector<std::size_t>& out) const {
+  wake_by(fields.size() >= 2 ? by_text(fields[1]) : nullptr, fields.size(),
+          out);
+}
+
+void WakeupIndex::wake(std::span<const gamma::Store::Cell> fields,
+                       std::span<const Value> texts,
+                       std::vector<std::size_t>& out) const {
+  const std::vector<std::size_t>* by_label = nullptr;
+  if (fields.size() >= 2) {
+    const auto at = static_cast<std::size_t>(fields[1].payload);
+    if (fields[1].tag == static_cast<std::uint8_t>(ValueKind::Str)) {
+      by_label = at < by_symbol_.size() ? &by_symbol_[at] : nullptr;
+    } else if (fields[1].tag == gamma::Store::kTextTag) {
+      by_label = by_text(texts[at]);
+    }
+  }
+  wake_by(by_label, fields.size(), out);
 }
 
 namespace {
@@ -82,6 +116,7 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
                       std::to_string(reactions_->size()));
   }
   dirty_.assign(reactions_->size(), 0);
+  index_.pin_labels(store_);
   // The journal opens on the empty store; every injection's quiescent state
   // is one round (DESIGN §11), so replaying the rounds reproduces `final`.
   recording_.begin(gamma::Multiset{});
@@ -90,6 +125,10 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
 void IncrementalFixpoint::wake_element(std::span<const Value> fields) {
   wake_scratch_.clear();
   index_.wake(fields, wake_scratch_);
+  wake_queue();
+}
+
+void IncrementalFixpoint::wake_queue() {
   for (const std::size_t idx : wake_scratch_) {
     if (dirty_[idx] != 0) continue;
     dirty_[idx] = 1;
@@ -102,8 +141,11 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
   gamma::LoopGate gate(loop, stats_.fires, recording_, 0);
   const auto on_fire = [this](const gamma::Match& match) {
     ++last_fires_;
-    match.for_each_output(
-        [this](std::span<const Value> produced) { wake_element(produced); });
+    match.for_each_output([&](std::span<const gamma::Store::Cell> produced) {
+      wake_scratch_.clear();
+      index_.wake(produced, match.texts.span(), wake_scratch_);
+      wake_queue();
+    });
   };
   while (!queue_.empty() && loop.running()) {
     // The reaction stays queued and dirty while it fires, so the wakes of

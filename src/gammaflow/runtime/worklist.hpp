@@ -71,16 +71,35 @@ class WakeupIndex {
     return reactions_;
   }
 
+  /// Pins every key label in `store` (Store::pin), so that wake() finds a
+  /// produced label cell of that store by its symbol id, with no hash.
+  void pin_labels(gamma::Store& store);
+
   /// Appends every reaction index whose keys admit the element with these
   /// fields: the always-wake list, the label bucket for its string field 1
   /// (when present), and the arity bucket for its arity. A reaction keyed
   /// on both the label and the arity appears twice; callers dedup via their
   /// dirty flags.
   void wake(std::span<const Value> fields, std::vector<std::size_t>& out) const;
+  /// The same for a fire's output tuple as Match::outputs holds it: cells of
+  /// the store pin_labels() pinned the labels in, a kTextTag one indexing
+  /// `texts`.
+  void wake(std::span<const gamma::Store::Cell> fields,
+            std::span<const Value> texts, std::vector<std::size_t>& out) const;
 
  private:
+  /// The label bucket of `label`, or null when it is no key label.
+  [[nodiscard]] const std::vector<std::size_t>* by_text(
+      const Value& label) const;
+  /// Appends the always-wake list, `by_label` (when not null) and the
+  /// arity bucket of `arity`, in that order.
+  void wake_by(const std::vector<std::size_t>* by_label, std::size_t arity,
+               std::vector<std::size_t>& out) const;
+
   std::size_t reactions_;
   std::unordered_map<std::string, std::vector<std::size_t>> by_label_;
+  /// by_label_ by the pinned symbol id of each label (empty past them).
+  std::vector<std::vector<std::size_t>> by_symbol_;
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_arity_;
   std::vector<std::size_t> always_;
 };
@@ -148,6 +167,7 @@ class IncrementalFixpoint {
 
  private:
   void wake_element(std::span<const Value> fields);
+  void wake_queue();
   Outcome saturate(StepLoop& loop);
 
   gamma::Program program_;

@@ -413,8 +413,8 @@ struct SeenMatch {
   std::vector<gamma::Store::Id> ids;
   std::vector<gamma::Element> produced;
 
-  static SeenMatch of(const gamma::Match& m) {
-    return {{m.ids.begin(), m.ids.end()}, m.produced()};
+  static SeenMatch of(const gamma::Match& m, const gamma::Store& store) {
+    return {{m.ids.begin(), m.ids.end()}, m.produced(store)};
   }
   friend bool operator==(const SeenMatch&, const SeenMatch&) = default;
 };
@@ -506,7 +506,8 @@ constexpr std::size_t kEnumerateLimit = 256;
 
 /// Runs `program` from `initial` one step at a time. Each step tries the
 /// current stage's reactions in order; for each, MatchPipeline::find (rng A,
-/// with one AnchorMemo per reaction carried across steps) and the memo-less
+/// with one MatchSite per reaction carried across steps: its literals pinned
+/// in the store, its AnchorMemo, its Match's output cells) and the memo-less
 /// reference scan (rng B, seeded like A) must give the same ids, produced
 /// elements and error text, and (with `check_enumerate`)
 /// MatchPipeline::enumerate must visit exactly the reference enumeration. A
@@ -523,7 +524,7 @@ std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
   Rng reference_rng(seed);
   std::size_t fires = 0;
   for (const auto& stage : program.stages()) {
-    std::vector<runtime::AnchorMemo> memos(stage.size());
+    std::vector<runtime::MatchSite> sites(stage.size());
     bool progressed = true;
     while (progressed && fires < max_steps) {
       progressed = false;
@@ -538,26 +539,26 @@ std::size_t expect_pipeline_matches_reference(const gamma::Program& program,
           const Probe got_all = probe([&](const auto& visit) {
             (void)runtime::MatchPipeline::enumerate(
                 store, r, kEnumerateLimit, [&](const gamma::Match& m) {
-                  visit(SeenMatch::of(m));
+                  visit(SeenMatch::of(m, store));
                   return true;
                 });
           });
           EXPECT_EQ(got_all, want_all) << where << " (enumerate)";
         }
 
-        std::optional<gamma::Match> found;
+        bool found = false;
         const Probe want = probe([&](const auto& visit) {
           reference_search(store, r, 1, &reference_rng, visit);
         });
         const Probe got = probe([&](const auto& visit) {
           found = runtime::MatchPipeline::find(store, r, &pipeline_rng,
-                                               &memos[ri]);
-          if (found) visit(SeenMatch::of(*found));
+                                               sites[ri]);
+          if (found) visit(SeenMatch::of(sites[ri].match(), store));
         });
         EXPECT_EQ(got, want) << where << " (find)";
         if (got != want || !got.error.empty()) return fires;
         if (!found) continue;
-        runtime::MatchPipeline::commit(store, *found);
+        runtime::MatchPipeline::commit(store, sites[ri].match());
         ++fires;
         progressed = true;
         if (fires >= max_steps) break;
@@ -1282,10 +1283,11 @@ TEST(BatchCorpus, CompiledReactionExposesItsBatchPlan) {
 }
 
 TEST(BytecodeCorpus, CompiledApplyOverAFrameMatchesTheWalker) {
-  // CompiledReaction::apply over a slot frame against Reaction::apply over
-  // the Env that Reaction::match binds: the same firing branch, the same
-  // outputs and the same error text, on multi-branch, else, `by 0` and
-  // faulting reactions over Int, Real, string and Bool fields.
+  // CompiledReaction::select over a slot frame, then the firing branch's
+  // chunks, against Reaction::apply over the Env that Reaction::match
+  // binds: the same firing branch, the same outputs and the same error
+  // text, on multi-branch, else, `by 0` and faulting reactions over Int,
+  // Real, string and Bool fields.
   const char* const reactions[] = {
       "R = replace x, y by [x / y] if x > y by [y, x] if x < y by 0 else",
       "R = replace [x, 'a'], [y, 'a'] by [x + y, 'a'] if x + y > 3 "
@@ -1331,14 +1333,19 @@ TEST(BytecodeCorpus, CompiledApplyOverAFrameMatchesTheWalker) {
       std::optional<std::vector<gamma::Element>> got;
       const Observed got_error = observe([&] {
         expr::Vm vm;
-        gamma::CompiledReaction::Outputs out;
-        const auto branch = compiled.apply(frame.slots(), vm, out);
+        const auto branch = compiled.select(frame.slots(), vm);
         if (branch) {
-          gamma::Match m;
-          m.reaction = &r;
-          m.branch = *branch;
-          m.outputs = out;
-          got = m.produced();
+          const auto& chunks = compiled.branches()[*branch].chunks;
+          std::size_t at = 0;
+          std::vector<gamma::Element> produced;
+          for (const auto& out : r.branches()[*branch].outputs) {
+            std::vector<Value> fields;
+            for (std::size_t f = 0; f < out.size(); ++f) {
+              fields.push_back(vm.run(chunks[at++], frame.slots()));
+            }
+            produced.emplace_back(std::move(fields));
+          }
+          got = std::move(produced);
         }
         return Value();
       });

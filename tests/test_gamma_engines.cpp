@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 
 namespace gammaflow::gamma {
@@ -349,44 +349,41 @@ TEST(IndexedEngine, TraceStagesAreMonotone) {
 
 TEST(IndexedEngine, PerFireCostDoesNotGrowWithTheInput) {
   // A fire removes two elements and inserts one. Removal clears a live bit
-  // and updates a rank tree, O(log n), so the time per fire stays about
-  // flat as the input grows 16-fold. Both sizes run back to back in each
-  // of 3 rounds, so a busy machine slows both, and the best round of each
-  // is compared.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer instrumentation skews per-fire cost";
-#endif
+  // and updates a rank tree, O(log n), and moves no id of the arity bucket;
+  // compaction copies at most every live row once per
+  // kGarbageCompactThreshold dead rows, two dead rows per fire. So the ids
+  // and rows that remove() and compact() touch per fire (StoreWork: ids an
+  // ordered unindex shifted, rows compact() copied) stay within that
+  // amortized copy as the input grows 16-fold. A count, not a time, so the
+  // host's load cannot move it.
   const Program p = dsl::parse_program("R = replace x, y by x + y");
-  const auto draw = [](std::size_t n) {
+  const auto per_fire = [&](std::size_t n) {
     Rng rng(n);
     Multiset m;
     for (std::size_t i = 0; i < n; ++i) {
       const auto v = static_cast<std::int64_t>(rng.bounded(2001)) - 1000;
       m.add(Element{Value(v)});
     }
-    return m;
-  };
-  const Multiset small = draw(1024);
-  const Multiset large = draw(16384);
-  using Clock = std::chrono::steady_clock;
-  const auto per_fire = [&](const Multiset& m) {
     RunOptions opts;
     opts.seed = 1;
-    const auto t0 = Clock::now();
+    const StoreWork before = store_work();
     const RunResult r = IndexedEngine().run(p, m, opts);
-    const std::chrono::duration<double, std::micro> dt = Clock::now() - t0;
-    EXPECT_EQ(r.steps, m.size() - 1);
-    return dt.count() / static_cast<double>(r.steps);
+    const StoreWork after = store_work();
+    EXPECT_EQ(r.steps, n - 1);
+    const std::uint64_t touched = after.ids_shifted - before.ids_shifted +
+                                  after.rows_copied - before.rows_copied;
+    return static_cast<double>(touched) / static_cast<double>(r.steps);
   };
-  double best_small = std::numeric_limits<double>::infinity();
-  double best_large = best_small;
-  for (int round = 0; round < 3; ++round) {
-    best_small = std::min(best_small, per_fire(small));
-    best_large = std::min(best_large, per_fire(large));
-  }
-  EXPECT_LE(best_large, 1.5 * best_small)
-      << "us per fire: " << best_small << " at 1024 ints, " << best_large
-      << " at 16384";
+  const auto copy_bound = [](std::size_t n) {
+    return 2.0 * static_cast<double>(n) /
+           static_cast<double>(Store::kGarbageCompactThreshold);
+  };
+  const double small = per_fire(1024);
+  const double large = per_fire(16384);
+  EXPECT_LE(small, 1.0 + copy_bound(1024));
+  EXPECT_LE(large, small + copy_bound(16384))
+      << "ids and rows touched per fire: " << small << " at 1024 ints, "
+      << large << " at 16384";
 }
 
 TEST(ParallelEngine, ManyWorkersConvergeOnLargeMultiset) {

@@ -2,6 +2,9 @@
 // conversion both directions, reductions, all engines, equivalence checks.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "gammaflow/analysis/analysis.hpp"
 #include "gammaflow/analysis/optimize.hpp"
 #include "gammaflow/dataflow/serialize.hpp"
@@ -18,7 +21,9 @@ namespace {
 TEST(Integration, SerializedGraphSurvivesFullPipeline) {
   // text -> graph -> gamma -> run -> reconstruct -> run: one value, five
   // representations.
-  const std::string text = dataflow::to_text(paper::fig1_graph(8, 2, 4, 3));
+  std::ostringstream written;
+  dataflow::write_text(written, paper::fig1_graph(8, 2, 4, 3));
+  const std::string text = written.str();
   const dataflow::Graph g = dataflow::parse_text(text);
   const auto conv = translate::dataflow_to_gamma(g);
   const auto gamma_run =

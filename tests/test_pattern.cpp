@@ -97,15 +97,15 @@ TEST(Pattern, LabelVariableBindsLabel) {
 
 TEST(Pattern, KeyConstraintFindsFirstLiteral) {
   const Pattern p = Pattern::tagged("id1", "B12", "v");
-  const auto key = p.key_constraint();
+  const auto key = p.key_field();
   ASSERT_TRUE(key.has_value());
-  EXPECT_EQ(key->first, 1u);
-  EXPECT_EQ(key->second, Value("B12"));
+  EXPECT_EQ(*key, 1u);
+  EXPECT_EQ(p.fields()[*key].value(), Value("B12"));
 }
 
 TEST(Pattern, KeyConstraintAbsentForAllBinders) {
   const Pattern p({PatternField::bind("a"), PatternField::bind("b")});
-  EXPECT_FALSE(p.key_constraint().has_value());
+  EXPECT_FALSE(p.key_field().has_value());
 }
 
 TEST(Pattern, BindersDeduplicated) {

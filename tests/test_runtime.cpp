@@ -270,7 +270,7 @@ TEST(AnchorMemoTest, CachedJoinBucketSkipMatchesTheFullVisit) {
         }
         ASSERT_EQ(with_memo->ids[0], without->ids[0]);
         ASSERT_EQ(with_memo->ids[1], without->ids[1]);
-        ASSERT_EQ(with_memo->produced(), without->produced());
+        ASSERT_EQ(with_memo->produced(*store), without->produced(*store));
         if (ops.bounded(2) == 0) MatchPipeline::commit(*store, *with_memo);
       }
     }

@@ -2,6 +2,9 @@
 // exact, parsed graphs execute identically, DOT output is well-formed.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/dataflow/serialize.hpp"
 #include "gammaflow/frontend/compile.hpp"
@@ -10,6 +13,13 @@
 
 namespace gammaflow::dataflow {
 namespace {
+
+/// The graph's text form, as write_text prints it.
+std::string to_text(const Graph& g) {
+  std::ostringstream os;
+  write_text(os, g);
+  return os.str();
+}
 
 class SerializeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <set>
@@ -35,6 +36,17 @@ std::vector<Store::Id> list(Store::Candidates bucket) {
   std::vector<Store::Id> out;
   for (std::size_t k = 0; k < bucket.size(); ++k) out.push_back(bucket[k]);
   return out;
+}
+
+/// The reaction's literals as `s`'s cells, none pinned: a string `s` has
+/// never interned is a cell no field holds.
+std::vector<Store::Cell> literal_cells(const Store& s,
+                                       const CompiledReaction& compiled) {
+  std::vector<Store::Cell> cells;
+  for (const Value& v : compiled.literals()) {
+    cells.push_back(s.cell_of(v).value_or(Store::Cell{Store::kTextTag, 0}));
+  }
+  return cells;
 }
 
 /// Size of the bucket `p` probes (0 when there is none).
@@ -169,7 +181,7 @@ TEST(Store, FieldBucketHoldsEveryIdAJoinCanMatch) {
     for (const Store::Id id : ids) {
       Frame frame(3);
       frame.bind_ref(1, key);
-      if (!s.bind(joined, id, frame)) continue;
+      if (!s.bind(joined, id, frame, {})) continue;
       EXPECT_FALSE(key.is_real() && std::isnan(key.as_real())) << id;
       EXPECT_NE(std::find(bucket->begin(), bucket->end(), id), bucket->end())
           << key << " id " << id;
@@ -427,27 +439,28 @@ TEST(Store, MixedKindsAgreeWithANaiveMultisetModel) {
                                inner.to_string();
       std::vector<FieldOp> binds(outer.arity());  // Bind ops
       for (std::size_t f = 0; f < outer.arity(); ++f) {
-        binds[f].slot = static_cast<std::uint32_t>(f);
+        binds[f].index = static_cast<std::uint32_t>(f);
       }
       // Slot 3 holds an outside value; slots 0..2 the outer element's.
       Frame frame(4);
       const Value& outside = domain[rng.bounded(domain.size())];
       frame.bind_ref(3, outside);
-      ASSERT_TRUE(indexed.bind(binds, oa, frame)) << pair;
+      ASSERT_TRUE(indexed.bind(binds, oa, frame, {})) << pair;
       for (std::size_t f = 0; f < outer.arity(); ++f) {
         EXPECT_TRUE(identical(*frame.slot(f), outer.field(f))) << pair;
       }
       const Value& lit = domain[rng.bounded(domain.size())];
+      const Store::Cell lit_cell =
+          indexed.cell_of(lit).value_or(Store::Cell{Store::kTextTag, 0});
       const std::uint32_t eq_slot = static_cast<std::uint32_t>(
           rng.bounded(2) == 0 ? 3 : rng.bounded(outer.arity()));
       for (std::size_t f = 0; f < inner.arity(); ++f) {
         for (const FieldOp::Kind kind : {FieldOp::Kind::Lit,
                                          FieldOp::Kind::Eq}) {
           std::vector<FieldOp> ops(inner.arity());  // Bind ops into slot 4
-          for (FieldOp& op : ops) op.slot = 4;
+          for (FieldOp& op : ops) op.index = 4;
           ops[f].kind = kind;
-          ops[f].slot = eq_slot;
-          ops[f].value = lit;
+          ops[f].index = kind == FieldOp::Kind::Lit ? 0 : eq_slot;
           Frame inner_frame(5);
           for (std::uint32_t s = 0; s < 4; ++s) {
             inner_frame.bind_ref(
@@ -455,7 +468,8 @@ TEST(Store, MixedKindsAgreeWithANaiveMultisetModel) {
           }
           const Value& comparand =
               kind == FieldOp::Kind::Lit ? lit : *inner_frame.slot(eq_slot);
-          EXPECT_EQ(indexed.bind(ops, ia, inner_frame),
+          EXPECT_EQ(indexed.bind(ops, ia, inner_frame,
+                                 std::span<const Store::Cell>(&lit_cell, 1)),
                     inner.field(f) == comparand)
               << pair << " field " << f << " against " << comparand;
         }
@@ -591,8 +605,8 @@ TEST(FindMatch, FindsEnabledPair) {
   const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->ids.size(), 2u);
-  ASSERT_EQ(m->produced().size(), 1u);
-  EXPECT_EQ(m->produced()[0], Element::labeled(Value(5), "S"));
+  ASSERT_EQ(m->produced(s).size(), 1u);
+  EXPECT_EQ(m->produced(s)[0], Element::labeled(Value(5), "S"));
 }
 
 TEST(FindMatch, NoMatchWhenLabelMissing) {
@@ -622,7 +636,7 @@ TEST(FindMatch, ConditionGatesMatch) {
   // Both orderings exist as candidate tuples; only (2,9) is enabled.
   const auto m = MatchPipeline::find(s, r);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->produced()[0], Element{Value(2)});
+  EXPECT_EQ(m->produced(s)[0], Element{Value(2)});
 }
 
 TEST(FindMatch, CommitAppliesRewrite) {
@@ -651,7 +665,7 @@ TEST(FindMatch, RandomizedIsFairAcrossPairs) {
     Rng rng(seed);
     const auto m = MatchPipeline::find(s, r, &rng);
     ASSERT_TRUE(m.has_value());
-    first_values.insert(m->produced()[0].value());
+    first_values.insert(m->produced(s)[0].value());
   }
   EXPECT_EQ(first_values.size(), 2u);  // both 11 and 12 observed
 }
@@ -672,8 +686,8 @@ TEST(FindMatch, WideReactionsSpillPastTheInlineBuffers) {
     const Element e = s.element(id);
     want.insert(want.end(), e.fields().begin(), e.fields().end());
   }
-  ASSERT_EQ(m->produced().size(), 1u);
-  EXPECT_EQ(m->produced()[0], Element(want));
+  ASSERT_EQ(m->produced(s).size(), 1u);
+  EXPECT_EQ(m->produced(s)[0], Element(want));
   MatchPipeline::commit(s, *m);
   EXPECT_EQ(s.to_multiset(), Multiset{Element(want)});
 }
@@ -713,7 +727,6 @@ TEST(Store, DeadRowDebtAccruesOnRemoveAndCompactSettlesIt) {
 
   // The debt is exact: one dead row per removal, counted at remove() time.
   EXPECT_EQ(s.dead_rows(), 4u);
-  EXPECT_FALSE(s.needs_compact());
 
   // The buckets already hold exactly the four survivors; only the dead
   // ROWS linger until compaction.
@@ -743,16 +756,137 @@ TEST(Store, NeedsCompactTripsAtTheDeadRowThreshold) {
     ids.push_back(s.insert(Element{Value(static_cast<std::int64_t>(i))}));
   }
   for (std::size_t i = 0; i + 1 < ids.size(); ++i) s.remove(ids[i]);
-  EXPECT_FALSE(s.needs_compact());
+  EXPECT_EQ(s.dead_rows(), Store::kGarbageCompactThreshold - 1);
   s.remove(ids.back());
-  EXPECT_TRUE(s.needs_compact());
+  EXPECT_EQ(s.dead_rows(), Store::kGarbageCompactThreshold);
 
-  // The next insert self-triggers collection, so paths that never check
-  // needs_compact() (the worklist drain) still stay O(live).
+  // The next insert collects, so no path has to ask for it: a worklist
+  // drain stays O(live) too.
   s.insert(Element{Value(-1)});
   EXPECT_EQ(s.dead_rows(), 0u);
-  EXPECT_FALSE(s.needs_compact());
   EXPECT_GT(s.column_compactions(), 0u);
+}
+
+TEST(Store, OutputCellsAgreeWithInterning) {
+  // Fires committed as cells through MatchSites, against a store fed the
+  // same removes and the same outputs as plain Values through
+  // insert(span<const Value>). The outputs cover a copied bound label
+  // (Rcopy, Rback), a computed string (Rtext), a pinned literal (Rpin) and
+  // a mixed-kind tuple (Rmix); fresh labels arrive all along, so symbols
+  // are released, freed and reused across several compactions. After every
+  // step the rows, every label's holder count and count_field agree.
+  const Program p = dsl::parse_program(R"(
+    Rcopy = replace [x, k], [y, k] by [x + y, k] if x + y < 1000
+    Rtext = replace [x, k] by [x + 1, k + 'x'] if x % 5 == 0
+    Rpin = replace [x, k] by [x + 2, 'pin'] if x % 7 == 3
+    Rmix = replace [x, k], [y, 'pin'] by [k, 2.5, true, x, 'lit'] if y % 2 == 0
+    Rback = replace [k, r, b, x, l] by [x + 1, k]
+  )");
+  const std::vector<Reaction>& stage = p.stages()[0];
+  Store cells(FieldSet::of(p));
+  Store plain(FieldSet::of(p));
+  // The plain store holds the same pins, so holder counts compare 1:1.
+  std::set<std::string> labels;
+  std::size_t literal_strings = 0;
+  for (const Reaction& r : stage) {
+    for (const Value& v : r.compiled().literals()) {
+      if (!v.is_str()) continue;
+      ++literal_strings;
+      labels.insert(v.as_str());
+      (void)cells.pin(v);
+      (void)plain.pin(v);
+    }
+  }
+  std::vector<runtime::MatchSite> sites(stage.size());
+  Rng rng(29);
+  Rng picks(31);
+  std::int64_t fresh = 0;
+  std::size_t fires = 0;
+  for (int step = 0; step < 12000; ++step) {
+    if (step % 6 == 0) {
+      const std::string label =
+          std::string("L").append(std::to_string(fresh % 50));
+      labels.insert(label);
+      const std::array<Value, 2> e{Value(fresh++ % 40), Value(label)};
+      ASSERT_EQ(cells.insert(e), plain.insert(e));
+    }
+    const std::size_t idx = picks.bounded(stage.size());
+    if (!MatchPipeline::find(cells, stage[idx], &rng, sites[idx])) continue;
+    const Match& m = sites[idx].match();
+    const std::vector<Element> produced = m.produced(cells);
+    for (const Element& e : produced) {
+      for (const Value& f : e.fields()) {
+        if (f.is_str()) labels.insert(f.as_str());
+      }
+    }
+    MatchPipeline::commit(cells, m);
+    for (const Store::Id id : m.ids) plain.remove(id);
+    for (const Element& e : produced) plain.insert(e);
+    ++fires;
+
+    const std::string where = "step " + std::to_string(step);
+    ASSERT_EQ(cells.slots(), plain.slots()) << where;
+    for (Store::Id id = 0; id < cells.slots(); ++id) {
+      ASSERT_EQ(cells.alive(id), plain.alive(id)) << where << " id " << id;
+      if (cells.alive(id)) {
+        ASSERT_EQ(cells.element(id), plain.element(id))
+            << where << " id " << id;
+      }
+    }
+    for (const std::string& label : labels) {
+      ASSERT_EQ(cells.symbol_holders(label), plain.symbol_holders(label))
+          << where << " '" << label << "'";
+      ASSERT_EQ(cells.count_field(1, Value(label)),
+                plain.count_field(1, Value(label)))
+          << where << " '" << label << "'";
+    }
+  }
+  EXPECT_GT(fires, 1000u);
+  EXPECT_GE(cells.column_compactions(), 3u);
+  // Pins are bounded by the program's literals, however many labels came.
+  EXPECT_EQ(cells.pinned_symbols(), 2u);  // 'pin' and 'lit'
+  EXPECT_LE(cells.pinned_symbols(), literal_strings);
+}
+
+TEST(Store, KeyedFireHashesNoStringAndLooksUpOnlyItsOutputKey) {
+  // perfbench `parallel`'s program over 'kN' labels, fired as the engines
+  // fire it (a MatchSite, find then commit). A label stays a cell from find
+  // to commit: no fire hashes a string into the symbol index, remove()
+  // unindexes through the bucket slots its insert recorded, and insert()
+  // looks up the (field, value) index once, for the output's label.
+  const Program p =
+      dsl::parse_program("Rkey = replace [x, k], [y, k] by [x + y, k]");
+  const Reaction& r = p.stages()[0][0];
+  Multiset m;
+  for (std::int64_t i = 0; i < 4096; ++i) {
+    m.add(Element{Value(i % 1000),
+                  Value(std::string("k").append(std::to_string(i % 64)))});
+  }
+  Store store(m, FieldSet::of(p));
+  runtime::MatchSite site;
+  Rng rng(5);
+  std::size_t fires = 0;
+  for (;;) {
+    const StoreWork before_find = store_work();
+    if (!MatchPipeline::find(store, r, &rng, site)) break;
+    const StoreWork before_commit = store_work();
+    MatchPipeline::commit(store, site.match());
+    const StoreWork after = store_work();
+    ASSERT_EQ(after.symbol_hashes - before_find.symbol_hashes, 0u)
+        << "fire " << fires;
+    // Two removes and one insert; field 1 is the only indexed field.
+    ASSERT_LE(after.index_lookups - before_commit.index_lookups, 1u)
+        << "fire " << fires;
+    ++fires;
+  }
+  EXPECT_EQ(fires, 4096u - 64u);
+
+  // A bare remove looks nothing up and hashes nothing.
+  const StoreWork before = store_work();
+  store.remove(store.nth_live(0));
+  const StoreWork after = store_work();
+  EXPECT_EQ(after.index_lookups - before.index_lookups, 0u);
+  EXPECT_EQ(after.symbol_hashes - before.symbol_hashes, 0u);
 }
 
 TEST(Store, SpillSidecarRoundTripsNonIntFields) {
@@ -838,7 +972,8 @@ TEST(Store, FrameBindAgreesWithElementMatch) {
       bool got = true;
       for (std::size_t d = 0; d < k; ++d) {
         want = want && r.patterns()[d].match(elements[at[d]], env);
-        got = got && s.bind(compiled.field_ops()[d], ids[at[d]], frame);
+        got = got && s.bind(compiled.field_ops()[d], ids[at[d]], frame,
+                            literal_cells(s, compiled));
       }
       std::string where = std::string(text) + " on";
       for (const std::size_t a : at) {
@@ -964,7 +1099,7 @@ TEST(AnchorMemo, SuffixScanKeepsTheCyclicOrderAndTheRngStream) {
     ASSERT_TRUE(want.has_value());
     EXPECT_EQ(ids(*got), ids(*want)) << "seed " << seed;
     EXPECT_EQ(with_memo(), without()) << "seed " << seed;
-    picked.insert(got->produced()[0].value());
+    picked.insert(got->produced(s)[0].value());
   }
   EXPECT_GT(picked.size(), 1u);
 }
