@@ -15,6 +15,9 @@ CompiledReaction::CompiledReaction(const Reaction& reaction) {
   const auto t0 = std::chrono::steady_clock::now();
   joins_.resize(reaction.patterns().size());
   field_ops_.resize(reaction.patterns().size());
+  // Slot -> the (pattern, field) that binds it first; past the uint16 range
+  // the field reads as kNoField, which no join field equals.
+  std::vector<std::pair<std::uint16_t, std::uint16_t>> bound_at;
   for (std::size_t d = 0; d < reaction.patterns().size(); ++d) {
     const std::size_t outer_slots = slots_.size();
     const auto& fields = reaction.patterns()[d].fields();
@@ -37,9 +40,15 @@ CompiledReaction::CompiledReaction(const Reaction& reaction) {
       if (slot < outer_slots &&
           std::max(i, slot) < BatchPlan::kNoField) {
         joins_[d].push_back(JoinField{static_cast<std::uint16_t>(i),
-                                      static_cast<std::uint16_t>(slot)});
+                                      static_cast<std::uint16_t>(slot),
+                                      bound_at[slot].first,
+                                      bound_at[slot].second});
       } else if (it == slots_.end()) {
         slots_.push_back(f.name());
+        const bool fits = std::max(d, i) < BatchPlan::kNoField;
+        bound_at.emplace_back(static_cast<std::uint16_t>(fits ? d : 0),
+                              fits ? static_cast<std::uint16_t>(i)
+                                   : BatchPlan::kNoField);
       }
     }
   }

@@ -119,10 +119,16 @@ class CompiledReaction {
   }
 
   /// A join field: field `field` of a pattern repeats the binder in slot
-  /// `slot`, which an EARLIER pattern of the replace list binds first.
+  /// `slot`, which field `bound_field` of the EARLIER pattern `bound_depth`
+  /// binds first. When the two fields are the same field, the element
+  /// matched at `bound_depth` sits in the very (field, bound value) bucket
+  /// the join probes, so the match pipeline reads it off that element
+  /// (Store::bucket_of) with no lookup.
   struct JoinField {
     std::uint16_t field = 0;
     std::uint16_t slot = 0;
+    std::uint16_t bound_depth = 0;
+    std::uint16_t bound_field = 0;
   };
   /// The join table, one entry per pattern (empty when the pattern binds
   /// nothing an outer pattern bound). Once the outer patterns are matched,

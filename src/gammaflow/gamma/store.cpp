@@ -146,11 +146,17 @@ bool Store::field_equals(RowRef r, std::size_t f,
 
 std::optional<Store::Cell> Store::cell_of(const Value& v) const {
   if (!v.is_str()) return inline_cell(v);
-  if (const auto sym = symbol_at(v)) return Cell{kStrTag, *sym};
-  const std::string& text = *v.if_str();
+  auto sym = symbol_at(v);
+  if (!sym) sym = symbol_of(*v.if_str());
+  if (!sym) return std::nullopt;
+  return Cell{kStrTag, *sym};
+}
+
+std::optional<std::uint32_t> Store::symbol_of(
+    std::string_view text) const noexcept {
   const std::size_t at = index_slot(text, text_hash(text));
   if (symbol_index_.empty() || symbol_index_[at] == 0) return std::nullopt;
-  return Cell{kStrTag, entry_id(symbol_index_[at])};
+  return entry_id(symbol_index_[at]);
 }
 
 std::size_t Store::index_slot(std::string_view text,
@@ -216,9 +222,8 @@ Store::Cell Store::pin(const Value& v) {
 }
 
 std::size_t Store::symbol_holders(std::string_view text) const {
-  const std::size_t at = index_slot(text, text_hash(text));
-  if (symbol_index_.empty() || symbol_index_[at] == 0) return 0;
-  return symbol_holders_[entry_id(symbol_index_[at])];
+  const auto id = symbol_of(text);
+  return id ? symbol_holders_[*id] : 0;
 }
 
 void Store::unindex_symbol(std::uint32_t id) noexcept {

@@ -381,6 +381,21 @@ class Store {
   /// (field, value) index, no string hashed.
   [[nodiscard]] BucketHandle field_handle(std::size_t field, Cell key) const;
 
+  /// The handle of the (field, value) bucket that holds `id`, its value at
+  /// `field` being the key: the slot its insert recorded, with no hash. The
+  /// stale default handle when `field` is not indexed. Precondition:
+  /// alive(id) and `field` below id's arity.
+  [[nodiscard]] BucketHandle bucket_of(Id id,
+                                       std::size_t field) const noexcept {
+    const std::vector<std::size_t>& indexed = indexed_.fields();
+    const auto at = std::lower_bound(indexed.begin(), indexed.end(), field);
+    if (at == indexed.end() || *at != field) return BucketHandle{};
+    const std::uint32_t slot =
+        id_buckets_[std::size_t{id} * indexed.size() +
+                    static_cast<std::size_t>(at - indexed.begin())];
+    return BucketHandle{slot, bucket_generations_[slot]};
+  }
+
   /// The bucket `handle` names, with no hash lookup: null when the handle
   /// is stale (its slot was freed by compact() since). A valid handle's
   /// bucket may be empty: every element carrying its key was removed since
@@ -506,6 +521,9 @@ class Store {
   /// The symbol id of `v` when it is an entry of the symbol table itself.
   [[nodiscard]] std::optional<std::uint32_t> symbol_at(
       const Value& v) const noexcept;
+  /// The symbol id of `text` when the table holds it (one hash).
+  [[nodiscard]] std::optional<std::uint32_t> symbol_of(
+      std::string_view text) const noexcept;
   /// Appends a row of `arity` fields, field f being cell_of_field(f) (a
   /// symbol already counted), and indexes it.
   template <typename CellOf>

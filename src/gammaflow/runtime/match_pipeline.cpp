@@ -168,8 +168,17 @@ std::size_t search(const Store& store, const Reaction& reaction,
       if (b != nullptr) {
         join_handle = proof->join;
       } else {
-        join_handle = store.field_handle(join.field, *frame.slot(join.slot));
-        b = store.field_bucket(join_handle);
+        // The element that bound the slot at the same field is in the
+        // bucket: its recorded slot names it, unless the field is not
+        // indexed, where the lookup throws.
+        if (join.bound_field == join.field) {
+          join_handle = store.bucket_of(m.ids[join.bound_depth], join.field);
+          b = store.field_bucket(join_handle);
+        }
+        if (b == nullptr) {
+          join_handle = store.field_handle(join.field, *frame.slot(join.slot));
+          b = store.field_bucket(join_handle);
+        }
       }
       // No live element carries the bound value.
       if (b == nullptr || b->empty()) return;
@@ -239,6 +248,12 @@ std::size_t search(const Store& store, const Reaction& reaction,
   return visited;
 }
 
+/// find's visitor: stop at the first match, which stays in place. Both finds
+/// share it, so they share one instance of the search.
+struct FirstMatch {
+  bool operator()(const Match& /*found*/) const noexcept { return false; }
+};
+
 /// The reaction's literals as cells of a store that is only read: a
 /// pattern literal the store holds is its symbol, and a string literal
 /// otherwise a kTextTag cell. A literal output string is always kTextTag
@@ -302,7 +317,7 @@ bool MatchPipeline::find(Store& store, const Reaction& reaction, Rng* rng,
   site.bind(store, reaction);
   return search(store, reaction, 1, rng, &site.memo_, site.literals_,
                 std::span(site.keys_.data(), site.keys_.size()), site.frame_,
-                site.match_, [](const Match&) { return false; }) != 0;
+                site.match_, FirstMatch{}) != 0;
 }
 
 std::optional<Match> MatchPipeline::find(const Store& store,
@@ -313,7 +328,7 @@ std::optional<Match> MatchPipeline::find(const Store& store,
   Frame frame(reaction.compiled().slots().size());
   std::optional<Match> found(std::in_place);
   if (search(store, reaction, 1, rng, memo, literals.span(), {}, frame,
-             *found, [](const Match&) { return false; }) == 0) {
+             *found, FirstMatch{}) == 0) {
     found.reset();
   }
   return found;
