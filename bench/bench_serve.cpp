@@ -2,8 +2,9 @@
 // `gammaflow serve`. First a scripted-session differential (the daemon's
 // final store must equal a batch run over the union of every injection —
 // exit 1 on mismatch, the CI smoke gate), then the sparse-touch ablation
-// (footprint wakeups vs full rescan across K standing label populations)
-// and closed-/open-loop load generation measuring p50/p99
+// (footprint wakeups in a daemon session vs an in-process full rescan,
+// every reaction keyed `any`, across K standing label populations) and
+// closed-/open-loop load generation measuring p50/p99
 // injection-to-quiescence latency over a real Unix socket.
 //
 // GF_SERVE_SOCKET=<path> drives an externally started daemon instead of
@@ -26,6 +27,7 @@
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
+#include "gammaflow/runtime/worklist.hpp"
 #include "gammaflow/serve/server.hpp"
 
 using namespace gammaflow;
@@ -63,13 +65,55 @@ std::string k_label_program(std::size_t k) {
   return text;
 }
 
+/// The standing state of the sparse-touch runs: 8 elements per label.
+std::string k_label_init(std::size_t k) {
+  std::string init;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (int v = 0; v < 8; ++v) {
+      init.append("[")
+          .append(std::to_string(v))
+          .append(",'L")
+          .append(std::to_string(i))
+          .append("'] ");
+    }
+  }
+  return init;
+}
+
+/// Injection `j` of the sparse-touch traffic: one element of label j mod k.
+std::string touch_element(Rng& rng, std::size_t j, std::size_t k) {
+  return std::string("[")
+      .append(std::to_string(rng.bounded(100)))
+      .append(",'L")
+      .append(std::to_string(j % k))
+      .append("']");
+}
+
+/// The full-rescan baseline: an in-process incremental fixpoint with every
+/// reaction keyed `any`, so each insert wakes them all.
+runtime::IncrementalFixpoint rescan_fixpoint(const std::string& program) {
+  gamma::Program parsed = gamma::dsl::parse_program(program);
+  std::vector<runtime::WakeKeys> keys(parsed.all_reactions().size(),
+                                      {{}, {}, true});
+  return runtime::IncrementalFixpoint(std::move(parsed), std::move(keys),
+                                      runtime::WorklistOptions{});
+}
+
+/// Injects `elements` (DSL text) into `fix`, read into one reused buffer
+/// as a serve connection reads an inject line's elements.
+void inject_text(runtime::IncrementalFixpoint& fix,
+                 const std::string& elements) {
+  thread_local gamma::FlatElements flat;
+  gamma::dsl::read_elements(elements, flat);
+  (void)fix.inject(flat);
+}
+
 std::string create_line(const std::string& session, const std::string& program,
-                        const std::string& init, bool rescan) {
+                        const std::string& init) {
   std::string line = R"({"verb":"create","session":)" +
                      json_quote(session) +
                      R"(,"program":)" + json_quote(program);
   if (!init.empty()) line += R"(,"init":)" + json_quote(init);
-  if (rescan) line += R"(,"rescan":true)";
   return line + "}";
 }
 
@@ -156,7 +200,7 @@ void scripted_differential(Daemon& daemon) {
       "Rsum = replace [a,'acc'], [b,'acc'] by [a + b, 'acc']\n"
       "Rmin = replace x, y by x where x < y";
   const auto client = daemon.connect();
-  expect_ok(client->call(create_line("diff", program, "", false)), "create");
+  expect_ok(client->call(create_line("diff", program, "")), "create");
 
   Rng rng(17);
   gamma::Multiset all;
@@ -204,6 +248,9 @@ void scripted_differential(Daemon& daemon) {
 /// K standing populations, traffic touching one label per inject: the
 /// footprint index probes O(1) reactions per injection while the rescan
 /// baseline probes all K. Identical fixpoints, diverging rematch counts.
+/// The worklist rows run in a daemon session and read its quiesce_us; the
+/// rescan rows run in process and time inject() the way a session times
+/// quiesce_us, so neither column holds wire time.
 void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
   std::cout << '\n';
   bench::Table table({"labels", "mode", "p50_us", "p99_us", "wakeups",
@@ -211,39 +258,40 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
   const auto client = daemon.connect();
   for (const std::size_t k : {2u, 8u, 32u}) {
     const std::string program = k_label_program(k);
-    std::string init;
-    for (std::size_t i = 0; i < k; ++i) {
-      for (int v = 0; v < 8; ++v) {
-        init.append("[")
-            .append(std::to_string(v))
-            .append(",'L")
-            .append(std::to_string(i))
-            .append("'] ");
-      }
-    }
+    const std::string init = k_label_init(k);
     for (const bool rescan : {false, true}) {
       const std::string mode = rescan ? "rescan" : "worklist";
-      const std::string session = mode + std::to_string(k);
-      expect_ok(client->call(create_line(session, program, init, rescan)),
-                "create");
       std::vector<double> quiesce;
       Rng rng(23);
-      for (int j = 0; j < 200; ++j) {
-        const std::string label = std::string("L").append(
-            std::to_string(static_cast<std::size_t>(j) % k));
-        const std::string element = std::string("[")
-                                        .append(std::to_string(rng.bounded(100)))
-                                        .append(",'")
-                                        .append(label)
-                                        .append("']");
-        const Json reply =
-            expect_ok(client->call(inject_line(session, element)), "inject");
-        quiesce.push_back(reply.num_or("quiesce_us", 0.0));
+      std::int64_t wakeups = 0;
+      std::int64_t rematches = 0;
+      if (rescan) {
+        runtime::IncrementalFixpoint fix = rescan_fixpoint(program);
+        inject_text(fix, init);
+        for (std::size_t j = 0; j < 200; ++j) {
+          const std::string element = touch_element(rng, j, k);
+          const auto t0 = Clock::now();
+          inject_text(fix, element);
+          quiesce.push_back(us_since(t0));
+        }
+        wakeups = static_cast<std::int64_t>(fix.stats().wakeups);
+        rematches = static_cast<std::int64_t>(fix.stats().rematches);
+      } else {
+        const std::string session = mode + std::to_string(k);
+        expect_ok(client->call(create_line(session, program, init)),
+                  "create");
+        for (std::size_t j = 0; j < 200; ++j) {
+          const Json reply = expect_ok(
+              client->call(inject_line(session, touch_element(rng, j, k))),
+              "inject");
+          quiesce.push_back(reply.num_or("quiesce_us", 0.0));
+        }
+        const Json stats =
+            expect_ok(client->call(simple_line("stats", session)), "stats");
+        wakeups = stats.int_or("wakeups", 0);
+        rematches = stats.int_or("rematches", 0);
+        expect_ok(client->call(simple_line("close", session)), "close");
       }
-      const Json stats =
-          expect_ok(client->call(simple_line("stats", session)), "stats");
-      const std::int64_t wakeups = stats.int_or("wakeups", 0);
-      const std::int64_t rematches = stats.int_or("rematches", 0);
       table.row(k, mode, pct(quiesce, 0.50), pct(quiesce, 0.99), wakeups,
                 rematches);
       const std::string key = "serve.k" + std::to_string(k) + "." + mode;
@@ -251,7 +299,6 @@ void sparse_touch_sweep(Daemon& daemon, obs::Telemetry& tel) {
                         static_cast<std::uint64_t>(rematches));
       auto& hist = tel.stats().hist(key + ".quiesce_us");
       for (const double q : quiesce) hist.observe(q);
-      expect_ok(client->call(simple_line("close", session)), "close");
     }
   }
 }
@@ -273,7 +320,7 @@ void closed_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
         const auto client = daemon.connect();
         const std::string session = "cl" + std::to_string(clients) + "_" +
                                     std::to_string(c);
-        expect_ok(client->call(create_line(session, kMin, "1000000", false)),
+        expect_ok(client->call(create_line(session, kMin, "1000000")),
                   "create");
         Rng rng(41 + c);
         for (int j = 0; j < 200; ++j) {
@@ -315,7 +362,7 @@ void open_loop_sweep(Daemon& daemon, obs::Telemetry& tel) {
     const int n = 400;
     const auto client = daemon.connect();
     const std::string session = "ol" + std::to_string(static_cast<int>(rate));
-    expect_ok(client->call(create_line(session, kMin, "1000000", false)),
+    expect_ok(client->call(create_line(session, kMin, "1000000")),
               "create");
 
     std::vector<double> lat;
@@ -364,30 +411,27 @@ void verify() {
 
 // ------------------------------------------------------------ benchmarks
 
-/// In-process (no socket): one inject through Server::handle_line against
-/// K standing label populations; arg1 toggles the rescan baseline.
+/// In-process (no socket) against K standing label populations: arg1 = 0
+/// is one inject line through Server::handle_line, arg1 = 1 one inject()
+/// into the rescan baseline's IncrementalFixpoint (no wire parse).
 void BM_Serve_SparseTouchInject(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const bool rescan = state.range(1) != 0;
-  serve::ServeOptions opts;
-  serve::Server server(std::move(opts));
-  std::string init;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (int v = 0; v < 8; ++v) {
-      init.append("[")
-          .append(std::to_string(v))
-          .append(",'L")
-          .append(std::to_string(i))
-          .append("'] ");
-    }
-  }
-  (void)server.handle_line(create_line("s", k_label_program(k), init, rescan));
+  const std::string program = k_label_program(k);
+  const std::string init = k_label_init(k);
   Rng rng(7);
-  std::uint64_t j = 0;
-  for (auto _ : state) {
-    const std::string label = "L" + std::to_string(j++ % k);
-    benchmark::DoNotOptimize(server.handle_line(inject_line(
-        "s", "[" + std::to_string(rng.bounded(100)) + ",'" + label + "']")));
+  std::size_t j = 0;
+  if (rescan) {
+    runtime::IncrementalFixpoint fix = rescan_fixpoint(program);
+    inject_text(fix, init);
+    for (auto _ : state) inject_text(fix, touch_element(rng, j++, k));
+  } else {
+    serve::Server server(serve::ServeOptions{});
+    (void)server.handle_line(create_line("s", program, init));
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          server.handle_line(inject_line("s", touch_element(rng, j++, k))));
+    }
   }
   state.SetLabel(rescan ? "rescan" : "worklist");
 }

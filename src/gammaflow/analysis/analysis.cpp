@@ -50,15 +50,20 @@ std::size_t concurrent_firings(const gamma::Program& program,
                                const gamma::Multiset& m, std::uint64_t seed) {
   gamma::Store store(m, gamma::FieldSet::of(program));
   Rng rng(seed);
+  const std::vector<const gamma::Reaction*> reactions = program.all_reactions();
+  // One site per reaction: its memo skips the anchors a previous find
+  // already ruled out, and its literals are pinned once.
+  std::vector<runtime::MatchSite> sites(reactions.size());
   std::size_t fired = 0;
   bool progressed = true;
   // Greedy maximal set: claim a match, delete its elements WITHOUT inserting
   // products (all firings of the set happen "at the same instant").
   while (progressed) {
     progressed = false;
-    for (const gamma::Reaction* r : program.all_reactions()) {
-      while (auto match = runtime::MatchPipeline::find(store, *r, &rng)) {
-        for (const auto id : match->ids) store.remove(id);
+    for (std::size_t i = 0; i < reactions.size(); ++i) {
+      while (runtime::MatchPipeline::find(store, *reactions[i], &rng,
+                                          sites[i])) {
+        for (const auto id : sites[i].match().ids) store.remove(id);
         ++fired;
         progressed = true;
       }

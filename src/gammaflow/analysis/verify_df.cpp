@@ -144,8 +144,8 @@ LintReport verify_graph(const Graph& graph) {
   for (std::size_t k = 0; k < graph.edge_count(); ++k) {
     const Edge& e = graph.edge(static_cast<EdgeId>(k));
     if (e.src >= n || e.dst >= n) {
-      add(report, Severity::Error, "df-edge-endpoint", e.label.str(),
-          "edge '" + e.label.str() + "' references node id " +
+      add(report, Severity::Error, "df-edge-endpoint", e.label,
+          "edge '" + e.label + "' references node id " +
               std::to_string(e.src >= n ? e.src : e.dst) + " but the graph has " +
               std::to_string(n) + " node(s)");
       edge_ok[k] = false;
@@ -153,7 +153,7 @@ LintReport verify_graph(const Graph& graph) {
     }
     if (e.src_port >= dataflow::output_arity(graph.node(e.src).kind)) {
       add(report, Severity::Error, "df-port-range", node_ref(graph, e.src),
-          "edge '" + e.label.str() + "' leaves output port " +
+          "edge '" + e.label + "' leaves output port " +
               std::to_string(e.src_port) + " but " +
               dataflow::to_string(graph.node(e.src).kind) + " has " +
               std::to_string(dataflow::output_arity(graph.node(e.src).kind)) +
@@ -162,14 +162,14 @@ LintReport verify_graph(const Graph& graph) {
     }
     if (e.dst_port >= dataflow::input_arity(graph.node(e.dst))) {
       add(report, Severity::Error, "df-port-range", node_ref(graph, e.dst),
-          "edge '" + e.label.str() + "' enters input port " +
+          "edge '" + e.label + "' enters input port " +
               std::to_string(e.dst_port) + " but " +
               dataflow::to_string(graph.node(e.dst).kind) + " takes " +
               std::to_string(dataflow::input_arity(graph.node(e.dst))) +
               " input(s)");
       edge_ok[k] = false;
     }
-    by_label[e.label.str()].push_back(static_cast<EdgeId>(k));
+    by_label[e.label].push_back(static_cast<EdgeId>(k));
   }
   for (const auto& [label, edges] : by_label) {
     if (edges.size() > 1) {

@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 namespace gammaflow::dataflow {
@@ -46,26 +47,26 @@ std::optional<NodeId> Graph::find(const std::string& name) const {
 }
 
 void Graph::validate() const {
-  std::unordered_set<Label> labels;
+  std::unordered_set<std::string_view> labels;
   for (EdgeId eid = 0; eid < edges_.size(); ++eid) {
     const Edge& e = edges_[eid];
     if (e.src >= nodes_.size() || e.dst >= nodes_.size()) {
       throw GraphError("edge " + std::to_string(eid) + " references a missing node");
     }
     if (e.src_port >= output_arity(nodes_[e.src].kind)) {
-      throw GraphError("edge '" + e.label.str() + "' leaves invalid port " +
+      throw GraphError("edge '" + e.label + "' leaves invalid port " +
                        std::to_string(e.src_port) + " of " +
                        dataflow::to_string(nodes_[e.src].kind) + " node " +
                        std::to_string(e.src));
     }
     if (e.dst_port >= input_arity(nodes_[e.dst])) {
-      throw GraphError("edge '" + e.label.str() + "' enters invalid port " +
+      throw GraphError("edge '" + e.label + "' enters invalid port " +
                        std::to_string(e.dst_port) + " of " +
                        dataflow::to_string(nodes_[e.dst].kind) + " node " +
                        std::to_string(e.dst));
     }
     if (!labels.insert(e.label).second) {
-      throw GraphError("duplicate edge label '" + e.label.str() + "'");
+      throw GraphError("duplicate edge label '" + e.label + "'");
     }
   }
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -211,11 +212,10 @@ NodeId GraphBuilder::output(std::string name) {
 
 EdgeId GraphBuilder::connect(Port src, NodeId dst, PortId dst_port,
                              std::string_view label) {
-  std::string label_str =
-      label.empty()
-          ? std::string("e").append(std::to_string(next_auto_label_++))
-          : std::string(label);
-  Edge e{src.node, src.port, dst, dst_port, Label(label_str)};
+  Edge e{src.node, src.port, dst, dst_port,
+         label.empty()
+             ? std::string("e").append(std::to_string(next_auto_label_++))
+             : std::string(label)};
   const auto eid = static_cast<EdgeId>(graph_.edges_.size());
   if (src.node >= graph_.nodes_.size() || dst >= graph_.nodes_.size()) {
     throw GraphError("connect references a missing node");

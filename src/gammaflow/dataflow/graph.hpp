@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "gammaflow/common/error.hpp"
-#include "gammaflow/common/label.hpp"
 #include "gammaflow/dataflow/node.hpp"
 
 namespace gammaflow::dataflow {
@@ -34,7 +33,7 @@ struct Edge {
   PortId src_port = 0;
   NodeId dst = 0;
   PortId dst_port = 0;
-  Label label;
+  std::string label;
 };
 
 class Graph {

@@ -167,7 +167,7 @@ OptimizeResult optimize(const Graph& g) {
     if (!live[e.dst] || state[e.dst] != State::Keep) continue;
     const Port src = resolve(Port{e.src, e.src_port});
     b.connect(Port{remap[src.node], src.port}, remap[e.dst], e.dst_port,
-              e.label.str());
+              e.label);
   }
   result.graph = std::move(b).build();
   return result;

@@ -144,7 +144,7 @@ void write_text(std::ostream& os, const Graph& graph) {
   }
   for (const Edge& e : graph.edges()) {
     os << "edge src=" << e.src << " sport=" << e.src_port << " dst=" << e.dst
-       << " dport=" << e.dst_port << " label=" << quote(e.label.str()) << '\n';
+       << " dport=" << e.dst_port << " label=" << quote(e.label) << '\n';
   }
 }
 

@@ -268,13 +268,6 @@ std::optional<std::vector<Element>> Reaction::apply(const expr::Env& env) const 
   return produced;
 }
 
-std::optional<std::vector<Element>> Reaction::try_fire(
-    std::span<const Element* const> elements) const {
-  expr::Env env;
-  if (!match(elements, env)) return std::nullopt;
-  return apply(env);
-}
-
 bool Reaction::is_shrinking() const noexcept {
   return std::all_of(branches_.begin(), branches_.end(), [&](const Branch& br) {
     return br.outputs.size() < patterns_.size();

@@ -240,10 +240,6 @@ class Reaction {
   [[nodiscard]] std::optional<std::vector<Element>> apply(
       const expr::Env& env) const;
 
-  /// match + apply in one call; elements.size() must equal arity().
-  [[nodiscard]] std::optional<std::vector<Element>> try_fire(
-      std::span<const Element* const> elements) const;
-
   /// The bytecode compiled once at construction (never null; copies share).
   [[nodiscard]] const CompiledReaction& compiled() const noexcept {
     return *compiled_;

@@ -15,7 +15,8 @@
 
 namespace gammaflow::runtime {
 
-WakeupIndex::WakeupIndex(const std::vector<WakeKeys>& keys)
+WakeupIndex::WakeupIndex(const std::vector<WakeKeys>& keys,
+                         gamma::Store& store)
     : reactions_(keys.size()) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const WakeKeys& k = keys[i];
@@ -23,32 +24,22 @@ WakeupIndex::WakeupIndex(const std::vector<WakeKeys>& keys)
       always_.push_back(i);
       continue;  // the always list subsumes the per-key buckets
     }
-    for (const std::string& label : k.labels) by_label_[label].push_back(i);
+    for (const std::string& label : k.labels) {
+      const auto id = static_cast<std::size_t>(store.pin(Value(label)).payload);
+      if (by_symbol_.size() <= id) by_symbol_.resize(id + 1);
+      by_symbol_[id].push_back(i);
+    }
     for (const std::size_t arity : k.arities) by_arity_[arity].push_back(i);
   }
 }
 
-void WakeupIndex::pin_labels(gamma::Store& store) {
-  for (const auto& [label, woken] : by_label_) {
-    const auto id = static_cast<std::size_t>(store.pin(Value(label)).payload);
-    if (by_symbol_.size() <= id) by_symbol_.resize(id + 1);
-    by_symbol_[id] = woken;
-  }
-}
-
-const std::vector<std::size_t>* WakeupIndex::by_text(
-    const Value& label) const {
-  if (!label.is_str()) return nullptr;
-  const auto it = by_label_.find(label.as_str());
-  return it != by_label_.end() ? &it->second : nullptr;
-}
-
-void WakeupIndex::wake_by(const std::vector<std::size_t>* by_label,
-                          std::size_t arity,
+void WakeupIndex::wake_by(gamma::Store::Cell label, std::size_t arity,
                           std::vector<std::size_t>& out) const {
   out.insert(out.end(), always_.begin(), always_.end());
-  if (by_label != nullptr) {
-    out.insert(out.end(), by_label->begin(), by_label->end());
+  const auto at = static_cast<std::size_t>(label.payload);
+  if (label.tag == static_cast<std::uint8_t>(ValueKind::Str) &&
+      at < by_symbol_.size()) {
+    out.insert(out.end(), by_symbol_[at].begin(), by_symbol_[at].end());
   }
   const auto it = by_arity_.find(arity);
   if (it != by_arity_.end()) {
@@ -56,25 +47,32 @@ void WakeupIndex::wake_by(const std::vector<std::size_t>* by_label,
   }
 }
 
-void WakeupIndex::wake(std::span<const Value> fields,
+void WakeupIndex::wake(const gamma::Store& store, gamma::Store::Id id,
                        std::vector<std::size_t>& out) const {
-  wake_by(fields.size() >= 2 ? by_text(fields[1]) : nullptr, fields.size(),
-          out);
+  const gamma::Store::RowRef r = store.row(id);
+  const std::size_t arity = r.group->arity;
+  gamma::Store::Cell label;
+  if (arity >= 2) {
+    label = {r.group->cols[1].tags[r.row], r.group->cols[1].data[r.row]};
+  }
+  wake_by(label, arity, out);
 }
 
-void WakeupIndex::wake(std::span<const gamma::Store::Cell> fields,
+void WakeupIndex::wake(const gamma::Store& store,
+                       std::span<const gamma::Store::Cell> fields,
                        std::span<const Value> texts,
                        std::vector<std::size_t>& out) const {
-  const std::vector<std::size_t>* by_label = nullptr;
+  gamma::Store::Cell label;
   if (fields.size() >= 2) {
-    const auto at = static_cast<std::size_t>(fields[1].payload);
-    if (fields[1].tag == static_cast<std::uint8_t>(ValueKind::Str)) {
-      by_label = at < by_symbol_.size() ? &by_symbol_[at] : nullptr;
-    } else if (fields[1].tag == gamma::Store::kTextTag) {
-      by_label = by_text(texts[at]);
+    label = fields[1];
+    // A computed string is a kTextTag cell even when it equals a key
+    // label: it finds the label's pinned cell by its text.
+    if (label.tag == gamma::Store::kTextTag) {
+      label = store.cell_of(texts[static_cast<std::size_t>(label.payload)])
+                  .value_or(gamma::Store::Cell{});
     }
   }
-  wake_by(by_label, fields.size(), out);
+  wake_by(label, fields.size(), out);
 }
 
 namespace {
@@ -98,13 +96,9 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
                                          const WorklistOptions& options)
     : program_(std::move(program)),
       reactions_(&only_stage(program_)),
-      // Rescan keys every reaction `any`: each insert wakes them all, in
-      // index order.
-      index_(options.rescan
-                 ? std::vector<WakeKeys>(keys.size(), WakeKeys{{}, {}, true})
-                 : std::move(keys)),
       options_(options),
       store_(gamma::FieldSet::of(program_)),
+      index_(keys, store_),
       rng_(options.seed),
       mem_(reactions_->size()),
       obs_(options.telemetry, nullptr, *reactions_),
@@ -116,16 +110,9 @@ IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
                       std::to_string(reactions_->size()));
   }
   dirty_.assign(reactions_->size(), 0);
-  index_.pin_labels(store_);
   // The journal opens on the empty store; every injection's quiescent state
   // is one round (DESIGN §11), so replaying the rounds reproduces `final`.
   recording_.begin(gamma::Multiset{});
-}
-
-void IncrementalFixpoint::wake_element(std::span<const Value> fields) {
-  wake_scratch_.clear();
-  index_.wake(fields, wake_scratch_);
-  wake_queue();
 }
 
 void IncrementalFixpoint::wake_queue() {
@@ -143,7 +130,7 @@ Outcome IncrementalFixpoint::saturate(StepLoop& loop) {
     ++last_fires_;
     match.for_each_output([&](std::span<const gamma::Store::Cell> produced) {
       wake_scratch_.clear();
-      index_.wake(produced, match.texts.span(), wake_scratch_);
+      index_.wake(store_, produced, match.texts.span(), wake_scratch_);
       wake_queue();
     });
   };
@@ -172,8 +159,9 @@ Outcome IncrementalFixpoint::inject(const gamma::FlatElements& elements) {
   const std::uint64_t skips0 = options_.telemetry ? mem_.anchor_skips() : 0;
   StepLoop loop(options_, options_.max_steps, "worklist", "max_steps");
   elements.for_each([this](std::span<const Value> fields) {
-    store_.insert(fields);
-    wake_element(fields);
+    wake_scratch_.clear();
+    index_.wake(store_, store_.insert(fields), wake_scratch_);
+    wake_queue();
   });
   stats_.injected += elements.size();
   last_outcome_ = saturate(loop);

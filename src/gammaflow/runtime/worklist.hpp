@@ -11,8 +11,9 @@
 //                   runtime-consumable form (analysis::wakeup_keys builds
 //                   them so the admitted-labels logic stays in gf_analysis).
 //   WakeupIndex   — label→reactions and arity→reactions maps inverted from
-//                   the WakeKeys; wake(e) returns exactly the reactions whose
-//                   footprint admits element e.
+//                   the WakeKeys, a key label indexed by its pinned symbol
+//                   in the session's store; wake(e) returns exactly the
+//                   reactions whose footprint admits element e.
 //   IncrementalFixpoint — the driver: inject() inserts elements, wakes their
 //                   footprint-matching reactions onto a dirty queue, and
 //                   drains the queue to quiescence, one reaction at a time
@@ -29,7 +30,10 @@
 // only bound fields). Hence queue empty ⟹ no reaction has an enabled match
 // ⟹ global fixpoint, and for confluent programs that fixpoint is the one
 // the batch engines reach from the union of all injections — byte-identical,
-// which test_serve checks on a randomized injection corpus.
+// which test_serve checks on a randomized injection corpus. A caller that
+// passes every reaction's WakeKeys as `any` wakes them all on each insert:
+// that is the whole-store baseline bench_serve and test_serve compare
+// against, and no option of this module selects it.
 #pragma once
 
 #include <cstdint>
@@ -61,44 +65,41 @@ struct WakeKeys {
   bool any = false;
 };
 
-/// Inverted index from element keys to the reactions they can wake. Built
-/// once per program; wake() is O(woken reactions), not O(all reactions).
+/// Inverted index from element keys to the reactions they can wake, over
+/// one store. Built once per session; wake() is O(woken reactions), not
+/// O(all reactions), and finds a label by its cell, with no hash.
 class WakeupIndex {
  public:
-  explicit WakeupIndex(const std::vector<WakeKeys>& keys);
+  /// Pins every key label in `store` (Store::pin), so that a label of that
+  /// store is found by its symbol id.
+  WakeupIndex(const std::vector<WakeKeys>& keys, gamma::Store& store);
 
   [[nodiscard]] std::size_t reaction_count() const noexcept {
     return reactions_;
   }
 
-  /// Pins every key label in `store` (Store::pin), so that wake() finds a
-  /// produced label cell of that store by its symbol id, with no hash.
-  void pin_labels(gamma::Store& store);
-
-  /// Appends every reaction index whose keys admit the element with these
-  /// fields: the always-wake list, the label bucket for its string field 1
-  /// (when present), and the arity bucket for its arity. A reaction keyed
-  /// on both the label and the arity appears twice; callers dedup via their
-  /// dirty flags.
-  void wake(std::span<const Value> fields, std::vector<std::size_t>& out) const;
-  /// The same for a fire's output tuple as Match::outputs holds it: cells of
-  /// the store pin_labels() pinned the labels in, a kTextTag one indexing
-  /// `texts`.
-  void wake(std::span<const gamma::Store::Cell> fields,
+  /// Appends every reaction index whose keys admit the live element `id`
+  /// of `store`: the always-wake list, the label bucket of its field-1
+  /// cell, and the arity bucket for its arity. A reaction keyed on both the
+  /// label and the arity appears twice; callers dedup via their dirty
+  /// flags.
+  void wake(const gamma::Store& store, gamma::Store::Id id,
+            std::vector<std::size_t>& out) const;
+  /// The same for a fire's output tuple as Match::outputs holds it: cells
+  /// of `store`, a kTextTag one indexing `texts`.
+  void wake(const gamma::Store& store,
+            std::span<const gamma::Store::Cell> fields,
             std::span<const Value> texts, std::vector<std::size_t>& out) const;
 
  private:
-  /// The label bucket of `label`, or null when it is no key label.
-  [[nodiscard]] const std::vector<std::size_t>* by_text(
-      const Value& label) const;
-  /// Appends the always-wake list, `by_label` (when not null) and the
+  /// Appends the always-wake list, the label bucket of `label` and the
   /// arity bucket of `arity`, in that order.
-  void wake_by(const std::vector<std::size_t>* by_label, std::size_t arity,
+  void wake_by(gamma::Store::Cell label, std::size_t arity,
                std::vector<std::size_t>& out) const;
 
   std::size_t reactions_;
-  std::unordered_map<std::string, std::vector<std::size_t>> by_label_;
-  /// by_label_ by the pinned symbol id of each label (empty past them).
+  /// Reactions keyed on each label, by the label's pinned symbol id (empty
+  /// for any other id).
   std::vector<std::vector<std::size_t>> by_symbol_;
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_arity_;
   std::vector<std::size_t> always_;
@@ -111,16 +112,11 @@ class WakeupIndex {
 struct WorklistOptions : RunOptions {
   std::uint64_t seed = 1;
   std::uint64_t max_steps = 50'000'000;
-  /// A/B baseline: ignore footprints and mark EVERY reaction dirty on every
-  /// insert — the "full rescan" strawman bench_serve compares against. It
-  /// replaces every reaction's WakeKeys by `any`. The fixpoints are
-  /// identical either way; only the re-match work differs.
-  bool rescan = false;
 };
 
 /// Counters the daemon's stats verb and bench_serve report. `rematches` is
 /// the number of MatchPipeline::find probes — the work the wakeup index
-/// saves versus rescan mode; stats() reads it from the session's
+/// saves versus all-`any` keys; stats() reads it from the session's
 /// StageMemory.
 struct WorklistStats {
   std::uint64_t injected = 0;   // elements inserted via inject()
@@ -166,15 +162,14 @@ class IncrementalFixpoint {
   void finish_recording();
 
  private:
-  void wake_element(std::span<const Value> fields);
   void wake_queue();
   Outcome saturate(StepLoop& loop);
 
   gamma::Program program_;
   const std::vector<gamma::Reaction>* reactions_;  // into program_ stage 0
-  WakeupIndex index_;
   WorklistOptions options_;
   gamma::Store store_;
+  WakeupIndex index_;  // pins its labels in store_
   Rng rng_;
   std::deque<std::size_t> queue_;
   std::vector<char> dirty_;  // reaction index -> currently queued

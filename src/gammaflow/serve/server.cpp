@@ -254,7 +254,6 @@ std::string Server::verb_create(const Json& req) {
       req.int_or("max_steps", static_cast<std::int64_t>(options_.max_steps)));
   sopts.worklist.seed = static_cast<std::uint64_t>(
       req.int_or("seed", static_cast<std::int64_t>(options_.seed)));
-  sopts.worklist.rescan = req.bool_or("rescan", options_.rescan);
   sopts.worklist.telemetry = options_.telemetry;
   sopts.record = req.bool_or("record", !options_.record_out.empty());
 

@@ -50,9 +50,6 @@ struct ServeOptions {
   /// Default lifetime firing budget per session (create may override).
   std::uint64_t max_steps = 50'000'000;
   std::uint64_t seed = 1;
-  /// Default wake policy: full rescan instead of footprint wakeups (the
-  /// bench A/B baseline; fixpoints are identical either way).
-  bool rescan = false;
   /// Journal path stem: session journals are written on close to
   /// "<stem>.<session>.<ext>" ("" = sessions record only when the create
   /// request asks, and the journal is returned inline in the close reply).

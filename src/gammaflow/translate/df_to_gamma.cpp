@@ -49,7 +49,7 @@ PortPattern make_port_pattern(const Graph& graph, NodeId id, PortId p,
   fields.push_back(PatternField::bind(out.value_var));
   if (in.size() == 1) {
     fields.push_back(
-        PatternField::literal(Value(graph.edge(in[0]).label.str())));
+        PatternField::literal(Value(graph.edge(in[0]).label)));
   } else {
     // Token-merge port: bind the label and constrain it by disjunction.
     const std::string label_var = p == 0 ? "x" : "y";
@@ -57,7 +57,7 @@ PortPattern make_port_pattern(const Graph& graph, NodeId id, PortId p,
     ExprPtr cond;
     for (const EdgeId eid : in) {
       ExprPtr test = Expr::binary(BinOp::Eq, Expr::var(label_var),
-                                  Expr::lit(Value(graph.edge(eid).label.str())));
+                                  Expr::lit(Value(graph.edge(eid).label)));
       cond = cond ? Expr::binary(BinOp::Or, std::move(cond), std::move(test))
                   : std::move(test);
     }
@@ -73,7 +73,7 @@ std::vector<ExprPtr> make_output(const Graph& graph, EdgeId eid, ExprPtr value,
                                  ExprPtr tag, bool tagged) {
   std::vector<ExprPtr> tuple;
   tuple.push_back(std::move(value));
-  tuple.push_back(Expr::lit(Value(graph.edge(eid).label.str())));
+  tuple.push_back(Expr::lit(Value(graph.edge(eid).label)));
   if (tagged) tuple.push_back(std::move(tag));
   return tuple;
 }
@@ -147,7 +147,7 @@ GammaConversion dataflow_to_gamma(const Graph& graph,
       // Line 9: root emissions seed the initial multiset.
       const dataflow::Firing f = dataflow::fire_node(node, {}, 0);
       for (const EdgeId eid : graph.out_edges(id, 0)) {
-        const std::string label = graph.edge(eid).label.str();
+        const std::string& label = graph.edge(eid).label;
         result.initial.add(tagged ? Element::tagged(f.value, label, 0)
                                   : Element::labeled(f.value, label));
       }
@@ -157,7 +157,7 @@ GammaConversion dataflow_to_gamma(const Graph& graph,
       // Every producer edge can deliver this output's token (if-joins merge
       // several); all their labels are observable.
       for (const EdgeId eid : graph.in_edges(id, 0)) {
-        result.output_labels[node.name].push_back(graph.edge(eid).label.str());
+        result.output_labels[node.name].push_back(graph.edge(eid).label);
       }
       continue;
     }

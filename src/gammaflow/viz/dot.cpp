@@ -101,7 +101,7 @@ void write_dot(std::ostream& os, const dataflow::Graph& graph,
   }
   for (const dataflow::Edge& e : graph.edges()) {
     os << "  n" << e.src << " -> n" << e.dst << " [label=\""
-       << dot_escape(e.label.str()) << '"';
+       << dot_escape(e.label) << '"';
     if (graph.node(e.src).kind == dataflow::NodeKind::Steer) {
       os << (e.src_port == dataflow::kSteerTrue ? ", taillabel=\"T\""
                                                 : ", taillabel=\"F\"");

@@ -99,7 +99,7 @@ void build_dataflow_view(const dataflow::Graph& graph,
     VizEdge ve;
     ve.src = e.src;
     ve.dst = e.dst;
-    ve.label = e.label.str();
+    ve.label = e.label;
     edges.push_back(std::move(ve));
   }
 }

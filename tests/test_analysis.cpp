@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "gammaflow/analysis/analysis.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/paper/figures.hpp"
+#include "gammaflow/runtime/match_pipeline.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 #include "gammaflow/translate/reduce.hpp"
 
@@ -73,6 +75,50 @@ TEST(MatchOps, ReductionShrinksConcurrentFirings) {
   const gamma::Multiset wide = wide_fig1_multiset(4);
   EXPECT_EQ(concurrent_firings(paper::fig1_gamma(), wide), 8u);
   EXPECT_EQ(concurrent_firings(paper::fig1_reduced_gamma(), wide), 4u);
+}
+
+/// concurrent_firings as a loop of the read-only find, with no memo and no
+/// pinned literals: each find starts from scratch.
+std::size_t fresh_find_firings(const gamma::Program& program,
+                               const gamma::Multiset& m, std::uint64_t seed) {
+  gamma::Store store(m, gamma::FieldSet::of(program));
+  Rng rng(seed);
+  std::size_t fired = 0;
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    for (const gamma::Reaction* r : program.all_reactions()) {
+      while (auto match = runtime::MatchPipeline::find(store, *r, &rng)) {
+        for (const auto id : match->ids) store.remove(id);
+        ++fired;
+        progressed = true;
+      }
+    }
+  }
+  return fired;
+}
+
+TEST(MatchOps, ConcurrentFiringsMatchAFreshFindPerAttempt) {
+  // The per-reaction site's memo and pins change neither the rng stream
+  // nor the match found, so the count is the one fresh finds reach: on the
+  // fig1 programs above, and on a guarded join whose greedy set depends on
+  // the seed.
+  gamma::Multiset ints;
+  for (std::int64_t v = 1; v <= 24; ++v) ints.add(gamma::Element{Value(v)});
+  const gamma::Program near = gamma::dsl::parse_program(
+      "R = replace x, y by x where x + 1 == y or x + 3 == y");
+  const gamma::Multiset wide = wide_fig1_multiset(4);
+  std::set<std::size_t> near_counts;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    EXPECT_EQ(concurrent_firings(paper::fig1_gamma(), wide, seed),
+              fresh_find_firings(paper::fig1_gamma(), wide, seed));
+    EXPECT_EQ(concurrent_firings(paper::fig1_reduced_gamma(), wide, seed),
+              fresh_find_firings(paper::fig1_reduced_gamma(), wide, seed));
+    const std::size_t n = concurrent_firings(near, ints, seed);
+    EXPECT_EQ(n, fresh_find_firings(near, ints, seed)) << "seed " << seed;
+    near_counts.insert(n);
+  }
+  EXPECT_GT(near_counts.size(), 1u);  // the seeds reach different sets
 }
 
 TEST(MatchOps, ReductionShrinksMatchProbability) {

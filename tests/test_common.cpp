@@ -1,5 +1,5 @@
-// Tests for the common substrate: label interning, RNG determinism, stats,
-// MPSC queue, JSON codec.
+// Tests for the common substrate: RNG determinism, stats, MPSC queue, JSON
+// codec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "gammaflow/common/json.hpp"
-#include "gammaflow/common/label.hpp"
 #include "gammaflow/common/mpsc_queue.hpp"
 #include "gammaflow/common/rank_bitmap.hpp"
 #include "gammaflow/common/rng.hpp"
@@ -16,55 +15,6 @@
 
 namespace gammaflow {
 namespace {
-
-TEST(Label, InterningIsIdempotent) {
-  Label a("edge_A1");
-  Label b("edge_A1");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.id(), b.id());
-  EXPECT_EQ(a.str(), "edge_A1");
-}
-
-TEST(Label, DistinctNamesDistinctIds) {
-  Label a("lbl_one");
-  Label b("lbl_two");
-  EXPECT_NE(a, b);
-  EXPECT_NE(a.id(), b.id());
-}
-
-TEST(Label, DefaultIsEmpty) {
-  Label l;
-  EXPECT_TRUE(l.empty());
-  EXPECT_EQ(l.str(), "");
-  EXPECT_EQ(l, Label(""));
-}
-
-TEST(Label, OrderingFollowsCreation) {
-  Label a("order_first");
-  Label b("order_second");
-  EXPECT_TRUE(a < b);
-}
-
-TEST(Label, ConcurrentInterningIsConsistent) {
-  constexpr int kThreads = 8;
-  constexpr int kNames = 50;
-  std::vector<std::vector<Label::Id>> seen(kThreads,
-                                           std::vector<Label::Id>(kNames));
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kNames; ++i) {
-        seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] =
-            Label("conc_" + std::to_string(i)).id();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);
-  }
-}
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(12345), b(12345);

@@ -35,7 +35,7 @@ TEST(GraphBuilder, Fig1Structure) {
   EXPECT_EQ(g.node(*g.find("R3")).op, BinOp::Sub);
   const auto b2_at =
       std::find_if(g.edges().begin(), g.edges().end(),
-                   [](const Edge& e) { return e.label == Label("B2"); });
+                   [](const Edge& e) { return e.label == "B2"; });
   ASSERT_NE(b2_at, g.edges().end());
   const Edge& b2 = *b2_at;
   EXPECT_EQ(b2.src, *g.find("R1"));
@@ -51,7 +51,7 @@ TEST(GraphBuilder, AutoLabelsAreUnique) {
   const Graph g = std::move(b).build();
   EXPECT_EQ(g.edge_count(), 3u);
   std::set<std::string> labels;
-  for (const Edge& e : g.edges()) labels.insert(e.label.str());
+  for (const Edge& e : g.edges()) labels.insert(e.label);
   EXPECT_EQ(labels.size(), 3u);
 }
 

@@ -1,8 +1,9 @@
 // Streaming-mode tests (DESIGN §14): the worklist-driven incremental
 // fixpoint must be byte-identical to a batch run over the union of its
 // injections — checked on a 200-seed randomized injection corpus against
-// all three in-process engines and the full-rescan worklist baseline —
-// and the serve protocol's verbs and error replies must match the spec.
+// all three in-process engines and the full-rescan worklist baseline (every
+// reaction keyed `any`) — and the serve protocol's verbs and error replies
+// must match the spec.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
@@ -26,6 +28,7 @@
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/common/json.hpp"
 #include "gammaflow/expr/bytecode.hpp"
+#include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
@@ -34,6 +37,7 @@
 #include "gammaflow/runtime/worklist.hpp"
 #include "gammaflow/serve/server.hpp"
 #include "gammaflow/serve/session.hpp"
+#include "gammaflow/translate/df_to_gamma.hpp"
 
 namespace gammaflow {
 namespace {
@@ -58,6 +62,13 @@ gamma::Element bare(std::int64_t v) { return gamma::Element({Value(v)}); }
 
 gamma::Element labeled(std::int64_t v, const char* label) {
   return gamma::Element({Value(v), Value(label)});
+}
+
+/// The full-rescan baseline's keys: every reaction `any`, so each insert
+/// wakes them all.
+std::vector<runtime::WakeKeys> rescan_keys(const gamma::Program& program) {
+  return std::vector<runtime::WakeKeys>(program.all_reactions().size(),
+                                        {{}, {}, true});
 }
 
 /// The elements laid out as IncrementalFixpoint::inject takes them.
@@ -97,9 +108,7 @@ void check_differential(const gamma::Program& program, std::uint64_t seed,
   WorklistOptions wopts;
   wopts.seed = seed;
   IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
-  WorklistOptions ropts = wopts;
-  ropts.rescan = true;
-  IncrementalFixpoint rescan(program, analysis::wakeup_keys(program), ropts);
+  IncrementalFixpoint rescan(program, rescan_keys(program), wopts);
 
   gamma::Multiset all;
   for (const auto& batch : schedule) {
@@ -142,6 +151,67 @@ TEST(ServeDifferential, LabeledCorpusMatchesBatchOn100Seeds) {
   }
 }
 
+/// Runs `program` from `initial` as one injection through the footprint
+/// worklist and the full-rescan one, and as a batch IndexedEngine run; all
+/// three must print the same fixpoint.
+void expect_same_fixpoint(const std::string& name,
+                          const gamma::Program& program,
+                          const gamma::Multiset& initial) {
+  std::vector<gamma::Element> elements(initial.begin(), initial.end());
+  const WorklistOptions wopts;
+  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint rescan(program, rescan_keys(program), wopts);
+  ASSERT_EQ(fix.inject(flat(elements)), Outcome::Completed) << name;
+  ASSERT_EQ(rescan.inject(flat(elements)), Outcome::Completed) << name;
+  const std::string want =
+      render(gamma::IndexedEngine().run(program, initial).final_multiset);
+  EXPECT_EQ(render(fix.snapshot()), want) << name;
+  EXPECT_EQ(render(rescan.snapshot()), want) << name;
+}
+
+TEST(ServeDifferential, ExamplesReachTheIndexedFixpointBothWays) {
+  const std::filesystem::path dir =
+      std::filesystem::path(GF_REPO_DIR) / "examples" / "programs";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::size_t gamma_files = 0;
+  std::size_t src_files = 0;
+  for (const std::filesystem::path& path : files) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string name = path.filename().string();
+    if (path.extension() == ".gamma") {
+      // The initial multisets the examples document.
+      std::string init;
+      if (name == "fig1.gamma") {
+        init = "[1,'A1'] [5,'B1'] [3,'C1'] [2,'D1']";
+      } else if (name == "min.gamma") {
+        init = "[9] [4] [7] [2]";
+      } else {
+        for (int v = 2; v <= 30; ++v) init.append(std::to_string(v) + " ");
+      }
+      expect_same_fixpoint(name, gamma::dsl::parse_program(text.str()),
+                           gamma::dsl::parse_elements(init));
+      ++gamma_files;
+    } else if (path.extension() == ".src") {
+      // What `togamma` prints: Algorithm 1's program, re-read as text.
+      const auto conv = translate::dataflow_to_gamma(
+          frontend::compile_source(text.str()));
+      expect_same_fixpoint(name,
+                           gamma::dsl::parse_program(gamma::dsl::print(
+                               conv.program)),
+                           conv.initial);
+      ++src_files;
+    }
+  }
+  EXPECT_GE(gamma_files, 3u);
+  EXPECT_GE(src_files, 3u);
+}
+
 // ------------------------------------------------------ worklist internals ---
 
 TEST(Worklist, WakeupKeysMirrorInterferenceFootprints) {
@@ -172,9 +242,7 @@ TEST(Worklist, FootprintWakeupsAreSparserThanRescan) {
   const gamma::Program program = gamma::dsl::parse_program(kLabeled);
   WorklistOptions wopts;
   IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
-  WorklistOptions ropts;
-  ropts.rescan = true;
-  IncrementalFixpoint rescan(program, analysis::wakeup_keys(program), ropts);
+  IncrementalFixpoint rescan(program, rescan_keys(program), wopts);
 
   // Seed both populations, then stream 'B'-only traffic: the footprint
   // index must never re-probe Rsum while rescan probes both every time.
@@ -191,6 +259,25 @@ TEST(Worklist, FootprintWakeupsAreSparserThanRescan) {
   EXPECT_EQ(render(fix.snapshot()), render(rescan.snapshot()));
   EXPECT_LT(fix.stats().wakeups, rescan.stats().wakeups);
   EXPECT_LT(fix.stats().rematches, rescan.stats().rematches);
+}
+
+TEST(Worklist, AComputedLabelWakesItsConsumer) {
+  // R1's output label is computed (`l + ''`), so it reaches the wake as a
+  // text, not as a cell of the store, even though it equals R2's key label
+  // 'k'. Only R2's label key admits [v, 'k']: R2 is keyed on no arity.
+  const gamma::Program program = gamma::dsl::parse_program(
+      "R1 = replace [v, 'in', l] by [v, l + '']\n"
+      "R2 = replace [v, 'k'] by [v, 'out']");
+  const auto keys = analysis::wakeup_keys(program);
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_FALSE(keys[1].any);
+  EXPECT_TRUE(keys[1].arities.empty());
+  IncrementalFixpoint fix(program, keys, WorklistOptions{});
+  ASSERT_EQ(fix.inject(flat({gamma::Element(
+                {Value(std::int64_t{7}), Value("in"), Value("k")})})),
+            Outcome::Completed);
+  EXPECT_EQ(render(fix.snapshot()), render(gamma::Multiset{labeled(7, "out")}));
+  EXPECT_EQ(fix.stats().fires, 2u);
 }
 
 TEST(Worklist, EmptyInjectIsANoOpAtFixpoint) {

@@ -125,10 +125,6 @@ void print_usage(std::ostream& out) {
       "         --stdio                speak the protocol on stdin/stdout\n"
       "                                (also the default without --socket)\n"
       "         --max-sessions N       concurrent session cap (default 64)\n"
-      "         --rescan               worklist/serve: wake EVERY reaction on\n"
-      "                                each insert instead of footprint\n"
-      "                                wakeups (A/B baseline; identical\n"
-      "                                fixpoints, more rematch work)\n"
       "         --deadline S           serve: default per-inject deadline\n"
       "         --max-steps N          serve: default per-session firing\n"
       "                                budget\n"
@@ -239,7 +235,6 @@ struct Options {
   std::string socket;             // serve: unix socket path
   bool stdio = false;             // serve: speak the protocol on stdin/stdout
   std::size_t max_sessions = 64;  // serve: concurrent session cap
-  bool rescan = false;            // serve/worklist: full-rescan wake policy
   bool worklist = false;          // rungamma: incremental worklist path
 };
 
@@ -388,8 +383,6 @@ Options parse_options(int argc, char** argv, int first) {
       opts.stdio = true;
     } else if (arg == "--max-sessions") {
       opts.max_sessions = next_number();
-    } else if (arg == "--rescan") {
-      opts.rescan = true;
     } else if (arg == "--worklist") {
       opts.worklist = true;
     } else if (arg == "--log-level") {
@@ -535,7 +528,6 @@ int run_worklist(const gamma::Program& program, const Options& opts) {
   gamma::dsl::read_elements(*opts.init, initial);
   runtime::WorklistOptions wopts;
   wopts.seed = opts.seed;
-  wopts.rescan = opts.rescan;
   obs::RunRecorder rec;
   if (opts.record_out) wopts.record = &rec;
   if (opts.deadline > 0.0) {
@@ -553,8 +545,7 @@ int run_worklist(const gamma::Program& program, const Options& opts) {
   }
   const runtime::WorklistStats& stats = fix.stats();
   std::cerr << "# worklist: " << stats.wakeups << " wakeup(s), "
-            << stats.rematches << " rematch probe(s)"
-            << (opts.rescan ? " [rescan baseline]" : "") << '\n';
+            << stats.rematches << " rematch probe(s)\n";
   if (opts.record_out) {
     fix.finish_recording();
     dump_journal(rec.take(), *opts.record_out);
@@ -696,7 +687,6 @@ int cmd_serve(const std::string& path, const Options& opts) {
   sopts.deadline = opts.deadline;
   if (opts.max_steps > 0) sopts.max_steps = opts.max_steps;
   sopts.seed = opts.seed;
-  sopts.rescan = opts.rescan;
   if (opts.record_out) sopts.record_out = *opts.record_out;
   sopts.default_program = read_file(path);
   // Validate the default program up front: a daemon that rejects every
