@@ -3,8 +3,8 @@
 // final store must equal a batch run over the union of every injection —
 // exit 1 on mismatch, the CI smoke gate), then the sparse-touch ablation
 // (footprint wakeups in a daemon session vs an in-process full rescan,
-// every reaction keyed `any`, across K standing label populations) and
-// closed-/open-loop load generation measuring p50/p99
+// every reaction's footprint `consume_any`, across K standing label
+// populations) and closed-/open-loop load generation measuring p50/p99
 // injection-to-quiescence latency over a real Unix socket.
 //
 // GF_SERVE_SOCKET=<path> drives an externally started daemon instead of
@@ -90,12 +90,14 @@ std::string touch_element(Rng& rng, std::size_t j, std::size_t k) {
 }
 
 /// The full-rescan baseline: an in-process incremental fixpoint with every
-/// reaction keyed `any`, so each insert wakes them all.
+/// reaction's footprint `consume_any`, so each insert wakes them all.
 runtime::IncrementalFixpoint rescan_fixpoint(const std::string& program) {
   gamma::Program parsed = gamma::dsl::parse_program(program);
-  std::vector<runtime::WakeKeys> keys(parsed.all_reactions().size(),
-                                      {{}, {}, true});
-  return runtime::IncrementalFixpoint(std::move(parsed), std::move(keys),
+  gamma::Footprint any;
+  any.consume_any = true;
+  const std::vector<gamma::Footprint> all_any(parsed.all_reactions().size(),
+                                              any);
+  return runtime::IncrementalFixpoint(std::move(parsed), all_any,
                                       runtime::WorklistOptions{});
 }
 

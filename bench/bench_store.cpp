@@ -151,10 +151,9 @@ void BM_StoreRemove_RandomRank(benchmark::State& state) {
   for (; next < state.range(0); ++next) {
     store.insert(gamma::Element{Value(next)});
   }
-  const gamma::Pattern any = gamma::Pattern::var("x");
   Rng rng(11);
   for (auto _ : state) {
-    store.remove(store.bucket(any)[rng.bounded(n)]);
+    store.remove(store.arity_bucket(1)[rng.bounded(n)]);
     const Value v(next++);
     benchmark::DoNotOptimize(store.insert(std::span<const Value>(&v, 1)));
   }
@@ -183,11 +182,9 @@ void BM_StoreInsertRemove_Labelled(benchmark::State& state) {
   for (; next < state.range(0); ++next) {
     store.insert(gamma::Element{Value(next), labels[static_cast<std::size_t>(next % 64)]});
   }
-  const gamma::Pattern pair({gamma::PatternField::bind("x"),
-                             gamma::PatternField::bind("k")});
   Rng rng(11);
   for (auto _ : state) {
-    store.remove(store.bucket(pair)[rng.bounded(n)]);
+    store.remove(store.arity_bucket(2)[rng.bounded(n)]);
     const std::array<Value, 2> fields{Value(next), labels[static_cast<std::size_t>(next % 64)]};
     ++next;
     benchmark::DoNotOptimize(store.insert(fields));

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "gammaflow/analysis/interference.hpp"
+#include "gammaflow/gamma/footprint.hpp"
 
 namespace gammaflow::analysis {
 
@@ -53,7 +53,7 @@ ReactionUse reaction_use(const Reaction& r) {
       if (fields[1].value().is_str()) ++u.consumed[fields[1].value().as_str()];
       continue;
     }
-    if (auto bounds = admitted_labels(r, fields[1].name());
+    if (auto bounds = gamma::admitted_labels(r, fields[1].name());
         bounds && bounds->size() == 1) {
       ++u.consumed[*bounds->begin()];
     }
@@ -72,7 +72,7 @@ ReactionUse reaction_use(const Reaction& r) {
         continue;
       }
       if (label->kind() == Expr::Kind::Var) {
-        if (auto bounds = admitted_labels(r, label->var())) {
+        if (auto bounds = gamma::admitted_labels(r, label->var())) {
           for (const auto& l : *bounds) ++per_branch[l];
           continue;
         }

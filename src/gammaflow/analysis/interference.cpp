@@ -17,11 +17,8 @@
 
 namespace gammaflow::analysis {
 
-using expr::BinOp;
-using expr::Expr;
-using expr::ExprPtr;
-using gamma::Branch;
 using gamma::Element;
+using gamma::Footprint;
 using gamma::Multiset;
 using gamma::Pattern;
 using gamma::Program;
@@ -34,66 +31,6 @@ constexpr std::size_t kProbeMatches = 4;
 /// Firing budget for each probe fixpoint; exceeding it makes that probe
 /// inconclusive instead of non-terminating.
 constexpr std::uint64_t kProbeMaxSteps = 512;
-
-/// Sound upper bound on the string labels `var` may hold for `cond` to be
-/// true: nullopt when no bound can be proven (the condition may admit any
-/// label). Only pure positive structure is trusted — Or unions, And
-/// intersects (one bounded side suffices), var == 'lit' is a singleton;
-/// anything else (negation, inequality, arithmetic over var) gives up.
-std::optional<std::set<std::string>> bound_labels(const ExprPtr& cond,
-                                                  const std::string& var) {
-  if (!cond || cond->kind() != Expr::Kind::Binary) return std::nullopt;
-  const BinOp op = cond->bin_op();
-  if (op == BinOp::Eq) {
-    const ExprPtr& l = cond->lhs();
-    const ExprPtr& r = cond->rhs();
-    for (const auto& [v, lit] : {std::pair{l, r}, std::pair{r, l}}) {
-      if (v->kind() == Expr::Kind::Var && v->var() == var &&
-          lit->kind() == Expr::Kind::Literal && lit->literal().is_str()) {
-        return std::set<std::string>{lit->literal().as_str()};
-      }
-    }
-    return std::nullopt;
-  }
-  if (op == BinOp::Or) {
-    auto a = bound_labels(cond->lhs(), var);
-    auto b = bound_labels(cond->rhs(), var);
-    if (!a || !b) return std::nullopt;
-    a->insert(b->begin(), b->end());
-    return a;
-  }
-  if (op == BinOp::And) {
-    auto a = bound_labels(cond->lhs(), var);
-    auto b = bound_labels(cond->rhs(), var);
-    if (a && b) {
-      std::set<std::string> both;
-      std::set_intersection(a->begin(), a->end(), b->begin(), b->end(),
-                            std::inserter(both, both.begin()));
-      return both;
-    }
-    return a ? a : b;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-/// Reaction-level bound for a label binder: the union of per-branch bounds.
-/// An unconditional or else branch fires regardless of the label, so the
-/// binder admits anything.
-std::optional<std::set<std::string>> admitted_labels(const Reaction& r,
-                                                     const std::string& var) {
-  std::set<std::string> all;
-  for (const Branch& br : r.branches()) {
-    if (!br.condition || br.is_else) return std::nullopt;
-    auto sub = bound_labels(br.condition, var);
-    if (!sub) return std::nullopt;
-    all.insert(sub->begin(), sub->end());
-  }
-  return all;
-}
-
-namespace {
 
 bool sets_intersect(const std::set<std::string>& a,
                     const std::set<std::string>& b) {
@@ -130,24 +67,6 @@ struct Dsu {
   }
   void unite(std::size_t a, std::size_t b) { parent[find(a)] = find(b); }
 };
-
-void join(std::ostream& os, const std::set<std::string>& labels,
-          const std::set<std::size_t>& arities, bool any) {
-  if (any) {
-    os << '*';
-    return;
-  }
-  bool first = true;
-  for (const std::string& l : labels) {
-    os << (first ? "" : ",") << '\'' << l << '\'';
-    first = false;
-  }
-  for (const std::size_t a : arities) {
-    os << (first ? "" : ",") << "arity:" << a;
-    first = false;
-  }
-  if (first) os << "-";
-}
 
 /// Upper bound on how many elements of label `l` can ever coexist: its
 /// initial count, or unbounded once any reaction can produce it.
@@ -266,7 +185,7 @@ Multiset synthesize_state(const Reaction& r1, const Reaction& r2,
             Value v(static_cast<std::int64_t>(rng.bounded(6)));
             if (i == 1) {
               std::set<std::string> pool;
-              if (auto bounds = admitted_labels(*r, f.name())) {
+              if (auto bounds = gamma::admitted_labels(*r, f.name())) {
                 pool = *bounds;
               } else {
                 pool = universe;
@@ -311,78 +230,6 @@ std::optional<Multiset> probe_fixpoint(const Program& continuation,
 }
 
 }  // namespace
-
-std::string Footprint::to_string() const {
-  std::ostringstream os;
-  os << "consumes ";
-  join(os, consume_labels, consume_arities, consume_any);
-  os << " produces ";
-  join(os, produce_labels, produce_arities, produce_any);
-  return os.str();
-}
-
-Footprint reaction_footprint(const Reaction& reaction) {
-  Footprint f;
-  for (const Pattern& p : reaction.patterns()) {
-    const auto& fields = p.fields();
-    if (fields.size() < 2) {
-      f.consume_arities.insert(p.arity());
-      continue;
-    }
-    if (!fields[1].is_binder()) {
-      if (fields[1].value().is_str()) {
-        f.consume_labels.insert(fields[1].value().as_str());
-      } else {
-        f.consume_arities.insert(p.arity());
-      }
-      continue;
-    }
-    if (auto bounds = admitted_labels(reaction, fields[1].name())) {
-      f.consume_labels.insert(bounds->begin(), bounds->end());
-    } else {
-      f.consume_any = true;
-    }
-  }
-  for (const Branch& br : reaction.branches()) {
-    for (const auto& tuple : br.outputs) {
-      if (tuple.size() < 2) {
-        f.produce_arities.insert(tuple.size());
-        continue;
-      }
-      const ExprPtr& label = tuple[1];
-      if (label->kind() == Expr::Kind::Literal) {
-        if (label->literal().is_str()) {
-          f.produce_labels.insert(label->literal().as_str());
-        } else {
-          f.produce_arities.insert(tuple.size());
-        }
-        continue;
-      }
-      // A label binder passed through keeps its consume-side bound.
-      if (label->kind() == Expr::Kind::Var) {
-        if (auto bounds = admitted_labels(reaction, label->var())) {
-          f.produce_labels.insert(bounds->begin(), bounds->end());
-          continue;
-        }
-      }
-      f.produce_any = true;
-    }
-  }
-  return f;
-}
-
-std::vector<runtime::WakeKeys> wakeup_keys(const gamma::Program& program) {
-  std::vector<runtime::WakeKeys> keys;
-  for (const gamma::Reaction* r : program.all_reactions()) {
-    const Footprint f = reaction_footprint(*r);
-    runtime::WakeKeys k;
-    k.labels = f.consume_labels;
-    k.arities = f.consume_arities;
-    k.any = f.consume_any;
-    keys.push_back(std::move(k));
-  }
-  return keys;
-}
 
 bool compete(const Footprint& a, const Footprint& b) {
   if ((a.consume_any && consumes_anything(b)) ||
@@ -542,7 +389,7 @@ InterferenceReport analyze_interference(const Program& program,
       reactions.push_back(&r);
       stage_of.push_back(s);
       report.reactions.push_back(r.name());
-      report.footprints.push_back(reaction_footprint(r));
+      report.footprints.push_back(gamma::reaction_footprint(r));
     }
   }
   const std::size_t n = reactions.size();

@@ -6,10 +6,11 @@
 // disturb each other?
 //
 // Pipeline:
-//   1. Footprint   — per-reaction read/consume/produce label sets, including
-//                    labels admitted through branch conditions (the token-
-//                    merge disjunctions Algorithm 1 emits) and produced along
-//                    else-branches. Over-approximate by construction: a
+//   1. Footprint   — per-reaction consume/produce label sets
+//                    (gamma/footprint.hpp, shared with the serve wake index),
+//                    including labels admitted through branch conditions (the
+//                    token-merge disjunctions Algorithm 1 emits) and produced
+//                    along else-branches. Over-approximate by construction: a
 //                    pattern or output whose label cannot be bounded is a
 //                    wildcard that overlaps everything.
 //   2. Interference graph — an edge between two reactions when their
@@ -34,63 +35,30 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "gammaflow/gamma/footprint.hpp"
 #include "gammaflow/gamma/multiset.hpp"
 #include "gammaflow/gamma/program.hpp"
-#include "gammaflow/runtime/worklist.hpp"
 
 namespace gammaflow::analysis {
-
-/// What one reaction can touch, as label/arity keys. `labels` hold the
-/// bounded label universe (patterns with a literal label field, or a label
-/// binder constrained by a pure disjunction of equalities in every branch);
-/// `arities` hold unlabeled element shapes (classic Gamma `replace x, y`);
-/// `any` means the bound failed and the side overlaps everything.
-struct Footprint {
-  std::set<std::string> consume_labels;
-  std::set<std::size_t> consume_arities;
-  bool consume_any = false;
-  std::set<std::string> produce_labels;
-  std::set<std::size_t> produce_arities;
-  bool produce_any = false;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-[[nodiscard]] Footprint reaction_footprint(const gamma::Reaction& reaction);
-
-/// Labels a binder in the label position can take, derived from the pure
-/// positive structure of branch conditions (`var == 'lit'` disjunctions; And
-/// intersects, Or unions). nullopt when the binder may admit any label.
-/// Exposed for the optimizer's private-intermediate proofs, which need the
-/// bound per pattern rather than folded into the whole-reaction footprint.
-[[nodiscard]] std::optional<std::set<std::string>> admitted_labels(
-    const gamma::Reaction& reaction, const std::string& var);
-
-/// Per-reaction consume-side wakeup keys for the worklist-driven
-/// incremental fixpoint (runtime/worklist.hpp): one WakeKeys per reaction of
-/// the (single-stage) program, in stage order, each the runtime-consumable
-/// projection of that reaction's Footprint consume side. The admitted-labels
-/// derivation stays here so the runtime never re-implements it.
-[[nodiscard]] std::vector<runtime::WakeKeys> wakeup_keys(
-    const gamma::Program& program);
 
 /// True when the two reactions can never consume a common element (no
 /// consume/consume overlap) — the pair commutes on disjoint matches and a
 /// commit of one can never invalidate a match of the other.
-[[nodiscard]] bool compete(const Footprint& a, const Footprint& b);
+[[nodiscard]] bool compete(const gamma::Footprint& a,
+                           const gamma::Footprint& b);
 
 /// True when `a` may produce an element `b` consumes (enabling order matters
 /// for scheduling, never for the final multiset).
-[[nodiscard]] bool feeds(const Footprint& a, const Footprint& b);
+[[nodiscard]] bool feeds(const gamma::Footprint& a,
+                         const gamma::Footprint& b);
 
 /// compete + feeds in either direction: the full interference relation the
 /// conflict classes are closed under.
-[[nodiscard]] bool interferes(const Footprint& a, const Footprint& b);
+[[nodiscard]] bool interferes(const gamma::Footprint& a,
+                              const gamma::Footprint& b);
 
 enum class PairStatus {
   Independent,  // no overlap at all: commutes, different classes possible
@@ -138,7 +106,7 @@ struct InterferenceOptions {
 struct InterferenceReport {
   /// Reaction names in program order (all stages).
   std::vector<std::string> reactions;
-  std::vector<Footprint> footprints;
+  std::vector<gamma::Footprint> footprints;
   /// Interference edges (i < j, same stage only — reactions in different
   /// sequential stages are never concurrent).
   std::vector<std::pair<std::size_t, std::size_t>> edges;

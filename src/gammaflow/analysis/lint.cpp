@@ -1,10 +1,10 @@
 #include "gammaflow/analysis/lint.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <set>
 
+#include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/json.hpp"
 #include "gammaflow/expr/simplify.hpp"
 
@@ -24,92 +24,6 @@ const char* to_string(Severity severity) noexcept {
   }
   return "?";
 }
-
-namespace {
-
-/// Literal label of a pattern's field 1, empty when absent/variable.
-std::string pattern_label(const Pattern& p) {
-  if (p.fields().size() >= 2 && !p.fields()[1].is_binder() &&
-      p.fields()[1].value().is_str()) {
-    return p.fields()[1].value().as_str();
-  }
-  return {};
-}
-
-/// Labels admitted by a label-variable pattern via a branch condition's
-/// (x=='A') or (x=='B') disjunctions. Collects every string literal compared
-/// against the variable (an over-approximation, fine for linting).
-std::set<std::string> condition_labels(const ExprPtr& cond,
-                                       const std::string& var) {
-  std::set<std::string> out;
-  if (!cond) return out;
-  if (cond->kind() == Expr::Kind::Binary) {
-    const auto op = cond->bin_op();
-    if (op == expr::BinOp::Eq && cond->lhs()->kind() == Expr::Kind::Var &&
-        cond->lhs()->var() == var &&
-        cond->rhs()->kind() == Expr::Kind::Literal &&
-        cond->rhs()->literal().is_str()) {
-      out.insert(cond->rhs()->literal().as_str());
-      return out;
-    }
-    for (const auto& side : {cond->lhs(), cond->rhs()}) {
-      auto sub = condition_labels(side, var);
-      out.insert(sub.begin(), sub.end());
-    }
-  } else if (cond->kind() == Expr::Kind::Unary) {
-    return condition_labels(cond->operand(), var);
-  }
-  return out;
-}
-
-/// Labels a reaction can consume (per pattern: the literal, or the
-/// condition-admitted set for a label variable; empty set = wildcard).
-struct ConsumeInfo {
-  std::set<std::string> labels;
-  bool wildcard = false;  // label variable with no recognizable constraint
-};
-
-ConsumeInfo consumed_labels(const Reaction& r) {
-  ConsumeInfo info;
-  for (const Pattern& p : r.patterns()) {
-    const std::string lit = pattern_label(p);
-    if (!lit.empty()) {
-      info.labels.insert(lit);
-      continue;
-    }
-    if (p.fields().size() >= 2 && p.fields()[1].is_binder()) {
-      std::set<std::string> admitted;
-      for (const Branch& br : r.branches()) {
-        auto sub = condition_labels(br.condition, p.fields()[1].name());
-        admitted.insert(sub.begin(), sub.end());
-      }
-      if (admitted.empty()) {
-        info.wildcard = true;
-      } else {
-        info.labels.insert(admitted.begin(), admitted.end());
-      }
-    } else if (p.fields().size() < 2) {
-      info.wildcard = true;  // unlabeled elements: matches anything of arity
-    }
-  }
-  return info;
-}
-
-/// Labels a reaction can produce (literal field-1s of output tuples).
-std::set<std::string> produced_labels(const Reaction& r) {
-  std::set<std::string> out;
-  for (const Branch& br : r.branches()) {
-    for (const auto& tuple : br.outputs) {
-      if (tuple.size() >= 2 && tuple[1]->kind() == Expr::Kind::Literal &&
-          tuple[1]->literal().is_str()) {
-        out.insert(tuple[1]->literal().as_str());
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::size_t LintReport::errors() const noexcept {
   return static_cast<std::size_t>(
@@ -164,31 +78,37 @@ LintReport lint_program(const gamma::Program& program,
         Finding{s, std::move(check), std::move(reaction), std::move(message)});
   };
 
-  // Program-wide label flow.
+  // Program-wide label flow, read off one footprint per reaction. A
+  // computed output label may be any label, so it makes every label
+  // available; a label binder the footprint cannot bound may consume any
+  // label, so no label leaks.
+  const std::vector<const Reaction*> reactions = program.all_reactions();
+  const std::vector<gamma::Footprint> footprints =
+      gamma::program_footprints(program);
   std::set<std::string> available;  // initial + any produced label
-  bool any_wildcard_consumer = false;
+  std::set<std::string> consumed;
+  bool any_produce_any = false;
+  bool any_consume_any = false;
   for (const auto& e : initial) {
     if (e.arity() >= 2 && e.field(1).is_str()) {
       available.insert(e.field(1).as_str());
     }
   }
-  std::map<std::string, std::set<std::string>> consumers;  // label -> reactions
-  for (const Reaction* r : program.all_reactions()) {
-    for (const std::string& l : produced_labels(*r)) available.insert(l);
-  }
-  for (const Reaction* r : program.all_reactions()) {
-    const ConsumeInfo ci = consumed_labels(*r);
-    any_wildcard_consumer |= ci.wildcard;
-    for (const std::string& l : ci.labels) consumers[l].insert(r->name());
+  for (const gamma::Footprint& fp : footprints) {
+    available.insert(fp.produce_labels.begin(), fp.produce_labels.end());
+    consumed.insert(fp.consume_labels.begin(), fp.consume_labels.end());
+    any_produce_any |= fp.produce_any;
+    any_consume_any |= fp.consume_any;
   }
 
-  for (const Reaction* r : program.all_reactions()) {
+  for (std::size_t ri = 0; ri < reactions.size(); ++ri) {
+    const Reaction* r = reactions[ri];
+    const gamma::Footprint& fp = footprints[ri];
     const std::string& name = r->name();
-    const ConsumeInfo ci = consumed_labels(*r);
 
     // dead-reaction: every needed label must be obtainable.
-    if (!ci.wildcard) {
-      for (const std::string& l : ci.labels) {
+    if (!any_produce_any && !fp.consume_any) {
+      for (const std::string& l : fp.consume_labels) {
         if (!available.contains(l)) {
           add(Severity::Error, "dead-reaction", name,
               "consumes label '" + l +
@@ -216,11 +136,13 @@ LintReport lint_program(const gamma::Program& program,
         std::any_of(r->branches().begin(), r->branches().end(),
                     [](const Branch& b) { return !b.condition; });
     if (always_fires && !r->is_shrinking()) {
-      const auto produced = produced_labels(*r);
-      const bool self_feeding =
-          ci.wildcard ||
-          std::any_of(produced.begin(), produced.end(),
-                      [&](const std::string& l) { return ci.labels.contains(l); });
+      // feeds() lets a computed output label (produce_any) feed every
+      // consumer; this error claims the reaction MUST refill itself, so
+      // only its exact product keys, or a label binder that takes back any
+      // product, count.
+      gamma::Footprint exact = fp;
+      exact.produce_any = false;
+      const bool self_feeding = fp.consume_any || feeds(exact, exact);
       bool grows = false;
       for (const Branch& b : r->branches()) {
         grows |= b.outputs.size() >= r->arity();
@@ -266,9 +188,9 @@ LintReport lint_program(const gamma::Program& program,
 
   // leaked-label: produced (or initial), consumed by nothing; results look
   // like this on purpose, hence Info.
-  if (!any_wildcard_consumer) {
+  if (!any_consume_any) {
     for (const std::string& l : available) {
-      if (!consumers.contains(l)) {
+      if (!consumed.contains(l)) {
         add(Severity::Info, "leaked-label", "",
             "label '" + l + "' is never consumed; its elements accumulate "
             "in the final multiset (program output?)");

@@ -236,13 +236,13 @@ std::vector<Candidate> enumerate_candidates(
   };
   // Footprint-level producer/consumer sets per label, across every stage:
   // a label is only private when NOTHING else in the program can touch it.
-  std::vector<std::vector<Footprint>> fps(stages.size());
+  std::vector<std::vector<gamma::Footprint>> fps(stages.size());
   std::map<std::string, std::vector<Site>> fp_producers;
   std::map<std::string, std::vector<Site>> fp_consumers;
   bool any_wildcard = false;  // a consume_any/produce_any poisons every label
   for (std::size_t s = 0; s < stages.size(); ++s) {
     for (std::size_t i = 0; i < stages[s].size(); ++i) {
-      Footprint fp = reaction_footprint(stages[s][i]);
+      gamma::Footprint fp = gamma::reaction_footprint(stages[s][i]);
       any_wildcard |= fp.consume_any || fp.produce_any;
       for (const std::string& l : fp.produce_labels) {
         fp_producers[l].push_back({s, i});
@@ -289,7 +289,7 @@ std::vector<Candidate> enumerate_candidates(
           }
           continue;
         }
-        auto admitted = admitted_labels(cons, fields[1].name());
+        auto admitted = gamma::admitted_labels(cons, fields[1].name());
         if (!admitted || admitted->contains(label)) admits_elsewhere = true;
       }
       if (sites != 1 || admits_elsewhere) continue;
@@ -594,7 +594,7 @@ LintReport optimizer_lints(const Program& program, const Multiset& initial) {
 
   std::set<std::string> produced;
   for (const Reaction* r : program.all_reactions()) {
-    const Footprint fp = reaction_footprint(*r);
+    const gamma::Footprint fp = gamma::reaction_footprint(*r);
     produced.insert(fp.produce_labels.begin(), fp.produce_labels.end());
   }
   for (const Reaction* r : program.all_reactions()) {

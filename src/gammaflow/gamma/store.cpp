@@ -492,13 +492,6 @@ bool Store::bind(std::span<const FieldOp> ops, Id id, Frame& frame,
   return true;
 }
 
-Store::Candidates Store::bucket(const Pattern& p) const {
-  if (const auto key = p.key_field()) {
-    return Candidates{field_bucket(*key, p.fields()[*key].value()), nullptr};
-  }
-  return arity_bucket(p.arity());
-}
-
 const Store::Bucket* Store::field_bucket(std::size_t field,
                                          const Value& value) const {
   const Bucket* bucket = field_bucket(field_handle(field, value));

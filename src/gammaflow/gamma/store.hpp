@@ -348,13 +348,6 @@ class Store {
     return symbols_.size();
   }
 
-  /// The bucket the pattern probes: the (field,value) bucket when the
-  /// pattern carries a literal constraint, otherwise the arity bucket (its
-  /// column group); false when no such bucket exists (nothing can match).
-  /// Read-only; valid until the next mutation. The match pipeline probes
-  /// the same buckets by the key's pinned cell (field_handle) and
-  /// arity_bucket().
-  [[nodiscard]] Candidates bucket(const Pattern& p) const;
   /// The live elements of arity `arity` (its column group), in insertion
   /// order; false when no element of that arity was ever inserted.
   [[nodiscard]] Candidates arity_bucket(std::size_t arity) const noexcept {

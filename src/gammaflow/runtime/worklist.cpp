@@ -15,21 +15,23 @@
 
 namespace gammaflow::runtime {
 
-WakeupIndex::WakeupIndex(const std::vector<WakeKeys>& keys,
+WakeupIndex::WakeupIndex(const std::vector<gamma::Footprint>& footprints,
                          gamma::Store& store)
-    : reactions_(keys.size()) {
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const WakeKeys& k = keys[i];
-    if (k.any) {
+    : reactions_(footprints.size()) {
+  for (std::size_t i = 0; i < footprints.size(); ++i) {
+    const gamma::Footprint& f = footprints[i];
+    if (f.consume_any) {
       always_.push_back(i);
       continue;  // the always list subsumes the per-key buckets
     }
-    for (const std::string& label : k.labels) {
+    for (const std::string& label : f.consume_labels) {
       const auto id = static_cast<std::size_t>(store.pin(Value(label)).payload);
       if (by_symbol_.size() <= id) by_symbol_.resize(id + 1);
       by_symbol_[id].push_back(i);
     }
-    for (const std::size_t arity : k.arities) by_arity_[arity].push_back(i);
+    for (const std::size_t arity : f.consume_arities) {
+      by_arity_[arity].push_back(i);
+    }
   }
 }
 
@@ -91,20 +93,20 @@ const std::vector<gamma::Reaction>& only_stage(const gamma::Program& program) {
 
 }  // namespace
 
-IncrementalFixpoint::IncrementalFixpoint(gamma::Program program,
-                                         std::vector<WakeKeys> keys,
-                                         const WorklistOptions& options)
+IncrementalFixpoint::IncrementalFixpoint(
+    gamma::Program program, const std::vector<gamma::Footprint>& footprints,
+    const WorklistOptions& options)
     : program_(std::move(program)),
       reactions_(&only_stage(program_)),
       options_(options),
       store_(gamma::FieldSet::of(program_)),
-      index_(keys, store_),
+      index_(footprints, store_),
       rng_(options.seed),
       mem_(reactions_->size()),
       obs_(options.telemetry, nullptr, *reactions_),
       recording_(options, "worklist", "gamma") {
   if (index_.reaction_count() != reactions_->size()) {
-    throw EngineError("worklist wakeup keys cover " +
+    throw EngineError("worklist footprints cover " +
                       std::to_string(index_.reaction_count()) +
                       " reactions but the program has " +
                       std::to_string(reactions_->size()));

@@ -2,18 +2,15 @@
 // engines' scan-to-quiescence loop. A batch engine proves the fixed point by
 // an exhaustive pass over every reaction; a long-lived store cannot afford
 // that after every injected element. This module keeps the store AT fixpoint
-// and, when elements arrive, re-matches only the reactions whose PR 3
-// interference footprint (analysis/interference.hpp) can consume one of the
-// new elements:
+// and, when elements arrive, re-matches only the reactions whose consume-side
+// footprint (gamma/footprint.hpp, the label recognizer the static passes in
+// analysis/ share) can consume one of the new elements:
 //
-//   WakeKeys      — one reaction's consume-side footprint keys (labels,
-//                   arities, or the any-wildcard), the analysis result in
-//                   runtime-consumable form (analysis::wakeup_keys builds
-//                   them so the admitted-labels logic stays in gf_analysis).
 //   WakeupIndex   — label→reactions and arity→reactions maps inverted from
-//                   the WakeKeys, a key label indexed by its pinned symbol
-//                   in the session's store; wake(e) returns exactly the
-//                   reactions whose footprint admits element e.
+//                   each reaction's gamma::Footprint consume side (its
+//                   produce side is not read), a key label indexed by its
+//                   pinned symbol in the session's store; wake(e) returns
+//                   exactly the reactions whose footprint admits element e.
 //   IncrementalFixpoint — the driver: inject() inserts elements, wakes their
 //                   footprint-matching reactions onto a dirty queue, and
 //                   drains the queue to quiescence, one reaction at a time
@@ -31,14 +28,13 @@
 // ⟹ global fixpoint, and for confluent programs that fixpoint is the one
 // the batch engines reach from the union of all injections — byte-identical,
 // which test_serve checks on a randomized injection corpus. A caller that
-// passes every reaction's WakeKeys as `any` wakes them all on each insert:
-// that is the whole-store baseline bench_serve and test_serve compare
-// against, and no option of this module selects it.
+// passes every reaction a footprint with `consume_any` set wakes them all
+// on each insert: that is the whole-store baseline bench_serve and
+// test_serve compare against, and no option of this module selects it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -46,6 +42,7 @@
 
 #include "gammaflow/common/cancel.hpp"
 #include "gammaflow/common/rng.hpp"
+#include "gammaflow/gamma/footprint.hpp"
 #include "gammaflow/gamma/program.hpp"
 #include "gammaflow/gamma/stage_fixpoint.hpp"
 #include "gammaflow/gamma/store.hpp"
@@ -54,32 +51,22 @@
 
 namespace gammaflow::runtime {
 
-/// One reaction's consume-side wakeup keys: an inserted element can enable
-/// the reaction only if `any`, or its label (string field 1) is in `labels`,
-/// or its arity is in `arities`. Mirrors analysis::Footprint's consume side;
-/// over-approximate by construction (a key the analysis cannot bound becomes
-/// `any`, never a missed wake).
-struct WakeKeys {
-  std::set<std::string> labels;
-  std::set<std::size_t> arities;
-  bool any = false;
-};
-
 /// Inverted index from element keys to the reactions they can wake, over
 /// one store. Built once per session; wake() is O(woken reactions), not
 /// O(all reactions), and finds a label by its cell, with no hash.
 class WakeupIndex {
  public:
-  /// Pins every key label in `store` (Store::pin), so that a label of that
-  /// store is found by its symbol id.
-  WakeupIndex(const std::vector<WakeKeys>& keys, gamma::Store& store);
+  /// Pins every consume label in `store` (Store::pin), so that a label of
+  /// that store is found by its symbol id.
+  WakeupIndex(const std::vector<gamma::Footprint>& footprints,
+              gamma::Store& store);
 
   [[nodiscard]] std::size_t reaction_count() const noexcept {
     return reactions_;
   }
 
-  /// Appends every reaction index whose keys admit the live element `id`
-  /// of `store`: the always-wake list, the label bucket of its field-1
+  /// Appends every reaction index whose footprint admits the live element
+  /// `id` of `store`: the always-wake list, the label bucket of its field-1
   /// cell, and the arity bucket for its arity. A reaction keyed on both the
   /// label and the arity appears twice; callers dedup via their dirty
   /// flags.
@@ -116,8 +103,8 @@ struct WorklistOptions : RunOptions {
 
 /// Counters the daemon's stats verb and bench_serve report. `rematches` is
 /// the number of MatchPipeline::find probes — the work the wakeup index
-/// saves versus all-`any` keys; stats() reads it from the session's
-/// StageMemory.
+/// saves versus all-`consume_any` footprints; stats() reads it from the
+/// session's StageMemory.
 struct WorklistStats {
   std::uint64_t injected = 0;   // elements inserted via inject()
   std::uint64_t fires = 0;      // lifetime firings (vs. max_steps budget)
@@ -138,7 +125,8 @@ struct WorklistStats {
 /// meaning. Serve sessions therefore host single-stage programs only.
 class IncrementalFixpoint {
  public:
-  IncrementalFixpoint(gamma::Program program, std::vector<WakeKeys> keys,
+  IncrementalFixpoint(gamma::Program program,
+                      const std::vector<gamma::Footprint>& footprints,
                       const WorklistOptions& options);
 
   /// Inserts the elements straight from their flat fields (no Element is

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/inline_vec.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
 
@@ -20,9 +19,10 @@ Session::Session(std::string id, gamma::Program program,
     recorder_ = std::make_unique<obs::RunRecorder>();
     wopts.record = recorder_.get();
   }
-  std::vector<runtime::WakeKeys> keys = analysis::wakeup_keys(program);
-  fix_ = std::make_unique<runtime::IncrementalFixpoint>(
-      std::move(program), std::move(keys), wopts);
+  const std::vector<gamma::Footprint> footprints =
+      gamma::program_footprints(program);
+  fix_ = std::make_unique<runtime::IncrementalFixpoint>(std::move(program),
+                                                        footprints, wopts);
   // After construction: IncrementalFixpoint's begin() reset the journal,
   // so the tag survives until close().
   if (recorder_) recorder_->set_session(id_);

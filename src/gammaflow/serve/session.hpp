@@ -32,7 +32,7 @@ struct SessionOptions {
 
 class Session {
  public:
-  /// Builds the wakeup index (analysis::wakeup_keys) and the fixpoint
+  /// Builds the wakeup index (gamma::program_footprints) and the fixpoint
   /// driver. Throws EngineError for multi-stage programs.
   Session(std::string id, gamma::Program program,
           const SessionOptions& options);

@@ -131,8 +131,8 @@ void build_gamma_view(const gamma::Program& program,
   }
   if (report == nullptr) return;
   for (const auto& [a, b] : report->edges) {
-    const analysis::Footprint& fa = report->footprints[a];
-    const analysis::Footprint& fb = report->footprints[b];
+    const gamma::Footprint& fa = report->footprints[a];
+    const gamma::Footprint& fb = report->footprints[b];
     if (analysis::compete(fa, fb)) {
       edges.push_back(VizEdge{a, b, "", "compete"});
     }

@@ -17,7 +17,6 @@
 #include <new>
 #include <string>
 
-#include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/expr/ast.hpp"
@@ -25,6 +24,7 @@
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/footprint.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/runtime/worklist.hpp"
 #include "gammaflow/serve/session.hpp"
@@ -156,8 +156,8 @@ Count count_inject(const gamma::Program& program,
                    const gamma::Multiset& elements) {
   runtime::WorklistOptions options;
   options.seed = 7;
-  runtime::IncrementalFixpoint session(program, analysis::wakeup_keys(program),
-                                       options);
+  runtime::IncrementalFixpoint session(
+      program, gamma::program_footprints(program), options);
   gamma::FlatElements batch;
   for (const gamma::Element& e : elements) {
     batch.fields.insert(batch.fields.end(), e.fields().begin(),

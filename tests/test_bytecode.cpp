@@ -468,7 +468,12 @@ void reference_search(const gamma::Store& store,
   const std::size_t k = patterns.size();
   std::vector<gamma::Store::Candidates> buckets(k);
   for (std::size_t i = 0; i < k; ++i) {
-    buckets[i] = store.bucket(patterns[i]);
+    const gamma::Pattern& p = patterns[i];
+    if (const auto key = p.key_field()) {
+      buckets[i].ids = store.field_bucket(*key, p.fields()[*key].value());
+    } else {
+      buckets[i] = store.arity_bucket(p.arity());
+    }
     if (buckets[i].empty()) return;
   }
   SeenMatch m;

@@ -220,6 +220,22 @@ TEST_F(CliInput, ServeStdioRejectsLongInjectAndKeepsServing) {
             "\n" R"({"ok":true,"pong":true})" "\n");
 }
 
+TEST_F(CliInput, CheckPassesAComputedLabelProgram) {
+  // P computes its output label from a consumed value ('b'), so lint must
+  // not call C dead: rungamma fires it, and check exits 0.
+  const fs::path prog = write("computed.gamma",
+                              "P = replace [l, 'go'] by [1, l]\n"
+                              "C = replace [x, 'b'] by [x, 'done']\n");
+  const std::string args = prog.string() + " --init \"['b', 'go']\"";
+  const CliRun check = run_cli("check " + args);
+  EXPECT_EQ(check.exit_code, 0) << check.output;
+  EXPECT_EQ(check.output.find("dead-reaction"), std::string::npos)
+      << check.output;
+  const CliRun run = run_cli("rungamma " + args);
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(run.output.substr(0, run.output.find('\n')), "{[1, 'done']}");
+}
+
 TEST_F(CliInput, RungammaDividesInt64MinByMinusOne) {
   // Both used to raise SIGFPE while the element reader folded the field.
   const std::string min_gamma =

@@ -25,6 +25,7 @@ namespace gammaflow::analysis {
 namespace {
 
 using gamma::Element;
+using gamma::Footprint;
 using gamma::Multiset;
 using gamma::Program;
 using gamma::Reaction;
@@ -33,7 +34,7 @@ Program parse(const char* src) { return gamma::dsl::parse_program(src); }
 
 Footprint footprint_of(const char* src, std::size_t index = 0) {
   const Program p = parse(src);
-  return reaction_footprint(*p.all_reactions()[index]);
+  return gamma::reaction_footprint(*p.all_reactions()[index]);
 }
 
 // --- Footprints ----------------------------------------------------------

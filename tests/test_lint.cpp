@@ -2,10 +2,18 @@
 // label-flow findings on good and defective programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
+#include <vector>
 
 #include "gammaflow/analysis/lint.hpp"
+#include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
+#include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 
@@ -133,6 +141,125 @@ TEST(Lint, ConstrainedLabelVariableIsNotWildcard) {
   const auto leaks = report.of("leaked-label");
   ASSERT_EQ(leaks.size(), 1u);
   EXPECT_NE(leaks[0].message.find("'sink'"), std::string::npos);
+}
+
+// The three programs below once drew lint findings that a run refutes:
+// lint kept its own label reader beside the reaction footprint.
+const char* kComputedLabel =
+    "P = replace [l, 'go'] by [1, l]\n"
+    "C = replace [x, 'b'] by [x, 'done']";
+const char* kNegatedGuard =
+    "C = replace [x, l] by [x, 'done'] if not (l == 'a') and l != 'done'";
+const char* kMixedArity =
+    "P = replace [x, 'in'] by [x, 'out']\n"
+    "Q = replace x, y by x + y";
+
+gamma::Multiset elements(const char* text) {
+  return gamma::dsl::parse_elements(text);
+}
+
+TEST(Lint, ComputedOutputLabelKeepsItsConsumerAlive) {
+  // P's output label is the consumed value 'b', so C is not dead.
+  const auto report = lint(kComputedLabel, elements("['b', 'go']"));
+  EXPECT_TRUE(report.of("dead-reaction").empty()) << report;
+  EXPECT_EQ(report.errors(), 0u) << report;
+}
+
+TEST(Lint, NegatedLabelGuardBindsAnyLabel) {
+  // `not (l == 'a')` admits every label but 'a': C consumes 'b', so 'a'
+  // is not needed and 'b' does not leak.
+  const auto report = lint(kNegatedGuard, elements("[1, 'b']"));
+  EXPECT_TRUE(report.clean()) << report;
+}
+
+TEST(Lint, UnlabeledPatternsDoNotConsumeLabeledElements) {
+  // Q consumes arity-1 elements only, so nothing takes P's [x, 'out'].
+  const auto report = lint(kMixedArity, elements("[1, 'in'] [2] [3]"));
+  const auto leaks = report.of("leaked-label");
+  ASSERT_EQ(leaks.size(), 1u) << report;
+  EXPECT_NE(leaks[0].message.find("'out'"), std::string::npos);
+}
+
+/// Fires per reaction name in one seeded IndexedEngine run.
+std::map<std::string, std::uint64_t> fires_by_reaction(
+    const gamma::Program& program, const gamma::Multiset& initial) {
+  obs::RunRecorder recorder;
+  gamma::RunOptions options;
+  options.record = &recorder;
+  (void)gamma::IndexedEngine().run(program, initial, options);
+  const obs::Journal journal = recorder.take();
+  EXPECT_EQ(journal.fires_dropped, 0u);
+  std::map<std::string, std::uint64_t> fires;
+  for (const obs::FireRecord& f : journal.fires) ++fires[f.reaction];
+  return fires;
+}
+
+/// Checks that every reaction lint calls dead fires 0 times; returns how
+/// many dead-reaction findings there were.
+std::size_t expect_dead_reactions_never_fire(const std::string& what,
+                                             const gamma::Program& program,
+                                             const gamma::Multiset& initial) {
+  const auto dead = lint_program(program, initial).of("dead-reaction");
+  if (dead.empty()) return 0;
+  auto fires = fires_by_reaction(program, initial);
+  for (const Finding& f : dead) {
+    EXPECT_EQ(fires[f.reaction], 0u) << what << ": " << f.reaction;
+  }
+  return dead.size();
+}
+
+TEST(Lint, FlaggedDeadReactionsNeverFire) {
+  std::size_t flagged = 0;
+  const std::filesystem::path dir =
+      std::filesystem::path(GF_REPO_DIR) / "examples" / "programs";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const std::filesystem::path& path : files) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string name = path.filename().string();
+    if (path.extension() == ".gamma") {
+      // The initial multisets CI runs the examples on.
+      std::string init;
+      if (name == "fig1.gamma") {
+        init = "[1,'A1'] [5,'B1'] [3,'C1'] [2,'D1']";
+      } else if (name == "min.gamma") {
+        init = "[9] [4] [7] [2]";
+      } else {
+        for (int v = 2; v <= 30; ++v) init.append(std::to_string(v) + " ");
+      }
+      flagged += expect_dead_reactions_never_fire(
+          name, gamma::dsl::parse_program(text.str()),
+          gamma::dsl::parse_elements(init));
+    } else if (path.extension() == ".src") {
+      const auto conv = translate::dataflow_to_gamma(
+          frontend::compile_source(text.str()));
+      flagged +=
+          expect_dead_reactions_never_fire(name, conv.program, conv.initial);
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const auto conv = translate::dataflow_to_gamma(
+        frontend::compile_source(paper::random_source_program(seed)));
+    flagged += expect_dead_reactions_never_fire(
+        "seed " + std::to_string(seed), conv.program, conv.initial);
+  }
+  const std::vector<std::pair<const char*, const char*>> programs = {
+      {kComputedLabel, "['b', 'go']"},
+      {kNegatedGuard, "[1, 'b']"},
+      {kMixedArity, "[1, 'in'] [2] [3]"},
+      {"R = replace [x,'ghost'] by [x,'out']", "[1, 'seed']"},
+  };
+  for (const auto& [program, init] : programs) {
+    flagged += expect_dead_reactions_never_fire(
+        program, gamma::dsl::parse_program(program), elements(init));
+  }
+  // The 'ghost' program keeps the property from holding vacuously.
+  EXPECT_GE(flagged, 1u);
 }
 
 TEST(Lint, CleanReportHelpers) {

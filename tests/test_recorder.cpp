@@ -10,14 +10,15 @@
 #include <stdexcept>
 #include <string>
 
-#include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/dataflow/engine.hpp"
 #include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/footprint.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/paper/figures.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
+#include "gammaflow/runtime/worklist.hpp"
 
 namespace gammaflow {
 namespace {
@@ -201,8 +202,8 @@ TEST(Recorder, WorklistJournalReplaysAcrossInjections) {
   runtime::WorklistOptions wopts;
   wopts.seed = 11;
   wopts.record = &rec;
-  runtime::IncrementalFixpoint fix(program, analysis::wakeup_keys(program),
-                                   wopts);
+  runtime::IncrementalFixpoint fix(
+      program, gamma::program_footprints(program), wopts);
   rec.set_session("s1");
   ASSERT_EQ(fix.inject(flat_ints({9, 4, 7})), Outcome::Completed);
   ASSERT_EQ(fix.inject(flat_ints({2, 8})), Outcome::Completed);

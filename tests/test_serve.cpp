@@ -2,7 +2,7 @@
 // fixpoint must be byte-identical to a batch run over the union of its
 // injections — checked on a 200-seed randomized injection corpus against
 // all three in-process engines and the full-rescan worklist baseline (every
-// reaction keyed `any`) — and the serve protocol's verbs and error replies
+// reaction `consume_any`) — and the serve protocol's verbs and error replies
 // must match the spec.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -24,13 +24,13 @@
 #include <thread>
 #include <vector>
 
-#include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/error.hpp"
 #include "gammaflow/common/json.hpp"
 #include "gammaflow/expr/bytecode.hpp"
 #include "gammaflow/frontend/compile.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/footprint.hpp"
 #include "gammaflow/obs/run_recorder.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/step_loop.hpp"
@@ -64,11 +64,13 @@ gamma::Element labeled(std::int64_t v, const char* label) {
   return gamma::Element({Value(v), Value(label)});
 }
 
-/// The full-rescan baseline's keys: every reaction `any`, so each insert
-/// wakes them all.
-std::vector<runtime::WakeKeys> rescan_keys(const gamma::Program& program) {
-  return std::vector<runtime::WakeKeys>(program.all_reactions().size(),
-                                        {{}, {}, true});
+/// The full-rescan baseline's footprints: every reaction `consume_any`, so
+/// each insert wakes them all.
+std::vector<gamma::Footprint> rescan_footprints(
+    const gamma::Program& program) {
+  gamma::Footprint any;
+  any.consume_any = true;
+  return std::vector<gamma::Footprint>(program.all_reactions().size(), any);
 }
 
 /// The elements laid out as IncrementalFixpoint::inject takes them.
@@ -107,8 +109,8 @@ void check_differential(const gamma::Program& program, std::uint64_t seed,
 
   WorklistOptions wopts;
   wopts.seed = seed;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
-  IncrementalFixpoint rescan(program, rescan_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
+  IncrementalFixpoint rescan(program, rescan_footprints(program), wopts);
 
   gamma::Multiset all;
   for (const auto& batch : schedule) {
@@ -159,8 +161,8 @@ void expect_same_fixpoint(const std::string& name,
                           const gamma::Multiset& initial) {
   std::vector<gamma::Element> elements(initial.begin(), initial.end());
   const WorklistOptions wopts;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
-  IncrementalFixpoint rescan(program, rescan_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
+  IncrementalFixpoint rescan(program, rescan_footprints(program), wopts);
   ASSERT_EQ(fix.inject(flat(elements)), Outcome::Completed) << name;
   ASSERT_EQ(rescan.inject(flat(elements)), Outcome::Completed) << name;
   const std::string want =
@@ -216,33 +218,34 @@ TEST(ServeDifferential, ExamplesReachTheIndexedFixpointBothWays) {
 
 TEST(Worklist, WakeupKeysMirrorInterferenceFootprints) {
   const auto keys =
-      analysis::wakeup_keys(gamma::dsl::parse_program(kLabeled));
+      gamma::program_footprints(gamma::dsl::parse_program(kLabeled));
   ASSERT_EQ(keys.size(), 2u);
-  EXPECT_FALSE(keys[0].any);
-  EXPECT_EQ(keys[0].labels, (std::set<std::string>{"A"}));
-  EXPECT_FALSE(keys[1].any);
-  EXPECT_EQ(keys[1].labels, (std::set<std::string>{"B"}));
+  EXPECT_FALSE(keys[0].consume_any);
+  EXPECT_EQ(keys[0].consume_labels, (std::set<std::string>{"A"}));
+  EXPECT_FALSE(keys[1].consume_any);
+  EXPECT_EQ(keys[1].consume_labels, (std::set<std::string>{"B"}));
 
   // Single-field patterns key on arity: Rmin consumes bare scalars, so
   // only arity-1 insertions can enable it.
-  const auto min_keys = analysis::wakeup_keys(gamma::dsl::parse_program(kMin));
+  const auto min_keys =
+      gamma::program_footprints(gamma::dsl::parse_program(kMin));
   ASSERT_EQ(min_keys.size(), 1u);
-  EXPECT_FALSE(min_keys[0].any);
-  EXPECT_EQ(min_keys[0].arities, (std::set<std::size_t>{1}));
+  EXPECT_FALSE(min_keys[0].consume_any);
+  EXPECT_EQ(min_keys[0].consume_arities, (std::set<std::size_t>{1}));
 
   // An unbounded binder in the label slot must fall back to wake-always —
   // anything less would break the "enabled => dirty" invariant.
-  const auto any_keys = analysis::wakeup_keys(gamma::dsl::parse_program(
+  const auto any_keys = gamma::program_footprints(gamma::dsl::parse_program(
       "Rany = replace [v, t], [w, t] by [v + w, t]"));
   ASSERT_EQ(any_keys.size(), 1u);
-  EXPECT_TRUE(any_keys[0].any);
+  EXPECT_TRUE(any_keys[0].consume_any);
 }
 
 TEST(Worklist, FootprintWakeupsAreSparserThanRescan) {
   const gamma::Program program = gamma::dsl::parse_program(kLabeled);
   WorklistOptions wopts;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
-  IncrementalFixpoint rescan(program, rescan_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
+  IncrementalFixpoint rescan(program, rescan_footprints(program), wopts);
 
   // Seed both populations, then stream 'B'-only traffic: the footprint
   // index must never re-probe Rsum while rescan probes both every time.
@@ -268,10 +271,10 @@ TEST(Worklist, AComputedLabelWakesItsConsumer) {
   const gamma::Program program = gamma::dsl::parse_program(
       "R1 = replace [v, 'in', l] by [v, l + '']\n"
       "R2 = replace [v, 'k'] by [v, 'out']");
-  const auto keys = analysis::wakeup_keys(program);
+  const auto keys = gamma::program_footprints(program);
   ASSERT_EQ(keys.size(), 2u);
-  EXPECT_FALSE(keys[1].any);
-  EXPECT_TRUE(keys[1].arities.empty());
+  EXPECT_FALSE(keys[1].consume_any);
+  EXPECT_TRUE(keys[1].consume_arities.empty());
   IncrementalFixpoint fix(program, keys, WorklistOptions{});
   ASSERT_EQ(fix.inject(flat({gamma::Element(
                 {Value(std::int64_t{7}), Value("in"), Value("k")})})),
@@ -283,7 +286,7 @@ TEST(Worklist, AComputedLabelWakesItsConsumer) {
 TEST(Worklist, EmptyInjectIsANoOpAtFixpoint) {
   const gamma::Program program = gamma::dsl::parse_program(kMin);
   WorklistOptions wopts;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
   const std::vector<gamma::Element> three = {bare(4), bare(2), bare(9)};
   ASSERT_EQ(fix.inject(flat(three)), Outcome::Completed);
   const std::uint64_t fires = fix.stats().fires;
@@ -301,7 +304,7 @@ TEST(Worklist, FixpointProofAfterAnInertInjectCostsLinearLanes) {
   const gamma::Program program = gamma::dsl::parse_program(
       "Rsieve = replace x, y by [x] where (y % x == 0) and (x > 1)");
   WorklistOptions wopts;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
   std::vector<gamma::Element> antichain;
   for (std::int64_t v = 400; v < 800; ++v) antichain.push_back(bare(v));
   const std::uint64_t lanes0 = expr::batch_lanes();
@@ -325,7 +328,7 @@ TEST(Worklist, SymbolTableStaysBoundedUnderLabelChurn) {
   const gamma::Program program = gamma::dsl::parse_program(
       "Rpair = replace [x, k], [y, k] by [x + y, 'sum']");
   WorklistOptions wopts;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
   std::int64_t label = 0;
   for (int round = 0; round < 1000; ++round) {
     std::vector<gamma::Element> batch;
@@ -348,7 +351,7 @@ TEST(Worklist, MultiStageProgramIsRejected) {
       "R2 = replace x, y by x where x > y");
   ASSERT_EQ(two.stage_count(), 2u);
   WorklistOptions wopts;
-  EXPECT_THROW(IncrementalFixpoint(two, analysis::wakeup_keys(two), wopts),
+  EXPECT_THROW(IncrementalFixpoint(two, gamma::program_footprints(two), wopts),
                EngineError);
 }
 
@@ -361,14 +364,14 @@ TEST(Worklist, BudgetExhaustionResumesToTheSameFixpoint) {
   WorklistOptions tight;
   tight.max_steps = 2;
   tight.limit_policy = LimitPolicy::Partial;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), tight);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), tight);
   const std::vector<gamma::Element> batch = {bare(9), bare(4), bare(7),
                                              bare(2), bare(8), bare(5)};
   EXPECT_EQ(fix.inject(flat(batch)), Outcome::BudgetExhausted);
   EXPECT_EQ(fix.stats().fires, 2u);
 
   WorklistOptions roomy;
-  IncrementalFixpoint fresh(program, analysis::wakeup_keys(program), roomy);
+  IncrementalFixpoint fresh(program, gamma::program_footprints(program), roomy);
   ASSERT_EQ(fresh.inject(flat(batch)), Outcome::Completed);
   EXPECT_EQ(render(fresh.snapshot()), "{[2]}");
 }
@@ -381,7 +384,7 @@ TEST(Worklist, CancelledDrainResumesOnTheNextInject) {
   token.cancel();
   WorklistOptions wopts;
   wopts.cancel = &token;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
   const std::vector<gamma::Element> batch = {
       labeled(3, "A"), labeled(4, "A"), labeled(5, "A"),
       labeled(7, "B"), labeled(2, "B"), labeled(9, "B")};
@@ -403,7 +406,7 @@ TEST(Worklist, TelemetryObservesEachReactionsFires) {
   obs::Telemetry tel;
   WorklistOptions wopts;
   wopts.telemetry = &tel;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
   const std::vector<gamma::Element> batch = {
       labeled(1, "A"), labeled(2, "A"), labeled(5, "B"), labeled(3, "B"),
       labeled(4, "B")};
@@ -422,7 +425,7 @@ TEST(Worklist, EachDrainEndsInOneFailedProbe) {
       gamma::dsl::parse_program("Rkey = replace [x, k], [y, k] by [x + y, k]");
   WorklistOptions wopts;
   wopts.seed = 7;
-  IncrementalFixpoint fix(program, analysis::wakeup_keys(program), wopts);
+  IncrementalFixpoint fix(program, gamma::program_footprints(program), wopts);
   std::mt19937_64 rng(7);
   const auto draw = [&rng](std::size_t count) {
     std::vector<gamma::Element> batch;

@@ -49,9 +49,9 @@ std::vector<Store::Cell> literal_cells(const Store& s,
   return cells;
 }
 
-/// Size of the bucket `p` probes (0 when there is none).
-std::size_t bucket_size(const Store& s, const Pattern& p) {
-  return s.bucket(p).size();
+/// The (field 1, `label`) bucket as a view (empty when there is none).
+Store::Candidates label_bucket(const Store& s, const char* label) {
+  return {s.field_bucket(1, Value(label)), nullptr};
 }
 
 TEST(Store, InsertRemoveLifecycle) {
@@ -90,10 +90,8 @@ TEST(Store, CandidatesByLabelBucket) {
   s.insert(Element::tagged(Value(1), "A", 0));
   s.insert(Element::tagged(Value(2), "B", 0));
   s.insert(Element::tagged(Value(3), "A", 1));
-  const Pattern pa = Pattern::tagged("x", "A", "v");
-  EXPECT_EQ(bucket_size(s, pa), 2u);
-  const Pattern pz = Pattern::tagged("x", "Z", "v");
-  EXPECT_EQ(bucket_size(s, pz), 0u);
+  EXPECT_EQ(label_bucket(s, "A").size(), 2u);
+  EXPECT_EQ(label_bucket(s, "Z").size(), 0u);
 }
 
 TEST(Store, CandidatesByArityForUnconstrained) {
@@ -101,8 +99,7 @@ TEST(Store, CandidatesByArityForUnconstrained) {
   s.insert(Element{Value(1)});
   s.insert(Element{Value(2)});
   s.insert(Element::labeled(Value(3), "A"));
-  const Pattern p = Pattern::var("x");  // arity-1, no literal
-  EXPECT_EQ(bucket_size(s, p), 2u);
+  EXPECT_EQ(s.arity_bucket(1).size(), 2u);
 }
 
 TEST(Store, RemoveUnindexesTheIdFromItsBuckets) {
@@ -111,14 +108,11 @@ TEST(Store, RemoveUnindexesTheIdFromItsBuckets) {
   const auto id2 = s.insert(Element::tagged(Value(2), "A", 0));
   const auto id3 = s.insert(Element::tagged(Value(3), "B", 0));
   s.remove(id1);
-  const Pattern pa = Pattern::tagged("x", "A", "v");
-  ASSERT_TRUE(s.bucket(pa));
-  EXPECT_EQ(list(s.bucket(pa)), (Store::Bucket{id2}));
+  ASSERT_TRUE(label_bucket(s, "A"));
+  EXPECT_EQ(list(label_bucket(s, "A")), (Store::Bucket{id2}));
   // The arity bucket loses the id too, keeping the survivors' order.
-  const Pattern any3({PatternField::bind("x"), PatternField::bind("l"),
-                      PatternField::bind("t")});
-  ASSERT_TRUE(s.bucket(any3));
-  EXPECT_EQ(list(s.bucket(any3)), (Store::Bucket{id2, id3}));
+  ASSERT_TRUE(s.arity_bucket(3));
+  EXPECT_EQ(list(s.arity_bucket(3)), (Store::Bucket{id2, id3}));
 }
 
 TEST(Store, BucketsAreExactBeforeAnyCompaction) {
@@ -129,14 +123,13 @@ TEST(Store, BucketsAreExactBeforeAnyCompaction) {
   const auto id2 = s.insert(Element::tagged(Value(2), "A", 0));
   s.remove(id1);
   const Store& cs = s;
-  const Pattern pa = Pattern::tagged("x", "A", "v");
-  ASSERT_TRUE(cs.bucket(pa));
-  EXPECT_EQ(list(cs.bucket(pa)), (Store::Bucket{id2}));
+  ASSERT_TRUE(label_bucket(cs, "A"));
+  EXPECT_EQ(list(label_bucket(cs, "A")), (Store::Bucket{id2}));
   s.compact();
-  EXPECT_EQ(list(cs.bucket(pa)), (Store::Bucket{id2}));
+  EXPECT_EQ(list(label_bucket(cs, "A")), (Store::Bucket{id2}));
   // A (field,value) bucket that empties is dropped.
   s.remove(id2);
-  EXPECT_FALSE(cs.bucket(pa));
+  EXPECT_FALSE(label_bucket(cs, "A"));
 }
 
 TEST(Store, FieldBucketHoldsEveryIdAJoinCanMatch) {
@@ -198,8 +191,7 @@ TEST(Store, ScanPositionContinuesTheWiderCyclicScan) {
   for (int i = 0; i < 6; ++i) {
     ids.push_back(s.insert(Element{Value(i), Value(i % 2 == 1 ? "odd" : "even")}));
   }
-  const Store::Candidates wide =
-      s.bucket(Pattern({PatternField::bind("x"), PatternField::bind("l")}));
+  const Store::Candidates wide = s.arity_bucket(2);
   const Store::Bucket& odd = *s.field_bucket(1, Value("odd"));
   ASSERT_EQ(list(wide), ids);
   ASSERT_EQ(odd, (Store::Bucket{ids[1], ids[3], ids[5]}));
@@ -233,8 +225,7 @@ TEST(Store, BucketsStayBoundedUnderSlotReuse) {
     s.remove(id);
   }
   s.insert(Element::tagged(Value(-1), "L", 0));
-  const Pattern p = Pattern::tagged("x", "L", "v");
-  EXPECT_EQ(bucket_size(s, p), 1u);  // exactly the single live entry
+  EXPECT_EQ(label_bucket(s, "L").size(), 1u);  // exactly the single live entry
   EXPECT_EQ(s.size(), 1u);
 }
 
@@ -265,21 +256,15 @@ TEST(Store, RandomizedBucketsEqualLiveOccupantsInInsertionOrder) {
 
     std::set<std::pair<std::size_t, std::size_t>> keys;  // (field, domain i)
     for (std::size_t arity = 1; arity <= 3; ++arity) {
-      std::vector<PatternField> binders;
-      for (std::size_t f = 0; f < arity; ++f) {
-        binders.push_back(PatternField::bind("x" + std::to_string(f)));
-      }
       Store::Bucket want;
       for (const auto& [id, e] : live) {
         if (e.arity() == arity) want.push_back(id);
       }
-      EXPECT_EQ(list(s.bucket(Pattern(binders))), want)
+      EXPECT_EQ(list(s.arity_bucket(arity)), want)
           << "arity " << arity << " at step " << step;
 
       for (std::size_t f = 0; f < arity; ++f) {
         for (std::size_t d = 0; d < domain.size(); ++d) {
-          std::vector<PatternField> fields = binders;
-          fields[f] = PatternField::literal(domain[d]);
           Store::Bucket key_want;
           for (const auto& [id, e] : live) {
             if (e.arity() > f && e.field(f) == domain[d]) {
@@ -287,7 +272,8 @@ TEST(Store, RandomizedBucketsEqualLiveOccupantsInInsertionOrder) {
             }
           }
           if (!key_want.empty()) keys.emplace(f, d);
-          const Store::Candidates key_got = s.bucket(Pattern(fields));
+          const Store::Candidates key_got{s.field_bucket(f, domain[d]),
+                                          nullptr};
           if (key_want.empty()) {
             EXPECT_FALSE(key_got) << "field " << f << " value " << domain[d]
                                   << " at step " << step;
@@ -316,7 +302,7 @@ TEST(Store, FieldIndexDoesNotLeakBucketsForRetiredValues) {
   }
   // Live distinct (field,value) pairs: (0,-1) and (1,'K').
   EXPECT_LE(s.field_bucket_count(), 2u);
-  EXPECT_EQ(bucket_size(s, Pattern::labeled("x", "K")), 1u);
+  EXPECT_EQ(label_bucket(s, "K").size(), 1u);
   EXPECT_TRUE(s.alive(keep));
 }
 
@@ -327,7 +313,7 @@ TEST(Store, NanFieldsUnindexCleanly) {
   EXPECT_EQ(s.field_bucket_count(), 1u);
   s.remove(id);
   EXPECT_EQ(s.field_bucket_count(), 0u);
-  EXPECT_EQ(bucket_size(s, Pattern::var("x")), 0u);
+  EXPECT_EQ(s.arity_bucket(1).size(), 0u);
 }
 
 /// The same value bit for bit: what a store must give back (Value == calls
@@ -731,7 +717,7 @@ TEST(Store, DeadRowDebtAccruesOnRemoveAndCompactSettlesIt) {
   // The buckets already hold exactly the four survivors; only the dead
   // ROWS linger until compaction.
   const Store& cs = s;
-  const Store::Candidates b = cs.bucket(Pattern::var("x"));
+  const Store::Candidates b = cs.arity_bucket(1);
   ASSERT_TRUE(b);
   EXPECT_EQ(list(b), (Store::Bucket{ids[4], ids[5], ids[6], ids[7]}));
 
@@ -739,7 +725,7 @@ TEST(Store, DeadRowDebtAccruesOnRemoveAndCompactSettlesIt) {
   s.compact();
   EXPECT_EQ(s.dead_rows(), 0u);
   EXPECT_GT(s.column_compactions(), compactions_before);
-  const Store::Candidates after = cs.bucket(Pattern::var("x"));
+  const Store::Candidates after = cs.arity_bucket(1);
   ASSERT_TRUE(after);
   EXPECT_EQ(list(after), (Store::Bucket{ids[4], ids[5], ids[6], ids[7]}));
   // Survivors keep their identity and content across the row rewrite.
@@ -1021,7 +1007,7 @@ TEST(Store, StampsAreFreshPerInsertAndOrderEveryBucket) {
   const auto c = s.insert(Element{Value(3)});
   ASSERT_EQ(c, a);  // the slot is reused...
   EXPECT_GT(s.stamp(c), old_stamp);  // ...under a new stamp
-  const Store::Candidates bucket = s.bucket(Pattern::var("x"));
+  const Store::Candidates bucket = s.arity_bucket(1);
   ASSERT_EQ(list(bucket), (Store::Bucket{b, c}));
   EXPECT_EQ(s.first_stamped(bucket, 0), 0u);
   EXPECT_EQ(s.first_stamped(bucket, s.stamp(b) + 1), 1u);
@@ -1143,7 +1129,7 @@ TEST(Store, IndexesOnlyConstrainedFields) {
   Store plain(FieldSet::of(dsl::parse_program("R = replace x, y by x + y")));
   for (int i = 0; i < 50; ++i) plain.insert(Element{Value(i), Value(i)});
   EXPECT_EQ(plain.field_bucket_count(), 0u);
-  EXPECT_EQ(bucket_size(plain, Pattern::var("x")), 0u);
+  EXPECT_EQ(plain.arity_bucket(1).size(), 0u);
 }
 
 TEST(Store, UnindexedFieldQueryThrows) {
@@ -1155,9 +1141,7 @@ TEST(Store, UnindexedFieldQueryThrows) {
   EXPECT_EQ(s.field_bucket(1, Value(9)), nullptr);
   EXPECT_THROW((void)s.field_bucket(0, Value(1)), EngineError);
   EXPECT_THROW((void)s.field_bucket(2, Value(9)), EngineError);
-  EXPECT_THROW((void)s.bucket(Pattern({PatternField::literal(Value(1)),
-                                       PatternField::bind("y")})),
-               EngineError);
+  EXPECT_THROW((void)s.field_handle(0, Value(1)), EngineError);
   // So does a search whose reaction needs an index the store lacks.
   const Reaction keyed = dsl::parse_reaction(
       "R = replace [x, k], [y, k] by [x + y, k]");

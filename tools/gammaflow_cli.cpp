@@ -534,7 +534,7 @@ int run_worklist(const gamma::Program& program, const Options& opts) {
     wopts.deadline = opts.deadline;
     wopts.limit_policy = LimitPolicy::Partial;
   }
-  runtime::IncrementalFixpoint fix(program, analysis::wakeup_keys(program),
+  runtime::IncrementalFixpoint fix(program, gamma::program_footprints(program),
                                    wopts);
   const Outcome outcome = fix.inject(initial);
   std::cout << fix.snapshot() << '\n'
