@@ -4,10 +4,11 @@
 // Verification table (hardware-independent shape):
 //   - E18 dense match: the exhaustive failed search (one fixed-point proof)
 //     on growing dense buckets must find nothing.
-// Timed benchmarks: MatchPipeline::find on growing stores (hit and miss
-// probes), find+commit fixpoints, the store's own insert/remove at a
-// steady size, on bare ints and on string-labelled pairs, and keyed fires
-// on string against int labels (E30).
+// Timed benchmarks: MatchPipeline::find through a MatchSite on growing
+// stores (hit probes on one site, miss proofs on a fresh one), find+commit
+// fixpoints, the store's own insert/remove at a steady size, on bare ints
+// and on string-labelled pairs, and keyed fires on string against int
+// labels (E30).
 #include <array>
 #include <chrono>
 #include <cstdlib>
@@ -52,11 +53,14 @@ void verify() {
     // verification stage stays CI-sized even on debug builds.
     const int reps = n >= 2048 ? 1 : (n >= 1024 ? 3 : 10);
     if (reps > 1) {  // warm allocators/caches where a rep is cheap
-      (void)runtime::MatchPipeline::find(store, r);
+      runtime::MatchSite warm;
+      (void)runtime::MatchPipeline::find(store, r, nullptr, warm);
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) {
-      if (runtime::MatchPipeline::find(store, r)) {
+      // A fresh site, so no memo skips the sweep a rep times.
+      runtime::MatchSite site;
+      if (runtime::MatchPipeline::find(store, r, nullptr, site)) {
         std::cout << "FATAL: dense miss proof found a match\n";
         std::exit(1);
       }
@@ -82,8 +86,10 @@ void BM_StoreFind_Hit(benchmark::State& state) {
                      gamma::FieldSet::of(p));
   const gamma::Reaction& r = p.stages()[0][0];
   Rng rng(5);
+  runtime::MatchSite site;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runtime::MatchPipeline::find(store, r, &rng));
+    benchmark::DoNotOptimize(
+        runtime::MatchPipeline::find(store, r, &rng, site));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -105,7 +111,10 @@ void BM_StoreFind_MissProof(benchmark::State& state) {
                      gamma::FieldSet::of(p));
   const gamma::Reaction& r = p.stages()[0][0];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runtime::MatchPipeline::find(store, r));
+    // A fresh site, so no memo skips the sweep.
+    runtime::MatchSite site;
+    benchmark::DoNotOptimize(
+        runtime::MatchPipeline::find(store, r, nullptr, site));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -126,9 +135,10 @@ void BM_StoreFindCommit_Fixpoint(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     gamma::Store store(m, gamma::FieldSet::of(p));
+    runtime::MatchSite site;
     state.ResumeTiming();
-    while (auto match = runtime::MatchPipeline::find(store, r, &rng)) {
-      runtime::MatchPipeline::commit(store, *match);
+    while (runtime::MatchPipeline::find(store, r, &rng, site)) {
+      runtime::MatchPipeline::commit(store, site.match());
     }
     benchmark::DoNotOptimize(store.size());
   }

@@ -37,8 +37,10 @@ MatchOpportunities match_opportunities(const gamma::Program& program,
   MatchOpportunities out;
   gamma::Store store(m, gamma::FieldSet::of(program));
   for (const gamma::Reaction* r : program.all_reactions()) {
+    runtime::MatchSite site;
     const std::size_t n = runtime::MatchPipeline::enumerate(
-        store, *r, cap_per_reaction, [](const gamma::Match&) { return true; });
+        store, *r, cap_per_reaction, site,
+        [](const gamma::Match&) { return true; });
     out.per_reaction[r->name()] = n;
     out.total += n;
     if (n >= cap_per_reaction) out.capped = true;
@@ -80,8 +82,9 @@ double match_probability(const gamma::Reaction& reaction,
   double tuples = 1.0;
   for (std::size_t i = 0; i < k; ++i) tuples *= static_cast<double>(n - i);
   gamma::Store store(m, gamma::FieldSet::of(reaction));
+  runtime::MatchSite site;
   const std::size_t enabled = runtime::MatchPipeline::enumerate(
-      store, reaction, cap, [](const gamma::Match&) { return true; });
+      store, reaction, cap, site, [](const gamma::Match&) { return true; });
   return static_cast<double>(enabled) / tuples;
 }
 

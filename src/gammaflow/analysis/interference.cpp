@@ -215,21 +215,19 @@ bool ids_overlap(std::span<const gamma::Store::Id> a,
   });
 }
 
-/// Runs the continuation program from `m` to a fixpoint under a firing
-/// budget. nullopt = budget exhausted (inconclusive probe).
-std::optional<Multiset> probe_fixpoint(const Program& continuation,
+}  // namespace
+
+std::optional<Multiset> probe_fixpoint(const Program& program,
                                        const Multiset& m, std::uint64_t seed,
                                        std::uint64_t max_steps) {
   gamma::RunOptions ro;
   ro.seed = seed;
   ro.max_steps = max_steps;
   ro.limit_policy = LimitPolicy::Partial;
-  gamma::RunResult r = gamma::IndexedEngine().run(continuation, m, ro);
+  gamma::RunResult r = gamma::IndexedEngine().run(program, m, ro);
   if (r.outcome != Outcome::Completed) return std::nullopt;
   return std::move(r.final_multiset);
 }
-
-}  // namespace
 
 bool compete(const Footprint& a, const Footprint& b) {
   if ((a.consume_any && consumes_anything(b)) ||
@@ -490,24 +488,20 @@ InterferenceReport analyze_interference(const Program& program,
         if (finding.status == PairStatus::Diverges) break;
         gamma::FieldSet fields = gamma::FieldSet::of(*reactions[i]);
         fields.add(*reactions[j]);
-        const gamma::Store store(state, fields);
-        std::vector<gamma::Match> m1s;
-        std::vector<gamma::Match> m2s;
-        const std::size_t limit = kProbeMatches;
-        runtime::MatchPipeline::enumerate(store, *reactions[i], limit,
-                                 [&](const gamma::Match& m) {
-                                   m1s.push_back(m);
-                                   return true;
-                                 });
-        if (i == j) {
-          m2s = m1s;
-        } else {
-          runtime::MatchPipeline::enumerate(store, *reactions[j], limit,
-                                   [&](const gamma::Match& m) {
-                                     m2s.push_back(m);
-                                     return true;
-                                   });
-        }
+        gamma::Store store(state, fields);
+        const auto matches_of = [&store](const gamma::Reaction& r) {
+          std::vector<gamma::Match> found;
+          runtime::MatchSite site;
+          runtime::MatchPipeline::enumerate(store, r, kProbeMatches, site,
+                                            [&found](const gamma::Match& m) {
+                                              found.push_back(m);
+                                              return true;
+                                            });
+          return found;
+        };
+        const std::vector<gamma::Match> m1s = matches_of(*reactions[i]);
+        const std::vector<gamma::Match> m2s =
+            i == j ? m1s : matches_of(*reactions[j]);
         for (std::size_t a = 0; a < m1s.size(); ++a) {
           if (finding.status == PairStatus::Diverges) break;
           const std::size_t b0 = (i == j) ? a + 1 : 0;

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ namespace gammaflow::analysis {
 /// conflict classes are closed under.
 [[nodiscard]] bool interferes(const gamma::Footprint& a,
                               const gamma::Footprint& b);
+
+/// Runs `program` from `m` on the IndexedEngine to its fixpoint under a
+/// budget of `max_steps` fires. nullopt when the budget ran out first: an
+/// inconclusive probe. The commutation probes and the optimizer's
+/// verification both run it.
+[[nodiscard]] std::optional<gamma::Multiset> probe_fixpoint(
+    const gamma::Program& program, const gamma::Multiset& m,
+    std::uint64_t seed, std::uint64_t max_steps);
 
 enum class PairStatus {
   Independent,  // no overlap at all: commutes, different classes possible

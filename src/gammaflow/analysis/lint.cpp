@@ -106,14 +106,32 @@ LintReport lint_program(const gamma::Program& program,
     const gamma::Footprint& fp = footprints[ri];
     const std::string& name = r->name();
 
-    // dead-reaction: every needed label must be obtainable.
+    // dead-reaction: some pattern can consume no obtainable label. A
+    // pattern's labels are its literal label or its label binder's bound,
+    // so a binder bounded by a disjunction lives on any one of them.
     if (!any_produce_any && !fp.consume_any) {
-      for (const std::string& l : fp.consume_labels) {
-        if (!available.contains(l)) {
-          add(Severity::Error, "dead-reaction", name,
-              "consumes label '" + l +
-                  "' that is neither initial nor produced by any reaction");
+      std::set<std::string> dead;
+      for (const Pattern& p : r->patterns()) {
+        const auto& fields = p.fields();
+        if (fields.size() < 2) continue;
+        std::set<std::string> labels;
+        if (fields[1].is_binder()) {
+          labels = gamma::admitted_labels(*r, fields[1].name()).value_or(
+              std::set<std::string>{});
+        } else if (fields[1].value().is_str()) {
+          labels.insert(fields[1].value().as_str());
         }
+        if (std::none_of(labels.begin(), labels.end(),
+                         [&](const std::string& l) {
+                           return available.contains(l);
+                         })) {
+          dead.insert(labels.begin(), labels.end());
+        }
+      }
+      for (const std::string& l : dead) {
+        add(Severity::Error, "dead-reaction", name,
+            "consumes label '" + l +
+                "' that is neither initial nor produced by any reaction");
       }
     }
 

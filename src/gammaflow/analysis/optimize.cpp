@@ -11,7 +11,6 @@
 #include "gammaflow/analysis/interference.hpp"
 #include "gammaflow/common/json.hpp"
 #include "gammaflow/expr/simplify.hpp"
-#include "gammaflow/gamma/engine.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 
 namespace gammaflow::analysis {
@@ -331,18 +330,6 @@ std::vector<Candidate> enumerate_candidates(
 // S7: probe verification.
 // ---------------------------------------------------------------------------
 
-std::optional<Multiset> probe_fixpoint(const Program& program,
-                                       const Multiset& initial,
-                                       std::uint64_t seed) {
-  gamma::RunOptions ro;
-  ro.seed = seed;
-  ro.max_steps = kVerifyMaxSteps;
-  ro.limit_policy = LimitPolicy::Partial;
-  gamma::RunResult r = gamma::IndexedEngine().run(program, initial, ro);
-  if (r.outcome != Outcome::Completed) return std::nullopt;
-  return std::move(r.final_multiset);
-}
-
 /// Three seeded runs each; any disagreement (or budget exhaustion) rejects.
 /// Also rejects when the ORIGINAL program's fixpoint varies across seeds —
 /// a non-confluent program has no single state identity to preserve.
@@ -351,8 +338,8 @@ bool fixpoints_agree(const Program& original, const Program& rewritten,
   std::optional<Multiset> reference;
   for (std::uint64_t k = 0; k < 3; ++k) {
     const std::uint64_t s = seed + k * 0x9e3779b97f4a7c15ULL;
-    auto fa = probe_fixpoint(original, initial, s);
-    auto fb = probe_fixpoint(rewritten, initial, s);
+    auto fa = probe_fixpoint(original, initial, s, kVerifyMaxSteps);
+    auto fb = probe_fixpoint(rewritten, initial, s, kVerifyMaxSteps);
     if (!fa || !fb || !(*fa == *fb)) return false;
     if (reference && !(*reference == *fa)) return false;
     if (!reference) reference = std::move(fa);

@@ -112,10 +112,10 @@ struct ClusterOptions : runtime::RunOptions {
   /// class's home node instead of a random peer — fewer rounds until
   /// cross-node matches assemble. Labels not in the map fall back to
   /// `placement`. Purely a hint: results are identical either way. (A
-  /// cluster node IS a shard: the routing is runtime::ShardMap, the same
-  /// type the in-process ParallelEngine shards its store with.) Under
-  /// membership churn an affinity home that has left is re-routed to the
-  /// epoch map's owner instead.
+  /// cluster node IS a shard: the routing is runtime::ShardMap, which only
+  /// the cluster uses; the in-process ParallelEngine deals elements
+  /// round-robin.) Under membership churn an affinity home that has left
+  /// is re-routed to the epoch map's owner instead.
   std::map<std::string, std::size_t> label_affinity;
 
   /// Checkpoint holders per node (>= 1, < nodes when nodes > 1). 1 is the

@@ -333,13 +333,9 @@ Value Vm::run(const Chunk& chunk, std::span<const Value* const> slots) {
   // Flush the instruction count even when a value op throws (TypeError on
   // mixed kinds), so metrics stay honest on failing conditions.
   struct Flush {
-    Vm* vm;
     const std::uint64_t* n;
-    ~Flush() {
-      vm->instrs_ += *n;
-      g_vm_instrs.fetch_add(*n, std::memory_order_relaxed);
-    }
-  } flush{this, &retired};
+    ~Flush() { g_vm_instrs.fetch_add(*n, std::memory_order_relaxed); }
+  } flush{&retired};
   for (;;) {
     const Instr& in = code[pc];
     ++retired;

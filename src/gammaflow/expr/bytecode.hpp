@@ -108,14 +108,8 @@ class Vm {
   [[nodiscard]] Value run(const Chunk& chunk,
                           std::span<const Value* const> slots);
 
-  /// Instructions retired by THIS Vm since construction.
-  [[nodiscard]] std::uint64_t instrs_executed() const noexcept {
-    return instrs_;
-  }
-
  private:
   std::vector<Value> regs_;
-  std::uint64_t instrs_ = 0;
 };
 
 /// Process-wide count of VM instructions retired (relaxed counter flushed

@@ -8,6 +8,7 @@
 // this file is pure match-selection policy.
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/stage_fixpoint.hpp"
 #include "gammaflow/gamma/store.hpp"
 #include "gammaflow/obs/telemetry.hpp"
 #include "gammaflow/runtime/match_pipeline.hpp"
@@ -37,18 +38,19 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
   for (std::size_t stage_idx = 0;
        stage_idx < program.stages().size() && loop.running(); ++stage_idx) {
     const auto& stage = program.stages()[stage_idx];
-    std::vector<std::uint64_t> fires(stage.size(), 0);
+    StageMemory mem(stage.size());
     while (!loop.should_stop()) {
       obs::Span step_span(tel, rec, "step");
       // Gather the enabled matches of every reaction, capped for safety on
       // large multisets. The cap is per step, re-enumerated from scratch, so
-      // no stale match is ever fired.
+      // no stale match is ever fired; each reaction's MatchSite only skips
+      // the anchors an earlier complete sweep proved fail.
       matches.clear();
-      for (const Reaction& r : stage) {
-        ++attempts;
+      for (std::size_t i = 0; i < stage.size(); ++i) {
+        ++mem.attempts;
         runtime::MatchPipeline::enumerate(
-            store, r, options.uniform_cap - matches.size(),
-            [&](const Match& m) {
+            store, stage[i], options.uniform_cap - matches.size(),
+            mem.sites[i], [&](const Match& m) {
               matches.push_back(m);
               return matches.size() < options.uniform_cap;
             });
@@ -61,14 +63,15 @@ RunResult SequentialEngine::run(const Program& program, const Multiset& initial,
       const Match& chosen =
           matches[static_cast<std::size_t>(rng.bounded(matches.size()))];
       if (!loop.admit(result.steps)) break;
-      ++fires[static_cast<std::size_t>(chosen.reaction - stage.data())];
+      ++mem.fires[static_cast<std::size_t>(chosen.reaction - stage.data())];
       ++result.steps;
       const runtime::RecordCtx rctx =
           recording.ctx(static_cast<std::int64_t>(stage_idx));
       runtime::MatchPipeline::commit(store, chosen,
                                      recording ? &rctx : nullptr);
     }
-    runtime::add_fires(stage, fires, result.fires_by_reaction);
+    runtime::add_fires(stage, mem.fires, result.fires_by_reaction);
+    attempts += mem.attempts;
     // One journal round per stage fixed point: the store the next stage
     // starts from.
     if (recording) recording.round(store);

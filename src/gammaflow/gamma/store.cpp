@@ -328,6 +328,7 @@ Store::Id Store::insert_row(std::size_t arity, CellOf&& cell_of_field) {
   }
   ++live_count_;
   ++version_;
+  ++t_work.rows_inserted;
   return id;
 }
 

@@ -87,13 +87,14 @@ struct Match;
 
 /// Work the stores of this thread have done, counted for the work-count
 /// tests: strings hashed into a symbol index, lookups of the (field, value)
-/// index, ids an ordered unindex shifted, and rows compact() copied.
-/// Monotone; read the delta over the operation of interest.
+/// index, ids an ordered unindex shifted, rows compact() copied, and rows
+/// inserted. Monotone; read the delta over the operation of interest.
 struct StoreWork {
   std::uint64_t symbol_hashes = 0;
   std::uint64_t index_lookups = 0;
   std::uint64_t ids_shifted = 0;
   std::uint64_t rows_copied = 0;
+  std::uint64_t rows_inserted = 0;
 };
 /// This thread's counts so far.
 [[nodiscard]] StoreWork store_work() noexcept;

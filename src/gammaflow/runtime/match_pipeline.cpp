@@ -23,23 +23,30 @@ expr::Vm& thread_vm() {
   return vm;
 }
 
-// The shared backtracking core. Visits enabled matches of `reaction`; for
-// each, fills in a Match and calls `fn`; stops when fn returns false or
-// `limit` is reached. `rng` randomizes the probe order inside each candidate
+/// find's visitor: stop at the first match, which stays in place.
+struct FirstMatch {
+  bool operator()(const Match& /*found*/) const noexcept { return false; }
+};
+
+}  // namespace
+
+// The backtracking core of find and enumerate. Binds `site` to (store,
+// reaction), then visits enabled matches of `reaction`; for each, fills in
+// the site's Match and calls `fn`; stops when fn returns false or `limit`
+// is reached. `rng` randomizes the probe order inside each candidate
 // bucket (cyclic start offset — cheap fairness without shuffling). Buckets
-// are exact (only live ids, insertion order), so the search never mutates
-// the store and every probed id is alive.
+// are exact (only live ids, insertion order), so past the bind's pins the
+// search never mutates the store, and every probed id is alive.
 //
-// One Frame carries the bindings of every depth: a probe at depth d runs
-// pattern d's field ops on the candidate's columns, writing only the slots
-// pattern d binds first, so backtracking needs no copy (DESIGN.md §15.6).
-// The Match is likewise filled in place, and the visitor sees it complete.
-// Both are the caller's. `literals` are the reaction's literals as cells of
-// `store` (a kTextTag cell for a string the store does not hold): the Lit
-// field checks compare them, a literal key probes by its cell, and a
-// literal output is its cell unless it is a kTextTag one. A copied binder
-// output is its slot's cell; only a computed output runs the Vm. `keys`,
-// when not empty, caches each pattern's literal-key bucket handle.
+// The site's one Frame carries the bindings of every depth: a probe at
+// depth d runs pattern d's field ops on the candidate's columns, writing
+// only the slots pattern d binds first, so backtracking needs no copy
+// (DESIGN.md §15.6). The site's Match is likewise filled in place, and the
+// visitor sees it complete. The site's literals are the reaction's literals
+// as pinned cells of `store`: the Lit field checks compare them, a literal
+// key probes by its cell, and a literal output is its cell. A copied binder
+// output is its slot's cell; only a computed output runs the Vm. The
+// site's keys cache each pattern's literal-key bucket handle.
 //
 // Each depth's BASE bucket is the pattern's literal-key bucket or its arity
 // bucket. A depth with join fields (CompiledReaction::joins) probes the
@@ -49,8 +56,8 @@ expr::Vm& thread_vm() {
 // buckets, so the matches, the rng stream and the chosen match are those
 // of a base-bucket scan (DESIGN.md §15.1).
 //
-// With a memo (two-pattern reactions only), each anchor's inner visit
-// scans just the suffix of the probed bucket stamped at or after the
+// On a two-pattern reaction the site's memo applies: each anchor's inner
+// visit scans just the suffix of the probed bucket stamped at or after the
 // anchor's watermark, in the same cyclic order, and is skipped when that
 // suffix is empty. The skipped candidates failed before and still fail, so
 // the first fire or error of the scan is the one a full scan meets
@@ -60,28 +67,29 @@ expr::Vm& thread_vm() {
 // that bucket through the handle while it is valid: the same bucket the
 // lookup would return, with no hash.
 template <typename Visit>
-std::size_t search(const Store& store, const Reaction& reaction,
-                   std::size_t limit, Rng* rng, AnchorMemo* memo,
-                   std::span<const Cell> literals,
-                   std::span<Store::BucketHandle> keys, Frame& frame,
-                   Match& m, Visit&& fn) {
+std::size_t MatchPipeline::search(Store& mutable_store,
+                                  const Reaction& reaction, std::size_t limit,
+                                  Rng* rng, MatchSite& site, Visit&& fn) {
+  site.bind(mutable_store, reaction);
+  const Store& store = mutable_store;
   const CompiledReaction& compiled = reaction.compiled();
   const auto& patterns = reaction.patterns();
   const auto& joins = compiled.joins();
   const auto& ops = compiled.field_ops();
   const std::size_t k = patterns.size();
-  if (k != 2) memo = nullptr;
+  AnchorMemo* const memo = k == 2 ? &site.memo_ : nullptr;
+  const std::span<const Cell> literals = site.literals_;
+  Frame& frame = site.frame_;
+  Match& m = site.match_;
 
   InlineVec<Store::Candidates, 4> buckets;
   for (std::size_t i = 0; i < k; ++i) {
     Store::Candidates b = store.arity_bucket(patterns[i].arity());
     if (const auto key = patterns[i].key_field()) {
-      const Store::Bucket* ids =
-          keys.empty() ? nullptr : store.field_bucket(keys[i]);
+      Store::BucketHandle& handle = site.keys_[i];
+      const Store::Bucket* ids = store.field_bucket(handle);
       if (ids == nullptr) {
-        const Store::BucketHandle handle =
-            store.field_handle(*key, literals[ops[i][*key].index]);
-        if (!keys.empty()) keys[i] = handle;
+        handle = store.field_handle(*key, literals[ops[i][*key].index]);
         ids = store.field_bucket(handle);
       }
       b = Store::Candidates{ids, nullptr};
@@ -119,11 +127,7 @@ std::size_t search(const Store& store, const Reaction& reaction,
           break;
         }
         case CompiledReaction::OutputField::Kind::Literal:
-          if (literals[out.index].tag == Store::kTextTag) {
-            push_text(compiled.literals()[out.index]);
-          } else {
-            m.outputs.push_back(literals[out.index]);
-          }
+          m.outputs.push_back(literals[out.index]);
           break;
         case CompiledReaction::OutputField::Kind::Computed: {
           Value v = vm.run(bc.chunks[out.index], frame.slots());
@@ -248,35 +252,6 @@ std::size_t search(const Store& store, const Reaction& reaction,
   return visited;
 }
 
-/// find's visitor: stop at the first match, which stays in place. Both finds
-/// share it, so they share one instance of the search.
-struct FirstMatch {
-  bool operator()(const Match& /*found*/) const noexcept { return false; }
-};
-
-/// The reaction's literals as cells of a store that is only read: a
-/// pattern literal the store holds is its symbol, and a string literal
-/// otherwise a kTextTag cell. A literal output string is always kTextTag
-/// (its text), as no pin keeps a symbol alive until the commit.
-InlineVec<Cell, 8> unpinned_literals(const Store& store,
-                                     const CompiledReaction& compiled) {
-  InlineVec<Cell, 8> cells;
-  const std::vector<Value>& literals = compiled.literals();
-  for (std::size_t i = 0; i < literals.size(); ++i) {
-    const Value& v = literals[i];
-    if (!v.is_str()) {
-      cells.push_back(Store::inline_cell(v));
-    } else {
-      const auto held = i < compiled.pattern_literals() ? store.cell_of(v)
-                                                        : std::nullopt;
-      cells.push_back(held.value_or(Cell{Store::kTextTag, 0}));
-    }
-  }
-  return cells;
-}
-
-}  // namespace
-
 MatchSite::MatchSite(const MatchSite& other)
     : reaction_(other.reaction_),
       lineage_(other.lineage_),
@@ -308,41 +283,20 @@ void MatchSite::bind(Store& store, const Reaction& reaction) {
   keys_.clear();
   keys_.resize(reaction.arity());
   frame_.resize(compiled.slots().size());
+  memo_ = AnchorMemo{};
   reaction_ = &reaction;
   lineage_ = store.lineage();
 }
 
 bool MatchPipeline::find(Store& store, const Reaction& reaction, Rng* rng,
                          MatchSite& site) {
-  site.bind(store, reaction);
-  return search(store, reaction, 1, rng, &site.memo_, site.literals_,
-                std::span(site.keys_.data(), site.keys_.size()), site.frame_,
-                site.match_, FirstMatch{}) != 0;
-}
-
-std::optional<Match> MatchPipeline::find(const Store& store,
-                                         const Reaction& reaction, Rng* rng,
-                                         AnchorMemo* memo) {
-  const InlineVec<Cell, 8> literals =
-      unpinned_literals(store, reaction.compiled());
-  Frame frame(reaction.compiled().slots().size());
-  std::optional<Match> found(std::in_place);
-  if (search(store, reaction, 1, rng, memo, literals.span(), {}, frame,
-             *found, FirstMatch{}) == 0) {
-    found.reset();
-  }
-  return found;
+  return search(store, reaction, 1, rng, site, FirstMatch{}) != 0;
 }
 
 std::size_t MatchPipeline::enumerate(
-    const Store& store, const Reaction& reaction, std::size_t limit,
-    const std::function<bool(const Match&)>& fn) {
-  const InlineVec<Cell, 8> literals =
-      unpinned_literals(store, reaction.compiled());
-  Frame frame(reaction.compiled().slots().size());
-  Match m;
-  return search(store, reaction, limit, nullptr, nullptr, literals.span(), {},
-                frame, m, [&](const Match& found) { return fn(found); });
+    Store& store, const Reaction& reaction, std::size_t limit,
+    MatchSite& site, const std::function<bool(const Match&)>& fn) {
+  return search(store, reaction, limit, nullptr, site, fn);
 }
 
 void MatchPipeline::commit(Store& store, const Match& match,

@@ -1,39 +1,35 @@
 // The one match→commit pipeline every Gamma runtime calls — the
-// executable core of Eq. (1)'s "let x1..xn ∈ M such that Ri(x1..xn)". The
-// backtracking candidate search used to live in gamma/store.cpp with each
-// engine re-wrapping it; now the sequential/indexed/parallel engines, the
-// distributed cluster, and the static-analysis passes all drive this type.
+// executable core of Eq. (1)'s "let x1..xn ∈ M such that Ri(x1..xn)": the
+// sequential/indexed/parallel engines, the distributed cluster, and the
+// static-analysis passes all drive this type.
 //
 //   find      — one enabled match (first in bucket order, or randomized via
-//               a cyclic start offset when given an Rng). Read-only: the
-//               store's buckets are exact, so there is nothing to prune. With
-//               an AnchorMemo, a two-pattern reaction's anchors skip the
-//               candidates an earlier sweep already proved fail. The
+//               a cyclic start offset when given an Rng). The store's
+//               buckets are exact, so there is nothing to prune. The
 //               innermost candidate bucket is evaluated as column batches
 //               (a match bitmap from the compiled condition) instead of
 //               per-element probes, falling back to the scalar bytecode
 //               scan whenever the reaction has no batch plan or a chunk
-//               faults. Candidates bind into one slot frame per search,
-//               and conditions and computed outputs always run the
-//               reaction's compiled bytecode on it; Reaction::apply(env)
-//               (the AST walker) is the reference the differential tests
-//               compare against. The engines' find fills the Match and
-//               Frame of a caller-owned MatchSite, in which the reaction's
-//               literals are pinned store cells, so a steady-state fire
-//               builds no Value for a label, copies no string and hashes
-//               none: a copied label or a literal reaches the Match as its
-//               cell.
-//   enumerate — every enabled match up to a limit (the SequentialEngine's
-//               Eq. (1)-literal uniform choice, and match counting).
+//               faults. Conditions and computed outputs always run the
+//               reaction's compiled bytecode; Reaction::apply(env) (the
+//               AST walker) is the reference the differential tests
+//               compare against.
+//   enumerate — every enabled match up to a limit, in bucket order (the
+//               SequentialEngine's Eq. (1)-literal uniform choice, and
+//               match counting).
 //   commit    — apply a match: remove consumed ids, insert produced
 //               elements (Store::replace). One step of (M - {x..}) +
 //               A(x..).
+//
+// find and enumerate are one search, whose only state is a caller-owned
+// MatchSite (literals pinned as store cells, Frame, Match, AnchorMemo), so
+// a steady-state fire builds no Value for a label, copies no string and
+// hashes none.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,9 +57,9 @@ namespace gammaflow::runtime {
 /// fails and a later visit scans only the newer ones. When the second
 /// pattern has exactly one join field, the entry also keeps the handle of
 /// the join bucket the sweep probed, so a later visit finds that bucket
-/// with no hash lookup. Caller-owned: one memo per reaction, used with one
-/// store (or a copy of it, taken together with the memo). At most one
-/// entry per slot.
+/// with no hash lookup. A MatchSite owns it: one memo per reaction, used
+/// with one store (or a copy of it, taken together with the site). At most
+/// one entry per slot.
 class AnchorMemo {
  public:
   /// What a failed sweep proved for one anchor: candidates stamped before
@@ -106,13 +102,15 @@ class AnchorMemo {
 };
 
 /// One reaction's search state over one store, owned by the caller and
-/// reused by every find (DESIGN.md §15.6): the reaction's literals as the
-/// store's cells (its strings pinned there once, Store::pin), the handle of
-/// each literal-key bucket as last found, the slot Frame a search binds
-/// into, the Match it fills, and the reaction's AnchorMemo. A site binds on
-/// its first find, and again when it meets another reaction or a store of
-/// another lineage (Store::lineage); a copy stays bound, since a copy of the
-/// store holds the same pins. StageMemory keeps one per reaction.
+/// reused by every find and enumerate (DESIGN.md §15.6): the reaction's
+/// literals as the store's cells (its strings pinned there once,
+/// Store::pin), the handle of each literal-key bucket as last found, the
+/// slot Frame a search binds into, the Match it fills, and the reaction's
+/// AnchorMemo. A site binds on its first search, and again when it meets
+/// another reaction or a store of another lineage (Store::lineage), which
+/// also starts a fresh AnchorMemo: the old proofs' (id, stamp) keys name
+/// other elements there. A copy stays bound, since a copy of the store
+/// holds the same pins. StageMemory keeps one per reaction.
 class MatchSite {
  public:
   MatchSite() = default;
@@ -126,7 +124,8 @@ class MatchSite {
 
  private:
   friend struct MatchPipeline;
-  /// Pins the reaction's literals in `store` unless bound to both already.
+  /// Pins the reaction's literals in `store` and empties the memo, unless
+  /// bound to both already.
   void bind(gamma::Store& store, const gamma::Reaction& reaction);
 
   const gamma::Reaction* reaction_ = nullptr;
@@ -139,36 +138,31 @@ class MatchSite {
 };
 
 struct MatchPipeline {
-  /// The engines' find: fills `site.match()` with one enabled match of
-  /// `reaction` (patterns match AND a branch fires) and returns true, or
-  /// returns false after an EXHAUSTIVE failed search (the fixed-point proof
-  /// the engines' termination detection rests on). Binds the site to
-  /// (store, reaction) first when needed, which may pin strings in `store`;
-  /// otherwise the store is only read. The site's AnchorMemo is read to
-  /// skip proved failures and updated after each anchor sweep that
-  /// completes with no fire. It changes neither the rng stream nor the
-  /// match found, and reactions of other than two patterns ignore it.
+  /// Fills `site.match()` with one enabled match of `reaction` (patterns
+  /// match AND a branch fires) and returns true, or returns false after an
+  /// EXHAUSTIVE failed search (the fixed-point proof the engines'
+  /// termination detection rests on). Binds the site to (store, reaction)
+  /// first when needed, which may pin strings in `store`; otherwise the
+  /// store is only read. The site's AnchorMemo is read to skip proved
+  /// failures and updated after each anchor sweep that completes with no
+  /// fire. It changes neither the rng stream nor the match found, and
+  /// reactions of other than two patterns ignore it.
   [[nodiscard]] static bool find(gamma::Store& store,
                                  const gamma::Reaction& reaction, Rng* rng,
                                  MatchSite& site);
 
-  /// The same search on a store it only reads, with a fresh Frame and Match
-  /// and no pins: a literal string is looked up by its text, and the match
-  /// returned, or nullopt. `memo`, when given, acts as the site's; a null
-  /// memo is an empty one.
-  [[nodiscard]] static std::optional<gamma::Match> find(
-      const gamma::Store& store, const gamma::Reaction& reaction,
-      Rng* rng = nullptr, AnchorMemo* memo = nullptr);
-
-  /// Invokes `fn` for every enabled match (ordered tuples of distinct
-  /// elements), stopping early when fn returns false or `limit` matches were
-  /// visited. Returns the number visited. Exponential in reaction arity —
-  /// meant for small multisets (semantics tests) and match counting. `fn`
-  /// must not call find/enumerate itself: the batch sweep keeps per-thread
-  /// scratch that a nested search would overwrite.
+  /// Invokes `fn` with `site.match()` for every enabled match (ordered
+  /// tuples of distinct elements), stopping early when fn returns false or
+  /// `limit` matches were visited. Returns the number visited. Binds and
+  /// reads the memo as find does: it skips only candidates a completed
+  /// sweep proved fail, so the matches and their order are those of a
+  /// fresh site. Exponential in reaction arity — meant for small multisets
+  /// (semantics tests) and match counting. `fn` must not call
+  /// find/enumerate itself: the batch sweep keeps per-thread scratch that
+  /// a nested search would overwrite.
   static std::size_t enumerate(
-      const gamma::Store& store, const gamma::Reaction& reaction,
-      std::size_t limit, const std::function<bool(const gamma::Match&)>& fn);
+      gamma::Store& store, const gamma::Reaction& reaction, std::size_t limit,
+      MatchSite& site, const std::function<bool(const gamma::Match&)>& fn);
 
   /// Applies a match: removes the consumed ids, then writes the match's
   /// output cells straight into the store's columns (Store::replace).
@@ -181,6 +175,14 @@ struct MatchPipeline {
   /// Gamma path (sequential / indexed / parallel / cluster) recordable.
   static void commit(gamma::Store& store, const gamma::Match& match,
                      const RecordCtx* rec = nullptr);
+
+ private:
+  /// The one backtracking search behind find and enumerate.
+  template <typename Visit>
+  static std::size_t search(gamma::Store& store,
+                            const gamma::Reaction& reaction,
+                            std::size_t limit, Rng* rng, MatchSite& site,
+                            Visit&& fn);
 };
 
 /// Adds one stage's fire counts, indexed like the stage's reactions, to a

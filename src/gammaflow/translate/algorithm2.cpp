@@ -273,13 +273,15 @@ MappingRun map_until_fixpoint(const Reaction& reaction,
   }
 
   const dataflow::Interpreter interp;
+  // Rebinds to each round's store, which starts it a fresh memo.
+  runtime::MatchSite site;
   while (true) {
     // True-fixpoint check through the Gamma matcher (a failed round could
     // just be an unlucky pairing).
     {
-      const gamma::Store store(gamma::Multiset(current),
-                               gamma::FieldSet::of(reaction));
-      if (!runtime::MatchPipeline::find(store, reaction, &rng)) break;
+      gamma::Store store(gamma::Multiset(current),
+                         gamma::FieldSet::of(reaction));
+      if (!runtime::MatchPipeline::find(store, reaction, &rng, site)) break;
     }
     if (run.rounds >= max_rounds) {
       throw EngineError("map_until_fixpoint exceeded max_rounds=" +

@@ -77,8 +77,8 @@ TEST(MatchOps, ReductionShrinksConcurrentFirings) {
   EXPECT_EQ(concurrent_firings(paper::fig1_reduced_gamma(), wide), 4u);
 }
 
-/// concurrent_firings as a loop of the read-only find, with no memo and no
-/// pinned literals: each find starts from scratch.
+/// concurrent_firings as a loop of finds on a fresh MatchSite each: no
+/// memo, and the literals pinned anew.
 std::size_t fresh_find_firings(const gamma::Program& program,
                                const gamma::Multiset& m, std::uint64_t seed) {
   gamma::Store store(m, gamma::FieldSet::of(program));
@@ -88,8 +88,10 @@ std::size_t fresh_find_firings(const gamma::Program& program,
   while (progressed) {
     progressed = false;
     for (const gamma::Reaction* r : program.all_reactions()) {
-      while (auto match = runtime::MatchPipeline::find(store, *r, &rng)) {
-        for (const auto id : match->ids) store.remove(id);
+      for (;;) {
+        runtime::MatchSite fresh;
+        if (!runtime::MatchPipeline::find(store, *r, &rng, fresh)) break;
+        for (const auto id : fresh.match().ids) store.remove(id);
         ++fired;
         progressed = true;
       }

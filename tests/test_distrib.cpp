@@ -4,13 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 
 #include "gammaflow/common/rng.hpp"
 #include "gammaflow/distrib/cluster.hpp"
 #include "gammaflow/gamma/dsl/parser.hpp"
 #include "gammaflow/gamma/engine.hpp"
+#include "gammaflow/gamma/store.hpp"
 #include "gammaflow/paper/figures.hpp"
 #include "gammaflow/translate/df_to_gamma.hpp"
 
@@ -181,41 +180,31 @@ TEST(Distrib, HighLatencyStillTerminates) {
 
 TEST(Distrib, PerFireCostDoesNotGrowWithTheInput) {
   // A node's fire is one indexed find and commit on its shard, and a
-  // migration removes one id, so the time per fire stays about flat as the
-  // input grows (the store's bucket erase still grows a little). Both sizes
-  // run back to back in each of 3 rounds, so a busy machine slows both, and
-  // the best round of each is compared.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer instrumentation skews per-fire cost";
-#endif
+  // migration removes one id from the sender and inserts one row at the
+  // receiver, so the rows the shards insert per fire (StoreWork: the
+  // initial placement, one product per commit, one row per element moved)
+  // stay flat as the input grows 4-fold. A shard rebuilt per migration
+  // would insert every row of it again. A count, not a time, so the host's
+  // load cannot move it.
   const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
-  const auto draw = [](std::size_t n) {
+  const auto rows_per_fire = [&](std::size_t n) {
     Rng rng(n);
     gamma::Multiset m;
     for (std::size_t i = 0; i < n; ++i) {
       m.add(gamma::Element{
           Value(static_cast<std::int64_t>(rng.bounded(2001)) - 1000)});
     }
-    return m;
-  };
-  const gamma::Multiset small = draw(4096);
-  const gamma::Multiset large = draw(16384);
-  using Clock = std::chrono::steady_clock;
-  const auto per_fire = [&](const gamma::Multiset& m) {
-    const auto t0 = Clock::now();
+    const gamma::StoreWork before = gamma::store_work();
     const auto r = run_distributed(p, m, opts(4, 1));
-    const std::chrono::duration<double, std::micro> dt = Clock::now() - t0;
+    const gamma::StoreWork after = gamma::store_work();
     EXPECT_EQ(r.fires, m.size() - 1);
-    return dt.count() / static_cast<double>(r.fires);
+    return static_cast<double>(after.rows_inserted - before.rows_inserted) /
+           static_cast<double>(r.fires);
   };
-  double best_small = std::numeric_limits<double>::infinity();
-  double best_large = best_small;
-  for (int round = 0; round < 3; ++round) {
-    best_small = std::min(best_small, per_fire(small));
-    best_large = std::min(best_large, per_fire(large));
-  }
-  EXPECT_LE(best_large, 1.5 * best_small)
-      << "us per fire: " << best_small << " at 4096 ints, " << best_large
+  const double small = rows_per_fire(4096);
+  const double large = rows_per_fire(16384);
+  EXPECT_LE(large, 1.25 * small)
+      << "rows inserted per fire: " << small << " at 4096 ints, " << large
       << " at 16384";
 }
 

@@ -468,16 +468,20 @@ TEST(Property, IndependentPairsCommuteOn500RandomStates) {
       m.add(Element::labeled(Value(v), rng.bounded(2) ? "a" : "b"));
     }
     gamma::Store forward(m, gamma::FieldSet::of(p));
-    const auto ma = runtime::MatchPipeline::find(forward, ra, &rng);
-    const auto mb = runtime::MatchPipeline::find(forward, rb, &rng);
-    if (!ma || !mb) continue;  // state lacks an 'a' or a 'b'
+    runtime::MatchSite sa;
+    runtime::MatchSite sb;
+    const bool found_a = runtime::MatchPipeline::find(forward, ra, &rng, sa);
+    const bool found_b = runtime::MatchPipeline::find(forward, rb, &rng, sb);
+    if (!found_a || !found_b) continue;  // state lacks an 'a' or a 'b'
     ++exercised;
 
-    gamma::Store backward(m, gamma::FieldSet::of(p));  // same state => same slot ids
-    runtime::MatchPipeline::commit(forward, *ma);
-    runtime::MatchPipeline::commit(forward, *mb);
-    runtime::MatchPipeline::commit(backward, *mb);
-    runtime::MatchPipeline::commit(backward, *ma);
+    // A copy: the same slot ids and pinned literals, so both matches commit
+    // there as found.
+    gamma::Store backward(forward);
+    runtime::MatchPipeline::commit(forward, sa.match());
+    runtime::MatchPipeline::commit(forward, sb.match());
+    runtime::MatchPipeline::commit(backward, sb.match());
+    runtime::MatchPipeline::commit(backward, sa.match());
     EXPECT_EQ(forward.to_multiset(), backward.to_multiset())
         << "seed " << seed;
   }

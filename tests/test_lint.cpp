@@ -154,6 +154,11 @@ const char* kMixedArity =
     "P = replace [x, 'in'] by [x, 'out']\n"
     "Q = replace x, y by x + y";
 
+// Algorithm 1's token-merge shape: a label binder bounded by a disjunction
+// consumes whichever of its labels is there.
+const char* kDisjunctionBound =
+    "C = replace [x, l] by [x, 'done'] if l == 'a' or l == 'b'";
+
 gamma::Multiset elements(const char* text) {
   return gamma::dsl::parse_elements(text);
 }
@@ -170,6 +175,19 @@ TEST(Lint, NegatedLabelGuardBindsAnyLabel) {
   // is not needed and 'b' does not leak.
   const auto report = lint(kNegatedGuard, elements("[1, 'b']"));
   EXPECT_TRUE(report.clean()) << report;
+}
+
+TEST(Lint, DisjunctionBoundBinderIsAliveWhenOneLabelIsAvailable) {
+  // 'a' is neither initial nor produced, but 'b' is initial, so C fires.
+  const auto report = lint(kDisjunctionBound, elements("[1, 'b']"));
+  EXPECT_TRUE(report.of("dead-reaction").empty()) << report;
+  EXPECT_EQ(report.errors(), 0u) << report;
+  // With neither label available the pattern is dead, one finding a label.
+  const auto dead =
+      lint(kDisjunctionBound, elements("[1, 'c']")).of("dead-reaction");
+  ASSERT_EQ(dead.size(), 2u);
+  EXPECT_NE(dead[0].message.find("'a'"), std::string::npos);
+  EXPECT_NE(dead[1].message.find("'b'"), std::string::npos);
 }
 
 TEST(Lint, UnlabeledPatternsDoNotConsumeLabeledElements) {
@@ -252,6 +270,7 @@ TEST(Lint, FlaggedDeadReactionsNeverFire) {
       {kComputedLabel, "['b', 'go']"},
       {kNegatedGuard, "[1, 'b']"},
       {kMixedArity, "[1, 'in'] [2] [3]"},
+      {kDisjunctionBound, "[1, 'b']"},
       {"R = replace [x,'ghost'] by [x,'out']", "[1, 'seed']"},
   };
   for (const auto& [program, init] : programs) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,15 +116,23 @@ TEST(ShardMapTest, HomeIsTheMappedLabelsShard) {
 
 // --- MatchPipeline ---------------------------------------------------------
 
-TEST(MatchPipelineTest, ConstFindCommitRoundTrip) {
+/// One find on a fresh MatchSite (an empty memo), its match copied out.
+std::optional<gamma::Match> find_fresh(gamma::Store& store,
+                                       const gamma::Reaction& r,
+                                       Rng* rng = nullptr) {
+  MatchSite site;
+  if (!MatchPipeline::find(store, r, rng, site)) return std::nullopt;
+  return site.match();
+}
+
+TEST(MatchPipelineTest, FindCommitRoundTrip) {
   const Program p = parse("R = replace x, y by x + y where x <= y");
   gamma::Store store(ints(1, 3), gamma::FieldSet::of(p));
   const gamma::Reaction& r = p.stages()[0][0];
 
-  const gamma::Store& cstore = store;
-  auto match = MatchPipeline::find(cstore, r);
-  ASSERT_TRUE(match.has_value());
-  MatchPipeline::commit(store, *match);
+  MatchSite site;
+  ASSERT_TRUE(MatchPipeline::find(store, r, nullptr, site));
+  MatchPipeline::commit(store, site.match());
   // One pair consumed, its sum produced: the total is unchanged.
   const Multiset after = store.to_multiset();
   ASSERT_EQ(after.size(), 2u);
@@ -135,7 +144,137 @@ TEST(MatchPipelineTest, ConstFindCommitRoundTrip) {
 TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
   const Program p = parse("R = replace x, y by x where x < y");
   gamma::Store store(ints(4, 4), gamma::FieldSet::of(p));  // one element: arity-2 pattern cannot bind
-  EXPECT_FALSE(MatchPipeline::find(store, p.stages()[0][0]).has_value());
+  EXPECT_FALSE(find_fresh(store, p.stages()[0][0]).has_value());
+}
+
+// --- MatchSite: one search state, reused ------------------------------------
+
+TEST(MatchSiteTest, RebindToAnotherLineageFindsWhatAFreshSiteFinds) {
+  // A site proves the reaction disabled on a first store, then meets a
+  // store of another lineage built by as many inserts, so every (id,
+  // stamp) pair of the first store's anchors names an element of the
+  // second. The old proofs say nothing about those elements: the reused
+  // site must find the match a fresh site finds, with the same rng stream.
+  for (const char* src :
+       {"R = replace x, y by x + y where x + y == 13",
+        "R = replace [x, k], [y, k] by [x + y, k] where x + y == 13"}) {
+    const Program p = parse(src);
+    const gamma::Reaction& r = p.stages()[0][0];
+    const bool pairs = r.patterns()[0].arity() == 2;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      SCOPED_TRACE(std::string(src) + " seed " + std::to_string(seed));
+      Rng draws(seed);
+      const auto element = [&](std::int64_t v) {
+        return pairs ? Element{Value(v), Value(static_cast<std::int64_t>(
+                                             draws.bounded(2)))}
+                     : Element{Value(v)};
+      };
+      // No pair of 0..5 sums to 13, nor any of 7..12; the 6 and the 7 put
+      // last (under one key) do.
+      const std::size_t n = 8 + draws.bounded(24);
+      Multiset none;
+      Multiset one;
+      for (std::size_t i = 0; i < n; ++i) {
+        none.add(element(static_cast<std::int64_t>(draws.bounded(6))));
+        if (i + 2 < n) {
+          one.add(element(static_cast<std::int64_t>(7 + draws.bounded(6))));
+        }
+      }
+      one.add(pairs ? Element{Value(6), Value(0)} : Element{Value(6)});
+      one.add(pairs ? Element{Value(7), Value(0)} : Element{Value(7)});
+      gamma::Store first(none, gamma::FieldSet::of(p));
+      gamma::Store second(one, gamma::FieldSet::of(p));
+      ASSERT_EQ(first.version(), second.version());
+
+      MatchSite reused;
+      Rng first_rng(seed);
+      ASSERT_FALSE(MatchPipeline::find(first, r, &first_rng, reused));
+      ASSERT_GT(reused.memo().watermark(first, first.nth_live(0)), 0u);
+
+      Rng reused_rng(seed * 31);
+      Rng fresh_rng(seed * 31);
+      const bool found = MatchPipeline::find(second, r, &reused_rng, reused);
+      const auto want = find_fresh(second, r, &fresh_rng);
+      ASSERT_TRUE(want.has_value());
+      ASSERT_TRUE(found);
+      EXPECT_EQ(reused_rng(), fresh_rng());
+      EXPECT_EQ(std::vector<gamma::Store::Id>(reused.match().ids.begin(),
+                                              reused.match().ids.end()),
+                std::vector<gamma::Store::Id>(want->ids.begin(),
+                                              want->ids.end()));
+      EXPECT_EQ(reused.match().produced(second), want->produced(second));
+    }
+  }
+}
+
+/// Every match `site`'s enumerate visits, as (ids, produced) renderings.
+std::vector<std::string> visits(gamma::Store& store, const gamma::Reaction& r,
+                                MatchSite& site) {
+  std::vector<std::string> out;
+  MatchPipeline::enumerate(store, r, 10000, site,
+                           [&](const gamma::Match& m) {
+                             std::string line;
+                             for (const gamma::Store::Id id : m.ids) {
+                               line.append(std::to_string(id)).append(" ");
+                             }
+                             for (const Element& e : m.produced(store)) {
+                               line.append(e.to_string());
+                             }
+                             out.push_back(std::move(line));
+                             return true;
+                           });
+  return out;
+}
+
+TEST(MatchSiteTest, WarmEnumerateVisitsWhatAFreshSiteVisits) {
+  // One site enumerates after every change of a churning store (inserts,
+  // removes, compactions, commits of a visited match); its memo skips the
+  // anchors earlier sweeps proved fail. It must visit the same matches, in
+  // the same order, as a fresh site does on the same store.
+  for (const char* src :
+       {"R = replace x, y by x where x > y and x + y == 10",
+        "R = replace [x, k], [y, k] by [x + y, k] where x + y == 13"}) {
+    const Program p = parse(src);
+    const gamma::Reaction& r = p.stages()[0][0];
+    const bool pairs = r.patterns()[0].arity() == 2;
+    std::uint64_t skips = 0;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      gamma::Store store(gamma::FieldSet::of(p));
+      Rng ops(seed);
+      const auto element = [&] {
+        const Value v(static_cast<std::int64_t>(ops.bounded(12)));
+        return pairs ? Element{v, Value(static_cast<std::int64_t>(
+                                      ops.bounded(3)))}
+                     : Element{v};
+      };
+      MatchSite warm;
+      std::size_t matched = 0;
+      for (int step = 0; step < 120; ++step) {
+        SCOPED_TRACE(std::string(src) + " seed " + std::to_string(seed) +
+                     " step " + std::to_string(step));
+        const std::uint64_t op = ops.bounded(10);
+        if (op < 6 || store.size() < 2) {
+          store.insert(element());
+        } else if (op < 8) {
+          store.remove(store.nth_live(ops.bounded(store.size())));
+        } else if (op == 8) {
+          store.compact();
+        } else {
+          MatchSite site;
+          if (MatchPipeline::find(store, r, &ops, site)) {
+            MatchPipeline::commit(store, site.match());
+          }
+        }
+        MatchSite fresh;
+        const std::vector<std::string> want = visits(store, r, fresh);
+        ASSERT_EQ(visits(store, r, warm), want);
+        matched += want.size();
+      }
+      EXPECT_GT(matched, 0u);
+      skips += warm.memo().skips();
+    }
+    EXPECT_GT(skips, 0u) << src;
+  }
 }
 
 // --- AnchorMemo: failed-anchor watermarks ---------------------------------
@@ -143,20 +282,20 @@ TEST(MatchPipelineTest, ExhaustedSearchIsAFixedPointProof) {
 TEST(AnchorMemoTest, SecondFailingFindEvaluatesNoLanesAndKeepsTheRngStream) {
   const Program p = parse("R = replace x, y by x where x + y < 0");
   const gamma::Reaction& r = p.stages()[0][0];
-  const gamma::Store store(ints(1, 200), gamma::FieldSet::of(p));
+  gamma::Store store(ints(1, 200), gamma::FieldSet::of(p));
   Rng memo_rng(11);
   Rng plain_rng(11);
-  AnchorMemo memo;
-  EXPECT_FALSE(MatchPipeline::find(store, r, &memo_rng, &memo).has_value());
-  EXPECT_FALSE(MatchPipeline::find(store, r, &plain_rng).has_value());
-  EXPECT_EQ(memo.skips(), 0u);
+  MatchSite site;
+  EXPECT_FALSE(MatchPipeline::find(store, r, &memo_rng, site));
+  EXPECT_FALSE(find_fresh(store, r, &plain_rng).has_value());
+  EXPECT_EQ(site.memo().skips(), 0u);
 
   const std::uint64_t lanes0 = expr::batch_lanes();
-  EXPECT_FALSE(MatchPipeline::find(store, r, &memo_rng, &memo).has_value());
+  EXPECT_FALSE(MatchPipeline::find(store, r, &memo_rng, site));
   EXPECT_EQ(expr::batch_lanes() - lanes0, 0u);
-  EXPECT_EQ(memo.skips(), 200u);  // every anchor, none swept
+  EXPECT_EQ(site.memo().skips(), 200u);  // every anchor, none swept
 
-  EXPECT_FALSE(MatchPipeline::find(store, r, &plain_rng).has_value());
+  EXPECT_FALSE(find_fresh(store, r, &plain_rng).has_value());
   EXPECT_EQ(memo_rng(), plain_rng());
 }
 
@@ -169,25 +308,26 @@ TEST(AnchorMemoTest, ThrowingSweepLeavesNoEntryAndRetriesThrowIdentically) {
   const gamma::Store::Id one = store.insert(Element{Value(1)});
   for (std::int64_t v = 2; v <= 100; ++v) store.insert(Element{Value(v)});
   const gamma::Store::Id zero = store.insert(Element{Value(0)});
-  const auto error_of = [&](AnchorMemo* memo) {
+  const auto error_of = [&](MatchSite& site) {
     try {
-      (void)MatchPipeline::find(store, r, nullptr, memo);
+      (void)MatchPipeline::find(store, r, nullptr, site);
     } catch (const Error& e) {
       return std::string(e.what());
     }
     return std::string("no error");
   };
-  const std::string want = error_of(nullptr);
+  MatchSite fresh;
+  const std::string want = error_of(fresh);
   ASSERT_NE(want, "no error");
 
-  AnchorMemo memo;
-  EXPECT_EQ(error_of(&memo), want);
-  EXPECT_EQ(memo.watermark(store, zero), 0u);
-  EXPECT_EQ(memo.watermark(store, one), store.version());
+  MatchSite site;
+  EXPECT_EQ(error_of(site), want);
+  EXPECT_EQ(site.memo().watermark(store, zero), 0u);
+  EXPECT_EQ(site.memo().watermark(store, one), store.version());
   const std::uint64_t lanes0 = expr::batch_lanes();
-  EXPECT_EQ(error_of(&memo), want);
-  EXPECT_EQ(memo.watermark(store, zero), 0u);
-  EXPECT_EQ(memo.skips(), 100u);
+  EXPECT_EQ(error_of(site), want);
+  EXPECT_EQ(site.memo().watermark(store, zero), 0u);
+  EXPECT_EQ(site.memo().skips(), 100u);
   EXPECT_LE(expr::batch_lanes() - lanes0, store.size());  // anchor 0 only
 }
 
@@ -228,7 +368,7 @@ TEST(AnchorMemoTest, CachedJoinBucketSkipMatchesTheFullVisit) {
     std::size_t fast_skips = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       auto store = std::make_unique<gamma::Store>(gamma::FieldSet::of(p));
-      auto memo = std::make_unique<AnchorMemo>();
+      auto site = std::make_unique<MatchSite>();
       Rng ops(seed);
       Rng memo_rng(seed * 31);
       Rng plain_rng(seed * 31);
@@ -249,29 +389,29 @@ TEST(AnchorMemoTest, CachedJoinBucketSkipMatchesTheFullVisit) {
         }
         if (step == 200) {
           auto copy = std::make_unique<gamma::Store>(*store);
-          auto memo_copy = std::make_unique<AnchorMemo>(*memo);
+          auto site_copy = std::make_unique<MatchSite>(*site);
           while (store->size() > 4) store->remove(store->nth_live(0));
           store->compact();
           for (int i = 0; i < 8; ++i) store->insert(pair());
           store = std::move(copy);
-          memo = std::move(memo_copy);
+          site = std::move(site_copy);
         }
-        const std::size_t eligible = cached_skips(*store, *memo);
-        const auto with_memo =
-            MatchPipeline::find(*store, r, &memo_rng, memo.get());
-        const auto without = MatchPipeline::find(*store, r, &plain_rng);
-        ASSERT_EQ(with_memo.has_value(), without.has_value());
+        const std::size_t eligible = cached_skips(*store, site->memo());
+        const bool found = MatchPipeline::find(*store, r, &memo_rng, *site);
+        const auto without = find_fresh(*store, r, &plain_rng);
+        ASSERT_EQ(found, without.has_value());
         Rng memo_next = memo_rng;
         Rng plain_next = plain_rng;
         ASSERT_EQ(memo_next(), plain_next());
-        if (!with_memo) {
+        if (!found) {
           fast_skips += eligible;  // a failed find visits every anchor
           continue;
         }
-        ASSERT_EQ(with_memo->ids[0], without->ids[0]);
-        ASSERT_EQ(with_memo->ids[1], without->ids[1]);
-        ASSERT_EQ(with_memo->produced(*store), without->produced(*store));
-        if (ops.bounded(2) == 0) MatchPipeline::commit(*store, *with_memo);
+        const gamma::Match& with_memo = site->match();
+        ASSERT_EQ(with_memo.ids[0], without->ids[0]);
+        ASSERT_EQ(with_memo.ids[1], without->ids[1]);
+        ASSERT_EQ(with_memo.produced(*store), without->produced(*store));
+        if (ops.bounded(2) == 0) MatchPipeline::commit(*store, with_memo);
       }
     }
     EXPECT_GT(fast_skips, 0u) << src;

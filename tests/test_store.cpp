@@ -6,6 +6,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -19,6 +21,22 @@ namespace gammaflow::gamma {
 namespace {
 
 using runtime::MatchPipeline;
+using runtime::MatchSite;
+
+/// One find on a fresh MatchSite (an empty memo), its match copied out.
+std::optional<Match> find_fresh(Store& s, const Reaction& r,
+                                Rng* rng = nullptr) {
+  MatchSite site;
+  if (!MatchPipeline::find(s, r, rng, site)) return std::nullopt;
+  return site.match();
+}
+
+/// Every enabled match a fresh MatchSite's enumerate visits.
+std::size_t enumerate_fresh(Store& s, const Reaction& r, std::size_t limit,
+                            const std::function<bool(const Match&)>& fn) {
+  MatchSite site;
+  return MatchPipeline::enumerate(s, r, limit, site, fn);
+}
 
 std::vector<expr::ExprPtr> tuple(std::initializer_list<const char*> fields) {
   std::vector<expr::ExprPtr> out;
@@ -588,7 +606,7 @@ TEST(FindMatch, FindsEnabledPair) {
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
-  const auto m = MatchPipeline::find(s, r);
+  const auto m = find_fresh(s, r);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->ids.size(), 2u);
   ASSERT_EQ(m->produced(s).size(), 1u);
@@ -598,7 +616,7 @@ TEST(FindMatch, FindsEnabledPair) {
 TEST(FindMatch, NoMatchWhenLabelMissing) {
   Store s(FieldSet::of(adder()));
   s.insert(Element::labeled(Value(2), "L"));
-  EXPECT_FALSE(MatchPipeline::find(s, adder()).has_value());
+  EXPECT_FALSE(find_fresh(s, adder()).has_value());
 }
 
 TEST(FindMatch, ElementsMustBeDistinctInstances) {
@@ -607,9 +625,9 @@ TEST(FindMatch, ElementsMustBeDistinctInstances) {
   s.insert(Element{Value(5)});
   const Reaction r("R", {Pattern::var("x"), Pattern::var("y")},
                    {Branch::unconditional({tuple({"x"})})});
-  EXPECT_FALSE(MatchPipeline::find(s, r).has_value());
+  EXPECT_FALSE(find_fresh(s, r).has_value());
   s.insert(Element{Value(5)});  // a second equal instance IS allowed
-  EXPECT_TRUE(MatchPipeline::find(s, r).has_value());
+  EXPECT_TRUE(find_fresh(s, r).has_value());
 }
 
 TEST(FindMatch, ConditionGatesMatch) {
@@ -620,7 +638,7 @@ TEST(FindMatch, ConditionGatesMatch) {
                    {Branch::when(expr::parse_expression("x < y"),
                                  {tuple({"x"})})});
   // Both orderings exist as candidate tuples; only (2,9) is enabled.
-  const auto m = MatchPipeline::find(s, r);
+  const auto m = find_fresh(s, r);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->produced(s)[0], Element{Value(2)});
 }
@@ -630,12 +648,12 @@ TEST(FindMatch, CommitAppliesRewrite) {
   s.insert(Element::labeled(Value(2), "L"));
   s.insert(Element::labeled(Value(3), "R"));
   const Reaction r = adder();
-  const auto m = MatchPipeline::find(s, r);
+  const auto m = find_fresh(s, r);
   ASSERT_TRUE(m.has_value());
   MatchPipeline::commit(s, *m);
   EXPECT_EQ(s.size(), 1u);
   EXPECT_EQ(s.to_multiset(), (Multiset{Element::labeled(Value(5), "S")}));
-  EXPECT_FALSE(MatchPipeline::find(s, r).has_value());
+  EXPECT_FALSE(find_fresh(s, r).has_value());
 }
 
 TEST(FindMatch, RandomizedIsFairAcrossPairs) {
@@ -649,7 +667,7 @@ TEST(FindMatch, RandomizedIsFairAcrossPairs) {
   std::set<Value> first_values;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Rng rng(seed);
-    const auto m = MatchPipeline::find(s, r, &rng);
+    const auto m = find_fresh(s, r, &rng);
     ASSERT_TRUE(m.has_value());
     first_values.insert(m->produced(s)[0].value());
   }
@@ -664,7 +682,7 @@ TEST(FindMatch, WideReactionsSpillPastTheInlineBuffers) {
   const Reaction r = dsl::parse_reaction(
       "W = replace [a, b], [c, d], [e, f], [g, h], [i, j] "
       "by [a, b, c, d, e, f, g, h, i, j]");
-  auto m = MatchPipeline::find(s, r);
+  auto m = find_fresh(s, r);
   ASSERT_TRUE(m.has_value());
   ASSERT_EQ(m->ids.size(), 5u);
   std::vector<Value> want;
@@ -683,7 +701,7 @@ TEST(EnumerateMatches, CountsOrderedTuples) {
   for (int i = 0; i < 4; ++i) s.insert(Element{Value(i)});
   const Reaction any2("R", {Pattern::var("x"), Pattern::var("y")},
                       {Branch::unconditional({tuple({"x"})})});
-  std::size_t count = MatchPipeline::enumerate(
+  std::size_t count = enumerate_fresh(
       s, any2, 1000, [](const Match&) { return true; });
   EXPECT_EQ(count, 12u);  // 4 * 3 ordered pairs
 }
@@ -693,11 +711,11 @@ TEST(EnumerateMatches, HonorsLimitAndEarlyStop) {
   for (int i = 0; i < 10; ++i) s.insert(Element{Value(i)});
   const Reaction any2("R", {Pattern::var("x"), Pattern::var("y")},
                       {Branch::unconditional({tuple({"x"})})});
-  EXPECT_EQ(MatchPipeline::enumerate(
+  EXPECT_EQ(enumerate_fresh(
                 s, any2, 7, [](const Match&) { return true; }),
             7u);
   std::size_t seen = 0;
-  MatchPipeline::enumerate(
+  enumerate_fresh(
       s, any2, 1000,
       [&](const Match&) {
         return ++seen < 3;  // stop after 3
@@ -992,7 +1010,7 @@ TEST(EnumerateMatches, OnlyEnabledMatchesVisited) {
   s.insert(Element{Value(5)});
   const Reaction strict("R", {Pattern::var("x"), Pattern::var("y")},
                         {Branch::when(expr::parse_expression("x < y"), {})});
-  EXPECT_EQ(MatchPipeline::enumerate(
+  EXPECT_EQ(enumerate_fresh(
                 s, strict, 100, [](const Match&) { return true; }),
             0u);
 }
@@ -1028,19 +1046,18 @@ TEST(AnchorMemo, ReusedAnchorSlotStartsFresh) {
   const auto anchor = s.insert(Element{Value(3)});
   const auto candidate = s.insert(Element{Value(4)});
   const Reaction r = sum_to_ten();
-  runtime::AnchorMemo memo;
-  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, &memo).has_value());
-  EXPECT_EQ(memo.watermark(s, anchor), s.version());
-  EXPECT_EQ(memo.watermark(s, candidate), s.version());
+  MatchSite site;
+  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, site));
+  EXPECT_EQ(site.memo().watermark(s, anchor), s.version());
+  EXPECT_EQ(site.memo().watermark(s, candidate), s.version());
 
   // 6 takes the anchor's slot and matches the old candidate 4; only 6 can
   // anchor (6, 4), so a slot-keyed watermark would hide the match.
   s.remove(anchor);
   ASSERT_EQ(s.insert(Element{Value(6)}), anchor);
-  EXPECT_EQ(memo.watermark(s, anchor), 0u);
-  const auto m = MatchPipeline::find(s, r, nullptr, &memo);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(ids(*m), (std::vector<Store::Id>{anchor, candidate}));
+  EXPECT_EQ(site.memo().watermark(s, anchor), 0u);
+  ASSERT_TRUE(MatchPipeline::find(s, r, nullptr, site));
+  EXPECT_EQ(ids(site.match()), (std::vector<Store::Id>{anchor, candidate}));
 }
 
 TEST(AnchorMemo, ReusedCandidateSlotIsRescanned) {
@@ -1048,18 +1065,17 @@ TEST(AnchorMemo, ReusedCandidateSlotIsRescanned) {
   const auto anchor = s.insert(Element{Value(6)});
   const auto candidate = s.insert(Element{Value(3)});
   const Reaction r = sum_to_ten();
-  runtime::AnchorMemo memo;
-  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, &memo).has_value());
-  ASSERT_EQ(memo.watermark(s, anchor), s.version());
+  MatchSite site;
+  EXPECT_FALSE(MatchPipeline::find(s, r, nullptr, site));
+  ASSERT_EQ(site.memo().watermark(s, anchor), s.version());
 
   // 4 takes the failed candidate's slot under a newer stamp, so the
   // anchor's watermark does not cover it.
   s.remove(candidate);
   ASSERT_EQ(s.insert(Element{Value(4)}), candidate);
-  const auto m = MatchPipeline::find(s, r, nullptr, &memo);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(ids(*m), (std::vector<Store::Id>{anchor, candidate}));
-  EXPECT_EQ(memo.skips(), 0u);
+  ASSERT_TRUE(MatchPipeline::find(s, r, nullptr, site));
+  EXPECT_EQ(ids(site.match()), (std::vector<Store::Id>{anchor, candidate}));
+  EXPECT_EQ(site.memo().skips(), 0u);
 }
 
 TEST(AnchorMemo, SuffixScanKeepsTheCyclicOrderAndTheRngStream) {
@@ -1072,20 +1088,19 @@ TEST(AnchorMemo, SuffixScanKeepsTheCyclicOrderAndTheRngStream) {
   const Reaction r("Gt", {Pattern::labeled("x", "a"), Pattern::var("y")},
                    {Branch::when(expr::parse_expression("y > x"),
                                  {tuple({"y"})})});
-  runtime::AnchorMemo memo;
-  ASSERT_FALSE(MatchPipeline::find(s, r, nullptr, &memo).has_value());
+  MatchSite site;
+  ASSERT_FALSE(MatchPipeline::find(s, r, nullptr, site));
   for (std::int64_t v = 11; v <= 30; ++v) s.insert(Element{Value(v)});
   std::set<Value> picked;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Rng with_memo(seed);
     Rng without(seed);
-    const auto got = MatchPipeline::find(s, r, &with_memo, &memo);
-    const auto want = MatchPipeline::find(s, r, &without);
-    ASSERT_TRUE(got.has_value());
+    ASSERT_TRUE(MatchPipeline::find(s, r, &with_memo, site));
+    const auto want = find_fresh(s, r, &without);
     ASSERT_TRUE(want.has_value());
-    EXPECT_EQ(ids(*got), ids(*want)) << "seed " << seed;
+    EXPECT_EQ(ids(site.match()), ids(*want)) << "seed " << seed;
     EXPECT_EQ(with_memo(), without()) << "seed " << seed;
-    picked.insert(got->produced(s)[0].value());
+    picked.insert(site.match().produced(s)[0].value());
   }
   EXPECT_GT(picked.size(), 1u);
 }
@@ -1148,11 +1163,11 @@ TEST(Store, UnindexedFieldQueryThrows) {
   Store unkeyed;
   unkeyed.insert(Element{Value(1), Value(2)});
   unkeyed.insert(Element{Value(3), Value(2)});
-  EXPECT_THROW((void)MatchPipeline::find(unkeyed, keyed), EngineError);
+  EXPECT_THROW((void)find_fresh(unkeyed, keyed), EngineError);
   Store right(FieldSet::of(keyed));
   right.insert(Element{Value(1), Value(2)});
   right.insert(Element{Value(3), Value(2)});
-  EXPECT_TRUE(MatchPipeline::find(right, keyed).has_value());
+  EXPECT_TRUE(find_fresh(right, keyed).has_value());
 }
 
 }  // namespace
