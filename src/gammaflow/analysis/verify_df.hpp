@@ -1,16 +1,10 @@
 // Dataflow-graph verifier — the graph-side counterpart of lint.hpp and the
-// translation-validation oracle for Algorithm 1/2 outputs. Graph::validate()
-// enforces raw structure (port ranges, fed inputs, unique labels) and throws
-// on the FIRST violation; this pass collects findings, re-checks structure,
-// and then verifies the semantic discipline the TALM model relies on:
+// translation-validation oracle for Algorithm 1/2 outputs. Structure is not
+// its job: every Graph comes from GraphBuilder::build(), which throws
+// GraphError on a dangling endpoint, an out-of-range port, an unfed input,
+// a duplicate edge label or an operator of the wrong kind. This pass
+// verifies the semantic discipline the TALM model relies on:
 //
-//   df-edge-endpoint   E  edge references a node id out of range
-//   df-port-range      E  port index beyond the node's input/output arity
-//   df-input-unfed     E  non-root input port with no producer
-//   df-duplicate-label E  two edges share a label (Algorithm 1 would emit
-//                         two indistinguishable element populations)
-//   df-operator-kind   E  Arith node with a non-arithmetic op / Cmp with a
-//                         non-comparison op
 //   df-untagged-cycle  E  a cycle that passes no IncTag/DecTag: every trip
 //                         re-uses the same iteration tag, so loop waves
 //                         collide (the Fig. 2 discipline violated)
@@ -35,10 +29,6 @@
 // Findings reuse the LintReport machinery so the CLI `check` subcommand
 // reports both representations uniformly; `Finding::reaction` carries the
 // node's name (or "#<id>" when unnamed).
-//
-// Semantic passes run only when the structural checks are clean — walking
-// adjacency of a malformed graph would be UB, and structural errors must be
-// fixed first anyway.
 #pragma once
 
 #include "gammaflow/analysis/lint.hpp"
@@ -46,8 +36,8 @@
 
 namespace gammaflow::analysis {
 
-/// Verifies `graph`. Pure and total: never throws on malformed graphs (that
-/// is the point — it is usable where Graph::validate() would abort).
+/// Verifies `graph`. Pure: collects every finding instead of throwing on
+/// the first.
 [[nodiscard]] LintReport verify_graph(const dataflow::Graph& graph);
 
 }  // namespace gammaflow::analysis

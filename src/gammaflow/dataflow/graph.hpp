@@ -60,15 +60,17 @@ class Graph {
   /// Looks up a node by name; nullopt when absent or ambiguous.
   [[nodiscard]] std::optional<NodeId> find(const std::string& name) const;
 
-  /// Structural checks: port indices in range, arities respected, every
-  /// non-root input port fed by at least one edge, unique edge labels.
-  /// Throws GraphError describing the first violation.
-  void validate() const;
-
   [[nodiscard]] std::string to_string() const;
 
  private:
   friend class GraphBuilder;
+
+  /// Structural checks: port indices in range, arities respected, every
+  /// non-root input port fed by at least one edge, unique edge labels,
+  /// Arith/Cmp operators of their kind. Throws GraphError describing the
+  /// first violation. Only GraphBuilder::build() calls it, so every Graph
+  /// passed them (the empty Graph trivially).
+  void validate() const;
 
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
@@ -134,8 +136,6 @@ class GraphBuilder {
 
   /// Finalizes: validates and returns the graph. The builder is consumed.
   [[nodiscard]] Graph build() &&;
-
-  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
 
  private:
   Graph graph_;

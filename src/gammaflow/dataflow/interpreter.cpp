@@ -153,7 +153,6 @@ class Machine {
 
 DfRunResult Interpreter::run(const Graph& graph,
                              const DfRunOptions& options) const {
-  graph.validate();
   Machine machine(graph, options);
   return machine.run();
 }

@@ -257,7 +257,6 @@ class ParallelRun {
 
 DfRunResult ParallelEngine::run(const Graph& graph,
                                 const DfRunOptions& options) const {
-  graph.validate();
   ParallelRun run_state(graph, options);
   return run_state.run();
 }

@@ -1,6 +1,8 @@
 #include "gammaflow/dataflow/serialize.hpp"
 
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -10,10 +12,24 @@
 namespace gammaflow::dataflow {
 namespace {
 
+// Value's stream form is unambiguous (ints bare, strings single-quoted,
+// bools true/false, nil) but keeps 6 significant digits of a real, so reals
+// are written in their shortest round-trip form instead: with a decimal
+// marker or an exponent, so they read back as reals, and inf, -inf, nan or
+// -nan when not finite.
 void write_value(std::ostream& os, const Value& v) {
-  // Value's stream form is already unambiguous: ints bare, reals with a
-  // decimal marker, strings single-quoted, bools true/false, nil.
-  os << v;
+  if (!v.is_real()) {
+    os << v;
+    return;
+  }
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v.as_real()).ptr;
+  const std::string_view text(buf, static_cast<std::size_t>(end - buf));
+  os << text;
+  if (std::isfinite(v.as_real()) &&
+      text.find_first_of(".e") == std::string_view::npos) {
+    os << ".0";
+  }
 }
 
 std::string quote(const std::string& s) { return "'" + s + "'"; }
@@ -72,6 +88,14 @@ Value parse_value(const std::string& s, int line_no) {
   if (s == "nil") return {};
   if (s == "true") return Value(true);
   if (s == "false") return Value(false);
+  if (s == "inf" || s == "-inf") {
+    const double inf = std::numeric_limits<double>::infinity();
+    return Value(s.front() == '-' ? -inf : inf);
+  }
+  if (s == "nan" || s == "-nan") {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return Value(s.front() == '-' ? -nan : nan);
+  }
   if (!s.empty() &&
       (std::isdigit(static_cast<unsigned char>(s[0])) || s[0] == '-')) {
     return expr::decode_number(s, line_no, 1);

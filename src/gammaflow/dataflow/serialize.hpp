@@ -7,7 +7,8 @@
 //   edge src=0 sport=0 dst=1 dport=0 label='A1'
 //
 // Nodes are implicitly numbered in declaration order. parse(print(g)) is a
-// structurally identical graph (tested property).
+// structurally identical graph with bit-identical constants (tested
+// property): reals print in shortest round-trip form, inf/-inf/nan bare.
 #pragma once
 
 #include <iosfwd>

@@ -45,9 +45,6 @@ void ClusterOptions::validate() const {
     throw ProgramError("ClusterOptions::replication_factor must be < nodes "
                        "(a node cannot checkpoint to itself)");
   }
-  if (checkpoint_every == 0) {
-    throw ProgramError("ClusterOptions::checkpoint_every must be >= 1");
-  }
   if (wal_snapshot_every == 0) {
     throw ProgramError("ClusterOptions::wal_snapshot_every must be >= 1");
   }
@@ -113,7 +110,7 @@ struct Node {
   Store shard;
   // The stage policy's match sites over `shard`: their anchor memos key on
   // (id, stamp), which a new Store reuses, so they belong to this one store
-  // (see Simulation::reset_shard) and travel with it into replicas.
+  // (see Simulation::reset_shard) and freeze with it through a crash.
   gamma::StageMemory memory{0};
   Rng rng{0};
   // Safra state.
@@ -132,7 +129,7 @@ struct Node {
   std::uint64_t next_seq = 0;
   std::vector<OutboxEntry> outbox;
   std::unordered_map<std::size_t, std::unordered_set<std::uint64_t>> seen;
-  // Crash state: down (dropping everything) until this round; 0 = up.
+  // Crash state: down (frozen, dropping everything) until this round; 0 = up.
   std::size_t down_until = 0;
 
   [[nodiscard]] bool active_this_round() const noexcept {
@@ -196,7 +193,6 @@ class Simulation {
     if (wal_on_) {
       std::filesystem::create_directories(options_.wal_dir);
       wal_.resize(capacity_);
-      wal_rounds_.assign(capacity_, 0);
     }
 
     if (options_.resume) {
@@ -212,17 +208,14 @@ class Simulation {
       recording_.begin(placed);
     }
 
-    // Seed the replicas with the placed state so a crash in the very first
-    // rounds restores the initial shard. Holders default to the R ring
-    // successors; checkpoint() recomputes them as the ring changes.
+    // The placed state is every node's first checkpoint. Holders default to
+    // the R ring successors; checkpoint() recomputes them as the ring
+    // changes.
     if (options_.faults.crashes_possible()) {
-      replicas_.reserve(capacity_);
       replica_shard_versions_.reserve(capacity_);
       for (const Node& n : nodes_) {
-        replicas_.push_back(snapshot_of(n));
         replica_shard_versions_.push_back(n.shard.version());
       }
-      replica_rounds_.assign(capacity_, round_);
       holders_.resize(capacity_);
       for (std::size_t i = 0; i < capacity_; ++i) {
         holders_[i] = ring_successors(i, options_.replication_factor);
@@ -265,15 +258,6 @@ class Simulation {
 
   [[nodiscard]] bool down(std::size_t i) const noexcept {
     return nodes_[i].down_until > round_;
-  }
-
-  /// Replica image of a node: full protocol state minus the token (the
-  /// token is transient network property; resurrecting it from a backup
-  /// would forge a second token of the same generation).
-  [[nodiscard]] static Node snapshot_of(const Node& n) {
-    Node snap = n;
-    snap.held_token.reset();
-    return snap;
   }
 
   /// Replaces a node's shard with `shard`, and its stage memory with an
@@ -347,13 +331,12 @@ class Simulation {
   // Sum of departed nodes' Safra counters, added at every lap decision.
   // Kept outside the Node array so a crash of the initiator can't erase it.
   std::int64_t residual_count_ = 0;
-  std::vector<Node> replicas_;  // replicas_[i] lives at holders_[i]
+  // Shard version at each node's last checkpoint (counts `checkpoints`).
   std::vector<std::uint64_t> replica_shard_versions_;
-  std::vector<std::uint64_t> replica_rounds_;
+  // holders_[i]: the nodes that hold i's checkpoint and can serve its restart.
   std::vector<std::vector<std::size_t>> holders_;
   bool wal_on_ = false;
   std::vector<WalWriter> wal_;
-  std::vector<std::uint64_t> wal_rounds_;  // last flushed round marker
   std::vector<Wire> wires_;
   std::vector<TokenMsg> token_msgs_;
   std::size_t round_ = 0;
@@ -495,7 +478,6 @@ void Simulation::load_resume_state() {
     const bool fresh = !std::filesystem::exists(path);
     wal_[i].open(path, i, fresh);
     wal_[i].compact(wal_state_of(i, round_));
-    wal_rounds_[i] = round_;
   }
   wal_roundmark_manifest();
 }
@@ -649,31 +631,33 @@ void Simulation::crash_and_recover() {
 
 void Simulation::crash(std::size_t i, std::size_t downtime) {
   ++result_.crashes;
-  // The live in-memory state dies with the process. The stale Node is left
-  // in place while the node is down (nothing reads it: deliver drops,
-  // react/communicate/checkpoint skip) and overwritten at restart. A held
-  // token dies with the crash — the watchdog regenerates it.
+  // The Node freezes while the node is down: deliver drops its messages and
+  // acks, every later phase skips it and membership defers its leave. The
+  // frozen state is its last checkpoint, which try_restore reinstates. A
+  // held token dies with the crash (the watchdog regenerates it): a
+  // checkpoint never carries one, since resurrecting it would forge a
+  // second token of the same generation.
   nodes_[i].down_until = round_ + std::max<std::size_t>(1, downtime);
   nodes_[i].held_token.reset();
 }
 
-/// Restart: re-install durable state. Preference order — the local WAL
-/// when it is fresher than the newest replica (the replica lags when
-/// checkpoint_every > 1), else any up holder's replica, else the WAL again
-/// (holders down but the disk survives), else WAIT a round and retry
-/// (replication_factor crash overlap: with more holders this wait path is
-/// what disappears). Rejoin blackened: the missed lap proves nothing.
+/// Restart: re-install durable state. Preference order — the replica
+/// when any holder is up (the replica is the frozen Node: see crash()),
+/// else the local WAL (holders down but the disk survives), else WAIT a
+/// round and retry (replication_factor crash overlap: with more holders
+/// this wait path is what disappears). Rejoin blackened: the missed lap
+/// proves nothing.
 void Simulation::try_restore(std::size_t i) {
-  const bool wal_ok = wal_on_ && wal_[i].is_open();
-  bool holder_ok = false;
-  if (!holders_.empty()) {
-    for (const std::size_t h : holders_[i]) {
-      holder_ok = holder_ok || (state_[h] != NState::Inactive && !down(h));
-    }
+  const auto can_serve = [&](std::size_t h) {
+    return state_[h] != NState::Inactive && !down(h);
+  };
+  if (std::any_of(holders_[i].begin(), holders_[i].end(), can_serve)) {
+    nodes_[i].black = true;
+    nodes_[i].down_until = 0;
+    ++result_.recoveries;
+    return;
   }
-  const bool wal_fresher =
-      wal_ok && (!holder_ok || wal_rounds_[i] > replica_rounds_[i]);
-  if (wal_fresher) {
+  if (wal_on_ && wal_[i].is_open()) {
     WalNodeState st = replay_node_wal(wal_node_path(options_.wal_dir, i));
     if (st.valid) {
       install_wal_state(i, std::move(st));
@@ -681,14 +665,6 @@ void Simulation::try_restore(std::size_t i) {
       ++result_.recoveries;
       return;
     }
-  }
-  if (holder_ok) {
-    Node restored = replicas_[i];
-    restored.black = true;
-    restored.down_until = 0;
-    nodes_[i] = std::move(restored);
-    ++result_.recoveries;
-    return;
   }
   // No durable copy reachable this round: stay down, try again next round.
   ++result_.replica_waits;
@@ -834,9 +810,9 @@ void Simulation::deactivate(std::size_t l) {
   // logical messages, so termination detection survives the ring shrinking.
   // The residual deliberately lives outside any Node — folding it into node
   // 0's counter would silently vanish if node 0 happened to be CRASHED at
-  // this moment (its stale in-memory state is overwritten by the replica on
-  // restart), leaving the global sum off by the fold forever: no lap could
-  // ever be clean again. (In a real deployment this is the one counter the
+  // this moment (a down node is frozen at its last checkpoint, and the
+  // restart reinstates that checkpoint, which no fold reached), leaving the
+  // global sum off by the fold forever: no lap could ever be clean again. (In a real deployment this is the one counter the
   // initiator must persist outside its volatile state; the epoch bump below
   // already blackens the interrupted lap, which is what makes moving the
   // count sound.)
@@ -871,7 +847,6 @@ void Simulation::deactivate(std::size_t l) {
     // Final compaction: an empty state that preserves the sequence
     // watermark, so a rejoin replays a clean prefix.
     wal_[l].compact(wal_state_of(l, round_));
-    wal_rounds_[l] = round_;
   }
   bump_epoch();  // ring membership changed: tokens to the leaver must die
 }
@@ -1406,15 +1381,14 @@ void Simulation::settle_in_flight() {
 }
 
 // --- phase 5: replication ---
-// Primary-backup: every `checkpoint_every` rounds each node ships its
-// end-of-round state to its up-to-R live ring successors (holders_). With
-// checkpoint_every == 1 a replica is never behind the state a crash
-// destroys — the property that makes replica-only recovery exact. With a
-// larger cadence the replica lags and try_restore() prefers the local WAL
-// whenever it is fresher.
+// Primary-backup: every round each up node ships its end-of-round state to
+// its up-to-R live ring successors (holders_), so a replica is never behind
+// the state a crash destroys — the property that makes replica-only
+// recovery exact. A crash freezes exactly that state (see crash()), so the
+// simulator keeps no second copy: the frozen Node is the replica, and
+// holders_ models only who can serve it.
 void Simulation::checkpoint() {
   if (!options_.faults.crashes_possible() || terminated_) return;
-  if (round_ % options_.checkpoint_every != 0) return;
   for (std::size_t i = 0; i < capacity_; ++i) {
     if (state_[i] == NState::Inactive) continue;
     if (down(i)) continue;  // frozen state was checkpointed pre-crash
@@ -1429,8 +1403,6 @@ void Simulation::checkpoint() {
       replica_shard_versions_[i] = nodes_[i].shard.version();
       ++result_.checkpoints;
     }
-    replicas_[i] = snapshot_of(nodes_[i]);
-    replica_rounds_[i] = round_;
   }
 }
 
@@ -1448,7 +1420,6 @@ void Simulation::wal_roundmark() {
     } else {
       wal_[i].log_round(round_);
     }
-    wal_rounds_[i] = round_;
   }
   wal_roundmark_manifest();
 }

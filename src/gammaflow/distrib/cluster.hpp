@@ -30,7 +30,10 @@
 //   * every node checkpoints its shard (and protocol state) to its ring
 //     successor at the end of each round; a crash loses the live shard and
 //     the restarted node re-installs the replica — together with
-//     sender-side retry this makes crashes lose no elements;
+//     sender-side retry this makes crashes lose no elements. A down node
+//     is frozen (nothing delivers to it or runs on it), so its frozen state
+//     IS that replica: the simulator keeps one copy of each node and models
+//     the holders only as who is up to serve it;
 //   * a retransmission or a restart blackens the next Safra lap (both
 //     violate EWD998's "passive machines don't send" premise), and a token
 //     destroyed by a crash or the network is regenerated by the initiator
@@ -51,9 +54,8 @@
 //   * with ClusterOptions::wal_dir set, every node writes a CRC-framed
 //     write-ahead log of committed fires and transfers plus periodic
 //     compacting snapshots (distrib/wal.hpp). A full-cluster kill restarts
-//     from disk with `resume`; a single-node restart prefers its local WAL
-//     over the ring replica when the WAL is at least as fresh (the replica
-//     may lag when checkpoint_every > 1).
+//     from disk with `resume`; a single-node restart replays its local WAL
+//     when no replica holder is up.
 //
 // The simulation is fully deterministic from the seed — fault schedule
 // included — making every recovery path unit-testable (including the
@@ -124,15 +126,11 @@ struct ClusterOptions : runtime::RunOptions {
   /// the same rounds no longer strands the shard until the successor is
   /// back — recovery proceeds from any up holder.
   std::size_t replication_factor = 1;
-  /// Rounds between replica checkpoints (1 = every round). Larger values
-  /// model asynchronous replication: a crash may find the newest replica
-  /// stale, which is exactly when a fresher local WAL wins (see wal_dir).
-  std::size_t checkpoint_every = 1;
   /// Directory for per-node write-ahead logs + the cluster manifest; empty
   /// disables durability. With a WAL, committed fires and transfers are on
   /// disk before they are acknowledged, so a full-cluster kill is resumable
-  /// (`resume`) and a single-node restart prefers its own WAL over the ring
-  /// replica whenever the WAL is at least as fresh.
+  /// (`resume`) and a single-node restart with no up replica holder
+  /// replays its own WAL instead of waiting.
   std::string wal_dir;
   /// Rounds between compacting WAL snapshots (rewrite as one snapshot
   /// instead of an ever-growing record suffix).

@@ -1,7 +1,6 @@
 #include "gammaflow/expr/lexer.hpp"
 
 #include <charconv>
-#include <stdexcept>
 #include <string>
 
 namespace gammaflow::expr {
@@ -146,15 +145,16 @@ Numeral scan_numeral(std::string_view s, std::size_t pos) {
 /// ParseError at (line, column) when the value is out of range.
 Value decode_numeral(const std::string& spelling, bool is_real, int line,
                      int column) {
+  const char* const end = spelling.data() + spelling.size();
   if (is_real) {
-    try {
-      return Value(std::stod(spelling));
-    } catch (const std::out_of_range&) {
+    double d = 0.0;
+    const auto [ptr, ec] = std::from_chars(spelling.data(), end, d);
+    if (ec != std::errc{} || ptr != end) {
       throw ParseError("real literal out of range: " + spelling, line, column);
     }
+    return Value(d);
   }
   std::int64_t v = 0;
-  const char* const end = spelling.data() + spelling.size();
   const auto [ptr, ec] = std::from_chars(spelling.data(), end, v);
   if (ec != std::errc{} || ptr != end) {
     throw ParseError("integer literal out of range: " + spelling, line,

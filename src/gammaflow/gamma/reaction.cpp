@@ -52,7 +52,6 @@ CompiledReaction::CompiledReaction(const Reaction& reaction) {
       }
     }
   }
-  pattern_literals_ = literals_.size();
   const std::span<const std::string> slot_span(slots_);
   branches_.reserve(reaction.branches().size());
   for (const Branch& br : reaction.branches()) {

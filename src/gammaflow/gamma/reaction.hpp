@@ -161,10 +161,6 @@ class CompiledReaction {
   [[nodiscard]] const std::vector<Value>& literals() const noexcept {
     return literals_;
   }
-  /// literals()[i] is a pattern literal exactly when i < pattern_literals().
-  [[nodiscard]] std::size_t pattern_literals() const noexcept {
-    return pattern_literals_;
-  }
   /// Wall time spent compiling this reaction (`expr.compile_ms` metric).
   [[nodiscard]] double compile_ms() const noexcept { return compile_ms_; }
   /// Total bytecode instructions across all chunks.
@@ -186,7 +182,6 @@ class CompiledReaction {
   std::vector<std::vector<JoinField>> joins_;
   std::vector<BranchCode> branches_;
   std::vector<Value> literals_;
-  std::size_t pattern_literals_ = 0;
   std::optional<BatchPlan> batch_;
   double compile_ms_ = 0.0;
 };

@@ -107,8 +107,6 @@ std::vector<Branch> guard_branches(std::vector<Branch> branches,
 
 GammaConversion dataflow_to_gamma(const Graph& graph,
                                   const DfToGammaOptions& options) {
-  graph.validate();
-
   bool has_tags = false;
   for (const Node& n : graph.nodes()) {
     if (n.kind == NodeKind::IncTag || n.kind == NodeKind::DecTag) {

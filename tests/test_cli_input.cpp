@@ -313,6 +313,29 @@ TEST_F(CliInput, RunRejectsDfRealOutOfRange) {
             "1e-400\n");
 }
 
+TEST_F(CliInput, DfTextCarriesRealsExactly) {
+  // `.df` text used to print reals with 6 significant digits, so a compiled
+  // program ran on a rounded constant, and `inf` did not read back.
+  const fs::path pi = write("pi.src", "x = 3.14159265; y = x * 2.0; output y;\n");
+  const fs::path pi_df = dir_ / "pi.df";
+  ASSERT_EQ(run_cli("compile " + pi.string() + " > " + pi_df.string()).exit_code,
+            0);
+  const CliRun from_src = run_cli("run " + pi.string());
+  const CliRun from_df = run_cli("run " + pi_df.string());
+  EXPECT_EQ(from_src.exit_code, 0) << from_src.output;
+  EXPECT_EQ(from_df.output, from_src.output);
+  EXPECT_EQ(from_df.output.substr(0, from_df.output.find('\n')),
+            "y = 6.28319");
+
+  const fs::path big = write("big.src", "x = 1e308 * 10.0; output x;\n");
+  const fs::path big_df = dir_ / "big.df";
+  ASSERT_EQ(run_cli("opt " + big.string() + " > " + big_df.string()).exit_code,
+            0);
+  const CliRun inf = run_cli("run " + big_df.string());
+  EXPECT_EQ(inf.exit_code, 0) << inf.output;
+  EXPECT_EQ(inf.output.substr(0, inf.output.find('\n')), "x = inf");
+}
+
 TEST_F(CliInput, ServeStdioRejectsRealLiteralOutOfRangeAndKeepsServing) {
   // Used to answer {"error":"internal","message":"stod"}.
   const fs::path script = write(

@@ -95,6 +95,19 @@ TEST(GraphValidate, DuplicateEdgeLabelFails) {
   EXPECT_THROW((void)std::move(b).build(), GraphError);
 }
 
+TEST(GraphValidate, WrongOperatorKindFails) {
+  // add_node takes a whole Node, so only build() sees the operator's kind.
+  for (const Node& bad :
+       {Node{NodeKind::Arith, BinOp::Lt, Value(), false, "bad_arith"},
+        Node{NodeKind::Cmp, BinOp::Add, Value(), false, "bad_cmp"}}) {
+    GraphBuilder b;
+    const NodeId n = b.add_node(bad);
+    b.connect(b.constant(Value(1)), n, 0);
+    b.connect(b.constant(Value(2)), n, 1);
+    EXPECT_THROW((void)std::move(b).build(), GraphError) << bad.name;
+  }
+}
+
 TEST(GraphValidate, MergedInputPortIsLegal) {
   // Fig. 2 pattern: two producers feed one inctag input (A1 + loopback).
   GraphBuilder b;

@@ -158,11 +158,6 @@ TEST(ClusterOptions, ValidateRejectsBadElasticityKnobs) {
   }
   {
     ClusterOptions o = opts(4);
-    o.checkpoint_every = 0;
-    EXPECT_THROW(run_distributed(p, m, o), ProgramError);
-  }
-  {
-    ClusterOptions o = opts(4);
     o.wal_snapshot_every = 0;
     EXPECT_THROW(run_distributed(p, m, o), ProgramError);
   }
@@ -214,9 +209,9 @@ TEST(Elastic, ChurnTimesFaultSweepMatchesOracleOn200Seeds) {
   // rebalance retries, drain completion, replica restore, and Safra
   // generation bumps across epochs. Every fourth seed also runs min.gamma's
   // reaction (two patterns and a guard, so the nodes' anchor memos skip
-  // work) one fire per round, with a WAL and a replica that lags it: a
-  // restart then installs either a replica or the WAL, and each must bring
-  // a memo that belongs to the shard it installs.
+  // work) one fire per round, with a WAL: a restart then installs either
+  // the replica or, when no holder is up, the WAL, and each must bring a
+  // memo that belongs to the shard it installs.
   const auto sum = gamma::dsl::parse_program("R = replace x, y by x + y");
   const auto min =
       gamma::dsl::parse_program("Rmin = replace x, y by x where x < y");
@@ -245,7 +240,6 @@ TEST(Elastic, ChurnTimesFaultSweepMatchesOracleOn200Seeds) {
     if (seed % 4 != 0) continue;
     o.fires_per_round = 1;
     o.wal_dir = dir.path;
-    o.checkpoint_every = 3;
     const auto rm = run_distributed(min, m, o);
     ASSERT_EQ(rm.final_multiset, expected_min) << "min, seed " << seed;
     ASSERT_EQ(rm.outcome, Outcome::Completed) << "min, seed " << seed;
@@ -531,23 +525,39 @@ TEST(Wal, SnapshotPlusTailEqualsPureLogReplay) {
             run_distributed(p, m, rb).final_multiset);
 }
 
-TEST(Wal, SingleNodeRestartPrefersAFresherWalOverTheStaleReplica) {
-  // checkpoint_every > 1 makes the ring replica lag; the WAL flushes every
-  // round. A crash between checkpoints must restore from the WAL (counted
-  // in wal_replays) and still converge to the oracle's fixed point.
-  const WalDir dir("fresher");
+TEST(Wal, SingleNodeRestartWithNoUpHolderReplaysItsWal) {
+  // Node 1 and its only holder (node 2) crash together; node 1 is due back
+  // while node 2 is still down. With no holder to serve the replica, the
+  // restart replays node 1's own WAL (counted in wal_replays) instead of
+  // waiting, and the run still converges to the oracle's fixed point.
+  const WalDir dir("noholder");
   const auto p = gamma::dsl::parse_program("R = replace x, y by x + y");
   const gamma::Multiset m = ints(1, 50);
   const auto expected = gamma::IndexedEngine().run(p, m).final_multiset;
-  ClusterOptions o = opts(4, 31);
+  ClusterOptions o = opts(4, 9);
   o.wal_dir = dir.path;
-  o.checkpoint_every = 5;
-  o.faults.crashes.push_back({3, 2, 2});
-  o.faults.crashes.push_back({7, 1, 3});
+  o.faults.crashes.push_back({2, 1, 2});   // node 1 back at round 4
+  o.faults.crashes.push_back({2, 2, 12});  // its holder stays down longer
   const auto r = run_distributed(p, m, o);
   EXPECT_EQ(r.final_multiset, expected);
   EXPECT_GE(r.wal_replays, 1u);
+  EXPECT_EQ(r.replica_waits, 0u);
   EXPECT_EQ(r.crashes, 2u);
+
+  // Node 1 crashes again in the round its WAL replay ran, and its holder is
+  // back by its next restart: the holder then serves the frozen state, which
+  // is the WAL-installed one.
+  const WalDir again_dir("noholder_again");
+  ClusterOptions again = opts(4, 9);
+  again.wal_dir = again_dir.path;
+  again.faults.crashes.push_back({2, 1, 2});  // node 1 back at round 4 ...
+  again.faults.crashes.push_back({2, 2, 3});  // ... before node 2 (round 5)
+  again.faults.crashes.push_back({4, 1, 2});  // down again until round 6
+  const auto ra = run_distributed(p, m, again);
+  EXPECT_EQ(ra.final_multiset, expected);
+  EXPECT_EQ(ra.wal_replays, 1u);
+  EXPECT_EQ(ra.recoveries, 3u);
+  EXPECT_EQ(ra.crashes, 3u);
 }
 
 TEST(Wal, ResumeWithoutAManifestThrows) {

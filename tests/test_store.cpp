@@ -523,7 +523,7 @@ TEST(Store, FreedSymbolIdIsNeverReadAsItsOldString) {
 }
 
 TEST(Store, CopiesKeepTheirOwnSymbolTables) {
-  // A copy (a cluster checkpoint) reads its strings from its own table:
+  // A copy reads its strings from its own table:
   // freeing and reusing symbols in the original leaves the copy intact.
   Store s(FieldSet{1});
   const auto a = s.insert(Element::labeled(Value(1), "a"));

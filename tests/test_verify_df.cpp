@@ -1,13 +1,8 @@
 // Dataflow-graph verifier: the clean corpus (paper figures, generators, and
 // every translator output — the translation-validation regressions) plus one
-// deliberately broken graph per reachable check id. Broken graphs are taken
-// from GraphBuilder::graph(), the unvalidated view — Graph::validate() would
-// throw on them, which is exactly why verify_graph exists.
-//
-// df-edge-endpoint and df-port-range are untestable here by design: every
-// public construction path (GraphBuilder::connect, serialize::parse_text)
-// already refuses such edges, so those checks guard future deserializers
-// only.
+// deliberately broken graph per check id. Every broken graph here is
+// structurally valid, so GraphBuilder::build() accepts it; structural
+// defects are build()'s to refuse (test_dataflow_graph.cpp, GraphValidate).
 #include <gtest/gtest.h>
 
 #include "gammaflow/analysis/verify_df.hpp"
@@ -22,8 +17,6 @@ namespace gammaflow::analysis {
 namespace {
 
 using dataflow::GraphBuilder;
-using dataflow::Node;
-using dataflow::NodeKind;
 using expr::BinOp;
 
 // --- clean corpus --------------------------------------------------------
@@ -95,49 +88,7 @@ TEST(VerifyDf, PerReactionGraphsVerify) {
   EXPECT_EQ(report.errors(), 0u) << report;
 }
 
-// --- broken graphs, one per reachable check ------------------------------
-
-TEST(VerifyDf, UnfedInputIsAnError) {
-  GraphBuilder b;
-  const auto c = b.constant(Value(1));
-  const auto sum = b.arith(BinOp::Add, "sum");
-  b.connect(c, sum, 0);  // port 1 never fed
-  const auto report = verify_graph(b.graph());
-  const auto unfed = report.of("df-input-unfed");
-  ASSERT_EQ(unfed.size(), 1u) << report;
-  EXPECT_EQ(unfed[0].severity, Severity::Error);
-  EXPECT_EQ(unfed[0].reaction, "sum");
-}
-
-TEST(VerifyDf, DuplicateLabelIsAnError) {
-  GraphBuilder b;
-  const auto c1 = b.constant(Value(1));
-  const auto c2 = b.constant(Value(2));
-  const auto sum = b.arith(BinOp::Add, "sum");
-  b.connect(c1, sum, 0, "X");
-  b.connect(c2, sum, 1, "X");
-  const auto report = verify_graph(b.graph());
-  const auto dup = report.of("df-duplicate-label");
-  ASSERT_EQ(dup.size(), 1u) << report;
-  EXPECT_EQ(dup[0].severity, Severity::Error);
-  EXPECT_NE(dup[0].message.find("'X'"), std::string::npos);
-}
-
-TEST(VerifyDf, WrongOperatorKindIsAnError) {
-  GraphBuilder b;
-  b.add_node(Node{NodeKind::Arith, BinOp::Lt, Value(), false, "bad_arith"});
-  b.add_node(Node{NodeKind::Cmp, BinOp::Add, Value(), false, "bad_cmp"});
-  const auto report = verify_graph(b.graph());
-  EXPECT_EQ(report.of("df-operator-kind").size(), 2u) << report;
-}
-
-TEST(VerifyDf, StructuralErrorsSuppressSemanticPasses) {
-  GraphBuilder b;
-  b.arith(BinOp::Add, "floating");  // both inputs unfed, also unreachable
-  const auto report = verify_graph(b.graph());
-  EXPECT_EQ(report.of("df-input-unfed").size(), 2u) << report;
-  EXPECT_TRUE(report.of("df-unreachable").empty()) << report;
-}
+// --- broken graphs, one per check ----------------------------------------
 
 TEST(VerifyDf, UntaggedCycleIsAnError) {
   GraphBuilder b;
@@ -147,7 +98,7 @@ TEST(VerifyDf, UntaggedCycleIsAnError) {
   b.connect(c, a, 0);
   b.connect(GraphBuilder::out(dbl), a, 1);
   b.connect(GraphBuilder::out(a), dbl, 0);  // a -> dbl -> a, no IncTag
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto cyc = report.of("df-untagged-cycle");
   ASSERT_EQ(cyc.size(), 1u) << report;
   EXPECT_EQ(cyc[0].severity, Severity::Error);
@@ -163,7 +114,7 @@ TEST(VerifyDf, TaggedCycleIsAccepted) {
   b.connect(GraphBuilder::out(inc), a, 1);
   b.connect(GraphBuilder::out(a), dbl, 0);
   b.connect(GraphBuilder::out(dbl), inc, 0);
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   EXPECT_EQ(report.errors(), 0u) << report;
   EXPECT_TRUE(report.of("df-untagged-cycle").empty()) << report;
 }
@@ -173,7 +124,7 @@ TEST(VerifyDf, SteerControlFedByNonTruthyConstIsAnError) {
   const auto data = b.constant(Value(7));
   const auto ctrl = b.constant(Value("not a bool"));
   b.steer(data, ctrl, "st");
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto sc = report.of("df-steer-control");
   ASSERT_EQ(sc.size(), 1u) << report;
   EXPECT_EQ(sc[0].severity, Severity::Error);
@@ -186,7 +137,7 @@ TEST(VerifyDf, SteerControlFedByArithIsAWarning) {
   const auto sum =
       b.arith(BinOp::Add, b.constant(Value(1)), b.constant(Value(2)));
   b.steer(data, sum, "st");
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto sc = report.of("df-steer-control");
   ASSERT_EQ(sc.size(), 1u) << report;
   EXPECT_EQ(sc[0].severity, Severity::Warning);
@@ -198,7 +149,7 @@ TEST(VerifyDf, SteerControlFedByCmpIsClean) {
   const auto cond =
       b.cmp(BinOp::Lt, b.constant(Value(1)), b.constant(Value(2)));
   b.steer(data, cond, "st");
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   EXPECT_TRUE(report.of("df-steer-control").empty()) << report;
 }
 
@@ -210,7 +161,7 @@ TEST(VerifyDf, DisjointTagOffsetsAtAJoinAreAWarning) {
   const auto join = b.arith(BinOp::Add, "join");
   b.connect(tagged, join, 0);
   b.connect(c2, join, 1);  // offset {0}: provably never matches port 0
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto tm = report.of("df-tag-mismatch");
   ASSERT_EQ(tm.size(), 1u) << report;
   EXPECT_EQ(tm[0].severity, Severity::Warning);
@@ -226,7 +177,7 @@ TEST(VerifyDf, UnreachableComponentIsAWarning) {
   const auto inc = b.inctag();
   b.connect(GraphBuilder::out(orphan), inc, 0);
   b.connect(GraphBuilder::out(inc), orphan, 0);
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   EXPECT_EQ(report.errors(), 0u) << report;
   const auto unreachable = report.of("df-unreachable");
   ASSERT_EQ(unreachable.size(), 2u) << report;
@@ -239,7 +190,7 @@ TEST(VerifyDf, NodeFeedingNoOutputIsAWarning) {
   const auto wasted = b.arith_imm(BinOp::Add, c1, Value(1), "wasted");
   (void)wasted;
   b.output(b.constant(Value(2), "kept"), "m");
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto dead = report.of("df-dead-node");
   // The const feeding 'wasted' and 'wasted' itself lead nowhere.
   ASSERT_EQ(dead.size(), 2u) << report;
@@ -249,7 +200,7 @@ TEST(VerifyDf, NodeFeedingNoOutputIsAWarning) {
 TEST(VerifyDf, NoOutputNodesSkipsDeadNodeAnalysis) {
   GraphBuilder b;
   b.arith_imm(BinOp::Add, b.constant(Value(1)), Value(1), "sink");
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   EXPECT_TRUE(report.of("df-dead-node").empty()) << report;
 }
 
@@ -266,7 +217,7 @@ TEST(VerifyDf, JoinStarvedByATagMismatchedProducerIsADeadlock) {
   const auto starved = b.arith(BinOp::Add, "starved");
   b.connect(GraphBuilder::out(mismatch), starved, 0);
   b.connect(c3, starved, 1);
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto deadlock = report.of("df-deadlock");
   ASSERT_EQ(deadlock.size(), 1u) << report;
   EXPECT_EQ(deadlock[0].severity, Severity::Error);
@@ -283,7 +234,7 @@ TEST(VerifyDf, UnequalTokenCountsAreAnInfo) {
   b.connect(c1, join, 0);
   b.connect(c2, join, 0);
   b.connect(c3, join, 1);
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   const auto imbalance = report.of("df-token-imbalance");
   ASSERT_EQ(imbalance.size(), 1u) << report;
   EXPECT_EQ(imbalance[0].severity, Severity::Info);
@@ -297,7 +248,7 @@ TEST(VerifyDf, DiscardedOutputPortIsAnInfo) {
       b.cmp(BinOp::Lt, b.constant(Value(1)), b.constant(Value(2)));
   const auto st = b.steer(data, cond, "st");
   b.output(GraphBuilder::true_out(st), "m");  // FALSE port discarded
-  const auto report = verify_graph(b.graph());
+  const auto report = verify_graph(std::move(b).build());
   EXPECT_EQ(report.errors(), 0u) << report;
   const auto discarded = report.of("df-discarded-port");
   ASSERT_EQ(discarded.size(), 1u) << report;
@@ -307,13 +258,13 @@ TEST(VerifyDf, DiscardedOutputPortIsAnInfo) {
 
 TEST(VerifyDf, FindingsNameUnnamedNodesById) {
   GraphBuilder b;
-  const auto c = b.constant(Value(1));
-  const auto sum = b.arith(BinOp::Add);  // unnamed
-  b.connect(c, sum, 0);
-  const auto report = verify_graph(b.graph());
-  const auto unfed = report.of("df-input-unfed");
-  ASSERT_EQ(unfed.size(), 1u) << report;
-  EXPECT_EQ(unfed[0].reaction, "#1");
+  const auto data = b.constant(Value(7));
+  const auto ctrl = b.constant(Value("not a bool"));
+  b.steer(data, ctrl);  // unnamed: node #2
+  const auto report = verify_graph(std::move(b).build());
+  const auto sc = report.of("df-steer-control");
+  ASSERT_EQ(sc.size(), 1u) << report;
+  EXPECT_EQ(sc[0].reaction, "#2");
 }
 
 }  // namespace

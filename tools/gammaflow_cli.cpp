@@ -144,7 +144,6 @@ void print_usage(std::ostream& out) {
       "         --churn-rate P         random leave/rejoin per round (capped)\n"
       "         --replication N        checkpoint holders per node (ring\n"
       "                                successors; default 1)\n"
-      "         --checkpoint-every N   rounds between replica checkpoints\n"
       "         --wal-dir <dir>        per-node write-ahead logs + manifest\n"
       "                                (durability; enables --resume)\n"
       "         --wal-snapshot-every N rounds between WAL compactions\n"
@@ -227,7 +226,6 @@ struct Options {
   std::size_t fires_per_round = 4;
   FaultPlan faults;
   std::size_t replication = 1;
-  std::size_t checkpoint_every = 1;
   std::string wal_dir;
   std::size_t wal_snapshot_every = 64;
   bool resume = false;
@@ -369,8 +367,6 @@ Options parse_options(int argc, char** argv, int first) {
       opts.faults.membership.churn_rate = next_real();
     } else if (arg == "--replication") {
       opts.replication = next_number();
-    } else if (arg == "--checkpoint-every") {
-      opts.checkpoint_every = next_number();
     } else if (arg == "--wal-dir") {
       opts.wal_dir = next();
     } else if (arg == "--wal-snapshot-every") {
@@ -611,7 +607,6 @@ int cmd_distrib(const std::string& path, const Options& opts) {
   copts.fires_per_round = opts.fires_per_round;
   copts.faults = opts.faults;
   copts.replication_factor = opts.replication;
-  copts.checkpoint_every = opts.checkpoint_every;
   copts.wal_dir = opts.wal_dir;
   copts.wal_snapshot_every = opts.wal_snapshot_every;
   copts.resume = opts.resume;
